@@ -26,6 +26,9 @@ The package is organised as one sub-package per subsystem:
 ``repro.pipeline``
     end-to-end experiments and the per-figure drivers used by the benchmarks.
 
+The package ``__init__``s are lazy (PEP 562, see :mod:`repro._lazy`): a
+public name imports the submodule that defines it on first use.
+
 Quickstart
 ----------
 >>> from repro import make_study, apply_filter, mcode_clusters
@@ -35,28 +38,7 @@ Quickstart
 >>> clusters = mcode_clusters(filtered.graph)
 """
 
-from .clustering import Cluster, MCODEParams, mcode_clusters
-from .core import (
-    FilterResult,
-    apply_filter,
-    is_chordal,
-    maximal_chordal_subgraph,
-    parallel_chordal_comm_filter,
-    parallel_chordal_nocomm_filter,
-    parallel_random_walk_filter,
-    sequential_chordal_filter,
-)
-from .expression import CorrelationThreshold, ExpressionMatrix, build_correlation_network, make_study
-from .faults import FaultError, FaultPlan, FaultRule, active_plan, clear_plan, current_plan, fault_point, install_plan
-from .graph import Graph
-from .kernels import (
-    available_kernel_tiers,
-    kernel_backend,
-    kernel_tier_info,
-    set_kernel_backend,
-)
-from .ontology import AnnotationTable, EnrichmentScorer, GODag
-from .pipeline import analyze_filter, prepare_dataset
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -96,3 +78,45 @@ __all__ = [
     "fault_point",
     "install_plan",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".clustering": ("Cluster", "MCODEParams", "mcode_clusters"),
+        ".core": (
+            "FilterResult",
+            "apply_filter",
+            "is_chordal",
+            "maximal_chordal_subgraph",
+            "parallel_chordal_comm_filter",
+            "parallel_chordal_nocomm_filter",
+            "parallel_random_walk_filter",
+            "sequential_chordal_filter",
+        ),
+        ".expression": (
+            "CorrelationThreshold",
+            "ExpressionMatrix",
+            "build_correlation_network",
+            "make_study",
+        ),
+        ".faults": (
+            "FaultError",
+            "FaultPlan",
+            "FaultRule",
+            "active_plan",
+            "clear_plan",
+            "current_plan",
+            "fault_point",
+            "install_plan",
+        ),
+        ".graph": ("Graph",),
+        ".kernels": (
+            "available_kernel_tiers",
+            "kernel_backend",
+            "kernel_tier_info",
+            "set_kernel_backend",
+        ),
+        ".ontology": ("AnnotationTable", "EnrichmentScorer", "GODag"),
+        ".pipeline": ("analyze_filter", "prepare_dataset"),
+    },
+)

@@ -37,7 +37,7 @@ import json
 import random
 import sys
 import time
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .core.sampling import apply_filter, filter_names
 from .kernels import (
@@ -47,31 +47,31 @@ from .kernels import (
     warm_kernels,
 )
 from .parallel.runner import available_backends, configure_supervision
-from .expression.datasets import DATASET_CONFIGS, dataset_names, make_study
+from .expression.datasets import DATASET_CONFIGS, dataset_names, default_scale, make_study
 from .graph.io import write_edge_list
 from .graph.ordering import get_ordering, ordering_names
-from .pipeline import experiments as exp
-from .pipeline.batch import (
-    DRIVERS,
-    RunSpec,
-    driver_accepts,
-    driver_names,
-    get_driver,
-    parse_scale,
-    run_batch,
-)
 from .pipeline.report import format_kv, format_table
-from .pipeline.workflow import (
-    analysis_payload,
-    analyze_filter,
-    filter_payload,
-    prepare_dataset,
-)
 
 __all__ = ["build_parser", "main"]
 
-#: Figure drivers shared with the batch engine (one registry, two commands).
-_FIGURES = DRIVERS
+
+class _FigureNames:
+    """The ``repro figure`` choices: the batch engine's driver registry.
+
+    argparse reads choices only to check a parsed name or to print help, so
+    the registry (and the experiment stack behind it) is imported then, not
+    whenever the parser is built.
+    """
+
+    def __contains__(self, name: object) -> bool:
+        from .pipeline.batch import DRIVERS
+
+        return name in DRIVERS
+
+    def __iter__(self) -> Iterator[str]:
+        from .pipeline.batch import DRIVERS
+
+        return iter(sorted(DRIVERS))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -228,7 +228,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     figure = sub.add_parser("figure", help="regenerate one of the paper's figures")
-    figure.add_argument("name", choices=sorted(_FIGURES), help="figure / claim to regenerate")
+    figure.add_argument(
+        "name",
+        choices=_FigureNames(),
+        metavar="NAME",
+        help="figure / claim to regenerate: %(choices)s",
+    )
     figure.add_argument("--scale", type=float, default=None)
 
     batch = sub.add_parser(
@@ -332,7 +337,7 @@ def _apply_supervision(args: argparse.Namespace) -> None:
 
 
 def _cmd_datasets(args: argparse.Namespace) -> int:
-    scale = args.scale if args.scale is not None else exp.default_scale()
+    scale = args.scale if args.scale is not None else default_scale()
     rows = []
     for name in dataset_names():
         config = DATASET_CONFIGS[name].scaled(scale)
@@ -373,7 +378,7 @@ def _cmd_kernels(args: argparse.Namespace) -> int:
 def _cmd_filter(args: argparse.Namespace) -> int:
     _apply_kernels(args)
     _apply_supervision(args)
-    scale = args.scale if args.scale is not None else exp.default_scale()
+    scale = args.scale if args.scale is not None else default_scale()
     study = make_study(args.dataset, scale=scale)
     network = study.network()
     result = apply_filter(
@@ -386,6 +391,8 @@ def _cmd_filter(args: argparse.Namespace) -> int:
         backend=args.backend,
     )
     if args.json:
+        from .pipeline.workflow import filter_payload
+
         print(_canonical_json(filter_payload(result)))
     else:
         print(format_kv(result.summary(), title=f"{args.dataset} @ scale {scale}: {args.method}"))
@@ -397,9 +404,11 @@ def _cmd_filter(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    from .pipeline.workflow import analysis_payload, analyze_filter, prepare_dataset
+
     _apply_kernels(args)
     _apply_supervision(args)
-    scale = args.scale if args.scale is not None else exp.default_scale()
+    scale = args.scale if args.scale is not None else default_scale()
     bundle = prepare_dataset(args.dataset, scale=scale)
     analysis = analyze_filter(
         bundle,
@@ -439,7 +448,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     _apply_kernels(args)
     _apply_supervision(args)
-    scale = args.scale if args.scale is not None else exp.default_scale()
+    scale = args.scale if args.scale is not None else default_scale()
     preload = tuple(_split(args.preload))
     server = ReproServer(
         host=args.host,
@@ -545,13 +554,22 @@ def _split(raw: Optional[str]) -> list[str]:
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
+    from .pipeline.batch import (
+        RunSpec,
+        driver_accepts,
+        driver_names,
+        get_driver,
+        parse_scale,
+        run_batch,
+    )
+
     figures = [f.lower() for f in _split(args.figures)]
     if not figures or figures == ["all"]:
         figures = driver_names()
     try:
         if args.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {args.jobs}")
-        scales = [parse_scale(s) for s in _split(args.scales)] or [exp.default_scale()]
+        scales = [parse_scale(s) for s in _split(args.scales)] or [default_scale()]
         seeds = [int(s) for s in _split(args.seeds)] or [None]
         orderings = _split(args.orderings) or [None]
         for name in orderings:
@@ -610,9 +628,10 @@ def _cmd_spmd_worker(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    scale = args.scale if args.scale is not None else exp.default_scale()
-    driver = _FIGURES[args.name]
-    out = driver(scale=scale)
+    from .pipeline.batch import DRIVERS
+
+    scale = args.scale if args.scale is not None else default_scale()
+    out = DRIVERS[args.name](scale=scale)
     _print_figure(args.name, out)
     return 0
 

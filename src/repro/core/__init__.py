@@ -19,40 +19,7 @@ Sub-modules
     :class:`FilterResult` provenance container.
 """
 
-from .chordal import (
-    augment_to_maximal,
-    chordal_subgraph_edges,
-    edge_insertion_preserves_chordality,
-    fill_in_edges,
-    find_simplicial_vertex,
-    is_chordal,
-    is_maximal_chordal_subgraph,
-    is_perfect_elimination_ordering,
-    is_simplicial,
-    maximal_chordal_subgraph,
-    maximum_cardinality_search,
-)
-from .parallel_comm import (
-    parallel_chordal_comm_filter,
-    receiver_admit_border_edges,
-    receiver_admit_border_edges_indices,
-)
-from .quasi import (
-    QuasiChordalReport,
-    chordality_deficit,
-    long_cycle_census,
-    quasi_chordal_report,
-)
-from .parallel_nocomm import (
-    admit_border_edges_no_communication,
-    admit_border_edges_no_communication_indices,
-    local_chordal_phase,
-    parallel_chordal_nocomm_filter,
-)
-from .random_walk import parallel_random_walk_filter, random_walk_edges
-from .results import FilterResult
-from .sampling import FILTERS, apply_filter, filter_names
-from .sequential import sequential_chordal_filter, sequential_random_walk_filter
+from .._lazy import lazy_exports
 
 __all__ = [
     # chordal kernels
@@ -90,3 +57,43 @@ __all__ = [
     "apply_filter",
     "filter_names",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".chordal": (
+            "augment_to_maximal",
+            "chordal_subgraph_edges",
+            "edge_insertion_preserves_chordality",
+            "fill_in_edges",
+            "find_simplicial_vertex",
+            "is_chordal",
+            "is_maximal_chordal_subgraph",
+            "is_perfect_elimination_ordering",
+            "is_simplicial",
+            "maximal_chordal_subgraph",
+            "maximum_cardinality_search",
+        ),
+        ".parallel_comm": (
+            "parallel_chordal_comm_filter",
+            "receiver_admit_border_edges",
+            "receiver_admit_border_edges_indices",
+        ),
+        ".parallel_nocomm": (
+            "admit_border_edges_no_communication",
+            "admit_border_edges_no_communication_indices",
+            "local_chordal_phase",
+            "parallel_chordal_nocomm_filter",
+        ),
+        ".quasi": (
+            "QuasiChordalReport",
+            "chordality_deficit",
+            "long_cycle_census",
+            "quasi_chordal_report",
+        ),
+        ".random_walk": ("parallel_random_walk_filter", "random_walk_edges"),
+        ".results": ("FilterResult",),
+        ".sampling": ("FILTERS", "apply_filter", "filter_names"),
+        ".sequential": ("sequential_chordal_filter", "sequential_random_walk_filter"),
+    },
+)

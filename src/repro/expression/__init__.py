@@ -6,35 +6,7 @@ networks — from synthetic microarray data that mimics the paper's GEO series
 correlation with significance and magnitude thresholds.
 """
 
-from .correlation import (
-    CorrelationThreshold,
-    build_correlation_csr,
-    build_correlation_network,
-    correlated_pair_arrays,
-    correlated_pairs,
-    correlation_p_value,
-    correlation_p_values,
-    critical_correlation,
-    csr_from_pair_arrays,
-    network_from_pair_arrays,
-    pearson_correlation_matrix,
-)
-from .datasets import (
-    DATASET_CONFIGS,
-    StudyConfig,
-    SyntheticStudy,
-    dataset_names,
-    generate_study,
-    make_study,
-)
-from .io import read_expression_tsv, write_expression_tsv
-from .microarray import ExpressionMatrix
-from .preprocess import (
-    DifferentialExpressionResult,
-    apply_differential_filter,
-    differential_expression_scores,
-    select_differential_genes,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "ExpressionMatrix",
@@ -62,3 +34,38 @@ __all__ = [
     "write_expression_tsv",
     "read_expression_tsv",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".correlation": (
+            "CorrelationThreshold",
+            "build_correlation_csr",
+            "build_correlation_network",
+            "correlated_pair_arrays",
+            "correlated_pairs",
+            "correlation_p_value",
+            "correlation_p_values",
+            "critical_correlation",
+            "csr_from_pair_arrays",
+            "network_from_pair_arrays",
+            "pearson_correlation_matrix",
+        ),
+        ".datasets": (
+            "DATASET_CONFIGS",
+            "StudyConfig",
+            "SyntheticStudy",
+            "dataset_names",
+            "generate_study",
+            "make_study",
+        ),
+        ".io": ("read_expression_tsv", "write_expression_tsv"),
+        ".microarray": ("ExpressionMatrix",),
+        ".preprocess": (
+            "DifferentialExpressionResult",
+            "apply_differential_filter",
+            "differential_expression_scores",
+            "select_differential_genes",
+        ),
+    },
+)

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import stats
 
 from ..graph.csr import CSRGraph
 from ..graph.graph import Graph
@@ -64,34 +63,40 @@ def correlation_p_value(rho: float, n_samples: int) -> float:
 
     Uses the exact ``t = ρ·sqrt((n−2)/(1−ρ²))`` transform with ``n−2`` degrees
     of freedom.  ``|ρ| = 1`` returns 0.0 and fewer than three samples returns
-    1.0 (no power).
+    1.0 (no power).  The survival function is ``scipy.special.stdtr(df, -t)``,
+    the ufunc ``scipy.stats.t.sf`` evaluates, so the value is bit-identical
+    without importing ``scipy.stats``.
     """
     if n_samples < 3:
         return 1.0
     r = max(-1.0, min(1.0, float(rho)))
     if abs(r) >= 1.0:
         return 0.0
+    from scipy.special import stdtr
+
     t = abs(r) * math.sqrt((n_samples - 2) / (1.0 - r * r))
-    return float(2.0 * stats.t.sf(t, df=n_samples - 2))
+    return float(2.0 * stdtr(n_samples - 2, -t))
 
 
 def correlation_p_values(rho: np.ndarray, n_samples: int) -> np.ndarray:
-    """Vectorised :func:`correlation_p_value`: one ``stats.t.sf`` call per array.
+    """Vectorised :func:`correlation_p_value`: one ``stdtr`` call per array.
 
     Element-for-element identical to the scalar function (same clamp, same
     ``t`` transform, same survival function) — the test suite pins the two on
-    a grid — but amortises the ``scipy.stats`` dispatch overhead across the
-    whole array, which is what per-pair p-value reporting over thousands of
+    a grid — but amortises the ufunc dispatch overhead across the whole
+    array, which is what per-pair p-value reporting over thousands of
     admitted correlations needs.
     """
     rho = np.asarray(rho, dtype=float)
     if n_samples < 3:
         return np.ones(rho.shape, dtype=float)
+    from scipy.special import stdtr
+
     r = np.clip(rho, -1.0, 1.0)
     saturated = np.abs(r) >= 1.0
     safe = np.where(saturated, 0.0, r)
     t = np.abs(safe) * np.sqrt((n_samples - 2) / (1.0 - safe * safe))
-    p = 2.0 * stats.t.sf(t, df=n_samples - 2)
+    p = 2.0 * stdtr(n_samples - 2, -t)
     return np.where(saturated, 0.0, p)
 
 
@@ -99,13 +104,17 @@ def critical_correlation(p_value: float, n_samples: int) -> float:
     """Return the smallest |ρ| whose two-sided p-value is ≤ ``p_value``.
 
     Convenient for turning the paper's p ≤ 0.0005 criterion into a correlation
-    cut-off that can be combined with the explicit 0.95 threshold.
+    cut-off that can be combined with the explicit 0.95 threshold.  The
+    critical ``t`` is ``-scipy.special.stdtrit(df, p/2)``, the ufunc
+    ``scipy.stats.t.isf`` evaluates.
     """
-    if n_samples < 3:
-        return 1.0
     if not 0.0 < p_value < 1.0:
         raise ValueError("p_value must lie in (0, 1)")
-    t_crit = stats.t.isf(p_value / 2.0, df=n_samples - 2)
+    if n_samples < 3:
+        return 1.0
+    from scipy.special import stdtrit
+
+    t_crit = -stdtrit(n_samples - 2, p_value / 2.0)
     return float(t_crit / math.sqrt(n_samples - 2 + t_crit ** 2))
 
 
@@ -140,7 +149,7 @@ class CorrelationThreshold:
 
         Uses :func:`correlation_p_values` so bulk admission tests (e.g.
         re-checking an extracted pair list under a different criterion) cost
-        one ``stats.t.sf`` call instead of one per pair.  The tiled network
+        one ``stdtr`` call instead of one per pair.  The tiled network
         extraction itself never needs this — :meth:`effective_cutoff` folds
         the p-value criterion into a single ρ cut-off — so this is the
         per-pair *reporting* path.

@@ -42,6 +42,7 @@ so the full pipeline runs in seconds (see EXPERIMENTS.md).
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -64,6 +65,7 @@ __all__ = [
     "make_study",
     "DATASET_CONFIGS",
     "dataset_names",
+    "default_scale",
 ]
 
 
@@ -225,6 +227,20 @@ DATASET_CONFIGS: dict[str, StudyConfig] = {
 def dataset_names() -> list[str]:
     """Return the four dataset names in the paper's order."""
     return ["YNG", "MID", "UNT", "CRE"]
+
+
+_DEFAULT_SCALE = 0.10
+
+
+def default_scale() -> float:
+    """The dataset scale used by benchmarks (override with ``REPRO_SCALE=1.0``)."""
+    raw = os.environ.get("REPRO_SCALE")
+    if raw is None:
+        return _DEFAULT_SCALE
+    value = float(raw)
+    if value <= 0:
+        raise ValueError("REPRO_SCALE must be positive")
+    return value
 
 
 @dataclass

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .microarray import ExpressionMatrix
 
@@ -57,6 +56,8 @@ def differential_expression_scores(
     """
     if condition_a.genes != condition_b.genes:
         raise ValueError("both conditions must cover the same genes in the same order")
+    from scipy import stats
+
     a = condition_a.values
     b = condition_b.values
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -5,19 +5,7 @@ and proximity of their genes' shared functional annotations (AEES), which
 separates biologically meaningful clusters from coincidental ones.
 """
 
-from .annotation import AnnotationIndex, AnnotationTable
-from .enrichment import (
-    ClusterEnrichment,
-    ClusterScores,
-    EdgeAnnotation,
-    EnrichmentScorer,
-    reference_score_cluster,
-    reference_score_edge,
-    score_cluster,
-    score_edge,
-)
-from .generator import annotate_study, make_go_dag, make_study_ontology
-from .go_dag import GODag, GOTerm, TermIndex
+from .._lazy import lazy_exports
 
 __all__ = [
     "GODag",
@@ -37,3 +25,22 @@ __all__ = [
     "annotate_study",
     "make_study_ontology",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".annotation": ("AnnotationIndex", "AnnotationTable"),
+        ".enrichment": (
+            "ClusterEnrichment",
+            "ClusterScores",
+            "EdgeAnnotation",
+            "EnrichmentScorer",
+            "reference_score_cluster",
+            "reference_score_edge",
+            "score_cluster",
+            "score_edge",
+        ),
+        ".generator": ("annotate_study", "make_go_dag", "make_study_ontology"),
+        ".go_dag": ("GODag", "GOTerm", "TermIndex"),
+    },
+)

@@ -9,35 +9,7 @@ processes through a :class:`SharedArena`, rank work is measured exactly, and
 the scalability study.
 """
 
-from .comm import ANY_SOURCE, ANY_TAG, CommStats, ProcComm, SimComm, SimCommWorld
-from .rng import derive_seed, rank_rng, rank_rngs
-from .runner import (
-    DeadRankError,
-    RankResult,
-    SpmdReport,
-    SupervisionPolicy,
-    available_backends,
-    configure_supervision,
-    parallel_map,
-    pop_supervision_events,
-    reset_supervision_counters,
-    run_spmd,
-    shutdown_worker_pool,
-    supervision_counters,
-    supervision_policy,
-    worker_pool_size,
-)
-from .shm import (
-    ArenaError,
-    ArenaRef,
-    SharedArena,
-    arena_scope,
-    attach,
-    export_payload,
-    get_active_arena,
-    resolve_payload,
-)
-from .timing import CostModel, RankWork, efficiency, simulate_execution_time, speedup
+from .._lazy import lazy_exports
 
 __all__ = [
     "SimComm",
@@ -77,3 +49,38 @@ __all__ = [
     "rank_rng",
     "derive_seed",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".comm": ("ANY_SOURCE", "ANY_TAG", "CommStats", "ProcComm", "SimComm", "SimCommWorld"),
+        ".rng": ("derive_seed", "rank_rng", "rank_rngs"),
+        ".runner": (
+            "DeadRankError",
+            "RankResult",
+            "SpmdReport",
+            "SupervisionPolicy",
+            "available_backends",
+            "configure_supervision",
+            "parallel_map",
+            "pop_supervision_events",
+            "reset_supervision_counters",
+            "run_spmd",
+            "shutdown_worker_pool",
+            "supervision_counters",
+            "supervision_policy",
+            "worker_pool_size",
+        ),
+        ".shm": (
+            "ArenaError",
+            "ArenaRef",
+            "SharedArena",
+            "arena_scope",
+            "attach",
+            "export_payload",
+            "get_active_arena",
+            "resolve_payload",
+        ),
+        ".timing": ("CostModel", "RankWork", "efficiency", "simulate_execution_time", "speedup"),
+    },
+)

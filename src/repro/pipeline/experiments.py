@@ -15,11 +15,11 @@ several figures share them.
 
 from __future__ import annotations
 
-import os
 from typing import Any, Optional, Sequence
 
 from ..clustering.evaluation import EvaluationThresholds, quadrant_counts
 from ..core.sampling import apply_filter
+from ..expression.datasets import default_scale
 from ..graph.ordering import ordering_names
 from .workflow import DatasetBundle, FilterAnalysis, analyze_filter, prepare_dataset
 
@@ -43,20 +43,8 @@ __all__ = [
 #: Paper figure labels for the four orderings.
 ORDERING_LABELS = {"natural": "NO", "high_degree": "HD", "low_degree": "LD", "rcm": "RCM"}
 
-_DEFAULT_SCALE = 0.10
 _BUNDLE_CACHE: dict[tuple[str, float, int], DatasetBundle] = {}
 _ANALYSIS_CACHE: dict[tuple, FilterAnalysis] = {}
-
-
-def default_scale() -> float:
-    """The dataset scale used by benchmarks (override with ``REPRO_SCALE=1.0``)."""
-    raw = os.environ.get("REPRO_SCALE")
-    if raw is None:
-        return _DEFAULT_SCALE
-    value = float(raw)
-    if value <= 0:
-        raise ValueError("REPRO_SCALE must be positive")
-    return value
 
 
 def get_bundle(name: str, scale: Optional[float] = None, seed: Optional[int] = None) -> DatasetBundle:

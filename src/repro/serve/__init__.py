@@ -10,30 +10,7 @@ coalescing.  Responses are byte-identical to a cold ``repro … --json`` run of
 the same request; the test tier enforces it.
 """
 
-from .admission import AdmissionQueue, BusyError, ShuttingDownError, Ticket
-from .cache import CacheStats, ResultCache
-from .client import ServeClient, ServeError, ServeTimeout
-from .coalesce import EnrichmentBatcher
-from .handlers import CACHEABLE_OPS, HANDLERS, normalize_params
-from .protocol import (
-    ERROR_BAD_REQUEST,
-    ERROR_BUSY,
-    ERROR_INTERNAL,
-    ERROR_SHUTTING_DOWN,
-    MAX_MESSAGE_BYTES,
-    PROTOCOL_VERSION,
-    ProtocolError,
-    Request,
-    error_response,
-    ok_response,
-    parse_request,
-    read_message,
-    request_spec,
-    spec_hash,
-    write_message,
-)
-from .server import ReproServer, ServerHooks
-from .state import DatasetState, ServerState
+from .._lazy import lazy_exports
 
 __all__ = [
     "AdmissionQueue",
@@ -69,3 +46,33 @@ __all__ = [
     "DatasetState",
     "ServerState",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".admission": ("AdmissionQueue", "BusyError", "ShuttingDownError", "Ticket"),
+        ".cache": ("CacheStats", "ResultCache"),
+        ".client": ("ServeClient", "ServeError", "ServeTimeout"),
+        ".coalesce": ("EnrichmentBatcher",),
+        ".handlers": ("CACHEABLE_OPS", "HANDLERS", "normalize_params"),
+        ".protocol": (
+            "ERROR_BAD_REQUEST",
+            "ERROR_BUSY",
+            "ERROR_INTERNAL",
+            "ERROR_SHUTTING_DOWN",
+            "MAX_MESSAGE_BYTES",
+            "PROTOCOL_VERSION",
+            "ProtocolError",
+            "Request",
+            "error_response",
+            "ok_response",
+            "parse_request",
+            "read_message",
+            "request_spec",
+            "spec_hash",
+            "write_message",
+        ),
+        ".server": ("ReproServer", "ServerHooks"),
+        ".state": ("DatasetState", "ServerState"),
+    },
+)

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.expression import (
+    DATASET_CONFIGS,
     CorrelationThreshold,
     ExpressionMatrix,
     build_correlation_csr,
@@ -13,6 +16,7 @@ from repro.expression import (
     correlated_pair_arrays,
     correlated_pairs,
     correlation_p_value,
+    correlation_p_values,
     critical_correlation,
     pearson_correlation_matrix,
 )
@@ -87,8 +91,11 @@ class TestPValues:
         assert correlation_p_value(r - 0.02, 10) > 0.0005
 
     def test_critical_correlation_validation(self):
-        with pytest.raises(ValueError):
-            critical_correlation(0.0, 10)
+        # p_value is checked before the too-few-samples shortcut.
+        for n_samples in (10, 2):
+            for p_value in (0.0, 1.0, -0.5, 1.5):
+                with pytest.raises(ValueError):
+                    critical_correlation(p_value, n_samples)
         assert critical_correlation(0.01, 2) == 1.0
 
 
@@ -233,3 +240,73 @@ class TestVectorisedPValues:
                 vector = threshold.admits_array(rhos, n)
                 scalar = np.array([threshold.admits(r, n) for r in rhos])
                 assert np.array_equal(vector, scalar), (threshold, n)
+
+
+def _stats_p_value(rho: float, n_samples: int) -> float:
+    """The scalar p-value through ``scipy.stats.t.sf``, same clamp and transform."""
+    from scipy import stats
+
+    r = max(-1.0, min(1.0, float(rho)))
+    if abs(r) >= 1.0:
+        return 0.0
+    t = abs(r) * math.sqrt((n_samples - 2) / (1.0 - r * r))
+    return float(2.0 * stats.t.sf(t, df=n_samples - 2))
+
+
+def _stats_p_values(rho: np.ndarray, n_samples: int) -> np.ndarray:
+    """The vectorised p-values through ``scipy.stats.t.sf``."""
+    from scipy import stats
+
+    r = np.clip(rho, -1.0, 1.0)
+    saturated = np.abs(r) >= 1.0
+    safe = np.where(saturated, 0.0, r)
+    t = np.abs(safe) * np.sqrt((n_samples - 2) / (1.0 - safe * safe))
+    return np.where(saturated, 0.0, 2.0 * stats.t.sf(t, df=n_samples - 2))
+
+
+def _stats_critical_correlation(p_value: float, n_samples: int) -> float:
+    """The critical |ρ| through ``scipy.stats.t.isf``."""
+    from scipy import stats
+
+    t_crit = stats.t.isf(p_value / 2.0, df=n_samples - 2)
+    return float(t_crit / math.sqrt(n_samples - 2 + t_crit ** 2))
+
+
+class TestScipyStatsIdentity:
+    """The ``scipy.special`` p-values equal ``scipy.stats.t`` bit for bit.
+
+    The critical correlation decides the network's edge set, so the
+    comparison is exact, never approximate.
+    """
+
+    RHOS = np.concatenate(
+        [
+            np.linspace(-1.0, 1.0, 201),
+            [0.0, -0.0, 1.0, -1.0, np.nan, 0.9999999, -0.9999999],
+            0.95 + np.linspace(-1e-3, 1e-3, 41),
+            -0.95 + np.linspace(-1e-3, 1e-3, 41),
+        ]
+    )
+
+    def test_vector_p_values(self):
+        for n in range(3, 201):
+            expected = _stats_p_values(self.RHOS, n)
+            assert np.array_equal(correlation_p_values(self.RHOS, n), expected, equal_nan=True), n
+
+    def test_scalar_p_values(self):
+        for n in (3, 4, 5, 10, 12, 30, 100, 200):
+            for rho in self.RHOS:
+                assert correlation_p_value(rho, n) == _stats_p_value(rho, n), (rho, n)
+
+    def test_critical_correlation(self):
+        for n in range(3, 201):
+            for p_value in (1e-6, 0.0005, 0.001, 0.01, 0.05, 0.5, 0.999):
+                expected = _stats_critical_correlation(p_value, n)
+                assert critical_correlation(p_value, n) == expected, (p_value, n)
+
+    def test_effective_cutoff_for_dataset_sample_counts(self):
+        threshold = CorrelationThreshold()
+        for config in DATASET_CONFIGS.values():
+            n = config.n_samples
+            expected = max(0.95, _stats_critical_correlation(0.0005, n))
+            assert threshold.effective_cutoff(n) == expected, config.name
