@@ -1,66 +1,26 @@
-#!/usr/bin/env python
 """Micro-benchmarks of the computational kernels (wall-clock, multiple rounds).
 
 These are conventional pytest-benchmark measurements of the building blocks —
 the Dearing–Shier–Warner extraction, chordality recognition, MCODE, Pearson
 thresholding and the partitioners — so that performance regressions in the
 hot paths are visible independently of the figure-level experiments.
-
-Run standalone, the module also measures the kernel *tiers* — the ``numpy``
-implementations against the compiled ``jit`` tier (``repro.kernels``) — and
-writes ``BENCH_kernels.json``::
-
-    PYTHONPATH=src python benchmarks/bench_kernels.py                 # full grid
-    PYTHONPATH=src python benchmarks/bench_kernels.py --quick         # CI grid
-    PYTHONPATH=src python benchmarks/bench_kernels.py --quick \
-        --check BENCH_kernels.json --threshold 0.25                   # CI gate
-
-Each cell times one kernel family (MCS ordering, greedy / strict DSW, MCODE
-weights + clusters, multi-source bitset BFS) on both tiers, asserts the
-outputs are identical, and records the one-off jit compile time separately
-(``compile_seconds``, from ``warm_kernels()``) so steady-state rows are not
-polluted by compilation. Without numba only the ``numpy`` rows are measured
-and the file says ``"jit_available": false``.
-
-``--check`` gates on the per-kernel ``jit_seconds / numpy_seconds`` ratio:
-both tiers run in the same process on the same machine, so hardware speed
-cancels. When the committed baseline has jit rows the fresh ratio must not
-regress more than ``--threshold`` against it; when the baseline was produced
-without numba (no jit rows) the fresh jit tier must simply not be slower
-than numpy by more than the threshold. A fresh run without numba checks
-only that the numpy rows exist.
 """
 
 from __future__ import annotations
 
-import argparse
-import hashlib
-import json
-import platform
-import sys
-import time
-from datetime import datetime, timezone
-from typing import Any, Callable, Optional
-
-import numpy as np
 import pytest
 
 from repro.clustering import mcode_clusters
-from repro.clustering.mcode import mcode_clusters_indices, mcode_vertex_weights_indices
 from repro.core import chordal_subgraph_edges, is_chordal, maximal_chordal_subgraph
 from repro.core.chordal import (
     chordal_subgraph_edge_indices,
     maximum_cardinality_search,
-    mcs_order_indices,
     reference_chordal_subgraph_edges,
     reference_maximum_cardinality_search,
 )
 from repro.core.random_walk import random_walk_edges
 from repro.expression import correlated_pairs, make_study
 from repro.graph import CSRGraph, correlation_like_graph, partition_graph, rcm_order
-from repro.kernels import jit_available, warm_kernels
-from repro.ontology.generator import make_go_dag
-from repro.ontology.go_dag import distance_batch_arrays
 from repro.parallel.rng import rank_rngs
 
 
@@ -144,186 +104,3 @@ def test_kernel_block_partition(benchmark, kernel_graph):
 def test_kernel_correlation_thresholding(benchmark, kernel_study):
     pairs = benchmark(correlated_pairs, kernel_study.matrix)
     assert pairs
-
-
-# ----------------------------------------------------------------------
-# standalone tier benchmark (numpy vs jit) — `python bench_kernels.py`
-# ----------------------------------------------------------------------
-
-SCHEMA = "bench_kernels/v1"
-
-
-def _digest(value: Any) -> str:
-    if isinstance(value, np.ndarray):
-        blob = value.tobytes()
-    else:
-        blob = repr(value).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
-
-
-def build_tier_workload(quick: bool) -> dict[str, Callable[[str], Any]]:
-    """One callable per kernel family; each takes the tier name and returns
-    the kernel's full output (digested for the cross-tier identity check)."""
-    graph = correlation_like_graph(
-        n_modules=6 if quick else 12,
-        module_size=12,
-        n_background=400 if quick else 1400,
-        p_noise=0.002,
-        seed=5,
-    )
-    csr = CSRGraph.from_graph(graph)
-    dag = make_go_dag(depth=7 if quick else 9, branching=3, seed=3)
-    term_csr = dag.term_index().term_csr
-    n_terms = term_csr.indptr.shape[0] - 1
-    rng = np.random.default_rng(17)
-    n_queries = 3000 if quick else 30000
-    qa = rng.integers(n_terms, size=n_queries).astype(np.int64)
-    qb = rng.integers(n_terms, size=n_queries).astype(np.int64)
-
-    def cluster_digest(tier: str) -> Any:
-        clusters = mcode_clusters_indices(csr, kernels=tier)
-        return [(c.seed, c.members, c.score) for c in clusters]
-
-    return {
-        "mcs_order": lambda tier: mcs_order_indices(csr, kernels=tier),
-        "dsw_greedy": lambda tier: chordal_subgraph_edge_indices(csr, kernels=tier),
-        "dsw_strict": lambda tier: chordal_subgraph_edge_indices(
-            csr, strict_order=True, kernels=tier
-        ),
-        "mcode_weights": lambda tier: mcode_vertex_weights_indices(csr, kernels=tier),
-        "mcode_clusters": cluster_digest,
-        "bitset_bfs": lambda tier: distance_batch_arrays(
-            qa, qb, term_csr.indptr, term_csr.indices, kernels=tier
-        ),
-    }
-
-
-def run_tier_grid(quick: bool, verbose: bool = True) -> dict[str, Any]:
-    workload = build_tier_workload(quick)
-    tiers = ["numpy"] + (["jit"] if jit_available() else [])
-    # One-off compile cost, reported separately so the timed rows below are
-    # steady-state (`warm_kernels` drives every jit kernel once on a toy graph).
-    compile_seconds = {k: round(v, 4) for k, v in warm_kernels().items()} if jit_available() else {}
-    repeats = 3 if quick else 5
-    runs: list[dict[str, Any]] = []
-    for name, cell in workload.items():
-        digests: dict[str, str] = {}
-        for tier in tiers:
-            best = float("inf")
-            out: Any = None
-            for _ in range(repeats):
-                t0 = time.perf_counter()
-                out = cell(tier)
-                best = min(best, time.perf_counter() - t0)
-            digests[tier] = _digest(out)
-            runs.append(
-                {"kernel": name, "tier": tier, "repeats": repeats, "seconds": round(best, 6)}
-            )
-            if verbose:
-                print(f"{name:>14} {tier:>6} {best:10.4f}s  digest={digests[tier]}", flush=True)
-        if "jit" in digests and digests["jit"] != digests["numpy"]:
-            raise AssertionError(f"{name}: jit output differs from numpy output")
-    table: dict[str, dict[str, Any]] = {}
-    by_kernel: dict[str, dict[str, float]] = {}
-    for row in runs:
-        by_kernel.setdefault(row["kernel"], {})[row["tier"]] = row["seconds"]
-    for name, cells in by_kernel.items():
-        entry: dict[str, Any] = {"numpy_seconds": cells["numpy"]}
-        if "jit" in cells:
-            entry["jit_seconds"] = cells["jit"]
-            entry["speedup"] = round(cells["numpy"] / cells["jit"], 3) if cells["jit"] else None
-            entry["compile_seconds"] = compile_seconds.get(name)
-        table[name] = entry
-    return {"runs": runs, "speedup": table, "compile_seconds": compile_seconds}
-
-
-def check_regression(
-    fresh_table: dict[str, dict[str, Any]], committed: dict[str, Any], threshold: float
-) -> int:
-    """Gate on the committed baseline, normalized for hardware speed."""
-    fresh_jit = {k: v for k, v in fresh_table.items() if "jit_seconds" in v}
-    if not fresh_jit:
-        if not fresh_table:
-            print("check: FAIL — no kernels measured", file=sys.stderr)
-            return 1
-        print("check: numba not available — numpy rows measured, jit gate skipped")
-        return 0
-    committed_table = committed.get("speedup", {})
-    failed = False
-    for name, entry in sorted(fresh_jit.items()):
-        new_ratio = entry["jit_seconds"] / entry["numpy_seconds"]
-        old = committed_table.get(name, {})
-        if "jit_seconds" in old and "numpy_seconds" in old:
-            old_ratio = old["jit_seconds"] / old["numpy_seconds"]
-            rel = new_ratio / old_ratio if old_ratio else float("inf")
-            print(
-                f"check: {name}: jit/numpy ratio committed {old_ratio:.4f}, "
-                f"fresh {new_ratio:.4f}, relative {rel:.2f}"
-            )
-            ok = rel <= 1.0 + threshold
-        else:
-            # Baseline produced without numba: require jit at least on par
-            # with numpy (within the threshold) rather than vs a prior ratio.
-            print(
-                f"check: {name}: no committed jit row; fresh jit/numpy ratio "
-                f"{new_ratio:.4f} (must be <= {1.0 + threshold:.2f})"
-            )
-            ok = new_ratio <= 1.0 + threshold
-        if not ok:
-            print(f"check: FAIL — {name} jit tier regressed", file=sys.stderr)
-            failed = True
-    if failed:
-        return 1
-    print("check: OK")
-    return 0
-
-
-def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description="kernel tier benchmark (numpy vs jit)")
-    parser.add_argument("--quick", action="store_true", help="small CI grid")
-    parser.add_argument(
-        "--out",
-        default=None,
-        help="output JSON path (default BENCH_kernels.json, or "
-        "bench_kernels_fresh.json when --check is given)",
-    )
-    parser.add_argument("--label", default="kernel-tiers", help="label for this variant")
-    parser.add_argument(
-        "--check",
-        metavar="FILE",
-        help="compare fresh per-kernel jit/numpy ratios against a committed bench file",
-    )
-    parser.add_argument("--threshold", type=float, default=0.25, help="allowed regression for --check")
-    args = parser.parse_args(argv)
-
-    if args.out is None:
-        args.out = "bench_kernels_fresh.json" if args.check else "BENCH_kernels.json"
-    committed: Optional[dict[str, Any]] = None
-    if args.check:
-        with open(args.check, "r", encoding="utf-8") as fh:
-            committed = json.load(fh)
-
-    grid = run_tier_grid(args.quick)
-    payload: dict[str, Any] = {
-        "schema": SCHEMA,
-        "label": args.label,
-        "quick": args.quick,
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "created": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "jit_available": jit_available(),
-        "runs": grid["runs"],
-        "speedup": grid["speedup"],
-        "compile_seconds": grid["compile_seconds"],
-    }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {args.out} ({len(grid['runs'])} runs)")
-    if committed is not None:
-        return check_regression(grid["speedup"], committed, args.threshold)
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

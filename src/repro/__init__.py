@@ -19,10 +19,6 @@ The package is organised as one sub-package per subsystem:
 ``repro.core``
     the paper's contribution — sequential and parallel maximal chordal
     subgraph filters plus the random-walk control, behind ``apply_filter``.
-``repro.kernels``
-    the kernel backend registry — ``reference`` / ``numpy`` / ``jit``
-    execution tiers for the hot loops, selected per call, per process or
-    via ``REPRO_KERNELS``.
 ``repro.pipeline``
     end-to-end experiments and the per-figure drivers used by the benchmarks.
 
@@ -65,10 +61,6 @@ __all__ = [
     "mcode_clusters",
     "prepare_dataset",
     "analyze_filter",
-    "available_kernel_tiers",
-    "kernel_backend",
-    "kernel_tier_info",
-    "set_kernel_backend",
     "FaultError",
     "FaultPlan",
     "FaultRule",
@@ -110,12 +102,6 @@ __getattr__, __dir__ = lazy_exports(
             "install_plan",
         ),
         ".graph": ("Graph",),
-        ".kernels": (
-            "available_kernel_tiers",
-            "kernel_backend",
-            "kernel_tier_info",
-            "set_kernel_backend",
-        ),
         ".ontology": ("AnnotationTable", "EnrichmentScorer", "GODag"),
         ".pipeline": ("analyze_filter", "prepare_dataset"),
     },

@@ -14,9 +14,6 @@ A small CLI so the pipeline can be driven without writing Python:
     run a sweep of figure experiments (dedup, disk cache, process fan-out);
 ``python -m repro datasets``
     list the built-in synthetic datasets and their scaled sizes;
-``python -m repro kernels``
-    report the kernel tiers (active tier, numba availability, optional
-    warm-up/compile timings);
 ``python -m repro serve``
     start the resident warm-state analysis daemon (see :mod:`repro.serve`);
 ``python -m repro request``
@@ -40,12 +37,6 @@ import time
 from typing import Iterator, Optional, Sequence
 
 from .core.sampling import apply_filter, filter_names
-from .kernels import (
-    available_kernel_tiers,
-    kernel_tier_info,
-    set_kernel_backend,
-    warm_kernels,
-)
 from .parallel.runner import available_backends, configure_supervision
 from .expression.datasets import DATASET_CONFIGS, dataset_names, default_scale, make_study
 from .graph.io import write_edge_list
@@ -85,17 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     datasets = sub.add_parser("datasets", help="list the built-in synthetic datasets")
     datasets.add_argument("--scale", type=float, default=None, help="dataset scale (default: REPRO_SCALE or 0.1)")
 
-    kernels = sub.add_parser(
-        "kernels",
-        help="report the kernel backend tiers (active tier, numba availability)",
-    )
-    kernels.add_argument(
-        "--warm",
-        action="store_true",
-        help="compile every jit kernel on tiny inputs and report per-kernel "
-        "warm-up seconds (a no-op without numba)",
-    )
-
     filt = sub.add_parser("filter", help="apply a sampling filter to a dataset's correlation network")
     filt.add_argument("--dataset", choices=dataset_names(), default="CRE")
     filt.add_argument("--scale", type=float, default=None)
@@ -120,7 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the canonical result payload (one JSON line) instead of tables",
     )
-    _add_kernels_arg(filt)
     _add_supervision_args(filt)
 
     analyze = sub.add_parser("analyze", help="full analysis: filter + MCODE + enrichment + overlap")
@@ -137,7 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the canonical result payload (one JSON line) instead of tables",
     )
-    _add_kernels_arg(analyze)
     _add_supervision_args(analyze)
 
     serve = sub.add_parser(
@@ -167,7 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="write the bound port to this file once listening (for scripts)",
     )
-    _add_kernels_arg(serve)
     _add_supervision_args(serve)
 
     request = sub.add_parser("request", help="send one request to a running daemon")
@@ -283,33 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_kernels_arg(parser: argparse.ArgumentParser) -> None:
-    """Shared kernel-tier flag (filter / analyze / serve)."""
-    parser.add_argument(
-        "--kernels",
-        choices=["auto"] + available_kernel_tiers(),
-        default=None,
-        help="kernel tier for the hot loops: 'reference' (seed bodies), "
-        "'numpy' (array kernels), 'jit' (compiled, needs the repro[kernels] "
-        "extra) or 'auto' (jit when available); every tier produces "
-        "identical results",
-    )
-
-
-def _apply_kernels(args: argparse.Namespace) -> None:
-    """Install the CLI's kernel-tier choice process-wide.
-
-    Sets both the registry default and ``REPRO_KERNELS``, so spawned process
-    workers (which inherit the environment, not the registry) resolve the
-    same tier.
-    """
-    if getattr(args, "kernels", None):
-        import os
-
-        os.environ["REPRO_KERNELS"] = args.kernels
-        set_kernel_backend(args.kernels)
-
-
 def _add_supervision_args(parser: argparse.ArgumentParser) -> None:
     """Shared fault-supervision flags (filter / analyze / serve)."""
     parser.add_argument(
@@ -356,27 +306,7 @@ def _cmd_datasets(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_kernels(args: argparse.Namespace) -> int:
-    info = kernel_tier_info()
-    report = {
-        "tiers": ", ".join(info["tiers"]),
-        "requested": info["requested"],
-        "active": info["active"],
-        "jit_available": info["jit_available"],
-        "numba": info["numba"] or "not installed",
-    }
-    if args.warm:
-        timings = warm_kernels()
-        for name, seconds in sorted(timings.items()):
-            report[f"warm[{name}]"] = f"{seconds:.3f}s"
-        if not timings:
-            report["warm"] = "skipped (jit tier unavailable)"
-    print(format_kv(report, title="kernel backend tiers"))
-    return 0
-
-
 def _cmd_filter(args: argparse.Namespace) -> int:
-    _apply_kernels(args)
     _apply_supervision(args)
     scale = args.scale if args.scale is not None else default_scale()
     study = make_study(args.dataset, scale=scale)
@@ -406,7 +336,6 @@ def _cmd_filter(args: argparse.Namespace) -> int:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from .pipeline.workflow import analysis_payload, analyze_filter, prepare_dataset
 
-    _apply_kernels(args)
     _apply_supervision(args)
     scale = args.scale if args.scale is not None else default_scale()
     bundle = prepare_dataset(args.dataset, scale=scale)
@@ -446,7 +375,6 @@ def _canonical_json(payload: dict) -> str:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .serve import ReproServer  # deferred: the daemon is opt-in
 
-    _apply_kernels(args)
     _apply_supervision(args)
     scale = args.scale if args.scale is not None else default_scale()
     preload = tuple(_split(args.preload))
@@ -672,7 +600,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     handlers = {
         "datasets": _cmd_datasets,
-        "kernels": _cmd_kernels,
         "filter": _cmd_filter,
         "analyze": _cmd_analyze,
         "figure": _cmd_figure,

@@ -41,7 +41,6 @@ import numpy as np
 
 from ..graph.csr import CSRGraph
 from ..graph.graph import Graph
-from ..kernels import jit_impl, resolve_kernels
 from .cluster import Cluster
 
 __all__ = [
@@ -201,17 +200,9 @@ def core_numbers_indices(csr: CSRGraph) -> np.ndarray:
     return out
 
 
-def mcode_vertex_weights_indices(csr: CSRGraph, kernels: Optional[str] = None) -> np.ndarray:
-    """Stage 1 on indices: weight = k × density of each neighbourhood's top core.
-
-    ``kernels`` selects the execution tier (see :mod:`repro.kernels`); the
-    ``jit`` tier runs the identical per-vertex peel with a preserved weight
-    expression, so the float64 results are bit-identical.  At this index
-    level ``reference`` is served by the ``numpy`` tier.
-    """
+def mcode_vertex_weights_indices(csr: CSRGraph) -> np.ndarray:
+    """Stage 1 on indices: weight = k × density of each neighbourhood's top core."""
     n = csr.n_vertices
-    if resolve_kernels(kernels) == "jit":
-        return jit_impl("mcode_weights")(csr.indptr, csr.indices)
     weights = np.zeros(n, dtype=np.float64)
     row_sets = csr.neighbor_sets()
     rows = csr.neighbor_lists()
@@ -289,7 +280,6 @@ def _fluff_indices(
 def mcode_clusters_indices(
     csr: CSRGraph,
     params: Optional[MCODEParams] = None,
-    kernels: Optional[str] = None,
 ) -> list[IndexComplex]:
     """Run MCODE on a CSR view and return index-level complexes, sorted.
 
@@ -297,18 +287,12 @@ def mcode_clusters_indices(
     :func:`reference_mcode_clusters` (ties broken by ``repr`` of the vertex
     labels, as in the seed); only the label materialisation is left to the
     caller.
-
-    ``kernels`` selects the execution tier for stage 1 and the peel/count
-    loops (see :mod:`repro.kernels`); the ``jit`` tier additionally skips
-    materialising the Python neighbour sets unless fluff needs them.
     """
     params = params or MCODEParams()
-    kernels = resolve_kernels(kernels)
-    use_jit = kernels == "jit"
     n = csr.n_vertices
     rows = csr.neighbor_lists()
-    row_sets = None if use_jit and not params.fluff else csr.neighbor_sets()
-    weights = mcode_vertex_weights_indices(csr, kernels=kernels).tolist()
+    row_sets = csr.neighbor_sets()
+    weights = mcode_vertex_weights_indices(csr).tolist()
     reprs = [repr(v) for v in csr.labels]
     order = sorted(range(n), key=lambda i: (-weights[i], reprs[i]))
     seen: set[int] = set()
@@ -329,12 +313,7 @@ def mcode_clusters_indices(
         if params.fluff:
             members = _fluff_indices(rows, row_sets, members, params.fluff_density_threshold)
         if prune:
-            if use_jit:
-                member_arr = np.fromiter(members, dtype=np.int64, count=len(members))
-                alive = jit_impl("peel")(csr.indptr, csr.indices, member_arr, 2)
-                survivors = {u for u in members if alive[u]}
-            else:
-                survivors = _peel_subset(row_sets, members, 2)
+            survivors = _peel_subset(row_sets, members, 2)
         else:
             survivors = set(members)
         n_sub = len(survivors)
@@ -343,11 +322,7 @@ def mcode_clusters_indices(
         if n_sub < 2:
             density = 0.0
         else:
-            if use_jit:
-                surv_arr = np.fromiter(survivors, dtype=np.int64, count=n_sub)
-                e_sub = int(jit_impl("subset_edge_count")(csr.indptr, csr.indices, surv_arr))
-            else:
-                e_sub = _subset_edge_count(row_sets, survivors)
+            e_sub = _subset_edge_count(row_sets, survivors)
             density = 2.0 * e_sub / (n_sub * (n_sub - 1))
         score = density * n_sub
         if score < params.min_score:
@@ -361,24 +336,11 @@ def mcode_clusters_indices(
 # ----------------------------------------------------------------------
 # public label-level API (CSR-native, labels only at the boundary)
 # ----------------------------------------------------------------------
-def k_core(graph: Graph, k: int, kernels: Optional[str] = None) -> Graph:
-    """Return the ``k``-core of ``graph`` (maximal subgraph with min degree ≥ k).
-
-    ``kernels`` selects the execution tier: ``reference`` reruns the seed
-    full-rescan peel, ``jit`` the compiled peel; the k-core is unique, so
-    every tier returns the same subgraph.
-    """
+def k_core(graph: Graph, k: int) -> Graph:
+    """Return the ``k``-core of ``graph`` (maximal subgraph with min degree ≥ k)."""
     if graph.n_vertices == 0 or k <= 0:
         return graph.copy()
-    kernels = resolve_kernels(kernels)
-    if kernels == "reference":
-        return reference_k_core(graph, k)
     csr = CSRGraph.from_graph(graph)
-    if kernels == "jit":
-        mask = jit_impl("peel")(
-            csr.indptr, csr.indices, np.arange(csr.n_vertices, dtype=np.int64), int(k)
-        )
-        return graph.subgraph([csr.labels[i] for i in np.flatnonzero(mask)])
     alive = _peel_subset(csr.neighbor_sets(), range(csr.n_vertices), k)
     return graph.subgraph([csr.labels[i] for i in range(csr.n_vertices) if i in alive])
 
@@ -408,13 +370,10 @@ def _weight_density(core: Graph) -> float:
     return 2.0 * core.n_edges / (n * (n - 1))
 
 
-def mcode_vertex_weights(graph: Graph, kernels: Optional[str] = None) -> dict[Vertex, float]:
+def mcode_vertex_weights(graph: Graph) -> dict[Vertex, float]:
     """Stage 1: weight every vertex by k × density of its neighbourhood's highest core."""
-    kernels = resolve_kernels(kernels)
-    if kernels == "reference":
-        return reference_mcode_vertex_weights(graph)
     csr = CSRGraph.from_graph(graph)
-    weights = mcode_vertex_weights_indices(csr, kernels=kernels)
+    weights = mcode_vertex_weights_indices(csr)
     return {v: float(w) for v, w in zip(csr.labels, weights.tolist())}
 
 
@@ -428,7 +387,6 @@ def mcode_clusters(
     params: Optional[MCODEParams] = None,
     source: str = "",
     csr: Optional[CSRGraph] = None,
-    kernels: Optional[str] = None,
 ) -> list[Cluster]:
     """Run MCODE on ``graph`` and return clusters sorted by descending score.
 
@@ -444,14 +402,11 @@ def mcode_clusters(
     :class:`Cluster` objects are built.
     """
     params = params or MCODEParams()
-    kernels = resolve_kernels(kernels)
-    if kernels == "reference":
-        return reference_mcode_clusters(graph, params, source)
     if csr is None:
         csr = CSRGraph.from_graph(graph)
     labels = csr.labels
     clusters: list[Cluster] = []
-    for i, complex_ in enumerate(mcode_clusters_indices(csr, params, kernels=kernels)):
+    for i, complex_ in enumerate(mcode_clusters_indices(csr, params)):
         members = [labels[u] for u in complex_.members]
         clusters.append(
             Cluster(

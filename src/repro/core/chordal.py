@@ -37,11 +37,8 @@ import heapq
 from collections.abc import Hashable, Sequence
 from typing import Optional
 
-import numpy as np
-
 from ..graph.csr import CSRGraph
 from ..graph.graph import Graph, edge_key
-from ..kernels import jit_impl, resolve_kernels
 
 __all__ = [
     "maximum_cardinality_search",
@@ -70,9 +67,7 @@ Edge = tuple[Vertex, Vertex]
 # ----------------------------------------------------------------------
 # recognition
 # ----------------------------------------------------------------------
-def mcs_order_indices(
-    csr: CSRGraph, start: Optional[int] = None, kernels: Optional[str] = None
-) -> list[int]:
+def mcs_order_indices(csr: CSRGraph, start: Optional[int] = None) -> list[int]:
     """Maximum Cardinality Search on the CSR kernel; returns vertex indices.
 
     Selects, at every step, the unvisited vertex with the most visited
@@ -80,20 +75,10 @@ def mcs_order_indices(
     order) — exactly the selection rule of
     :func:`reference_maximum_cardinality_search`, but with a lazy max-heap so
     the whole search is O((V + E) log V) instead of O(V²).
-
-    ``kernels`` selects the execution tier (see :mod:`repro.kernels`); the
-    ``jit`` tier runs the same lazy heap as a compiled packed-key kernel.
-    At this index level ``reference`` is served by the ``numpy`` tier — the
-    seed body speaks labels, not indices.
     """
     n = csr.n_vertices
     if n == 0:
         return []
-    if resolve_kernels(kernels) == "jit":
-        order = jit_impl("mcs_order")(
-            csr.indptr, csr.indices, -1 if start is None else int(start)
-        )
-        return order.tolist()
     nbrs = csr.neighbor_lists()
     weight = [0] * n
     visited = bytearray(n)
@@ -124,30 +109,21 @@ def mcs_order_indices(
     return order
 
 
-def maximum_cardinality_search(
-    graph: Graph, start: Optional[Vertex] = None, kernels: Optional[str] = None
-) -> list[Vertex]:
+def maximum_cardinality_search(graph: Graph, start: Optional[Vertex] = None) -> list[Vertex]:
     """Return a Maximum Cardinality Search (MCS) ordering of the graph.
 
     MCS repeatedly selects the unvisited vertex with the most visited
     neighbours (ties broken deterministically by insertion order).  For a
     chordal graph the *reverse* of this ordering is a perfect elimination
     ordering, which is the basis of the chordality test.
-
-    ``kernels`` selects the execution tier (``reference`` runs the retained
-    seed body, ``numpy`` the CSR heap, ``jit`` the compiled kernel); all
-    tiers return the identical ordering.
     """
     if graph.n_vertices == 0:
         return []
     if start is not None and start not in graph:
         raise KeyError(f"start vertex {start!r} not in graph")
-    kernels = resolve_kernels(kernels)
-    if kernels == "reference":
-        return reference_maximum_cardinality_search(graph, start)
     csr = CSRGraph.from_graph(graph)
     start_idx = None if start is None else csr.index_of(start)
-    return csr.to_labels(mcs_order_indices(csr, start_idx, kernels=kernels))
+    return csr.to_labels(mcs_order_indices(csr, start_idx))
 
 
 def is_peo_indices(csr: CSRGraph, order: Sequence[int]) -> bool:
@@ -285,7 +261,6 @@ def chordal_subgraph_edge_indices(
     priority: Optional[Sequence[int]] = None,
     strict_order: bool = False,
     start: Optional[int] = None,
-    kernels: Optional[str] = None,
 ) -> list[tuple[int, int]]:
     """Dearing–Shier–Warner extraction on the CSR kernel.
 
@@ -297,11 +272,6 @@ def chordal_subgraph_edge_indices(
     identical to :func:`reference_chordal_subgraph_edges` — priorities are
     unique, so both implementations process vertices in the same sequence and
     accept the same edge set.
-
-    ``kernels`` selects the execution tier (see :mod:`repro.kernels`); the
-    ``jit`` tier runs a flat-array port with the identical admission order.
-    At this index level ``reference`` is served by the ``numpy`` tier — the
-    seed body speaks labels, not indices.
     """
     n = csr.n_vertices
     if n == 0:
@@ -310,25 +280,6 @@ def chordal_subgraph_edge_indices(
         priority = range(n)
     if start is None:
         start = min(range(n), key=priority.__getitem__)
-    if resolve_kernels(kernels) == "jit":
-        # Normalise the (possibly sparse or tied) priorities to a unique rank
-        # permutation; the stable argsort breaks ties by index, exactly the
-        # (priority[v], v) order the lazy-heap entries fall back to.
-        prio = np.asarray(priority, dtype=np.int64)
-        rank = np.empty(n, dtype=np.int64)
-        rank[np.argsort(prio, kind="stable")] = np.arange(n, dtype=np.int64)
-        if strict_order:
-            sequence = np.argsort(rank)
-            if sequence[0] != start:
-                sequence = np.concatenate(
-                    (np.array([start], dtype=np.int64), sequence[sequence != start])
-                )
-            us, vs = jit_impl("dsw_strict")(
-                csr.indptr, csr.indices, np.ascontiguousarray(sequence)
-            )
-        else:
-            us, vs = jit_impl("dsw_greedy")(csr.indptr, csr.indices, rank, int(start))
-        return list(zip(us.tolist(), vs.tolist()))
     nbrs = csr.neighbor_lists()
 
     # S(v): processed accepted-neighbours of v (always a clique in the
@@ -384,7 +335,6 @@ def chordal_edges_from_csr(
     csr: CSRGraph,
     order: Optional[Sequence[Vertex]] = None,
     strict_order: bool = False,
-    kernels: Optional[str] = None,
 ) -> list[Edge]:
     """Run the DSW kernel on a prebuilt CSR view and return label-level edges.
 
@@ -407,9 +357,7 @@ def chordal_edges_from_csr(
                 rank += 1
         if rank != csr.n_vertices:
             raise ValueError("order must cover every vertex of the graph")
-    pairs = chordal_subgraph_edge_indices(
-        csr, priority=priority, strict_order=strict_order, kernels=kernels
-    )
+    pairs = chordal_subgraph_edge_indices(csr, priority=priority, strict_order=strict_order)
     labels = csr.labels
     return [edge_key(labels[i], labels[j]) for i, j in pairs]
 
@@ -419,7 +367,6 @@ def chordal_subgraph_edges(
     order: Optional[Sequence[Vertex]] = None,
     strict_order: bool = False,
     start: Optional[Vertex] = None,
-    kernels: Optional[str] = None,
 ) -> list[Edge]:
     """Return the edges of a maximal chordal subgraph of ``graph``.
 
@@ -451,10 +398,6 @@ def chordal_subgraph_edges(
         paper when the permutation is imposed directly.
     start:
         Optional starting vertex (defaults to the first vertex of ``order``).
-    kernels:
-        Execution tier (see :mod:`repro.kernels`): ``reference`` runs the
-        retained seed body, ``numpy`` the CSR kernel, ``jit`` the compiled
-        port.  Every tier accepts the identical edge set.
 
     Returns
     -------
@@ -464,11 +407,6 @@ def chordal_subgraph_edges(
     n = len(verts)
     if n == 0:
         return []
-    kernels = resolve_kernels(kernels)
-    if kernels == "reference":
-        return reference_chordal_subgraph_edges(
-            graph, order=order, strict_order=strict_order, start=start
-        )
     csr = CSRGraph.from_graph(graph)
     start_idx: Optional[int] = None
     if order is None:
@@ -485,7 +423,7 @@ def chordal_subgraph_edges(
             raise KeyError(f"start vertex {start!r} not in graph")
         start_idx = csr.index_of(start)
     pairs = chordal_subgraph_edge_indices(
-        csr, priority=priority, strict_order=strict_order, start=start_idx, kernels=kernels
+        csr, priority=priority, strict_order=strict_order, start=start_idx
     )
     labels = csr.labels
     return [edge_key(labels[i], labels[j]) for i, j in pairs]

@@ -14,7 +14,6 @@ from collections.abc import Hashable, Sequence
 from typing import Any, Callable, Optional
 
 from ..graph.graph import Graph
-from ..kernels import kernel_backend
 from .parallel_comm import parallel_chordal_comm_filter
 from .parallel_nocomm import parallel_chordal_nocomm_filter
 from .random_walk import parallel_random_walk_filter
@@ -129,7 +128,6 @@ def apply_filter(
     ordering: Optional[str] = "natural",
     n_partitions: int = 1,
     explicit_order: Optional[Sequence[Vertex]] = None,
-    kernels: Optional[str] = None,
     **kwargs: Any,
 ) -> FilterResult:
     """Apply a sampling filter to ``graph`` and return its :class:`FilterResult`.
@@ -143,12 +141,6 @@ def apply_filter(
         Vertex ordering name; ignored by the random walk.
     n_partitions:
         Number of simulated processors; 1 selects the sequential variants.
-    kernels:
-        Kernel tier for the chordality kernels the call touches, one of
-        :func:`~repro.kernels.available_kernel_tiers` (``None`` = ambient
-        selection).  Scoped via :func:`~repro.kernels.kernel_backend`, so it
-        reaches every internal sampler without widening their signatures.
-        All tiers produce the identical filtered graph.
     kwargs:
         Forwarded to the underlying sampler (``seed``, ``partition_method``,
         ``strict_order``, ``repair_cycles``, ``selection_fraction``, …).
@@ -157,5 +149,4 @@ def apply_filter(
     key = _ALIASES.get(key, key)
     if key not in FILTERS:
         raise KeyError(f"unknown filter {method!r}; valid: {sorted(set(FILTERS) | set(_ALIASES))}")
-    with kernel_backend(kernels):
-        return FILTERS[key](graph, n_partitions, ordering, explicit_order, **kwargs)
+    return FILTERS[key](graph, n_partitions, ordering, explicit_order, **kwargs)

@@ -123,8 +123,8 @@ class StudyConfig:
         that reduced-scale studies still contain enough distinct clusters for
         the per-cluster analyses (Figures 4–9) to be meaningful.
         """
-        if scale <= 0:
-            raise ValueError("scale must be positive")
+        if not math.isfinite(scale) or scale <= 0:
+            raise ValueError(f"scale must be positive and finite, got {scale!r}")
         sqrt_scale = math.sqrt(scale)
 
         def s(x: int, factor: float, minimum: int = 1) -> int:
@@ -238,8 +238,8 @@ def default_scale() -> float:
     if raw is None:
         return _DEFAULT_SCALE
     value = float(raw)
-    if value <= 0:
-        raise ValueError("REPRO_SCALE must be positive")
+    if not math.isfinite(value) or value <= 0:
+        raise ValueError(f"REPRO_SCALE must be positive and finite, got {raw!r}")
     return value
 
 

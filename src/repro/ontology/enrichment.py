@@ -315,11 +315,6 @@ class EnrichmentScorer:
     pair_chunk:
         Target distinct pairs per fan-out chunk (also the minimum batch size
         worth leaving the serial path for).
-    kernels:
-        Kernel tier for the distance engine's cold-source sweep, one of
-        :func:`~repro.kernels.available_kernel_tiers` (``None`` = ambient
-        selection).  Purely a performance knob — every tier produces the
-        identical scores.
     """
 
     def __init__(
@@ -330,7 +325,6 @@ class EnrichmentScorer:
         backend: str = "serial",
         processes: Optional[int] = None,
         pair_chunk: int = 4096,
-        kernels: Optional[str] = None,
     ) -> None:
         if engine not in ("batched", "reference"):
             raise ValueError(f"engine must be 'batched' or 'reference', got {engine!r}")
@@ -340,17 +334,12 @@ class EnrichmentScorer:
             raise ValueError(
                 f"unknown backend {backend!r}; expected one of {available_backends()}"
             )
-        if kernels is not None:
-            from ..kernels import resolve_kernels
-
-            resolve_kernels(kernels)  # validate eagerly; unknown names raise here
         self.dag = dag
         self.annotations = annotations
         self.engine = engine
         self.backend = backend
         self.processes = processes
         self.pair_chunk = int(pair_chunk)
-        self.kernels = kernels
         self._cache: dict[Edge, EdgeAnnotation] = {}
         self._pairs = _PairTable()
         self._pairs_index: Optional[TermIndex] = None
@@ -567,28 +556,17 @@ class EnrichmentScorer:
     def _compute_pairs(
         self, a_ids: np.ndarray, b_ids: np.ndarray, term_index: TermIndex
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Score a batch of distinct pairs, honouring the execution backend.
-
-        The scorer's ``kernels`` tier scopes the serial and thread paths via
-        a :func:`~repro.kernels.kernel_backend` context; process workers
-        resolve their own ambient tier (inherited through ``REPRO_KERNELS``
-        at spawn) — the distances are identical on every tier either way.
-        """
-        from ..kernels import kernel_backend
-
+        """Score a batch of distinct pairs, honouring the execution backend."""
         if self.backend == "serial" or a_ids.shape[0] <= self.pair_chunk:
-            return term_index.dcp_batch(a_ids, b_ids), term_index.distance_batch(
-                a_ids, b_ids, kernels=self.kernels
-            )
+            return term_index.dcp_batch(a_ids, b_ids), term_index.distance_batch(a_ids, b_ids)
         from ..parallel.runner import parallel_map
 
         static = self._static_arrays(term_index)
         bounds = range(0, a_ids.shape[0], self.pair_chunk)
         items = [(a_ids[lo : lo + self.pair_chunk], b_ids[lo : lo + self.pair_chunk]) + static for lo in bounds]
-        with kernel_backend(self.kernels):
-            chunks = parallel_map(
-                _score_pair_chunk, items, backend=self.backend, processes=self.processes
-            )
+        chunks = parallel_map(
+            _score_pair_chunk, items, backend=self.backend, processes=self.processes
+        )
         stacked = np.concatenate(chunks, axis=1)
         return stacked[0], stacked[1]
 

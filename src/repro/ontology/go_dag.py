@@ -19,7 +19,6 @@ from typing import Any, Optional
 import numpy as np
 
 from ..graph.csr import CSRGraph
-from ..kernels import resolve_kernels
 
 __all__ = [
     "GOTerm",
@@ -124,15 +123,11 @@ class TermIndex:
         """
         return dcp_batch_arrays(a_ids, b_ids, self.depths, self.anc_indptr, self.anc_indices)
 
-    def distance_batch(
-        self, a_ids: np.ndarray, b_ids: np.ndarray, kernels: Optional[str] = None
-    ) -> np.ndarray:
+    def distance_batch(self, a_ids: np.ndarray, b_ids: np.ndarray) -> np.ndarray:
         """Shortest undirected term distance of each aligned pair.
 
         Served from the cached per-source BFS rows where possible; cold
         sources fall to :func:`distance_batch_arrays`' batched frontier BFS.
-        ``kernels`` selects the execution tier of the cold-source sweep (see
-        :mod:`repro.kernels`).
         """
         return distance_batch_arrays(
             a_ids,
@@ -141,7 +136,6 @@ class TermIndex:
             self.term_csr.indices,
             row_cache=self._dist_rows,
             row_limit=self._DIST_ROW_LIMIT,
-            kernels=kernels,
         )
 
 
@@ -294,7 +288,6 @@ def distance_batch_arrays(
     indices: np.ndarray,
     row_cache: Optional[dict[int, np.ndarray]] = None,
     row_limit: int = 0,
-    kernels: Optional[str] = None,
 ) -> np.ndarray:
     """Undirected BFS distance of each aligned interned pair, on raw arrays.
 
@@ -310,13 +303,7 @@ def distance_batch_arrays(
 
     Free function on purpose: the parallel backends ship the CSR arrays (via
     the shared arena) instead of pickling an index object.
-
-    ``kernels`` selects the execution tier (see :mod:`repro.kernels`):
-    ``reference`` restores the pre-bitset shape (one frontier BFS per cold
-    source, whatever the batch size), ``jit`` swaps the numpy bitset sweep
-    for the compiled kernel; the distances are identical on every tier.
     """
-    tier = resolve_kernels(kernels)
     a_ids = np.ascontiguousarray(a_ids, dtype=np.int64)
     b_ids = np.ascontiguousarray(b_ids, dtype=np.int64)
     src = np.minimum(a_ids, b_ids)
@@ -338,7 +325,7 @@ def distance_batch_arrays(
         out[q] = row[dst[q]]
     if not cold:
         return out
-    if tier == "reference" or len(cold) <= _BITSET_SOURCE_THRESHOLD:
+    if len(cold) <= _BITSET_SOURCE_THRESHOLD:
         for si in cold:
             s = int(sources[si])
             row = _bfs_distances(indptr, indices, s)
@@ -350,17 +337,7 @@ def distance_batch_arrays(
             out[q] = row[dst[q]]
         return out
     pending = np.concatenate([order[bounds[si] : bounds[si + 1]] for si in cold])
-    if tier == "jit":
-        from ..kernels import jit_impl
-
-        out[pending] = jit_impl("bitset_bfs")(
-            indptr,
-            indices,
-            np.ascontiguousarray(src[pending]),
-            np.ascontiguousarray(dst[pending]),
-        )
-    else:
-        out[pending] = _bitset_distance_queries(indptr, indices, src[pending], dst[pending])
+    out[pending] = _bitset_distance_queries(indptr, indices, src[pending], dst[pending])
     return out
 
 

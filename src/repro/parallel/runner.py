@@ -734,26 +734,13 @@ _worker_pool_size = 0
 _worker_pool_lock = threading.Lock()
 
 
-def _kernel_warm_initializer() -> None:
-    """Pool-worker initializer: best-effort jit kernel warm-up (never raises)."""
-    from ..kernels import warm_worker
-
-    warm_worker()
-
-
 def _get_worker_pool(n_workers: int) -> multiprocessing.pool.Pool:
     global _worker_pool, _worker_pool_size
     n_workers = max(n_workers, 1)
     with _worker_pool_lock:
         if _worker_pool is None:
             fault_point("pool.spawn", n_workers=n_workers)
-            # ``warm_worker`` pre-compiles the jit kernel tier in each spawned
-            # worker (a no-op unless the inherited REPRO_KERNELS / default
-            # resolves to jit), so maps never stall on a mid-task compile;
-            # repopulated workers run the same initializer.
-            _worker_pool = multiprocessing.get_context("spawn").Pool(
-                n_workers, initializer=_kernel_warm_initializer
-            )
+            _worker_pool = multiprocessing.get_context("spawn").Pool(n_workers)
             _worker_pool_size = n_workers
         elif n_workers > _worker_pool_size:
             try:

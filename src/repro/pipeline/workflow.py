@@ -40,7 +40,6 @@ from ..expression.correlation import CorrelationThreshold
 from ..expression.datasets import SyntheticStudy, make_study
 from ..graph.csr import CSRGraph
 from ..graph.graph import Graph
-from ..kernels import kernel_backend
 from ..ontology.enrichment import EnrichmentScorer
 from ..ontology.generator import make_study_ontology
 
@@ -176,7 +175,6 @@ def prepare_dataset(
     ontology_depth: int = 8,
     ontology_branching: int = 3,
     enrichment_backend: str = "serial",
-    kernels: Optional[str] = None,
 ) -> DatasetBundle:
     """Generate a dataset and everything needed to evaluate filters on it.
 
@@ -188,9 +186,6 @@ def prepare_dataset(
     enrichment scorer (see :class:`~repro.ontology.EnrichmentScorer`):
     ``"serial"`` scores distinct term pairs in-process, the parallel
     backends fan pair batches over worker threads / processes.
-    ``kernels`` selects the kernel tier (see :mod:`repro.kernels`) used for
-    the bundle's baseline clustering and pinned into its enrichment scorer;
-    every tier builds the identical bundle.
     """
     params = mcode_params or MCODEParams()
     thresholds = thresholds or EvaluationThresholds()
@@ -204,11 +199,10 @@ def prepare_dataset(
     dag, annotations = make_study_ontology(
         study, depth=ontology_depth, branching=ontology_branching
     )
-    scorer = EnrichmentScorer(dag, annotations, backend=enrichment_backend, kernels=kernels)
-    with kernel_backend(kernels):
-        original_clusters = cluster_network(
-            network, params, source=f"{study.name}/original", csr=network_csr
-        )
+    scorer = EnrichmentScorer(dag, annotations, backend=enrichment_backend)
+    original_clusters = cluster_network(
+        network, params, source=f"{study.name}/original", csr=network_csr
+    )
     return DatasetBundle(
         name=study.name,
         study=study,
@@ -227,7 +221,6 @@ def analyze_filter(
     method: str = "chordal",
     ordering: Optional[str] = "natural",
     n_partitions: int = 1,
-    kernels: Optional[str] = None,
     **filter_kwargs: Any,
 ) -> FilterAnalysis:
     """Apply one sampling filter to the bundle's network and analyse the outcome.
@@ -236,32 +229,27 @@ def analyze_filter(
     filtered network's MCODE clusters, their best overlap match against the
     original clusters (by node overlap), both overlap values, lost/found
     clusters and quadrant counts for node- and edge-overlap matching.
-
-    ``kernels`` scopes a kernel tier (see :mod:`repro.kernels`) over the
-    whole analysis — filter, clustering and enrichment; the outcome is
-    identical on every tier.
     """
-    with kernel_backend(kernels):
-        result = apply_filter(
-            bundle.network,
-            method=method,
-            ordering=ordering,
-            n_partitions=n_partitions,
-            **filter_kwargs,
-        )
-        label = f"{bundle.name}/{method}/{ordering or '-'}/{n_partitions}P"
-        clusters = cluster_network(result.graph, bundle.mcode_params, source=label)
-        matches, lost = match_and_lost_clusters(bundle.original_clusters, clusters)
-        scored_node = classify_matches(matches, bundle.scorer, bundle.thresholds, "node_overlap")
-        # The edge-overlap pass classifies the same filtered clusters, so it
-        # reuses the node pass's enrichment scores instead of re-walking edges.
-        scored_edge = classify_matches(
-            matches,
-            bundle.scorer,
-            bundle.thresholds,
-            "edge_overlap",
-            aees=[s.aees for s in scored_node],
-        )
+    result = apply_filter(
+        bundle.network,
+        method=method,
+        ordering=ordering,
+        n_partitions=n_partitions,
+        **filter_kwargs,
+    )
+    label = f"{bundle.name}/{method}/{ordering or '-'}/{n_partitions}P"
+    clusters = cluster_network(result.graph, bundle.mcode_params, source=label)
+    matches, lost = match_and_lost_clusters(bundle.original_clusters, clusters)
+    scored_node = classify_matches(matches, bundle.scorer, bundle.thresholds, "node_overlap")
+    # The edge-overlap pass classifies the same filtered clusters, so it
+    # reuses the node pass's enrichment scores instead of re-walking edges.
+    scored_edge = classify_matches(
+        matches,
+        bundle.scorer,
+        bundle.thresholds,
+        "edge_overlap",
+        aees=[s.aees for s in scored_node],
+    )
     return FilterAnalysis(
         bundle=bundle,
         result=result,

@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from ..faults import fault_point
-from ..kernels import kernel_tier_info
 from ..parallel.runner import comm_counters, shutdown_worker_pool, supervision_counters
 from ..parallel.shm import SharedArena, arena_scope
 from ..pipeline.experiments import default_scale as _default_scale
@@ -558,6 +557,5 @@ class ReproServer:
             "supervision": supervision_counters(),
             "comm": comm_counters(),
             "arena": arena,
-            "kernels": kernel_tier_info(),
             "datasets": datasets,
         }

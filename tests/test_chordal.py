@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.chordal import (
     augment_to_maximal,
+    chordal_subgraph_edge_indices,
     chordal_subgraph_edges,
     edge_insertion_preserves_chordality,
     fill_in_edges,
@@ -16,6 +18,9 @@ from repro.core.chordal import (
     is_simplicial,
     maximal_chordal_subgraph,
     maximum_cardinality_search,
+    mcs_order_indices,
+    reference_chordal_subgraph_edges,
+    reference_maximum_cardinality_search,
 )
 from repro.graph import (
     Graph,
@@ -26,6 +31,7 @@ from repro.graph import (
     path_graph,
     star_graph,
 )
+from repro.graph.csr import CSRGraph
 
 
 class TestRecognition:
@@ -83,6 +89,22 @@ class TestMCS:
 
     def test_empty_graph(self):
         assert maximum_cardinality_search(Graph()) == []
+
+    def test_mcs_start_vertex_not_left_stale_in_heap(self):
+        """With ``start`` given, the heap is seeded after the visit — and the
+        produced orders match the seed reference exactly (the fix must not move
+        any pin)."""
+        for seed in range(6):
+            g = erdos_renyi_graph(25, 0.15, seed=seed)
+            csr = CSRGraph.from_graph(g)
+            for start in (None, 0, 7, 24):
+                start_label = None if start is None else csr.labels[start]
+                expected = reference_maximum_cardinality_search(g, start_label)
+                assert maximum_cardinality_search(g, start_label) == expected
+                order = mcs_order_indices(csr, start)
+                assert sorted(order) == list(range(csr.n_vertices))
+                if start is not None:
+                    assert order[0] == start
 
 
 class TestPEO:
@@ -210,6 +232,53 @@ class TestDearingShierWarner:
 
     def test_empty_graph(self):
         assert chordal_subgraph_edges(Graph()) == []
+
+
+class TestCSRKernelsMatchReference:
+    """The CSR kernels pinned against the retained seed ``reference_*`` bodies."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mcs_order_matches_reference(self, seed):
+        g = erdos_renyi_graph(40, 0.15, seed=seed)
+        csr = CSRGraph.from_graph(g)
+        for start in (None, 3):
+            start_label = None if start is None else csr.labels[start]
+            got = [csr.labels[i] for i in mcs_order_indices(csr, start)]
+            assert got == reference_maximum_cardinality_search(g, start_label)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_dsw_matches_reference_under_priorities(self, seed, strict):
+        rng = np.random.default_rng(seed)
+        g = erdos_renyi_graph(40, 0.15, seed=seed)
+        csr = CSRGraph.from_graph(g)
+        n = csr.n_vertices
+        labels = csr.labels
+        priorities = [
+            np.arange(n, dtype=np.int64),
+            rng.permutation(n).astype(np.int64),
+            rng.permutation(n).astype(np.int64) * 3 + 5,  # sparse, non-dense ranks
+            np.arange(n, dtype=np.int64) // 4,  # ties: index breaks them
+        ]
+        for priority in priorities:
+            order = [labels[i] for i in sorted(range(n), key=lambda i: (priority[i], i))]
+            for start in (None, int(rng.integers(n))):
+                start_label = None if start is None else labels[start]
+                got = chordal_subgraph_edge_indices(
+                    csr, priority=priority, strict_order=strict, start=start
+                )
+                expected = reference_chordal_subgraph_edges(
+                    g, order=order, strict_order=strict, start=start_label
+                )
+                assert {frozenset((labels[i], labels[j])) for i, j in got} == {
+                    frozenset(e) for e in expected
+                }
+
+    def test_chordal_edges_match_reference_seed_body(self):
+        g = erdos_renyi_graph(20, 0.15, seed=5)
+        expected = sorted(reference_chordal_subgraph_edges(g))
+        assert sorted(chordal_subgraph_edges(g)) == expected
+        assert sorted(maximal_chordal_subgraph(g).edges()) == expected
 
 
 class TestAugmentAndMaximality:

@@ -26,6 +26,19 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figure", "fig99"])
 
+    @pytest.mark.parametrize("command", ["filter", "analyze", "serve"])
+    def test_kernels_option_removed(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "--kernels", "numpy"])
+        assert exc.value.code == 2
+        assert "--kernels" in capsys.readouterr().err
+
+    def test_kernels_subcommand_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["kernels"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'kernels'" in capsys.readouterr().err
+
     def test_filter_defaults(self):
         args = build_parser().parse_args(["filter"])
         assert args.dataset == "CRE"
@@ -51,6 +64,14 @@ class TestCommands:
         assert output.exists()
         out = capsys.readouterr().out
         assert "edges_kept" in out
+
+    def test_filter_json_is_byte_identical_across_runs(self, capsys):
+        argv = ["filter", "--dataset", "CRE", "--scale", SCALE, "--json"]
+        assert main(argv) == 0
+        baseline = capsys.readouterr().out
+        exp.clear_bundle_cache()  # the second run rebuilds the bundle cold
+        assert main(argv) == 0
+        assert capsys.readouterr().out == baseline
 
     def test_filter_command_random_walk(self, capsys):
         assert main(["filter", "--dataset", "YNG", "--scale", SCALE, "--method", "random_walk"]) == 0

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.expression import DATASET_CONFIGS, dataset_names, generate_study, make_study
-from repro.expression.datasets import StudyConfig
+from repro.expression.datasets import StudyConfig, default_scale
 
 
 class TestConfigs:
@@ -30,6 +30,17 @@ class TestConfigs:
     def test_scaled_rejects_non_positive(self):
         with pytest.raises(ValueError):
             DATASET_CONFIGS["CRE"].scaled(0.0)
+
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf")])
+    def test_scaled_rejects_non_finite(self, scale):
+        with pytest.raises(ValueError, match="positive and finite"):
+            DATASET_CONFIGS["CRE"].scaled(scale)
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    def test_default_scale_rejects_non_finite_env(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_SCALE", raw)
+        with pytest.raises(ValueError, match="REPRO_SCALE must be positive and finite"):
+            default_scale()
 
     def test_background_genes_required(self, tiny_study_config):
         required = tiny_study_config.background_genes_required()

@@ -95,6 +95,7 @@ class TestTermIndex:
     def test_bitset_and_per_source_distances_agree(self):
         from repro.ontology.go_dag import (
             _BITSET_SOURCE_THRESHOLD,
+            _bfs_distances,
             distance_batch_arrays,
         )
 
@@ -111,6 +112,12 @@ class TestTermIndex:
         again = index.distance_batch(a, b)  # pure cache hits
         assert np.array_equal(cold, warm)
         assert np.array_equal(cold, again)
+        # One frontier BFS per source: the path small cold batches take.
+        per_source = [
+            _bfs_distances(csr.indptr, csr.indices, min(x, y))[max(x, y)]
+            for x, y in zip(a.tolist(), b.tolist())
+        ]
+        assert cold.tolist() == per_source
 
     def test_index_invalidated_on_mutation(self):
         dag = random_dag(4)
@@ -390,3 +397,41 @@ class TestBitsetBfsEdgeCases:
             indptr, indices, np.arange(17, dtype=np.int64), np.full(17, 30, dtype=np.int64)
         )
         assert (iso == -1).all()
+
+    def test_tree_with_chords_matches_per_source_bfs(self):
+        """A random tree plus chords (connected, irregular levels): the batch
+        entry point agrees with one scalar BFS per query on both sides of the
+        bitset source-count switch."""
+        from repro.ontology.go_dag import (
+            _BITSET_SOURCE_THRESHOLD,
+            _bfs_distances,
+            distance_batch_arrays,
+        )
+
+        rng = np.random.default_rng(9)
+        n = 80
+        rows: list[list[int]] = [[] for _ in range(n)]
+        for v in range(1, n):
+            u = int(rng.integers(v))
+            rows[u].append(v)
+            rows[v].append(u)
+        for _ in range(40):
+            u, v = int(rng.integers(n)), int(rng.integers(n))
+            if u != v and v not in rows[u]:
+                rows[u].append(v)
+                rows[v].append(u)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        for v in range(n):
+            indptr[v + 1] = indptr[v] + len(rows[v])
+        indices = np.array([w for row in rows for w in sorted(row)], dtype=np.int64)
+        for size in (8, 400):
+            a = rng.integers(n, size=size).astype(np.int64)
+            b = rng.integers(n, size=size).astype(np.int64)
+            sources = np.unique(np.minimum(a, b)).size
+            assert (sources > _BITSET_SOURCE_THRESHOLD) == (size == 400)
+            got = distance_batch_arrays(a, b, indptr, indices)
+            expected = [
+                _bfs_distances(indptr, indices, min(x, y))[max(x, y)]
+                for x, y in zip(a.tolist(), b.tolist())
+            ]
+            assert got.tolist() == expected

@@ -108,3 +108,10 @@ def test_unknown_attribute_raises(package):
     module = importlib.import_module(package)
     with pytest.raises(AttributeError, match="no_such_name"):
         getattr(module, "no_such_name")
+
+
+def test_no_kernel_tier_package_or_exports():
+    # One implementation per hot loop: there is no tier registry to import.
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.kernels")
+    assert [name for name in repro.__all__ if "kernel" in name] == []

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.chordal import is_chordal
 from repro.core.parallel_comm import (
     parallel_chordal_comm_filter,
     receiver_admit_border_edges,
@@ -27,6 +28,7 @@ from repro.core.parallel_nocomm import (
     local_chordal_phase,
     parallel_chordal_nocomm_filter,
 )
+from repro.core.sampling import apply_filter
 from repro.graph import CSRGraph, Graph, erdos_renyi_graph, partition_graph
 from repro.graph.graph import edge_key
 from repro.graph.ordering import (
@@ -301,6 +303,39 @@ class TestFilterEquivalence:
             local, _ = local_chordal_phase(part.part_subgraph(rank), order=rcm_order(g))
             for e in local:
                 assert res.graph.has_edge(*e)
+
+
+class TestApplyFilterGrid:
+    """The public ``apply_filter`` entry point over ordering × partitioner.
+
+    The communication-free filter (and every single-partition run) must equal
+    the label pipeline recomposed from its reference pieces; the comm filter
+    keeps every rank's local chordal subgraph and leaves each part chordal.
+    """
+
+    @pytest.mark.parametrize("method", ["chordal", "chordal_comm"])
+    @pytest.mark.parametrize("ordering", ["natural", "high_degree", "rcm"])
+    @pytest.mark.parametrize("partitioning", [(1, "block"), (4, "block"), (4, "bfs")])
+    def test_filter_matches_reference_pieces(self, method, ordering, partitioning):
+        n_parts, partition_method = partitioning
+        g = erdos_renyi_graph(48, 0.12, seed=11)
+        kwargs = {"partition_method": partition_method} if n_parts > 1 else {}
+        res = apply_filter(g, method=method, ordering=ordering, n_partitions=n_parts, **kwargs)
+        assert res.graph.vertices() == g.vertices()
+        kept = set(res.graph.iter_edges())
+        assert kept <= set(g.iter_edges())
+        if method == "chordal" or n_parts == 1:
+            assert kept == reference_nocomm_kept(g, n_parts, ordering, partition_method)
+            return
+        order = get_ordering(ordering)(g)
+        if partition_method == "block":
+            part = partition_graph(g, n_parts, method="block", order=order)
+        else:
+            part = partition_graph(g, n_parts, method=partition_method)
+        for rank in range(part.n_parts):
+            local, _ = local_chordal_phase(part.part_subgraph(rank), order=order)
+            assert set(local) <= kept
+            assert is_chordal(res.graph.subgraph(part.parts[rank]))
 
 
 class TestCSREdgeHelpers:

@@ -5,8 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.clustering import MCODEParams, highest_k_core, k_core, mcode_clusters, mcode_vertex_weights
-from repro.clustering.mcode import mcode_score
-from repro.graph import Graph, complete_graph, cycle_graph, path_graph
+from repro.clustering.mcode import (
+    mcode_score,
+    reference_k_core,
+    reference_mcode_clusters,
+    reference_mcode_vertex_weights,
+)
+from repro.graph import Graph, complete_graph, cycle_graph, erdos_renyi_graph, path_graph
 
 
 def two_cliques_with_bridge() -> Graph:
@@ -139,3 +144,21 @@ class TestClusters:
         assert c.density == pytest.approx(1.0)
         assert len(c.edge_set()) == 10
         assert len(c) == 5
+
+
+class TestReferenceEquivalence:
+    """The CSR MCODE kernels pinned against the retained seed ``reference_*`` bodies."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_kernels_match_reference(self, seed):
+        g = erdos_renyi_graph(60, 0.12, seed=seed)
+        assert mcode_vertex_weights(g) == reference_mcode_vertex_weights(g)
+        for params in (MCODEParams(), MCODEParams(fluff=True, min_score=1.0, min_size=2)):
+            got = mcode_clusters(g, params)
+            expected = reference_mcode_clusters(g, params)
+            assert [c.members for c in got] == [c.members for c in expected]
+            assert [c.score for c in got] == [c.score for c in expected]
+        for k in (2, 3):
+            core, ref_core = k_core(g, k), reference_k_core(g, k)
+            assert core.vertices() == ref_core.vertices()
+            assert sorted(core.edges()) == sorted(ref_core.edges())

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.clustering import MCODEParams
@@ -65,6 +67,22 @@ class TestAnalyzeFilter:
     def test_cluster_aees_alignment(self, cre_bundle):
         analysis = analyze_filter(cre_bundle, method="chordal", ordering="rcm", n_partitions=1)
         assert len(analysis.cluster_aees()) == len(analysis.clusters)
+
+    def test_payload_matches_reference_scorer(self, cre_bundle):
+        # The seed scoring bodies, reached through the reference engine, must
+        # reproduce every pinned figure of the batched engine's analysis.
+        from repro.ontology import EnrichmentScorer
+        from repro.pipeline.workflow import analysis_payload
+
+        scorer = cre_bundle.scorer
+        reference = dataclasses.replace(
+            cre_bundle,
+            scorer=EnrichmentScorer(scorer.dag, scorer.annotations, engine="reference"),
+        )
+        kwargs = {"method": "chordal", "ordering": "natural"}
+        assert analysis_payload(analyze_filter(reference, **kwargs)) == analysis_payload(
+            analyze_filter(cre_bundle, **kwargs)
+        )
 
 
 class TestClusterNetwork:

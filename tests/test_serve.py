@@ -183,6 +183,16 @@ class TestServedRoundTrips:
         assert response["error"]["code"] == "bad-request"
         assert "bogus_key" in response["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "scale", [float("nan"), float("inf"), "nan", "Infinity", True, False]
+    )
+    def test_non_finite_and_boolean_scale_are_bad_request(self, client, scale):
+        # The wire JSON carries NaN / Infinity literals, which json.loads accepts.
+        response = client.request("filter", dataset="CRE", scale=scale)
+        assert response["ok"] is False
+        assert response["error"]["code"] == "bad-request"
+        assert "scale" in response["error"]["message"]
+
     def test_filter_caches_by_spec_hash(self, client):
         first = client.request("filter", dataset="CRE", seed=41)
         second = client.request("filter", dataset="CRE", seed=41)
@@ -232,6 +242,14 @@ class TestServedRoundTrips:
         assert set(stats["supervision"]) == {"retries", "degrades"}
         assert any(d["dataset"] == "CRE" for d in stats["datasets"])
         assert all(d["health"] == "healthy" for d in stats["datasets"])
+
+    def test_stats_sections_are_exactly_the_layers(self, client):
+        stats = client.result("stats")
+        assert set(stats) == {
+            "protocol", "host", "port", "uptime_s", "default_scale", "workers",
+            "max_pending", "admission", "cache", "enrichment", "supervision",
+            "comm", "arena", "datasets",
+        }
 
     def test_enrich_original_matches_direct_scoring(self, server, client):
         result = client.result("enrich", dataset="CRE")
