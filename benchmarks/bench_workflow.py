@@ -13,7 +13,7 @@ stage and writes the measured trajectory to ``BENCH_workflow.json``:
   scorer (``engine="reference"``) and one enrichment pass per overlap
   criterion;
 * ``csr`` — the index-native path: vectorised tile extraction straight into
-  CSR edge arrays, CSR MCODE, membership-matrix overlap matching, and the
+  CSR edge arrays, CSR MCODE, sparse intersection-count overlap matching, and the
   batched enrichment engine (interned term ids, packed-pair memo table,
   segment reductions — see ``benchmarks/bench_enrichment.py`` for the
   isolated classify measurement) with one shared pass per filter run.

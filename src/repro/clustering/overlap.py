@@ -17,11 +17,14 @@ analysis in :mod:`repro.clustering.evaluation`.
 The all-pairs matching used to walk every (original, filtered) pair through
 Python set intersections; :func:`match_clusters` and :func:`lost_clusters`
 now take an index-native fast path for the two standard measures: cluster
-member (or edge) sets are mapped onto a shared integer universe, stacked into
-0/1 membership matrices, and all pairwise intersection counts fall out of one
-matrix product.  The generic-``key`` behaviour is retained as
-``reference_match_clusters`` / ``reference_lost_clusters`` and the fast path
-is pinned to it by the test suite.
+member (or edge) sets are mapped onto a shared integer universe and only
+the nonzero pairwise intersection counts are computed, by a sorted
+element join (:func:`_intersection_counts`).  Memory and time grow with the
+number of shared (element, cluster) incidences, never with
+clusters × universe or original × filtered clusters.  The generic-``key``
+behaviour is retained as ``reference_match_clusters`` /
+``reference_lost_clusters`` and the fast path is pinned to it by the test
+suite.
 """
 
 from __future__ import annotations
@@ -93,112 +96,129 @@ class ClusterMatch:
 # ----------------------------------------------------------------------
 # index-native pairwise intersection counts
 # ----------------------------------------------------------------------
-def _count_matrix(
+def _intersection_counts(
     original_sets: Sequence[set], filtered_sets: Sequence[set]
-) -> np.ndarray:
-    """All pairwise intersection sizes as one ``(|orig|, |filt|)`` array.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzero pairwise intersection sizes as ``(rows, cols, counts)``.
 
-    Every element (node label or canonical edge tuple) is assigned a dense
-    integer id; each cluster becomes one 0/1 row of a membership matrix and
-    the counts are a single (BLAS) matrix product.  Counts are small exact
-    integers in float64, so downstream divisions reproduce the set-based
-    fractions bit-for-bit.
+    Entry ``k`` says original set ``rows[k]`` shares ``counts[k]`` elements
+    with filtered set ``cols[k]``; pairs sharing nothing are absent and the
+    entries come out row-major.  Every element (node label or canonical edge
+    tuple) is assigned a dense integer id; the filtered side's
+    ``(element, set)`` incidences are sorted by element, so ``searchsorted``
+    + ``repeat`` expand each original incidence into the filtered sets that
+    share its element, and ``np.unique`` over the ``row × |filtered| + col``
+    keys counts them.  Counts are small exact integers in float64, so
+    downstream divisions reproduce the set-based fractions bit-for-bit.
     """
     index: dict = {}
-    for s in original_sets:
-        for x in s:
-            if x not in index:
-                index[x] = len(index)
-    for s in filtered_sets:
-        for x in s:
-            if x not in index:
-                index[x] = len(index)
-    u = max(len(index), 1)
-    a = np.zeros((len(original_sets), u), dtype=np.float64)
-    for r, s in enumerate(original_sets):
-        if s:
-            a[r, [index[x] for x in s]] = 1.0
-    b = np.zeros((len(filtered_sets), u), dtype=np.float64)
-    for r, s in enumerate(filtered_sets):
-        if s:
-            b[r, [index[x] for x in s]] = 1.0
-    return a @ b.T
+
+    def incidences(sets: Sequence[set]) -> tuple[np.ndarray, np.ndarray]:
+        elements = [index.setdefault(x, len(index)) for s in sets for x in s]
+        owners = np.repeat(np.arange(len(sets)), [len(s) for s in sets])
+        return np.array(elements, dtype=np.int64), owners.astype(np.int64)
+
+    orig_el, orig_row = incidences(original_sets)
+    filt_el, filt_row = incidences(filtered_sets)
+    order = np.argsort(filt_el, kind="stable")
+    filt_el, filt_row = filt_el[order], filt_row[order]
+    start = np.searchsorted(filt_el, orig_el, side="left")
+    shared = np.searchsorted(filt_el, orig_el, side="right") - start
+    rows = np.repeat(orig_row, shared)
+    # Position of each expanded pair inside its run of equal elements.
+    offsets = np.arange(rows.size) - np.repeat(np.cumsum(shared) - shared, shared)
+    cols = filt_row[np.repeat(start, shared) + offsets]
+    width = max(len(filtered_sets), 1)
+    keys, counts = np.unique(rows * width + cols, return_counts=True)
+    rows, cols = np.divmod(keys, width)
+    return rows, cols, counts.astype(np.float64)
 
 
-def _overlap_values(
-    counts: np.ndarray, original_sizes: np.ndarray
-) -> np.ndarray:
-    """Per-pair overlap fractions: ``counts / |original|`` (0 for empty originals)."""
-    safe = np.where(original_sizes == 0, 1.0, original_sizes)
-    vals = counts / safe[:, None]
-    vals[original_sizes == 0, :] = 0.0
-    return vals
-
-
-def _overlap_values_for(
+def _overlap_entries(
     original_clusters: Sequence[Cluster],
     filtered_clusters: Sequence[Cluster],
     by_edges: bool,
-) -> np.ndarray:
-    """One overlap-fraction matrix (node- or edge-based) for every pair."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nonzero overlap fractions ``counts / |original|`` as ``(rows, cols, values)``.
+
+    Zero-count pairs (and so every pair with an empty original) have overlap
+    0.0 and are absent, exactly the entries the seed loop scores as zero.
+    """
     if by_edges:
         orig = [c.edge_set() for c in original_clusters]
         filt = [c.edge_set() for c in filtered_clusters]
     else:
         orig = [c.node_set() for c in original_clusters]
         filt = [c.node_set() for c in filtered_clusters]
-    return _overlap_values(
-        _count_matrix(orig, filt),
-        np.array([len(s) for s in orig], dtype=np.float64),
-    )
+    rows, cols, counts = _intersection_counts(orig, filt)
+    sizes = np.array([len(s) for s in orig], dtype=np.float64)
+    return rows, cols, counts / sizes[rows]
 
 
-def _overlap_matrices(
-    original_clusters: Sequence[Cluster], filtered_clusters: Sequence[Cluster]
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(node_overlaps, edge_overlaps)`` matrices for every cluster pair."""
-    return (
-        _overlap_values_for(original_clusters, filtered_clusters, by_edges=False),
-        _overlap_values_for(original_clusters, filtered_clusters, by_edges=True),
-    )
+def _values_at(
+    entries: tuple[np.ndarray, np.ndarray, np.ndarray],
+    rows: np.ndarray,
+    cols: np.ndarray,
+    width: int,
+) -> np.ndarray:
+    """Look the ``(rows, cols)`` pairs up in row-major ``entries`` (0.0 when absent)."""
+    entry_rows, entry_cols, values = entries
+    # A sentinel key above every real one keeps each lookup position in range.
+    keys = np.append(entry_rows * width + entry_cols, np.iinfo(np.int64).max)
+    wanted = rows * width + cols
+    pos = np.searchsorted(keys, wanted)
+    return np.where(keys[pos] == wanted, np.append(values, 0.0)[pos], 0.0)
 
 
 def _is_fast_key(key: Callable[[Cluster, Cluster], float]) -> bool:
-    """Whether ``key`` is one of the two measures the matrix fast path serves.
+    """Whether ``key`` is one of the two measures the sparse fast path serves.
 
     The single dispatch predicate for :func:`match_clusters`,
     :func:`match_and_lost_clusters` and :func:`lost_clusters` — extend it in
-    one place if another measure gains a matrix form.
+    one place if another measure gains a count form.
     """
     return key is node_overlap or key is edge_overlap
 
 
-def _matches_from_values(
+def _fast_matches(
     original_clusters: Sequence[Cluster],
     filtered_clusters: Sequence[Cluster],
-    node_vals: np.ndarray,
-    edge_vals: np.ndarray,
-    key_vals: np.ndarray,
-) -> list[ClusterMatch]:
-    """Best-match selection off precomputed overlap matrices."""
-    matches: list[ClusterMatch] = []
-    for j, fc in enumerate(filtered_clusters):
-        col = key_vals[:, j]
-        best = int(np.argmax(col))  # first index attaining the maximum
-        if col[best] <= 0.0:
-            matches.append(
-                ClusterMatch(filtered=fc, original=None, node_overlap=0.0, edge_overlap=0.0)
-            )
-        else:
-            matches.append(
-                ClusterMatch(
-                    filtered=fc,
-                    original=original_clusters[best],
-                    node_overlap=float(node_vals[best, j]),
-                    edge_overlap=float(edge_vals[best, j]),
-                )
-            )
-    return matches
+    key: Callable[[Cluster, Cluster], float],
+) -> tuple[list[ClusterMatch], np.ndarray]:
+    """Best matches plus the original rows with any nonzero ``key`` overlap.
+
+    A filtered cluster's best original is the first one (lowest index)
+    attaining its largest ``key`` overlap — the seed loop's strict ``>`` scan
+    — found by one ``lexsort`` of the nonzero entries by (column, −value,
+    row).  Filtered clusters with no nonzero entry are *found* (``None``).
+    """
+    width = len(filtered_clusters)
+    node = _overlap_entries(original_clusters, filtered_clusters, by_edges=False)
+    edge = _overlap_entries(original_clusters, filtered_clusters, by_edges=True)
+    rows, cols, values = node if key is node_overlap else edge
+    order = np.lexsort((rows, -values, cols))
+    first = order[np.diff(cols[order], prepend=-1) != 0]
+    best_rows, best_cols = rows[first], cols[first]
+    node_at = _values_at(node, best_rows, best_cols, width).tolist()
+    edge_at = _values_at(edge, best_rows, best_cols, width).tolist()
+    matches = [
+        ClusterMatch(filtered=fc, original=None, node_overlap=0.0, edge_overlap=0.0)
+        for fc in filtered_clusters
+    ]
+    for k, (r, j) in enumerate(zip(best_rows.tolist(), best_cols.tolist())):
+        matches[j] = ClusterMatch(
+            filtered=filtered_clusters[j],
+            original=original_clusters[r],
+            node_overlap=node_at[k],
+            edge_overlap=edge_at[k],
+        )
+    return matches, rows
+
+
+def _lost_from_rows(original_clusters: Sequence[Cluster], rows: np.ndarray) -> list[Cluster]:
+    """Original clusters whose row has no nonzero overlap entry."""
+    touched = np.bincount(rows, minlength=len(original_clusters))
+    return [oc for r, oc in enumerate(original_clusters) if not touched[r]]
 
 
 def match_clusters(
@@ -214,21 +234,13 @@ def match_clusters(
     ``None`` — the paper's *found* clusters.
 
     For the two standard measures (:func:`node_overlap` / :func:`edge_overlap`)
-    the matching runs on membership matrices (see :func:`_count_matrix`);
-    any other ``key`` falls back to :func:`reference_match_clusters`.
+    the matching runs on sparse intersection counts (see
+    :func:`_intersection_counts`); any other ``key`` falls back to
+    :func:`reference_match_clusters`.
     """
     if not _is_fast_key(key):
         return reference_match_clusters(original_clusters, filtered_clusters, key)
-    if not original_clusters:
-        return [
-            ClusterMatch(filtered=fc, original=None, node_overlap=0.0, edge_overlap=0.0)
-            for fc in filtered_clusters
-        ]
-    node_vals, edge_vals = _overlap_matrices(original_clusters, filtered_clusters)
-    key_vals = node_vals if key is node_overlap else edge_vals
-    return _matches_from_values(
-        original_clusters, filtered_clusters, node_vals, edge_vals, key_vals
-    )
+    return _fast_matches(original_clusters, filtered_clusters, key)[0]
 
 
 def match_and_lost_clusters(
@@ -239,7 +251,7 @@ def match_and_lost_clusters(
     """:func:`match_clusters` and :func:`lost_clusters` in one pass.
 
     The workflow needs both over the same cluster lists; for the standard
-    measures this computes the overlap matrices once and reads the matches
+    measures this computes the overlap entries once and reads the matches
     and the zero-overlap (lost) originals off them.
     """
     if not _is_fast_key(key):
@@ -247,18 +259,8 @@ def match_and_lost_clusters(
             reference_match_clusters(original_clusters, filtered_clusters, key),
             reference_lost_clusters(original_clusters, filtered_clusters, key),
         )
-    if not original_clusters:
-        return match_clusters(original_clusters, filtered_clusters, key), []
-    if not filtered_clusters:
-        return [], list(original_clusters)
-    node_vals, edge_vals = _overlap_matrices(original_clusters, filtered_clusters)
-    key_vals = node_vals if key is node_overlap else edge_vals
-    matches = _matches_from_values(
-        original_clusters, filtered_clusters, node_vals, edge_vals, key_vals
-    )
-    zero_rows = (key_vals == 0.0).all(axis=1)
-    lost = [oc for r, oc in enumerate(original_clusters) if zero_rows[r]]
-    return matches, lost
+    matches, rows = _fast_matches(original_clusters, filtered_clusters, key)
+    return matches, _lost_from_rows(original_clusters, rows)
 
 
 def found_clusters(matches: Sequence[ClusterMatch]) -> list[Cluster]:
@@ -274,15 +276,10 @@ def lost_clusters(
     """Original clusters that share nothing with any filtered cluster (lost to filtering)."""
     if not _is_fast_key(key):
         return reference_lost_clusters(original_clusters, filtered_clusters, key)
-    if not original_clusters:
-        return []
-    if not filtered_clusters:
-        return list(original_clusters)
-    key_vals = _overlap_values_for(
+    rows, _, _ = _overlap_entries(
         original_clusters, filtered_clusters, by_edges=key is edge_overlap
     )
-    zero_rows = (key_vals == 0.0).all(axis=1)
-    return [oc for r, oc in enumerate(original_clusters) if zero_rows[r]]
+    return _lost_from_rows(original_clusters, rows)
 
 
 # ----------------------------------------------------------------------

@@ -165,6 +165,65 @@ class CorrelationThreshold:
         return max(self.min_abs_rho, critical_correlation(self.max_p_value, n_samples))
 
 
+def _pair_tiles(std: ExpressionMatrix, threshold: CorrelationThreshold, block_size: int):
+    """Return ``tile(bi, bj)``: the admitted pairs of one correlation tile.
+
+    ``tile`` yields ``(ii, jj, rho)`` for the tile whose rows start at gene
+    ``bi`` and columns at gene ``bj``: global indices, entries row-major,
+    strict upper triangle on the diagonal tile.
+
+    * The gemm always runs on the ``block_size`` slices, because BLAS output
+      bits depend on operand shape.  It writes into one scratch buffer owned
+      by this call: a paper-scale pass does not map and fault a new
+      tile-sized array per tile, and concurrent calls never share it.
+    * A compare of the *unscaled* product against ``bound`` picks candidates
+      (``flatnonzero`` + ``divmod`` keep row-major order).  ``bound`` sits a
+      relative 1e-9 (plus a subnormal's worth) below ``cutoff * n_samples``;
+      a correctly rounded quotient that reaches the cut-off cannot have a
+      numerator that far below it, so the candidates are a superset of the
+      admitted pairs.
+    * Admission is the elementwise ``raw / n_samples >= cutoff`` test (on
+      ``abs`` with ``include_negative``), run on the candidates only, so the
+      admitted set, its order and the ρ bits are those of a full-tile test.
+    """
+    values = std.values
+    n_samples = std.n_samples
+    cutoff = threshold.effective_cutoff(n_samples)
+    include_negative = threshold.include_negative
+    side = min(block_size, values.shape[0])
+    buf = np.empty(side * side)
+    mask = np.empty(side * side, dtype=bool)
+    bound = cutoff * n_samples
+    bound -= abs(bound) * 1e-9 + n_samples * np.finfo(float).tiny
+
+    def tile(bi: int, bj: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        rows = values[bi : bi + block_size]
+        cols = values[bj : bj + block_size]
+        width = cols.shape[0]
+        raw = buf[: rows.shape[0] * width]
+        np.matmul(rows, cols.T, out=raw.reshape(rows.shape[0], width))
+        hit = mask[: raw.size]
+        np.greater_equal(raw, bound, out=hit)
+        if include_negative:
+            hit |= raw <= -bound
+        flat = np.flatnonzero(hit)
+        ii, jj = np.divmod(flat, width)
+        if bi == bj:
+            # Diagonal tile: keep the strict upper triangle (gj > gi).
+            upper = jj > ii
+            flat, ii, jj = flat[upper], ii[upper], jj[upper]
+        corr = raw[flat] / n_samples
+        keep = (np.abs(corr) if include_negative else corr) >= cutoff
+        return ii[keep] + bi, jj[keep] + bj, np.clip(corr[keep], -1.0, 1.0)
+
+    return tile
+
+
+def _check_block_size(block_size: int) -> None:
+    if block_size < 1:
+        raise ValueError("block_size must be a positive integer")
+
+
 def correlated_pair_arrays(
     matrix: ExpressionMatrix,
     threshold: Optional[CorrelationThreshold] = None,
@@ -176,48 +235,26 @@ def correlated_pair_arrays(
     ``ii[k] < jj[k]``; ``rho`` the clipped correlations.  The correlation
     matrix is computed in ``block_size`` × ``block_size`` tiles of the upper
     triangle so the memory footprint stays bounded for large gene sets (the
-    paper's CRE network has ~28k genes), and the surviving entries of each
-    tile are extracted with one ``nonzero`` + fancy index — no per-pair
-    Python loop.  Pair order is *tile order*: tiles row-major, entries
-    row-major within a tile (the historical ``correlated_pairs`` order).
+    paper's CRE network has ~28k genes), and each tile's admitted entries are
+    extracted by array ops (see :func:`_pair_tiles`) — no per-pair Python
+    loop.  Pair order is *tile order*: tiles row-major, entries row-major
+    within a tile (the historical ``correlated_pairs`` order).
     """
+    _check_block_size(block_size)
     threshold = threshold or CorrelationThreshold()
     std = matrix.standardized()
-    n_samples = std.n_samples
-    empty = np.empty(0, dtype=np.int64)
-    if n_samples < 2 or matrix.n_genes < 2:
-        return empty, empty.copy(), np.empty(0, dtype=float)
-    cutoff = threshold.effective_cutoff(n_samples)
-    values = std.values
     n = matrix.n_genes
-    out_i: list[np.ndarray] = []
-    out_j: list[np.ndarray] = []
-    out_r: list[np.ndarray] = []
-    for bi in range(0, n, block_size):
-        rows = values[bi : bi + block_size]
-        for bj in range(bi, n, block_size):
-            cols = values[bj : bj + block_size]
-            corr = rows @ cols.T / n_samples
-            if threshold.include_negative:
-                mask = np.abs(corr) >= cutoff
-            else:
-                mask = corr >= cutoff
-            if bi == bj:
-                # Diagonal tile: keep the strict upper triangle (gj > gi).
-                mask = np.triu(mask, k=1)
-            ii, jj = np.nonzero(mask)
-            if ii.size == 0:
-                continue
-            out_i.append(ii + bi)
-            out_j.append(jj + bj)
-            out_r.append(np.clip(corr[ii, jj], -1.0, 1.0))
-    if not out_i:
+    if std.n_samples < 2 or n < 2:
+        empty = np.empty(0, dtype=np.int64)
         return empty, empty.copy(), np.empty(0, dtype=float)
-    return (
-        np.concatenate(out_i),
-        np.concatenate(out_j),
-        np.concatenate(out_r),
-    )
+    tile = _pair_tiles(std, threshold, block_size)
+    parts = [
+        tile(bi, bj)
+        for bi in range(0, n, block_size)
+        for bj in range(bi, n, block_size)
+    ]
+    ii, jj, rho = (np.concatenate(p) for p in zip(*parts))
+    return ii, jj, rho
 
 
 def correlated_pair_arrays_delta(
@@ -236,57 +273,39 @@ def correlated_pair_arrays_delta(
     both its blocks were already full at ``old_n_genes``, because a partial
     block changes the gemm operand shape and BLAS does not promise the shared
     entries come out bit-identical across shapes.  Stable tiles keep their
-    cached entries verbatim; recomputed tiles run at the exact shapes the
-    cold pass would use; the merge re-establishes cold *tile order* (tiles
-    row-major, entries row-major within a tile), so the result is
-    bit-identical to a cold :func:`correlated_pair_arrays` over the appended
-    matrix — arrays, order and ρ bits.
+    cached entries verbatim; recomputed tiles run through the cold pass's own
+    tile body at the exact shapes the cold pass would use; the merge
+    re-establishes cold *tile order* (tiles row-major, entries row-major
+    within a tile), so the result is bit-identical to a cold
+    :func:`correlated_pair_arrays` over the appended matrix — arrays, order
+    and ρ bits.
 
     Requires the appended rows to standardise independently of the old rows
     (true for gene appends: standardisation is per-row); a *sample* append
     changes every standardised row and must recompute from cold.
     """
+    _check_block_size(block_size)
     threshold = threshold or CorrelationThreshold()
     n = matrix.n_genes
     if not 0 <= old_n_genes <= n:
         raise ValueError(f"old_n_genes {old_n_genes} out of range for {n} genes")
     std = matrix.standardized()
-    n_samples = std.n_samples
-    empty = np.empty(0, dtype=np.int64)
-    if n_samples < 2 or n < 2:
+    if std.n_samples < 2 or n < 2:
+        empty = np.empty(0, dtype=np.int64)
         return empty, empty.copy(), np.empty(0, dtype=float)
     old_ii, old_jj, old_rho = cached
     # Stable tile ⇔ both blocks full in the old pass.
     keep = ((old_ii // block_size + 1) * block_size <= old_n_genes) & (
         (old_jj // block_size + 1) * block_size <= old_n_genes
     )
-    out_i: list[np.ndarray] = [old_ii[keep]]
-    out_j: list[np.ndarray] = [old_jj[keep]]
-    out_r: list[np.ndarray] = [old_rho[keep]]
-    cutoff = threshold.effective_cutoff(n_samples)
-    values = std.values
+    parts = [(old_ii[keep], old_jj[keep], old_rho[keep])]
+    tile = _pair_tiles(std, threshold, block_size)
     for bi in range(0, n, block_size):
-        rows = values[bi : bi + block_size]
         for bj in range(bi, n, block_size):
             if bi + block_size <= old_n_genes and bj + block_size <= old_n_genes:
                 continue  # stable tile: cached entries reused verbatim
-            cols = values[bj : bj + block_size]
-            corr = rows @ cols.T / n_samples
-            if threshold.include_negative:
-                mask = np.abs(corr) >= cutoff
-            else:
-                mask = corr >= cutoff
-            if bi == bj:
-                mask = np.triu(mask, k=1)
-            ii, jj = np.nonzero(mask)
-            if ii.size == 0:
-                continue
-            out_i.append(ii + bi)
-            out_j.append(jj + bj)
-            out_r.append(np.clip(corr[ii, jj], -1.0, 1.0))
-    ii = np.concatenate(out_i)
-    jj = np.concatenate(out_j)
-    rho = np.concatenate(out_r)
+            parts.append(tile(bi, bj))
+    ii, jj, rho = (np.concatenate(p) for p in zip(*parts))
     order = np.lexsort((jj, ii, jj // block_size, ii // block_size))
     return ii[order], jj[order], rho[order]
 

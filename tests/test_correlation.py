@@ -20,6 +20,7 @@ from repro.expression import (
     critical_correlation,
     pearson_correlation_matrix,
 )
+from repro.expression.correlation import correlated_pair_arrays_delta
 from repro.graph import CSRGraph
 
 
@@ -310,3 +311,116 @@ class TestScipyStatsIdentity:
             n = config.n_samples
             expected = max(0.95, _stats_critical_correlation(0.0005, n))
             assert threshold.effective_cutoff(n) == expected, config.name
+
+
+# ----------------------------------------------------------------------
+# tile extraction pinned to the historical dense-mask tile body
+# ----------------------------------------------------------------------
+def _dense_mask_pair_arrays(matrix, threshold, block_size):
+    """Test-local oracle: the dense-mask tile body the tile scan replaced.
+
+    Every tile is divided by ``n_samples`` in full, thresholded into a full
+    boolean mask (``np.triu`` on the diagonal tile) and read off with a 2-D
+    ``nonzero``.
+    """
+    std = matrix.standardized()
+    n_samples = std.n_samples
+    cutoff = threshold.effective_cutoff(n_samples)
+    values = std.values
+    n = matrix.n_genes
+    out_i, out_j, out_r = [], [], []
+    for bi in range(0, n, block_size):
+        rows = values[bi : bi + block_size]
+        for bj in range(bi, n, block_size):
+            cols = values[bj : bj + block_size]
+            corr = rows @ cols.T / n_samples
+            if threshold.include_negative:
+                mask = np.abs(corr) >= cutoff
+            else:
+                mask = corr >= cutoff
+            if bi == bj:
+                mask = np.triu(mask, k=1)
+            ii, jj = np.nonzero(mask)
+            out_i.append(ii + bi)
+            out_j.append(jj + bj)
+            out_r.append(np.clip(corr[ii, jj], -1.0, 1.0))
+    return np.concatenate(out_i), np.concatenate(out_j), np.concatenate(out_r)
+
+
+def module_matrix(n_genes: int = 301, n_samples: int = 8, seed: int = 5) -> ExpressionMatrix:
+    """Planted co-expression modules (some anti-correlated) plus flat rows."""
+    rng = np.random.default_rng(seed)
+    bases = rng.standard_normal((6, n_samples))
+    module = rng.integers(0, 6, size=n_genes)
+    sign = np.where(rng.random(n_genes) < 0.3, -1.0, 1.0)
+    noise = rng.choice([0.02, 0.2, 1.0], size=(n_genes, 1))
+    values = sign[:, None] * bases[module] + noise * rng.standard_normal((n_genes, n_samples))
+    values[::37] = 2.5  # zero-variance rows
+    return ExpressionMatrix(
+        values=values,
+        genes=[f"g{i}" for i in range(n_genes)],
+        samples=[f"s{i}" for i in range(n_samples)],
+    )
+
+
+TILE_THRESHOLDS = [
+    CorrelationThreshold(),
+    CorrelationThreshold(include_negative=True),
+    CorrelationThreshold(min_abs_rho=0.3, max_p_value=0.99),
+    CorrelationThreshold(min_abs_rho=0.3, max_p_value=0.99, include_negative=True),
+]
+
+
+class TestTileExtraction:
+    @pytest.mark.parametrize("block_size", [7, 64, 2048])
+    @pytest.mark.parametrize("threshold", TILE_THRESHOLDS, ids=repr)
+    def test_matches_dense_mask_tile_body(self, block_size, threshold):
+        m = module_matrix()
+        got = correlated_pair_arrays(m, threshold=threshold, block_size=block_size)
+        want = _dense_mask_pair_arrays(m, threshold, block_size)
+        assert want[0].size > 0
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert g.tobytes() == w.tobytes()
+
+    def test_low_cutoff_admits_many_pairs(self):
+        m = module_matrix()
+        threshold = TILE_THRESHOLDS[-1]
+        ii, _, _ = correlated_pair_arrays(m, threshold=threshold, block_size=64)
+        n_live = m.n_genes - len(range(0, m.n_genes, 37))
+        assert ii.size > n_live * (n_live - 1) // 4
+
+    def test_zero_variance_rows_never_admitted(self):
+        m = module_matrix()
+        flat = set(range(0, m.n_genes, 37))
+        ii, jj, _ = correlated_pair_arrays(m, threshold=TILE_THRESHOLDS[-1], block_size=7)
+        assert flat.isdisjoint(ii.tolist()) and flat.isdisjoint(jj.tolist())
+
+    @pytest.mark.parametrize("block_size", [7, 2048])
+    def test_cutoff_boundary_is_inclusive(self, block_size):
+        m = module_matrix(n_genes=60)
+        for include_negative in (False, True):
+            low = CorrelationThreshold(0.3, 0.99, include_negative)
+            ii, jj, rho = correlated_pair_arrays(m, threshold=low, block_size=block_size)
+            interior = np.flatnonzero(np.abs(rho) < 1.0)
+            for k in interior[:: max(1, interior.size // 40)].tolist():
+                value = abs(float(rho[k]))
+                at = CorrelationThreshold(value, 0.99, include_negative)
+                assert at.effective_cutoff(m.n_samples) == value
+                pair = (int(ii[k]), int(jj[k]))
+                admitted = correlated_pair_arrays(m, threshold=at, block_size=block_size)
+                assert pair in set(zip(admitted[0].tolist(), admitted[1].tolist()))
+                above = CorrelationThreshold(
+                    float(np.nextafter(value, 2.0)), 0.99, include_negative
+                )
+                rejected = correlated_pair_arrays(m, threshold=above, block_size=block_size)
+                assert pair not in set(zip(rejected[0].tolist(), rejected[1].tolist()))
+
+    @pytest.mark.parametrize("block_size", [0, -4])
+    def test_non_positive_block_size_rejected(self, block_size):
+        m = toy_matrix()
+        with pytest.raises(ValueError, match="block_size must be a positive integer"):
+            correlated_pair_arrays(m, block_size=block_size)
+        cached = correlated_pair_arrays(m)
+        with pytest.raises(ValueError, match="block_size must be a positive integer"):
+            correlated_pair_arrays_delta(m, m.n_genes, cached, block_size=block_size)

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import random
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from repro.clustering import (
@@ -15,10 +19,14 @@ from repro.clustering import (
     found_clusters,
     jaccard_node_overlap,
     lost_clusters,
+    match_and_lost_clusters,
     match_clusters,
     node_overlap,
     quadrant_counts,
+    reference_lost_clusters,
+    reference_match_clusters,
 )
+from repro.clustering.overlap import _intersection_counts
 from repro.graph import Graph, complete_graph
 from repro.ontology import AnnotationTable, EnrichmentScorer, GODag
 
@@ -169,3 +177,102 @@ class TestQuadrants:
         match = ClusterMatch(filtered, original, node_overlap=0.6, edge_overlap=0.6)
         strict = EvaluationThresholds(aees_threshold=100.0, overlap_threshold=0.5)
         assert classify_match(match, scorer, strict).quadrant is Quadrant.FALSE_POSITIVE
+
+
+# ----------------------------------------------------------------------
+# sparse intersection counts pinned to the set-based reference loops
+# ----------------------------------------------------------------------
+def random_clusters(rng, n, prefix, n_nodes=24, max_size=8):
+    """``n`` clusters over nodes ``prefix0..``: overlapping, some empty."""
+    clusters = []
+    for cid in range(n):
+        size = rng.choice([0, 1, 2, 3, max_size, rng.randrange(max_size)])
+        members = rng.sample([f"{prefix}{i}" for i in range(n_nodes)], size)
+        pairs = [(u, v) for k, u in enumerate(members) for v in members[k + 1 :]]
+        edges = [e for e in pairs if rng.random() < 0.5]
+        clusters.append(make_cluster(members, edges, cluster_id=cid))
+    return clusters
+
+
+def match_signature(matches):
+    return [
+        (id(m.filtered), id(m.original), m.node_overlap.hex(), m.edge_overlap.hex())
+        for m in matches
+    ]
+
+
+CASES = [
+    ("overlapping", 9, 7, "n", "n"),
+    ("disjoint universes", 6, 5, "a", "b"),
+    ("no originals", 0, 6, "n", "n"),
+    ("no filtered", 6, 0, "n", "n"),
+    ("both empty", 0, 0, "n", "n"),
+]
+
+
+class TestSparseOverlapCounts:
+    @pytest.mark.parametrize("key", [node_overlap, edge_overlap], ids=lambda k: k.__name__)
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: c[0])
+    def test_matches_reference_loops(self, case, key):
+        _, n_orig, n_filt, orig_prefix, filt_prefix = case
+        for seed in range(25):
+            rng = random.Random(seed)
+            original = random_clusters(rng, n_orig, orig_prefix)
+            filtered = random_clusters(rng, n_filt, filt_prefix)
+            want_matches = reference_match_clusters(original, filtered, key)
+            want_lost = reference_lost_clusters(original, filtered, key)
+            matches, lost = match_and_lost_clusters(original, filtered, key)
+            assert match_signature(matches) == match_signature(want_matches), seed
+            assert [id(c) for c in lost] == [id(c) for c in want_lost], seed
+            assert match_signature(match_clusters(original, filtered, key)) == (
+                match_signature(want_matches)
+            )
+            assert [id(c) for c in lost_clusters(original, filtered, key)] == (
+                [id(c) for c in want_lost]
+            )
+
+    def test_count_entries_are_exact_float64(self):
+        rng = random.Random(3)
+        original = [c.edge_set() for c in random_clusters(rng, 11, "n")]
+        filtered = [c.edge_set() for c in random_clusters(rng, 9, "n")]
+        rows, cols, counts = _intersection_counts(original, filtered)
+        assert rows.dtype == np.int64 and cols.dtype == np.int64
+        assert counts.dtype == np.float64
+        assert rows.shape == cols.shape == counts.shape
+        keys = rows * len(filtered) + cols
+        assert (np.diff(keys) > 0).all()  # row-major, one entry per pair
+        assert (rows < len(original)).all() and (cols < len(filtered)).all()
+        dense = np.zeros((len(original), len(filtered)))
+        dense[rows, cols] = counts
+        want = [[len(a & b) for b in filtered] for a in original]
+        assert dense.tolist() == want
+        assert (counts > 0).all()
+
+    def test_paper_sized_matching_memory_is_bounded(self):
+        # ~1,700 × 1,700 clusters over a ~50k-edge universe: dense membership
+        # matrices over that universe would need several hundred MB.
+        rng = random.Random(0)
+
+        def clusters(n, shift):
+            out = []
+            for cid in range(n):
+                base = cid * 9 + shift
+                members = list(range(base, base + 12))
+                edges = rng.sample(
+                    [(u, v) for k, u in enumerate(members) for v in members[k + 1 :]], 30
+                )
+                out.append(make_cluster(members, edges, cluster_id=cid))
+            return out
+
+        original = clusters(1700, 0)
+        filtered = clusters(1700, 4)
+        universe = set().union(*(c.edge_set() for c in original + filtered))
+        assert len(universe) > 45_000
+        tracemalloc.start()
+        try:
+            matches, lost = match_and_lost_clusters(original, filtered)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(matches) == 1700 and not lost
+        assert peak < 32 * 2**20, peak / 2**20
