@@ -20,9 +20,9 @@ Defaults match the published MCODE defaults (haircut on, fluff off,
 VWP = 0.2), which is what "run under default parameters" means.
 
 Since PR 3 the public functions run **index-native on the CSR kernel**: the
-graph is converted once (:class:`~repro.graph.csr.CSRGraph`), stage 1 computes
-neighbourhood core numbers by bucketless min-degree peeling over integer
-adjacency rows, stages 2–3 grow and prune complexes as index sets, and labels
+graph is converted once (:class:`~repro.graph.csr.CSRGraph`), stage 1 peels
+every vertex's neighbourhood at once over array-built local edges (one per
+triangle corner), stages 2–3 grow and prune complexes as index sets, and labels
 reappear only when the final :class:`Cluster` objects are materialised.  The
 seed label-level implementations are retained as ``reference_*`` functions and
 the test suite pins cluster member sets, scores and ordering to them
@@ -156,38 +156,6 @@ def _core_decompose(
     return k, core
 
 
-def _top_core(
-    members: Sequence[int], adj: dict[int, set[int]]
-) -> Optional[tuple[int, set[int]]]:
-    """Highest non-empty k-core of a small induced subgraph, by level peeling.
-
-    Returns ``(kmax, core_vertices)`` or ``None`` for an edgeless input.
-    Cheaper than a full core decomposition for the stage-1 inner loop: no
-    heap, one incremental peel per level, and only the final level's vertex
-    set is copied.
-    """
-    alive = set(members)
-    deg = {u: len(adj[u]) for u in members}
-    k = 0
-    best: Optional[tuple[int, set[int]]] = None
-    while alive:
-        k += 1
-        stack = [u for u in alive if deg[u] < k]
-        while stack:
-            u = stack.pop()
-            if u not in alive:
-                continue
-            alive.remove(u)
-            for w in adj[u]:
-                if w in alive:
-                    deg[w] -= 1
-                    if deg[w] == k - 1:
-                        stack.append(w)
-        if alive:
-            best = (k, set(alive))
-    return best
-
-
 def core_numbers_indices(csr: CSRGraph) -> np.ndarray:
     """Core number of every vertex of ``csr`` as one ``int64`` array."""
     n = csr.n_vertices
@@ -200,27 +168,87 @@ def core_numbers_indices(csr: CSRGraph) -> np.ndarray:
     return out
 
 
+def _neighbourhood_edges(csr: CSRGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The edges of every open neighbourhood, as two aligned CSR-slot arrays.
+
+    Slot ``s`` of row ``v`` stands for neighbour ``indices[s]`` inside N(v).
+    Each triangle {x, y, z} is listed once and adds one edge to each of N(x),
+    N(y) and N(z).  Edges point from lower to higher (degree, index) rank,
+    so a triangle is found once, from its lowest-ranked vertex, and no
+    vertex has more than √(2m) higher-ranked neighbours to pair up.
+    """
+    n = csr.n_vertices
+    indices = csr.indices
+    deg = np.diff(csr.indptr)
+    src = np.repeat(np.arange(n, dtype=np.int64), deg)
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(deg, kind="stable")] = np.arange(n)
+    keys = src * n + indices
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    reverse = order[np.searchsorted(sorted_keys, indices * n + src)]
+    # Up-slots grouped by source, by target rank within a group; every pair
+    # (first, second) of one group is a wedge y - x - z with rank y < rank z.
+    up = np.flatnonzero(rank[indices] > rank[src])
+    up = up[np.lexsort((rank[indices[up]], src[up]))]
+    group = src[up]
+    pos = np.arange(up.size)
+    later = np.searchsorted(group, group, side="right") - pos - 1
+    first = np.repeat(pos, later)
+    starts = np.cumsum(later) - later
+    second = first + 1 + np.arange(first.size) - np.repeat(starts, later)
+    s_xy, s_xz = up[first], up[second]
+    closing = indices[s_xy] * n + indices[s_xz]
+    at = np.minimum(np.searchsorted(sorted_keys, closing), keys.size - 1)
+    found = sorted_keys[at] == closing
+    s_xy, s_xz, s_yz = s_xy[found], s_xz[found], order[at[found]]
+    s_yx, s_zx, s_zy = reverse[s_xy], reverse[s_xz], reverse[s_yz]
+    return np.concatenate((s_xy, s_yx, s_zx)), np.concatenate((s_xz, s_yz, s_zy))
+
+
 def mcode_vertex_weights_indices(csr: CSRGraph) -> np.ndarray:
-    """Stage 1 on indices: weight = k × density of each neighbourhood's top core."""
+    """Stage 1 on indices: weight = k × density of each neighbourhood's top core.
+
+    All neighbourhoods are peeled at once, level by level: at level ``k``
+    every local vertex (CSR slot) with fewer than ``k`` live local edges
+    is removed, repeatedly, across every neighbourhood.  The k-core is
+    unique, so the removal order cannot matter.  After each level a
+    still non-empty neighbourhood records ``k``, its live vertex count and
+    its live edge count; the last record is its highest core.
+    """
     n = csr.n_vertices
     weights = np.zeros(n, dtype=np.float64)
-    row_sets = csr.neighbor_sets()
-    rows = csr.neighbor_lists()
-    for v in range(n):
-        nbrs = rows[v]
-        if len(nbrs) < 2:
-            continue
-        nv = row_sets[v]
-        adj = {u: row_sets[u] & nv for u in nbrs}
-        top = _top_core(nbrs, adj)
-        if top is None:
-            continue
-        kmax, core_set = top
-        s = len(core_set)
-        if s < 2:
-            continue
-        e = sum(len(adj[u] & core_set) for u in core_set) // 2
-        weights[v] = float(kmax) * (2.0 * e / (s * (s - 1)))
+    ex, ey = _neighbourhood_edges(csr)
+    if ex.size == 0:
+        return weights
+    owner = np.repeat(np.arange(n, dtype=np.int64), np.diff(csr.indptr))
+    deg = np.bincount(ex, minlength=owner.size) + np.bincount(ey, minlength=owner.size)
+    alive = deg > 0
+    live = np.flatnonzero(alive)  # every neighbourhood's 1-core
+    kmax = np.zeros(n, dtype=np.int64)
+    size = np.zeros(n, dtype=np.int64)
+    edges = np.zeros(n, dtype=np.int64)
+    k = 1
+    while live.size:
+        counts = np.bincount(owner[live], minlength=n)
+        present = counts > 0
+        kmax[present] = k
+        size[present] = counts[present]
+        edges[present] = np.bincount(owner[ex], minlength=n)[present]
+        k += 1
+        drop = live[deg[live] < k]
+        while drop.size:
+            alive[drop] = False
+            cut = ~(alive[ex] & alive[ey])
+            ends, dec = np.unique(np.concatenate((ex[cut], ey[cut])), return_counts=True)
+            ex, ey = ex[~cut], ey[~cut]
+            deg[ends] -= dec
+            ends = ends[alive[ends]]
+            drop = ends[deg[ends] < k]
+        live = live[alive[live]]
+    has = kmax > 0
+    s = size[has]
+    weights[has] = kmax[has].astype(np.float64) * (2.0 * edges[has] / (s * (s - 1)))
     return weights
 
 

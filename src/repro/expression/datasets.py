@@ -149,7 +149,7 @@ class StudyConfig:
     def background_genes_required(self) -> int:
         """Number of background genes the noise structures consume."""
         return (
-            self.n_noise_chains * self.noise_chain_length
+            self.n_noise_chains * max(2, self.noise_chain_length)
             + self.n_noise_clumps * self.noise_clump_size
             + self.n_module_attachments
         )
@@ -350,6 +350,41 @@ def _background_gene_name(study: str, index: int) -> str:
     return f"{study}_G{index:05d}"
 
 
+def _centred(rows: np.ndarray) -> np.ndarray:
+    """``rows`` minus each row's mean."""
+    return rows - (np.add.reduce(rows, axis=1) / rows.shape[1])[:, None]
+
+
+def _row_std(rows: np.ndarray) -> np.ndarray:
+    """Per-row population std, summed as ``ndarray.std`` sums one row.
+
+    ``np.add.reduce`` along the contiguous axis is the reduction numpy's
+    ``_var`` runs on a single row, so each entry is bit-identical to
+    ``rows[i].std()``.
+    """
+    centred = _centred(rows)
+    return np.sqrt(np.add.reduce(centred * centred, axis=1) / rows.shape[1])
+
+
+def _chained_rows(previous: np.ndarray, rho: np.ndarray, fresh: np.ndarray) -> np.ndarray:
+    """Rows correlated ≈ ``rho[i]`` with ``previous[i]`` and otherwise independent.
+
+    ``fresh`` holds each row's pre-drawn noise.  It is centred, projected
+    off the standardised predecessor and rescaled to unit variance before
+    mixing.  Every step is elementwise or a per-row reduction, so row ``i``
+    comes out exactly as it would alone.  The projection stays one BLAS dot
+    per row, because a batched contraction sums in a different order.
+    """
+    n = previous.shape[1]
+    prev_std = _centred(previous) / (_row_std(previous) + 1e-12)[:, None]
+    fresh = _centred(fresh)
+    dots = np.array([f @ p for f, p in zip(fresh, prev_std)])
+    fresh -= (dots / n)[:, None] * prev_std
+    fresh /= (_row_std(fresh) + 1e-12)[:, None]
+    mix = np.sqrt(np.maximum(0.0, 1.0 - rho * rho))
+    return rho[:, None] * prev_std + mix[:, None] * fresh
+
+
 def generate_study(config: StudyConfig, seed: int = 0) -> SyntheticStudy:
     """Generate one synthetic study according to ``config``.
 
@@ -360,93 +395,89 @@ def generate_study(config: StudyConfig, seed: int = 0) -> SyntheticStudy:
     mixture of its predecessor and fresh noise with mixing coefficient ≈ 0.952,
     so consecutive genes pass the threshold while genes two steps apart fall
     to ≈ 0.9 and do not.
+
+    Every random draw is made one structure at a time, in a fixed order
+    (modules, chains, clumps, attachments, background, chip shuffle).  The
+    chained rows are then computed in waves: one batched step per chain link
+    across all chains, and one for all module attachments.
     """
     rng = np.random.default_rng(seed)
     n_samples = config.n_samples
-    gene_rows: list[np.ndarray] = []
-    gene_names: list[str] = []
+    n_structured = config.n_modules * config.module_size
+    n_background = max(config.background_genes_required(), config.n_genes - n_structured)
+    values = np.empty((n_structured + n_background, n_samples))
     modules: dict[str, list[str]] = {}
     noise_clumps: list[list[str]] = []
     noise_edges: list[tuple[str, str]] = []
 
-    def add_gene(name: str, values: np.ndarray) -> None:
-        gene_names.append(name)
-        gene_rows.append(values)
-
-    def group_rows(size: int, tightness: float) -> list[np.ndarray]:
+    def group_rows(start: int, size: int, tightness: float) -> None:
         """Rows for a co-expressed group: shared factor + jittered private noise."""
         factor = rng.standard_normal(n_samples)
-        rows = []
-        for _ in range(size):
+        for i in range(start, start + size):
             jitter = 1.0 + 0.3 * rng.random()
-            rows.append(factor + rng.standard_normal(n_samples) * tightness * jitter)
-        return rows
+            values[i] = factor + rng.standard_normal(n_samples) * tightness * jitter
 
     # --- planted co-expression modules -------------------------------------
+    gene_names: list[str] = []
     for m in range(config.n_modules):
-        members: list[str] = []
-        module_name = f"{config.name}_module_{m:02d}"
-        for i, row in enumerate(group_rows(config.module_size, config.module_tightness)):
-            add_gene(_module_gene_name(config.name, m, i), row)
-            members.append(gene_names[-1])
-        modules[module_name] = members
-
-    n_structured = len(gene_names)
-    background_needed = config.background_genes_required()
-    n_background = max(background_needed, config.n_genes - n_structured)
-    next_background = 0
-
-    def new_background_gene(values: np.ndarray) -> str:
-        nonlocal next_background
-        name = _background_gene_name(config.name, next_background)
-        next_background += 1
-        add_gene(name, values)
-        return name
-
-    def chained_row(previous: np.ndarray, rho: float) -> np.ndarray:
-        """A row correlated ≈ rho with ``previous`` and otherwise independent."""
-        prev_std = (previous - previous.mean()) / (previous.std() + 1e-12)
-        fresh = rng.standard_normal(n_samples)
-        fresh -= fresh.mean()
-        fresh -= (fresh @ prev_std / n_samples) * prev_std
-        fresh /= fresh.std() + 1e-12
-        return rho * prev_std + math.sqrt(max(0.0, 1.0 - rho * rho)) * fresh
+        group_rows(len(gene_names), config.module_size, config.module_tightness)
+        members = [_module_gene_name(config.name, m, i) for i in range(config.module_size)]
+        gene_names.extend(members)
+        modules[f"{config.name}_module_{m:02d}"] = members
+    background = [_background_gene_name(config.name, i) for i in range(n_background)]
+    gene_names.extend(background)
 
     # --- noisy chains ---------------------------------------------------------
-    for _ in range(config.n_noise_chains):
-        length = max(2, config.noise_chain_length)
-        prev_row = rng.standard_normal(n_samples)
-        prev_name = new_background_gene(prev_row)
-        for _ in range(length - 1):
-            rho = 0.952 + 0.02 * rng.random()
-            row = chained_row(prev_row, rho)
-            name = new_background_gene(row)
-            noise_edges.append(edge_key(prev_name, name))
-            prev_name, prev_row = name, row
+    n_chains = config.n_noise_chains
+    length = max(2, config.noise_chain_length)
+    chains = values[n_structured : n_structured + n_chains * length].reshape(
+        n_chains, length, n_samples
+    )
+    chain_rho = np.empty((n_chains, length - 1))
+    chain_fresh = np.empty((n_chains, length - 1, n_samples))
+    for c in range(n_chains):
+        chains[c, 0] = rng.standard_normal(n_samples)
+        first = c * length
+        for j in range(length - 1):
+            chain_rho[c, j] = 0.952 + 0.02 * rng.random()
+            chain_fresh[c, j] = rng.standard_normal(n_samples)
+            noise_edges.append(edge_key(background[first + j], background[first + j + 1]))
+    for j in range(length - 1):
+        chains[:, j + 1] = _chained_rows(chains[:, j], chain_rho[:, j], chain_fresh[:, j])
+    next_background = n_chains * length
 
     # --- noisy clumps (coincidental dense groups) -----------------------------
     for _ in range(config.n_noise_clumps):
-        clump: list[str] = []
-        for row in group_rows(config.noise_clump_size, config.clump_tightness):
-            clump.append(new_background_gene(row))
+        group_rows(n_structured + next_background, config.noise_clump_size, config.clump_tightness)
+        clump = background[next_background : next_background + config.noise_clump_size]
+        next_background += config.noise_clump_size
         noise_clumps.append(clump)
         for i, a in enumerate(clump):
             for b in clump[i + 1 :]:
                 noise_edges.append(edge_key(a, b))
 
     # --- spurious attachments to real modules --------------------------------
-    module_members = [g for members in modules.values() for g in members]
-    name_index = {n: i for i, n in enumerate(gene_names)}
-    for _ in range(config.n_module_attachments):
-        target = module_members[int(rng.integers(0, len(module_members)))]
-        rho = 0.953 + 0.03 * rng.random()
-        row = chained_row(gene_rows[name_index[target]], rho)
-        name = new_background_gene(row)
-        noise_edges.append(edge_key(target, name))
+    # Module members occupy rows 0 .. n_structured-1 in member order.
+    n_attach = config.n_module_attachments
+    targets = np.empty(n_attach, dtype=np.int64)
+    attach_rho = np.empty(n_attach)
+    attach_fresh = np.empty((n_attach, n_samples))
+    for a in range(n_attach):
+        targets[a] = int(rng.integers(0, n_structured))
+        attach_rho[a] = 0.953 + 0.03 * rng.random()
+        attach_fresh[a] = rng.standard_normal(n_samples)
+        noise_edges.append(
+            edge_key(gene_names[targets[a]], background[next_background + a])
+        )
+    start = n_structured + next_background
+    values[start : start + n_attach] = _chained_rows(values[targets], attach_rho, attach_fresh)
+    next_background += n_attach
 
     # --- unstructured background genes ----------------------------------------
-    while next_background < n_background:
-        new_background_gene(rng.standard_normal(n_samples))
+    # One draw of shape (k, n) consumes the stream exactly as k draws of n.
+    values[n_structured + next_background :] = rng.standard_normal(
+        (n_background - next_background, n_samples)
+    )
 
     # Shuffle the chip order.  Real arrays list probes by nomenclature, not by
     # functional module, so the "natural order" of the network must not align
@@ -454,9 +485,8 @@ def generate_study(config: StudyConfig, seed: int = 0) -> SyntheticStudy:
     # artificially few border edges and the ordering study would be biased).
     perm = rng.permutation(len(gene_names))
     gene_names = [gene_names[i] for i in perm]
-    gene_rows = [gene_rows[i] for i in perm]
+    values = values[perm]
 
-    values = np.vstack(gene_rows)
     matrix = ExpressionMatrix(
         values=values,
         genes=gene_names,

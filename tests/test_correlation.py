@@ -20,7 +20,7 @@ from repro.expression import (
     critical_correlation,
     pearson_correlation_matrix,
 )
-from repro.expression.correlation import correlated_pair_arrays_delta
+from repro.expression.correlation import _t_tail, correlated_pair_arrays_delta
 from repro.graph import CSRGraph
 
 
@@ -141,6 +141,58 @@ class TestThreshold:
                 min_abs_rho=0.9, max_p_value=0.0005, include_negative=include_negative
             )
             assert not t.admits(0.93, 4)
+
+
+class TestCutoffFold:
+    """``effective_cutoff`` decides the paper's case without scipy; the value must not move."""
+
+    RHOS = (-0.5, 0.0, 0.1, 0.3, 0.5, 0.7, 0.8, 0.9, 0.95, 0.97, 0.99, 1.0, 1.5)
+    P_VALUES = (1e-9, 1e-6, 1e-5, 1e-4, 0.0005, 0.001, 0.01, 0.05, 0.5)
+
+    @staticmethod
+    def fallback(rho: float, p_value: float, n_samples: int) -> float:
+        return max(rho, critical_correlation(p_value, n_samples))
+
+    def test_grid_matches_critical_correlation(self):
+        for n in list(range(2, 40)) + [50, 64, 99, 100, 150, 299]:
+            for rho in self.RHOS:
+                for p_value in self.P_VALUES:
+                    t = CorrelationThreshold(min_abs_rho=rho, max_p_value=p_value)
+                    assert t.effective_cutoff(n) == self.fallback(rho, p_value, n), (n, rho, p_value)
+
+    def test_values_near_the_margin(self):
+        # ρ at and one ulp around the critical correlation (where the p-value
+        # binds) and around the fold's own limit, p(ρ) = max_p_value / 2.
+        for n in (3, 4, 5, 6, 8, 10, 12, 31, 100):
+            for p_value in (1e-6, 0.0005, 0.01, 0.2):
+                for edge in (critical_correlation(p_value, n), critical_correlation(p_value / 2, n)):
+                    for rho in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, 1.0)):
+                        t = CorrelationThreshold(min_abs_rho=rho, max_p_value=p_value)
+                        assert t.effective_cutoff(n) == self.fallback(rho, p_value, n), (n, rho)
+
+    def test_non_integer_and_nan_inputs_fall_back(self):
+        assert CorrelationThreshold().effective_cutoff(10.0) == self.fallback(0.95, 0.0005, 10)
+        nan_rho = CorrelationThreshold(min_abs_rho=float("nan")).effective_cutoff(10)
+        assert math.isnan(nan_rho)
+
+    def test_invalid_max_p_value_still_raises(self):
+        for n_samples in (10, 2):
+            for p_value in (0.0, 1.0, -0.5, 1.5, float("nan")):
+                t = CorrelationThreshold(max_p_value=p_value)
+                with pytest.raises(ValueError, match=r"p_value must lie in \(0, 1\)"):
+                    t.effective_cutoff(n_samples)
+
+    def test_closed_form_tail_matches_p_value(self):
+        for n in range(3, 200):
+            for rho in (0.05, 0.3, 0.6, 0.9, 0.95, 0.99, 0.9999):
+                assert _t_tail(rho, n - 2) == pytest.approx(
+                    correlation_p_value(rho, n), rel=1e-9, abs=1e-14
+                ), (n, rho)
+
+    def test_paper_case_is_folded(self):
+        # 10 samples: p(0.95) ≈ 2.6e-5, far below 0.0005.
+        assert _t_tail(0.95, 8) == pytest.approx(2.5737e-5, rel=1e-4)
+        assert CorrelationThreshold().effective_cutoff(10) == 0.95
 
 
 class TestNetworkConstruction:

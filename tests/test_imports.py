@@ -3,8 +3,9 @@
 Every cold CLI command, spawned SPMD rank and pool worker pays for its
 imports, so the package ``__init__``s are lazy (PEP 562, see
 :mod:`repro._lazy`) and ``scipy.stats`` is imported only inside the
-functions that use it.  The checks run in fresh interpreters, because this
-one imported everything long ago.
+functions that use it; a cold ``repro analyze`` loads no ``scipy`` at
+all.  The checks run in fresh interpreters, because this one imported
+everything long ago.
 """
 
 from __future__ import annotations
@@ -82,6 +83,17 @@ def test_worker_entry_module_loads_no_scipy_and_no_analysis_stack():
     assert within("scipy", loaded) == []
     for package in ANALYSIS:
         assert within(package, loaded) == [], package
+
+
+def test_analyze_command_loads_no_scipy():
+    # The p-value criterion folds into the 0.95 cut-off in closed form.
+    loaded = loaded_after(
+        "import contextlib, io\n"
+        "from repro.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(['analyze', '--dataset', 'CRE', '--scale', '0.05', '--json'])"
+    )
+    assert within("scipy", loaded) == []
 
 
 def test_datasets_command_loads_no_command_only_modules():

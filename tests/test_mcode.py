@@ -2,16 +2,27 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.clustering import MCODEParams, highest_k_core, k_core, mcode_clusters, mcode_vertex_weights
 from repro.clustering.mcode import (
     mcode_score,
+    mcode_vertex_weights_indices,
     reference_k_core,
     reference_mcode_clusters,
     reference_mcode_vertex_weights,
 )
-from repro.graph import Graph, complete_graph, cycle_graph, erdos_renyi_graph, path_graph
+from repro.graph import (
+    CSRGraph,
+    Graph,
+    barabasi_albert_graph,
+    complete_graph,
+    cycle_graph,
+    erdos_renyi_graph,
+    path_graph,
+    star_graph,
+)
 
 
 def two_cliques_with_bridge() -> Graph:
@@ -162,3 +173,83 @@ class TestReferenceEquivalence:
             core, ref_core = k_core(g, k), reference_k_core(g, k)
             assert core.vertices() == ref_core.vertices()
             assert sorted(core.edges()) == sorted(ref_core.edges())
+
+
+def weight_bits(graph: Graph) -> tuple[list[int], list[int]]:
+    """Stage-1 weights of the batched kernel and of the seed, as float64 bit patterns."""
+    csr = CSRGraph.from_graph(graph)
+    got = mcode_vertex_weights_indices(csr)
+    reference = reference_mcode_vertex_weights(graph)
+    expected = np.array([reference[v] for v in csr.labels], dtype=np.float64)
+    return got.view(np.int64).tolist(), expected.view(np.int64).tolist()
+
+
+def edgeless_graph(n: int) -> Graph:
+    g = Graph()
+    for i in range(n):
+        g.add_vertex(i)
+    return g
+
+
+def cliques_sharing_a_vertex() -> Graph:
+    """A K5 and a K4 glued at vertex ``hub``."""
+    g = Graph()
+    for group in (["hub", "a1", "a2", "a3", "a4"], ["hub", "b1", "b2", "b3"]):
+        for i, u in enumerate(group):
+            for w in group[i + 1 :]:
+                g.add_edge(u, w)
+    return g
+
+
+class TestBatchedStageOne:
+    """Every neighbourhood peeled at once, pinned bitwise to the per-vertex seed."""
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            Graph(),
+            edgeless_graph(7),
+            star_graph(6),
+            complete_graph(3),
+            complete_graph(5),
+            cliques_sharing_a_vertex(),
+            two_cliques_with_bridge(),
+            path_graph(6),
+            cycle_graph(5),
+        ],
+        ids=["empty", "edgeless", "star", "triangle", "K5", "cliques-sharing-vertex",
+             "cliques-with-bridge", "path", "cycle"],
+    )
+    def test_small_graphs(self, graph):
+        got, expected = weight_bits(graph)
+        assert got == expected
+
+    def test_empty_graph_gives_empty_array(self):
+        weights = mcode_vertex_weights_indices(CSRGraph.from_graph(Graph()))
+        assert weights.dtype == np.float64 and weights.shape == (0,)
+
+    def test_shared_vertex_weight(self):
+        # N(hub) is a K4 plus a K3 with no edge between them: top core is the K4.
+        weights = mcode_vertex_weights(cliques_sharing_a_vertex())
+        assert weights["hub"] == 3.0 * 1.0
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_seeded_random_graphs(self, seed):
+        n = 10 + 7 * seed
+        for graph in (
+            erdos_renyi_graph(n, 0.08 + 0.04 * (seed % 5), seed=seed),
+            barabasi_albert_graph(n, 1 + seed % 4, seed=seed),
+        ):
+            got, expected = weight_bits(graph)
+            assert got == expected
+
+    def test_cre_original_and_filtered_networks(self):
+        from repro.core import sequential_chordal_filter
+        from repro.expression import make_study
+
+        original = make_study("CRE", scale=0.15).network()
+        filtered = sequential_chordal_filter(original).graph
+        for graph in (original, filtered):
+            got, expected = weight_bits(graph)
+            assert got == expected
+            assert any(got)
