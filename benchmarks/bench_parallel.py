@@ -11,8 +11,9 @@ computation shipped four different ways —
 
 * ``serial``      — in-process loop (the deterministic reference),
 * ``thread``      — one GIL-bound thread per rank,
-* ``process``     — real processes, rank payloads pickled through pipes,
-* ``process-shm`` — real processes, rank payloads as shared-memory arena
+* ``process``     — resident worker processes, rank payloads pickled over
+  the socket hub's TCP wire (``process-sock`` is an alias, not timed apart),
+* ``process-shm`` — the same workers, rank payloads as shared-memory arena
   refs (segment names + slice bounds), ranks slicing their own subgraphs
   from zero-copy views.
 
@@ -109,8 +110,9 @@ def _groups(quick: bool) -> list[dict[str, Any]]:
             groups.append(
                 dict(sampler="nocomm", scale=scale, P=P, backends=list(NOCOMM_BACKENDS), repeats=repeats)
             )
-    # The with-communication sampler spawns one interpreter per rank per
-    # call on the process backends; keep its grid small but representative.
+    # The with-communication sampler routes every border message through the
+    # worker hub on the process backends; keep its grid small but
+    # representative.
     comm_scales = ["small"] if quick else ["small", "medium"]
     for scale in comm_scales:
         groups.append(dict(sampler="comm", scale=scale, P=4, backends=["thread"], repeats=3))

@@ -10,9 +10,11 @@ trajectory to ``BENCH_scaleout.json``:
   content-digest hit, no copy).  The warm path is what a restarted
   ``repro serve --arena-dir`` pays instead of rebuilding its bundles.
 * **process-sock vs process-shm** — the nocomm parallel filter at the
-  largest scale over the TCP transport against the shared-memory transport,
-  with the serial P1 base for hardware normalization.  Both must keep the
-  identical edge set (checked, fails the run otherwise).
+  largest scale on the resident socket workers, with payloads pickled over
+  TCP (``process-sock``, an alias of ``process``) against payloads passed
+  as shared-memory segment names (``process-shm``), with the serial P1
+  base for hardware normalization.  Both must keep the identical edge set
+  (checked, fails the run otherwise).
 * **huge-scale streaming build** — :meth:`CSRGraph.from_edge_stream` over
   the seeded ring-chord edge stream at ~100× the ``large`` filter scale,
   the graph size the in-RAM generators cannot reach.
@@ -64,7 +66,6 @@ from repro.graph.csr import CSRGraph
 from repro.graph.generators import correlation_like_graph, ring_chord_edge_stream
 from repro.parallel.runner import shutdown_worker_pool
 from repro.parallel.shm import SharedArena, arena_scope
-from repro.parallel.sock import shutdown_sock_pool
 
 SCHEMA = "bench_scaleout/v1"
 ORDERING = "rcm"
@@ -170,7 +171,6 @@ def bench_transports(quick: bool) -> tuple[list[dict[str, Any]], bool]:
                     f"INCONSISTENT edges_kept at {scale}: {kept}", file=sys.stderr
                 )
     shutdown_worker_pool()
-    shutdown_sock_pool()
     return rows, consistent
 
 

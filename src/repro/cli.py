@@ -90,8 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="execution backend for the parallel chordal filters "
         "(default: each filter's own — serial for the no-communication "
         "sampler, threaded SPMD for the with-communication one); "
-        "'process-shm' runs ranks on real cores with zero-copy "
-        "shared-memory graph buffers",
+        "'process' runs ranks on resident worker processes over TCP "
+        "('process-sock' is an alias), 'process-shm' on the same workers "
+        "with zero-copy shared-memory graph buffers",
     )
     filt.add_argument("--seed", type=int, default=0, help="seed for the random-walk filter")
     filt.add_argument("--output", default=None, help="write the filtered network as an edge list to this path")
@@ -191,8 +192,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     spmd_worker = sub.add_parser(
         "spmd-worker",
-        help="join a process-sock SPMD hub as one external worker (scale-out "
-        "tier); hub and worker must share the same REPRO_SOCK_AUTHKEY",
+        help="join a process-backend worker hub as one external worker "
+        "(scale-out tier); hub and worker must share the same "
+        "REPRO_SOCK_AUTHKEY",
     )
     spmd_worker.add_argument("--host", default=None, help="hub host (default REPRO_SOCK_HOST or 127.0.0.1)")
     spmd_worker.add_argument("--port", type=int, default=None, help="hub port (default REPRO_SOCK_PORT)")
@@ -273,7 +275,7 @@ def _add_supervision_args(parser: argparse.ArgumentParser) -> None:
         "--no-degrade",
         action="store_true",
         help="fail instead of degrading to a simpler execution backend when "
-        "the parallel substrate (pool, shared-memory arena) cannot be "
+        "the parallel substrate (worker hub, shared-memory arena) cannot be "
         "brought up",
     )
 

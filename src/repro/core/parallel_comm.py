@@ -223,7 +223,8 @@ def _rank_function_shm(
     concatenated per-part vertex arrays with offsets, optional priority
     vector); by the time this body runs, the SPMD backend has already
     resolved every ref into a zero-copy read-only view (see
-    ``_spmd_process_child``), so ``payload`` arrives as plain arrays here.
+    :func:`repro.parallel.shm.resolve_payload`), so ``payload`` arrives as
+    plain arrays here.
     The rank reconstructs its own subgraph from the shared views and then
     executes the identical :func:`_rank_function` protocol, so admission
     decisions (and hence the output edge set) cannot drift.  Edge lists

@@ -1,7 +1,7 @@
 """Deterministic fault-injection plane.
 
 The runtime threads named *injection sites* through its failure-prone
-operations — worker-pool dispatch, SPMD rank spawn, shared-memory
+operations — worker-hub bring-up and map dispatch, SPMD rounds, shared-memory
 export/attach, communicator send/recv/barrier, serve admission/execution,
 batch cache read/write.  Each site is one :func:`fault_point` call; with no
 plan installed (production) the call is a module-global ``None`` check and
@@ -17,15 +17,15 @@ workload proceeds cleanly (which is what lets the chaos tier pin that the
 Sites (see ``docs/ARCHITECTURE.md`` for the full table):
 
 ==================== =========================================================
-``pool.spawn``       shared process-pool creation / growth
-``pool.dispatch``    each checked map dispatch (supports ``kill_task``)
+``pool.spawn``       worker-hub creation and each local worker spawn (growth)
+``pool.dispatch``    each process-backend map scatter (supports ``kill_task``)
 ``spmd.ranks``       each SPMD process-backend round (supports ``kill_rank``)
 ``arena.export``     each :meth:`SharedArena.export_bundle` call
 ``arena.attach``     each attach-side segment mapping
 ``comm.send``        each communicator send
 ``comm.recv``        each communicator receive (supports ``hook`` delays)
 ``comm.barrier``     each barrier entry
-``comm.connect``     each socket worker's hub connect (process-sock)
+``comm.connect``     each worker's hub connect
 ``sock.send``        each TCP frame written (hub routing and worker sends)
 ``sock.recv``        each TCP frame read off a socket
 ``serve.admit``      each work-request admission on the daemon
@@ -41,7 +41,7 @@ Sites (see ``docs/ARCHITECTURE.md`` for the full table):
 
 Faults only fire in the process that installed the plan.  Failures *inside*
 worker processes are injected from the parent side instead: ``kill_task``
-poisons one payload of a dispatch so the pool worker executing it SIGKILLs
+poisons one payload of a dispatch so the hub worker executing it SIGKILLs
 itself mid-task (deterministically losing that task), and ``kill_rank``
 marks one rank of an SPMD round to SIGKILL itself at startup — both without
 racing an external kill against scheduler timing.
@@ -218,7 +218,7 @@ class FaultPlan:
 
 
 def _die_in_worker(*_args: Any, **_kwargs: Any) -> None:
-    """Poisoned pool payload: SIGKILL the executing worker (never returns)."""
+    """Poisoned map payload: SIGKILL the executing worker (never returns)."""
     os.kill(os.getpid(), signal.SIGKILL)
 
 

@@ -2,11 +2,11 @@
 
 The paper's algorithms were written for a distributed-memory MPI machine.
 This package substitutes an offline equivalent: the algorithms exchange the
-same messages over :class:`SimComm` (threads) or :class:`ProcComm` (real
-processes over pipes), graph buffers are shared zero-copy between rank
-processes through a :class:`SharedArena`, rank work is measured exactly, and
-:class:`CostModel` converts that work into simulated wall-clock times for
-the scalability study.
+same messages over :class:`SimComm` (threads) or resident worker processes
+over TCP (:mod:`repro.parallel.sock`), graph buffers are shared zero-copy
+between rank processes through a :class:`SharedArena`, rank work is
+measured exactly, and :class:`CostModel` converts that work into simulated
+wall-clock times for the scalability study.
 """
 
 from .._lazy import lazy_exports
@@ -14,7 +14,6 @@ from .._lazy import lazy_exports
 __all__ = [
     "SimComm",
     "SimCommWorld",
-    "ProcComm",
     "CommStats",
     "ANY_SOURCE",
     "ANY_TAG",
@@ -53,7 +52,7 @@ __all__ = [
 __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        ".comm": ("ANY_SOURCE", "ANY_TAG", "CommStats", "ProcComm", "SimComm", "SimCommWorld"),
+        ".comm": ("ANY_SOURCE", "ANY_TAG", "CommStats", "SimComm", "SimCommWorld"),
         ".rng": ("derive_seed", "rank_rng", "rank_rngs"),
         ".runner": (
             "DeadRankError",

@@ -1,4 +1,4 @@
-"""MPI-like message-passing communicators (threaded and process-backed).
+"""MPI-like message-passing communicators: the shared machinery and its threaded endpoint.
 
 The paper's experiments ran on the Firefly cluster with a distributed-memory
 MPI implementation.  That substrate is unavailable offline, so this module
@@ -10,11 +10,11 @@ blocking ``send``/``recv``, ``bcast``, ``gather``, ``allgather``,
 :class:`SimCommWorld` / :class:`SimComm`
     one Python thread per rank, messages through in-process per-rank
     mailboxes (``queue.Queue``) — zero start-up cost, GIL-bound compute;
-:class:`ProcComm`
-    the same endpoint API over real OS processes: per-rank
-    ``multiprocessing`` queues (pipes under the hood) and a shared process
-    barrier, so communicating rank functions execute on real cores.  Built
-    by the ``process`` backend of :func:`repro.parallel.runner.run_spmd`.
+:class:`~repro.parallel.sock.SockComm`
+    the same endpoint API inside a resident worker process, messages routed
+    as TCP frames through the socket hub, so communicating rank functions
+    execute on real cores.  Built by every ``process*`` backend of
+    :func:`repro.parallel.runner.run_spmd`.
 
 Both share the matching/collective implementation (:class:`_MessagingComm`);
 only the transport primitives differ.  Every communicator records how many
@@ -29,7 +29,7 @@ import os
 import queue
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Optional
 
 from ..faults import fault_point
 
@@ -37,7 +37,6 @@ __all__ = [
     "CommStats",
     "SimCommWorld",
     "SimComm",
-    "ProcComm",
     "ANY_SOURCE",
     "ANY_TAG",
     "watchdog_poll",
@@ -50,10 +49,10 @@ ANY_TAG = -1
 
 
 def watchdog_poll() -> float:
-    """Poll period (seconds) of the dead-rank/worker watchdog loops.
+    """Poll period (seconds) of the dead-worker watchdog loops.
 
-    The SPMD runner and the socket hub wake at this cadence to check for
-    ranks that died without reporting.  Configurable via the
+    The socket hub wakes at this cadence to check for workers that died
+    without reporting.  Configurable via the
     ``REPRO_WATCHDOG_POLL`` environment variable (default 1.0s, floor 10ms)
     — tests that provoke dead ranks lower it so failure detection does not
     dominate their runtime.
@@ -80,9 +79,8 @@ class CommStats:
     """Per-rank communication counters.
 
     ``bytes_sent`` / ``bytes_received`` count real transport bytes where the
-    transport actually frames them (the socket transport); queue-backed
-    transports leave them at zero rather than paying a second pickling pass
-    just to measure payload size.
+    transport actually frames them (the socket transport); the threaded
+    transport never serializes a message, so it leaves them at zero.
     """
 
     messages_sent: int = 0
@@ -175,13 +173,13 @@ class _MessagingComm:
     (this rank's out-of-order buffer) and :meth:`_barrier_wait`.  Everything
     above those five primitives — ``(source, tag)`` matching, statistics,
     broadcast/gather/reduce/scatter — is identical across the threaded and
-    the process-backed communicator.
+    the socket communicator.
     """
 
     #: Default timeout (seconds) for blocking receives; generous but finite so a
     #: protocol bug surfaces as an error instead of a hung test-suite.
     #: Overridable per endpoint (``recv_timeout`` constructor argument of the
-    #: process/socket communicators) or process-wide via ``REPRO_COMM_TIMEOUT``.
+    #: socket communicator) or process-wide via ``REPRO_COMM_TIMEOUT``.
     RECV_TIMEOUT = 60.0
 
     rank: int
@@ -191,7 +189,7 @@ class _MessagingComm:
         """Effective blocking-receive / barrier timeout of this endpoint.
 
         Resolution order: explicit ``recv_timeout`` constructor argument,
-        then the ``REPRO_COMM_TIMEOUT`` environment variable (spawned rank
+        then the ``REPRO_COMM_TIMEOUT`` environment variable (spawned worker
         processes inherit the environment, so one export covers the whole
         world), then the class default :attr:`RECV_TIMEOUT`.
         """
@@ -396,72 +394,6 @@ class SimComm(_MessagingComm):
 
     def _barrier_wait(self) -> None:
         self.world._barrier.wait()
-
-
-class ProcComm(_MessagingComm):
-    """A rank endpoint whose transport is real ``multiprocessing`` queues.
-
-    One instance lives in each rank *process* of the ``process`` SPMD
-    backend: ``queues[r]`` is rank ``r``'s incoming mailbox (every rank holds
-    endpoints for all mailboxes so it can send to any destination), and
-    ``barrier`` is a shared :class:`multiprocessing.Barrier`.  Message
-    payloads cross the pipe pickled, exactly like mpi4py's lower-case API;
-    large arrays should travel as :class:`repro.parallel.shm.ArenaRef`
-    handles instead of payload bytes.  Statistics are counted locally and
-    shipped back with the rank's result.
-    """
-
-    def __init__(
-        self,
-        rank: int,
-        size: int,
-        queues: Sequence[Any],
-        barrier: Any,
-        recv_timeout: Optional[float] = None,
-    ) -> None:
-        if not 0 <= rank < size:
-            raise ValueError(f"rank {rank} out of range for size {size}")
-        if len(queues) != size:
-            raise ValueError("one queue per rank is required")
-        self.rank = rank
-        self._size = size
-        self._queues = list(queues)
-        self._barrier = barrier
-        self._stats = CommStats()
-        self._unmatched: list[_Message] = []
-        self._recv_timeout = None if recv_timeout is None else float(recv_timeout)
-
-    @property
-    def size(self) -> int:
-        return self._size
-
-    @property
-    def stats(self) -> CommStats:
-        return self._stats
-
-    def _put(self, dest: int, msg: _Message) -> None:
-        self._queues[dest].put(msg)
-
-    def _get(self, timeout: float) -> _Message:
-        return self._queues[self.rank].get(timeout=timeout)
-
-    def _get_nowait(self) -> _Message:
-        return self._queues[self.rank].get_nowait()
-
-    def _pending(self) -> list[_Message]:
-        return self._unmatched
-
-    def _barrier_wait(self) -> None:
-        # Bounded like recv: if a peer process dies before reaching the
-        # barrier, every waiter gets a broken barrier instead of blocking
-        # forever, and the error surfaces as this rank's failure.
-        try:
-            self._barrier.wait(timeout=self.recv_timeout)
-        except threading.BrokenBarrierError:
-            raise TimeoutError(
-                f"rank {self.rank}: barrier not reached by every rank within "
-                f"{self.recv_timeout}s — a peer likely died or deadlocked"
-            ) from None
 
 
 _BCAST_TAG = -101

@@ -15,32 +15,32 @@ source of truth shared with :func:`parallel_map`):
     endpoint — supports messaging (blocking receives need the peer rank to
     be live concurrently) but compute stays GIL-bound;
 ``process``
-    one OS process per rank with a :class:`~repro.parallel.comm.ProcComm`
-    endpoint — messages travel over ``multiprocessing`` queues (pipes), so
-    communicating rank functions finally execute on real cores.  Rank
-    payloads and results are pickled;
+    one resident worker process per rank with a
+    :class:`~repro.parallel.sock.SockComm` endpoint, served by the
+    HMAC-authenticated socket hub in :mod:`repro.parallel.sock` — messages
+    travel as length-prefixed pickle frames over TCP through the hub, so
+    communicating rank functions execute on real cores.  The workers stay
+    alive between calls, so only the first call pays interpreter bring-up.
+    By default the hub spawns its workers locally; with the ``REPRO_SOCK_*``
+    rendezvous knobs they can be external ``repro spmd-worker`` processes on
+    other hosts.  Rank payloads and results are pickled;
 ``process-shm``
-    the ``process`` transport with rank payloads routed through a
+    the same workers with rank payloads routed through a
     :class:`~repro.parallel.shm.SharedArena`: every numpy array in
     ``rank_args`` is exported to shared memory once and replaced by an
-    :class:`~repro.parallel.shm.ArenaRef`, which the rank process resolves
-    back into a zero-copy read-only view.
+    :class:`~repro.parallel.shm.ArenaRef`, which the worker resolves back
+    into a zero-copy read-only view.  Arena segments are host-local, so a
+    hub waiting for external workers refuses this backend;
 ``process-sock``
-    one resident socket worker per rank with a
-    :class:`~repro.parallel.sock.SockComm` endpoint — messages travel as
-    length-prefixed pickle frames over TCP through a hub in this process,
-    so ranks can live on *other hosts* (``repro spmd-worker`` + the
-    ``REPRO_SOCK_*`` rendezvous knobs); by default workers are spawned
-    locally and the backend behaves like ``process`` with a TCP wire.
+    an alias of ``process``, kept for existing callers.
 
 ``parallel_map`` offers the same backend names for embarrassingly parallel
-work items (no communicator).  Its ``process``/``process-shm`` backends keep
-one shared ``spawn`` pool alive across calls (spawning a pool per call used
-to dominate small runs); the pool is created at the first caller's actual
-need and grown **in place** when a larger request arrives — warm
-interpreters are never discarded — torn down by
-:func:`shutdown_worker_pool` (the batch engine calls it at the end of every
-batch / worker group) and cleaned up at interpreter exit.
+work items (no communicator); its process backends scatter the items over
+the same resident workers.  The hub is brought up at the first caller's
+actual need and grown when a larger request arrives — warm interpreters are
+never discarded — torn down by :func:`shutdown_worker_pool` (the batch
+engine calls it at the end of every batch / worker group) and cleaned up at
+interpreter exit.
 
 Failure supervision
 -------------------
@@ -49,42 +49,37 @@ Both entry points run under a supervising retry policy (see
 *infrastructure* failure are distinguished from ordinary errors in user code,
 which always propagate untouched:
 
-* **retryable** — a pool worker or SPMD rank died mid-flight
-  (:class:`WorkerPoolError`, :class:`DeadRankError`).  The broken pool is
-  torn down and the failed chunk (or the whole deterministic SPMD round) is
-  retried on a *fresh* pool, same backend, up to ``max_retries`` times with
-  seeded jittered exponential backoff.  These never degrade the backend: a
-  payload that kills its worker would take the host process down with it on
-  the thread/serial backends.
+* **retryable** — a worker died mid-map or mid-round
+  (:class:`WorkerPoolError`, :class:`DeadRankError`).  A broken map tears
+  the hub down, a dead rank drops its worker, and the map (or the whole
+  deterministic SPMD round) is retried on fresh workers, same backend, up to
+  ``max_retries`` times with seeded jittered exponential backoff.  These
+  never degrade the backend: a payload that kills its worker would take the
+  host process down with it on the thread/serial backends.
 * **degradable** — the backend's substrate could not be brought up at all
-  (pool spawn failure, shared-memory arena creation/export failure, socket
-  bind/rendezvous failure).  After
-  retries are exhausted the supervisor steps down the degradation ladder
-  ``process-sock → process-shm → process → thread → serial`` (stopping at
-  ``thread`` for
-  SPMD, whose serial backend cannot service blocking receives) and retries
-  there; the step-down is recorded in the supervision event log
+  (hub bind, worker spawn or rendezvous failure, shared-memory arena
+  creation/export failure).  After retries are exhausted the supervisor
+  steps down the degradation ladder ``process-shm → process → thread →
+  serial`` (``process-sock`` sits on the ``process`` rung; SPMD stops at
+  ``thread``, whose serial backend cannot service blocking receives) and
+  retries there; the step-down is recorded in the supervision event log
   (:func:`pop_supervision_events`) and the global counters surfaced by
   ``repro serve`` stats.
 """
 
 from __future__ import annotations
 
-import atexit
-import multiprocessing
-import os
-import queue
 import random
-import signal
+import sys
 import threading
 import time
-import traceback
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
-from ..faults import current_plan, fault_point
-from .comm import CommStats, ProcComm, SimCommWorld, watchdog_poll
+from ..faults import fault_point
+from .comm import CommStats, SimCommWorld
 from .shm import ArenaError, export_payload, owned_arena, resolve_payload
 
 __all__ = [
@@ -109,37 +104,27 @@ __all__ = [
 
 
 class WorkerPoolError(RuntimeError):
-    """The shared ``process`` pool lost a worker while a map was in flight.
+    """A resident worker died while a map was in flight.
 
-    ``multiprocessing.Pool`` silently loses the tasks a killed worker was
-    holding, so an unchecked ``pool.map`` would block forever — the same
-    failure mode :func:`_spawn_and_collect` detects for SPMD ranks.  The
-    checked map raises this instead and tears the broken pool down, so the
+    The tasks the worker held are lost, so waiting for them would block
+    forever.  The hub raises this instead and tears itself down, so the
     caller fails cleanly (or, under the default supervision policy, the map
-    is retried on a fresh pool) and the next call respawns a fresh pool.
+    is retried) and the next call brings up fresh workers.
     """
 
 
 class DeadRankError(RuntimeError):
-    """An SPMD rank process died without reporting a result.
+    """An SPMD rank's worker died without reporting a result.
 
-    The process-backend equivalent of :class:`WorkerPoolError`: the rank was
-    OOM-killed or segfaulted, so no error payload ever reached the parent.
-    Distinct from an ordinary rank *error* (which re-raises the child
-    traceback and is never retried): a dead rank is an infrastructure
-    failure, and the whole deterministic SPMD round is eligible for retry.
+    The SPMD equivalent of :class:`WorkerPoolError`: the rank was OOM-killed
+    or segfaulted, so no error payload ever reached the hub.  Distinct from
+    an ordinary rank *error* (which re-raises the worker traceback and is
+    never retried): a dead rank is an infrastructure failure, and the whole
+    deterministic SPMD round is eligible for retry.
     """
 
 
 RankFn = Callable[..., Any]
-
-#: How long the parent keeps draining the result queue after every rank
-#: process has exited, before declaring the missing results lost.  There is
-#: deliberately *no* cap on healthy compute time: a rank that is alive is
-#: allowed to run as long as it needs (exactly like the thread backend),
-#: and protocol deadlocks surface as errors from the communicator's own
-#: ``RECV_TIMEOUT`` inside the rank.
-SPMD_DRAIN_TIMEOUT = 10.0
 
 
 # ----------------------------------------------------------------------
@@ -272,7 +257,7 @@ def _record_event(event: dict[str, Any]) -> None:
 class _DegradableFailure(Exception):
     """Internal wrapper marking an infrastructure failure as ladder-eligible.
 
-    Raised only around substrate bring-up (pool spawn, arena create/export),
+    Raised only around substrate bring-up (hub bring-up, arena create/export),
     never around user code — so a user function that happens to raise
     ``OSError`` propagates normally instead of being degraded to serial.
     """
@@ -283,17 +268,22 @@ class _DegradableFailure(Exception):
 
 
 #: Exceptions that mark substrate bring-up as failed (ArenaError covers the
-#: shared-memory layer; OSError covers spawn/shm-create syscall failures,
-#: including FileNotFoundError from a vanished segment).
+#: shared-memory layer; OSError covers bind/spawn/rendezvous and shm-create
+#: syscall failures, including FileNotFoundError from a vanished segment).
 _DEGRADABLE_EXC = (ArenaError, OSError)
+
+#: The step-down order for degradable failures, most substrate first.
+_LADDER = ("process-shm", "process", "thread", "serial")
 
 
 def _degradation_ladder(backend: str, floor: str = "serial") -> list[str]:
-    """The backends to fall through, starting at the requested one."""
-    order = available_backends()[::-1]  # process-sock, process-shm, process, thread, serial
-    start = order.index(backend)
-    stop = order.index(floor)
-    return order[start : stop + 1] if stop >= start else [backend]
+    """The backends to fall through, starting at the requested one.
+
+    ``process-sock`` is an alias of ``process`` and steps down from there.
+    """
+    start = _LADDER.index("process" if backend == "process-sock" else backend)
+    stop = _LADDER.index(floor)
+    return [backend, *_LADDER[start + 1 : stop + 1]]
 
 
 def _backoff_sleep(rng: random.Random, policy: SupervisionPolicy, attempt: int) -> None:
@@ -403,190 +393,49 @@ def available_backends() -> list[str]:
     """Names of the execution backends accepted by :func:`run_spmd` and
     :func:`parallel_map` — the single source of truth for both.
 
-    Ordered cheapest-substrate first; the degradation ladder is this list
-    reversed, so ``process-sock`` (TCP transport, cross-host capable) sits
-    last and degrades through ``process-shm → process → thread → serial``.
+    Ordered cheapest-substrate first.  The three process names share one
+    transport (resident socket workers); ``process-sock`` is an alias of
+    ``process``.
     """
     return ["serial", "thread", "process", "process-shm", "process-sock"]
 
 
-def _spmd_process_child(
-    rank: int,
-    n_ranks: int,
-    queues: list[Any],
-    barrier: Any,
-    result_queue: Any,
-    fn: RankFn,
-    extra: tuple[Any, ...],
-    args: tuple[Any, ...],
-    kwargs: dict[str, Any],
-    die: bool = False,
-) -> None:
-    """Body of one SPMD rank process: build the comm, run ``fn``, report back.
-
-    ``die`` is the fault plane's ``kill_rank`` switch: the rank SIGKILLs
-    itself before touching the communicator, exactly like an OOM-killed rank.
-    """
-    if die:
-        os.kill(os.getpid(), signal.SIGKILL)
-    comm = ProcComm(rank, n_ranks, queues, barrier)
-    try:
-        value = fn(comm, *resolve_payload(extra), *args, **kwargs)
-    except BaseException as exc:  # noqa: BLE001 — shipped to the parent
-        result_queue.put(("error", rank, f"{type(exc).__name__}: {exc}", traceback.format_exc()))
-        return
-    result_queue.put(("ok", rank, value, comm.stats))
-
-
-def _run_spmd_processes(
-    fn: RankFn,
-    n_ranks: int,
-    args: tuple[Any, ...],
-    kwargs: dict[str, Any],
-    rank_args: Optional[Sequence[Sequence[Any]]],
+def _on_hub(
+    payloads: list[tuple[Any, ...]],
     use_shm: bool,
-) -> tuple[list[Any], list[CommStats]]:
-    """Execute the ranks on real processes; returns (values, stats) by rank."""
-    payloads: list[tuple[Any, ...]] = [
-        tuple(rank_args[r]) if rank_args is not None else () for r in range(n_ranks)
-    ]
-    if use_shm:
-        try:
-            arena_ctx = owned_arena()
-            arena = arena_ctx.__enter__()
-        except _DEGRADABLE_EXC as exc:
-            raise _DegradableFailure(exc) from exc
-        try:
+    run: Callable[[Any, list[tuple[Any, ...]]], Any],
+) -> Any:
+    """Call ``run(hub, payloads)`` on the resident worker hub.
+
+    With ``use_shm`` every numpy array in ``payloads`` is first exported to
+    an arena (the ambient one, else a private one unlinked on return), so
+    only :class:`~repro.parallel.shm.ArenaRef` handles cross the wire.
+    Bring-up failures (bind, spawn, rendezvous, arena) are degradable;
+    worker deaths and user errors propagate as they are.
+    """
+    from .sock import get_sock_pool  # lazy: only process-backend users pay the import
+
+    try:
+        hub = get_sock_pool()
+    except _DEGRADABLE_EXC as exc:
+        raise _DegradableFailure(exc) from exc
+    if use_shm and not hub.spawn:
+        raise RuntimeError(
+            "process-shm passes host-local shared-memory segments, but the worker "
+            "hub waits for external workers (REPRO_SOCK_SPAWN=0) that may run on "
+            "other hosts; use backend='process' with external workers"
+        )
+    with ExitStack() as stack:
+        if use_shm:
             try:
+                arena = stack.enter_context(owned_arena())
                 payloads = [export_payload(p, arena) for p in payloads]
             except _DEGRADABLE_EXC as exc:
                 raise _DegradableFailure(exc) from exc
-            return _spawn_and_collect(fn, n_ranks, args, kwargs, payloads)
-        finally:
-            arena_ctx.__exit__(None, None, None)
-    return _spawn_and_collect(fn, n_ranks, args, kwargs, payloads)
-
-
-def _spawn_and_collect(
-    fn: RankFn,
-    n_ranks: int,
-    args: tuple[Any, ...],
-    kwargs: dict[str, Any],
-    payloads: list[tuple[Any, ...]],
-) -> tuple[list[Any], list[CommStats]]:
-    """Spawn one process per rank and collect (values, stats) in rank order.
-
-    A rank may compute for as long as it stays alive — the failure modes
-    detected here are a rank *error* (re-raised with the child traceback)
-    and rank *death* without a result (:class:`DeadRankError`); protocol
-    deadlocks are converted into errors inside the rank by the
-    communicator's ``RECV_TIMEOUT``.
-    """
-    kill_ranks: set[int] = set()
-    fault_point("spmd.ranks", kill_ranks=kill_ranks, n_ranks=n_ranks)
-    ctx = multiprocessing.get_context("spawn")
-    try:
-        queues = [ctx.Queue() for _ in range(n_ranks)]
-        result_queue = ctx.Queue()
-        barrier = ctx.Barrier(n_ranks)
-        procs = [
-            ctx.Process(
-                target=_spmd_process_child,
-                args=(
-                    r, n_ranks, queues, barrier, result_queue, fn,
-                    payloads[r], args, kwargs, r in kill_ranks,
-                ),
-                name=f"spmd-rank-{r}",
-                daemon=True,
-            )
-            for r in range(n_ranks)
-        ]
-    except _DEGRADABLE_EXC as exc:
-        raise _DegradableFailure(exc) from exc
-    started: list[Any] = []
-    try:
         try:
-            for p in procs:
-                p.start()
-                started.append(p)
-        except _DEGRADABLE_EXC as exc:
+            return run(hub, payloads)
+        except OSError as exc:  # worker spawn, rendezvous or a lost connection
             raise _DegradableFailure(exc) from exc
-        values: list[Any] = [None] * n_ranks
-        stats: list[CommStats] = [CommStats() for _ in range(n_ranks)]
-        reported = [False] * n_ranks
-        collected = 0
-        while collected < n_ranks:
-            try:
-                item = result_queue.get(timeout=watchdog_poll())
-            except queue.Empty:
-                # A live rank may compute for as long as it needs.  The
-                # failure signal is a rank that *exited without reporting*
-                # (OOM-kill, segfault): its normally-exiting peers would
-                # error out via the communicator timeouts, but a peer
-                # blocked in a barrier would not — so detect it here, after
-                # a drain grace for results still in the pipe.
-                dead_unreported = [
-                    r for r, p in enumerate(procs) if not p.is_alive() and not reported[r]
-                ]
-                if not dead_unreported:
-                    continue
-                try:
-                    item = result_queue.get(timeout=SPMD_DRAIN_TIMEOUT)
-                except queue.Empty:
-                    raise DeadRankError(
-                        f"SPMD process backend: rank(s) {dead_unreported} died "
-                        f"without reporting a result"
-                    ) from None
-            if item[0] == "error":
-                _, rank, message, tb = item
-                raise RuntimeError(
-                    f"SPMD rank {rank} failed: {message}\n--- rank traceback ---\n{tb}"
-                )
-            _, rank, value, rank_stats = item
-            values[rank] = value
-            stats[rank] = rank_stats
-            reported[rank] = True
-            collected += 1
-    finally:
-        for p in started:
-            if p.is_alive():
-                p.terminate()
-        for p in started:
-            p.join(timeout=10.0)
-    return values, stats
-
-
-def _run_spmd_sock(
-    fn: RankFn,
-    n_ranks: int,
-    args: tuple[Any, ...],
-    kwargs: dict[str, Any],
-    rank_args: Optional[Sequence[Sequence[Any]]],
-) -> tuple[list[Any], list[CommStats]]:
-    """Execute the ranks on socket workers (local or remote) via the hub pool.
-
-    Payloads cross the wire pickled — no arena export, since ``ArenaRef``
-    handles are host-local and the transport's point is crossing hosts.
-    Bring-up failures (bind, rendezvous timeout) degrade down the ladder;
-    a worker dying mid-round raises :class:`DeadRankError` (retryable).
-    """
-    from .sock import get_sock_pool  # lazy: only sock users pay the import
-
-    payloads: list[tuple[Any, ...]] = [
-        tuple(rank_args[r]) if rank_args is not None else () for r in range(n_ranks)
-    ]
-    kill_ranks: set[int] = set()
-    fault_point("spmd.ranks", kill_ranks=kill_ranks, n_ranks=n_ranks)
-    try:
-        pool = get_sock_pool()
-    except _DEGRADABLE_EXC as exc:
-        raise _DegradableFailure(exc) from exc
-    try:
-        return pool.run_round(fn, n_ranks, payloads, args, kwargs, kill_ranks)
-    except (WorkerPoolError, DeadRankError, RuntimeError):
-        raise
-    except _DEGRADABLE_EXC as exc:
-        raise _DegradableFailure(exc) from exc
 
 
 def _run_spmd_backend(
@@ -599,12 +448,14 @@ def _run_spmd_backend(
 ) -> SpmdReport:
     """One un-supervised SPMD attempt on ``backend`` (see :func:`run_spmd`)."""
     if backend in ("process", "process-shm", "process-sock"):
-        if backend == "process-sock":
-            values, stats = _run_spmd_sock(fn, n_ranks, args, kwargs, rank_args)
-        else:
-            values, stats = _run_spmd_processes(
-                fn, n_ranks, args, kwargs, rank_args, use_shm=(backend == "process-shm")
-            )
+        payloads = [tuple(rank_args[r]) if rank_args is not None else () for r in range(n_ranks)]
+        kill_ranks: set[int] = set()
+        fault_point("spmd.ranks", kill_ranks=kill_ranks, n_ranks=n_ranks)
+        values, stats = _on_hub(
+            payloads,
+            backend == "process-shm",
+            lambda hub, ps: hub.run_round(fn, n_ranks, ps, args, kwargs, kill_ranks),
+        )
         results = [RankResult(rank=r, value=values[r], stats=stats[r]) for r in range(n_ranks)]
         return SpmdReport(results=results, n_ranks=n_ranks, backend=backend)
 
@@ -660,7 +511,8 @@ def run_spmd(
     fn:
         The rank function.  Its first positional argument is the rank's
         communicator endpoint (:class:`SimComm` on the ``serial``/``thread``
-        backends, :class:`ProcComm` on the process backends); the remaining
+        backends, :class:`~repro.parallel.sock.SockComm` on the process
+        backends); the remaining
         arguments are ``rank_args[rank]`` (if supplied) followed by the
         shared ``args`` / ``kwargs``.
     rank_args:
@@ -673,8 +525,9 @@ def run_spmd(
         One of :func:`available_backends`.  ``"serial"`` runs ranks
         sequentially (any blocking receive on a message that was not already
         sent raises); ``"thread"`` (default) supports messaging in-process;
-        ``"process"`` / ``"process-shm"`` run each rank on a real core (``fn``,
-        payloads and results must be picklable).
+        ``"process"`` (alias ``"process-sock"``) / ``"process-shm"`` run each
+        rank on a resident worker process (``fn``, payloads and results must
+        be picklable).
     max_retries, degrade:
         Per-call overrides of the process-wide :class:`SupervisionPolicy`.
         A dead rank (:class:`DeadRankError`) retries the whole round — one
@@ -720,67 +573,24 @@ def _call_star(payload: tuple[Callable[..., Any], tuple[Any, ...]]) -> Any:
     return fn(*resolve_payload(item_args))
 
 
-# One shared worker pool for every ``parallel_map(backend="process")`` call.
-# Spawning a fresh ``spawn`` pool per call costs hundreds of milliseconds of
-# interpreter start-up per worker — more than most rank tasks themselves —
-# so the pool is created lazily at the first caller's actual need and then
-# **grown in place** when a larger request arrives: the extra workers are
-# spawned next to the warm ones instead of paying the old
-# terminate-and-respawn (which discarded every warm interpreter).  The pool
-# never shrinks; :func:`shutdown_worker_pool` (or interpreter exit) tears it
-# down, and the next request spawns a fresh pool.
-_worker_pool: Optional[multiprocessing.pool.Pool] = None
-_worker_pool_size = 0
-_worker_pool_lock = threading.Lock()
-
-
-def _get_worker_pool(n_workers: int) -> multiprocessing.pool.Pool:
-    global _worker_pool, _worker_pool_size
-    n_workers = max(n_workers, 1)
-    with _worker_pool_lock:
-        if _worker_pool is None:
-            fault_point("pool.spawn", n_workers=n_workers)
-            _worker_pool = multiprocessing.get_context("spawn").Pool(n_workers)
-            _worker_pool_size = n_workers
-        elif n_workers > _worker_pool_size:
-            try:
-                # Grow in place: Pool's maintenance thread tops the worker
-                # list up to ``_processes`` (the documented-by-implementation
-                # repopulation mechanism of CPython 3.10–3.12).
-                _worker_pool._processes = n_workers
-                _worker_pool._repopulate_pool()
-                _worker_pool_size = n_workers
-            except AttributeError:  # pragma: no cover - future-python fallback
-                # Unknown Pool internals: keep the warm pool and let the
-                # extra tasks queue rather than discard live interpreters.
-                pass
-        return _worker_pool
-
-
 def worker_pool_size() -> int:
-    """Current size of the shared process pool (0 when none is alive)."""
-    with _worker_pool_lock:
-        return _worker_pool_size if _worker_pool is not None else 0
+    """Live workers of the resident worker hub (0 when none is up)."""
+    sock = sys.modules.get(f"{__package__}.sock")  # no hub without the module
+    return sock.sock_pool_size() if sock is not None else 0
 
 
 def shutdown_worker_pool() -> None:
-    """Tear down the shared ``process``-backend pool (no-op when none exists).
+    """Tear down the resident worker hub (no-op when none is up).
 
     Callers that fan out many ``parallel_map`` runs (the batch engine) invoke
-    this once at the end of the batch; it is also registered with
-    :mod:`atexit` so an interactive session never leaks worker processes.
-    Idempotent: repeated calls (and calls racing the atexit hook) are safe.
+    this once at the end of the batch; the hub also tears itself down at
+    interpreter exit, so an interactive interpreter never leaks worker
+    processes.  Idempotent: repeated calls (and calls racing the exit hook)
+    are safe, and the next process-backend call brings up a fresh hub.
     """
-    global _worker_pool, _worker_pool_size
-    with _worker_pool_lock:
-        if _worker_pool is not None:
-            _worker_pool.terminate()
-            _worker_pool.join()
-            _worker_pool = None
-            _worker_pool_size = 0
-
-
-atexit.register(shutdown_worker_pool)
+    sock = sys.modules.get(f"{__package__}.sock")
+    if sock is not None:
+        sock.shutdown_sock_pool()
 
 
 def parallel_map(
@@ -798,17 +608,18 @@ def parallel_map(
     * ``'serial'`` — in-process loop (deterministic, zero overhead);
     * ``'thread'`` — a thread per in-flight item (GIL-bound; useful when the
       items block on I/O or release the GIL);
-    * ``'process'`` — the shared :mod:`multiprocessing` pool; ``fn`` and the
-      items must be picklable.  An explicit ``processes`` bounds how many
-      items are in flight at once (items are submitted in waves of that
-      size); the persistent pool itself starts at the first call's need and
-      grows in place for larger requests, reused by every later call (see
-      :func:`shutdown_worker_pool`);
-    * ``'process-shm'`` — the shared pool with every numpy array in the items
-      routed through a :class:`~repro.parallel.shm.SharedArena` (the ambient
-      one from :func:`~repro.parallel.shm.arena_scope` when present, else a
-      private arena unlinked after the call), so workers attach zero-copy
-      views instead of unpickling array bytes.
+    * ``'process'`` (alias ``'process-sock'``) — the resident workers of the
+      socket hub; ``fn`` and the items must be picklable.  The items are
+      scattered over ``processes`` workers (default: one per item, at most
+      one per core), each running its share in order, so an explicit
+      ``processes`` bounds how many items are in flight at once.  The hub
+      starts at the first call's need and grows for larger requests, reused
+      by every later call (see :func:`shutdown_worker_pool`);
+    * ``'process-shm'`` — the same workers with every numpy array in the
+      items routed through a :class:`~repro.parallel.shm.SharedArena` (the
+      ambient one from :func:`~repro.parallel.shm.arena_scope` when present,
+      else a private arena unlinked after the call), so workers attach
+      zero-copy views instead of unpickling array bytes.
 
     On every backend, :class:`~repro.parallel.shm.ArenaRef` values inside the
     items are resolved to their arrays before ``fn`` runs.  The result order
@@ -816,8 +627,8 @@ def parallel_map(
 
     ``max_retries`` / ``degrade`` override the process-wide
     :class:`SupervisionPolicy` for this call: a :class:`WorkerPoolError`
-    retries the map on a freshly spawned pool (same backend); pool-spawn or
-    arena failures degrade ``process-shm → process → thread → serial``.
+    retries the map on fresh workers (same backend); hub bring-up or arena
+    failures degrade ``process-shm → process → thread → serial``.
     """
     if backend not in available_backends():
         raise ValueError(f"unknown backend {backend!r}; expected one of {available_backends()}")
@@ -848,102 +659,8 @@ def _map_backend(
         n_threads = processes or min(len(payloads), 32)
         with ThreadPoolExecutor(max_workers=max(1, n_threads)) as pool:
             return list(pool.map(_call_star, payloads))
-    if backend == "process-sock":
-        from .sock import get_sock_pool  # lazy: only sock users pay the import
-
-        try:
-            pool = get_sock_pool()
-        except _DEGRADABLE_EXC as exc:
-            raise _DegradableFailure(exc) from exc
-        try:
-            return pool.run_map(payloads, processes)
-        except (WorkerPoolError, RuntimeError):
-            raise
-        except _DEGRADABLE_EXC as exc:
-            raise _DegradableFailure(exc) from exc
-    n_workers = processes or min(len(payloads), multiprocessing.cpu_count()) or 1
-    if backend == "process":
-        return _pool_map(payloads, processes, n_workers)
-    try:
-        arena_ctx = owned_arena()
-        arena = arena_ctx.__enter__()
-    except _DEGRADABLE_EXC as exc:
-        raise _DegradableFailure(exc) from exc
-    try:
-        try:
-            shm_payloads = [(fn, export_payload(item_args, arena)) for fn, item_args in payloads]
-        except _DEGRADABLE_EXC as exc:
-            raise _DegradableFailure(exc) from exc
-        return _pool_map(shm_payloads, processes, n_workers)
-    finally:
-        arena_ctx.__exit__(None, None, None)
-
-
-def _pool_map(
-    payloads: list[tuple[Callable[..., Any], tuple[Any, ...]]],
-    processes: Optional[int],
-    n_workers: int,
-) -> list[Any]:
-    """Map over the shared pool, honouring an explicit concurrency bound.
-
-    When the caller asked for ``processes`` workers, items are submitted in
-    waves of that size so at most ``processes`` tasks execute at once —
-    callers use the bound to cap resident memory (one sliced subgraph per
-    in-flight rank), so it must hold even though the warm pool is larger.
-    """
-    try:
-        pool = _get_worker_pool(n_workers)
-    except _DEGRADABLE_EXC as exc:
-        raise _DegradableFailure(exc) from exc
-    if processes is None or processes >= len(payloads):
-        return _map_checked(pool, payloads)
-    results: list[Any] = []
-    for start in range(0, len(payloads), processes):
-        results.extend(_map_checked(pool, payloads[start : start + processes]))
-    return results
-
-
-#: Poll period of the worker-death watchdog while a checked map is in flight.
-POOL_DEATH_POLL = 0.05
-#: Drain grace after a worker death is noticed: results already in the pipe
-#: are still collected before the pool is declared broken.
-POOL_DRAIN_TIMEOUT = 5.0
-
-
-def _map_checked(
-    pool: multiprocessing.pool.Pool,
-    payloads: list[tuple[Callable[..., Any], tuple[Any, ...]]],
-) -> list[Any]:
-    """``pool.map`` with dead-worker detection instead of an infinite hang.
-
-    The worker set is snapshotted before submitting (``Pool`` replaces dead
-    workers in place, so the snapshot — not the live list — is what witnesses
-    a death).  While waiting, any snapshot worker exiting means tasks may have
-    been lost: after a drain grace for a map that completes anyway, the pool
-    is torn down (so the next call starts fresh) and :class:`WorkerPoolError`
-    is raised.
-    """
-    if current_plan() is not None:
-        # Copy before poisoning so a ``kill_task`` fault is scoped to this
-        # dispatch: the supervisor's retry resubmits the clean payloads.
-        payloads = list(payloads)
-        fault_point("pool.dispatch", payloads=payloads)
-    try:
-        workers = list(pool._pool)
-    except AttributeError:  # pragma: no cover - unknown Pool internals
-        return pool.map(_call_star, payloads)
-    result = pool.map_async(_call_star, payloads)
-    while True:
-        result.wait(POOL_DEATH_POLL)
-        if result.ready():
-            return result.get()
-        if any(not w.is_alive() for w in workers):
-            result.wait(POOL_DRAIN_TIMEOUT)
-            if result.ready():
-                return result.get()
-            dead = [w.name for w in workers if not w.is_alive()]
-            shutdown_worker_pool()
-            raise WorkerPoolError(
-                f"parallel_map process backend: worker(s) {dead} died mid-map; "
-                f"the shared pool was shut down and will respawn on the next call"
-            )
+    return _on_hub(
+        payloads,
+        backend == "process-shm",
+        lambda hub, ps: hub.run_map(ps, processes),
+    )

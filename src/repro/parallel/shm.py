@@ -1,9 +1,9 @@
 """Zero-copy shared-memory execution arena.
 
-The ``process`` execution backend used to ship every rank's CSR sub-arrays by
-pickling them through the ``spawn`` pool: the parent sliced one subgraph per
-rank, serialized the arrays into a pipe, and the worker deserialized its own
-private copy — so the index-native kernels spent their time waiting on
+The ``process`` execution backend ships every rank's CSR sub-arrays by
+pickling them to a worker process: the parent slices one subgraph per rank,
+serializes the arrays onto the wire, and the worker deserializes its own
+private copy — so the index-native kernels spend their time waiting on
 serialization instead of computing.  This module provides the zero-copy
 alternative, following the partition-then-share-compact-buffers discipline of
 data-partitioning architectures:
@@ -16,7 +16,7 @@ data-partitioning architectures:
   process boundary is a few dozen bytes of metadata plus slice bounds;
 * workers call :func:`attach` (usually via :func:`resolve_payload`) to map the
   segment and reconstruct a **read-only** numpy view; attachments are cached
-  per process, so a pool worker that executes many ranks of the same graph
+  per process, so a resident worker that executes many ranks of the same graph
   maps each segment exactly once.
 
 Lifecycle: the *creator* owns the segments — :meth:`SharedArena.unlink`
@@ -555,10 +555,10 @@ _ALL_ARENAS: "weakref.WeakSet[SharedArena]" = weakref.WeakSet()
 
 
 def _cleanup_all_arenas() -> None:
-    # The worker pool must be down before any arena is unlinked: pool workers
+    # The worker hub must be down before any arena is unlinked: workers
     # attach segments lazily, and a worker racing an unlink would die on
     # FileNotFoundError instead of exiting cleanly.  atexit's LIFO order makes
-    # the pool hook run first only when :mod:`.runner` was imported after this
+    # the hub's hook run first only when :mod:`.sock` was imported after this
     # module, so the ordering is enforced here instead of relied upon.
     try:
         from .runner import shutdown_worker_pool

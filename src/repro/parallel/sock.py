@@ -1,11 +1,10 @@
-"""TCP socket transport for SPMD ranks — the ``process-sock`` backend.
+"""Resident socket workers — the one transport of every ``process*`` backend.
 
-The paper's experiments ran on a distributed-memory cluster; the queue-backed
-``process`` backends stop at one machine because ``multiprocessing`` pipes
-cannot cross hosts.  This module supplies the missing transport: the same
+The paper's experiments ran on a distributed-memory cluster.  This module
+is the runtime's process substrate: the
 :class:`~repro.parallel.comm._MessagingComm` matching/collective machinery
-(:class:`SockComm` is a sibling of ``SimComm``/``ProcComm``) over
-length-prefixed pickle frames on TCP sockets, in a hub-and-spokes topology:
+(:class:`SockComm` is a sibling of ``SimComm``) over length-prefixed pickle
+frames on TCP sockets, in a hub-and-spokes topology:
 
 * the parent process runs a :class:`SockWorkerPool` **hub**: it binds a
   listening socket, accepts worker connections, and *routes* every rank-to-
@@ -14,10 +13,19 @@ length-prefixed pickle frames on TCP sockets, in a hub-and-spokes topology:
   world size, and the rendezvous is a single ``(host, port)`` pair;
 * each **worker** (:func:`worker_main`) is a resident rank executor: it
   connects, announces itself, and then serves SPMD rounds and map tasks
-  until told to shut down.  Workers are either spawned locally by the pool
-  (the default — ``process-sock`` then behaves like ``process`` with a TCP
-  wire) or launched out-of-process via ``repro spmd-worker --host H --port
-  P`` on any machine that can reach the hub.
+  until told to shut down, so only the first call in a process pays
+  interpreter bring-up.  Workers are either spawned locally by the hub (the
+  default) or launched out-of-process via ``repro spmd-worker --host H
+  --port P`` on any machine that can reach the hub.
+
+:func:`repro.parallel.runner.run_spmd` and
+:func:`~repro.parallel.runner.parallel_map` run ``process``,
+``process-sock`` (an alias) and ``process-shm`` (numpy payloads exported to
+a shared-memory arena first) on the one hub returned by
+:func:`get_sock_pool`.  Both ends of every connection set ``TCP_NODELAY``:
+the protocol writes small frames back to back (a message, then a barrier or
+a result), which Nagle's algorithm would otherwise hold for the peer's
+delayed ACK.
 
 Rendezvous knobs (all read from the environment so spawned workers and CI
 scripts share one configuration surface):
@@ -52,13 +60,14 @@ unrelated processes (or hosts) only talk once both export the same
 ``REPRO_SOCK_AUTHKEY``.  The handshake authenticates; it does not encrypt —
 run cross-host traffic over a trusted network or a tunnel.
 
-Failure taxonomy matches the queue backends: a worker that dies mid-round
-surfaces as :class:`~repro.parallel.runner.DeadRankError` (retryable — the
-round is a deterministic unit), mid-map as
+Failure taxonomy: a worker that dies mid-round surfaces as
+:class:`~repro.parallel.runner.DeadRankError` (retryable — the round is a
+deterministic unit), mid-map as
 :class:`~repro.parallel.runner.WorkerPoolError`; connect/bring-up failures
 raise ``OSError`` and are degradable down the backend ladder.  Fault sites:
-``comm.connect`` (worker-side connect), ``sock.send`` / ``sock.recv``
-(every frame crossing a socket).
+``pool.spawn`` (hub creation and every local worker spawn), ``pool.dispatch``
+(each map scatter, supports ``kill_task``), ``comm.connect`` (worker-side
+connect), ``sock.send`` / ``sock.recv`` (every frame crossing a socket).
 """
 
 from __future__ import annotations
@@ -77,7 +86,7 @@ import time
 import traceback
 from typing import Any, Callable, Optional, Sequence
 
-from ..faults import fault_point
+from ..faults import current_plan, fault_point
 from .comm import CommStats, _Message, _MessagingComm, watchdog_poll
 from .shm import resolve_payload
 
@@ -93,8 +102,11 @@ __all__ = [
 #: Frame header: 8-byte big-endian payload length.
 _LEN = struct.Struct(">Q")
 
-#: Drain grace after a worker death is noticed mid-round (mirrors the
-#: process backend's ``SPMD_DRAIN_TIMEOUT``).
+#: Drain grace after a worker death is noticed mid-round or mid-map: results
+#: already in flight are still collected before the loss is declared.  There
+#: is deliberately *no* cap on healthy compute time — a live worker may run
+#: as long as it needs, and protocol deadlocks surface as errors from the
+#: communicator's own ``RECV_TIMEOUT`` inside the rank.
 SOCK_DRAIN_TIMEOUT = 10.0
 
 
@@ -277,6 +289,11 @@ class SockComm(_MessagingComm):
         self._chan.barrier_wait(self.recv_timeout)
 
 
+#: Queued into a round's message and barrier queues when the hub aborts the
+#: round; every later receive or barrier of that round raises.
+_ABORTED = object()
+
+
 class _RoundChannel:
     """One SPMD round's view of a worker's hub connection."""
 
@@ -292,12 +309,20 @@ class _RoundChannel:
             ("msg", self._round_id, dest, msg.source, msg.tag, msg.payload)
         )
 
+    def _check_aborted(self, item: Any, q: queue.Queue) -> None:
+        if item is _ABORTED:
+            q.put(item)  # keep the round poisoned for every later call
+            raise RuntimeError(
+                f"rank {self._rank}: SPMD round {self._round_id} was aborted by "
+                f"the hub (a peer rank failed)"
+            )
+
     def get_msg(self, timeout: float) -> tuple[_Message, int]:
         # queue.Empty propagates: _MessagingComm converts it to its timeout
         # error (blocking path) or stops draining (probe path).
-        if timeout <= 0:
-            return self._msgs.get_nowait()
-        return self._msgs.get(timeout=timeout)
+        item = self._msgs.get_nowait() if timeout <= 0 else self._msgs.get(timeout=timeout)
+        self._check_aborted(item, self._msgs)
+        return item
 
     def barrier_wait(self, timeout: float) -> None:
         gen = self._generation
@@ -315,6 +340,7 @@ class _RoundChannel:
                 released = self._releases.get(timeout=remaining)
             except queue.Empty:
                 continue
+            self._check_aborted(released, self._releases)
             if released >= gen:  # stale releases of earlier generations are skipped
                 return
 
@@ -328,7 +354,9 @@ class _Worker:
     frames into per-round queues keyed by the hub-assigned round id — so a
     message forwarded for a round this worker has not *started* yet is
     buffered, not lost, and a straggler frame from a finished round cannot
-    contaminate the current one.
+    contaminate the current one.  An ``abort`` frame poisons a round's
+    queues, so a rank blocked on a failed peer raises instead of waiting
+    out its receive timeout.
     """
 
     def __init__(self, host: str, port: int, connect_timeout: Optional[float] = None) -> None:
@@ -342,6 +370,7 @@ class _Worker:
         while True:
             try:
                 self._sock = socket.create_connection((host, port), timeout=timeout)
+                self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 break
             except OSError:
                 # The hub may not be up yet (workers and hub race at launch);
@@ -385,6 +414,11 @@ class _Worker:
                 elif kind == "barrier_release":
                     _, rid, gen = frame
                     self.round_queues(rid)[1].put(gen)
+                elif kind == "abort":
+                    # Release a rank blocked on a peer that failed, so this
+                    # worker can serve the next round.
+                    for q in self.round_queues(frame[1]):
+                        q.put(_ABORTED)
                 else:
                     self._ctl.put(frame)
         except Exception:
@@ -478,10 +512,10 @@ class _WorkerConn:
 class SockWorkerPool:
     """The hub: listener, router, and lifecycle owner of socket workers.
 
-    One pool per process (see :func:`get_sock_pool`), mirroring the shared
-    ``process``-backend pool: workers are brought up lazily at the first
-    caller's need, grown when a larger round arrives, never shrunk, and torn
-    down by :func:`shutdown_sock_pool` / interpreter exit.  Rounds are
+    One hub per process (see :func:`get_sock_pool`), shared by every
+    ``process*`` backend: workers are brought up lazily at the first
+    caller's need, grown when a larger round or map arrives, never shrunk,
+    and torn down by :func:`shutdown_sock_pool` / interpreter exit.  Rounds are
     serialized — one SPMD round owns the rank→worker mapping at a time —
     while the routing itself runs on the per-connection reader threads.
     """
@@ -530,6 +564,7 @@ class SockWorkerPool:
                 sock_obj, _addr = self._listener.accept()
             except OSError:
                 return  # listener closed: pool is shutting down
+            sock_obj.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             conn = _WorkerConn(sock_obj, f"sock-worker-{len(self._workers)}")
             threading.Thread(
                 target=self._conn_loop, args=(conn,), name=f"{conn.name}-reader", daemon=True
@@ -628,6 +663,7 @@ class SockWorkerPool:
             if self.spawn:
                 missing = n - len(self._alive_workers())
                 if missing > 0:
+                    fault_point("pool.spawn", n_workers=n)
                     ctx = multiprocessing.get_context("spawn")
                     for _ in range(missing):
                         proc = ctx.Process(
@@ -687,6 +723,17 @@ class SockWorkerPool:
                         conn.lock,
                     )
                 self._wait_round(rid, conns, results, DeadRankError)
+            except BaseException:
+                # Surviving ranks may be blocked on a failed peer for their
+                # whole receive timeout; abort the round so their resident
+                # workers are free for the retry.
+                for r, conn in enumerate(conns):
+                    if conn.alive and r not in results:
+                        try:
+                            _send_frame(conn.sock, ("abort", rid), conn.lock)
+                        except OSError:
+                            self._mark_conn_dead(conn)
+                raise
             finally:
                 with self._mu:
                     self._round_ranks.pop(rid, None)
@@ -750,8 +797,11 @@ class SockWorkerPool:
         """Scatter independent ``fn(*args)`` tasks over the workers (in order)."""
         from .runner import WorkerPoolError  # lazy: avoid import cycle
 
-        import multiprocessing
-
+        if current_plan() is not None:
+            # Copy before poisoning so a ``kill_task`` fault is scoped to this
+            # scatter: the supervisor's retry resubmits the clean payloads.
+            payloads = list(payloads)
+            fault_point("pool.dispatch", payloads=payloads)
         n = processes or min(len(payloads), multiprocessing.cpu_count()) or 1
         with self._round_mutex:
             conns = self.ensure_workers(max(1, n))

@@ -10,7 +10,7 @@ failure is reproducible.
 
 Also covered here: the fault plane's own mechanics, the zero-cost guarantee
 of disabled injection sites, and the shared-memory leak accounting across a
-kill → pool-respawn cycle.
+kill → worker-respawn cycle.
 """
 
 from __future__ import annotations
@@ -72,10 +72,9 @@ def _fault_hygiene():
 @pytest.fixture(autouse=True)
 def _fast_failure_detection(monkeypatch):
     """Shrink drain grace + backoff so injected failures resolve quickly."""
-    from repro.parallel import runner
+    from repro.parallel import sock
 
-    monkeypatch.setattr(runner, "POOL_DRAIN_TIMEOUT", 0.3)
-    monkeypatch.setattr(runner, "SPMD_DRAIN_TIMEOUT", 0.5)
+    monkeypatch.setattr(sock, "SOCK_DRAIN_TIMEOUT", 0.5)
     old = supervision_policy()
     configure_supervision(backoff_base=0.01, backoff_max=0.05)
     yield
@@ -191,6 +190,19 @@ class TestSupervisedMap:
                     _times_ten, self.ITEMS, backend="process",
                     max_retries=0, degrade=False,
                 )
+
+    def test_growth_spawn_failure_is_retried_on_the_warm_hub(self):
+        shutdown_worker_pool()
+        assert parallel_map(_times_ten, [(1,)], backend="process", processes=1) == [10]
+        # Growing the warm hub crosses pool.spawn again, before any spawn.
+        plan = FaultPlan(CHAOS_SEED).fail("pool.spawn", exc=OSError)
+        with active_plan(plan):
+            out = parallel_map(_times_ten, self.ITEMS, backend="process", processes=2)
+        assert out == self.EXPECTED
+        assert plan.fired("pool.spawn")
+        assert [e["action"] for e in pop_supervision_events()] == ["retry"]
+        assert worker_pool_size() == 2
+        shutdown_worker_pool()
 
     def test_killed_worker_retries_to_identical_result(self):
         plan = FaultPlan(CHAOS_SEED)
@@ -348,7 +360,7 @@ class TestShmLeakAccounting:
             out = parallel_map(_arr_sum, items, backend="process-shm")
         assert out == expected
         assert supervision_counters()["retries"] >= 1
-        # The respawned pool is alive; the per-call arena (including the one
+        # The respawned hub is alive; the per-call arena (including the one
         # of the killed attempt) is gone.
         assert worker_pool_size() > 0
         shutdown_worker_pool()

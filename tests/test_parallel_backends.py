@@ -8,21 +8,25 @@ that promise:
 
 * the no-communication sampler across **all orderings × all partitioners**
   on the ``process-shm`` backend against the serial reference (the process
-  grid is cheap here because ranks share one spawn pool);
+  grid is cheap here because every call reuses the resident workers);
 * the with-communication sampler across the full grid on ``thread`` vs
   ``serial``, plus a Latin-square of (ordering, partitioner) cells on the
   real-process backends — every ordering and every partitioner appears in a
-  process-backed cell, while keeping the interpreter-spawn cost of one world
-  per call bounded;
+  process-backed cell;
 * the ``run_spmd`` process backend itself (messaging, collectives via
-  ProcComm, statistics, error propagation);
+  SockComm, statistics, error propagation, resident workers across rounds);
 * ``parallel_map`` thread / process-shm backends and the vectorised border
   admission against its scalar reference;
-* worker-pool lifecycle: grow requests reuse the warm pool, shutdown is
-  idempotent, and a fresh pool appears on demand afterwards.
+* worker-hub lifecycle: grow requests keep the warm workers, the hub never
+  shrinks, shutdown is idempotent and leaves no child process, and a fresh
+  hub appears on demand afterwards.
 """
 
 from __future__ import annotations
+
+import multiprocessing
+import os
+import time
 
 import numpy as np
 import pytest
@@ -34,7 +38,6 @@ from repro.core.parallel_nocomm import (
     parallel_chordal_nocomm_filter,
 )
 from repro.graph.generators import correlation_like_graph
-from repro.parallel import runner as runner_mod
 from repro.parallel.shm import arena_scope
 from repro.parallel.runner import (
     available_backends,
@@ -48,7 +51,7 @@ ORDERINGS = ["natural", "high_degree", "low_degree", "rcm"]
 PARTITIONERS = ["block", "hash", "bfs", "greedy"]
 
 #: Every ordering and every partitioner appears exactly once — the grid for
-#: backends whose per-call cost is a full interpreter spawn per rank.
+#: the real-process backends.
 LATIN_CELLS = list(zip(ORDERINGS, PARTITIONERS))
 
 
@@ -178,6 +181,16 @@ def _sum_with_rank(comm, arr):
     return int(arr.sum()) + comm.rank
 
 
+def _rank_pid(comm):
+    return os.getpid()
+
+
+def _fail_while_peer_waits(comm):
+    if comm.rank == 1:
+        raise ValueError("rank 1 exploded")
+    return comm.recv(source=1)  # never sent: blocks until the round is aborted
+
+
 class TestRunSpmdProcessBackend:
     def test_ring_messaging_and_collectives(self):
         report = run_spmd(_ring_rank, 3, args=(100,), backend="process")
@@ -196,6 +209,28 @@ class TestRunSpmdProcessBackend:
         rank_args = [(np.arange(4),), (np.arange(4) * 2,)]
         report = run_spmd(_sum_with_rank, 2, rank_args=rank_args, backend="process-shm")
         assert report.values == [6, 13]
+
+    def test_failed_round_frees_a_blocked_peer_for_the_next_round(self):
+        first = run_spmd(_rank_pid, 2, backend="process").values
+        with pytest.raises(RuntimeError, match="SPMD rank 1 failed"):
+            run_spmd(_fail_while_peer_waits, 2, backend="process")
+        # Rank 0 was blocked on a receive with a 60 s deadline; the hub
+        # aborts the failed round, so the same workers serve the next one
+        # right away.
+        start = time.monotonic()
+        assert run_spmd(_rank_pid, 2, backend="process").values == first
+        assert time.monotonic() - start < 20.0
+
+    def test_consecutive_rounds_run_on_the_same_workers(self):
+        first = run_spmd(_rank_pid, 2, backend="process").values
+        second = run_spmd(_rank_pid, 2, backend="process").values
+        assert len(set(first)) == 2 and os.getpid() not in first
+        assert second == first
+        # process-sock is an alias, and the map backends scatter over the
+        # very same resident workers.
+        assert run_spmd(_rank_pid, 2, backend="process-sock").values == first
+        pids = parallel_map(os.getpid, [()] * 2, backend="process-shm", processes=2)
+        assert set(pids) == set(first)
 
 
 class TestParallelMapBackends:
@@ -259,32 +294,40 @@ class TestVectorisedAdmission:
         )
 
 
+def _worker_pids(n: int) -> set[int]:
+    """The pids of the first ``n`` hub workers (one task per worker)."""
+    return set(parallel_map(os.getpid, [()] * n, backend="process", processes=n))
+
+
 class TestWorkerPoolLifecycle:
     def test_grow_reuses_warm_pool(self):
         shutdown_worker_pool()
-        first = runner_mod._get_worker_pool(1)
+        warm = _worker_pids(1)
         assert worker_pool_size() == 1
-        # A bigger request grows the pool IN PLACE — same pool object, no
-        # terminate-and-respawn of the warm interpreters.
-        second = runner_mod._get_worker_pool(3)
-        assert second is first
+        # A bigger request grows the hub next to the warm worker — no
+        # terminate-and-respawn of the interpreter already up.
+        grown = _worker_pids(3)
+        assert warm < grown and len(grown) == 3
         assert worker_pool_size() == 3
         # A smaller request never shrinks it.
-        assert runner_mod._get_worker_pool(2) is first
+        assert _worker_pids(2) < grown
         assert worker_pool_size() == 3
-        # The grown pool still executes work.
+        # The grown hub still executes work.
         assert parallel_map(_array_sum, [(np.arange(3),)], backend="process") == [3]
         shutdown_worker_pool()
 
     def test_shutdown_is_idempotent_and_pool_respawns(self):
-        runner_mod._get_worker_pool(1)
+        before = _worker_pids(1)
         assert worker_pool_size() >= 1
         shutdown_worker_pool()
         assert worker_pool_size() == 0
+        assert multiprocessing.active_children() == []
         shutdown_worker_pool()  # second call is a no-op
         assert worker_pool_size() == 0
-        # Next request spawns a fresh pool transparently.
+        # Next request brings up a fresh hub with fresh workers.
         assert parallel_map(_array_sum, [(np.arange(4),)], backend="process") == [6]
         assert worker_pool_size() >= 1
+        assert _worker_pids(1).isdisjoint(before)
         shutdown_worker_pool()
         assert worker_pool_size() == 0
+        assert multiprocessing.active_children() == []

@@ -1,13 +1,15 @@
-"""Socket-transport SPMD backend (`repro.parallel.sock`, ``process-sock``).
+"""Socket transport (`repro.parallel.sock`) — the one transport of ``process*``.
 
-The TCP transport must be a drop-in peer of the other process backends:
-identical messaging semantics (send/recv matching, barriers, collectives),
-identical ``parallel_map`` results, and — the acceptance pin — *bit-identical*
-filter outputs across the ordering × partitioner latin square against the
-serial reference.  Also covers the satellite knobs: per-rank
-:class:`CommStats` with real wire-byte counters, the configurable
-receive-timeout resolution order, and supervised degradation off the
-``process-sock`` rung when the hub cannot come up.
+The resident-worker hub must keep the runtime's semantics: identical
+messaging (send/recv matching, barriers, collectives), identical
+``parallel_map`` results, and — the acceptance pin — *bit-identical* filter
+outputs across the ordering × partitioner latin square against the serial
+reference.  Also covers the satellite knobs: per-rank :class:`CommStats`
+with real wire-byte counters, the configurable receive-timeout resolution
+order, ``TCP_NODELAY`` on both ends of every connection, external-worker
+mode (``REPRO_SOCK_SPAWN=0``) and its refusal of host-local arena payloads,
+and supervised degradation off the ``process-sock`` rung when the hub
+cannot come up.
 
 Rank functions live at module level so the spawned worker processes can
 unpickle them by import.
@@ -19,6 +21,7 @@ import multiprocessing
 import operator
 import pickle
 import socket
+import threading
 import time
 
 import numpy as np
@@ -28,9 +31,14 @@ from repro.core.parallel_comm import parallel_chordal_comm_filter
 from repro.core.parallel_nocomm import parallel_chordal_nocomm_filter
 from repro.faults import FaultPlan, active_plan
 from repro.graph.generators import correlation_like_graph
-from repro.parallel.comm import ProcComm
-from repro.parallel.runner import available_backends, parallel_map, run_spmd
+from repro.parallel.runner import (
+    available_backends,
+    parallel_map,
+    pop_supervision_events,
+    run_spmd,
+)
 from repro.parallel.sock import (
+    SockComm,
     SockWorkerPool,
     _answer_challenge,
     _CHALLENGE,
@@ -39,6 +47,7 @@ from repro.parallel.sock import (
     _recv_raw,
     _send_frame,
     _send_raw,
+    _Worker,
     _WorkerConn,
     get_sock_pool,
     shutdown_sock_pool,
@@ -48,8 +57,7 @@ from repro.parallel.sock import (
 ORDERINGS = ["natural", "high_degree", "low_degree", "rcm"]
 PARTITIONERS = ["block", "hash", "bfs", "greedy"]
 
-#: Every ordering and every partitioner appears exactly once — one full
-#: interpreter spawn per rank per call makes the full grid too slow here.
+#: Every ordering and every partitioner appears exactly once.
 LATIN_CELLS = list(zip(ORDERINGS, PARTITIONERS))
 
 pytestmark = pytest.mark.skipif(
@@ -270,13 +278,12 @@ class TestCommFilterLatinSquarePin:
 
 class TestRecvTimeoutConfig:
     def _comm(self, recv_timeout=None):
-        ctx = multiprocessing.get_context("spawn")
-        queues = [ctx.Queue()]
-        return ProcComm(0, 1, queues, ctx.Barrier(1), recv_timeout=recv_timeout)
+        # The timeout resolution never touches the round channel.
+        return SockComm(0, 1, None, recv_timeout=recv_timeout)
 
     def test_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_COMM_TIMEOUT", raising=False)
-        assert self._comm().recv_timeout == ProcComm.RECV_TIMEOUT
+        assert self._comm().recv_timeout == SockComm.RECV_TIMEOUT
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_COMM_TIMEOUT", "7.5")
@@ -288,20 +295,21 @@ class TestRecvTimeoutConfig:
 
     def test_bad_env_falls_back(self, monkeypatch):
         monkeypatch.setenv("REPRO_COMM_TIMEOUT", "not-a-number")
-        assert self._comm().recv_timeout == ProcComm.RECV_TIMEOUT
+        assert self._comm().recv_timeout == SockComm.RECV_TIMEOUT
 
 
 class TestSupervisedDegrade:
     def test_hub_bringup_failure_degrades(self):
-        # The hub cannot spawn → with retries off, the supervised ladder
-        # steps process-sock down to process-shm and the round completes.
+        # The hub cannot come up → with retries off, the supervised ladder
+        # steps process-sock (the process rung) down to thread and the round
+        # completes.
         shutdown_sock_pool()
         plan = FaultPlan().fail("pool.spawn", at=1, exc=OSError, message="injected bind failure")
         with active_plan(plan):
             report = run_spmd(
                 _ring_fn, 2, rank_args=[(0,), (0,)], backend="process-sock", max_retries=0
             )
-        assert report.backend == "process-shm"
+        assert report.backend == "thread"
         assert report.values == [(10, 1), (0, 1)]
 
     def test_hub_bringup_failure_retries_in_place(self):
@@ -314,3 +322,58 @@ class TestSupervisedDegrade:
             report = run_spmd(_ring_fn, 2, rank_args=[(0,), (0,)], backend="process-sock")
         assert report.backend == "process-sock"
         assert report.values == [(10, 1), (0, 1)]
+
+
+def _arr_sum_rank(comm, arr):
+    return float(arr.sum())
+
+
+@pytest.fixture
+def external_hub(monkeypatch):
+    """A hub in external-worker mode with two in-test workers (threads of this process)."""
+    shutdown_sock_pool()
+    monkeypatch.setenv("REPRO_SOCK_SPAWN", "0")
+    hub = get_sock_pool()
+    assert not hub.spawn
+    workers = [_Worker(hub.host, hub.port) for _ in range(2)]
+    threads = [threading.Thread(target=w.run, daemon=True) for w in workers]
+    for t in threads:
+        t.start()
+    yield hub, workers
+    shutdown_sock_pool()
+    for t in threads:
+        t.join(timeout=10)
+    assert not any(t.is_alive() for t in threads), "workers must exit with the hub"
+
+
+class TestExternalWorkers:
+    def test_tcp_nodelay_on_both_ends(self, external_hub):
+        hub, workers = external_hub
+        assert hub.ensure_workers(2)
+        for w in workers:
+            assert w._sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) == 1
+        with hub._mu:
+            conns = list(hub._workers)
+        assert len(conns) == 2
+        for conn in conns:
+            assert conn.sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) == 1
+
+    def test_process_backends_ride_the_external_workers(self, external_hub):
+        report = run_spmd(_ring_fn, 2, rank_args=[(0,), (0,)], backend="process")
+        assert report.backend == "process"
+        assert report.values == [(10, 1), (0, 1)]
+        assert parallel_map(_square, [(3,), (4,)], backend="process") == [9, 16]
+        assert sock_pool_size() == 2
+
+    def test_process_shm_refused_before_any_export(self, external_hub):
+        arrays = [(np.arange(8, dtype=np.float64),), (np.ones(8),)]
+        pop_supervision_events()
+        plan = FaultPlan()
+        with active_plan(plan):
+            with pytest.raises(RuntimeError, match="REPRO_SOCK_SPAWN=0"):
+                run_spmd(_arr_sum_rank, 2, rank_args=arrays, backend="process-shm")
+            with pytest.raises(RuntimeError, match="host-local"):
+                parallel_map(_square, [(np.ones(2),)], backend="process-shm")
+        assert plan.hits("arena.export") == 0
+        # A clear error, not a supervised detour: nothing was retried or degraded.
+        assert not pop_supervision_events()
