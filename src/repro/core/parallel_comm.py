@@ -25,7 +25,8 @@ makes this variant lose scalability on small graphs with many processors
 converted to CSR once; ordering, partitioning, per-rank subgraphs and the
 receiver-side two-pair admission test all run on ``int64`` indices (the
 mutable local view is a plain ``dict[int, set[int]]``), and the merged edge
-set is mapped back to labels exactly once.  Mutual border-edge lists are
+set is mapped back to labels exactly once, by the merge both samplers share
+(:func:`repro.core.parallel_nocomm.merge_rank_outputs`).  Mutual border-edge lists are
 sorted by the ``repr`` of their label form at the boundary so receivers admit
 candidates in the identical sequence as the label-level pipeline — admission
 is order-dependent, and the filter's output must not drift.  The label-level
@@ -44,17 +45,10 @@ from ..graph.csr import CSRGraph
 from ..graph.graph import Graph, edge_key
 from ..graph.partition import Partition
 from ..parallel.comm import SimComm
-from ..parallel.runner import (
-    _record_event,
-    available_backends,
-    pop_supervision_events,
-    run_spmd,
-    supervision_policy,
-)
-from ..parallel.shm import ArenaError, arena_scope, owned_arena
+from ..parallel.runner import available_backends, pop_supervision_events, run_spmd
 from ..parallel.timing import RankWork
 from .chordal import chordal_subgraph_edge_indices, edge_insertion_preserves_chordality
-from .parallel_nocomm import resolve_index_partition
+from .parallel_nocomm import merge_rank_outputs, resolve_index_partition
 from .results import FilterResult
 from .sequential import priority_from_permutation, resolve_order_indices
 
@@ -159,12 +153,14 @@ def _rank_function(
     border_by_peer: dict[int, list[IndexEdge]],
     local_priority: Optional[np.ndarray],
     strict_order: bool,
-) -> dict:
+) -> tuple[list[IndexEdge], list[IndexEdge], RankWork]:
     """SPMD body executed by every rank of the with-communication sampler.
 
     Runs entirely on vertex indices: the local DSW kernel on the sliced CSR
     arrays, then peer-wise exchange of mutual border edges (lower rank sends,
-    higher rank receives and admits with the int two-pair test).
+    higher rank receives and admits with the int two-pair test).  Returns
+    ``(local_edges, accepted_border, work)`` — the rank-output shape of the
+    no-communication task, so both samplers share one merge.
     """
     k = int(part_idx.shape[0])
     sub = CSRGraph(sub_indptr, sub_indices, labels=range(k))
@@ -202,54 +198,7 @@ def _rank_function(
             work.chordality_checks += checks
             accepted_border.extend(admitted)
 
-    return {
-        "local_edges": local_edges,
-        "accepted_border": accepted_border,
-        "work": work,
-    }
-
-
-def _rank_function_shm(
-    comm: SimComm,
-    payload: dict,
-    rank: int,
-    border_by_peer: dict[int, list[IndexEdge]],
-    strict_order: bool,
-) -> dict:
-    """Arena-payload SPMD body: shared buffers in, sliced rank run, arrays out.
-
-    The parent ships ``payload`` as a dict of
-    :class:`~repro.parallel.shm.ArenaRef` handles (whole-graph CSR buffers,
-    concatenated per-part vertex arrays with offsets, optional priority
-    vector); by the time this body runs, the SPMD backend has already
-    resolved every ref into a zero-copy read-only view (see
-    :func:`repro.parallel.shm.resolve_payload`), so ``payload`` arrives as
-    plain arrays here.
-    The rank reconstructs its own subgraph from the shared views and then
-    executes the identical :func:`_rank_function` protocol, so admission
-    decisions (and hence the output edge set) cannot drift.  Edge lists
-    return as ``(k, 2)`` arrays.
-    """
-    arrays = payload
-    csr = CSRGraph.from_buffers(arrays["indptr"], arrays["indices"])
-    offsets = arrays["parts_offsets"]
-    part_idx = arrays["parts_flat"][int(offsets[rank]) : int(offsets[rank + 1])]
-    position = arrays.get("position")
-    sub = csr.induced_subgraph(part_idx)
-    out = _rank_function(
-        comm,
-        sub.indptr,
-        sub.indices,
-        part_idx,
-        border_by_peer,
-        None if position is None else position[part_idx],
-        strict_order,
-    )
-    return {
-        "local_edges": np.asarray(out["local_edges"], dtype=np.int64).reshape(-1, 2),
-        "accepted_border": np.asarray(out["accepted_border"], dtype=np.int64).reshape(-1, 2),
-        "work": out["work"],
-    }
+    return local_edges, accepted_border, work
 
 
 def parallel_chordal_comm_filter(
@@ -269,9 +218,10 @@ def parallel_chordal_comm_filter(
     Because the ranks exchange messages the execution runs through
     :func:`repro.parallel.runner.run_spmd`: ``backend=None`` (default) keeps
     the historical choice — threaded SPMD for ``P > 1``, serial for ``P = 1``
-    — while ``"process"`` runs each rank on a real core with pickled
-    payloads and ``"process-shm"`` additionally shares the graph's buffers
-    through a zero-copy arena.  (``"serial"`` works for any ``P`` here: the
+    — while ``process`` runs each rank on a real core with pickled
+    payloads and ``process-shm`` lets the runner ship the same per-rank
+    arrays as zero-copy arena refs (an arena failure retries, then degrades
+    to ``process``).  (``"serial"`` works for any ``P`` here: the
     lower-rank-sends-first protocol never receives a message that an earlier
     rank has not already buffered.)  Every backend produces the identical
     kept edge set in the identical admission order.
@@ -312,98 +262,25 @@ def parallel_chordal_comm_filter(
         for rank in range(ipart.n_parts)
     ]
 
-    resolved_backend = backend or ("thread" if ipart.n_parts > 1 else "serial")
-    rank_values = None
-    effective_backend = resolved_backend
-    if resolved_backend == "process-shm":
-        try:
-            # Export the whole graph's buffers once; each rank process
-            # receives segment names plus its slice bounds and derives its
-            # own subgraph.
-            with owned_arena() as arena, arena_scope(arena):
-                parts_flat, parts_offsets = ipart.flat_parts()
-                payload = arena.export_bundle(
-                    {
-                        "indptr": csr.indptr,
-                        "indices": csr.indices,
-                        "parts_flat": parts_flat,
-                        "parts_offsets": parts_offsets,
-                        "position": position,
-                    }
-                )
-                rank_args = [
-                    (payload, rank, by_peer_per_rank[rank], strict_order)
-                    for rank in range(ipart.n_parts)
-                ]
-                report = run_spmd(
-                    _rank_function_shm,
-                    ipart.n_parts,
-                    rank_args=rank_args,
-                    backend="process-shm",
-                )
-            rank_values = [
-                {
-                    "local_edges": [tuple(e) for e in out["local_edges"].tolist()],
-                    "accepted_border": [tuple(e) for e in out["accepted_border"].tolist()],
-                    "work": out["work"],
-                }
-                for out in report.values
-            ]
-        except (ArenaError, OSError) as exc:
-            # The arena substrate failed before (or instead of) the SPMD
-            # round — the pickled ``process`` path computes the identical
-            # result, so fall back instead of failing the filter.
-            if not supervision_policy().degrade:
-                raise
-            _record_event(
-                {
-                    "action": "degrade",
-                    "entry": "parallel_chordal_comm_filter",
-                    "backend": "process-shm",
-                    "to": "process",
-                    "error": f"{type(exc).__name__}: {exc}",
-                }
+    rank_args = []
+    for rank in range(ipart.n_parts):
+        part_idx = ipart.part_indices(rank)
+        sub = csr.induced_subgraph(part_idx)
+        rank_args.append(
+            (
+                sub.indptr,
+                sub.indices,
+                part_idx,
+                by_peer_per_rank[rank],
+                None if position is None else position[part_idx],
+                strict_order,
             )
-            effective_backend = "process"
-    if rank_values is None:
-        rank_args = []
-        for rank in range(ipart.n_parts):
-            part_idx = ipart.part_indices(rank)
-            sub = csr.induced_subgraph(part_idx)
-            rank_args.append(
-                (
-                    sub.indptr,
-                    sub.indices,
-                    part_idx,
-                    by_peer_per_rank[rank],
-                    None if position is None else position[part_idx],
-                    strict_order,
-                )
-            )
-        report = run_spmd(
-            _rank_function, ipart.n_parts, rank_args=rank_args, backend=effective_backend
         )
-        rank_values = report.values
-
-    all_local: list[IndexEdge] = []
-    accepted_border_idx: list[IndexEdge] = []
-    seen_border: set[IndexEdge] = set()
-    duplicates = 0
-    works: list[RankWork] = []
-    for rank_out in rank_values:
-        all_local.extend(rank_out["local_edges"])
-        works.append(rank_out["work"])
-        for e in rank_out["accepted_border"]:
-            if e in seen_border:
-                duplicates += 1
-            else:
-                seen_border.add(e)
-                accepted_border_idx.append(e)
-
-    # The single index→label mapping of the whole pipeline.
-    all_local_edges = [edge_key(labels[i], labels[j]) for i, j in dict.fromkeys(all_local)]
-    accepted_border = [edge_key(labels[i], labels[j]) for i, j in accepted_border_idx]
-    border_edges = [edge_key(labels[int(u)], labels[int(v)]) for u, v in zip(bu, bv)]
+    resolved_backend = backend or ("thread" if ipart.n_parts > 1 else "serial")
+    report = run_spmd(_rank_function, ipart.n_parts, rank_args=rank_args, backend=resolved_backend)
+    all_local_edges, accepted_border, border_edges, duplicates, works = merge_rank_outputs(
+        report.values, csr, ipart
+    )
 
     kept_edges = list(dict.fromkeys(all_local_edges + accepted_border))
     filtered = graph.spanning_subgraph(kept_edges)

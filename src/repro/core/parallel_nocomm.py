@@ -27,8 +27,10 @@ ordering (:func:`repro.graph.ordering.ordering_indices`), partitioning
 (:class:`repro.graph.partition.IndexPartition`), per-rank subgraphs
 (:meth:`CSRGraph.induced_subgraph` array slicing) and border admission all run
 on ``int64`` vertex indices.  Rank payloads are plain numpy arrays — cheap to
-pickle for the ``process`` backend — and labels reappear exactly once, when
-the merged edge set is mapped back at the end.  The label-level helpers
+pickle for the ``process`` backend, exported to a shared-memory arena by the
+runner for ``process-shm`` — and labels reappear exactly once, when the
+merged edge set is mapped back at the end (:func:`merge_rank_outputs`, which
+the with-communication sampler shares).  The label-level helpers
 (:func:`local_chordal_phase`, :func:`admit_border_edges_no_communication`)
 are retained as the behavioural reference; the property suite pins the index
 path to them.
@@ -38,8 +40,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Hashable, Sequence
-from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -52,14 +53,7 @@ from ..graph.partition import (
     block_partition_indices,
     index_partition_graph,
 )
-from ..parallel.runner import (
-    _record_event,
-    available_backends,
-    parallel_map,
-    pop_supervision_events,
-    supervision_policy,
-)
-from ..parallel.shm import ArenaError, attach, owned_arena
+from ..parallel.runner import available_backends, parallel_map, pop_supervision_events
 from ..parallel.timing import RankWork
 from .chordal import chordal_edges_from_csr, chordal_subgraph_edge_indices
 from .results import FilterResult
@@ -282,7 +276,7 @@ def _admit_border_keys(
     return ids[keys // n], ids[keys % n]
 
 
-def _rank_task_core(
+def _rank_task_indices(
     sub_indptr: np.ndarray,
     sub_indices: np.ndarray,
     part_idx: np.ndarray,
@@ -292,13 +286,15 @@ def _rank_task_core(
     v_internal: np.ndarray,
     local_priority: Optional[np.ndarray],
     strict_order: bool,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, RankWork]:
-    """Array core of the per-rank computation (local phase + admission).
+) -> tuple[list[IndexEdge], list[IndexEdge], RankWork]:
+    """The full per-rank computation on CSR arrays (local phase + admission).
 
-    Returns the kept local chordal edges and the admitted border edges as
-    two aligned canonical index array pairs, plus the work counters.  The
-    local edges are in kernel acceptance order, the admitted edges sorted —
-    the exact sequences the merge depends on.
+    All arguments are numpy arrays (plus one bool), so the ``process``
+    backend pickles compact buffers instead of ``Graph`` objects and
+    ``process-shm`` ships them as arena refs.  Returns the kept local
+    chordal edges (kernel acceptance order) and the admitted border edges
+    (sorted) as canonical global-index pairs, plus the work counters — the
+    exact sequences :func:`merge_rank_outputs` depends on.
     """
     k = int(part_idx.shape[0])
     sub = CSRGraph(sub_indptr, sub_indices, labels=range(k))
@@ -327,186 +323,45 @@ def _rank_task_core(
         items_sent=0,
         max_degree=max(sub.max_degree(), 1),
     )
-    return chordal_u, chordal_v, admitted_u, admitted_v, work
-
-
-def _rank_task_indices(
-    sub_indptr: np.ndarray,
-    sub_indices: np.ndarray,
-    part_idx: np.ndarray,
-    border_u: np.ndarray,
-    border_v: np.ndarray,
-    u_internal: np.ndarray,
-    v_internal: np.ndarray,
-    local_priority: Optional[np.ndarray],
-    strict_order: bool,
-) -> tuple[list[IndexEdge], list[IndexEdge], RankWork]:
-    """The full per-rank computation on CSR arrays (local phase + admission).
-
-    All arguments are numpy arrays (plus one bool), so the ``process``
-    backend pickles compact buffers instead of ``Graph`` objects.  Returned
-    edges are canonical global-index pairs.
-    """
-    cu, cv, au, av, work = _rank_task_core(
-        sub_indptr,
-        sub_indices,
-        part_idx,
-        border_u,
-        border_v,
-        u_internal,
-        v_internal,
-        local_priority,
-        strict_order,
-    )
-    local_edges = list(zip(cu.tolist(), cv.tolist()))
-    admitted = list(zip(au.tolist(), av.tolist()))
+    local_edges = list(zip(chordal_u.tolist(), chordal_v.tolist()))
+    admitted = list(zip(admitted_u.tolist(), admitted_v.tolist()))
     return local_edges, admitted, work
 
 
-@dataclass(frozen=True)
-class _ShmPayload:
-    """The arena-resident rank payload of the no-communication sampler.
-
-    A handful of :class:`~repro.parallel.shm.ArenaRef` handles naming the
-    *whole* graph's shared buffers — CSR pair, partition assignment,
-    concatenated per-part vertex arrays with offsets, the global border-edge
-    arrays and the optional ordering-priority vector.  Deliberately a frozen
-    dataclass rather than a dict: the generic
-    :func:`~repro.parallel.shm.resolve_payload` leaves it untouched, so the
-    rank task sees the refs themselves and can use the (hashable) payload as
-    its per-graph memo key.
-    """
-
-    indptr: "Any"
-    indices: "Any"
-    assignment: "Any"
-    parts_flat: "Any"
-    parts_offsets: "Any"
-    border_u: "Any"
-    border_v: "Any"
-    position: "Any"
-
-
-#: Worker-side memo of state derived from an arena payload: the attached CSR
-#: view, the border endpoints' part assignments, and — filled in lazily —
-#: each rank's fully sliced task inputs.  A pool worker executes many ranks
-#: of the same graph back to back (and a batch scale-group re-runs the same
-#: payload spec after spec: the ambient arena's content dedup hands out
-#: identical refs for rebuilt-but-equal buffers), so the per-graph part is
-#: derived once per graph and the per-rank slices once per (graph, rank) —
-#: a memoisation that payload *names* make possible and payload *bytes*
-#: (the pickled path) cannot have.  Bounded to the last few payloads.
-_RankInputs = tuple
-_SHM_GRAPH_MEMO: "dict[_ShmPayload, tuple[CSRGraph, np.ndarray, np.ndarray, dict[int, _RankInputs]]]" = {}
-_SHM_GRAPH_MEMO_MAX = 2
-
-
-def _shm_graph_state(
-    payload: _ShmPayload,
-) -> tuple[CSRGraph, np.ndarray, np.ndarray, dict[int, _RankInputs]]:
-    """Attach (or recall) the shared graph, border part vectors, rank cache."""
-    hit = _SHM_GRAPH_MEMO.get(payload)
-    if hit is not None:
-        return hit
-    csr = CSRGraph.from_buffers(attach(payload.indptr), attach(payload.indices))
-    assignment = attach(payload.assignment)
-    state = (
-        csr,
-        assignment[attach(payload.border_u)],
-        assignment[attach(payload.border_v)],
-        {},
-    )
-    while len(_SHM_GRAPH_MEMO) >= _SHM_GRAPH_MEMO_MAX:
-        _SHM_GRAPH_MEMO.pop(next(iter(_SHM_GRAPH_MEMO)))
-    _SHM_GRAPH_MEMO[payload] = state
-    return state
-
-
-def _rank_task_shm(
-    payload: _ShmPayload,
-    rank: int,
-    strict_order: bool,
-) -> tuple[np.ndarray, np.ndarray, RankWork]:
-    """Arena-payload rank task: attach shared buffers, slice, run, return arrays.
-
-    The rank derives its own subgraph and border set from the shared
-    read-only views — the per-rank slicing that the pickled-payload path
-    performs in the parent — and calls the same :func:`_rank_task_core`,
-    so the admitted edge sequence is bit-identical.  The sliced inputs are
-    memoised per (payload, rank): re-running the same payload (a batch
-    scale-group, a benchmark repeat) skips straight to the kernel.  Results
-    travel back as compact ``(k, 2)`` index arrays instead of tuple lists.
-    """
-    csr, u_part, v_part, rank_cache = _shm_graph_state(payload)
-    inputs = rank_cache.get(rank)
-    if inputs is None:
-        offsets = attach(payload.parts_offsets)
-        part_idx = attach(payload.parts_flat)[int(offsets[rank]) : int(offsets[rank + 1])]
-        # The shared border arrays are the already-masked subsequence of the
-        # graph's edge_array(); selecting this rank's rows preserves that
-        # order, so the admission scan sees the same sequence as the pickled
-        # path.
-        touches = (u_part == rank) | (v_part == rank)
-        bu, bv = attach(payload.border_u)[touches], attach(payload.border_v)[touches]
-        position = None if payload.position is None else attach(payload.position)
-        sub = csr.induced_subgraph(part_idx)
-        inputs = (
-            sub.indptr,
-            sub.indices,
-            part_idx,
-            bu,
-            bv,
-            u_part[touches] == rank,
-            v_part[touches] == rank,
-            None if position is None else position[part_idx],
-        )
-        rank_cache[rank] = inputs
-    cu, cv, au, av, work = _rank_task_core(*inputs, strict_order)
-    return np.stack([cu, cv], axis=1), np.stack([au, av], axis=1), work
-
-
-def _run_ranks_shm(
+def merge_rank_outputs(
+    rank_outputs: Sequence[tuple[list[IndexEdge], list[IndexEdge], RankWork]],
     csr: CSRGraph,
     ipart: IndexPartition,
-    position: Optional[np.ndarray],
-    strict_order: bool,
-    processes: Optional[int],
-) -> list[tuple[list[IndexEdge], list[IndexEdge], RankWork]]:
-    """Fan the ranks out over the process pool with arena-backed payloads.
+) -> tuple[list[Edge], list[Edge], list[Edge], int, list[RankWork]]:
+    """The sequential merge shared by both parallel samplers.
 
-    The graph's buffers are exported to shared memory once (into the ambient
-    :func:`~repro.parallel.shm.arena_scope` arena when one is active — the
-    batch engine opens one per scale-group — else into a private arena
-    unlinked before returning); every rank's payload is then a handful of
-    segment names plus its slice bounds.
+    ``rank_outputs`` holds one ``(local_edges, accepted_border, work)`` per
+    rank, in rank order.  Local edges are deduplicated keeping their first
+    occurrence; a border edge admitted by several ranks is kept once (first
+    rank wins) and every repeat is counted as a duplicate.  This is the
+    single index→label mapping of the whole pipeline: returns ``(local_edges,
+    accepted_border, border_edges, duplicates, works)`` with label edges.
     """
-    with owned_arena() as arena:
-        parts_flat, parts_offsets = ipart.flat_parts()
-        border_u, border_v = ipart.border_edges()
-        payload = _ShmPayload(
-            **arena.export_bundle(
-                {
-                    "indptr": csr.indptr,
-                    "indices": csr.indices,
-                    "assignment": ipart.assignment,
-                    "parts_flat": parts_flat,
-                    "parts_offsets": parts_offsets,
-                    "border_u": border_u,
-                    "border_v": border_v,
-                    "position": position,
-                }
-            )
-        )
-        items = [(payload, rank, strict_order) for rank in range(ipart.n_parts)]
-        outputs = parallel_map(_rank_task_shm, items, backend="process", processes=processes)
-    return [
-        (
-            list(zip(local[:, 0].tolist(), local[:, 1].tolist())),
-            list(zip(admitted[:, 0].tolist(), admitted[:, 1].tolist())),
-            work,
-        )
-        for local, admitted, work in outputs
-    ]
+    all_local: list[IndexEdge] = []
+    works: list[RankWork] = []
+    seen_border: set[IndexEdge] = set()
+    duplicates = 0
+    accepted_idx: list[IndexEdge] = []
+    for local_edges, admitted, work in rank_outputs:
+        all_local.extend(local_edges)
+        works.append(work)
+        for e in admitted:
+            if e in seen_border:
+                duplicates += 1
+            else:
+                seen_border.add(e)
+                accepted_idx.append(e)
+    labels = csr.labels
+    local = [edge_key(labels[i], labels[j]) for i, j in dict.fromkeys(all_local)]
+    accepted = [edge_key(labels[i], labels[j]) for i, j in accepted_idx]
+    bu, bv = ipart.border_edges()
+    border = [edge_key(labels[int(u)], labels[int(v)]) for u, v in zip(bu, bv)]
+    return local, accepted, border, duplicates, works
 
 
 def resolve_index_partition(
@@ -562,13 +417,13 @@ def parallel_chordal_nocomm_filter(
     backend:
         One of :func:`repro.parallel.runner.available_backends`; ``None``
         (the default) selects this filter's own default, ``"serial"``.  The
-        ranks are independent, so ``"process"`` fans them out over
-        :func:`repro.parallel.parallel_map` with pickled CSR-array payloads,
-        while ``"process-shm"`` exports the graph's buffers to a
-        shared-memory arena once and ships each rank only segment names plus
-        its slice bounds (each rank derives its own subgraph from the shared
-        views).  All backends produce the identical kept edge set in the
-        identical admission order.
+        ranks are independent, so every backend runs the same per-rank
+        argument tuples through :func:`repro.parallel.parallel_map`:
+        ``process`` pickles the CSR-array payloads to the resident
+        workers, ``process-shm`` lets the runner export them to a
+        shared-memory arena in one bundle and ship only the refs (an arena
+        failure retries, then degrades to ``process``).  All backends
+        produce the identical kept edge set in the identical admission order.
     """
     if n_partitions < 1:
         raise ValueError(f"n_partitions must be >= 1, got {n_partitions}")
@@ -583,72 +438,29 @@ def parallel_chordal_nocomm_filter(
     ipart = resolve_index_partition(csr, n_partitions, partition_method, partition, perm)
     position = priority_from_permutation(perm, csr.n_vertices)
 
-    rank_outputs = None
-    effective_backend = backend
-    if backend == "process-shm":
-        try:
-            rank_outputs = _run_ranks_shm(csr, ipart, position, strict_order, processes)
-        except (ArenaError, OSError) as exc:
-            # The shared-memory substrate failed before any rank ran (arena
-            # creation or export) — the pickled ``process`` path computes the
-            # identical result, so fall back instead of failing the filter.
-            if not supervision_policy().degrade:
-                raise
-            _record_event(
-                {
-                    "action": "degrade",
-                    "entry": "parallel_chordal_nocomm_filter",
-                    "backend": "process-shm",
-                    "to": "process",
-                    "error": f"{type(exc).__name__}: {exc}",
-                }
+    assignment = ipart.assignment
+    items = []
+    for rank in range(ipart.n_parts):
+        part_idx = ipart.part_indices(rank)
+        sub = csr.induced_subgraph(part_idx)
+        bu, bv = ipart.border_edges_of(rank)
+        items.append(
+            (
+                sub.indptr,
+                sub.indices,
+                part_idx,
+                bu,
+                bv,
+                assignment[bu] == rank,
+                assignment[bv] == rank,
+                None if position is None else position[part_idx],
+                strict_order,
             )
-            effective_backend = "process"
-    if rank_outputs is None:
-        items = []
-        assignment = ipart.assignment
-        for rank in range(ipart.n_parts):
-            part_idx = ipart.part_indices(rank)
-            sub = csr.induced_subgraph(part_idx)
-            bu, bv = ipart.border_edges_of(rank)
-            items.append(
-                (
-                    sub.indptr,
-                    sub.indices,
-                    part_idx,
-                    bu,
-                    bv,
-                    assignment[bu] == rank,
-                    assignment[bv] == rank,
-                    None if position is None else position[part_idx],
-                    strict_order,
-                )
-            )
-        rank_outputs = parallel_map(
-            _rank_task_indices, items, backend=effective_backend, processes=processes
         )
-
-    all_local: list[IndexEdge] = []
-    works: list[RankWork] = []
-    seen_border: set[IndexEdge] = set()
-    duplicates = 0
-    accepted_border_idx: list[IndexEdge] = []
-    for local_edges, admitted, work in rank_outputs:
-        all_local.extend(local_edges)
-        works.append(work)
-        for e in admitted:
-            if e in seen_border:
-                duplicates += 1
-            else:
-                seen_border.add(e)
-                accepted_border_idx.append(e)
-
-    # The single index→label mapping of the whole pipeline.
-    labels = csr.labels
-    all_local_edges = [edge_key(labels[i], labels[j]) for i, j in dict.fromkeys(all_local)]
-    accepted_border = [edge_key(labels[i], labels[j]) for i, j in accepted_border_idx]
-    bu, bv = ipart.border_edges()
-    border_edges = [edge_key(labels[int(u)], labels[int(v)]) for u, v in zip(bu, bv)]
+    rank_outputs = parallel_map(_rank_task_indices, items, backend=backend, processes=processes)
+    all_local_edges, accepted_border, border_edges, duplicates, works = merge_rank_outputs(
+        rank_outputs, csr, ipart
+    )
 
     removed_for_cycles: list[Edge] = []
     if repair_cycles and accepted_border:

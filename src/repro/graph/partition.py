@@ -432,20 +432,6 @@ class IndexPartition:
         """Vertex indices of part ``part`` in traversal order."""
         return self.parts[part]
 
-    def flat_parts(self) -> tuple[np.ndarray, np.ndarray]:
-        """All per-part vertex arrays concatenated, plus the part offsets.
-
-        Part ``p`` spans ``flat[offsets[p]:offsets[p + 1]]`` — the
-        slice-bounds form the shared-memory rank payloads ship instead of
-        per-rank index arrays.
-        """
-        parts = self.parts
-        sizes = np.asarray([p.shape[0] for p in parts], dtype=np.int64)
-        offsets = np.zeros(self.n_parts + 1, dtype=np.int64)
-        np.cumsum(sizes, out=offsets[1:])
-        flat = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-        return flat, offsets
-
     def part_csr(self, part: int) -> CSRGraph:
         """CSR subgraph induced by part ``part`` (pure array slicing)."""
         return self.csr.induced_subgraph(self.part_indices(part))

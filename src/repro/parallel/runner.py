@@ -408,8 +408,9 @@ def _on_hub(
     """Call ``run(hub, payloads)`` on the resident worker hub.
 
     With ``use_shm`` every numpy array in ``payloads`` is first exported to
-    an arena (the ambient one, else a private one unlinked on return), so
-    only :class:`~repro.parallel.shm.ArenaRef` handles cross the wire.
+    an arena (the ambient one, else a private one unlinked on return) in a
+    single bundle — one segment per call — so only
+    :class:`~repro.parallel.shm.ArenaRef` handles cross the wire.
     Bring-up failures (bind, spawn, rendezvous, arena) are degradable;
     worker deaths and user errors propagate as they are.
     """
@@ -429,7 +430,7 @@ def _on_hub(
         if use_shm:
             try:
                 arena = stack.enter_context(owned_arena())
-                payloads = [export_payload(p, arena) for p in payloads]
+                payloads = export_payload(payloads, arena)
             except _DEGRADABLE_EXC as exc:
                 raise _DegradableFailure(exc) from exc
         try:

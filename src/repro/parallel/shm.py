@@ -9,11 +9,12 @@ alternative, following the partition-then-share-compact-buffers discipline of
 data-partitioning architectures:
 
 * :class:`SharedArena` exports numpy arrays into named
-  :mod:`multiprocessing.shared_memory` segments **once per graph** (repeated
-  exports of the same array object are deduplicated);
+  :mod:`multiprocessing.shared_memory` segments — every array of one call's
+  payloads in one segment (:func:`export_payload`), and repeated exports of
+  the same array object are deduplicated;
 * an :class:`ArenaRef` is the picklable handle — ``(segment name, dtype,
-  shape)`` — that replaces the array in a rank payload, so what crosses the
-  process boundary is a few dozen bytes of metadata plus slice bounds;
+  shape, offset)`` — that replaces the array in a rank payload, so what
+  crosses the process boundary is a few dozen bytes of metadata per array;
 * workers call :func:`attach` (usually via :func:`resolve_payload`) to map the
   segment and reconstruct a **read-only** numpy view; attachments are cached
   per process, so a resident worker that executes many ranks of the same graph
@@ -60,7 +61,7 @@ from collections import OrderedDict
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Any, Iterator, Mapping, Optional, Union
+from typing import Any, Callable, Iterator, Mapping, Optional, Union
 
 try:  # POSIX only; file-backed manifests fall back to best-effort elsewhere
     import fcntl
@@ -684,39 +685,48 @@ def attach(ref: ArenaRef) -> np.ndarray:
     return view
 
 
+def _map_leaves(obj: Any, leaf: type, fn: Callable[[Any], Any]) -> Any:
+    """Rebuild ``obj`` with every ``leaf`` instance replaced by ``fn(value)``.
+
+    Dicts, lists and tuples are rebuilt (preserving type) in a fixed
+    depth-first order; everything else passes through untouched.
+    """
+    if isinstance(obj, leaf):
+        return fn(obj)
+    if isinstance(obj, tuple):
+        return tuple(_map_leaves(v, leaf, fn) for v in obj)
+    if isinstance(obj, list):
+        return [_map_leaves(v, leaf, fn) for v in obj]
+    if isinstance(obj, dict):
+        return {k: _map_leaves(v, leaf, fn) for k, v in obj.items()}
+    return obj
+
+
 def resolve_payload(obj: Any) -> Any:
     """Recursively replace every :class:`ArenaRef` in ``obj`` with its array view.
 
-    Dicts, lists and tuples are rebuilt (preserving type); everything else
-    passes through untouched.  This is what the process-backend workers run
-    on their arguments before calling the rank function.
+    This is what the process-backend workers run on their arguments before
+    calling the rank function.
     """
-    if isinstance(obj, ArenaRef):
-        return attach(obj)
-    if isinstance(obj, tuple):
-        return tuple(resolve_payload(v) for v in obj)
-    if isinstance(obj, list):
-        return [resolve_payload(v) for v in obj]
-    if isinstance(obj, dict):
-        return {k: resolve_payload(v) for k, v in obj.items()}
-    return obj
+    return _map_leaves(obj, ArenaRef, attach)
 
 
 def export_payload(obj: Any, arena: SharedArena) -> Any:
     """Recursively replace every numpy array in ``obj`` with an :class:`ArenaRef`.
 
     The inverse of :func:`resolve_payload`: what the ``process-shm`` backends
-    run on rank payloads before pickling them, so only refs cross the pipe.
+    run on their payloads before pickling them, so only refs cross the wire.
+    All arrays of ``obj`` go through **one** :meth:`SharedArena.export_bundle`
+    call, so a whole round's (or map's) payloads cost at most one new segment
+    — and none when every array is already in the arena.
     """
-    if isinstance(obj, np.ndarray):
-        return arena.export(obj)
-    if isinstance(obj, tuple):
-        return tuple(export_payload(v, arena) for v in obj)
-    if isinstance(obj, list):
-        return [export_payload(v, arena) for v in obj]
-    if isinstance(obj, dict):
-        return {k: export_payload(v, arena) for k, v in obj.items()}
-    return obj
+    arrays: list[np.ndarray] = []
+    _map_leaves(obj, np.ndarray, arrays.append)  # collect, in traversal order
+    if not arrays:
+        return obj
+    bundle = arena.export_bundle({str(i): a for i, a in enumerate(arrays)})
+    refs = iter([bundle[str(i)] for i in range(len(arrays))])
+    return _map_leaves(obj, np.ndarray, lambda _a: next(refs))
 
 
 # ----------------------------------------------------------------------

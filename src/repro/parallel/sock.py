@@ -161,6 +161,13 @@ def _recv_frame(sock_obj: socket.socket) -> tuple[Any, bytes]:
     return pickle.loads(blob), blob
 
 
+def _close_quietly(sock_obj: socket.socket) -> None:
+    try:
+        sock_obj.close()
+    except OSError:  # pragma: no cover - defensive
+        pass
+
+
 # ----------------------------------------------------------------------
 # authentication handshake
 # ----------------------------------------------------------------------
@@ -426,14 +433,15 @@ class _Worker:
             # a length-prefixed stream cannot carry a per-frame error reply
             # (the frame's round id may itself be unreadable), so close and
             # let the hub observe the EOF as a dead rank.
-            try:
-                self._sock.close()
-            except OSError:  # pragma: no cover - defensive
-                pass
+            _close_quietly(self._sock)
             self._ctl.put(("shutdown",))
 
     def run(self) -> None:
-        self.send(("hello", os.getpid()))
+        try:
+            self.send(("hello", os.getpid()))
+        except OSError:  # the hub shut down during the handshake
+            _close_quietly(self._sock)
+            return
         while True:
             frame = self._ctl.get()
             kind = frame[0]
@@ -443,10 +451,7 @@ class _Worker:
                 self._run_rank(frame)
             elif kind == "task":
                 self._run_task(frame)
-        try:
-            self._sock.close()
-        except OSError:  # pragma: no cover - defensive
-            pass
+        _close_quietly(self._sock)
 
     def _run_rank(self, frame: tuple) -> None:
         _, rid, rank, n_ranks, die, fn, extra, args, kwargs = frame
@@ -542,6 +547,7 @@ class SockWorkerPool:
         self._mu = threading.Lock()
         self._cv = threading.Condition(self._mu)
         self._workers: list[_WorkerConn] = []
+        self._unregistered: set[_WorkerConn] = set()  # accepted, no hello yet
         self._pending_procs: list[Any] = []
         self._closed = False
         self._round_seq = 0
@@ -566,6 +572,11 @@ class SockWorkerPool:
                 return  # listener closed: pool is shutting down
             sock_obj.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             conn = _WorkerConn(sock_obj, f"sock-worker-{len(self._workers)}")
+            with self._mu:
+                if self._closed:
+                    _close_quietly(sock_obj)
+                    return
+                self._unregistered.add(conn)
             threading.Thread(
                 target=self._conn_loop, args=(conn,), name=f"{conn.name}-reader", daemon=True
             ).start()
@@ -574,10 +585,9 @@ class SockWorkerPool:
         if not _deliver_challenge(conn.sock):
             # Unauthenticated peer: drop it before reading a single pickle
             # frame.  It was never registered, so nothing to mark dead.
-            try:
-                conn.sock.close()
-            except OSError:  # pragma: no cover - defensive
-                pass
+            with self._mu:
+                self._unregistered.discard(conn)
+            _close_quietly(conn.sock)
             return
         try:
             while True:
@@ -589,12 +599,24 @@ class SockWorkerPool:
     def _mark_conn_dead(self, conn: _WorkerConn) -> None:
         with self._cv:
             conn.alive = False
+            self._unregistered.discard(conn)
             self._cv.notify_all()
 
     def _dispatch(self, conn: _WorkerConn, frame: tuple, raw: bytes) -> None:
         kind = frame[0]
         if kind == "hello":
             with self._cv:
+                self._unregistered.discard(conn)
+                if self._closed:
+                    # The hub shut down while this worker was still in its
+                    # handshake: it was never registered, so shutdown() could
+                    # not tell it to exit — do it here, never register it.
+                    try:
+                        _send_frame(conn.sock, ("shutdown",), conn.lock)
+                    except OSError:
+                        pass
+                    _close_quietly(conn.sock)
+                    return
                 conn.pid = frame[1]
                 self._workers.append(conn)
                 self._cv.notify_all()
@@ -783,10 +805,7 @@ class SockWorkerPool:
         """Drop dead connections and join their local processes (under _cv)."""
         for w in self._workers:
             if not w.alive:
-                try:
-                    w.sock.close()
-                except OSError:  # pragma: no cover - defensive
-                    pass
+                _close_quietly(w.sock)
                 if w.proc is not None:
                     w.proc.join(timeout=5.0)
         self._workers = [w for w in self._workers if w.alive]
@@ -873,16 +892,19 @@ class SockWorkerPool:
             self._closed = True
             workers = list(self._workers)
             self._workers = []
+            unregistered = list(self._unregistered)
+            self._unregistered.clear()
+        # Accepted connections whose hello has not arrived yet: closing them
+        # ends the worker's handshake (or its read loop) with an EOF.
+        for conn in unregistered:
+            _close_quietly(conn.sock)
         for w in workers:
             if w.alive:
                 try:
                     _send_frame(w.sock, ("shutdown",), w.lock)
                 except OSError:
                     pass
-            try:
-                w.sock.close()
-            except OSError:  # pragma: no cover - defensive
-                pass
+            _close_quietly(w.sock)
         for w in workers:
             if w.proc is not None:
                 w.proc.join(timeout=5.0)
@@ -893,10 +915,7 @@ class SockWorkerPool:
             proc.terminate()
             proc.join(timeout=5.0)
             self._pending_procs.remove(proc)
-        try:
-            self._listener.close()
-        except OSError:  # pragma: no cover - defensive
-            pass
+        _close_quietly(self._listener)
 
 
 # ----------------------------------------------------------------------

@@ -301,6 +301,27 @@ class TestFilterByteIdentity:
         assert _canon(filter_payload(result)) == baseline
         assert result.extra.get("supervision")
 
+    @pytest.mark.parametrize(
+        "filter_fn,entry",
+        [(parallel_chordal_nocomm_filter, "parallel_map"), (parallel_chordal_comm_filter, "run_spmd")],
+        ids=["nocomm", "comm"],
+    )
+    def test_arena_export_failure_degrades_filter_to_process(self, network, filter_fn, entry):
+        # process-shm is an ordinary runner backend for both filters: an
+        # arena that cannot export retries, then the runner's ladder steps
+        # down to process — and the output cannot tell.
+        baseline = _canon(filter_payload(filter_fn(network, 2, ordering="natural", backend="serial")))
+        pop_supervision_events()
+        plan = FaultPlan(CHAOS_SEED).fail("arena.export", times=99, exc=shm.ArenaError)
+        with active_plan(plan):
+            result = filter_fn(network, 2, ordering="natural", backend="process-shm")
+        assert plan.fired("arena.export")
+        assert _canon(filter_payload(result)) == baseline
+        degrades = [e for e in result.extra["supervision"] if e["action"] == "degrade"]
+        assert [(e["entry"], e["backend"], e["to"]) for e in degrades] == [
+            (entry, "process-shm", "process")
+        ]
+
 
 # ----------------------------------------------------------------------
 # crash-safe batch cache (atomic publish + corruption quarantine)

@@ -249,9 +249,29 @@ class TestParallelMapBackends:
         for backend in available_backends():
             assert parallel_map(_array_sum, [], backend=backend) == []
 
+    def test_each_process_shm_call_adds_at_most_one_segment(self):
+        # Every array of a call's payloads travels in one arena bundle, so a
+        # map or round over k > 1 arrays costs one segment, not k.
+        items = [(np.arange(5) + i, np.full(3, i)) for i in range(3)]
+        rank_args = [(np.arange(7) * 10 + r, np.full(2, r)) for r in range(2)]
+        with arena_scope() as arena:
+            assert parallel_map(_pair_sum, items, backend="process-shm") == [10, 18, 26]
+            assert arena.n_segments == 1
+            report = run_spmd(_pair_sum_rank, 2, rank_args=rank_args, backend="process-shm")
+            assert report.values == [210, 220]
+            assert arena.n_segments == 2
+
 
 def _array_sum(arr):
     return int(np.asarray(arr).sum())
+
+
+def _pair_sum(a, b):
+    return int(a.sum() + b.sum())
+
+
+def _pair_sum_rank(comm, a, b):
+    return _pair_sum(a, b) + comm.rank
 
 
 class TestVectorisedAdmission:

@@ -190,6 +190,38 @@ class TestAuthHandshake:
             pool.shutdown()
 
 
+class TestShutdownDuringHandshake:
+    """A worker still in its handshake when the hub shuts down must exit too."""
+
+    def test_worker_whose_hello_is_held_past_shutdown_exits(self):
+        pool = SockWorkerPool(spawn=False)
+        # Authenticated and accepted, but run() (which sends hello) is held
+        # until the hub is already gone.
+        worker = _Worker(pool.host, pool.port)
+        pool.shutdown()
+        thread = threading.Thread(target=worker.run, daemon=True)
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive(), "a worker that missed shutdown must still exit"
+        assert pool.n_workers() == 0
+
+    def test_hello_after_shutdown_is_told_to_exit_not_registered(self):
+        pool = SockWorkerPool(spawn=False)
+        hub_end, worker_end = socket.socketpair()
+        conn = _WorkerConn(hub_end, "late")
+        try:
+            pool.shutdown()
+            pool._dispatch(conn, ("hello", 4242), b"")
+            worker_end.settimeout(10)
+            obj, _raw = _recv_frame(worker_end)
+            assert obj == ("shutdown",)
+            assert worker_end.recv(1) == b""  # and the hub closed its end
+            assert pool._workers == []
+        finally:
+            worker_end.close()
+            hub_end.close()
+
+
 class TestHubForwardIsolation:
     """A dead *destination* must not take the healthy sender's conn down."""
 
