@@ -25,20 +25,13 @@ Every cell asserts the two implementations produce byte-identical score
 vectors (``score_digest``: sha256 over per-cluster AEES / max score /
 max depth / dominant term / edge counts).
 
-Usage::
+Flags, envelope and ``--check`` come from :mod:`harness`.
 
-    PYTHONPATH=src python benchmarks/bench_enrichment.py                 # full grid
-    PYTHONPATH=src python benchmarks/bench_enrichment.py --quick         # CI grid
-    PYTHONPATH=src python benchmarks/bench_enrichment.py --quick \
-        --check BENCH_enrichment.json --threshold 0.25                   # CI gate
-
-JSON schema (``bench_enrichment/v1``)::
+JSON schema (``bench_enrichment/v1``) extras::
 
     {
-      "schema": "bench_enrichment/v1",
-      "label": "<variant being measured>",
-      "quick": bool, "python": str, "platform": str, "created": str,
       "dataset": "CRE",
+      "filter": {"method", "ordering", "n_partitions"},
       "runs": [ {"dataset", "scale", "scale_factor", "impl", "backend",
                  "n_clusters", "n_edges", "distinct_pairs", "repeats",
                  "seconds", "stages": {...}, "score_digest"} ],
@@ -47,26 +40,21 @@ JSON schema (``bench_enrichment/v1``)::
                    "scores_match"}}
     }
 
-``--check`` re-measures the smallest grid and gates on the *speedup ratio*
-at the largest shared scale: the fresh ``batched_seconds / label_seconds``
-ratio is compared against the committed file's ratio for the same cell, and
-the run fails when it regresses more than ``--threshold`` (default 25%).
-Both implementations run in the same process on the same machine, so
-hardware speed cancels exactly — the same normalization as the other bench
-gates.
+``--check`` gates the ``batched_seconds / label_seconds`` ratio at the
+largest scale both files share.  Both implementations run in the same
+process on the same machine, so hardware speed cancels exactly.  A cell
+whose serial implementations disagree on the score digest fails the run
+outright.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
-import platform
-import sys
 import time
-from datetime import datetime, timezone
 from typing import Any, Optional
 
+import harness
 from repro.clustering import mcode_clusters
 from repro.core.sampling import apply_filter
 from repro.expression import make_study
@@ -77,8 +65,6 @@ from repro.expression.correlation import (
 )
 from repro.ontology import EnrichmentScorer
 from repro.ontology.generator import make_study_ontology
-
-SCHEMA = "bench_enrichment/v1"
 
 DATASET = "CRE"
 #: Fractions of the paper-sized CRE study; ``large`` is the scale the
@@ -235,115 +221,31 @@ def _speedup_table(runs: list[dict[str, Any]]) -> dict[str, dict[str, Any]]:
     return table
 
 
-def _headline_cell(table: dict[str, dict[str, Any]]) -> Optional[str]:
-    """The acceptance cell: the largest measured scale with both impls."""
-    for scale in reversed(SCALE_ORDER):
-        cell = f"{DATASET}/{scale}"
-        if cell in table:
-            return cell
-    return None
-
-
-def check_regression(
-    runs: list[dict[str, Any]], committed: dict[str, Any], threshold: float
-) -> int:
-    """Gate on the committed baseline, normalized for hardware speed."""
-    fresh = _speedup_table(runs)
-    for cell, entry in fresh.items():
-        if not entry["scores_match"]:
-            print(
-                f"check: FAIL — {cell}: label and batched score digests differ",
-                file=sys.stderr,
-            )
-            return 1
-    committed_table = committed.get("speedup", {})
-    shared = {c: fresh[c] for c in fresh if c in committed_table}
-    headline = _headline_cell(shared)
-    if headline is None:
-        print("check: no shared cell between fresh and committed runs", file=sys.stderr)
-        return 2
-    old = committed_table[headline]
-    new = shared[headline]
-    old_ratio = old["batched_seconds"] / old["label_seconds"]
-    new_ratio = new["batched_seconds"] / new["label_seconds"]
-    rel = new_ratio / old_ratio if old_ratio else float("inf")
-    print(
-        f"check: {headline}: committed batched {old['batched_seconds']:.3f}s / label "
-        f"{old['label_seconds']:.3f}s, fresh batched {new['batched_seconds']:.3f}s / "
-        f"label {new['label_seconds']:.3f}s (absolute, informational)"
-    )
-    print(
-        f"check: batched/label ratio: committed {old_ratio:.4f}, fresh {new_ratio:.4f}, "
-        f"relative {rel:.2f}"
-    )
-    if rel > 1.0 + threshold:
-        print(
-            f"check: FAIL — batched enrichment regressed "
-            f"{(rel - 1.0) * 100:.0f}% vs the reference baseline "
-            f"(> {threshold * 100:.0f}% allowed)",
-            file=sys.stderr,
-        )
-        return 1
-    print("check: OK")
-    return 0
-
-
-def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true", help="small CI grid (tiny + small scales)")
-    parser.add_argument(
-        "--out",
-        default=None,
-        help="output JSON path (default BENCH_enrichment.json, or "
-        "bench_enrichment_fresh.json when --check is given so the committed "
-        "baseline is never clobbered by a check run)",
-    )
-    parser.add_argument("--label", default="batched-enrichment-engine", help="label for this variant")
-    parser.add_argument(
-        "--check",
-        metavar="FILE",
-        help="compare the fresh headline batched/label ratio against a committed bench file",
-    )
-    parser.add_argument("--threshold", type=float, default=0.25, help="allowed regression for --check")
-    args = parser.parse_args(argv)
-
-    if args.out is None:
-        args.out = "bench_enrichment_fresh.json" if args.check else "BENCH_enrichment.json"
-    committed: Optional[dict[str, Any]] = None
-    if args.check:
-        with open(args.check, "r", encoding="utf-8") as fh:
-            committed = json.load(fh)
-
-    runs = run_grid(args.quick)
+def gate_cells(runs: list[dict[str, Any]]) -> dict[str, tuple[float, float]]:
+    """batched time over label time at each scale."""
     table = _speedup_table(runs)
-    headline = _headline_cell(table)
-    if headline:
-        entry = table[headline]
-        print(
-            f"headline {headline}: {entry['speedup']}x "
-            f"(scores_match={entry['scores_match']})"
-        )
-
-    payload: dict[str, Any] = {
-        "schema": SCHEMA,
-        "label": args.label,
-        "quick": args.quick,
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "created": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "dataset": DATASET,
-        "filter": FILTER,
-        "runs": runs,
-        "speedup": table,
+    return {
+        cell: (table[cell]["batched_seconds"], table[cell]["label_seconds"])
+        for cell in (f"{DATASET}/{scale}" for scale in SCALE_ORDER)
+        if cell in table
     }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {args.out} ({len(runs)} runs)")
-    if committed is not None:
-        return check_regression(runs, committed, args.threshold)
-    return 0
+
+
+BENCH = harness.Bench(
+    name="enrichment",
+    label="batched-enrichment-engine",
+    description=__doc__.splitlines()[0],
+    run=run_grid,
+    cells=gate_cells,
+    gated="batched/label time",
+    mismatches=lambda runs: [
+        f"{cell}: label and batched score digests differ"
+        for cell, entry in _speedup_table(runs).items()
+        if not entry["scores_match"]
+    ],
+    extras=lambda runs: {"dataset": DATASET, "filter": FILTER, "speedup": _speedup_table(runs)},
+)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(harness.main(BENCH))

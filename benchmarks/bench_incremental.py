@@ -16,19 +16,12 @@ updates, then times, per update kind:
   canonical ``classify`` payload byte-equals the replay's (the speedup is
   only meaningful while the bytes match).
 
-Usage::
+Flags, envelope and ``--check`` come from :mod:`harness`.
 
-    PYTHONPATH=src python benchmarks/bench_incremental.py              # full grid
-    PYTHONPATH=src python benchmarks/bench_incremental.py --quick      # CI grid
-    PYTHONPATH=src python benchmarks/bench_incremental.py --quick \
-        --check BENCH_incremental.json --threshold 0.25                # CI gate
-
-JSON schema (``bench_incremental/v1``)::
+JSON schema (``bench_incremental/v1``) extras::
 
     {
-      "schema": "bench_incremental/v1",
-      "label": str, "quick": bool, "python": str, "platform": str,
-      "created": str, "dataset": "CRE", "history": int,
+      "dataset": "CRE", "history": int,
       "runs": [ {"dataset", "scale", "scale_factor", "kind", "mode",
                  "history_depth", "update_seconds", "rebuild_seconds",
                  "speedup", "identical"} ],
@@ -36,32 +29,21 @@ JSON schema (``bench_incremental/v1``)::
                   "speedup", "identical"}}
     }
 
-``--check`` re-measures the quick grid and gates on each shared cell's
-``speedup`` — both sides of the ratio measured in the same fresh run on the
-same machine, so hardware speed cancels — against the committed file's value,
-failing on a regression beyond ``--threshold``.
+``--check`` gates the ``rebuild_seconds / update_seconds`` speedup of each
+headline kind at the largest scale both files share — both sides measured
+in the same run on the same machine, so hardware speed cancels — and fails
+when a speedup drops more than ``--threshold``.  Any row whose delta and
+replay bytes differ fails the run outright.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
-import sys
 import time
-from datetime import datetime, timezone
-from typing import Any, Optional
+from typing import Any
 
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SRC = os.path.join(REPO_ROOT, "src")
-if SRC not in sys.path:
-    sys.path.insert(0, SRC)
-
-from repro.incremental import UpdateSpec, apply_update, replay_reference  # noqa: E402
-from repro.pipeline.workflow import analysis_payload, analyze_filter, prepare_dataset  # noqa: E402
-
-SCHEMA = "bench_incremental/v1"
+import harness
+from repro.incremental import UpdateSpec, apply_update, replay_reference
+from repro.pipeline.workflow import analysis_payload, analyze_filter, prepare_dataset
 
 DATASET = "CRE"
 #: Same scale ladder as ``bench_serve.py``; ``large`` is the acceptance cell
@@ -92,12 +74,8 @@ KIND_ORDER = list(KINDS)
 HEADLINE_KINDS = ("single_sample", "single_annotation")
 
 
-def canonical(payload: Any) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
 def _classify_bytes(bundle) -> str:
-    return canonical(analysis_payload(analyze_filter(bundle)))
+    return harness.canonical(analysis_payload(analyze_filter(bundle)))
 
 
 def _history_spec(step: int) -> UpdateSpec:
@@ -168,112 +146,46 @@ def _speedup_table(runs: list[dict[str, Any]]) -> dict[str, dict[str, Any]]:
     }
 
 
-def _headline_cells(table: dict[str, dict[str, Any]]) -> list[str]:
-    """The acceptance cells at the largest measured scale."""
+def gate_cells(runs: list[dict[str, Any]]) -> dict[str, tuple[float, float]]:
+    """Rebuild time over update time per headline kind, smallest scale first."""
+    by = {(row["scale"], row["kind"]): row for row in runs}
+    return {
+        f"{DATASET}/{scale}/{kind}": (
+            by[scale, kind]["rebuild_seconds"],
+            by[scale, kind]["update_seconds"],
+        )
+        for scale in SCALE_ORDER
+        for kind in HEADLINE_KINDS
+        if (scale, kind) in by
+    }
+
+
+def headline(shared: list[str]) -> list[str]:
+    """Every headline kind at the largest scale that has them all."""
     for scale in reversed(SCALE_ORDER):
         cells = [f"{DATASET}/{scale}/{kind}" for kind in HEADLINE_KINDS]
-        if all(cell in table for cell in cells):
+        if all(cell in shared for cell in cells):
             return cells
     return []
 
 
-def check_regression(
-    runs: list[dict[str, Any]], committed: dict[str, Any], threshold: float
-) -> int:
-    """Gate on the committed baseline, normalized for hardware speed.
-
-    The gated quantity is each headline cell's ``rebuild_seconds /
-    update_seconds`` speedup — numerator and denominator from the same fresh
-    run, so machine speed cancels — against the committed file's value for the
-    same cell.  A cell whose delta and replay bytes differ fails outright.
-    """
-    fresh = _speedup_table(runs)
-    for cell, entry in fresh.items():
-        if not entry["identical"]:
-            print(f"check: FAIL — {cell}: delta and replayed payloads differ", file=sys.stderr)
-            return 1
-    committed_table = committed.get("speedup", {})
-    shared = {c: fresh[c] for c in fresh if c in committed_table}
-    headline = _headline_cells(shared)
-    if not headline:
-        print("check: no shared headline cell between fresh and committed runs", file=sys.stderr)
-        return 2
-    status = 0
-    for cell in headline:
-        old = committed_table[cell]["speedup"]
-        new = shared[cell]["speedup"]
-        rel = new / old if old else float("inf")
-        print(
-            f"check: {cell}: committed {old}x, fresh {new}x, relative {rel:.2f}"
-        )
-        if rel < 1.0 - threshold:
-            print(
-                f"check: FAIL — {cell} delta speedup regressed "
-                f"{(1.0 - rel) * 100:.0f}% vs committed (> {threshold * 100:.0f}% allowed)",
-                file=sys.stderr,
-            )
-            status = 1
-    if status == 0:
-        print("check: OK")
-    return status
-
-
-def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true", help="small CI grid (tiny + small scales)")
-    parser.add_argument(
-        "--out",
-        default=None,
-        help="output JSON path (default BENCH_incremental.json, or "
-        "bench_incremental_fresh.json when --check is given so the committed "
-        "baseline is never clobbered)",
-    )
-    parser.add_argument("--label", default="delta-update", help="label for this variant")
-    parser.add_argument(
-        "--check",
-        metavar="FILE",
-        help="compare fresh headline speedups against a committed bench file",
-    )
-    parser.add_argument("--threshold", type=float, default=0.25, help="allowed regression for --check")
-    args = parser.parse_args(argv)
-
-    if args.out is None:
-        args.out = "bench_incremental_fresh.json" if args.check else "BENCH_incremental.json"
-    committed: Optional[dict[str, Any]] = None
-    if args.check:
-        with open(args.check, "r", encoding="utf-8") as fh:
-            committed = json.load(fh)
-
-    runs = run_grid(args.quick)
-    table = _speedup_table(runs)
-    for cell in _headline_cells(table):
-        entry = table[cell]
-        print(
-            f"headline {cell}: rebuild {entry['rebuild_seconds']:.3f}s → update "
-            f"{entry['update_seconds'] * 1000:.2f}ms ({entry['speedup']}x, "
-            f"identical={entry['identical']})"
-        )
-
-    payload: dict[str, Any] = {
-        "schema": SCHEMA,
-        "label": args.label,
-        "quick": args.quick,
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "created": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "dataset": DATASET,
-        "history": HISTORY,
-        "runs": runs,
-        "speedup": table,
-    }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {args.out} ({len(runs)} runs)")
-    if committed is not None:
-        return check_regression(runs, committed, args.threshold)
-    return 0
+BENCH = harness.Bench(
+    name="incremental",
+    label="delta-update",
+    description=__doc__.splitlines()[0],
+    run=run_grid,
+    cells=gate_cells,
+    gated="rebuild/update speedup",
+    higher_is_better=True,
+    headline=headline,
+    mismatches=lambda runs: [
+        f"{row['dataset']}/{row['scale']}/{row['kind']}: delta and replayed payloads differ"
+        for row in runs
+        if not row["identical"]
+    ],
+    extras=lambda runs: {"dataset": DATASET, "history": HISTORY, "speedup": _speedup_table(runs)},
+)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(harness.main(BENCH))

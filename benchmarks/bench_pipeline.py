@@ -3,59 +3,34 @@
 
 Times the three chordal filters (``sequential``, ``nocomm``, ``comm``) across
 dataset scales x vertex orderings x partition counts and writes the measured
-trajectory to ``BENCH_pipeline.json``.  Unlike ``bench_kernels.py`` (which
-isolates the MCS/DSW inner loops) this harness times the *whole* filter call —
+trajectory to ``BENCH_pipeline.json``.  It times the *whole* filter call —
 ordering, partitioning, per-rank subgraph construction, kernel, border
 admission and merge — because the paper's Figure 11 claim is about end-to-end
-filter latency.
+filter latency.  Flags, envelope and ``--check`` come from
+:mod:`harness`.
 
-Usage::
+JSON schema (``bench_pipeline/v1``) extras: ``runs`` rows are
+``{"filter", "scale", "n_vertices", "n_edges", "ordering", "n_partitions",
+"repeats", "seconds", "edges_kept"}`` with best-of-``repeats`` seconds.  The
+committed file also keeps a ``baseline`` / ``speedup`` section recording the
+index-native pipeline against the label pipeline it replaced.
 
-    PYTHONPATH=src python benchmarks/bench_pipeline.py                 # full grid
-    PYTHONPATH=src python benchmarks/bench_pipeline.py --quick         # CI grid
-    PYTHONPATH=src python benchmarks/bench_pipeline.py \
-        --merge-baseline old.json --out BENCH_pipeline.json            # keep before/after
-    PYTHONPATH=src python benchmarks/bench_pipeline.py --quick \
-        --check BENCH_pipeline.json --threshold 0.25                   # CI regression gate
-
-JSON schema (``bench_pipeline/v1``)::
-
-    {
-      "schema": "bench_pipeline/v1",
-      "label": "<pipeline variant being measured>",
-      "quick": bool, "python": str, "platform": str, "created": str,
-      "runs": [ {"filter", "scale", "n_vertices", "n_edges", "ordering",
-                 "n_partitions", "repeats", "seconds", "edges_kept"} ],
-      "baseline": {"label": str, "runs": [...]},        # when --merge-baseline
-      "speedup": {"<filter>/<scale>/<ordering>/P<n>":   # when --merge-baseline
-                  {"baseline_seconds", "seconds", "speedup", "edges_kept_match"}}
-    }
-
-``--check`` compares a fresh measurement of the no-communication filter at
-16 partitions / rcm ordering / the largest scale shared with the committed
-file, and exits non-zero when it regresses more than ``--threshold``
-(default 25%) over the committed one.  To stay meaningful across machines of
-different speeds, the gated quantity is *normalized*: the headline time
-divided by the same run's sequential/rcm/P1 time (see
-:func:`check_regression`); absolute times are printed for information only.
+``--check`` gates the *pipeline overhead ratio*: the nocomm / rcm / P16
+time divided by the same run's sequential / rcm / P1 time at the largest
+scale both files share.  Machine speed cancels; what remains is how much the
+parallel pipeline costs on top of one kernel pass.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import platform
-import sys
 import time
-from datetime import datetime, timezone
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
+import harness
 from repro.core.parallel_comm import parallel_chordal_comm_filter
 from repro.core.parallel_nocomm import parallel_chordal_nocomm_filter
 from repro.core.sequential import sequential_chordal_filter
 from repro.graph.generators import correlation_like_graph
-
-SCHEMA = "bench_pipeline/v1"
 
 #: Benchmark networks: correlation-like graphs at three sizes.  ``large`` is
 #: the scale the ISSUE's >=2x acceptance criterion is measured at.
@@ -150,149 +125,26 @@ def run_grid(quick: bool, verbose: bool = True) -> list[dict[str, Any]]:
     return runs
 
 
-def _key(row: dict[str, Any]) -> str:
-    return f"{row['filter']}/{row['scale']}/{row['ordering']}/P{row['n_partitions']}"
+def gate_cells(runs: list[dict[str, Any]]) -> dict[str, tuple[float, float]]:
+    """nocomm/rcm/P16 time over sequential/rcm/P1 time at each scale."""
+    by = {(r["filter"], r["scale"], r["ordering"], r["n_partitions"]): r["seconds"] for r in runs}
+    cells: dict[str, tuple[float, float]] = {}
+    for scale in SCALE_ORDER:
+        head, base = ("nocomm", scale, "rcm", 16), ("sequential", scale, "rcm", 1)
+        if head in by and base in by:
+            cells[f"nocomm/{scale}/rcm/P16"] = (by[head], by[base])
+    return cells
 
 
-def _speedup_table(
-    baseline_runs: list[dict[str, Any]], runs: list[dict[str, Any]]
-) -> dict[str, dict[str, Any]]:
-    base = {_key(r): r for r in baseline_runs}
-    table: dict[str, dict[str, Any]] = {}
-    for row in runs:
-        old = base.get(_key(row))
-        if old is None:
-            continue
-        table[_key(row)] = {
-            "baseline_seconds": old["seconds"],
-            "seconds": row["seconds"],
-            "speedup": round(old["seconds"] / row["seconds"], 3) if row["seconds"] else None,
-            "edges_kept_match": old["edges_kept"] == row["edges_kept"],
-        }
-    return table
-
-
-def _headline_key(runs: list[dict[str, Any]]) -> Optional[str]:
-    """The acceptance cell: nocomm / rcm / P=16 at the largest measured scale."""
-    for scale in reversed(SCALE_ORDER):
-        for row in runs:
-            if (
-                row["filter"] == "nocomm"
-                and row["scale"] == scale
-                and row["ordering"] == "rcm"
-                and row["n_partitions"] == 16
-            ):
-                return _key(row)
-    return None
-
-
-def check_regression(
-    runs: list[dict[str, Any]], committed: dict[str, Any], threshold: float
-) -> int:
-    """Gate on the committed baseline, normalized for hardware speed.
-
-    Absolute wall-clock measured on the committing machine is meaningless on
-    a CI runner of a different class, so the gated quantity is the *pipeline
-    overhead ratio*: the headline nocomm/rcm/P16 time divided by the same
-    run's sequential/rcm/P1 time at the same scale.  Machine speed cancels;
-    what remains is how much the parallel pipeline costs on top of one
-    kernel pass — exactly what this PR optimises.  Absolute times are
-    printed for information.
-    """
-    committed_runs = {_key(r): r for r in committed.get("runs", [])}
-    fresh = {_key(r): r for r in runs}
-    shared = [k for k in fresh if k in committed_runs]
-    headline = _headline_key([fresh[k] for k in shared])
-    if headline is None:
-        print("check: no shared nocomm/rcm/P16 cell between fresh and committed runs", file=sys.stderr)
-        return 2
-    scale = headline.split("/")[1]
-    seq_key = f"sequential/{scale}/rcm/P1"
-    if seq_key not in fresh or seq_key not in committed_runs:
-        print(f"check: missing {seq_key} cell needed for normalization", file=sys.stderr)
-        return 2
-    old_abs, new_abs = committed_runs[headline]["seconds"], fresh[headline]["seconds"]
-    old_ratio = old_abs / committed_runs[seq_key]["seconds"]
-    new_ratio = new_abs / fresh[seq_key]["seconds"]
-    rel = new_ratio / old_ratio if old_ratio else float("inf")
-    print(
-        f"check: {headline}: committed {old_abs:.4f}s, fresh {new_abs:.4f}s "
-        f"(absolute, informational)"
-    )
-    print(
-        f"check: overhead vs {seq_key}: committed {old_ratio:.2f}x, "
-        f"fresh {new_ratio:.2f}x, relative {rel:.2f}"
-    )
-    if rel > 1.0 + threshold:
-        print(
-            f"check: FAIL — end-to-end nocomm 16P pipeline overhead regressed "
-            f"{(rel - 1.0) * 100:.0f}% (> {threshold * 100:.0f}% allowed)",
-            file=sys.stderr,
-        )
-        return 1
-    print("check: OK")
-    return 0
-
-
-def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true", help="small CI grid (2 scales, 2 orderings)")
-    parser.add_argument(
-        "--out",
-        default=None,
-        help="output JSON path (default BENCH_pipeline.json, or "
-        "bench_pipeline_fresh.json when --check is given so the committed "
-        "baseline is never clobbered by a check run)",
-    )
-    parser.add_argument("--label", default="index-native", help="label for this pipeline variant")
-    parser.add_argument(
-        "--merge-baseline",
-        metavar="FILE",
-        help="embed a previously measured bench file as the 'baseline' section and emit speedups",
-    )
-    parser.add_argument(
-        "--check",
-        metavar="FILE",
-        help="compare the fresh nocomm/rcm/P16 time against a committed bench file",
-    )
-    parser.add_argument("--threshold", type=float, default=0.25, help="allowed regression for --check")
-    args = parser.parse_args(argv)
-
-    if args.out is None:
-        args.out = "bench_pipeline_fresh.json" if args.check else "BENCH_pipeline.json"
-    committed: Optional[dict[str, Any]] = None
-    if args.check:
-        # Load before writing: --out and --check may still name the same file.
-        with open(args.check, "r", encoding="utf-8") as fh:
-            committed = json.load(fh)
-
-    runs = run_grid(args.quick)
-
-    payload: dict[str, Any] = {
-        "schema": SCHEMA,
-        "label": args.label,
-        "quick": args.quick,
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "created": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "runs": runs,
-    }
-    if args.merge_baseline:
-        with open(args.merge_baseline, "r", encoding="utf-8") as fh:
-            baseline = json.load(fh)
-        payload["baseline"] = {"label": baseline.get("label", "baseline"), "runs": baseline["runs"]}
-        payload["speedup"] = _speedup_table(baseline["runs"], runs)
-        headline = _headline_key(runs)
-        if headline and headline in payload["speedup"]:
-            print(f"headline {headline}: {payload['speedup'][headline]['speedup']}x")
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {args.out} ({len(runs)} runs)")
-    if committed is not None:
-        return check_regression(runs, committed, args.threshold)
-    return 0
+BENCH = harness.Bench(
+    name="pipeline",
+    label="index-native",
+    description=__doc__.splitlines()[0],
+    run=run_grid,
+    cells=gate_cells,
+    gated="overhead vs sequential/rcm/P1",
+)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(harness.main(BENCH))

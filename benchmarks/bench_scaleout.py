@@ -19,55 +19,40 @@ trajectory to ``BENCH_scaleout.json``:
   the seeded ring-chord edge stream at ~100× the ``large`` filter scale,
   the graph size the in-RAM generators cannot reach.
 
-Usage::
+Flags, envelope and ``--check`` come from :mod:`harness`.
 
-    PYTHONPATH=src python benchmarks/bench_scaleout.py             # full grid
-    PYTHONPATH=src python benchmarks/bench_scaleout.py --quick     # CI grid
-    PYTHONPATH=src python benchmarks/bench_scaleout.py --quick \
-        --check BENCH_scaleout.json --threshold 0.25               # CI gate
-
-JSON schema (``bench_scaleout/v1``)::
+JSON schema (``bench_scaleout/v1``) extras::
 
     {
-      "schema": "bench_scaleout/v1",
-      "label": str, "quick": bool, "python": str, "platform": str,
-      "cpu_count": int, "created": str,
       "runs": [ {"cell", "op", ..., "seconds"} ],
       "headline": {"attach_speedup", "sock_cell", "sock_seconds",
                    "shm_seconds", "edges_kept_identical",
                    "huge_n_vertices", "huge_build_seconds"}
     }
 
-``--check`` gates on the *hardware-normalized* socket-transport overhead:
-the ``process-sock`` time divided by the same run's ``serial`` P1 time.
-Machine speed cancels; the gate fails when that ratio regresses more than
-``--threshold`` (default 25%) against the committed file, or when the two
+``--check`` gates the *hardware-normalized* socket-transport overhead:
+the ``process-sock`` time divided by the same run's ``serial`` P1 time at
+the largest scale both files share.  The run fails outright when the two
 transports disagree on ``edges_kept``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import platform
 import shutil
 import statistics
-import sys
 import tempfile
 import time
-from datetime import datetime, timezone
-from multiprocessing import cpu_count
 from typing import Any, Optional
 
 import numpy as np
 
+import harness
 from repro.core.parallel_nocomm import parallel_chordal_nocomm_filter
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import correlation_like_graph, ring_chord_edge_stream
 from repro.parallel.runner import shutdown_worker_pool
 from repro.parallel.shm import SharedArena, arena_scope
 
-SCHEMA = "bench_scaleout/v1"
 ORDERING = "rcm"
 
 #: Filter scales, aligned with bench_parallel.py so trajectories compare.
@@ -128,27 +113,24 @@ def bench_arena(quick: bool) -> list[dict[str, Any]]:
     ]
 
 
-def bench_transports(quick: bool) -> tuple[list[dict[str, Any]], bool]:
+def bench_transports(quick: bool) -> list[dict[str, Any]]:
     """nocomm filter per scale: serial base, process-shm and process-sock at P4."""
     scales = ["medium"] if quick else ["medium", "large"]
-    backends = [("serial", 1), ("process-shm", 4), ("process-sock", 4)]
+    backends = {"serial": 1, "process-shm": 4, "process-sock": 4}
     repeats = 3 if quick else 5
     rows: list[dict[str, Any]] = []
-    consistent = True
     with arena_scope():
         for scale in scales:
             g = correlation_like_graph(seed=7, **SCALES[scale])
-            times: dict[str, list[float]] = {b: [] for b, _ in backends}
-            kept: dict[str, int] = {}
-            for rep in range(repeats):
-                ordered = backends if rep % 2 == 0 else list(reversed(backends))
-                for backend, P in ordered:
-                    t0 = time.perf_counter()
-                    result = parallel_chordal_nocomm_filter(
-                        g, P, ordering=ORDERING, backend=backend
+            seconds, results = harness.interleaved_medians(
+                {
+                    b: lambda b=b, P=P: parallel_chordal_nocomm_filter(
+                        g, P, ordering=ORDERING, backend=b
                     )
-                    times[backend].append(time.perf_counter() - t0)
-                    kept[backend] = result.n_edges_kept
+                    for b, P in backends.items()
+                },
+                repeats,
+            )
             rows += [
                 {
                     "cell": "transport",
@@ -158,20 +140,13 @@ def bench_transports(quick: bool) -> tuple[list[dict[str, Any]], bool]:
                     "n_vertices": g.n_vertices,
                     "n_edges": g.n_edges,
                     "repeats": repeats,
-                    "seconds": round(statistics.median(times[backend]), 6),
-                    "edges_kept": kept[backend],
+                    "seconds": round(seconds[backend], 6),
+                    "edges_kept": results[backend].n_edges_kept,
                 }
-                for backend, P in backends
+                for backend, P in backends.items()
             ]
-            # serial runs at P=1, so its kept set legitimately differs; the
-            # identity pin is between the transports sharing the P=4 grid.
-            if kept["process-shm"] != kept["process-sock"]:
-                consistent = False
-                print(
-                    f"INCONSISTENT edges_kept at {scale}: {kept}", file=sys.stderr
-                )
     shutdown_worker_pool()
-    return rows, consistent
+    return rows
 
 
 def bench_huge(quick: bool) -> list[dict[str, Any]]:
@@ -233,122 +208,58 @@ def _headline(runs: list[dict[str, Any]]) -> dict[str, Any]:
     }
 
 
-def check_regression(
-    runs: list[dict[str, Any]], committed: dict[str, Any], threshold: float
-) -> int:
-    """Gate the normalized socket-transport overhead against the baseline."""
-    committed_cpus = committed.get("cpu_count")
-    if committed_cpus is not None and committed_cpus != cpu_count():
-        print(
-            f"check: WARNING — committed baseline measured with cpu_count="
-            f"{committed_cpus}, this machine has {cpu_count()}; normalized "
-            f"ratios shift with core topology, so treat this gate as coarse",
-            file=sys.stderr,
-        )
-    old = _by_cell_op(committed.get("runs", []))
-    new = _by_cell_op(runs)
-    shared = [
-        scale
-        for scale in SCALES
-        if all(
-            f"transport/{scale}/{op}" in table
-            for op in ("process-sock", "serial")
-            for table in (old, new)
-        )
-    ]
-    if not shared:
-        print("check: no shared transport scale between baseline and fresh run", file=sys.stderr)
-        return 2
-    scale = shared[-1]
-    old_ratio = (
-        old[f"transport/{scale}/process-sock"]["seconds"]
-        / old[f"transport/{scale}/serial"]["seconds"]
-    )
-    new_ratio = (
-        new[f"transport/{scale}/process-sock"]["seconds"]
-        / new[f"transport/{scale}/serial"]["seconds"]
-    )
-    rel = new_ratio / old_ratio if old_ratio else float("inf")
-    print(
-        f"check: process-sock overhead vs serial P1 at {scale}: committed "
-        f"{old_ratio:.2f}x, fresh {new_ratio:.2f}x, relative {rel:.2f}"
-    )
-    if rel > 1.0 + threshold:
-        print(
-            f"check: FAIL — socket-transport overhead regressed "
-            f"{(rel - 1.0) * 100:.0f}% (> {threshold * 100:.0f}% allowed)",
-            file=sys.stderr,
-        )
-        return 1
-    print("check: OK")
-    return 0
-
-
-def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true", help="small CI grid")
-    parser.add_argument(
-        "--out",
-        default=None,
-        help="output JSON path (default BENCH_scaleout.json, or "
-        "bench_scaleout_fresh.json when --check is given)",
-    )
-    parser.add_argument("--label", default="scaleout-runtime", help="label for this variant")
-    parser.add_argument(
-        "--check",
-        metavar="FILE",
-        help="compare the fresh normalized process-sock overhead against a committed file",
-    )
-    parser.add_argument("--threshold", type=float, default=0.25, help="allowed regression for --check")
-    args = parser.parse_args(argv)
-
-    if args.out is None:
-        args.out = "bench_scaleout_fresh.json" if args.check else "BENCH_scaleout.json"
-    committed: Optional[dict[str, Any]] = None
-    if args.check:
-        with open(args.check, "r", encoding="utf-8") as fh:
-            committed = json.load(fh)
-
-    runs = bench_arena(args.quick)
-    transport_rows, consistent = bench_transports(args.quick)
-    runs += transport_rows
-    runs += bench_huge(args.quick)
+def run_grid(quick: bool) -> list[dict[str, Any]]:
+    runs = bench_arena(quick) + bench_transports(quick) + bench_huge(quick)
     for row in runs:
         print(
             f"{row['cell']:>9} {row['op']:>17} {row['seconds']:8.4f}s"
             + (f"  kept={row['edges_kept']}" if "edges_kept" in row else ""),
             flush=True,
         )
-    headline = _headline(runs)
-    print(
-        f"headline: attach speedup {headline['attach_speedup']}x, "
-        f"{headline['sock_cell']} sock {headline['sock_seconds']:.4f}s vs "
-        f"shm {headline['shm_seconds']:.4f}s, huge({headline['huge_n_vertices']}) "
-        f"build {headline['huge_build_seconds']:.4f}s"
-    )
+    return runs
 
-    payload: dict[str, Any] = {
-        "schema": SCHEMA,
-        "label": args.label,
-        "quick": args.quick,
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "cpu_count": cpu_count(),
-        "created": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "runs": runs,
-        "headline": headline,
-    }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {args.out} ({len(runs)} runs)")
-    if not consistent:
-        print("FAIL: edges_kept differed between transports", file=sys.stderr)
-        return 1
-    if committed is not None:
-        return check_regression(runs, committed, args.threshold)
-    return 0
+
+def gate_cells(runs: list[dict[str, Any]]) -> dict[str, tuple[float, float]]:
+    """process-sock P4 time over serial P1 time at each transport scale."""
+    by = _by_cell_op(runs)
+    cells: dict[str, tuple[float, float]] = {}
+    for scale in SCALES:
+        head, base = f"transport/{scale}/process-sock", f"transport/{scale}/serial"
+        if head in by and base in by:
+            cells[head] = (by[head]["seconds"], by[base]["seconds"])
+    return cells
+
+
+def mismatches(runs: list[dict[str, Any]]) -> list[str]:
+    """Scales where the two P4 transports disagree on ``edges_kept``.
+
+    serial runs at P=1, so its kept set legitimately differs; the identity
+    pin is between the transports sharing the P=4 grid.
+    """
+    by = _by_cell_op(runs)
+    out = []
+    for scale in SCALES:
+        shm = by.get(f"transport/{scale}/process-shm")
+        sock = by.get(f"transport/{scale}/process-sock")
+        if shm and sock and shm["edges_kept"] != sock["edges_kept"]:
+            out.append(
+                f"edges_kept differs at {scale}: process-shm {shm['edges_kept']}, "
+                f"process-sock {sock['edges_kept']}"
+            )
+    return out
+
+
+BENCH = harness.Bench(
+    name="scaleout",
+    label="scaleout-runtime",
+    description=__doc__.splitlines()[0],
+    run=run_grid,
+    cells=gate_cells,
+    gated="overhead vs serial/P1",
+    mismatches=mismatches,
+    extras=lambda runs: {"headline": _headline(runs)},
+)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(harness.main(BENCH))

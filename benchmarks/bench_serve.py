@@ -18,19 +18,12 @@ times, per op (``classify`` is the headline, ``filter`` for context):
 Cold and warm responses are byte-compared in every cell (the ``identical``
 flag) — the speedup is only meaningful while the bytes match.
 
-Usage::
+Flags, envelope and ``--check`` come from :mod:`harness`.
 
-    PYTHONPATH=src python benchmarks/bench_serve.py                # full grid
-    PYTHONPATH=src python benchmarks/bench_serve.py --quick        # CI grid
-    PYTHONPATH=src python benchmarks/bench_serve.py --quick \
-        --check BENCH_serve.json --threshold 0.25                  # CI gate
-
-JSON schema (``bench_serve/v1``)::
+JSON schema (``bench_serve/v1``) extras::
 
     {
-      "schema": "bench_serve/v1",
-      "label": str, "quick": bool, "python": str, "platform": str,
-      "created": str, "dataset": "CRE",
+      "dataset": "CRE",
       "server": {"workers", "cache_size"},
       "runs": [ {"dataset", "scale", "scale_factor", "op", "cold_seconds",
                  "warm_miss_seconds", "warm_hit_p50", "warm_hit_p99",
@@ -40,32 +33,23 @@ JSON schema (``bench_serve/v1``)::
                   "speedup_p50", "miss_speedup", "identical"}}
     }
 
-``--check`` re-measures the quick grid and gates on the headline cell's
-``warm_hit_p50 / cold_seconds`` ratio — both sides of the ratio measured in
-the same fresh run on the same machine, so hardware speed cancels — against
-the committed file's ratio, failing on a regression beyond ``--threshold``.
+``--check`` gates the classify cell's ``warm_hit_p50 / cold_seconds``
+ratio at the largest scale both files share — both sides measured in the
+same run on the same machine, so hardware speed cancels.  Any row
+(``filter`` or ``classify``) whose served and cold bytes differ fails the
+run outright.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
-import platform
 import subprocess
 import sys
 import time
-from datetime import datetime, timezone
-from typing import Any, Optional
+from typing import Any
 
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SRC = os.path.join(REPO_ROOT, "src")
-if SRC not in sys.path:
-    sys.path.insert(0, SRC)
-
-from repro.serve import ReproServer, ServeClient  # noqa: E402
-
-SCHEMA = "bench_serve/v1"
+import harness
+from repro.serve import ReproServer, ServeClient
 
 DATASET = "CRE"
 #: Same scale ladder as ``bench_workflow.py``; ``large`` is the acceptance
@@ -84,10 +68,6 @@ SERVER = dict(workers=2, cache_size=256)
 HIT_REQUESTS = 20
 
 
-def canonical(payload: Any) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
 def _percentile(sorted_values: list[float], q: float) -> float:
     if not sorted_values:
         return float("nan")
@@ -103,7 +83,7 @@ def _cold_cli(op: str, scale_factor: float) -> tuple[float, str]:
         "--dataset", DATASET, "--scale", str(scale_factor), "--json",
     ]
     env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + (
+    env["PYTHONPATH"] = harness.SRC + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
     t0 = time.perf_counter()
@@ -128,7 +108,7 @@ def _warm_requests(
         response = client.request(op, **params)
         hits.append(time.perf_counter() - t0)
         assert response["ok"] and response["cached"] is True, response
-    return miss_seconds, sorted(hits), canonical(first["result"])
+    return miss_seconds, sorted(hits), harness.canonical(first["result"])
 
 
 def run_grid(quick: bool, verbose: bool = True) -> list[dict[str, Any]]:
@@ -194,119 +174,31 @@ def _speedup_table(runs: list[dict[str, Any]]) -> dict[str, dict[str, Any]]:
     return table
 
 
-def _headline_cell(table: dict[str, dict[str, Any]]) -> Optional[str]:
-    """The acceptance cell: the largest measured scale (CRE/large classify)."""
-    for scale in reversed(SCALE_ORDER):
-        cell = f"{DATASET}/{scale}"
-        if cell in table:
-            return cell
-    return None
-
-
-def check_regression(
-    runs: list[dict[str, Any]], committed: dict[str, Any], threshold: float
-) -> int:
-    """Gate on the committed baseline, normalized for hardware speed.
-
-    The gated quantity is the headline cell's ``warm_hit_p50 / cold_seconds``
-    ratio — numerator and denominator from the same fresh run, so machine
-    speed cancels — against the committed file's ratio for the same cell.
-    A cell whose warm and cold bytes differ fails outright.
-    """
-    fresh = _speedup_table(runs)
-    for cell, entry in fresh.items():
-        if not entry["identical"]:
-            print(f"check: FAIL — {cell}: served and cold payloads differ", file=sys.stderr)
-            return 1
-    committed_table = committed.get("speedup", {})
-    shared = {c: fresh[c] for c in fresh if c in committed_table}
-    headline = _headline_cell(shared)
-    if headline is None:
-        print("check: no shared cell between fresh and committed runs", file=sys.stderr)
-        return 2
-    old = committed_table[headline]
-    new = shared[headline]
-    old_ratio = old["warm_hit_p50"] / old["cold_seconds"]
-    new_ratio = new["warm_hit_p50"] / new["cold_seconds"]
-    rel = new_ratio / old_ratio if old_ratio else float("inf")
-    print(
-        f"check: {headline}: committed warm p50 {old['warm_hit_p50'] * 1000:.2f}ms / "
-        f"cold {old['cold_seconds']:.3f}s, fresh warm p50 "
-        f"{new['warm_hit_p50'] * 1000:.2f}ms / cold {new['cold_seconds']:.3f}s "
-        f"(absolute, informational)"
-    )
-    print(
-        f"check: warm/cold ratio: committed {old_ratio:.5f}, fresh {new_ratio:.5f}, "
-        f"relative {rel:.2f}"
-    )
-    if rel > 1.0 + threshold:
-        print(
-            f"check: FAIL — warm serving regressed {(rel - 1.0) * 100:.0f}% vs the "
-            f"cold CLI (> {threshold * 100:.0f}% allowed)",
-            file=sys.stderr,
-        )
-        return 1
-    print("check: OK")
-    return 0
-
-
-def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true", help="small CI grid (tiny + small scales)")
-    parser.add_argument(
-        "--out",
-        default=None,
-        help="output JSON path (default BENCH_serve.json, or bench_serve_fresh.json "
-        "when --check is given so the committed baseline is never clobbered)",
-    )
-    parser.add_argument("--label", default="warm-serve", help="label for this variant")
-    parser.add_argument(
-        "--check",
-        metavar="FILE",
-        help="compare the fresh headline warm/cold ratio against a committed bench file",
-    )
-    parser.add_argument("--threshold", type=float, default=0.25, help="allowed regression for --check")
-    args = parser.parse_args(argv)
-
-    if args.out is None:
-        args.out = "bench_serve_fresh.json" if args.check else "BENCH_serve.json"
-    committed: Optional[dict[str, Any]] = None
-    if args.check:
-        with open(args.check, "r", encoding="utf-8") as fh:
-            committed = json.load(fh)
-
-    runs = run_grid(args.quick)
-    table = _speedup_table(runs)
-    headline = _headline_cell(table)
-    if headline:
-        entry = table[headline]
-        print(
-            f"headline {headline} classify: cold {entry['cold_seconds']:.3f}s → warm p50 "
-            f"{entry['warm_hit_p50'] * 1000:.2f}ms ({entry['speedup_p50']}x), "
-            f"miss {entry['warm_miss_seconds']:.3f}s ({entry['miss_speedup']}x), "
-            f"{entry['req_per_s']} req/s (identical={entry['identical']})"
-        )
-
-    payload: dict[str, Any] = {
-        "schema": SCHEMA,
-        "label": args.label,
-        "quick": args.quick,
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "created": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "dataset": DATASET,
-        "server": SERVER,
-        "runs": runs,
-        "speedup": table,
+def gate_cells(runs: list[dict[str, Any]]) -> dict[str, tuple[float, float]]:
+    """classify warm-hit p50 over cold CLI seconds at each scale."""
+    by = {row["scale"]: row for row in runs if row["op"] == "classify"}
+    return {
+        f"{DATASET}/{scale}": (by[scale]["warm_hit_p50"], by[scale]["cold_seconds"])
+        for scale in SCALE_ORDER
+        if scale in by
     }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {args.out} ({len(runs)} runs)")
-    if committed is not None:
-        return check_regression(runs, committed, args.threshold)
-    return 0
+
+
+BENCH = harness.Bench(
+    name="serve",
+    label="warm-serve",
+    description=__doc__.splitlines()[0],
+    run=run_grid,
+    cells=gate_cells,
+    gated="warm-hit p50/cold CLI time",
+    mismatches=lambda runs: [
+        f"{row['dataset']}/{row['scale']} {row['op']}: served and cold payloads differ"
+        for row in runs
+        if not row["identical"]
+    ],
+    extras=lambda runs: {"dataset": DATASET, "server": SERVER, "speedup": _speedup_table(runs)},
+)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(harness.main(BENCH))

@@ -24,19 +24,11 @@ time after PR 2.  Every cell runs both implementations on the same study and
 asserts their cluster member sets, scores and quadrant counts are identical
 (the ``clusters_match`` flag in the JSON).
 
-Usage::
+Flags, envelope and ``--check`` come from :mod:`harness`.
 
-    PYTHONPATH=src python benchmarks/bench_workflow.py                 # full grid
-    PYTHONPATH=src python benchmarks/bench_workflow.py --quick         # CI grid
-    PYTHONPATH=src python benchmarks/bench_workflow.py --quick \
-        --check BENCH_workflow.json --threshold 0.25                   # CI gate
-
-JSON schema (``bench_workflow/v1``)::
+JSON schema (``bench_workflow/v1``) extras::
 
     {
-      "schema": "bench_workflow/v1",
-      "label": "<variant being measured>",
-      "quick": bool, "python": str, "platform": str, "created": str,
       "dataset": "CRE",
       "filter": {"method", "ordering", "n_partitions"},
       "runs": [ {"dataset", "scale", "scale_factor", "impl", "n_vertices",
@@ -46,28 +38,22 @@ JSON schema (``bench_workflow/v1``)::
                   {"label_seconds", "csr_seconds", "speedup", "clusters_match"}}
     }
 
-``--check`` re-measures the smallest grid and gates on the *speedup ratio* at
-the largest shared scale: the fresh ``csr_seconds / label_seconds`` ratio is
-compared against the committed file's ratio for the same cell, and the run
-fails when it regresses more than ``--threshold`` (default 25%).  Both
-implementations are measured in the same process on the same machine, so
-hardware speed cancels exactly — the same normalization idea as
-``bench_pipeline.py --check``.
+``--check`` gates the ``csr_seconds / label_seconds`` ratio at the largest
+scale both files share.  Both implementations are measured in the same
+process on the same machine, so hardware speed cancels exactly.  A cell
+whose implementations disagree on cluster output fails the run outright.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
-import platform
-import sys
 import time
-from datetime import datetime, timezone
 from typing import Any, Callable, Optional
 
 import numpy as np
 
+import harness
 from repro.clustering import (
     mcode_clusters,
     match_and_lost_clusters,
@@ -88,8 +74,6 @@ from repro.expression.correlation import (
 from repro.graph import Graph
 from repro.ontology.enrichment import EnrichmentScorer
 from repro.ontology.generator import make_study_ontology
-
-SCHEMA = "bench_workflow/v1"
 
 DATASET = "CRE"
 #: Benchmark scales: fractions of the paper-sized CRE study.  ``large`` is
@@ -337,118 +321,31 @@ def _speedup_table(runs: list[dict[str, Any]]) -> dict[str, dict[str, Any]]:
     return table
 
 
-def _headline_cell(table: dict[str, dict[str, Any]]) -> Optional[str]:
-    """The acceptance cell: the largest measured scale with both impls."""
-    for scale in reversed(SCALE_ORDER):
-        cell = f"{DATASET}/{scale}"
-        if cell in table:
-            return cell
-    return None
-
-
-def check_regression(
-    runs: list[dict[str, Any]], committed: dict[str, Any], threshold: float
-) -> int:
-    """Gate on the committed baseline, normalized for hardware speed.
-
-    The gated quantity is the headline cell's ``csr_seconds / label_seconds``
-    ratio — both measured in the same fresh run, so machine speed cancels —
-    compared against the committed file's ratio for the same cell.  A cell
-    whose implementations disagree on cluster output fails outright.
-    """
-    fresh = _speedup_table(runs)
-    for cell, entry in fresh.items():
-        if not entry["clusters_match"]:
-            print(f"check: FAIL — {cell}: label and csr cluster outputs differ", file=sys.stderr)
-            return 1
-    committed_table = committed.get("speedup", {})
-    shared = {c: fresh[c] for c in fresh if c in committed_table}
-    headline = _headline_cell(shared)
-    if headline is None:
-        print("check: no shared cell between fresh and committed runs", file=sys.stderr)
-        return 2
-    old = committed_table[headline]
-    new = shared[headline]
-    old_ratio = old["csr_seconds"] / old["label_seconds"]
-    new_ratio = new["csr_seconds"] / new["label_seconds"]
-    rel = new_ratio / old_ratio if old_ratio else float("inf")
-    print(
-        f"check: {headline}: committed csr {old['csr_seconds']:.3f}s / label "
-        f"{old['label_seconds']:.3f}s, fresh csr {new['csr_seconds']:.3f}s / "
-        f"label {new['label_seconds']:.3f}s (absolute, informational)"
-    )
-    print(
-        f"check: csr/label ratio: committed {old_ratio:.3f}, fresh {new_ratio:.3f}, "
-        f"relative {rel:.2f}"
-    )
-    if rel > 1.0 + threshold:
-        print(
-            f"check: FAIL — index-native workflow regressed "
-            f"{(rel - 1.0) * 100:.0f}% vs the label baseline "
-            f"(> {threshold * 100:.0f}% allowed)",
-            file=sys.stderr,
-        )
-        return 1
-    print("check: OK")
-    return 0
-
-
-def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true", help="small CI grid (tiny + small scales)")
-    parser.add_argument(
-        "--out",
-        default=None,
-        help="output JSON path (default BENCH_workflow.json, or "
-        "bench_workflow_fresh.json when --check is given so the committed "
-        "baseline is never clobbered by a check run)",
-    )
-    parser.add_argument("--label", default="index-native-analysis", help="label for this variant")
-    parser.add_argument(
-        "--check",
-        metavar="FILE",
-        help="compare the fresh headline csr/label ratio against a committed bench file",
-    )
-    parser.add_argument("--threshold", type=float, default=0.25, help="allowed regression for --check")
-    args = parser.parse_args(argv)
-
-    if args.out is None:
-        args.out = "bench_workflow_fresh.json" if args.check else "BENCH_workflow.json"
-    committed: Optional[dict[str, Any]] = None
-    if args.check:
-        with open(args.check, "r", encoding="utf-8") as fh:
-            committed = json.load(fh)
-
-    runs = run_grid(args.quick)
+def gate_cells(runs: list[dict[str, Any]]) -> dict[str, tuple[float, float]]:
+    """csr time over label time at each scale."""
     table = _speedup_table(runs)
-    headline = _headline_cell(table)
-    if headline:
-        entry = table[headline]
-        print(
-            f"headline {headline}: {entry['speedup']}x "
-            f"(clusters_match={entry['clusters_match']})"
-        )
-
-    payload: dict[str, Any] = {
-        "schema": SCHEMA,
-        "label": args.label,
-        "quick": args.quick,
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "created": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "dataset": DATASET,
-        "filter": FILTER,
-        "runs": runs,
-        "speedup": table,
+    return {
+        cell: (table[cell]["csr_seconds"], table[cell]["label_seconds"])
+        for cell in (f"{DATASET}/{scale}" for scale in SCALE_ORDER)
+        if cell in table
     }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {args.out} ({len(runs)} runs)")
-    if committed is not None:
-        return check_regression(runs, committed, args.threshold)
-    return 0
+
+
+BENCH = harness.Bench(
+    name="workflow",
+    label="index-native-analysis",
+    description=__doc__.splitlines()[0],
+    run=run_grid,
+    cells=gate_cells,
+    gated="csr/label time",
+    mismatches=lambda runs: [
+        f"{cell}: label and csr cluster outputs differ"
+        for cell, entry in _speedup_table(runs).items()
+        if not entry["clusters_match"]
+    ],
+    extras=lambda runs: {"dataset": DATASET, "filter": FILTER, "speedup": _speedup_table(runs)},
+)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(harness.main(BENCH))

@@ -1,10 +1,10 @@
-"""Shared configuration for the benchmark harness.
+"""Shared pytest configuration for the figure benchmarks.
 
 Each ``bench_figXX_*.py`` file regenerates one table/figure of the paper's
-evaluation section (see DESIGN.md §4 for the index and EXPERIMENTS.md for the
-measured outputs).  Dataset bundles are memoised inside
-:mod:`repro.pipeline.experiments`, so figures sharing a dataset do not pay for
-it twice within one pytest session.
+evaluation section; README.md ("Reproduction guide: benchmarks ↔ paper
+figures") maps each file to its figure and driver.  Dataset bundles are
+memoised inside :mod:`repro.pipeline.experiments`, so figures sharing a
+dataset do not pay for it twice within one pytest session.
 
 The dataset scale defaults to ``repro.pipeline.experiments.default_scale()``
 (0.10 — a few thousand genes); set ``REPRO_SCALE=1.0`` to run at the paper's
