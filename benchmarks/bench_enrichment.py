@@ -16,10 +16,10 @@ implementations and writes the measured trajectory to
   BFS and memoised in the packed-key pair table, per-edge winners by segment
   max, per-cluster aggregates by segment reductions.
 
-In the full (non ``--quick``) grid the batched engine is additionally timed
-under its parallel pair backends (``thread``, ``process-shm``) as
-informational rows — the term-space arrays ship once through a
-``SharedArena``.
+Both run serially in-process; every row records ``backend: "serial"``.
+Committed files may still carry ``thread`` / ``process-shm`` rows from the
+scorer's former parallel pair fan-out; the gate and speedup table read only
+the serial rows.
 
 Every cell asserts the two implementations produce byte-identical score
 vectors (``score_digest``: sha256 over per-cluster AEES / max score /
@@ -79,9 +79,6 @@ SCALE_ORDER = ["tiny", "small", "medium", "large"]
 
 FILTER = dict(method="chordal", ordering="natural", n_partitions=4)
 
-#: Informational parallel backends measured in the full grid.
-EXTRA_BACKENDS = ["thread", "process-shm"]
-
 
 def build_workload(scale_factor: float) -> dict[str, Any]:
     """The classify-stage scoring workload of one cell (built once, untimed).
@@ -114,7 +111,7 @@ def score_digest(scores: Any) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def run_impl(workload: dict[str, Any], impl: str, backend: str) -> dict[str, Any]:
+def run_impl(workload: dict[str, Any], impl: str) -> dict[str, Any]:
     """One timed scoring pass; a fresh ontology + scorer per call so index
     construction and pair-table fills are part of what is measured."""
     stages: dict[str, float] = {}
@@ -129,7 +126,7 @@ def run_impl(workload: dict[str, Any], impl: str, backend: str) -> dict[str, Any
     dag, annotations = make_study_ontology(workload["study"], depth=8, branching=3)
     lap("ontology")
     engine = "reference" if impl == "label" else "batched"
-    scorer = EnrichmentScorer(dag, annotations, engine=engine, backend=backend)
+    scorer = EnrichmentScorer(dag, annotations, engine=engine)
     if engine == "batched":
         # Interning is the engine's one-off cost; lap it separately.
         dag.term_index()
@@ -139,14 +136,12 @@ def run_impl(workload: dict[str, Any], impl: str, backend: str) -> dict[str, Any
     lap("score")
     digest = score_digest(scores)
     lap("digest")
-    distinct = scorer.pair_table_size
-    scorer.close()
     return {
         "stages": stages,
         "digest": digest,
         "n_clusters": len(workload["graphs"]),
         "n_edges": int(scores.n_edges.sum()),
-        "distinct_pairs": distinct,
+        "distinct_pairs": scorer.pair_table_size,
         # The timed portion excludes the (identical) ontology generation.
         "seconds": sum(v for k, v in stages.items() if k != "ontology"),
     }
@@ -158,10 +153,7 @@ def run_grid(quick: bool, verbose: bool = True) -> list[dict[str, Any]]:
     for scale in scales:
         factor = SCALES[scale]
         workload = build_workload(factor)
-        cells = [("label", "serial"), ("batched", "serial")]
-        if not quick:
-            cells += [("batched", b) for b in EXTRA_BACKENDS]
-        for impl, backend in cells:
+        for impl in ("label", "batched"):
             # The batched leg is tens of milliseconds — best-of-3 keeps the
             # gated ratio stable on noisy CI runners; the label leg is
             # seconds, so one repeat suffices at the big scales.
@@ -171,7 +163,7 @@ def run_grid(quick: bool, verbose: bool = True) -> list[dict[str, Any]]:
                 repeats = 2 if scale in ("tiny", "small") else 1
             best: Optional[dict[str, Any]] = None
             for _ in range(repeats):
-                out = run_impl(workload, impl, backend)
+                out = run_impl(workload, impl)
                 if best is None or out["seconds"] < best["seconds"]:
                     best = out
             assert best is not None
@@ -180,7 +172,7 @@ def run_grid(quick: bool, verbose: bool = True) -> list[dict[str, Any]]:
                 "scale": scale,
                 "scale_factor": factor,
                 "impl": impl,
-                "backend": backend,
+                "backend": "serial",
                 "n_clusters": best["n_clusters"],
                 "n_edges": best["n_edges"],
                 "distinct_pairs": best["distinct_pairs"],
@@ -192,7 +184,7 @@ def run_grid(quick: bool, verbose: bool = True) -> list[dict[str, Any]]:
             runs.append(row)
             if verbose:
                 print(
-                    f"{DATASET:>4} {scale:>6} {impl:>8}/{backend:<11} "
+                    f"{DATASET:>4} {scale:>6} {impl:>8} "
                     f"{best['seconds']:8.3f}s  clusters={row['n_clusters']} "
                     f"edges={row['n_edges']} pairs={row['distinct_pairs']} "
                     f"digest={row['score_digest']}",

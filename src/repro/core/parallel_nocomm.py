@@ -44,7 +44,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..graph.csr import CSRGraph
+from ..graph.csr import CSRGraph, gather_csr_rows
 from ..graph.cycles import cycle_basis_sizes
 from ..graph.graph import Graph, edge_key
 from ..graph.partition import (
@@ -252,15 +252,9 @@ def _admit_border_keys(
     src, dst = src[order], dst[order]
     adj_indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=adj_indptr[1:])
-    starts = adj_indptr[internal]
-    counts = adj_indptr[internal + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
+    nbrs, counts = gather_csr_rows(adj_indptr, dst, internal)
+    if nbrs.size == 0:
         return _EMPTY_EDGES
-    row_base = np.zeros(internal.shape[0], dtype=np.int64)
-    np.cumsum(counts[:-1], out=row_base[1:])
-    take = np.repeat(starts - row_base, counts) + np.arange(total, dtype=np.int64)
-    nbrs = dst[take]
     e_exp = np.repeat(ext, counts)
     i_exp = np.repeat(internal, counts)
     cand = e_exp * n + nbrs

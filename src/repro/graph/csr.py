@@ -39,6 +39,30 @@ __all__ = ["CSRGraph"]
 Vertex = Hashable
 
 
+def gather_csr_rows(
+    indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenate the CSR rows ``rows`` (an int64 array) with one fancy index.
+
+    Returns ``(values, counts)``: the entries of every listed row back to
+    back, and each row's length.  Works on any CSR pair without a graph
+    object (adjacency, ancestor rows, a packed chordal adjacency); callers
+    that need each entry's source row expand it with
+    ``np.repeat(np.arange(rows.shape[0]), counts)``, so frontier loops that
+    only want the values pay for no extra array.
+    """
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    total = int(counts.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64), counts
+    # out[t] comes from indices[starts[r] + offset-within-row].
+    row_base = np.zeros(rows.shape[0], dtype=np.int64)
+    np.cumsum(counts[:-1], out=row_base[1:])
+    take = np.repeat(starts - row_base, counts) + np.arange(total, dtype=np.int64)
+    return indices[take], counts
+
+
 class CSRGraph:
     """A frozen, int-indexed CSR view of a simple undirected graph.
 
@@ -537,17 +561,8 @@ class CSRGraph:
         :meth:`induced_subgraph` slicing and frontier-expansion BFS loops.
         """
         rows = np.ascontiguousarray(rows, dtype=np.int64)
-        starts = self.indptr[rows]
-        counts = self.indptr[rows + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        # out[t] comes from indices[starts[r] + offset-within-row].
-        row_base = np.zeros(rows.shape[0], dtype=np.int64)
-        np.cumsum(counts[:-1], out=row_base[1:])
-        take = np.repeat(starts - row_base, counts) + np.arange(total, dtype=np.int64)
-        row_of = np.repeat(np.arange(rows.shape[0], dtype=np.int64), counts)
-        return self.indices[take], row_of
+        values, counts = gather_csr_rows(self.indptr, self.indices, rows)
+        return values, np.repeat(np.arange(rows.shape[0], dtype=np.int64), counts)
 
     def induced_subgraph(self, part_indices: Sequence[int]) -> "CSRGraph":
         """Slice the CSR arrays down to the subgraph induced by ``part_indices``.

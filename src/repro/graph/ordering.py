@@ -37,7 +37,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .csr import CSRGraph
+from .csr import CSRGraph, gather_csr_rows
 from .graph import Graph
 from .traversal import pseudo_peripheral_vertex
 
@@ -112,19 +112,6 @@ def low_degree_order_indices(csr: CSRGraph, tie: Optional[np.ndarray] = None) ->
     return np.lexsort((tie, csr.degrees())).astype(np.int64)
 
 
-def _gather_rows(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Concatenated neighbour rows of ``rows`` as one array (vectorised gather)."""
-    starts = indptr[rows]
-    counts = indptr[rows + 1] - starts
-    total = int(counts.sum())
-    if not total:
-        return np.empty(0, dtype=np.int64)
-    base = np.zeros(rows.shape[0], dtype=np.int64)
-    np.cumsum(counts[:-1], out=base[1:])
-    take = np.repeat(starts - base, counts) + np.arange(total, dtype=np.int64)
-    return indices[take]
-
-
 def _bfs_level_structure(
     indptr: np.ndarray, indices: np.ndarray, n: int, source: int
 ) -> list[np.ndarray]:
@@ -139,7 +126,7 @@ def _bfs_level_structure(
     frontier = np.array([source], dtype=np.int64)
     levels = [frontier]
     while True:
-        nbrs = _gather_rows(indptr, indices, frontier)
+        nbrs, _ = gather_csr_rows(indptr, indices, frontier)
         nxt = np.unique(nbrs[~visited[nbrs]]) if nbrs.size else nbrs
         if not nxt.size:
             return levels

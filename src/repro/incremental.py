@@ -440,7 +440,7 @@ def reference_apply_update(bundle: DatasetBundle, data: UpdateData) -> DatasetBu
     )
     network = new_study.network()
     network_csr = new_study.network_csr()
-    scorer = EnrichmentScorer(dag, table, backend=bundle.scorer.backend)
+    scorer = EnrichmentScorer(dag, table)
     clusters = cluster_network(
         network,
         bundle.mcode_params,

@@ -24,11 +24,9 @@ Two implementations live here:
   breadth)`` array table (:class:`_PairTable`); every edge then resolves by a
   gather plus a segment max, and whole cluster *sets* reduce to AEES /
   max-score / max-depth / dominant-term arrays with segment reductions
-  (:meth:`EnrichmentScorer.score_cluster_graphs`).  An optional ``backend=``
-  fans distinct-pair batches over
-  :func:`~repro.parallel.runner.parallel_map`, shipping the term CSR and
-  depth/annotation arrays once through a
-  :class:`~repro.parallel.shm.SharedArena`.
+  (:meth:`EnrichmentScorer.score_cluster_graphs`).  Scoring is serial and
+  in-process: at every scale ``benchmarks/bench_enrichment.py`` records, one
+  process scores the distinct pairs faster than a worker fan-out ships them.
 * the **reference implementation**: the seed per-edge double loop over term
   pairs (:func:`reference_score_edge` / :func:`reference_score_cluster`),
   retained as the behavioural pin — the test suite asserts the batched
@@ -47,7 +45,7 @@ import numpy as np
 
 from ..graph.graph import Graph, edge_key
 from .annotation import AnnotationIndex, AnnotationTable
-from .go_dag import GODag, TermIndex, dcp_batch_arrays, distance_batch_arrays
+from .go_dag import GODag, TermIndex
 
 __all__ = [
     "EdgeAnnotation",
@@ -213,27 +211,6 @@ def score_cluster(
     return EnrichmentScorer(dag, annotations).cluster(cluster_graph)
 
 
-def _score_pair_chunk(
-    a_ids: np.ndarray,
-    b_ids: np.ndarray,
-    depths: np.ndarray,
-    anc_indptr: np.ndarray,
-    anc_indices: np.ndarray,
-    term_indptr: np.ndarray,
-    term_indices: np.ndarray,
-) -> np.ndarray:
-    """Worker body of the ``backend=`` fan-out: score one distinct-pair chunk.
-
-    Operates on raw arrays only — the process backends ship the term-space
-    arrays as :class:`~repro.parallel.shm.ArenaRef` handles, resolved to
-    zero-copy shared-memory views before this runs.  Returns a ``(2, n)``
-    stack of ``(dcp, breadth)``.
-    """
-    dcp = dcp_batch_arrays(a_ids, b_ids, depths, anc_indptr, anc_indices)
-    breadth = distance_batch_arrays(a_ids, b_ids, term_indptr, term_indices)
-    return np.stack([dcp, breadth])
-
-
 class _PairTable:
     """Packed-key → ``(dcp, breadth)`` memo over interned term pairs.
 
@@ -293,7 +270,8 @@ class EnrichmentScorer:
     memoised at two levels: per-edge :class:`EdgeAnnotation` objects for the
     object APIs, and the distinct-term-pair :class:`_PairTable` the batched
     engine resolves edges against.  The scorer is deliberately tied to one
-    (DAG, annotation) pair.
+    (DAG, annotation) pair and scores in-process; its term distances come
+    from the DAG's one distance cache, the :class:`TermIndex` BFS rows.
 
     Parameters
     ----------
@@ -301,20 +279,6 @@ class EnrichmentScorer:
         ``"batched"`` (default) resolves edges over the interned term space;
         ``"reference"`` forces the retained seed per-edge double loop —
         benchmarks use it to measure the seed baseline.
-    backend:
-        Execution backend for scoring *distinct-pair* batches, one of
-        :func:`~repro.parallel.runner.available_backends`.  ``"serial"``
-        (default) computes in-process and shares the term index's BFS-row
-        cache; ``"thread"`` / ``"process"`` / ``"process-shm"`` fan chunks of
-        ``pair_chunk`` pairs over :func:`~repro.parallel.runner.parallel_map`
-        — the process backends ship the term CSR + depth/annotation arrays
-        once through a :class:`~repro.parallel.shm.SharedArena` and only tiny
-        chunk id arrays per call.
-    processes:
-        Optional worker bound for the parallel backends.
-    pair_chunk:
-        Target distinct pairs per fan-out chunk (also the minimum batch size
-        worth leaving the serial path for).
     """
 
     def __init__(
@@ -322,29 +286,15 @@ class EnrichmentScorer:
         dag: GODag,
         annotations: AnnotationTable,
         engine: str = "batched",
-        backend: str = "serial",
-        processes: Optional[int] = None,
-        pair_chunk: int = 4096,
     ) -> None:
         if engine not in ("batched", "reference"):
             raise ValueError(f"engine must be 'batched' or 'reference', got {engine!r}")
-        from ..parallel.runner import available_backends
-
-        if backend not in available_backends():
-            raise ValueError(
-                f"unknown backend {backend!r}; expected one of {available_backends()}"
-            )
         self.dag = dag
         self.annotations = annotations
         self.engine = engine
-        self.backend = backend
-        self.processes = processes
-        self.pair_chunk = int(pair_chunk)
         self._cache: dict[Edge, EdgeAnnotation] = {}
         self._pairs = _PairTable()
         self._pairs_index: Optional[TermIndex] = None
-        self._arena = None  # lazy SharedArena for the process backends
-        self._static_refs: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     # object APIs (per-edge cache)
@@ -489,7 +439,6 @@ class EnrichmentScorer:
         if self._pairs_index is not term_index:
             self._pairs = _PairTable()
             self._pairs_index = term_index
-            self._static_refs = None
         return term_index, self.annotations.indexed()
 
     def _edge_score_arrays(
@@ -535,7 +484,9 @@ class EnrichmentScorer:
         k = np.int64(term_index.n_terms)
         keys = np.minimum(ta, tb) * k + np.maximum(ta, tb)
         self._pairs.ensure(
-            np.unique(keys), int(k), lambda a, b: self._compute_pairs(a, b, term_index)
+            np.unique(keys),
+            int(k),
+            lambda a, b: (term_index.dcp_batch(a, b), term_index.distance_batch(a, b)),
         )
         p_dcp, p_breadth = self._pairs.gather(keys)
         p_depth = term_index.depths[p_dcp]
@@ -552,50 +503,6 @@ class EnrichmentScorer:
         breadth[vi] = p_breadth[win]
         out_score[vi] = best_score.astype(float)
         return dcp, depth, breadth, out_score
-
-    def _compute_pairs(
-        self, a_ids: np.ndarray, b_ids: np.ndarray, term_index: TermIndex
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Score a batch of distinct pairs, honouring the execution backend."""
-        if self.backend == "serial" or a_ids.shape[0] <= self.pair_chunk:
-            return term_index.dcp_batch(a_ids, b_ids), term_index.distance_batch(a_ids, b_ids)
-        from ..parallel.runner import parallel_map
-
-        static = self._static_arrays(term_index)
-        bounds = range(0, a_ids.shape[0], self.pair_chunk)
-        items = [(a_ids[lo : lo + self.pair_chunk], b_ids[lo : lo + self.pair_chunk]) + static for lo in bounds]
-        chunks = parallel_map(
-            _score_pair_chunk, items, backend=self.backend, processes=self.processes
-        )
-        stacked = np.concatenate(chunks, axis=1)
-        return stacked[0], stacked[1]
-
-    def _static_arrays(self, term_index: TermIndex) -> tuple:
-        """The five term-space arrays every pair chunk needs, backend-shaped.
-
-        Thread workers share the parent's memory and take the arrays as-is;
-        the process backends get :class:`~repro.parallel.shm.ArenaRef`
-        handles exported **once** into a scorer-owned
-        :class:`~repro.parallel.shm.SharedArena` (identity-deduplicated, so
-        every later batch reuses the same segments), which workers resolve to
-        zero-copy views.
-        """
-        arrays = (
-            term_index.depths,
-            term_index.anc_indptr,
-            term_index.anc_indices,
-            term_index.term_csr.indptr,
-            term_index.term_csr.indices,
-        )
-        if self.backend not in ("process", "process-shm"):
-            return arrays
-        if self._static_refs is None:
-            from ..parallel.shm import SharedArena, export_payload
-
-            if self._arena is None:
-                self._arena = SharedArena()
-            self._static_refs = export_payload(arrays, self._arena)
-        return self._static_refs
 
     # ------------------------------------------------------------------
     # incremental adoption (see repro.incremental)
@@ -629,7 +536,6 @@ class EnrichmentScorer:
             if not delta.distances_safe:
                 self._cache.clear()
         self._pairs_index = delta.new_index
-        self._static_refs = None
 
     def invalidate_genes(self, genes: Iterable[Hashable]) -> None:
         """Drop per-edge memos touching ``genes`` (their annotation sets changed).
@@ -648,18 +554,6 @@ class EnrichmentScorer:
         ]
         for key in stale:
             del self._cache[key]
-
-    def close(self) -> None:
-        """Release the scorer's shared-memory segments (idempotent).
-
-        Only meaningful after process-backend use; the arena is also covered
-        by the interpreter-exit safety net, so forgetting this leaks nothing
-        past the process.
-        """
-        if self._arena is not None:
-            self._arena.unlink()
-            self._arena = None
-            self._static_refs = None
 
     @property
     def cache_size(self) -> int:

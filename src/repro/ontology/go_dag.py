@@ -18,7 +18,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from ..graph.csr import CSRGraph
+from ..graph.csr import CSRGraph, gather_csr_rows
 
 __all__ = [
     "GOTerm",
@@ -64,8 +64,9 @@ class TermIndex:
         "_dist_rows",
     )
 
-    #: Bound on the per-source distance-row cache (FIFO), mirroring
-    #: ``GODag._SSSP_CACHE_LIMIT``: each row is one int64 per term.
+    #: Bound on the per-source distance-row cache (FIFO).  Each row is one
+    #: int64 per term, so the cache stays under ``limit × n_terms × 8`` bytes
+    #: however many distinct annotation terms a long-lived DAG is queried with.
     _DIST_ROW_LIMIT = 1024
 
     def __init__(self, dag: "GODag") -> None:
@@ -136,6 +137,16 @@ class TermIndex:
             self.term_csr.indices,
             row_cache=self._dist_rows,
             row_limit=self._DIST_ROW_LIMIT,
+        )
+
+    def distance_row(self, src: int) -> np.ndarray:
+        """BFS distances from interned term ``src`` to every term (cached).
+
+        Shares the bounded row cache with :meth:`distance_batch`, so a row
+        warmed by either serves both.
+        """
+        return _cached_bfs_row(
+            self.term_csr.indptr, self.term_csr.indices, src, self._dist_rows, self._DIST_ROW_LIMIT
         )
 
 
@@ -246,8 +257,8 @@ def dcp_batch_arrays(
     ``(depth, id)`` key reproduces the scalar rule exactly — ties fall to the
     larger interned id, which is the lexically larger term by construction.
 
-    Free function on purpose: the parallel backends ship the depth/ancestor
-    arrays (via the shared arena) instead of pickling an index object.
+    A free function over raw arrays, not a :class:`TermIndex` method, so
+    the tests can pin it on hand-built ancestor structures.
     """
     a_ids = np.ascontiguousarray(a_ids, dtype=np.int64)
     b_ids = np.ascontiguousarray(b_ids, dtype=np.int64)
@@ -255,8 +266,11 @@ def dcp_batch_arrays(
     if n_pairs == 0:
         return np.empty(0, dtype=np.int64)
     k = np.int64(depths.shape[0])
-    a_vals, a_pair = _gather_csr_rows(anc_indptr, anc_indices, a_ids)
-    b_vals, b_pair = _gather_csr_rows(anc_indptr, anc_indices, b_ids)
+    pair_ids = np.arange(n_pairs, dtype=np.int64)
+    a_vals, a_counts = gather_csr_rows(anc_indptr, anc_indices, a_ids)
+    b_vals, b_counts = gather_csr_rows(anc_indptr, anc_indices, b_ids)
+    a_pair = np.repeat(pair_ids, a_counts)
+    b_pair = np.repeat(pair_ids, b_counts)
     packed_b = b_pair * k + b_vals
     queries = a_pair * k + a_vals
     pos = np.searchsorted(packed_b, queries)
@@ -301,8 +315,8 @@ def distance_batch_arrays(
     level at a time in C, and queries are answered the level their source's
     bit first reaches their destination (see :func:`_bitset_distance_queries`).
 
-    Free function on purpose: the parallel backends ship the CSR arrays (via
-    the shared arena) instead of pickling an index object.
+    A free function over raw arrays, not a :class:`TermIndex` method, so
+    the tests can pin its bitset and per-source paths on arbitrary CSRs.
     """
     a_ids = np.ascontiguousarray(a_ids, dtype=np.int64)
     b_ids = np.ascontiguousarray(b_ids, dtype=np.int64)
@@ -327,12 +341,7 @@ def distance_batch_arrays(
         return out
     if len(cold) <= _BITSET_SOURCE_THRESHOLD:
         for si in cold:
-            s = int(sources[si])
-            row = _bfs_distances(indptr, indices, s)
-            if row_cache is not None:
-                if row_limit and len(row_cache) >= row_limit:
-                    row_cache.pop(next(iter(row_cache)))
-                row_cache[s] = row
+            row = _cached_bfs_row(indptr, indices, int(sources[si]), row_cache, row_limit)
             q = order[bounds[si] : bounds[si + 1]]
             out[q] = row[dst[q]]
         return out
@@ -393,6 +402,25 @@ def _bitset_distance_queries(
     return out
 
 
+def _cached_bfs_row(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    src: int,
+    row_cache: Optional[dict[int, np.ndarray]],
+    row_limit: int,
+) -> np.ndarray:
+    """BFS distance row of ``src``, memoised in ``row_cache`` (FIFO, at most
+    ``row_limit`` rows; ``0`` = unbounded, ``None`` = no cache)."""
+    row = row_cache.get(src) if row_cache is not None else None
+    if row is None:
+        row = _bfs_distances(indptr, indices, src)
+        if row_cache is not None:
+            if row_limit and len(row_cache) >= row_limit:
+                row_cache.pop(next(iter(row_cache)))
+            row_cache[src] = row
+    return row
+
+
 def _bfs_distances(indptr: np.ndarray, indices: np.ndarray, src: int) -> np.ndarray:
     """Frontier-array BFS distances from ``src`` over raw CSR arrays (−1 = unreachable)."""
     n = indptr.shape[0] - 1
@@ -402,35 +430,13 @@ def _bfs_distances(indptr: np.ndarray, indices: np.ndarray, src: int) -> np.ndar
     d = 0
     while frontier.size:
         d += 1
-        nbrs, _ = _gather_csr_rows(indptr, indices, frontier)
+        nbrs, _ = gather_csr_rows(indptr, indices, frontier)
         nbrs = nbrs[dist[nbrs] < 0]
         if nbrs.size == 0:
             break
         frontier = np.unique(nbrs)
         dist[frontier] = d
     return dist
-
-
-def _gather_csr_rows(
-    indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenate CSR rows with one fancy index; returns ``(values, row_of)``.
-
-    The free-function twin of :meth:`CSRGraph.gather_rows`, usable on any CSR
-    pair (ancestor structure, annotation table) without a graph object —
-    which is what the process backends ship across the boundary.
-    """
-    rows = np.ascontiguousarray(rows, dtype=np.int64)
-    starts = indptr[rows]
-    counts = indptr[rows + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    row_base = np.zeros(rows.shape[0], dtype=np.int64)
-    np.cumsum(counts[:-1], out=row_base[1:])
-    take = np.repeat(starts - row_base, counts) + np.arange(total, dtype=np.int64)
-    row_of = np.repeat(np.arange(rows.shape[0], dtype=np.int64), counts)
-    return indices[take], row_of
 
 
 class GOTerm:
@@ -464,18 +470,10 @@ class GODag:
         self._terms[root_id] = root
         self._depth_cache: dict[str, int] = {root_id: 0}
         self._ancestor_cache: dict[str, frozenset[str]] = {}
-        # Distance engine (all lazy, invalidated on structural changes): the
-        # undirected parent/child structure as a CSRGraph, a term → row index
-        # map, and one cached distance array per BFS source term_distance has
-        # seen (bounded FIFO — see _SSSP_CACHE_LIMIT).  One BFS costs what
-        # the old early-exit pair BFS cost, but serves *every* pair touching
-        # that source afterwards — the enrichment scorer combines the same
-        # annotation terms across thousands of cluster edges.
-        self._sssp_cache: dict[str, np.ndarray] = {}
-        self._dist_index: Optional[dict[str, int]] = None
-        self._dist_csr: Optional[CSRGraph] = None
-        # Interned int64 snapshot for the batched enrichment engine; built
-        # lazily by term_index() and dropped on any structural change.
+        # Interned int64 snapshot: the batched enrichment engine computes on
+        # it, and its per-source BFS rows are the DAG's one distance cache
+        # (term_distance reads them too).  Built lazily by term_index() and
+        # dropped on any structural change.
         self._term_index: Optional[TermIndex] = None
 
     # ------------------------------------------------------------------
@@ -504,12 +502,12 @@ class GODag:
     def add_term(self, term_id: str, parents: Iterable[str], name: str = "") -> GOTerm:
         """Add a term with the given parent term ids (all must already exist)."""
         term = self._insert_term(term_id, parents, name)
-        # A new leaf invalidates the distance engine twice over: the cached
-        # CSR view and distance arrays are missing the term, and a leaf with
-        # several parents creates parent–leaf–parent shortcuts that can
-        # shorten existing undirected distances.  append_leaf_terms is the
-        # scoped-invalidation alternative for warm holders of the term index.
-        self._invalidate_distances()
+        # A new leaf invalidates the term index twice over: it is missing the
+        # term, and a leaf with several parents creates parent–leaf–parent
+        # shortcuts that can shorten existing undirected distances.
+        # append_leaf_terms is the scoped-invalidation alternative for warm
+        # holders of the term index.
+        self._term_index = None
         return term
 
     def append_leaf_terms(
@@ -519,17 +517,16 @@ class GODag:
 
         ``specs`` is ``[(term_id, parents), ...]`` in insertion order; parents
         may name earlier entries of the same batch.  Unlike :meth:`add_term`,
-        which drops the whole distance engine, this path invalidates by
-        *scope*:
+        which drops the whole term index, this path invalidates by *scope*:
 
         * depths and ancestor sets of existing terms never change under a
           leaf append, so the ancestor cache and depth cache are untouched;
         * the cached :class:`TermIndex` is extended via
           :func:`extended_term_index` (one monotone remap plus the new rows)
           instead of rebuilt from scratch;
-        * per-source distance rows (the SSSP cache and the index's BFS rows)
-          are *extended* — every path to a new leaf enters through a parent,
-          so ``dist(src, leaf) = min_p dist(src, p) + 1`` — whenever the
+        * the index's per-source distance rows are *extended* — every path
+          to a new leaf enters through a parent, so
+          ``dist(src, leaf) = min_p dist(src, p) + 1`` — whenever the
           batch provably cannot shorten any existing distance: a
           single-parent leaf never can, and a multi-parent leaf cannot when
           its parents (all pre-existing) sit pairwise at distance ≤ 2.
@@ -580,38 +577,15 @@ class GODag:
                 for p in term.parents:
                     self._terms[p].children.remove(term_id)
                 self._depth_cache.pop(term_id, None)
-            self._invalidate_distances()
+            self._term_index = None
             raise
         new_terms = [term_id for term_id, _parents in specs]
         new_index, old_to_new = extended_term_index(old_index, self, new_terms)
         # --- scoped invalidation -------------------------------------------
-        # The scalar distance engine's CSR view is rebuilt lazily (cheap); its
-        # per-source rows are positional in *insertion* order, which appends
-        # preserve, so safe batches extend the rows instead of dropping them.
-        self._dist_index = None
-        self._dist_csr = None
+        # The BFS rows are keyed and indexed by interned ids: a safe batch
+        # remaps each row through old_to_new and fills the new leaves; an
+        # unsafe one leaves the new index with no rows.
         if safe:
-            if self._sssp_cache:
-                # term_distance serves cached rows through _dist_index without
-                # touching _ensure_distance_csr, so keeping rows means the
-                # scalar view must be rebuilt now (cheap: one edge sweep).
-                self._ensure_distance_csr()
-            positions = {t: i for i, t in enumerate(self._terms)}
-            parent_positions = [
-                np.fromiter(
-                    (positions[p] for p in self._terms[t].parents),
-                    dtype=np.int64,
-                    count=len(self._terms[t].parents),
-                )
-                for t in new_terms
-            ]
-            for src, row in list(self._sssp_cache.items()):
-                grown = np.concatenate([row, np.empty(len(new_terms), dtype=np.int64)])
-                for k, ppos in enumerate(parent_positions):
-                    grown[row.shape[0] + k] = grown[ppos].min() + 1
-                self._sssp_cache[src] = grown
-            # The index's BFS rows are keyed and indexed by interned ids:
-            # remap each row through old_to_new, then fill the new leaves.
             n = new_index.n_terms
             parent_ids = [
                 np.fromiter(
@@ -628,8 +602,6 @@ class GODag:
                 for lid, pids in zip(leaf_ids, parent_ids):
                     grown[lid] = grown[pids].min() + 1
                 new_index._dist_rows[int(old_to_new[src])] = grown
-        else:
-            self._sssp_cache.clear()
         self._term_index = new_index
         return TermDelta(
             old_index=old_index,
@@ -663,7 +635,7 @@ class GODag:
         for t in self.subtree(term_id):
             self._ancestor_cache.pop(t, None)
         # Longest-path depths of the term and its descendants may grow.
-        self._invalidate_distances()
+        self._term_index = None
         self._recompute_depths_from(term_id)
 
     def _recompute_depths_from(self, term_id: str) -> None:
@@ -760,18 +732,6 @@ class GODag:
     # ------------------------------------------------------------------
     # distances
     # ------------------------------------------------------------------
-    #: At most this many per-source distance arrays are kept (FIFO).  Each
-    #: array is one int64 per term, so the cache is bounded by
-    #: ``limit × n_terms × 8`` bytes regardless of how many distinct
-    #: annotation terms a long-lived DAG is queried with.
-    _SSSP_CACHE_LIMIT = 1024
-
-    def _invalidate_distances(self) -> None:
-        self._sssp_cache.clear()
-        self._dist_index = None
-        self._dist_csr = None
-        self._term_index = None
-
     def term_index(self) -> TermIndex:
         """Return the interned :class:`TermIndex` snapshot of this DAG (cached).
 
@@ -786,33 +746,6 @@ class GODag:
             self._term_index = index
         return index
 
-    def _ensure_distance_csr(self) -> None:
-        """Build the undirected parent/child structure as a CSRGraph (lazy).
-
-        The parent links alone enumerate every undirected edge exactly once
-        (child lists are their mirrors), so the term graph drops straight
-        into :meth:`CSRGraph.from_edge_arrays`.
-        """
-        if self._dist_index is not None:
-            return
-        index = {t: i for i, t in enumerate(self._terms)}
-        us = [
-            index[t]
-            for t, term in self._terms.items()
-            for _ in term.parents
-        ]
-        vs = [index[p] for term in self._terms.values() for p in term.parents]
-        self._dist_csr = CSRGraph.from_edge_arrays(
-            tuple(self._terms),
-            np.asarray(us, dtype=np.int64),
-            np.asarray(vs, dtype=np.int64),
-        )
-        self._dist_index = index
-
-    def _distances_from(self, src: int) -> np.ndarray:
-        """All BFS distances from term row ``src`` (−1 where unreachable)."""
-        return _bfs_distances(self._dist_csr.indptr, self._dist_csr.indices, src)
-
     def term_distance(self, term_a: str, term_b: str) -> int:
         """Return the shortest undirected path length between two terms.
 
@@ -820,32 +753,19 @@ class GODag:
         sit in the ontology.  Terms in disconnected annotation namespaces
         would return ``-1``, but a rooted DAG is always connected.
 
-        Distances come from a frontier-array BFS over a CSR view of the
-        undirected term structure, cached per source term: one BFS costs what
-        resolving a single pair used to cost, but the enrichment scorer asks
-        for many pairs sharing a source — every cluster edge combines the
-        same annotation terms — so amortised each additional pair is an array
-        lookup.  Either endpoint's cached array answers (distance is
-        symmetric).
+        One row of :meth:`TermIndex.distance_row` answers it: a frontier BFS
+        from the lexically smaller term (the smaller interned id, the source
+        :meth:`TermIndex.distance_batch` groups by too), cached per source —
+        the scorer combines the same annotation terms across thousands of
+        cluster edges, so amortised each further pair is an array lookup.
         """
         if term_a == term_b:
             return 0
         self.term(term_a)
         self.term(term_b)
-        cached = self._sssp_cache.get(term_a)
-        if cached is not None:
-            return int(cached[self._dist_index[term_b]])
-        cached = self._sssp_cache.get(term_b)
-        if cached is not None:
-            return int(cached[self._dist_index[term_a]])
-        self._ensure_distance_csr()
-        src = term_a if term_a < term_b else term_b
-        dst = term_b if src is term_a else term_a
-        dist = self._distances_from(self._dist_index[src])
-        if len(self._sssp_cache) >= self._SSSP_CACHE_LIMIT:
-            self._sssp_cache.pop(next(iter(self._sssp_cache)))
-        self._sssp_cache[src] = dist
-        return int(dist[self._dist_index[dst]])
+        index = self.term_index()
+        a, b = index.id_of[term_a], index.id_of[term_b]
+        return int(index.distance_row(min(a, b))[max(a, b)])
 
     def reference_term_distance(self, term_a: str, term_b: str) -> int:
         """Seed ``term_distance``: an early-exit pair BFS, no cross-pair reuse.

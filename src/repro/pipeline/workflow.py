@@ -174,7 +174,6 @@ def prepare_dataset(
     correlation_threshold: Optional[CorrelationThreshold] = None,
     ontology_depth: int = 8,
     ontology_branching: int = 3,
-    enrichment_backend: str = "serial",
 ) -> DatasetBundle:
     """Generate a dataset and everything needed to evaluate filters on it.
 
@@ -182,10 +181,6 @@ def prepare_dataset(
     the four canned studies (``YNG``, ``MID``, ``UNT``, ``CRE``); ``scale``
     shrinks the study for fast runs; the remaining parameters expose the
     pipeline's thresholds (paper defaults when omitted).
-    ``enrichment_backend`` selects the execution backend of the bundle's
-    enrichment scorer (see :class:`~repro.ontology.EnrichmentScorer`):
-    ``"serial"`` scores distinct term pairs in-process, the parallel
-    backends fan pair batches over worker threads / processes.
     """
     params = mcode_params or MCODEParams()
     thresholds = thresholds or EvaluationThresholds()
@@ -199,7 +194,7 @@ def prepare_dataset(
     dag, annotations = make_study_ontology(
         study, depth=ontology_depth, branching=ontology_branching
     )
-    scorer = EnrichmentScorer(dag, annotations, backend=enrichment_backend)
+    scorer = EnrichmentScorer(dag, annotations)
     original_clusters = cluster_network(
         network, params, source=f"{study.name}/original", csr=network_csr
     )

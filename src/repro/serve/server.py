@@ -107,7 +107,6 @@ class ReproServer:
         workers: int = 4,
         max_pending: int = 64,
         cache_size: int = 256,
-        enrichment_backend: str = "serial",
         arena_dir: Optional[str] = None,
         hooks: Optional[ServerHooks] = None,
         extra_handlers: Optional[dict[str, Callable[[dict[str, Any]], Any]]] = None,
@@ -123,7 +122,6 @@ class ReproServer:
         self.workers = workers
         self.max_pending = max_pending
         self.cache_size = cache_size
-        self.enrichment_backend = enrichment_backend
         #: When set, the server's arena is file-backed under this directory:
         #: exported bundles persist across restarts (a warm restart re-adopts
         #: the previous generation's segments by content digest instead of
@@ -170,7 +168,6 @@ class ReproServer:
         self.state = ServerState(
             self.default_scale,
             seed=self.seed,
-            enrichment_backend=self.enrichment_backend,
             batch_gate=self.hooks.batch_gate,
             batch_submit=self.hooks.batch_submit,
         )

@@ -207,13 +207,11 @@ class ServerState:
         self,
         default_scale: float,
         seed: Optional[int] = None,
-        enrichment_backend: str = "serial",
         batch_gate: Optional[Callable[[], None]] = None,
         batch_submit: Optional[Callable[[int], None]] = None,
     ) -> None:
         self.default_scale = round(float(default_scale), 6)
         self.seed = seed
-        self.enrichment_backend = enrichment_backend
         self.batch_gate = batch_gate
         self.batch_submit = batch_submit
         self._states: dict[str, DatasetState] = {}
@@ -224,9 +222,7 @@ class ServerState:
         self, name: str, scale: float, update_log: Sequence[UpdateSpec] = ()
     ) -> DatasetBundle:
         fault_point("serve.rebuild", dataset=name, scale=scale)
-        bundle = prepare_dataset(
-            name, scale=scale, seed=self.seed, enrichment_backend=self.enrichment_backend
-        )
+        bundle = prepare_dataset(name, scale=scale, seed=self.seed)
         # A rebuild of a mutated dataset must reach the same logical state the
         # warm bundle is in: replay the absorbed update log through the cold
         # reference path (synthesize_update is deterministic given the

@@ -11,7 +11,6 @@ implementation is retained as ``reference_*`` and the new path is pinned
   and annotation tables,
 * the whole-bundle array front-end (``score_cluster_graphs``) against
   per-cluster ``reference_score_cluster`` aggregates,
-* every execution backend against the serial path,
 * the edge cases: unannotated endpoints, empty clusters, empty term lists
   and ``dominant_term`` tie-breaking.
 """
@@ -118,6 +117,39 @@ class TestTermIndex:
             for x, y in zip(a.tolist(), b.tolist())
         ]
         assert cold.tolist() == per_source
+
+    def test_dcp_batch_arrays_on_raw_arrays(self):
+        from repro.ontology.go_dag import dcp_batch_arrays
+
+        # 0 is the root; 1, 2 its children; 3 and 5 are children of both 1
+        # and 2; 4 a child of 2.  Rows list each term's ancestors, itself
+        # included, sorted.
+        depths = np.array([0, 1, 1, 2, 2, 2], dtype=np.int64)
+        rows = [[0], [0, 1], [0, 2], [0, 1, 2, 3], [0, 2, 4], [0, 1, 2, 5]]
+        anc_indptr = np.cumsum([0] + [len(r) for r in rows]).astype(np.int64)
+        anc_indices = np.concatenate(rows).astype(np.int64)
+        a = np.array([3, 3, 1, 4, 0, 3], dtype=np.int64)
+        b = np.array([4, 1, 2, 4, 3, 5], dtype=np.int64)
+        got = dcp_batch_arrays(a, b, depths, anc_indptr, anc_indices)
+        # (3, 5) share 1 and 2 at depth 1: the tie falls to the larger id.
+        assert got.tolist() == [2, 1, 0, 4, 0, 2]
+
+    def test_term_distance_and_distance_batch_share_rows(self, monkeypatch):
+        from repro.ontology.go_dag import TermIndex
+
+        dag = random_dag(6)
+        index = dag.term_index()
+        terms = index.terms
+        dag.term_distance(terms[3], terms[1])
+        assert list(index._dist_rows) == [1]
+        row = index._dist_rows[1]
+        index.distance_batch(np.array([5], dtype=np.int64), np.array([1], dtype=np.int64))
+        assert list(index._dist_rows) == [1] and index._dist_rows[1] is row
+        # One bounded FIFO: the oldest row leaves first.
+        monkeypatch.setattr(TermIndex, "_DIST_ROW_LIMIT", 2)
+        index.distance_row(2)
+        index.distance_batch(np.array([7], dtype=np.int64), np.array([3], dtype=np.int64))
+        assert list(index._dist_rows) == [2, 3]
 
     def test_index_invalidated_on_mutation(self):
         dag = random_dag(4)
@@ -248,8 +280,6 @@ class TestBatchedEqualsReference:
         table = random_annotations(dag, 9)
         with pytest.raises(ValueError):
             EnrichmentScorer(dag, table, engine="nope")
-        with pytest.raises(ValueError):
-            EnrichmentScorer(dag, table, backend="mpi")
 
 
 class TestEdgeCases:
@@ -328,36 +358,6 @@ class TestEdgeCases:
         scorer.edge_annotations([("g1", "g2"), ("g2", "g1")])
         # table rebuilt against the fresh index; cached edge results remain
         assert scorer.cache_size == 1
-
-
-class TestBackends:
-    @pytest.mark.parametrize("backend", ["thread", "process", "process-shm"])
-    def test_backends_bit_identical_to_serial(self, backend):
-        dag = random_dag(10, depth=4)
-        table = random_annotations(dag, 10, n_genes=30, unannotated_fraction=0.0)
-        rng = np.random.default_rng(10)
-        edges = []
-        while len(edges) < 200:
-            u, v = (f"gene{int(i)}" for i in rng.integers(0, 30, size=2))
-            if u != v:
-                edges.append((u, v))
-        serial = EnrichmentScorer(dag, table).edge_annotations(edges)
-        scorer = EnrichmentScorer(dag, table, backend=backend, pair_chunk=64)
-        try:
-            assert scorer.edge_annotations(edges) == serial
-        finally:
-            scorer.close()
-
-    def test_small_batches_stay_serial(self):
-        dag = random_dag(11, depth=4)
-        table = random_annotations(dag, 11, n_genes=10, unannotated_fraction=0.0)
-        scorer = EnrichmentScorer(dag, table, backend="process-shm", pair_chunk=10**6)
-        try:
-            got = scorer.edge_annotations([("gene0", "gene1")])
-            assert got[0] == reference_score_edge(dag, table, "gene0", "gene1")
-            assert scorer._arena is None  # never left the serial path
-        finally:
-            scorer.close()
 
 
 class TestBitsetBfsEdgeCases:

@@ -207,7 +207,7 @@ class TestScopedInvalidation:
         import itertools
 
         dag = make_dag()
-        dag.term_distance("G", "T")  # warm SSSP rows + the interned term index
+        dag.term_distance("G", "T")  # warm a distance row of the term index
         delta = dag.append_leaf_terms([("L1", ["G"]), ("L2", ["S"])])
         assert delta.distances_safe
         rebuilt = make_dag()
@@ -215,3 +215,30 @@ class TestScopedInvalidation:
         rebuilt.add_term("L2", ["S"])
         for a, b in itertools.combinations(sorted(dag._terms), 2):
             assert dag.term_distance(a, b) == rebuilt.term_distance(a, b), (a, b)
+
+    @pytest.mark.parametrize(
+        "parents, safe",
+        [(["M", "S"], True), (["G", "O"], False)],
+        ids=["parents-2-apart", "parents-4-apart"],
+    )
+    def test_leaf_append_keeps_the_distance_cache_exact(self, parents, safe):
+        import itertools
+
+        dag = make_dag()
+        index = dag.term_index()
+        dag.term_distance("G", "T")  # warm rows through the scalar query...
+        ids = index.ids_for(sorted(dag._terms))
+        index.distance_batch(ids[:3], ids[3:6])  # ...and through the batch path
+        assert len(index._dist_rows) > 1
+        delta = dag.append_leaf_terms([("L", parents)])
+        assert delta.distances_safe is safe
+        # A safe batch carries the warm rows over; an unsafe one drops them.
+        assert bool(dag.term_index()._dist_rows) is safe
+        rebuilt = make_dag()
+        rebuilt.add_term("L", parents)
+        a, b = zip(*itertools.combinations(sorted(dag._terms), 2))
+        new = dag.term_index()
+        batch = new.distance_batch(new.ids_for(a), new.ids_for(b)).tolist()
+        for x, y, d in zip(a, b, batch):
+            expect = dag.reference_term_distance(x, y)
+            assert d == dag.term_distance(x, y) == expect == rebuilt.term_distance(x, y), (x, y)

@@ -127,3 +127,23 @@ def test_no_kernel_tier_package_or_exports():
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("repro.kernels")
     assert [name for name in repro.__all__ if "kernel" in name] == []
+
+
+def test_enrichment_scoring_loads_no_parallel_layer():
+    # The scorer is serial and its term distances come from the DAG's term
+    # index: scoring a cluster set must not pull in the SPMD runtime.
+    loaded = loaded_after(
+        "from repro.graph import Graph\n"
+        "from repro.ontology import AnnotationTable, EnrichmentScorer, GODag\n"
+        "dag = GODag()\n"
+        "dag.add_term('A', [dag.root_id])\n"
+        "dag.add_term('B', [dag.root_id])\n"
+        "dag.add_term('A1', ['A'])\n"
+        "dag.add_term('AB', ['A', 'B'])\n"
+        "table = AnnotationTable(dag, {'g1': ['A1'], 'g2': ['AB'], 'g3': ['B', 'A1']})\n"
+        "graphs = [Graph(edges=[('g1', 'g2'), ('g2', 'g3')]), Graph(edges=[('g1', 'g3')])]\n"
+        "scores = EnrichmentScorer(dag, table).score_cluster_graphs(graphs)\n"
+        "assert scores.n_edges.tolist() == [2, 1]\n"
+        "assert dag.term_distance('A1', 'B') == 3\n"
+    )
+    assert within("repro.parallel", loaded) == []
