@@ -21,12 +21,13 @@ The communication volume per processor grows with the number of border edges
 makes this variant lose scalability on small graphs with many processors
 (paper Figure 10, YNG at 32+ processors).
 
-**Index-native pipeline.**  As in the no-communication sampler, the graph is
-converted to CSR once; ordering, partitioning, per-rank subgraphs and the
-receiver-side two-pair admission test all run on ``int64`` indices (the
-mutable local view is a plain ``dict[int, set[int]]``), and the merged edge
-set is mapped back to labels exactly once, by the merge both samplers share
-(:func:`repro.core.parallel_nocomm.merge_rank_outputs`).  Mutual border-edge lists are
+**Index-native pipeline.**  As in the no-communication sampler, the filter
+reads the graph's cached CSR view; ordering, partitioning, per-rank subgraphs
+and the receiver-side two-pair admission test all run on ``int64`` indices
+(the mutable local view is a plain ``dict[int, set[int]]``), and the merge
+both samplers share (:func:`repro.core.parallel_nocomm.merge_rank_outputs`)
+returns index arrays that the result maps to labels only when read.  Mutual
+border-edge lists are
 sorted by the ``repr`` of their label form at the boundary so receivers admit
 candidates in the identical sequence as the label-level pipeline — admission
 is order-dependent, and the filter's output must not drift.  The label-level
@@ -49,7 +50,7 @@ from ..parallel.runner import available_backends, pop_supervision_events, run_sp
 from ..parallel.timing import RankWork
 from .chordal import chordal_subgraph_edge_indices, edge_insertion_preserves_chordality
 from .parallel_nocomm import merge_rank_outputs, resolve_index_partition
-from .results import FilterResult
+from .results import FilterResult, as_pairs
 from .sequential import priority_from_permutation, resolve_order_indices
 
 __all__ = [
@@ -150,15 +151,16 @@ def _rank_function(
     sub_indptr: np.ndarray,
     sub_indices: np.ndarray,
     part_idx: np.ndarray,
-    border_by_peer: dict[int, list[IndexEdge]],
+    border_by_peer: dict[int, np.ndarray],
     local_priority: Optional[np.ndarray],
     strict_order: bool,
-) -> tuple[list[IndexEdge], list[IndexEdge], RankWork]:
+) -> tuple[np.ndarray, np.ndarray, RankWork]:
     """SPMD body executed by every rank of the with-communication sampler.
 
     Runs entirely on vertex indices: the local DSW kernel on the sliced CSR
-    arrays, then peer-wise exchange of mutual border edges (lower rank sends,
-    higher rank receives and admits with the int two-pair test).  Returns
+    arrays, then peer-wise exchange of the mutual border edges (one ``(m, 2)``
+    index array per peer; lower rank sends, higher rank receives and admits
+    with the int two-pair test).  Returns
     ``(local_edges, accepted_border, work)`` — the rank-output shape of the
     no-communication task, so both samplers share one merge.
     """
@@ -194,11 +196,13 @@ def _rank_function(
             work.items_sent += len(mutual)
         else:
             received = comm.recv(source=peer, tag=_BORDER_TAG)
-            admitted, checks = receiver_admit_border_edges_indices(local_view, received)
+            admitted, checks = receiver_admit_border_edges_indices(
+                local_view, received.tolist()
+            )
             work.chordality_checks += checks
             accepted_border.extend(admitted)
 
-    return local_edges, accepted_border, work
+    return as_pairs(local_edges), as_pairs(accepted_border), work
 
 
 def parallel_chordal_comm_filter(
@@ -233,12 +237,12 @@ def parallel_chordal_comm_filter(
             f"unknown backend {backend!r}; expected one of {available_backends()}"
         )
     start = time.perf_counter()
-    csr = CSRGraph.from_graph(graph)
+    csr = CSRGraph.of(graph)
     perm, ordering_name = resolve_order_indices(csr, ordering, explicit_order)
     ipart = resolve_index_partition(csr, n_partitions, partition_method, partition, perm)
     position = priority_from_permutation(perm, csr.n_vertices)
     labels = csr.labels
-    assignment = ipart.assignment
+    assignment = ipart.assignment.tolist()
 
     # Border edges grouped by (owning rank -> peer rank).  Each mutual list is
     # sorted by the repr of its canonical label form — the exact candidate
@@ -249,14 +253,14 @@ def parallel_chordal_comm_filter(
         dict() for _ in range(ipart.n_parts)
     ]
     for u, v in zip(bu.tolist(), bv.tolist()):
-        pu, pv = int(assignment[u]), int(assignment[v])
+        pu, pv = assignment[u], assignment[v]
         sort_key = repr(edge_key(labels[u], labels[v]))
         border_by_rank_peer[pu].setdefault(pv, []).append((sort_key, (u, v)))
         border_by_rank_peer[pv].setdefault(pu, []).append((sort_key, (u, v)))
 
     by_peer_per_rank = [
         {
-            peer: [e for _, e in sorted(entries)]
+            peer: as_pairs([e for _, e in sorted(entries)])
             for peer, entries in border_by_rank_peer[rank].items()
         }
         for rank in range(ipart.n_parts)
@@ -278,24 +282,21 @@ def parallel_chordal_comm_filter(
         )
     resolved_backend = backend or ("thread" if ipart.n_parts > 1 else "serial")
     report = run_spmd(_rank_function, ipart.n_parts, rank_args=rank_args, backend=resolved_backend)
-    all_local_edges, accepted_border, border_edges, duplicates, works = merge_rank_outputs(
-        report.values, csr, ipart
-    )
-
-    kept_edges = list(dict.fromkeys(all_local_edges + accepted_border))
-    filtered = graph.spanning_subgraph(kept_edges)
+    local, accepted, border, duplicates, works = merge_rank_outputs(report.values, ipart)
     wall = time.perf_counter() - start
 
     supervision = pop_supervision_events()
     result = FilterResult(
-        graph=filtered,
+        csr=csr,
+        # Local edges stay inside a part and accepted ones cross parts: disjoint.
+        kept=np.concatenate([local, accepted]),
         original=graph,
         method="chordal_comm",
         ordering=ordering_name,
         n_partitions=ipart.n_parts,
         partition_method=partition_method,
-        border_edges=border_edges,
-        accepted_border_edges=accepted_border,
+        border_pairs=border,
+        accepted_border_pairs=accepted,
         duplicate_border_edges=duplicates,
         rank_work=works,
         wall_time=wall,

@@ -28,9 +28,11 @@ ordering (:func:`repro.graph.ordering.ordering_indices`), partitioning
 (:meth:`CSRGraph.induced_subgraph` array slicing) and border admission all run
 on ``int64`` vertex indices.  Rank payloads are plain numpy arrays — cheap to
 pickle for the ``process`` backend, exported to a shared-memory arena by the
-runner for ``process-shm`` — and labels reappear exactly once, when the
-merged edge set is mapped back at the end (:func:`merge_rank_outputs`, which
-the with-communication sampler shares).  The label-level helpers
+runner for ``process-shm`` — and the merge (:func:`merge_rank_outputs`, which
+the with-communication sampler shares) stays on index arrays too: the
+:class:`FilterResult` maps them to labels only when its label views are read.
+The filter reads the graph's cached CSR view (:meth:`CSRGraph.of`), so
+filtering one network again converts nothing.  The label-level helpers
 (:func:`local_chordal_phase`, :func:`admit_border_edges_no_communication`)
 are retained as the behavioural reference; the property suite pins the index
 path to them.
@@ -45,7 +47,7 @@ from typing import Optional
 import numpy as np
 
 from ..graph.csr import CSRGraph, gather_csr_rows
-from ..graph.cycles import cycle_basis_sizes
+from ..graph.cycles import cycle_basis_sizes, cycle_basis_sizes_csr
 from ..graph.graph import Graph, edge_key
 from ..graph.partition import (
     IndexPartition,
@@ -56,7 +58,7 @@ from ..graph.partition import (
 from ..parallel.runner import available_backends, parallel_map, pop_supervision_events
 from ..parallel.timing import RankWork
 from .chordal import chordal_edges_from_csr, chordal_subgraph_edge_indices
-from .results import FilterResult
+from .results import FilterResult, as_pairs
 from .sequential import priority_from_permutation, resolve_order_indices
 
 __all__ = [
@@ -280,15 +282,16 @@ def _rank_task_indices(
     v_internal: np.ndarray,
     local_priority: Optional[np.ndarray],
     strict_order: bool,
-) -> tuple[list[IndexEdge], list[IndexEdge], RankWork]:
+) -> tuple[np.ndarray, np.ndarray, RankWork]:
     """The full per-rank computation on CSR arrays (local phase + admission).
 
     All arguments are numpy arrays (plus one bool), so the ``process``
     backend pickles compact buffers instead of ``Graph`` objects and
     ``process-shm`` ships them as arena refs.  Returns the kept local
     chordal edges (kernel acceptance order) and the admitted border edges
-    (sorted) as canonical global-index pairs, plus the work counters — the
-    exact sequences :func:`merge_rank_outputs` depends on.
+    (sorted) as ``(k, 2)`` arrays of canonical global-index pairs, plus the
+    work counters — the exact sequences :func:`merge_rank_outputs` depends
+    on.
     """
     k = int(part_idx.shape[0])
     sub = CSRGraph(sub_indptr, sub_indices, labels=range(k))
@@ -317,45 +320,40 @@ def _rank_task_indices(
         items_sent=0,
         max_degree=max(sub.max_degree(), 1),
     )
-    local_edges = list(zip(chordal_u.tolist(), chordal_v.tolist()))
-    admitted = list(zip(admitted_u.tolist(), admitted_v.tolist()))
-    return local_edges, admitted, work
+    return (
+        np.column_stack([chordal_u, chordal_v]),
+        np.column_stack([admitted_u, admitted_v]),
+        work,
+    )
+
+
+def _first_occurrences(pairs: np.ndarray, n_vertices: int) -> np.ndarray:
+    """``pairs`` with every repeat of an earlier pair dropped, order kept."""
+    _, first = np.unique(pairs[:, 0] * n_vertices + pairs[:, 1], return_index=True)
+    return pairs[np.sort(first)]
 
 
 def merge_rank_outputs(
-    rank_outputs: Sequence[tuple[list[IndexEdge], list[IndexEdge], RankWork]],
-    csr: CSRGraph,
+    rank_outputs: Sequence[tuple[np.ndarray, np.ndarray, RankWork]],
     ipart: IndexPartition,
-) -> tuple[list[Edge], list[Edge], list[Edge], int, list[RankWork]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, list[RankWork]]:
     """The sequential merge shared by both parallel samplers.
 
     ``rank_outputs`` holds one ``(local_edges, accepted_border, work)`` per
-    rank, in rank order.  Local edges are deduplicated keeping their first
-    occurrence; a border edge admitted by several ranks is kept once (first
-    rank wins) and every repeat is counted as a duplicate.  This is the
-    single index→label mapping of the whole pipeline: returns ``(local_edges,
-    accepted_border, border_edges, duplicates, works)`` with label edges.
+    rank, in rank order, with the edges as canonical index pairs.  Local
+    edges are deduplicated keeping their first occurrence; a border edge
+    admitted by several ranks is kept once (first rank wins) and every repeat
+    is counted as a duplicate.  Returns ``(local_edges, accepted_border,
+    border_edges, duplicates, works)`` with the edges as ``(k, 2)`` index
+    arrays; nothing here touches a label.
     """
-    all_local: list[IndexEdge] = []
-    works: list[RankWork] = []
-    seen_border: set[IndexEdge] = set()
-    duplicates = 0
-    accepted_idx: list[IndexEdge] = []
-    for local_edges, admitted, work in rank_outputs:
-        all_local.extend(local_edges)
-        works.append(work)
-        for e in admitted:
-            if e in seen_border:
-                duplicates += 1
-            else:
-                seen_border.add(e)
-                accepted_idx.append(e)
-    labels = csr.labels
-    local = [edge_key(labels[i], labels[j]) for i, j in dict.fromkeys(all_local)]
-    accepted = [edge_key(labels[i], labels[j]) for i, j in accepted_idx]
-    bu, bv = ipart.border_edges()
-    border = [edge_key(labels[int(u)], labels[int(v)]) for u, v in zip(bu, bv)]
-    return local, accepted, border, duplicates, works
+    n = ipart.csr.n_vertices
+    local = _first_occurrences(np.concatenate([as_pairs(out[0]) for out in rank_outputs]), n)
+    admitted = np.concatenate([as_pairs(out[1]) for out in rank_outputs])
+    accepted = _first_occurrences(admitted, n)
+    duplicates = int(admitted.shape[0] - accepted.shape[0])
+    border = np.column_stack(ipart.border_edges())
+    return local, accepted, border, duplicates, [out[2] for out in rank_outputs]
 
 
 def resolve_index_partition(
@@ -427,7 +425,7 @@ def parallel_chordal_nocomm_filter(
             f"unknown backend {backend!r}; expected one of {available_backends()}"
         )
     start = time.perf_counter()
-    csr = CSRGraph.from_graph(graph)
+    csr = CSRGraph.of(graph)
     perm, ordering_name = resolve_order_indices(csr, ordering, explicit_order)
     ipart = resolve_index_partition(csr, n_partitions, partition_method, partition, perm)
     position = priority_from_permutation(perm, csr.n_vertices)
@@ -452,31 +450,28 @@ def parallel_chordal_nocomm_filter(
             )
         )
     rank_outputs = parallel_map(_rank_task_indices, items, backend=backend, processes=processes)
-    all_local_edges, accepted_border, border_edges, duplicates, works = merge_rank_outputs(
-        rank_outputs, csr, ipart
-    )
+    local, accepted, border, duplicates, works = merge_rank_outputs(rank_outputs, ipart)
 
     removed_for_cycles: list[Edge] = []
-    if repair_cycles and accepted_border:
-        accepted_border, removed_for_cycles = _repair_border_cycles(
-            all_local_edges, accepted_border
-        )
+    if repair_cycles and accepted.shape[0]:
+        accepted, removed_for_cycles = _repair_border_cycles(csr.labels, local, accepted)
 
-    kept_edges = list(dict.fromkeys(all_local_edges + accepted_border))
-    filtered = graph.spanning_subgraph(kept_edges)
+    # Local edges lie inside one part and accepted border edges cross parts,
+    # so the two lists are disjoint.
+    kept = np.concatenate([local, accepted])
     wall = time.perf_counter() - start
 
-    border_subgraph = Graph(edges=accepted_border) if accepted_border else Graph()
     supervision = pop_supervision_events()
     result = FilterResult(
-        graph=filtered,
+        csr=csr,
+        kept=kept,
         original=graph,
         method="chordal_nocomm",
         ordering=ordering_name,
         n_partitions=ipart.n_parts,
         partition_method=partition_method,
-        border_edges=border_edges,
-        accepted_border_edges=accepted_border,
+        border_pairs=border,
+        accepted_border_pairs=accepted,
         duplicate_border_edges=duplicates,
         rank_work=works,
         wall_time=wall,
@@ -484,7 +479,7 @@ def parallel_chordal_nocomm_filter(
             "strict_order": strict_order,
             "repair_cycles": repair_cycles,
             "cycles_removed_edges": removed_for_cycles,
-            "border_cycle_sizes": cycle_basis_sizes(border_subgraph),
+            "border_cycle_sizes": _border_cycle_sizes(csr.labels, accepted),
             "backend": backend,
             # Supervision events (retries/degrades) ride in ``extra`` only:
             # the canonical filter payload excludes ``extra``, so a faulted
@@ -496,22 +491,46 @@ def parallel_chordal_nocomm_filter(
     return result
 
 
+def _border_cycle_sizes(labels: Sequence[Vertex], accepted: np.ndarray) -> list[int]:
+    """:func:`cycle_basis_sizes` of the graph of the accepted border edges.
+
+    That graph (``Graph(edges=<canonical label edges>)``) numbers its
+    vertices in order of first appearance along the edges, each oriented as
+    :func:`edge_key` orders its labels; the same numbering is rebuilt here on
+    indices, so only the orientation test touches a label.
+    """
+    if not accepted.shape[0]:
+        return []
+    # ``edge_key`` returns its own arguments, so identity tells a swap.
+    flip = np.fromiter(
+        (edge_key(labels[i], labels[j])[0] is not labels[i] for i, j in accepted.tolist()),
+        dtype=bool,
+        count=accepted.shape[0],
+    )
+    oriented = np.where(flip[:, None], accepted[:, ::-1], accepted).ravel()
+    _, first, inverse = np.unique(oriented, return_index=True, return_inverse=True)
+    position = np.empty(first.shape[0], dtype=np.int64)
+    position[np.argsort(first)] = np.arange(first.shape[0], dtype=np.int64)
+    local = position[inverse].reshape(-1, 2)
+    sub = CSRGraph.from_edge_sequence(range(first.shape[0]), local[:, 0], local[:, 1])
+    return cycle_basis_sizes_csr(sub)
+
+
 def _repair_border_cycles(
-    local_edges: Sequence[Edge], accepted_border: Sequence[Edge]
-) -> tuple[list[Edge], list[Edge]]:
+    labels: Sequence[Vertex], local: np.ndarray, accepted: np.ndarray
+) -> tuple[np.ndarray, list[Edge]]:
     """Delete admitted border edges that close cycles longer than a triangle.
 
     The repair follows the paper's sketch: copy the subgraph induced by the
     border edges (plus the local chordal edges among their endpoints, which
     are protected) to one processor and delete border edges until every
-    fundamental cycle in that subgraph is a triangle.
+    fundamental cycle in that subgraph is a triangle.  The loop runs on
+    labels; returns the surviving accepted pairs and the removed label edges.
     """
-    endpoints: set[Vertex] = set()
-    for u, v in accepted_border:
-        endpoints.add(u)
-        endpoints.add(v)
-    protected = [e for e in local_edges if e[0] in endpoints and e[1] in endpoints]
-    check_graph = Graph(edges=list(accepted_border) + protected)
+    accepted_border = [edge_key(labels[i], labels[j]) for i, j in accepted.tolist()]
+    inside = np.isin(local, accepted).all(axis=1)
+    protected = [edge_key(labels[i], labels[j]) for i, j in local[inside].tolist()]
+    check_graph = Graph(edges=accepted_border + protected)
     removed: list[Edge] = []
     border_set = set(accepted_border)
     while True:
@@ -524,8 +543,11 @@ def _repair_border_cycles(
         check_graph.remove_edge(*target)
         border_set.discard(target)
         removed.append(target)
-    kept = [e for e in accepted_border if e not in set(removed)]
-    return kept, removed
+    removed_set = set(removed)
+    keep = np.fromiter(
+        (e not in removed_set for e in accepted_border), dtype=bool, count=len(accepted_border)
+    )
+    return accepted[keep], removed
 
 
 def _find_long_cycle_border_edge(graph: Graph, border_set: set[Edge]) -> Optional[Edge]:

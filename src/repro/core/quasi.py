@@ -114,8 +114,8 @@ def quasi_chordal_report(
         chordality_deficit=0 if chordal else chordality_deficit(graph),
         long_cycles=long_cycle_census(graph) if not chordal else {},
         n_partitions=result.n_partitions,
-        n_border_edges=len(result.border_edges),
-        n_accepted_border_edges=len(result.accepted_border_edges),
+        n_border_edges=result.n_border_edges,
+        n_accepted_border_edges=result.n_accepted_border_edges,
         n_duplicate_border_edges=result.duplicate_border_edges,
     )
     if partition is not None:

@@ -28,16 +28,57 @@ from typing import Optional
 
 import numpy as np
 
+from ..graph.csr import CSRGraph
 from ..graph.graph import Graph, edge_key
-from ..graph.partition import Partition, partition_graph
+from ..graph.partition import Partition
 from ..parallel.rng import rank_rngs
 from ..parallel.timing import RankWork
-from .results import FilterResult
+from .parallel_nocomm import resolve_index_partition
+from .results import FilterResult, as_pairs
+from .sequential import resolve_order_indices
 
 __all__ = ["parallel_random_walk_filter", "random_walk_edges"]
 
 Vertex = Hashable
 Edge = tuple[Vertex, Vertex]
+IndexEdge = tuple[int, int]
+
+
+def _walk(
+    rows: Sequence[Sequence[int]],
+    n_edges: int,
+    rng: np.random.Generator,
+    selection_fraction: float,
+) -> tuple[set[IndexEdge], int]:
+    """One random walk over adjacency ``rows``: (selected ``(min, max)`` pairs, n selections).
+
+    The walk restarts at a uniformly random vertex whenever it reaches an
+    isolated vertex.  Selection counting includes repeats, per the paper.
+    """
+    if not 0.0 < selection_fraction <= 1.0:
+        raise ValueError("selection_fraction must lie in (0, 1]")
+    n = len(rows)
+    kept: set[IndexEdge] = set()
+    selections = 0
+    target = int(selection_fraction * n_edges)
+    if not n or n_edges == 0 or target == 0:
+        return kept, 0
+    current = int(rng.integers(0, n))
+    while selections < target:
+        row = rows[current]
+        if not row:
+            current = int(rng.integers(0, n))
+            continue
+        nxt = row[int(rng.integers(0, len(row)))]
+        kept.add((current, nxt) if current < nxt else (nxt, current))
+        selections += 1
+        current = nxt
+    return kept, selections
+
+
+def _repr_order(pairs: Sequence[IndexEdge], labels: Sequence[Vertex]) -> list[IndexEdge]:
+    """``pairs`` sorted by the ``repr`` of their canonical label edges."""
+    return sorted(pairs, key=lambda e: repr(edge_key(labels[e[0]], labels[e[1]])))
 
 
 def random_walk_edges(
@@ -49,26 +90,29 @@ def random_walk_edges(
 
     The walk restarts at a uniformly random vertex whenever it reaches an
     isolated vertex.  Selection counting includes repeats, per the paper.
+    The edges come back as canonical label edges sorted by ``repr``.
     """
-    if not 0.0 < selection_fraction <= 1.0:
-        raise ValueError("selection_fraction must lie in (0, 1]")
-    vertices = graph.vertices()
-    kept: set[Edge] = set()
-    selections = 0
-    target = int(selection_fraction * graph.n_edges)
-    if not vertices or graph.n_edges == 0 or target == 0:
-        return [], 0
-    current = vertices[int(rng.integers(0, len(vertices)))]
-    while selections < target:
-        nbrs = graph.neighbors(current)
-        if not nbrs:
-            current = vertices[int(rng.integers(0, len(vertices)))]
-            continue
-        nxt = nbrs[int(rng.integers(0, len(nbrs)))]
-        kept.add(edge_key(current, nxt))
-        selections += 1
-        current = nxt
-    return sorted(kept, key=repr), selections
+    csr = CSRGraph.from_graph(graph)
+    kept, selections = _walk(csr.neighbor_lists(), csr.n_edges, rng, selection_fraction)
+    labels = csr.labels
+    return [edge_key(labels[i], labels[j]) for i, j in _repr_order(kept, labels)], selections
+
+
+def _subgraph_rows(sub: CSRGraph) -> list[list[int]]:
+    """The adjacency rows ``Graph.subgraph`` builds for the part ``sub`` slices.
+
+    ``Graph.subgraph`` adds each edge from whichever endpoint comes first in
+    the part, so a row lists its earlier neighbours (in part order) before
+    its later ones (in the original row order) — the neighbour order the
+    walk draws from.
+    """
+    rows: list[list[int]] = [[] for _ in range(sub.n_vertices)]
+    for x, row in enumerate(sub.neighbor_lists()):
+        for y in row:
+            if y > x:
+                rows[x].append(y)
+                rows[y].append(x)
+    return rows
 
 
 def parallel_random_walk_filter(
@@ -93,55 +137,64 @@ def parallel_random_walk_filter(
         been selected (with repetition).  The paper uses one half.
     border_keep_probability:
         Probability that a border edge survives (its "binary random value").
+
+    Like the chordal samplers it runs on the graph's cached CSR view and an
+    index partition; each rank's walked edges are admitted in the ``repr``
+    order of their label form, then the surviving border edges in partition
+    order.
     """
     if n_partitions < 1:
         raise ValueError(f"n_partitions must be >= 1, got {n_partitions}")
     if not 0.0 <= border_keep_probability <= 1.0:
         raise ValueError("border_keep_probability must lie in [0, 1]")
     start = time.perf_counter()
-    if partition is None:
-        if partition_method == "block" and explicit_order is not None:
-            partition = partition_graph(graph, n_partitions, method="block", order=explicit_order)
-        else:
-            partition = partition_graph(graph, n_partitions, method=partition_method)
+    csr = CSRGraph.of(graph)
+    perm = None
+    if partition is None and partition_method == "block" and explicit_order is not None:
+        perm, _ = resolve_order_indices(csr, None, explicit_order)
+    ipart = resolve_index_partition(csr, n_partitions, partition_method, partition, perm)
 
-    rngs = rank_rngs(seed, partition.n_parts + 1)
+    rngs = rank_rngs(seed, ipart.n_parts + 1)
     border_rng = rngs[-1]
+    labels = csr.labels
 
-    kept_edges: list[Edge] = []
+    walked: list[np.ndarray] = []
     works: list[RankWork] = []
-    for rank in range(partition.n_parts):
-        part_graph = partition.part_subgraph(rank)
-        edges, selections = random_walk_edges(part_graph, rngs[rank], selection_fraction)
-        kept_edges.extend(edges)
+    for rank in range(ipart.n_parts):
+        sub = ipart.part_csr(rank)
+        rows = _subgraph_rows(sub)
+        pairs, selections = _walk(rows, sub.n_edges, rngs[rank], selection_fraction)
+        to_global = ipart.part_indices(rank).tolist()
+        global_pairs = [
+            (a, b) if a < b else (b, a) for a, b in ((to_global[i], to_global[j]) for i, j in pairs)
+        ]
+        walked.append(as_pairs(_repr_order(global_pairs, labels)))
         works.append(
             RankWork(
                 edges_examined=selections,
                 chordality_checks=0,
-                border_edges=len(partition.border_edges_of(rank)),
+                border_edges=int(ipart.border_edges_of(rank)[0].shape[0]),
                 messages=0,
                 items_sent=0,
-                max_degree=max(part_graph.max_degree(), 1),
+                max_degree=max(sub.max_degree(), 1),
             )
         )
 
-    accepted_border: list[Edge] = []
-    for e in partition.border_edges:
-        if border_rng.random() < border_keep_probability:
-            accepted_border.append(e)
-    kept = list(dict.fromkeys(kept_edges + accepted_border))
-    filtered = graph.spanning_subgraph(kept)
+    border = np.column_stack(ipart.border_edges())
+    accepted = border[border_rng.random(border.shape[0]) < border_keep_probability]
     wall = time.perf_counter() - start
 
     result = FilterResult(
-        graph=filtered,
+        csr=csr,
+        # Walked edges lie inside one part, border edges cross parts: disjoint.
+        kept=np.concatenate(walked + [accepted]),
         original=graph,
         method="random_walk",
         ordering=None,
-        n_partitions=partition.n_parts,
+        n_partitions=ipart.n_parts,
         partition_method=partition_method,
-        border_edges=list(partition.border_edges),
-        accepted_border_edges=accepted_border,
+        border_pairs=border,
+        accepted_border_pairs=accepted,
         duplicate_border_edges=0,
         rank_work=works,
         wall_time=wall,

@@ -12,9 +12,13 @@ from __future__ import annotations
 
 from collections.abc import Hashable
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Optional
 
-from ..graph.graph import Graph
+import numpy as np
+
+from ..graph.csr import CSRGraph
+from ..graph.graph import Graph, edge_key
 from ..parallel.timing import CostModel, RankWork
 
 __all__ = ["FilterResult"]
@@ -23,14 +27,36 @@ Vertex = Hashable
 Edge = tuple[Vertex, Vertex]
 
 
-@dataclass
+def no_pairs() -> np.ndarray:
+    """An empty ``(0, 2)`` index-pair array."""
+    return np.empty((0, 2), dtype=np.int64)
+
+
+def as_pairs(pairs: Any) -> np.ndarray:
+    """``pairs`` (a list of index 2-tuples or an array) as a ``(k, 2)`` int64 array."""
+    return np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+@dataclass(eq=False)
 class FilterResult:
     """The outcome of applying a sampling filter to a network.
 
+    The result is *index-native*: the kept edges and the border edges are
+    ``(k, 2)`` ``int64`` arrays of vertex indices into :attr:`csr`, and the
+    label views (:attr:`graph`, :attr:`border_edges`,
+    :attr:`accepted_border_edges`) are built from them the first time they are
+    read, then cached.  Counts, summaries and the canonical payload read the
+    arrays, so a caller that never asks for labels never pays for them.
+
     Attributes
     ----------
-    graph:
-        The filtered network (all original vertices, surviving edges only).
+    csr:
+        CSR view of :attr:`original` (``CSRGraph.of(original)``); the index
+        space of every pair array.
+    kept:
+        The surviving edges in admission order — the order the filter
+        accepted them, which fixes every vertex's neighbour order in
+        :attr:`graph`.
     original:
         The network the filter was applied to (not copied).
     method:
@@ -43,10 +69,11 @@ class FilterResult:
         Number of partitions / simulated processors (1 for sequential runs).
     partition_method:
         Name of the partitioner used (``None`` for sequential runs).
-    border_edges:
-        Canonical border edges of the partition (empty for sequential runs).
-    accepted_border_edges:
-        Border edges that survived the filter.
+    border_pairs:
+        Border edges of the partition, in partition order (empty for
+        sequential runs).
+    accepted_border_pairs:
+        Border edges that survived the filter, in merge order.
     duplicate_border_edges:
         Number of border edges accepted independently by both owning ranks;
         the paper notes these must be removed during the sequential analysis
@@ -61,14 +88,15 @@ class FilterResult:
         Free-form provenance (seed, thresholds, cycle statistics, …).
     """
 
-    graph: Graph
+    csr: CSRGraph
+    kept: np.ndarray
     original: Graph
     method: str
     ordering: Optional[str] = None
     n_partitions: int = 1
     partition_method: Optional[str] = None
-    border_edges: list[Edge] = field(default_factory=list)
-    accepted_border_edges: list[Edge] = field(default_factory=list)
+    border_pairs: np.ndarray = field(default_factory=no_pairs)
+    accepted_border_pairs: np.ndarray = field(default_factory=no_pairs)
     duplicate_border_edges: int = 0
     rank_work: list[RankWork] = field(default_factory=list)
     simulated_time: Optional[float] = None
@@ -76,15 +104,53 @@ class FilterResult:
     extra: dict[str, Any] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
+    # label views (built on first read)
+    # ------------------------------------------------------------------
+    @cached_property
+    def graph(self) -> Graph:
+        """The filtered network: all original vertices, the kept edges only.
+
+        Edges are added in admission order and carry the original's edge
+        attributes.
+        """
+        labels = self.csr.labels
+        return self.original.spanning_subgraph(
+            (labels[i], labels[j]) for i, j in self.kept.tolist()
+        )
+
+    @cached_property
+    def border_edges(self) -> list[Edge]:
+        """Canonical border edges of the partition (empty for sequential runs)."""
+        return self._label_edges(self.border_pairs)
+
+    @cached_property
+    def accepted_border_edges(self) -> list[Edge]:
+        """Canonical border edges that survived the filter."""
+        return self._label_edges(self.accepted_border_pairs)
+
+    def _label_edges(self, pairs: np.ndarray) -> list[Edge]:
+        labels = self.csr.labels
+        return [edge_key(labels[i], labels[j]) for i, j in pairs.tolist()]
+
+    def filtered_csr(self) -> CSRGraph:
+        """The CSR of :attr:`graph`, built from :attr:`kept` without the graph.
+
+        Bit-identical to ``CSRGraph.from_graph(self.graph)``: rows list
+        neighbours in admission order.  Built on every call and not cached,
+        so the result pins no second CSR in memory.
+        """
+        return CSRGraph.from_edge_sequence(self.csr.labels, self.kept[:, 0], self.kept[:, 1])
+
+    # ------------------------------------------------------------------
     # derived quantities
     # ------------------------------------------------------------------
     @property
     def n_edges_kept(self) -> int:
-        return self.graph.n_edges
+        return int(self.kept.shape[0])
 
     @property
     def n_edges_removed(self) -> int:
-        return self.original.n_edges - self.graph.n_edges
+        return self.csr.n_edges - self.n_edges_kept
 
     @property
     def edge_reduction(self) -> float:
@@ -94,13 +160,17 @@ class FilterResult:
         network ("ideally, if the data is noise free, no reduction should
         occur").
         """
-        if self.original.n_edges == 0:
+        if self.csr.n_edges == 0:
             return 0.0
-        return self.n_edges_removed / self.original.n_edges
+        return self.n_edges_removed / self.csr.n_edges
 
     @property
     def n_border_edges(self) -> int:
-        return len(self.border_edges)
+        return int(self.border_pairs.shape[0])
+
+    @property
+    def n_accepted_border_edges(self) -> int:
+        return int(self.accepted_border_pairs.shape[0])
 
     def compute_simulated_time(self, model: Optional[CostModel] = None, with_communication: Optional[bool] = None) -> float:
         """Fill in and return :attr:`simulated_time` using the cost model.
@@ -125,12 +195,12 @@ class FilterResult:
             "ordering": self.ordering,
             "n_partitions": self.n_partitions,
             "partition_method": self.partition_method,
-            "n_vertices": self.graph.n_vertices,
-            "edges_original": self.original.n_edges,
+            "n_vertices": self.csr.n_vertices,
+            "edges_original": self.csr.n_edges,
             "edges_kept": self.n_edges_kept,
             "edge_reduction": round(self.edge_reduction, 4),
             "border_edges": self.n_border_edges,
-            "accepted_border_edges": len(self.accepted_border_edges),
+            "accepted_border_edges": self.n_accepted_border_edges,
             "duplicate_border_edges": self.duplicate_border_edges,
             "simulated_time": self.simulated_time,
         }

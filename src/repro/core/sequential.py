@@ -6,11 +6,11 @@ paper's Figure 11) and a sequential random walk.  Both return
 :class:`~repro.core.results.FilterResult` objects with single-rank work
 counters so they slot into the same cost model as the parallel runs.
 
-Both filters are *index-native*: the graph is converted to the CSR kernel
-once, the ordering is computed directly on indices
-(:func:`repro.graph.ordering.ordering_indices`), the kernel runs on plain
-integers, and labels reappear exactly once — when the kept edge set is mapped
-back at the end.
+Both filters are *index-native*: they read the graph's cached CSR view
+(:meth:`CSRGraph.of`), compute the ordering directly on indices
+(:func:`repro.graph.ordering.ordering_indices`), run the kernel on plain
+integers and return the kept edges as index pairs; the result maps them back
+to labels only when its label graph is read.
 """
 
 from __future__ import annotations
@@ -22,11 +22,11 @@ from typing import Optional
 import numpy as np
 
 from ..graph.csr import CSRGraph
-from ..graph.graph import Graph, edge_key
+from ..graph.graph import Graph
 from ..graph.ordering import get_ordering, ordering_indices
 from ..parallel.timing import RankWork
 from .chordal import chordal_subgraph_edge_indices
-from .results import FilterResult
+from .results import FilterResult, as_pairs
 
 __all__ = [
     "sequential_chordal_filter",
@@ -121,15 +121,12 @@ def sequential_chordal_filter(
         maximum-|S| rule (see :func:`repro.core.chordal.chordal_subgraph_edges`).
     """
     start = time.perf_counter()
-    # One CSR conversion serves the ordering, the extraction kernel and the
-    # work counters; labels reappear only in the final edge mapping.
-    csr = CSRGraph.from_graph(graph)
+    # One CSR view serves the ordering, the extraction kernel and the work
+    # counters; labels reappear only when the result's graph is read.
+    csr = CSRGraph.of(graph)
     perm, name = resolve_order_indices(csr, ordering, explicit_order)
     priority = priority_from_permutation(perm, csr.n_vertices)
     pairs = chordal_subgraph_edge_indices(csr, priority=priority, strict_order=strict_order)
-    labels = csr.labels
-    edges = [edge_key(labels[i], labels[j]) for i, j in pairs]
-    filtered = graph.spanning_subgraph(edges)
     wall = time.perf_counter() - start
     work = RankWork(
         edges_examined=csr.n_edges,
@@ -140,7 +137,8 @@ def sequential_chordal_filter(
         max_degree=csr.max_degree(),
     )
     result = FilterResult(
-        graph=filtered,
+        csr=csr,
+        kept=as_pairs(pairs),
         original=graph,
         method="chordal_sequential",
         ordering=name or "natural",
@@ -183,7 +181,7 @@ def sequential_random_walk_filter(
         raise ValueError("selection_fraction must lie in (0, 1]")
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
-    csr = CSRGraph.from_graph(graph)
+    csr = CSRGraph.of(graph)
     n = csr.n_vertices
     rows = csr.neighbor_lists()
     kept: set[tuple[int, int]] = set()
@@ -213,10 +211,6 @@ def sequential_random_walk_filter(
             kept.add((current, nxt) if current < nxt else (nxt, current))
             selections += 1
             current = nxt
-    labels = csr.labels
-    filtered = graph.spanning_subgraph(
-        edge_key(labels[i], labels[j]) for i, j in kept
-    )
     wall = time.perf_counter() - start
     work = RankWork(
         edges_examined=selections,
@@ -227,7 +221,9 @@ def sequential_random_walk_filter(
         max_degree=csr.max_degree(),
     )
     result = FilterResult(
-        graph=filtered,
+        csr=csr,
+        # Set iteration order is the admission order the label graph keeps.
+        kept=as_pairs(list(kept)),
         original=graph,
         method="random_walk_sequential",
         ordering=None,

@@ -20,9 +20,13 @@ scalability study those constants dominate the measured time.
   vectorised.
 
 A ``CSRGraph`` is *frozen*: all mutation happens on :class:`Graph`, and code
-converts at the boundary with :meth:`from_graph` / :meth:`to_graph`.  Edge
-attributes are intentionally not carried over — the samplers re-attach them by
-building their result with ``Graph.spanning_subgraph`` on the original graph.
+converts at the boundary.  :meth:`from_graph` is the plain (uncached)
+conversion; :meth:`of` returns the one view cached on the graph itself, keyed
+by the graph's structural version, so the samplers convert a network they
+filter repeatedly only once.  Edge attributes are intentionally not carried
+over — a filter result keeps its kept edges as index pairs and re-attaches
+the attributes (``Graph.spanning_subgraph`` on the original graph) only when
+its label graph is first read.
 """
 
 from __future__ import annotations
@@ -151,6 +155,66 @@ class CSRGraph:
         object.__setattr__(csr, "_label_index", index)
         object.__setattr__(csr, "_rows", rows)
         return csr
+
+    @classmethod
+    def of(cls, graph: Graph) -> "CSRGraph":
+        """The CSR view of ``graph``, built once and cached on the graph.
+
+        The cache is keyed by the graph's structural version: any new vertex,
+        new edge or removal makes the next call rebuild, while attribute-only
+        changes keep the view.  Copies and subgraphs start without one.  Use
+        it for networks that are converted again and again (filter inputs);
+        a one-off conversion should call :meth:`from_graph`, which pins
+        nothing in memory.
+        """
+        view = graph._csr_view
+        if view is None or view[0] != graph._version:
+            view = (graph._version, cls.from_graph(graph))
+            graph._csr_view = view
+        return view[1]
+
+    def install_as_view_of(self, graph: Graph) -> None:
+        """Make this CSR the view :meth:`of` returns for ``graph``.
+
+        For a CSR built elsewhere from the same data (a dataset's network
+        CSR comes straight from the correlation pairs), so one network never
+        holds two CSRs.  It must equal ``CSRGraph.from_graph(graph)``; only
+        the sizes are checked here.
+        """
+        if self.n_vertices != graph.n_vertices or self.n_edges != graph.n_edges:
+            raise ValueError(
+                f"{self!r} cannot be the CSR view of {graph!r}: sizes differ"
+            )
+        graph._csr_view = (graph._version, self)
+
+    @classmethod
+    def from_edge_sequence(
+        cls,
+        labels: Sequence[Vertex],
+        us: np.ndarray,
+        vs: np.ndarray,
+    ) -> "CSRGraph":
+        """The CSR of a graph whose edges were added in the order given.
+
+        Vertex ``i`` is ``labels[i]`` and row ``i`` lists its neighbours in the
+        order its edges appear in ``(us[k], vs[k])`` — exactly what
+        :meth:`from_graph` returns for a :class:`Graph` over ``labels`` that
+        added these edges one by one.  Each undirected edge must appear once
+        (either orientation), without self loops; this is not checked.  One
+        stable ``argsort`` over the interleaved half-edges, no Python loop.
+        """
+        us = np.ascontiguousarray(us, dtype=np.int64)
+        vs = np.ascontiguousarray(vs, dtype=np.int64)
+        # Half-edges in arrival order: edge k contributes (us[k] -> vs[k])
+        # and (vs[k] -> us[k]) at time k, so a stable sort by source row
+        # keeps each row in edge order.
+        src = np.column_stack([us, vs]).ravel()
+        dst = np.column_stack([vs, us]).ravel()
+        order = np.argsort(src, kind="stable")
+        labels = tuple(labels)
+        indptr = np.zeros(len(labels) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=len(labels)), out=indptr[1:])
+        return cls(indptr, dst[order], labels)
 
     @classmethod
     def from_edge_arrays(
@@ -594,7 +658,7 @@ class CSRGraph:
             new_indices = np.empty(0, dtype=np.int64)
         new_indptr = np.zeros(k + 1, dtype=np.int64)
         np.cumsum(new_counts, out=new_indptr[1:])
-        labels = tuple(self.labels[int(i)] for i in sub)
+        labels = tuple(map(self.labels.__getitem__, sub.tolist()))
         return CSRGraph(new_indptr, new_indices, labels)
 
     # ------------------------------------------------------------------
@@ -617,3 +681,7 @@ class CSRGraph:
 
     def __hash__(self) -> int:
         return hash((self.labels, self.indptr.tobytes(), self.indices.tobytes()))
+
+    def __reduce__(self):
+        # The frozen ``__setattr__`` defeats pickle's default slot restore.
+        return (CSRGraph.from_buffers, (self.indptr, self.indices, self.labels))

@@ -14,6 +14,7 @@ from collections import deque
 from collections.abc import Hashable, Iterable
 from typing import Optional
 
+from .csr import CSRGraph
 from .graph import Graph, edge_key
 
 __all__ = [
@@ -24,6 +25,7 @@ __all__ = [
     "average_clustering",
     "has_cycle",
     "cycle_basis_sizes",
+    "cycle_basis_sizes_csr",
     "find_chordless_cycle",
     "girth_at_least",
     "break_cycles",
@@ -129,39 +131,48 @@ def cycle_basis_sizes(graph: Graph) -> list[int]:
     quasi-chordal subgraph is from being triangulated (a chordal graph still
     has cycles, but chordless ones no longer than 3).
     """
-    sizes: list[int] = []
-    visited: set[Vertex] = set()
-    parent: dict[Vertex, Optional[Vertex]] = {}
-    depth: dict[Vertex, int] = {}
-    tree_edges: set[Edge] = set()
-    for start in graph.vertices():
-        if start in visited:
+    return cycle_basis_sizes_csr(CSRGraph.from_graph(graph))
+
+
+def cycle_basis_sizes_csr(csr: CSRGraph) -> list[int]:
+    """:func:`cycle_basis_sizes` of a CSR view.
+
+    The forest is the breadth-first one grown from vertex ``0, 1, …`` in turn,
+    visiting each row in its stored order — for ``CSRGraph.from_graph(g)``
+    the forest a traversal of ``g`` in vertex and neighbour insertion order
+    grows, so both forms report the same lengths.
+    """
+    n = csr.n_vertices
+    rows = csr.neighbor_lists()
+    parent = [-1] * n
+    depth = [-1] * n
+    for start in range(n):
+        if depth[start] >= 0:
             continue
-        visited.add(start)
-        parent[start] = None
         depth[start] = 0
-        queue: deque[Vertex] = deque([start])
+        queue: deque[int] = deque([start])
         while queue:
             u = queue.popleft()
-            for w in graph.neighbors(u):
-                if w not in visited:
-                    visited.add(w)
-                    parent[w] = u
+            for w in rows[u]:
+                if depth[w] < 0:
                     depth[w] = depth[u] + 1
-                    tree_edges.add(edge_key(u, w))
+                    parent[w] = u
                     queue.append(w)
-    for u, v in graph.iter_edges():
-        if edge_key(u, v) in tree_edges:
-            continue
-        # tree path length between u and v
-        a, b = u, v
-        length = 0
-        while a != b:
-            if depth[a] < depth[b]:
-                a, b = b, a
-            a = parent[a]  # type: ignore[assignment]
-            length += 1
-        sizes.append(length + 1)
+    sizes: list[int] = []
+    for u in range(n):
+        for v in rows[u]:
+            # Each edge once; in a simple graph {u, v} is a tree edge exactly
+            # when one endpoint discovered the other.
+            if v < u or parent[v] == u or parent[u] == v:
+                continue
+            a, b = u, v
+            length = 0
+            while a != b:
+                if depth[a] < depth[b]:
+                    a, b = b, a
+                a = parent[a]
+                length += 1
+            sizes.append(length + 1)
     return sorted(sizes)
 
 

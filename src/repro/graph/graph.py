@@ -89,9 +89,13 @@ class Graph:
       iteration is deterministic.
     * Edge attributes (e.g. correlation weight) are stored per canonical edge
       key and survive subgraph extraction.
+    * Every structural change (a new vertex, a new edge, a removal) bumps a
+      version counter; :meth:`repro.graph.csr.CSRGraph.of` keys its cached
+      CSR view on it, so a mutated graph never serves a stale view.
+      Attribute-only changes keep the version.
     """
 
-    __slots__ = ("_adj", "_edge_attrs", "_n_edges")
+    __slots__ = ("_adj", "_edge_attrs", "_n_edges", "_version", "_csr_view")
 
     def __init__(
         self,
@@ -101,6 +105,8 @@ class Graph:
         self._adj: dict[Vertex, dict[Vertex, None]] = {}
         self._edge_attrs: dict[Edge, dict[str, Any]] = {}
         self._n_edges = 0
+        self._version = 0
+        self._csr_view = None
         if vertices is not None:
             for v in vertices:
                 self.add_vertex(v)
@@ -115,6 +121,7 @@ class Graph:
         """Add ``v`` to the graph (no-op if already present)."""
         if v not in self._adj:
             self._adj[v] = {}
+            self._version += 1
 
     def add_vertices(self, vs: Iterable[Vertex]) -> None:
         """Add every vertex in ``vs``."""
@@ -135,6 +142,7 @@ class Graph:
             self._adj[u][v] = None
             self._adj[v][u] = None
             self._n_edges += 1
+            self._version += 1
         if attrs:
             self._edge_attrs.setdefault(edge_key(u, v), {}).update(attrs)
 
@@ -151,6 +159,7 @@ class Graph:
         del self._adj[v][u]
         self._edge_attrs.pop(edge_key(u, v), None)
         self._n_edges -= 1
+        self._version += 1
 
     def remove_vertex(self, v: Vertex) -> None:
         """Remove ``v`` and every incident edge.  Raises ``KeyError`` if absent."""
@@ -159,6 +168,7 @@ class Graph:
         for nbr in list(self._adj[v]):
             self.remove_edge(v, nbr)
         del self._adj[v]
+        self._version += 1
 
     def discard_edge(self, u: Vertex, v: Vertex) -> bool:
         """Remove the edge if present; return ``True`` if something was removed."""

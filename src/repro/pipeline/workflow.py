@@ -24,6 +24,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
+import numpy as np
+
 from ..clustering.cluster import Cluster
 from ..clustering.evaluation import (
     EvaluationThresholds,
@@ -80,6 +82,12 @@ class DatasetBundle:
     #: Untouched components were reused structurally (same objects), which is
     #: what lets the serve layer scope its cache invalidation.
     dirty: frozenset = frozenset()
+
+    def __post_init__(self) -> None:
+        # The filters read ``CSRGraph.of(network)``: serve them this CSR
+        # rather than converting the network a second time.
+        if self.network_csr is not None:
+            self.network_csr.install_as_view_of(self.network)
 
     @property
     def n_vertices(self) -> int:
@@ -233,7 +241,9 @@ def analyze_filter(
         **filter_kwargs,
     )
     label = f"{bundle.name}/{method}/{ordering or '-'}/{n_partitions}P"
-    clusters = cluster_network(result.graph, bundle.mcode_params, source=label)
+    clusters = cluster_network(
+        result.graph, bundle.mcode_params, source=label, csr=result.filtered_csr()
+    )
     matches, lost = match_and_lost_clusters(bundle.original_clusters, clusters)
     scored_node = classify_matches(matches, bundle.scorer, bundle.thresholds, "node_overlap")
     # The edge-overlap pass classifies the same filtered clusters, so it
@@ -280,8 +290,24 @@ def payload_digest(obj: Any) -> str:
 
 
 def _canonical_edges(graph: Graph) -> list[list[str]]:
-    """The graph's edge set as a sorted list of sorted string pairs."""
+    """The graph's edge set as a sorted list of sorted string pairs (the oracle)."""
     return sorted(sorted((str(u), str(v))) for u, v in graph.iter_edges())
+
+
+def _canonical_pairs(labels: Sequence[Any], pairs: np.ndarray) -> list[list[str]]:
+    """:func:`_canonical_edges` of the edges ``pairs`` over ``labels``, from the arrays.
+
+    Each label is ranked by its string (equal strings share a rank), so
+    sorting the rank pairs sorts the string pairs exactly as the oracle does.
+    """
+    names = [str(v) for v in labels]
+    distinct = sorted(set(names))
+    rank_of = {name: r for r, name in enumerate(distinct)}
+    rank = np.fromiter((rank_of[name] for name in names), dtype=np.int64, count=len(names))
+    a, b = rank[pairs[:, 0]], rank[pairs[:, 1]]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    order = np.lexsort((hi, lo))
+    return [[distinct[x], distinct[y]] for x, y in zip(lo[order].tolist(), hi[order].tolist())]
 
 
 def filter_payload(result: FilterResult, include_edges: bool = False) -> dict[str, Any]:
@@ -289,19 +315,21 @@ def filter_payload(result: FilterResult, include_edges: bool = False) -> dict[st
 
     The edge set is pinned by ``edges_sha256``; ``include_edges`` additionally
     inlines the sorted edge list for callers that want the network itself.
+    Everything is read off the result's index arrays; the label graph is not
+    built.
     """
-    edges = _canonical_edges(result.graph)
+    edges = _canonical_pairs(result.csr.labels, result.kept)
     payload: dict[str, Any] = {
         "method": result.method,
         "ordering": result.ordering,
         "n_partitions": result.n_partitions,
         "partition_method": result.partition_method,
-        "n_vertices": result.graph.n_vertices,
-        "edges_original": result.original.n_edges,
+        "n_vertices": result.csr.n_vertices,
+        "edges_original": result.csr.n_edges,
         "edges_kept": result.n_edges_kept,
         "edge_reduction_hex": float(result.edge_reduction).hex(),
         "border_edges": result.n_border_edges,
-        "accepted_border_edges": len(result.accepted_border_edges),
+        "accepted_border_edges": result.n_accepted_border_edges,
         "duplicate_border_edges": result.duplicate_border_edges,
         "edges_sha256": payload_digest(edges),
     }

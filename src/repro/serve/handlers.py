@@ -246,7 +246,9 @@ def handle_enrich(state: DatasetState, params: dict[str, Any]) -> dict[str, Any]
             f"{bundle.name}/{params['method']}/"
             f"{params['ordering'] or '-'}/{params['partitions']}P"
         )
-        clusters = cluster_network(result.graph, bundle.mcode_params, source=source)
+        clusters = cluster_network(
+            result.graph, bundle.mcode_params, source=source, csr=result.filtered_csr()
+        )
     # The one stage where cross-request batching pays: concurrent enrich
     # requests coalesce into a single scorer pass (see serve.coalesce).
     aees = state.batcher.score([c.subgraph for c in clusters])
