@@ -40,9 +40,7 @@ __all__ = [
     "parallel_chordal_nocomm_filter",
     "parallel_chordal_comm_filter",
     "parallel_random_walk_filter",
-    "local_chordal_phase",
     "admit_border_edges_no_communication",
-    "admit_border_edges_no_communication_indices",
     "receiver_admit_border_edges",
     "receiver_admit_border_edges_indices",
     "random_walk_edges",
@@ -81,8 +79,6 @@ __getattr__, __dir__ = lazy_exports(
         ),
         ".parallel_nocomm": (
             "admit_border_edges_no_communication",
-            "admit_border_edges_no_communication_indices",
-            "local_chordal_phase",
             "parallel_chordal_nocomm_filter",
         ),
         ".quasi": (

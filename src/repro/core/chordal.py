@@ -50,7 +50,6 @@ __all__ = [
     "maximal_chordal_subgraph",
     "chordal_subgraph_edges",
     "chordal_subgraph_edge_indices",
-    "chordal_edges_from_csr",
     "mcs_order_indices",
     "is_peo_indices",
     "augment_to_maximal",
@@ -329,37 +328,6 @@ def chordal_subgraph_edge_indices(
             process(u)
             n_processed += 1
     return accepted
-
-
-def chordal_edges_from_csr(
-    csr: CSRGraph,
-    order: Optional[Sequence[Vertex]] = None,
-    strict_order: bool = False,
-) -> list[Edge]:
-    """Run the DSW kernel on a prebuilt CSR view and return label-level edges.
-
-    ``order`` is a *label* sequence that may be a superset of the CSR's
-    vertices (e.g. a global vertex ordering restricted to one partition);
-    labels absent from ``csr`` are skipped, and the relative order of the
-    present ones defines the preference ranks.  This is the entry point the
-    per-partition sampler loops use so that one conversion serves both the
-    extraction and the work counters.
-    """
-    priority: Optional[list[int]] = None
-    if order is not None:
-        index = csr.label_index
-        priority = [-1] * csr.n_vertices
-        rank = 0
-        for v in order:
-            i = index.get(v)
-            if i is not None and priority[i] < 0:  # first occurrence wins
-                priority[i] = rank
-                rank += 1
-        if rank != csr.n_vertices:
-            raise ValueError("order must cover every vertex of the graph")
-    pairs = chordal_subgraph_edge_indices(csr, priority=priority, strict_order=strict_order)
-    labels = csr.labels
-    return [edge_key(labels[i], labels[j]) for i, j in pairs]
 
 
 def chordal_subgraph_edges(

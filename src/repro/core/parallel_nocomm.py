@@ -32,10 +32,9 @@ runner for ``process-shm`` — and the merge (:func:`merge_rank_outputs`, which
 the with-communication sampler shares) stays on index arrays too: the
 :class:`FilterResult` maps them to labels only when its label views are read.
 The filter reads the graph's cached CSR view (:meth:`CSRGraph.of`), so
-filtering one network again converts nothing.  The label-level helpers
-(:func:`local_chordal_phase`, :func:`admit_border_edges_no_communication`)
-are retained as the behavioural reference; the property suite pins the index
-path to them.
+filtering one network again converts nothing.  The label-level
+:func:`admit_border_edges_no_communication` is retained as the behavioural
+reference; the property suite pins the index admission to it.
 """
 
 from __future__ import annotations
@@ -57,51 +56,22 @@ from ..graph.partition import (
 )
 from ..parallel.runner import available_backends, parallel_map, pop_supervision_events
 from ..parallel.timing import RankWork
-from .chordal import chordal_edges_from_csr, chordal_subgraph_edge_indices
+from .chordal import chordal_subgraph_edge_indices
 from .results import FilterResult, as_pairs
 from .sequential import priority_from_permutation, resolve_order_indices
 
 __all__ = [
     "parallel_chordal_nocomm_filter",
-    "local_chordal_phase",
     "admit_border_edges_no_communication",
-    "admit_border_edges_no_communication_indices",
-    "admit_border_edges_no_communication_arrays",
 ]
 
 Vertex = Hashable
 Edge = tuple[Vertex, Vertex]
-IndexEdge = tuple[int, int]
 
 
 # ----------------------------------------------------------------------
-# label-level reference helpers (seed semantics, kept for tests / compat)
+# label-level reference helper (seed semantics, the admission oracle)
 # ----------------------------------------------------------------------
-def local_chordal_phase(
-    part_graph: Graph,
-    order: Optional[Sequence[Vertex]] = None,
-    strict_order: bool = False,
-) -> tuple[list[Edge], RankWork]:
-    """Run the local (per-partition) chordal extraction and return (edges, work).
-
-    ``order`` is the global vertex ordering (labels outside this partition are
-    ignored by the CSR boundary); the work counters feed the scalability cost
-    model.  This is the label-level reference path — the filter itself runs
-    :func:`_rank_task_indices` on sliced CSR arrays instead.
-    """
-    csr = CSRGraph.from_graph(part_graph)
-    edges = chordal_edges_from_csr(csr, order=order, strict_order=strict_order)
-    work = RankWork(
-        edges_examined=csr.n_edges,
-        chordality_checks=csr.degree_sum(),
-        border_edges=0,
-        messages=0,
-        items_sent=0,
-        max_degree=max(csr.max_degree(), 1),
-    )
-    return edges, work
-
-
 def admit_border_edges_no_communication(
     rank_border_edges: Sequence[Edge],
     part_vertices: set[Vertex],
@@ -151,72 +121,6 @@ def admit_border_edges_no_communication(
 # ----------------------------------------------------------------------
 # index-native rank path
 # ----------------------------------------------------------------------
-def admit_border_edges_no_communication_indices(
-    border_u: np.ndarray,
-    border_v: np.ndarray,
-    u_internal: np.ndarray,
-    v_internal: np.ndarray,
-    chordal_adj: dict[int, set[int]],
-) -> list[IndexEdge]:
-    """Triangle-rule border admission on vertex indices.
-
-    ``border_u/border_v`` are this rank's border edges (global indices);
-    ``u_internal/v_internal`` are aligned booleans marking which endpoint lies
-    inside the partition.  ``chordal_adj`` is the adjacency of the rank's
-    local chordal edges.  Returns the admitted edges as sorted canonical
-    ``(min, max)`` index pairs — the same edge *set* the label-level
-    reference produces, without any ``repr`` canonicalisation.
-    """
-    by_external: dict[int, list[int]] = {}
-    for u, v, ui, vi in zip(border_u.tolist(), border_v.tolist(), u_internal.tolist(), v_internal.tolist()):
-        if ui and not vi:
-            by_external.setdefault(v, []).append(u)
-        elif vi and not ui:
-            by_external.setdefault(u, []).append(v)
-    admitted: set[IndexEdge] = set()
-    for external, internals in by_external.items():
-        if len(internals) < 2:
-            continue
-        internal_set = set(internals)
-        for a in internals:
-            adj = chordal_adj.get(a)
-            if not adj:
-                continue
-            # every b in internals ∩ adj(a) closes the triangle external-a-b
-            for b in internal_set & adj:
-                admitted.add((external, a) if external < a else (a, external))
-                admitted.add((external, b) if external < b else (b, external))
-    return sorted(admitted)
-
-
-def admit_border_edges_no_communication_arrays(
-    border_u: np.ndarray,
-    border_v: np.ndarray,
-    u_internal: np.ndarray,
-    v_internal: np.ndarray,
-    chordal_u: np.ndarray,
-    chordal_v: np.ndarray,
-) -> list[IndexEdge]:
-    """Vectorised triangle-rule admission (the production path).
-
-    Same contract as :func:`admit_border_edges_no_communication_indices` with
-    the rank's local chordal edges given as aligned index arrays instead of
-    an adjacency dict.  The scalar rule — admit the border pair
-    ``(x, b1), (x, b2)`` when ``(b1, b2)`` is a local chordal edge — is
-    reformulated over packed edge keys: every border pair ``(external e,
-    internal i)`` is expanded by ``i``'s chordal neighbours ``j``, and the
-    expansion survives when ``(e, j)`` is itself one of the rank's border
-    pairs, which closes the triangle ``e–i–j``.  One gather, one
-    ``searchsorted`` and one ``unique`` replace the per-external Python pair
-    loops; the result is the identical sorted canonical edge list (pinned to
-    the scalar reference by the property suite).
-    """
-    us, vs = _admit_border_keys(
-        border_u, border_v, u_internal, v_internal, chordal_u, chordal_v
-    )
-    return list(zip(us.tolist(), vs.tolist()))
-
-
 _EMPTY_EDGES = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
 
 
@@ -228,7 +132,21 @@ def _admit_border_keys(
     chordal_u: np.ndarray,
     chordal_v: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Array core of the vectorised admission: canonical ``(us, vs)`` sorted."""
+    """Triangle-rule border admission on vertex indices (the production path).
+
+    ``border_u/border_v`` are this rank's border edges (global indices);
+    ``u_internal/v_internal`` are aligned booleans marking which endpoint lies
+    inside the partition, and ``chordal_u/chordal_v`` are the rank's local
+    chordal edges.  The scalar rule — admit the border pair ``(x, b1), (x,
+    b2)`` when ``(b1, b2)`` is a local chordal edge — is reformulated over
+    packed edge keys: every border pair ``(external e, internal i)`` is
+    expanded by ``i``'s chordal neighbours ``j``, and the expansion survives
+    when ``(e, j)`` is itself one of the rank's border pairs, which closes the
+    triangle ``e–i–j``.  Returns the admitted edges as canonical ``(us, vs)``
+    arrays in lexicographic order — the edge set of the label-level
+    reference :func:`admit_border_edges_no_communication`, to which the
+    property suite pins it.
+    """
     one_internal = u_internal ^ v_internal
     if not one_internal.any() or chordal_u.shape[0] == 0:
         return _EMPTY_EDGES

@@ -23,7 +23,7 @@ import numpy as np
 
 from ..graph.csr import CSRGraph
 from ..graph.graph import Graph
-from ..graph.ordering import get_ordering, ordering_indices
+from ..graph.ordering import ordering_indices
 from ..parallel.timing import RankWork
 from .chordal import chordal_subgraph_edge_indices
 from .results import FilterResult, as_pairs
@@ -31,7 +31,6 @@ from .results import FilterResult, as_pairs
 __all__ = [
     "sequential_chordal_filter",
     "sequential_random_walk_filter",
-    "resolve_order",
     "resolve_order_indices",
 ]
 
@@ -41,36 +40,18 @@ Vertex = Hashable
 RANDOM_WALK_RNG_BATCH = 4096
 
 
-def resolve_order(
-    graph: Graph, ordering: Optional[str], explicit_order: Optional[Sequence[Vertex]] = None
-) -> tuple[Optional[list[Vertex]], Optional[str]]:
-    """Resolve an ordering name / explicit permutation into a vertex list.
-
-    Returns ``(order, name)``; both are ``None`` when neither was requested
-    (callers then fall back to the graph's natural order implicitly).
-    """
-    if explicit_order is not None:
-        order = list(explicit_order)
-        if set(order) != set(graph.vertices()) or len(order) != graph.n_vertices:
-            raise ValueError("explicit order must be a permutation of the graph's vertex set")
-        return order, ordering or "explicit"
-    if ordering is None:
-        return None, None
-    fn = get_ordering(ordering)
-    return fn(graph), ordering
-
-
 def resolve_order_indices(
     csr: CSRGraph,
     ordering: Optional[str],
     explicit_order: Optional[Sequence[Vertex]] = None,
 ) -> tuple[Optional[np.ndarray], Optional[str]]:
-    """Index-native :func:`resolve_order`: returns ``(permutation, name)``.
+    """Resolve an ordering name / explicit order into ``(permutation, name)``.
 
-    The permutation is an ``int64`` array over CSR vertex indices (``None``
-    when neither an ordering nor an explicit order was requested).  An
-    ``explicit_order`` is given in labels — this is the single place the
-    sampler pipelines translate it to indices.
+    The permutation is an ``int64`` array over CSR vertex indices; both are
+    ``None`` when neither an ordering nor an explicit order was requested
+    (callers then fall back to the natural order).  An ``explicit_order`` is
+    given in labels — this is the single place the sampler pipelines
+    translate it to indices.
     """
     if explicit_order is not None:
         order = list(explicit_order)

@@ -2,7 +2,7 @@
 
 The runtime threads named *injection sites* through its failure-prone
 operations — worker-hub bring-up and map dispatch, SPMD rounds, shared-memory
-export/attach, communicator send/recv/barrier, serve admission/execution,
+export/attach, communicator send/recv, serve admission/execution,
 batch cache read/write.  Each site is one :func:`fault_point` call; with no
 plan installed (production) the call is a module-global ``None`` check and
 returns immediately, so the sites cost nothing.  The chaos test tier installs
@@ -24,7 +24,6 @@ Sites (see ``docs/ARCHITECTURE.md`` for the full table):
 ``arena.attach``     each attach-side segment mapping
 ``comm.send``        each communicator send
 ``comm.recv``        each communicator receive (supports ``hook`` delays)
-``comm.barrier``     each barrier entry
 ``comm.connect``     each worker's hub connect
 ``sock.send``        each TCP frame written (hub routing and worker sends)
 ``sock.recv``        each TCP frame read off a socket

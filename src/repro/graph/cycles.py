@@ -11,28 +11,20 @@ machinery for measuring all of that.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Hashable, Iterable
+from collections.abc import Hashable
 from typing import Optional
 
 from .csr import CSRGraph
-from .graph import Graph, edge_key
+from .graph import Graph
 
 __all__ = [
     "count_triangles",
-    "triangles_of_edge",
-    "edge_in_triangle",
-    "local_clustering",
-    "average_clustering",
-    "has_cycle",
     "cycle_basis_sizes",
     "cycle_basis_sizes_csr",
     "find_chordless_cycle",
-    "girth_at_least",
-    "break_cycles",
 ]
 
 Vertex = Hashable
-Edge = tuple[Vertex, Vertex]
 
 
 def count_triangles(graph: Graph) -> int:
@@ -55,71 +47,6 @@ def count_triangles(graph: Graph) -> int:
         for v in hu:
             total += len(hu & higher[v])
     return total
-
-
-def triangles_of_edge(graph: Graph, u: Vertex, v: Vertex) -> list[Vertex]:
-    """Return the vertices ``w`` such that ``{u, v, w}`` is a triangle."""
-    if not graph.has_edge(u, v):
-        return []
-    nu = graph.neighbor_set(u)
-    nv = graph.neighbor_set(v)
-    return sorted(nu & nv, key=repr)
-
-
-def edge_in_triangle(graph: Graph, u: Vertex, v: Vertex) -> bool:
-    """Return ``True`` when the edge ``{u, v}`` participates in at least one triangle."""
-    if not graph.has_edge(u, v):
-        return False
-    nu = graph.neighbor_set(u)
-    for w in graph.neighbors(v):
-        if w in nu:
-            return True
-    return False
-
-
-def local_clustering(graph: Graph, v: Vertex) -> float:
-    """Return the local clustering coefficient of ``v`` (0.0 for degree < 2)."""
-    nbrs = graph.neighbors(v)
-    k = len(nbrs)
-    if k < 2:
-        return 0.0
-    links = 0
-    nbr_set = set(nbrs)
-    for i, a in enumerate(nbrs):
-        adj_a = graph.neighbor_set(a)
-        for b in nbrs[i + 1 :]:
-            if b in adj_a:
-                links += 1
-    return 2.0 * links / (k * (k - 1))
-
-
-def average_clustering(graph: Graph) -> float:
-    """Return the mean local clustering coefficient over all vertices."""
-    n = graph.n_vertices
-    if n == 0:
-        return 0.0
-    return sum(local_clustering(graph, v) for v in graph.vertices()) / n
-
-
-def has_cycle(graph: Graph) -> bool:
-    """Return ``True`` when the graph contains any cycle (i.e. it is not a forest)."""
-    visited: set[Vertex] = set()
-    for start in graph.vertices():
-        if start in visited:
-            continue
-        parent: dict[Vertex, Optional[Vertex]] = {start: None}
-        stack = [start]
-        visited.add(start)
-        while stack:
-            u = stack.pop()
-            for w in graph.neighbors(u):
-                if w not in visited:
-                    visited.add(w)
-                    parent[w] = u
-                    stack.append(w)
-                elif parent.get(u) != w:
-                    return True
-    return False
 
 
 def cycle_basis_sizes(graph: Graph) -> list[int]:
@@ -244,91 +171,3 @@ def _shrink_to_induced_cycle(graph: Graph, cycle: list[Vertex]) -> Optional[list
             if changed:
                 break
     return current if len(current) >= 4 else None
-
-
-def girth_at_least(graph: Graph, k: int) -> bool:
-    """Return ``True`` when the graph has no cycle shorter than ``k``.
-
-    Uses per-vertex BFS truncated at depth ``k // 2``; intended for the small
-    graphs used in tests.
-    """
-    if k <= 3:
-        return True
-    for s in graph.vertices():
-        dist = {s: 0}
-        parent = {s: None}
-        queue: deque[Vertex] = deque([s])
-        while queue:
-            u = queue.popleft()
-            if dist[u] >= k // 2:
-                continue
-            for w in graph.neighbors(u):
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    parent[w] = u
-                    queue.append(w)
-                elif parent[u] != w:
-                    cycle_len = dist[u] + dist[w] + 1
-                    if cycle_len < k:
-                        return False
-    return True
-
-
-def break_cycles(graph: Graph, protected: Optional[Iterable[Edge]] = None) -> tuple[Graph, list[Edge]]:
-    """Return a forest-inducing subgraph obtained by deleting one edge per fundamental cycle.
-
-    ``protected`` edges are never deleted (when possible).  Returns the new
-    graph together with the list of removed edges.  Used by the optional
-    cycle-repair pass on border-edge-induced subgraphs (Section III.A of the
-    paper discusses copying the border subgraph to one processor and deleting
-    edges to break the large cycles).
-    """
-    protected_set = {edge_key(*e) for e in (protected or [])}
-    g = graph.copy()
-    removed: list[Edge] = []
-    while True:
-        cycle_edge = _find_cycle_edge(g, protected_set)
-        if cycle_edge is None:
-            break
-        g.remove_edge(*cycle_edge)
-        removed.append(cycle_edge)
-    return g, removed
-
-
-def _find_cycle_edge(graph: Graph, protected: set[Edge]) -> Optional[Edge]:
-    """Find a non-tree (cycle-closing) edge, preferring unprotected edges.
-
-    The spanning forest is grown depth-first with protected edges explored
-    first, so protected edges become tree edges whenever possible and the
-    cycle-closing edge reported is unprotected whenever the cycle contains at
-    least one unprotected edge.
-    """
-    visited: set[Vertex] = set()
-    parent: dict[Vertex, Optional[Vertex]] = {}
-    fallback: Optional[Edge] = None
-    for start in graph.vertices():
-        if start in visited:
-            continue
-        stack: list[tuple[Optional[Vertex], Vertex]] = [(None, start)]
-        while stack:
-            p, u = stack.pop()
-            if u in visited:
-                # (p, u) closes a cycle unless it is the tree edge seen from the
-                # other side.
-                if p is None or parent.get(u) == p or parent.get(p) == u:
-                    continue
-                key = edge_key(p, u)
-                if key not in protected:
-                    return key
-                if fallback is None:
-                    fallback = key
-                continue
-            visited.add(u)
-            parent[u] = p
-            nbrs = [w for w in graph.neighbors(u) if w != p]
-            # LIFO stack: push unprotected edges first so protected edges are
-            # explored first and join the spanning tree whenever possible.
-            nbrs.sort(key=lambda w: (edge_key(u, w) in protected, repr(w)))
-            for w in nbrs:
-                stack.append((u, w))
-    return fallback

@@ -24,15 +24,14 @@ map back — and the original label-and-dict implementations are retained as
 ``reference_*`` so the property suite can pin the index kernels to the seed
 semantics, including their ``repr``/``str`` tie-breaking.
 
-Every function returns all vertices of the graph exactly once; callers apply
-the ordering either by permuting the graph (:func:`permute_graph`) or by
-feeding the order directly to the samplers.
+Every function returns all vertices of the graph exactly once; callers feed
+the order directly to the samplers.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Hashable, Sequence
+from collections.abc import Hashable
 from typing import Callable, Optional
 
 import numpy as np
@@ -46,13 +45,9 @@ __all__ = [
     "high_degree_order",
     "low_degree_order",
     "rcm_order",
-    "reverse_order",
-    "random_order",
     "ORDERINGS",
     "get_ordering",
     "ordering_names",
-    "permute_graph",
-    "is_permutation_of_vertices",
     "natural_order_indices",
     "high_degree_order_indices",
     "low_degree_order_indices",
@@ -277,19 +272,6 @@ def rcm_order(graph: Graph, start: Optional[Vertex] = None) -> list[Vertex]:
     return csr.to_labels(rcm_order_indices(csr, start=start_idx))
 
 
-def reverse_order(graph: Graph) -> list[Vertex]:
-    """Return the natural order reversed (useful as an extra perturbation)."""
-    return list(reversed(graph.vertices()))
-
-
-def random_order(graph: Graph, seed: int = 0) -> list[Vertex]:
-    """Return a seeded uniformly random permutation of the vertices."""
-    rng = np.random.default_rng(seed)
-    verts = graph.vertices()
-    perm = rng.permutation(len(verts))
-    return [verts[i] for i in perm]
-
-
 # ----------------------------------------------------------------------
 # seed label-level implementations (behavioural references for the kernels)
 # ----------------------------------------------------------------------
@@ -395,26 +377,3 @@ def get_ordering(name: str) -> OrderingFn:
             f"unknown ordering {name!r}; valid names: {sorted(ORDERINGS)} "
             f"and aliases {sorted(_ALIASES)}"
         ) from None
-
-
-def is_permutation_of_vertices(graph: Graph, order: Sequence[Vertex]) -> bool:
-    """Return ``True`` when ``order`` contains every graph vertex exactly once."""
-    return len(order) == graph.n_vertices and set(order) == set(graph.vertices())
-
-
-def permute_graph(graph: Graph, order: Sequence[Vertex]) -> Graph:
-    """Return a copy of ``graph`` whose insertion order follows ``order``.
-
-    The returned graph has identical vertex labels, edges and edge attributes,
-    only the internal iteration order differs — which is exactly the
-    perturbation the paper's ordering study applies before running the
-    samplers under their default (natural) traversal.
-    """
-    if not is_permutation_of_vertices(graph, order):
-        raise ValueError("order must be a permutation of the graph's vertex set")
-    g = Graph()
-    for v in order:
-        g.add_vertex(v)
-    for u, v in graph.iter_edges():
-        g.add_edge(u, v, **graph.edge_attrs(u, v))
-    return g

@@ -1,54 +1,20 @@
-"""Graph traversal primitives: BFS, DFS, connected components, distances.
+"""BFS level structures and the George–Liu pseudo-peripheral vertex.
 
-These are the building blocks for the level-structure partitioner, the
-Reverse Cuthill–McKee ordering and the cycle analysis used on quasi-chordal
-subgraphs.
+These label-graph bodies back the reference Reverse Cuthill–McKee ordering
+(:func:`repro.graph.ordering.reference_rcm_order`); the production ordering
+runs the CSR mirror in :mod:`repro.graph.ordering`.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from collections.abc import Hashable, Iterable
+from collections.abc import Hashable
 from typing import Optional
 
 from .graph import Graph
 
-__all__ = [
-    "bfs_order",
-    "bfs_levels",
-    "bfs_tree_edges",
-    "dfs_order",
-    "connected_components",
-    "component_of",
-    "is_connected",
-    "shortest_path_lengths",
-    "shortest_path",
-    "eccentricity",
-    "pseudo_peripheral_vertex",
-]
+__all__ = ["bfs_levels", "pseudo_peripheral_vertex"]
 
 Vertex = Hashable
-
-
-def bfs_order(graph: Graph, source: Vertex) -> list[Vertex]:
-    """Return vertices reachable from ``source`` in breadth-first order.
-
-    Neighbours are visited in the graph's insertion order, making the
-    traversal deterministic.
-    """
-    if source not in graph:
-        raise KeyError(f"source vertex {source!r} not in graph")
-    visited = {source}
-    order = [source]
-    queue: deque[Vertex] = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in graph.neighbors(u):
-            if v not in visited:
-                visited.add(v)
-                order.append(v)
-                queue.append(v)
-    return order
 
 
 def bfs_levels(graph: Graph, source: Vertex) -> list[list[Vertex]]:
@@ -75,114 +41,6 @@ def bfs_levels(graph: Graph, source: Vertex) -> list[list[Vertex]]:
     return levels
 
 
-def bfs_tree_edges(graph: Graph, source: Vertex) -> list[tuple[Vertex, Vertex]]:
-    """Return the (parent, child) edges of a deterministic BFS tree from ``source``."""
-    if source not in graph:
-        raise KeyError(f"source vertex {source!r} not in graph")
-    visited = {source}
-    edges: list[tuple[Vertex, Vertex]] = []
-    queue: deque[Vertex] = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in graph.neighbors(u):
-            if v not in visited:
-                visited.add(v)
-                edges.append((u, v))
-                queue.append(v)
-    return edges
-
-
-def dfs_order(graph: Graph, source: Vertex) -> list[Vertex]:
-    """Return vertices reachable from ``source`` in (iterative) depth-first order."""
-    if source not in graph:
-        raise KeyError(f"source vertex {source!r} not in graph")
-    visited: set[Vertex] = set()
-    order: list[Vertex] = []
-    stack = [source]
-    while stack:
-        u = stack.pop()
-        if u in visited:
-            continue
-        visited.add(u)
-        order.append(u)
-        # reversed() keeps left-to-right neighbour exploration order.
-        for v in reversed(graph.neighbors(u)):
-            if v not in visited:
-                stack.append(v)
-    return order
-
-
-def connected_components(graph: Graph) -> list[list[Vertex]]:
-    """Return the connected components as lists of vertices (deterministic order)."""
-    seen: set[Vertex] = set()
-    components: list[list[Vertex]] = []
-    for v in graph.vertices():
-        if v in seen:
-            continue
-        comp = bfs_order(graph, v)
-        seen.update(comp)
-        components.append(comp)
-    return components
-
-
-def component_of(graph: Graph, v: Vertex) -> set[Vertex]:
-    """Return the vertex set of the component containing ``v``."""
-    return set(bfs_order(graph, v))
-
-
-def is_connected(graph: Graph) -> bool:
-    """Return ``True`` when the graph has at most one connected component."""
-    if graph.n_vertices == 0:
-        return True
-    first = graph.vertices()[0]
-    return len(bfs_order(graph, first)) == graph.n_vertices
-
-
-def shortest_path_lengths(graph: Graph, source: Vertex) -> dict[Vertex, int]:
-    """Return unweighted shortest-path lengths from ``source`` to every reachable vertex."""
-    dist = {source: 0}
-    queue: deque[Vertex] = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in graph.neighbors(u):
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return dist
-
-
-def shortest_path(graph: Graph, source: Vertex, target: Vertex) -> Optional[list[Vertex]]:
-    """Return one unweighted shortest path from ``source`` to ``target``.
-
-    Returns ``None`` when the two vertices are disconnected.
-    """
-    if source not in graph or target not in graph:
-        raise KeyError("both endpoints must be in the graph")
-    if source == target:
-        return [source]
-    parent: dict[Vertex, Vertex] = {source: source}
-    queue: deque[Vertex] = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in graph.neighbors(u):
-            if v not in parent:
-                parent[v] = u
-                if v == target:
-                    path = [v]
-                    while path[-1] != source:
-                        path.append(parent[path[-1]])
-                    path.reverse()
-                    return path
-                queue.append(v)
-    return None
-
-
-def eccentricity(graph: Graph, v: Vertex) -> int:
-    """Return the eccentricity of ``v`` within its connected component."""
-    dist = shortest_path_lengths(graph, v)
-    return max(dist.values())
-
-
 def pseudo_peripheral_vertex(graph: Graph, start: Optional[Vertex] = None) -> Vertex:
     """Find a pseudo-peripheral vertex using the George–Liu heuristic.
 
@@ -204,27 +62,3 @@ def pseudo_peripheral_vertex(graph: Graph, start: Optional[Vertex] = None) -> Ve
         if new_ecc <= ecc:
             return candidate
         v, levels, ecc = candidate, new_levels, new_ecc
-
-
-def induced_neighborhood(graph: Graph, vertices: Iterable[Vertex]) -> Graph:
-    """Return the subgraph induced by ``vertices`` plus all of their neighbours.
-
-    This is the "neighbourhood expansion" used when repairing cycles created
-    by border edges: deleting a border edge may expose cycles that involve the
-    immediate neighbourhood of its endpoints.
-    """
-    base = list(vertices)
-    expanded: list[Vertex] = []
-    seen: set[Vertex] = set()
-    for v in base:
-        if v not in seen and v in graph:
-            seen.add(v)
-            expanded.append(v)
-    for v in base:
-        if v not in graph:
-            continue
-        for nbr in graph.neighbors(v):
-            if nbr not in seen:
-                seen.add(nbr)
-                expanded.append(nbr)
-    return graph.subgraph(expanded)

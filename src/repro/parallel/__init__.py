@@ -41,7 +41,6 @@ __all__ = [
     "SpmdReport",
     "CostModel",
     "RankWork",
-    "simulate_execution_time",
     "speedup",
     "efficiency",
     "rank_rngs",
@@ -80,6 +79,6 @@ __getattr__, __dir__ = lazy_exports(
             "get_active_arena",
             "resolve_payload",
         ),
-        ".timing": ("CostModel", "RankWork", "efficiency", "simulate_execution_time", "speedup"),
+        ".timing": ("CostModel", "RankWork", "efficiency", "speedup"),
     },
 )

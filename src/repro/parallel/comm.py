@@ -4,8 +4,8 @@ The paper's experiments ran on the Firefly cluster with a distributed-memory
 MPI implementation.  That substrate is unavailable offline, so this module
 provides faithful *functional* replacements with MPI-style ``(source, tag)``
 matching and mpi4py lower-case semantics (pickle-able Python objects,
-blocking ``send``/``recv``, ``bcast``, ``gather``, ``allgather``,
-``barrier``, ``reduce``) — what the with-communication chordal sampler needs:
+buffered ``send`` and blocking ``recv``) — the two operations both parallel
+chordal samplers use:
 
 :class:`SimCommWorld` / :class:`SimComm`
     one Python thread per rank, messages through in-process per-rank
@@ -16,7 +16,7 @@ blocking ``send``/``recv``, ``bcast``, ``gather``, ``allgather``,
     execute on real cores.  Built by every ``process*`` backend of
     :func:`repro.parallel.runner.run_spmd`.
 
-Both share the matching/collective implementation (:class:`_MessagingComm`);
+Both share the matching implementation (:class:`_MessagingComm`);
 only the transport primitives differ.  Every communicator records how many
 messages and how many payload items it sent; the scalability cost model
 consumes those counters to reproduce the shape of the paper's Figure 10
@@ -27,9 +27,8 @@ from __future__ import annotations
 
 import os
 import queue
-import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any
 
 from ..faults import fault_point
 
@@ -81,6 +80,9 @@ class CommStats:
     ``bytes_sent`` / ``bytes_received`` count real transport bytes where the
     transport actually frames them (the socket transport); the threaded
     transport never serializes a message, so it leaves them at zero.
+    ``barriers`` and ``collectives`` stay zero: the endpoints offer only
+    ``send`` / ``recv``, and the fields remain because serve ``stats``
+    publishes this counter set under ``"comm"``.
     """
 
     messages_sent: int = 0
@@ -129,9 +131,9 @@ class _Message:
 class SimCommWorld:
     """Shared state for a group of :class:`SimComm` endpoints.
 
-    A world owns one mailbox per rank, a reusable barrier and the global
-    communication statistics.  Create one world per SPMD execution; ranks must
-    not be reused across concurrent executions.
+    A world owns one mailbox per rank and the global communication
+    statistics.  Create one world per SPMD execution; ranks must not be
+    reused across concurrent executions.
     """
 
     def __init__(self, size: int) -> None:
@@ -140,11 +142,7 @@ class SimCommWorld:
         self.size = size
         self._mailboxes: list[queue.Queue[_Message]] = [queue.Queue() for _ in range(size)]
         self._unmatched: list[list[_Message]] = [[] for _ in range(size)]
-        self._locks = [threading.Lock() for _ in range(size)]
-        self._barrier = threading.Barrier(size)
         self.stats: list[CommStats] = [CommStats() for _ in range(size)]
-        self._bcast_store: dict[tuple[int, int], Any] = {}
-        self._collective_seq: list[int] = [0] * size
 
     def comm(self, rank: int) -> "SimComm":
         """Return the communicator endpoint for ``rank``."""
@@ -165,15 +163,14 @@ class SimCommWorld:
 
 
 class _MessagingComm:
-    """Shared matching + collective machinery of the rank endpoints.
+    """Shared matching machinery of the rank endpoints.
 
     Subclasses supply the transport: :meth:`_put` (deliver a message to a
     destination rank), :meth:`_get` (pull the next message addressed to this
-    rank, blocking up to a timeout), :meth:`_get_nowait`, :meth:`_pending`
-    (this rank's out-of-order buffer) and :meth:`_barrier_wait`.  Everything
-    above those five primitives — ``(source, tag)`` matching, statistics,
-    broadcast/gather/reduce/scatter — is identical across the threaded and
-    the socket communicator.
+    rank, blocking up to a timeout) and :meth:`_pending` (this rank's
+    out-of-order buffer).  Everything above those three primitives —
+    ``(source, tag)`` matching and statistics — is identical across the
+    threaded and the socket communicator.
     """
 
     #: Default timeout (seconds) for blocking receives; generous but finite so a
@@ -186,7 +183,7 @@ class _MessagingComm:
 
     @property
     def recv_timeout(self) -> float:
-        """Effective blocking-receive / barrier timeout of this endpoint.
+        """Effective blocking-receive timeout of this endpoint.
 
         Resolution order: explicit ``recv_timeout`` constructor argument,
         then the ``REPRO_COMM_TIMEOUT`` environment variable (spawned worker
@@ -219,13 +216,7 @@ class _MessagingComm:
     def _get(self, timeout: float) -> _Message:
         raise NotImplementedError
 
-    def _get_nowait(self) -> _Message:
-        raise NotImplementedError
-
     def _pending(self) -> list[_Message]:
-        raise NotImplementedError
-
-    def _barrier_wait(self) -> None:
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -273,99 +264,13 @@ class _MessagingComm:
                 return msg
             pending.append(msg)
 
-    def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
-        """Return ``True`` when a matching message is already buffered (non-blocking)."""
-        def matches(msg: _Message) -> bool:
-            return (source == ANY_SOURCE or msg.source == source) and (
-                tag == ANY_TAG or msg.tag == tag
-            )
-
-        pending = self._pending()
-        if any(matches(m) for m in pending):
-            return True
-        # Drain the queue into the unmatched buffer without blocking.
-        while True:
-            try:
-                msg = self._get_nowait()
-            except queue.Empty:
-                break
-            pending.append(msg)
-        return any(matches(m) for m in pending)
-
-    # ------------------------------------------------------------------
-    # collectives
-    # ------------------------------------------------------------------
-    def barrier(self) -> None:
-        """Block until every rank reaches the barrier."""
-        fault_point("comm.barrier", rank=self.rank)
-        self.stats.barriers += 1
-        self._barrier_wait()
-
-    def bcast(self, obj: Any, root: int = 0) -> Any:
-        """Broadcast ``obj`` from ``root`` to every rank; returns the object everywhere."""
-        self.stats.collectives += 1
-        if self.rank == root:
-            for dest in range(self.size):
-                if dest != root:
-                    self.send(obj, dest, tag=_BCAST_TAG)
-            return obj
-        return self.recv(source=root, tag=_BCAST_TAG)
-
-    def gather(self, obj: Any, root: int = 0) -> Optional[list[Any]]:
-        """Gather one object per rank at ``root`` (rank order); other ranks get ``None``."""
-        self.stats.collectives += 1
-        if self.rank == root:
-            out: list[Any] = [None] * self.size
-            out[root] = obj
-            for _ in range(self.size - 1):
-                # Tag messages with GATHER and read sender from the message.
-                msg = self._take_matching(ANY_SOURCE, _GATHER_TAG)
-                self.stats.messages_received += 1
-                self.stats.items_received += _payload_items(msg.payload)
-                out[msg.source] = msg.payload
-            return out
-        self.send(obj, root, tag=_GATHER_TAG)
-        return None
-
-    def allgather(self, obj: Any) -> list[Any]:
-        """Gather one object per rank and broadcast the list back to everyone."""
-        gathered = self.gather(obj, root=0)
-        return self.bcast(gathered, root=0)
-
-    def reduce(self, obj: Any, op: Callable[[Any, Any], Any], root: int = 0) -> Optional[Any]:
-        """Reduce per-rank values at ``root`` with the binary operator ``op``."""
-        gathered = self.gather(obj, root=root)
-        if gathered is None:
-            return None
-        acc = gathered[0]
-        for item in gathered[1:]:
-            acc = op(acc, item)
-        return acc
-
-    def allreduce(self, obj: Any, op: Callable[[Any, Any], Any]) -> Any:
-        """Reduce across all ranks and broadcast the result back."""
-        reduced = self.reduce(obj, op, root=0)
-        return self.bcast(reduced, root=0)
-
-    def scatter(self, objs: Optional[list[Any]], root: int = 0) -> Any:
-        """Scatter one list element per rank from ``root``."""
-        self.stats.collectives += 1
-        if self.rank == root:
-            if objs is None or len(objs) != self.size:
-                raise ValueError("root must supply exactly one object per rank")
-            for dest in range(self.size):
-                if dest != root:
-                    self.send(objs[dest], dest, tag=_SCATTER_TAG)
-            return objs[root]
-        return self.recv(source=root, tag=_SCATTER_TAG)
-
 
 class SimComm(_MessagingComm):
     """The per-rank endpoint of a :class:`SimCommWorld` (threaded backend).
 
     The API mimics mpi4py's pickle-based methods; see the module docstring.
-    State (mailboxes, unmatched buffers, statistics, barrier) lives in the
-    world, so endpoints are cheap throwaway handles.
+    State (mailboxes, unmatched buffers, statistics) lives in the world, so
+    endpoints are cheap throwaway handles.
     """
 
     def __init__(self, rank: int, world: SimCommWorld) -> None:
@@ -386,16 +291,5 @@ class SimComm(_MessagingComm):
     def _get(self, timeout: float) -> _Message:
         return self.world._mailboxes[self.rank].get(timeout=timeout)
 
-    def _get_nowait(self) -> _Message:
-        return self.world._mailboxes[self.rank].get_nowait()
-
     def _pending(self) -> list[_Message]:
         return self.world._unmatched[self.rank]
-
-    def _barrier_wait(self) -> None:
-        self.world._barrier.wait()
-
-
-_BCAST_TAG = -101
-_GATHER_TAG = -102
-_SCATTER_TAG = -103

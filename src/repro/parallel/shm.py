@@ -30,7 +30,7 @@ group export into the shared arena, and the group tears it down at the end.
 
 File-backed arenas (the scale-out tier)
 ---------------------------------------
-``SharedArena(path=...)`` (alias :class:`FileArena`) keeps the exact same
+``SharedArena(path=...)`` keeps the exact same
 ``ArenaRef`` / ``export_bundle`` / content-dedup API but backs every segment
 with a memory-mapped file under ``path`` instead of POSIX shm.  Two things
 fall out of that swap:
@@ -76,7 +76,6 @@ __all__ = [
     "ArenaError",
     "ArenaRef",
     "SharedArena",
-    "FileArena",
     "attach",
     "resolve_payload",
     "export_payload",
@@ -536,18 +535,6 @@ class SharedArena:
             f"{type(self).__name__}(kind={self.kind!r}, n_segments={self.n_segments}, "
             f"bytes={self.total_bytes}, {state})"
         )
-
-
-class FileArena(SharedArena):
-    """A :class:`SharedArena` backed by memory-mapped files under ``path``.
-
-    Sugar for ``SharedArena(path=path)`` with ``path`` required — the
-    spelling used by components that *only* make sense file-backed (the
-    resident server's persistent bundle store).
-    """
-
-    def __init__(self, path: str, content_dedup: bool = True) -> None:
-        super().__init__(content_dedup=content_dedup, path=path)
 
 
 #: Every arena ever created in this process; unlinked as an interpreter-exit

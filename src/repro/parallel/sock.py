@@ -2,15 +2,15 @@
 
 The paper's experiments ran on a distributed-memory cluster.  This module
 is the runtime's process substrate: the
-:class:`~repro.parallel.comm._MessagingComm` matching/collective machinery
+:class:`~repro.parallel.comm._MessagingComm` matching machinery
 (:class:`SockComm` is a sibling of ``SimComm``) over length-prefixed pickle
 frames on TCP sockets, in a hub-and-spokes topology:
 
 * the parent process runs a :class:`SockWorkerPool` **hub**: it binds a
   listening socket, accepts worker connections, and *routes* every rank-to-
-  rank message and barrier through itself — workers never talk to each
-  other directly, so a worker needs exactly one connection no matter the
-  world size, and the rendezvous is a single ``(host, port)`` pair;
+  rank message through itself — workers never talk to each other directly,
+  so a worker needs exactly one connection no matter the world size, and
+  the rendezvous is a single ``(host, port)`` pair;
 * each **worker** (:func:`worker_main`) is a resident rank executor: it
   connects, announces itself, and then serves SPMD rounds and map tasks
   until told to shut down, so only the first call in a process pays
@@ -23,9 +23,8 @@ frames on TCP sockets, in a hub-and-spokes topology:
 ``process-sock`` (an alias) and ``process-shm`` (numpy payloads exported to
 a shared-memory arena first) on the one hub returned by
 :func:`get_sock_pool`.  Both ends of every connection set ``TCP_NODELAY``:
-the protocol writes small frames back to back (a message, then a barrier or
-a result), which Nagle's algorithm would otherwise hold for the peer's
-delayed ACK.
+the protocol writes small frames back to back (a message, then a result),
+which Nagle's algorithm would otherwise hold for the peer's delayed ACK.
 
 Rendezvous knobs (all read from the environment so spawned workers and CI
 scripts share one configuration surface):
@@ -246,7 +245,7 @@ class SockComm(_MessagingComm):
     """A rank endpoint whose transport is the worker's hub connection.
 
     Lives inside a worker process for the duration of one SPMD round.  All
-    five transport primitives route through the worker's single socket (via
+    three transport primitives route through the worker's single socket (via
     the hub), and — uniquely among the communicators — real wire bytes are
     counted into ``bytes_sent`` / ``bytes_received``, because the transport
     actually frames them.
@@ -284,20 +283,12 @@ class SockComm(_MessagingComm):
         self._stats.bytes_received += nbytes
         return msg
 
-    def _get_nowait(self) -> _Message:
-        msg, nbytes = self._chan.get_msg(0.0)
-        self._stats.bytes_received += nbytes
-        return msg
-
     def _pending(self) -> list[_Message]:
         return self._unmatched
 
-    def _barrier_wait(self) -> None:
-        self._chan.barrier_wait(self.recv_timeout)
 
-
-#: Queued into a round's message and barrier queues when the hub aborts the
-#: round; every later receive or barrier of that round raises.
+#: Queued into a round's message queue when the hub aborts the round; every
+#: later receive of that round raises.
 _ABORTED = object()
 
 
@@ -308,48 +299,23 @@ class _RoundChannel:
         self._worker = worker
         self._round_id = round_id
         self._rank = rank
-        self._generation = 0
-        self._msgs, self._releases = worker.round_queues(round_id)
+        self._msgs = worker.round_queue(round_id)
 
     def send_msg(self, dest: int, msg: _Message) -> int:
         return self._worker.send(
             ("msg", self._round_id, dest, msg.source, msg.tag, msg.payload)
         )
 
-    def _check_aborted(self, item: Any, q: queue.Queue) -> None:
+    def get_msg(self, timeout: float) -> tuple[_Message, int]:
+        # queue.Empty propagates: _MessagingComm converts it to its timeout error.
+        item = self._msgs.get(timeout=timeout)
         if item is _ABORTED:
-            q.put(item)  # keep the round poisoned for every later call
+            self._msgs.put(item)  # keep the round poisoned for every later call
             raise RuntimeError(
                 f"rank {self._rank}: SPMD round {self._round_id} was aborted by "
                 f"the hub (a peer rank failed)"
             )
-
-    def get_msg(self, timeout: float) -> tuple[_Message, int]:
-        # queue.Empty propagates: _MessagingComm converts it to its timeout
-        # error (blocking path) or stops draining (probe path).
-        item = self._msgs.get_nowait() if timeout <= 0 else self._msgs.get(timeout=timeout)
-        self._check_aborted(item, self._msgs)
         return item
-
-    def barrier_wait(self, timeout: float) -> None:
-        gen = self._generation
-        self._generation += 1
-        self._worker.send(("barrier", self._round_id, self._rank, gen))
-        deadline = time.monotonic() + timeout
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise TimeoutError(
-                    f"rank {self._rank}: barrier not reached by every rank within "
-                    f"{timeout}s — a peer likely died or deadlocked"
-                )
-            try:
-                released = self._releases.get(timeout=remaining)
-            except queue.Empty:
-                continue
-            self._check_aborted(released, self._releases)
-            if released >= gen:  # stale releases of earlier generations are skipped
-                return
 
 
 class _Worker:
@@ -357,12 +323,12 @@ class _Worker:
 
     The reader thread owns the socket's receive side and dispatches frames:
     control frames (``spmd`` / ``task`` / ``shutdown``) into the control
-    queue consumed by :meth:`run`, routed ``msg`` / ``barrier_release``
-    frames into per-round queues keyed by the hub-assigned round id — so a
-    message forwarded for a round this worker has not *started* yet is
-    buffered, not lost, and a straggler frame from a finished round cannot
-    contaminate the current one.  An ``abort`` frame poisons a round's
-    queues, so a rank blocked on a failed peer raises instead of waiting
+    queue consumed by :meth:`run`, routed ``msg`` frames into per-round
+    queues keyed by the hub-assigned round id — so a message forwarded for a
+    round this worker has not *started* yet is buffered, not lost, and a
+    straggler frame from a finished round cannot contaminate the current
+    one.  An ``abort`` frame poisons a round's
+    queue, so a rank blocked on a failed peer raises instead of waiting
     out its receive timeout.
     """
 
@@ -391,7 +357,7 @@ class _Worker:
         self._sock.settimeout(None)
         self._send_lock = threading.Lock()
         self._ctl: "queue.SimpleQueue[tuple]" = queue.SimpleQueue()
-        self._rounds: dict[int, tuple[queue.Queue, queue.Queue]] = {}
+        self._rounds: dict[int, queue.Queue] = {}
         self._rounds_lock = threading.Lock()
         self._reader = threading.Thread(target=self._read_loop, name="sock-reader", daemon=True)
         self._reader.start()
@@ -399,10 +365,10 @@ class _Worker:
     def send(self, obj: Any) -> int:
         return _send_frame(self._sock, obj, self._send_lock)
 
-    def round_queues(self, round_id: int) -> tuple[queue.Queue, queue.Queue]:
+    def round_queue(self, round_id: int) -> queue.Queue:
         with self._rounds_lock:
             if round_id not in self._rounds:
-                self._rounds[round_id] = (queue.Queue(), queue.Queue())
+                self._rounds[round_id] = queue.Queue()
             return self._rounds[round_id]
 
     def _drop_rounds_upto(self, round_id: int) -> None:
@@ -417,15 +383,11 @@ class _Worker:
                 kind = frame[0]
                 if kind == "msg":
                     _, rid, _dest, src, tag, payload = frame
-                    self.round_queues(rid)[0].put((_Message(src, tag, payload), len(raw)))
-                elif kind == "barrier_release":
-                    _, rid, gen = frame
-                    self.round_queues(rid)[1].put(gen)
+                    self.round_queue(rid).put((_Message(src, tag, payload), len(raw)))
                 elif kind == "abort":
                     # Release a rank blocked on a peer that failed, so this
                     # worker can serve the next round.
-                    for q in self.round_queues(frame[1]):
-                        q.put(_ABORTED)
+                    self.round_queue(frame[1]).put(_ABORTED)
                 else:
                     self._ctl.put(frame)
         except Exception:
@@ -554,7 +516,6 @@ class SockWorkerPool:
         self._task_seq = 0
         self._round_ranks: dict[int, list[_WorkerConn]] = {}
         self._round_results: dict[int, dict[int, tuple]] = {}
-        self._barriers: dict[tuple[int, int], set[int]] = {}
         self._task_results: dict[int, tuple] = {}
         self._live_tasks: set[int] = set()  # tids whose results anyone still wants
         self._round_mutex = threading.Lock()  # one round / map at a time
@@ -634,23 +595,6 @@ class SockWorkerPool:
                     _send_frame(target.sock, None, target.lock, raw=raw)
                 except OSError:
                     self._mark_conn_dead(target)
-        elif kind == "barrier":
-            _, rid, rank, gen = frame
-            release = False
-            with self._mu:
-                ranks = self._round_ranks.get(rid)
-                if ranks is not None:
-                    arrived = self._barriers.setdefault((rid, gen), set())
-                    arrived.add(rank)
-                    if len(arrived) == len(ranks):
-                        del self._barriers[(rid, gen)]
-                        release = True
-            if release:
-                for peer in ranks:
-                    try:
-                        _send_frame(peer.sock, ("barrier_release", rid, gen), peer.lock)
-                    except OSError:
-                        self._mark_conn_dead(peer)
         elif kind == "result":
             _, rid, rank, status, a, b = frame
             with self._cv:
@@ -760,8 +704,6 @@ class SockWorkerPool:
                 with self._mu:
                     self._round_ranks.pop(rid, None)
                     self._round_results.pop(rid, None)
-                    for key in [k for k in self._barriers if k[0] == rid]:
-                        del self._barriers[key]
             values = [None] * n_ranks
             stats = [CommStats() for _ in range(n_ranks)]
             for r in range(n_ranks):

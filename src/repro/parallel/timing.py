@@ -26,9 +26,9 @@ with tens of thousands of edges).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
-__all__ = ["CostModel", "RankWork", "simulate_execution_time", "speedup", "efficiency"]
+__all__ = ["CostModel", "RankWork", "speedup", "efficiency"]
 
 
 @dataclass
@@ -100,18 +100,6 @@ class CostModel:
             return self.startup
         slowest = max(self.rank_time(w, with_communication) for w in works)
         return self.startup + slowest + self.sequential_postprocess * duplicate_border_edges
-
-
-def simulate_execution_time(
-    works: Sequence[RankWork],
-    with_communication: bool = False,
-    duplicate_border_edges: int = 0,
-    model: Optional[CostModel] = None,
-) -> float:
-    """Convenience wrapper around :meth:`CostModel.execution_time`."""
-    return (model or CostModel()).execution_time(
-        works, with_communication=with_communication, duplicate_border_edges=duplicate_border_edges
-    )
 
 
 def speedup(times: Mapping[int, float]) -> dict[int, float]:

@@ -1,16 +1,16 @@
 """Plain-text reporting helpers.
 
 Benchmarks and examples print the same rows and series the paper plots; these
-helpers render them as aligned text tables (and simple scatter/series listings)
+helpers render them as aligned text tables (and simple series listings)
 without any plotting dependency.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from typing import Any, Optional
 
-__all__ = ["format_table", "format_series", "format_scatter", "format_kv"]
+__all__ = ["format_table", "format_series", "format_kv"]
 
 
 def _fmt(value: Any, float_digits: int = 3) -> str:
@@ -73,18 +73,6 @@ def format_series(
             row[name] = values.get(x)
         rows.append(row)
     return format_table(rows, columns=[x_label, *series.keys()], title=title, float_digits=float_digits)
-
-
-def format_scatter(
-    points: Iterable[tuple[float, float, str]],
-    x_label: str = "x",
-    y_label: str = "y",
-    label_name: str = "label",
-    title: Optional[str] = None,
-) -> str:
-    """Render labelled scatter points as a three-column table."""
-    rows = [{x_label: x, y_label: y, label_name: lab} for x, y, lab in points]
-    return format_table(rows, columns=[x_label, y_label, label_name], title=title)
 
 
 def format_kv(mapping: Mapping[str, Any], title: Optional[str] = None, float_digits: int = 3) -> str:

@@ -26,7 +26,7 @@ from repro.core.chordal import (
     reference_maximum_cardinality_search,
 )
 from repro.graph import CSRGraph, Graph, erdos_renyi_graph
-from repro.graph.ordering import ORDERINGS, random_order, reverse_order
+from repro.graph.ordering import ORDERINGS
 
 
 @st.composite
@@ -136,8 +136,9 @@ def _all_orders(g: Graph) -> list:
     orders = [None]
     if g.n_vertices:
         orders.extend(fn(g) for fn in ORDERINGS.values())
-        orders.append(reverse_order(g))
-        orders.append(random_order(g, seed=13))
+        verts = g.vertices()
+        orders.append(verts[::-1])
+        orders.append([verts[i] for i in np.random.default_rng(13).permutation(len(verts))])
     return orders
 
 

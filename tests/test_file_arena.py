@@ -23,7 +23,6 @@ import pytest
 
 from repro.parallel.shm import (
     ArenaError,
-    FileArena,
     SharedArena,
     arena_scope,
     attach,
@@ -198,17 +197,6 @@ class TestManifestPersistence:
         finally:
             a.close()
             b.unlink()
-
-    def test_file_arena_alias(self, tmp_path):
-        d = str(tmp_path / "arena")
-        arena = FileArena(d)
-        try:
-            assert arena.kind == "file"
-            assert arena.path == os.path.abspath(d)
-            ref = arena.export(np.arange(5))
-            assert ref.kind == "file"
-        finally:
-            arena.unlink()
 
     def test_unlink_purges_directory_state(self, tmp_path):
         d = tmp_path / "arena"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import networkx as nx
 import pytest
 
 from repro.graph import (
@@ -12,13 +13,11 @@ from repro.graph import (
     cycle_graph,
     erdos_renyi_graph,
     grid_graph,
-    is_connected,
     path_graph,
     planted_partition_graph,
     random_tree,
     star_graph,
 )
-from repro.graph.cycles import has_cycle
 
 
 class TestDeterministicShapes:
@@ -26,7 +25,7 @@ class TestDeterministicShapes:
         g = path_graph(5)
         assert g.n_vertices == 5
         assert g.n_edges == 4
-        assert not has_cycle(g)
+        assert nx.is_forest(g.to_networkx())
 
     def test_cycle_graph(self):
         g = cycle_graph(6)
@@ -55,8 +54,8 @@ class TestDeterministicShapes:
     def test_random_tree(self):
         g = random_tree(20, seed=4)
         assert g.n_edges == 19
-        assert is_connected(g)
-        assert not has_cycle(g)
+        assert nx.is_connected(g.to_networkx())
+        assert nx.is_forest(g.to_networkx())
 
 
 class TestRandomGenerators:
@@ -78,7 +77,7 @@ class TestRandomGenerators:
         assert g.n_vertices == 50
         # star on m+1 vertices plus m edges per new vertex
         assert g.n_edges == 2 + (50 - 3) * 2
-        assert is_connected(g)
+        assert nx.is_connected(g.to_networkx())
 
     def test_barabasi_albert_invalid_params(self):
         with pytest.raises(ValueError):

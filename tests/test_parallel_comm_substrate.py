@@ -64,68 +64,6 @@ class TestPointToPoint:
         assert total.messages_received == 1
         assert total.items_sent == 4
 
-    def test_probe(self):
-        def rank_fn(comm):
-            if comm.rank == 0:
-                comm.send("x", dest=1, tag=9)
-                comm.barrier()
-                return None
-            comm.barrier()
-            assert comm.probe(source=0, tag=9)
-            assert not comm.probe(source=0, tag=1)
-            return comm.recv(source=0, tag=9)
-
-        report = run_spmd(rank_fn, 2)
-        assert report.values[1] == "x"
-
-
-class TestCollectives:
-    def test_barrier_all_ranks(self):
-        def rank_fn(comm):
-            comm.barrier()
-            return comm.rank
-
-        assert run_spmd(rank_fn, 4).values == [0, 1, 2, 3]
-
-    def test_bcast(self):
-        def rank_fn(comm):
-            data = {"config": 42} if comm.rank == 0 else None
-            return comm.bcast(data, root=0)
-
-        assert all(v == {"config": 42} for v in run_spmd(rank_fn, 4).values)
-
-    def test_gather(self):
-        def rank_fn(comm):
-            return comm.gather(comm.rank * 10, root=0)
-
-        values = run_spmd(rank_fn, 4).values
-        assert values[0] == [0, 10, 20, 30]
-        assert values[1] is None
-
-    def test_allgather(self):
-        def rank_fn(comm):
-            return comm.allgather(comm.rank)
-
-        values = run_spmd(rank_fn, 3).values
-        assert all(v == [0, 1, 2] for v in values)
-
-    def test_reduce_and_allreduce(self):
-        def rank_fn(comm):
-            total = comm.allreduce(comm.rank + 1, op=lambda a, b: a + b)
-            partial = comm.reduce(comm.rank + 1, op=lambda a, b: a + b, root=0)
-            return (total, partial)
-
-        values = run_spmd(rank_fn, 4).values
-        assert all(v[0] == 10 for v in values)
-        assert values[0][1] == 10
-        assert values[1][1] is None
-
-    def test_scatter(self):
-        def rank_fn(comm):
-            data = [f"part{i}" for i in range(comm.size)] if comm.rank == 0 else None
-            return comm.scatter(data, root=0)
-
-        assert run_spmd(rank_fn, 3).values == ["part0", "part1", "part2"]
 
 class TestWorldAndErrors:
     def test_world_size_validation(self):

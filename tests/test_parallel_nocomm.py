@@ -4,35 +4,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import is_chordal
+from repro.core import chordal_subgraph_edges, is_chordal
 from repro.core.parallel_nocomm import (
     admit_border_edges_no_communication,
-    local_chordal_phase,
     parallel_chordal_nocomm_filter,
 )
-from repro.graph import Graph, correlation_like_graph, edge_key, erdos_renyi_graph, partition_graph
+from repro.graph import correlation_like_graph, edge_key, erdos_renyi_graph, partition_graph
 
 
 @pytest.fixture(scope="module")
 def network():
     return correlation_like_graph(n_modules=4, module_size=8, n_background=80, p_noise=0.004, seed=17)
-
-
-class TestLocalPhase:
-    def test_local_phase_returns_chordal_edges(self, network):
-        part = partition_graph(network, 3, method="block")
-        sub = part.part_subgraph(0)
-        edges, work = local_chordal_phase(sub)
-        assert is_chordal(Graph(edges=edges, vertices=sub.vertices()))
-        assert work.edges_examined == sub.n_edges
-        assert work.max_degree >= 1
-
-    def test_local_phase_respects_global_order_restriction(self, network):
-        part = partition_graph(network, 2, method="block")
-        sub = part.part_subgraph(1)
-        order = list(reversed(network.vertices()))
-        edges, _ = local_chordal_phase(sub, order=order)
-        assert is_chordal(Graph(edges=edges, vertices=sub.vertices()))
 
 
 class TestBorderAdmission:
@@ -143,6 +125,5 @@ class TestParallelFilter:
         # every partition-internal chordal edge must appear in the result
         part = partition_graph(g, 4, method="hash")
         for idx in range(4):
-            edges, _ = local_chordal_phase(part.part_subgraph(idx))
-            for e in edges:
+            for e in chordal_subgraph_edges(part.part_subgraph(idx)):
                 assert result.graph.has_edge(*e)

@@ -9,7 +9,7 @@ import pytest
 from repro.clustering import MCODEParams
 from repro.core import is_chordal
 from repro.pipeline import analyze_filter, cluster_network, format_table, prepare_dataset
-from repro.pipeline.report import format_kv, format_scatter, format_series
+from repro.pipeline.report import format_kv, format_series
 
 
 class TestPrepareDataset:
@@ -106,10 +106,6 @@ class TestReportFormatting:
     def test_format_series(self):
         text = format_series({"fast": {1: 0.5, 2: 0.25}, "slow": {1: 1.0}}, x_label="P")
         assert "P" in text and "fast" in text and "slow" in text
-
-    def test_format_scatter(self):
-        text = format_scatter([(0.1, 0.9, "C1")], x_label="aees", y_label="overlap")
-        assert "C1" in text
 
     def test_format_kv(self):
         text = format_kv({"vertices": 10, "density": 0.12345})

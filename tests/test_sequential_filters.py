@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core import (
@@ -10,8 +11,14 @@ from repro.core import (
     sequential_chordal_filter,
     sequential_random_walk_filter,
 )
-from repro.core.sequential import resolve_order
-from repro.graph import complete_graph, correlation_like_graph, cycle_graph, erdos_renyi_graph
+from repro.core.sequential import resolve_order_indices
+from repro.graph import (
+    CSRGraph,
+    complete_graph,
+    correlation_like_graph,
+    cycle_graph,
+    erdos_renyi_graph,
+)
 
 
 @pytest.fixture(scope="module")
@@ -68,17 +75,27 @@ class TestSequentialChordal:
 
 class TestResolveOrder:
     def test_none_passthrough(self, network):
-        order, name = resolve_order(network, None)
+        order, name = resolve_order_indices(CSRGraph.of(network), None)
         assert order is None and name is None
 
     def test_named_ordering(self, network):
-        order, name = resolve_order(network, "high_degree")
+        csr = CSRGraph.of(network)
+        order, name = resolve_order_indices(csr, "high_degree")
         assert name == "high_degree"
-        assert set(order) == set(network.vertices())
+        assert order.dtype == np.int64
+        assert sorted(order.tolist()) == list(range(csr.n_vertices))
 
     def test_explicit_order_validated(self, network):
         with pytest.raises(ValueError):
-            resolve_order(network, None, explicit_order=network.vertices()[:3])
+            resolve_order_indices(
+                CSRGraph.of(network), None, explicit_order=network.vertices()[:3]
+            )
+
+    def test_duplicated_explicit_order_rejected(self, network):
+        verts = network.vertices()
+        duplicated = verts[:-1] + verts[:1]  # right length, one vertex twice
+        with pytest.raises(ValueError):
+            resolve_order_indices(CSRGraph.of(network), None, explicit_order=duplicated)
 
 
 class TestSequentialRandomWalk:

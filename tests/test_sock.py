@@ -1,7 +1,7 @@
 """Socket transport (`repro.parallel.sock`) — the one transport of ``process*``.
 
 The resident-worker hub must keep the runtime's semantics: identical
-messaging (send/recv matching, barriers, collectives), identical
+messaging (send/recv matching by source and tag), identical
 ``parallel_map`` results, and — the acceptance pin — *bit-identical* filter
 outputs across the ordering × partitioner latin square against the serial
 reference.  Also covers the satellite knobs: per-rank :class:`CommStats`
@@ -18,7 +18,6 @@ unpickle them by import.
 from __future__ import annotations
 
 import multiprocessing
-import operator
 import pickle
 import socket
 import threading
@@ -87,19 +86,26 @@ def _signature(result):
     )
 
 
+def _exchange(comm, obj, tag):
+    """Every rank's ``obj`` in rank order, built from ``send``/``recv`` alone."""
+    for r in range(comm.size):
+        if r != comm.rank:
+            comm.send(obj, r, tag=tag)
+    return [obj if r == comm.rank else comm.recv(source=r, tag=tag) for r in range(comm.size)]
+
+
 def _ring_fn(comm, offset):
-    """Send to the next rank, receive from the previous, allreduce the sum."""
+    """Send to the next rank, receive from the previous, then sum every rank."""
     dest = (comm.rank + 1) % comm.size
     comm.send(comm.rank * 10 + offset, dest, tag=7)
     src = (comm.rank - 1) % comm.size
     received = comm.recv(source=src, tag=7)
-    comm.barrier()
-    total = comm.allreduce(comm.rank, op=operator.add)
+    total = sum(_exchange(comm, comm.rank, tag=8))
     return received, total
 
 
 def _numpy_fn(comm):
-    gathered = comm.allgather(np.full(3, comm.rank, dtype=np.float64))
+    gathered = _exchange(comm, np.full(3, comm.rank, dtype=np.float64), tag=3)
     return float(sum(arr.sum() for arr in gathered))
 
 
@@ -243,26 +249,6 @@ class TestHubForwardIsolation:
             pool._dispatch(sender, frame, pickle.dumps(frame))
             assert target.alive is False
             assert sender.alive is True
-        finally:
-            for s in (sender.sock, sender_peer, target_peer):
-                s.close()
-            pool.shutdown()
-
-    def test_barrier_release_skips_dead_peer(self):
-        pool = SockWorkerPool(spawn=False)
-        sender, sender_peer, target, target_peer = self._two_conns()
-        try:
-            target.sock.close()
-            with pool._mu:
-                pool._round_ranks[99] = [sender, target]
-            pool._dispatch(sender, ("barrier", 99, 0, 0), b"")
-            pool._dispatch(target, ("barrier", 99, 1, 0), b"")
-            assert target.alive is False
-            assert sender.alive is True
-            # The live peer still received its release frame.
-            sender_peer.settimeout(10)
-            obj, _raw = _recv_frame(sender_peer)
-            assert obj == ("barrier_release", 99, 0)
         finally:
             for s in (sender.sock, sender_peer, target_peer):
                 s.close()

@@ -12,7 +12,6 @@ from repro.parallel import (
     efficiency,
     rank_rng,
     rank_rngs,
-    simulate_execution_time,
     speedup,
 )
 
@@ -47,10 +46,6 @@ class TestCostModel:
         base = model.execution_time([RankWork(edges_examined=10)], duplicate_border_edges=0)
         with_dups = model.execution_time([RankWork(edges_examined=10)], duplicate_border_edges=1000)
         assert with_dups > base
-
-    def test_simulate_execution_time_wrapper(self):
-        t = simulate_execution_time([RankWork(edges_examined=100)])
-        assert t > 0
 
 
 class TestSpeedup:
