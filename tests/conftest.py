@@ -10,7 +10,19 @@ from __future__ import annotations
 import pytest
 
 from repro.expression.datasets import StudyConfig, generate_study
-from repro.graph import Graph, complete_graph, cycle_graph, erdos_renyi_graph
+from repro.graph import (
+    Graph,
+    barabasi_albert_graph,
+    complete_graph,
+    correlation_like_graph,
+    cycle_graph,
+    erdos_renyi_graph,
+    grid_graph,
+    path_graph,
+    planted_partition_graph,
+    random_tree,
+    star_graph,
+)
 from repro.ontology.generator import make_go_dag
 from repro.pipeline.workflow import prepare_dataset
 
@@ -39,6 +51,46 @@ def house_graph() -> Graph:
     g = Graph()
     g.add_edges([("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("a", "e"), ("b", "e")])
     return g
+
+
+def _disconnected_graph() -> Graph:
+    """Two cycles, a pendant edge and an isolated vertex (four components)."""
+    g = Graph(edges=[("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("b", "d")])
+    g.add_edges([("p", "q"), ("q", "r"), ("r", "s"), ("s", "t"), ("t", "p"), ("x", "y")])
+    g.add_vertex("iso")
+    return g
+
+
+def _int_labelled_graph() -> Graph:
+    """Integer labels whose ``str`` and ``repr`` orders differ from numeric order."""
+    return Graph(edges=[(3, 1), (1, 2), (2, 10), (10, 3), (2, 4), (4, 20), (20, 10), (4, 100)])
+
+
+#: Small named graphs covering the structural cases the graph kernels branch
+#: on: trees, single cycles, cliques, hubs, grids, several components,
+#: isolated vertices, degree ties and non-string labels.
+GRAPH_CORPUS = {
+    "path7": lambda: path_graph(7),
+    "cycle6": lambda: cycle_graph(6),
+    "complete5": lambda: complete_graph(5),
+    "star5": lambda: star_graph(5),
+    "grid3x4": lambda: grid_graph(3, 4),
+    "tree15": lambda: random_tree(15, seed=3),
+    "er30": lambda: erdos_renyi_graph(30, 0.15, seed=7),
+    "ba25": lambda: barabasi_albert_graph(25, 2, seed=1),
+    "planted": lambda: planted_partition_graph([6, 6, 6], 0.7, 0.05, seed=2),
+    "correlation": lambda: correlation_like_graph(
+        n_modules=2, module_size=6, n_background=20, p_noise=0.02, seed=5
+    ),
+    "disconnected": _disconnected_graph,
+    "int_labels": _int_labelled_graph,
+}
+
+
+@pytest.fixture(params=sorted(GRAPH_CORPUS))
+def corpus_graph(request) -> Graph:
+    """Each graph of :data:`GRAPH_CORPUS` in turn (a fresh copy per test)."""
+    return GRAPH_CORPUS[request.param]()
 
 
 @pytest.fixture(scope="session")
