@@ -1,8 +1,9 @@
 """BFS level structures and the George–Liu pseudo-peripheral vertex.
 
 These label-graph bodies back the reference Reverse Cuthill–McKee ordering
-(:func:`repro.graph.ordering.reference_rcm_order`); the production ordering
-runs the CSR mirror in :mod:`repro.graph.ordering`.
+(:func:`repro.graph.ordering.reference_rcm_order`); the production kernel
+:func:`repro.graph.ordering.rcm_order_indices` runs the same search for
+every component at once, one multi-source BFS per round.
 """
 
 from __future__ import annotations

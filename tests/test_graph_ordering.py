@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 from collections import Counter
 
 import networkx as nx
 import pytest
 
+import repro.graph.ordering as ordering_module
+from repro.expression import make_study
 from repro.graph import (
     CSRGraph,
     Graph,
@@ -18,6 +21,7 @@ from repro.graph import (
     ordering_names,
     path_graph,
     rcm_order,
+    rcm_order_indices,
     star_graph,
 )
 from repro.graph.ordering import (
@@ -31,6 +35,15 @@ REFERENCE_ORDERINGS = {
     "high_degree": reference_high_degree_order,
     "low_degree": reference_low_degree_order,
     "rcm": reference_rcm_order,
+}
+
+
+#: sha256 of the ``rcm`` permutation (little-endian ``int64``) of each study
+#: network, pinning the kernel on hundreds of components at once.
+#: The network thresholds BLAS-computed correlations, so the digest assumes
+#: the OpenBLAS that numpy's wheels bundle, as ``STUDY_DIGESTS`` does.
+RCM_DIGESTS = {
+    "CRE@0.15": "d9f5b32521f26773e3424dbacd3a011a9b139b3dee9afb71e7324a826c347d78",
 }
 
 
@@ -101,6 +114,35 @@ class TestRCM:
         g = star_graph(5)
         order = rcm_order(g)
         assert set(order) == set(g.vertices())
+
+    def test_rcm_dispatch_is_independent_of_component_count(self, monkeypatch):
+        # 2,000 triangles plus a 200-vertex path: a per-component search
+        # gathers rows thousands of times, the lockstep kernel once per BFS
+        # level of its deepest component.
+        g = Graph()
+        for t in range(2000):
+            g.add_edges([(f"t{t}a", f"t{t}b"), (f"t{t}b", f"t{t}c"), (f"t{t}c", f"t{t}a")])
+        g.add_edges((f"p{i}", f"p{i + 1}") for i in range(199))
+        calls = 0
+        gather = ordering_module.gather_csr_rows
+
+        def counting_gather(*args):
+            nonlocal calls
+            calls += 1
+            return gather(*args)
+
+        monkeypatch.setattr(ordering_module, "gather_csr_rows", counting_gather)
+        csr = CSRGraph.from_graph(g)
+        perm = rcm_order_indices(csr)
+        assert calls < 1000
+        assert csr.to_labels(perm) == reference_rcm_order(g)
+
+    @pytest.mark.parametrize("key", sorted(RCM_DIGESTS))
+    def test_rcm_permutation_digest(self, key):
+        name, scale = key.split("@")
+        csr = CSRGraph.of(make_study(name, scale=float(scale)).network())
+        perm = ordering_indices("rcm", csr)
+        assert hashlib.sha256(perm.astype("<i8").tobytes()).hexdigest() == RCM_DIGESTS[key]
 
 
 class TestCorpus:

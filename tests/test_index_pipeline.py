@@ -78,6 +78,40 @@ def random_graphs(draw, max_vertices: int = 16, max_extra_edges: int = 36, mixed
     return g
 
 
+@st.composite
+def component_unions(draw, max_components: int = 40):
+    """Strategy: disjoint unions of 1-40 small pieces in shuffled insertion order.
+
+    Pieces are isolated vertices, single edges, paths and small random graphs
+    (which may split further).  Vertex ``k`` is labelled ``k`` or ``str(k)``,
+    so the ``repr`` and ``str`` rank orders disagree (``10`` vs ``"9"``).
+    """
+    pieces = []
+    for _ in range(draw(st.integers(min_value=1, max_value=max_components))):
+        kind = draw(st.sampled_from(("isolated", "edge", "path", "random")))
+        if kind == "isolated":
+            pieces.append((1, []))
+        elif kind == "edge":
+            pieces.append((2, [(0, 1)]))
+        elif kind == "path":
+            size = draw(st.integers(min_value=3, max_value=8))
+            pieces.append((size, [(i, i + 1) for i in range(size - 1)]))
+        else:
+            size = draw(st.integers(min_value=2, max_value=8))
+            pair = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1))
+            pieces.append((size, [(i, j) for i, j in draw(st.lists(pair, max_size=16)) if i != j]))
+    n = sum(size for size, _ in pieces)
+    as_str = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    labels = [str(k) if text else k for k, text in enumerate(as_str)]
+    g = Graph(vertices=[labels[k] for k in draw(st.permutations(range(n)))])
+    offset = 0
+    for size, edges in pieces:
+        for i, j in edges:
+            g.add_edge(labels[offset + i], labels[offset + j])
+        offset += size
+    return g
+
+
 def label_view(csr: CSRGraph, us, vs) -> set:
     """Canonical label edge set of aligned index arrays."""
     labels = csr.labels
@@ -107,6 +141,14 @@ class TestIndexOrderings:
     def test_label_wrappers_equal_reference(self, g: Graph):
         for name in ORDERING_NAMES:
             assert get_ordering(name)(g) == REFERENCE_ORDERINGS[name](g), name
+
+    @settings(max_examples=40, deadline=None)
+    @given(component_unions())
+    def test_rcm_matches_reference_on_many_components(self, g: Graph):
+        # Every component's George–Liu search and Cuthill–McKee numbering
+        # advance in the same pass; each must still come out as the seed's.
+        csr = CSRGraph.from_graph(g)
+        assert csr.to_labels(ordering_indices("rcm", csr)) == reference_rcm_order(g)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_rcm_start_vertex_matches_reference(self, seed):
