@@ -1,21 +1,21 @@
 #!/usr/bin/env python
-"""Execution-backend benchmark: serial vs thread vs process vs process-shm.
+"""Execution-backend benchmark: serial vs thread vs process (and process-shm).
 
 Times the parallel chordal samplers under every execution backend of
 :func:`repro.parallel.runner.available_backends` across dataset scales and
 partition counts, and writes the measured trajectory to
 ``BENCH_parallel.json``.  Where ``bench_pipeline.py`` tracks the end-to-end
 filter latency of the index-native pipeline, this harness isolates the
-*execution layer* introduced with the shared-memory runtime: the same rank
-computation shipped four different ways —
+*execution layer*: the same rank computation run under each backend —
 
 * ``serial``      — in-process loop (the deterministic reference),
 * ``thread``      — one GIL-bound thread per rank,
 * ``process``     — resident worker processes, rank payloads pickled over
   the socket hub's TCP wire (``process-sock`` is an alias, not timed apart),
-* ``process-shm`` — the same workers, the same per-rank arrays exported by
-  the runner to a shared-memory arena in one bundle and shipped as refs
-  (segment name, dtype, shape, offset), attached as zero-copy views.
+* ``process-shm`` — an alias of ``process`` since the shared-memory payload
+  path was folded into it; its rows (and the headline and gate built on
+  them) now time the ``process`` path again, kept so the committed
+  trajectory and its gate stay comparable until the file is re-recorded.
 
 Because the backends compute identical results, every (sampler, scale, P)
 group is also an output-invariance check: the run fails outright when
@@ -52,7 +52,6 @@ from repro.core.parallel_comm import parallel_chordal_comm_filter
 from repro.core.parallel_nocomm import parallel_chordal_nocomm_filter
 from repro.graph.generators import correlation_like_graph
 from repro.parallel.runner import parallel_map, shutdown_worker_pool
-from repro.parallel.shm import arena_scope
 
 ORDERING = "rcm"  # the headline ordering of the pipeline benchmark
 
@@ -111,20 +110,14 @@ def _groups(quick: bool) -> list[dict[str, Any]]:
 def run_grid(quick: bool, verbose: bool = True) -> list[dict[str, Any]]:
     """Measure every group.
 
-    The whole grid runs inside one :func:`arena_scope`, mirroring how the
-    batch engine wraps a scale-group: ``process-shm`` cells therefore
-    measure the runtime's steady state — the first call of a payload pays
-    the export of the per-rank arrays, later calls content-dedup onto the
-    existing segment and ship only refs.  The first (cold-export) call of
-    each group is inside the median like any other repeat.  Hub growth is
-    not: before a group's timed repeats one untimed call brings the
-    resident hub to the group's worker count (see :func:`_warm_hub`).
+    Hub growth is kept out of the medians: before a group's timed repeats
+    one untimed call brings the resident hub to the group's worker count
+    (see :func:`_warm_hub`).
     """
     graphs: dict[str, Any] = {}
     runs: list[dict[str, Any]] = []
-    with arena_scope():
-        for group in _groups(quick):
-            _measure_group(group, graphs, runs)
+    for group in _groups(quick):
+        _measure_group(group, graphs, runs)
     shutdown_worker_pool()
     if verbose:
         for row in runs:

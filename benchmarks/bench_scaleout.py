@@ -7,14 +7,15 @@ trajectory to ``BENCH_scaleout.json``:
 * **file-arena attach vs rebuild** — exporting a CSR-sized bundle into a
   fresh file-backed arena (cold: copy + manifest write) against re-opening
   the directory and re-exporting equal content (warm: manifest adoption +
-  content-digest hit, no copy).  The warm path is what a restarted
-  ``repro serve --arena-dir`` pays instead of rebuilding its bundles.
+  content-digest hit, no copy) — the cost a snapshot store built on the
+  arena would pay on a warm restart instead of a rebuild.
 * **process-sock vs process-shm** — the nocomm parallel filter at the
-  largest scale on the resident socket workers, with payloads pickled over
-  TCP (``process-sock``, an alias of ``process``) against payloads passed
-  as shared-memory segment names (``process-shm``), with the serial P1
-  base for hardware normalization.  Both must keep the identical edge set
-  (checked, fails the run otherwise).
+  largest scale on the resident socket workers, with the serial P1 base
+  for hardware normalization.  Both names are aliases of ``process`` since
+  the shared-memory payload path was folded into it, so the two rows time
+  one code path; they are kept so the committed trajectory stays
+  comparable until the file is re-recorded.  Both must keep the identical
+  edge set (checked, fails the run otherwise).
 * **huge-scale streaming build** — :meth:`CSRGraph.from_edge_stream` over
   the seeded ring-chord edge stream at ~100× the ``large`` filter scale,
   the graph size the in-RAM generators cannot reach.
@@ -51,7 +52,7 @@ from repro.core.parallel_nocomm import parallel_chordal_nocomm_filter
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import correlation_like_graph, ring_chord_edge_stream
 from repro.parallel.runner import shutdown_worker_pool
-from repro.parallel.shm import SharedArena, arena_scope
+from repro.parallel.shm import SharedArena
 
 ORDERING = "rcm"
 
@@ -119,32 +120,31 @@ def bench_transports(quick: bool) -> list[dict[str, Any]]:
     backends = {"serial": 1, "process-shm": 4, "process-sock": 4}
     repeats = 3 if quick else 5
     rows: list[dict[str, Any]] = []
-    with arena_scope():
-        for scale in scales:
-            g = correlation_like_graph(seed=7, **SCALES[scale])
-            seconds, results = harness.interleaved_medians(
-                {
-                    b: lambda b=b, P=P: parallel_chordal_nocomm_filter(
-                        g, P, ordering=ORDERING, backend=b
-                    )
-                    for b, P in backends.items()
-                },
-                repeats,
-            )
-            rows += [
-                {
-                    "cell": "transport",
-                    "op": backend,
-                    "scale": scale,
-                    "n_partitions": P,
-                    "n_vertices": g.n_vertices,
-                    "n_edges": g.n_edges,
-                    "repeats": repeats,
-                    "seconds": round(seconds[backend], 6),
-                    "edges_kept": results[backend].n_edges_kept,
-                }
-                for backend, P in backends.items()
-            ]
+    for scale in scales:
+        g = correlation_like_graph(seed=7, **SCALES[scale])
+        seconds, results = harness.interleaved_medians(
+            {
+                b: lambda b=b, P=P: parallel_chordal_nocomm_filter(
+                    g, P, ordering=ORDERING, backend=b
+                )
+                for b, P in backends.items()
+            },
+            repeats,
+        )
+        rows += [
+            {
+                "cell": "transport",
+                "op": backend,
+                "scale": scale,
+                "n_partitions": P,
+                "n_vertices": g.n_vertices,
+                "n_edges": g.n_edges,
+                "repeats": repeats,
+                "seconds": round(seconds[backend], 6),
+                "edges_kept": results[backend].n_edges_kept,
+            }
+            for backend, P in backends.items()
+        ]
     shutdown_worker_pool()
     return rows
 

@@ -91,8 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: each filter's own — serial for the no-communication "
         "sampler, threaded SPMD for the with-communication one); "
         "'process' runs ranks on resident worker processes over TCP "
-        "('process-sock' is an alias), 'process-shm' on the same workers "
-        "with zero-copy shared-memory graph buffers",
+        "('process-sock' and 'process-shm' are aliases of it)",
     )
     filt.add_argument("--seed", type=int, default=0, help="seed for the random-walk filter")
     filt.add_argument("--output", default=None, help="write the filtered network as an edge list to this path")
@@ -134,13 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=int, default=4, help="executor threads")
     serve.add_argument("--max-pending", type=int, default=64, help="admission queue bound")
     serve.add_argument("--cache-size", type=int, default=256, help="LRU result-cache entries")
-    serve.add_argument(
-        "--arena-dir",
-        default=None,
-        help="back the daemon's shared arena with memory-mapped files in this "
-        "directory; exported bundles persist across restarts (warm restart "
-        "re-adopts them instead of rebuilding)",
-    )
     serve.add_argument(
         "--port-file",
         default=None,
@@ -250,12 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="directory for per-run JSON results (spec-hash keyed)",
     )
     batch.add_argument("--no-cache", action="store_true", help="disable the disk cache")
-    batch.add_argument(
-        "--arena-dir",
-        default=None,
-        help="persistent file-backed arena directory shared by the batch's "
-        "process-shm filter runs (bundles survive across batches)",
-    )
     batch.add_argument("--force", action="store_true", help="re-run even on cache hits")
     batch.add_argument("--root-seed", type=int, default=0, help="root of the per-run RNG streams")
 
@@ -275,8 +261,7 @@ def _add_supervision_args(parser: argparse.ArgumentParser) -> None:
         "--no-degrade",
         action="store_true",
         help="fail instead of degrading to a simpler execution backend when "
-        "the parallel substrate (worker hub, shared-memory arena) cannot be "
-        "brought up",
+        "the worker hub cannot be brought up",
     )
 
 
@@ -388,7 +373,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         workers=args.workers,
         max_pending=args.max_pending,
         cache_size=args.cache_size,
-        arena_dir=args.arena_dir,
     )
     server.start()
     try:
@@ -531,7 +515,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         force=args.force,
         root_seed=args.root_seed,
-        arena_dir=args.arena_dir,
     )
     print(format_table([r.row() for r in results], title=f"batch: {len(results)} runs"))
     failed = [r for r in results if r.status == "failed"]

@@ -222,10 +222,8 @@ def parallel_chordal_comm_filter(
     Because the ranks exchange messages the execution runs through
     :func:`repro.parallel.runner.run_spmd`: ``backend=None`` (default) keeps
     the historical choice — threaded SPMD for ``P > 1``, serial for ``P = 1``
-    — while ``process`` runs each rank on a real core with pickled
-    payloads and ``process-shm`` lets the runner ship the same per-rank
-    arrays as zero-copy arena refs (an arena failure retries, then degrades
-    to ``process``).  (``"serial"`` works for any ``P`` here: the
+    — while ``process`` (and its aliases) runs each rank on a real core
+    with pickled payloads.  (``"serial"`` works for any ``P`` here: the
     lower-rank-sends-first protocol never receives a message that an earlier
     rank has not already buffered.)  Every backend produces the identical
     kept edge set in the identical admission order.

@@ -27,8 +27,7 @@ ordering (:func:`repro.graph.ordering.ordering_indices`), partitioning
 (:class:`repro.graph.partition.IndexPartition`), per-rank subgraphs
 (:meth:`CSRGraph.induced_subgraph` array slicing) and border admission all run
 on ``int64`` vertex indices.  Rank payloads are plain numpy arrays — cheap to
-pickle for the ``process`` backend, exported to a shared-memory arena by the
-runner for ``process-shm`` — and the merge (:func:`merge_rank_outputs`, which
+pickle for the ``process`` backend — and the merge (:func:`merge_rank_outputs`, which
 the with-communication sampler shares) stays on index arrays too: the
 :class:`FilterResult` maps them to labels only when its label views are read.
 The filter reads the graph's cached CSR view (:meth:`CSRGraph.of`), so
@@ -204,8 +203,7 @@ def _rank_task_indices(
     """The full per-rank computation on CSR arrays (local phase + admission).
 
     All arguments are numpy arrays (plus one bool), so the ``process``
-    backend pickles compact buffers instead of ``Graph`` objects and
-    ``process-shm`` ships them as arena refs.  Returns the kept local
+    backend pickles compact buffers instead of ``Graph`` objects.  Returns the kept local
     chordal edges (kernel acceptance order) and the admitted border edges
     (sorted) as ``(k, 2)`` arrays of canonical global-index pairs, plus the
     work counters — the exact sequences :func:`merge_rank_outputs` depends
@@ -329,11 +327,9 @@ def parallel_chordal_nocomm_filter(
         (the default) selects this filter's own default, ``"serial"``.  The
         ranks are independent, so every backend runs the same per-rank
         argument tuples through :func:`repro.parallel.parallel_map`:
-        ``process`` pickles the CSR-array payloads to the resident
-        workers, ``process-shm`` lets the runner export them to a
-        shared-memory arena in one bundle and ship only the refs (an arena
-        failure retries, then degrades to ``process``).  All backends
-        produce the identical kept edge set in the identical admission order.
+        ``process`` (and its aliases) pickles the CSR-array payloads to
+        the resident workers.  All backends produce the identical kept edge
+        set in the identical admission order.
     """
     if n_partitions < 1:
         raise ValueError(f"n_partitions must be >= 1, got {n_partitions}")

@@ -1,13 +1,13 @@
 """Deterministic fault-injection plane.
 
 The runtime threads named *injection sites* through its failure-prone
-operations — worker-hub bring-up and map dispatch, SPMD rounds, shared-memory
-export/attach, communicator send/recv, serve admission/execution,
-batch cache read/write.  Each site is one :func:`fault_point` call; with no
-plan installed (production) the call is a module-global ``None`` check and
-returns immediately, so the sites cost nothing.  The chaos test tier installs
+operations — worker-hub bring-up and map dispatch, SPMD rounds,
+communicator send/recv, serve admission/execution, batch cache read/write.
+Each site is one :func:`fault_point` call; with no plan installed
+(production) the call is a module-global ``None`` check and returns
+immediately, so the sites cost nothing.  The chaos test tier installs
 a seeded :class:`FaultPlan` that schedules faults *by occurrence count* —
-"raise ``ArenaError`` on the first export", "kill the worker holding a task
+"raise ``OSError`` on the first hub spawn", "kill the worker holding a task
 of the second dispatch", "SIGKILL rank 1 of the next SPMD round" — so every
 failure is reproducible: the same plan against the same workload fires the
 same faults at the same points, and once a rule's budget is spent the
@@ -20,8 +20,6 @@ Sites (see ``docs/ARCHITECTURE.md`` for the full table):
 ``pool.spawn``       worker-hub creation and each local worker spawn (growth)
 ``pool.dispatch``    each process-backend map scatter (supports ``kill_task``)
 ``spmd.ranks``       each SPMD process-backend round (supports ``kill_rank``)
-``arena.export``     each :meth:`SharedArena.export_bundle` call
-``arena.attach``     each attach-side segment mapping
 ``comm.send``        each communicator send
 ``comm.recv``        each communicator receive (supports ``hook`` delays)
 ``comm.connect``     each worker's hub connect

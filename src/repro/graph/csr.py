@@ -374,15 +374,6 @@ class CSRGraph:
             indices.flush()
         return cls.from_buffers(indptr, indices, label_tuple)
 
-    def export_buffers(self) -> tuple[np.ndarray, np.ndarray]:
-        """The raw CSR buffers ``(indptr, indices)`` — zero-copy, read-only.
-
-        These are the exact arrays the graph is built on (no copy), suitable
-        for placement into shared memory (:class:`repro.parallel.shm.SharedArena`)
-        and reconstruction with :meth:`from_buffers`.
-        """
-        return self.indptr, self.indices
-
     @classmethod
     def from_buffers(
         cls,
@@ -392,10 +383,10 @@ class CSRGraph:
     ) -> "CSRGraph":
         """Rebuild a graph around existing CSR buffers **without copying them**.
 
-        This is the attach-side counterpart of :meth:`export_buffers`: the
-        result's ``indptr``/``indices`` are views pinned to the given arrays
-        (``np.shares_memory`` holds), so a worker that maps a shared-memory
-        segment pays zero copies.  Only O(1) shape/dtype consistency is
+        The result's ``indptr``/``indices`` are views pinned to the given
+        arrays (``np.shares_memory`` holds), so a mapped buffer (an
+        :func:`repro.parallel.shm.attach` view, an ``np.memmap``) pays zero
+        copies.  Only O(1) shape/dtype consistency is
         checked — the buffers are trusted to describe a valid symmetric CSR
         (they came out of a validated graph); hand-built arrays should go
         through the validating constructor instead.  ``labels`` defaults to

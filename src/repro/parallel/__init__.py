@@ -1,12 +1,12 @@
-"""Parallel runtime substrate: communicators, SPMD runner, shared memory, cost model.
+"""Parallel runtime substrate: communicators, SPMD runner, file arena, cost model.
 
 The paper's algorithms were written for a distributed-memory MPI machine.
 This package substitutes an offline equivalent: the algorithms exchange the
 same messages over :class:`SimComm` (threads) or resident worker processes
-over TCP (:mod:`repro.parallel.sock`), graph buffers are shared zero-copy
-between rank processes through a :class:`SharedArena`, rank work is
-measured exactly, and :class:`CostModel` converts that work into simulated
-wall-clock times for the scalability study.
+over TCP (:mod:`repro.parallel.sock`), arrays can persist in a file-backed
+:class:`SharedArena`, rank work is measured exactly, and :class:`CostModel`
+converts that work into simulated wall-clock times for the scalability
+study.
 """
 
 from .._lazy import lazy_exports
@@ -32,11 +32,7 @@ __all__ = [
     "SharedArena",
     "ArenaRef",
     "ArenaError",
-    "arena_scope",
-    "get_active_arena",
     "attach",
-    "resolve_payload",
-    "export_payload",
     "RankResult",
     "SpmdReport",
     "CostModel",
@@ -73,11 +69,7 @@ __getattr__, __dir__ = lazy_exports(
             "ArenaError",
             "ArenaRef",
             "SharedArena",
-            "arena_scope",
             "attach",
-            "export_payload",
-            "get_active_arena",
-            "resolve_payload",
         ),
         ".timing": ("CostModel", "RankWork", "efficiency", "speedup"),
     },

@@ -24,15 +24,9 @@ source of truth shared with :func:`parallel_map`):
     By default the hub spawns its workers locally; with the ``REPRO_SOCK_*``
     rendezvous knobs they can be external ``repro spmd-worker`` processes on
     other hosts.  Rank payloads and results are pickled;
-``process-shm``
-    the same workers with rank payloads routed through a
-    :class:`~repro.parallel.shm.SharedArena`: every numpy array in
-    ``rank_args`` is exported to shared memory once and replaced by an
-    :class:`~repro.parallel.shm.ArenaRef`, which the worker resolves back
-    into a zero-copy read-only view.  Arena segments are host-local, so a
-    hub waiting for external workers refuses this backend;
-``process-sock``
-    an alias of ``process``, kept for existing callers.
+``process-sock``, ``process-shm``
+    aliases of ``process``, kept for existing callers.  They run the same
+    code path; reports keep the name the caller asked for.
 
 ``parallel_map`` offers the same backend names for embarrassingly parallel
 work items (no communicator); its process backends scatter the items over
@@ -57,11 +51,10 @@ which always propagate untouched:
   never degrade the backend: a payload that kills its worker would take the
   host process down with it on the thread/serial backends.
 * **degradable** — the backend's substrate could not be brought up at all
-  (hub bind, worker spawn or rendezvous failure, shared-memory arena
-  creation/export failure).  After retries are exhausted the supervisor
-  steps down the degradation ladder ``process-shm → process → thread →
-  serial`` (``process-sock`` sits on the ``process`` rung; SPMD stops at
-  ``thread``, whose serial backend cannot service blocking receives) and
+  (hub bind, worker spawn or rendezvous failure).  After retries are
+  exhausted the supervisor steps down the degradation ladder ``process →
+  thread → serial`` (both aliases sit on the ``process`` rung; SPMD stops
+  at ``thread``, whose serial backend cannot service blocking receives) and
   retries there; the step-down is recorded in the supervision event log
   (:func:`pop_supervision_events`) and the global counters surfaced by
   ``repro serve`` stats.
@@ -74,13 +67,11 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
 from ..faults import fault_point
 from .comm import CommStats, SimCommWorld
-from .shm import ArenaError, export_payload, owned_arena, resolve_payload
 
 __all__ = [
     "RankResult",
@@ -257,9 +248,10 @@ def _record_event(event: dict[str, Any]) -> None:
 class _DegradableFailure(Exception):
     """Internal wrapper marking an infrastructure failure as ladder-eligible.
 
-    Raised only around substrate bring-up (hub bring-up, arena create/export),
-    never around user code — so a user function that happens to raise
-    ``OSError`` propagates normally instead of being degraded to serial.
+    Raised only around substrate bring-up (hub bind, worker spawn,
+    rendezvous), never around user code — so a user function that happens
+    to raise ``OSError`` propagates normally instead of being degraded to
+    serial.
     """
 
     def __init__(self, original: BaseException) -> None:
@@ -267,21 +259,22 @@ class _DegradableFailure(Exception):
         self.original = original
 
 
-#: Exceptions that mark substrate bring-up as failed (ArenaError covers the
-#: shared-memory layer; OSError covers bind/spawn/rendezvous and shm-create
-#: syscall failures, including FileNotFoundError from a vanished segment).
-_DEGRADABLE_EXC = (ArenaError, OSError)
+#: Exceptions that mark substrate bring-up (bind, spawn, rendezvous) as failed.
+_DEGRADABLE_EXC = OSError
 
 #: The step-down order for degradable failures, most substrate first.
-_LADDER = ("process-shm", "process", "thread", "serial")
+_LADDER = ("process", "thread", "serial")
+
+#: Backend names that run on the worker hub (the aliases share one path).
+_PROCESS_BACKENDS = ("process", "process-shm", "process-sock")
 
 
 def _degradation_ladder(backend: str, floor: str = "serial") -> list[str]:
     """The backends to fall through, starting at the requested one.
 
-    ``process-sock`` is an alias of ``process`` and steps down from there.
+    Both aliases of ``process`` step down from the ``process`` rung.
     """
-    start = _LADDER.index("process" if backend == "process-sock" else backend)
+    start = _LADDER.index("process" if backend in _PROCESS_BACKENDS else backend)
     stop = _LADDER.index(floor)
     return [backend, *_LADDER[start + 1 : stop + 1]]
 
@@ -393,50 +386,25 @@ def available_backends() -> list[str]:
     """Names of the execution backends accepted by :func:`run_spmd` and
     :func:`parallel_map` — the single source of truth for both.
 
-    Ordered cheapest-substrate first.  The three process names share one
-    transport (resident socket workers); ``process-sock`` is an alias of
-    ``process``.
+    Ordered cheapest-substrate first.  The three process names are one
+    code path (resident socket workers); ``process-shm`` and
+    ``process-sock`` are aliases of ``process``.
     """
     return ["serial", "thread", "process", "process-shm", "process-sock"]
 
 
-def _on_hub(
-    payloads: list[tuple[Any, ...]],
-    use_shm: bool,
-    run: Callable[[Any, list[tuple[Any, ...]]], Any],
-) -> Any:
-    """Call ``run(hub, payloads)`` on the resident worker hub.
+def _on_hub(run: Callable[[Any], Any]) -> Any:
+    """Call ``run(hub)`` on the resident worker hub.
 
-    With ``use_shm`` every numpy array in ``payloads`` is first exported to
-    an arena (the ambient one, else a private one unlinked on return) in a
-    single bundle — one segment per call — so only
-    :class:`~repro.parallel.shm.ArenaRef` handles cross the wire.
-    Bring-up failures (bind, spawn, rendezvous, arena) are degradable;
-    worker deaths and user errors propagate as they are.
+    Bring-up failures (bind, spawn, rendezvous) are degradable; worker
+    deaths and user errors propagate as they are.
     """
     from .sock import get_sock_pool  # lazy: only process-backend users pay the import
 
     try:
-        hub = get_sock_pool()
-    except _DEGRADABLE_EXC as exc:
+        return run(get_sock_pool())
+    except _DEGRADABLE_EXC as exc:  # worker spawn, rendezvous or a lost connection
         raise _DegradableFailure(exc) from exc
-    if use_shm and not hub.spawn:
-        raise RuntimeError(
-            "process-shm passes host-local shared-memory segments, but the worker "
-            "hub waits for external workers (REPRO_SOCK_SPAWN=0) that may run on "
-            "other hosts; use backend='process' with external workers"
-        )
-    with ExitStack() as stack:
-        if use_shm:
-            try:
-                arena = stack.enter_context(owned_arena())
-                payloads = export_payload(payloads, arena)
-            except _DEGRADABLE_EXC as exc:
-                raise _DegradableFailure(exc) from exc
-        try:
-            return run(hub, payloads)
-        except OSError as exc:  # worker spawn, rendezvous or a lost connection
-            raise _DegradableFailure(exc) from exc
 
 
 def _run_spmd_backend(
@@ -448,14 +416,12 @@ def _run_spmd_backend(
     backend: str,
 ) -> SpmdReport:
     """One un-supervised SPMD attempt on ``backend`` (see :func:`run_spmd`)."""
-    if backend in ("process", "process-shm", "process-sock"):
+    if backend in _PROCESS_BACKENDS:
         payloads = [tuple(rank_args[r]) if rank_args is not None else () for r in range(n_ranks)]
         kill_ranks: set[int] = set()
         fault_point("spmd.ranks", kill_ranks=kill_ranks, n_ranks=n_ranks)
         values, stats = _on_hub(
-            payloads,
-            backend == "process-shm",
-            lambda hub, ps: hub.run_round(fn, n_ranks, ps, args, kwargs, kill_ranks),
+            lambda hub: hub.run_round(fn, n_ranks, payloads, args, kwargs, kill_ranks)
         )
         results = [RankResult(rank=r, value=values[r], stats=stats[r]) for r in range(n_ranks)]
         return SpmdReport(results=results, n_ranks=n_ranks, backend=backend)
@@ -464,7 +430,7 @@ def _run_spmd_backend(
 
     def call(rank: int) -> Any:
         comm = world.comm(rank)
-        extra = resolve_payload(tuple(rank_args[rank])) if rank_args is not None else ()
+        extra = tuple(rank_args[rank]) if rank_args is not None else ()
         return fn(comm, *extra, *args, **kwargs)
 
     values: list[Any] = [None] * n_ranks
@@ -518,17 +484,14 @@ def run_spmd(
         shared ``args`` / ``kwargs``.
     rank_args:
         Optional per-rank positional arguments (length must equal ``n_ranks``),
-        typically the rank's partition data.  Any
-        :class:`~repro.parallel.shm.ArenaRef` inside is resolved to its array
-        view in the rank process; with ``backend="process-shm"`` plain numpy
-        arrays are additionally exported through a shared arena first.
+        typically the rank's partition data.
     backend:
         One of :func:`available_backends`.  ``"serial"`` runs ranks
         sequentially (any blocking receive on a message that was not already
         sent raises); ``"thread"`` (default) supports messaging in-process;
-        ``"process"`` (alias ``"process-sock"``) / ``"process-shm"`` run each
-        rank on a resident worker process (``fn``, payloads and results must
-        be picklable).
+        ``"process"`` (aliases ``"process-shm"``, ``"process-sock"``) runs
+        each rank on a resident worker process (``fn``, payloads and results
+        must be picklable).
     max_retries, degrade:
         Per-call overrides of the process-wide :class:`SupervisionPolicy`.
         A dead rank (:class:`DeadRankError`) retries the whole round — one
@@ -536,7 +499,7 @@ def run_spmd(
         identical result; substrate bring-up failures degrade the backend
         down to ``thread`` (never ``serial``: blocking receives need live
         peers).  The report's ``backend`` field records the backend that
-        actually ran.
+        actually ran (an alias keeps its own name).
 
     Returns
     -------
@@ -571,7 +534,7 @@ def run_spmd(
 
 def _call_star(payload: tuple[Callable[..., Any], tuple[Any, ...]]) -> Any:
     fn, item_args = payload
-    return fn(*resolve_payload(item_args))
+    return fn(*item_args)
 
 
 def worker_pool_size() -> int:
@@ -609,27 +572,21 @@ def parallel_map(
     * ``'serial'`` — in-process loop (deterministic, zero overhead);
     * ``'thread'`` — a thread per in-flight item (GIL-bound; useful when the
       items block on I/O or release the GIL);
-    * ``'process'`` (alias ``'process-sock'``) — the resident workers of the
-      socket hub; ``fn`` and the items must be picklable.  The items are
-      scattered over ``processes`` workers (default: one per item, at most
-      one per core), each running its share in order, so an explicit
-      ``processes`` bounds how many items are in flight at once.  The hub
+    * ``'process'`` (aliases ``'process-shm'``, ``'process-sock'``) — the
+      resident workers of the socket hub; ``fn`` and the items must be
+      picklable.  The items are scattered over ``processes`` workers
+      (default: one per item, at most one per core), each running its share
+      in order, so an explicit ``processes`` bounds how many items are in
+      flight at once.  The hub
       starts at the first call's need and grows for larger requests, reused
-      by every later call (see :func:`shutdown_worker_pool`);
-    * ``'process-shm'`` — the same workers with every numpy array in the
-      items routed through a :class:`~repro.parallel.shm.SharedArena` (the
-      ambient one from :func:`~repro.parallel.shm.arena_scope` when present,
-      else a private arena unlinked after the call), so workers attach
-      zero-copy views instead of unpickling array bytes.
+      by every later call (see :func:`shutdown_worker_pool`).
 
-    On every backend, :class:`~repro.parallel.shm.ArenaRef` values inside the
-    items are resolved to their arrays before ``fn`` runs.  The result order
-    always matches the input order.
+    The result order always matches the input order.
 
     ``max_retries`` / ``degrade`` override the process-wide
     :class:`SupervisionPolicy` for this call: a :class:`WorkerPoolError`
-    retries the map on fresh workers (same backend); hub bring-up or arena
-    failures degrade ``process-shm → process → thread → serial``.
+    retries the map on fresh workers (same backend); hub bring-up failures
+    degrade ``process → thread → serial``.
     """
     if backend not in available_backends():
         raise ValueError(f"unknown backend {backend!r}; expected one of {available_backends()}")
@@ -660,8 +617,4 @@ def _map_backend(
         n_threads = processes or min(len(payloads), 32)
         with ThreadPoolExecutor(max_workers=max(1, n_threads)) as pool:
             return list(pool.map(_call_star, payloads))
-    return _on_hub(
-        payloads,
-        backend == "process-shm",
-        lambda hub, ps: hub.run_map(ps, processes),
-    )
+    return _on_hub(lambda hub: hub.run_map(payloads, processes))

@@ -19,12 +19,12 @@ frames on TCP sockets, in a hub-and-spokes topology:
   --port P`` on any machine that can reach the hub.
 
 :func:`repro.parallel.runner.run_spmd` and
-:func:`~repro.parallel.runner.parallel_map` run ``process``,
-``process-sock`` (an alias) and ``process-shm`` (numpy payloads exported to
-a shared-memory arena first) on the one hub returned by
-:func:`get_sock_pool`.  Both ends of every connection set ``TCP_NODELAY``:
-the protocol writes small frames back to back (a message, then a result),
-which Nagle's algorithm would otherwise hold for the peer's delayed ACK.
+:func:`~repro.parallel.runner.parallel_map` run ``process`` and its aliases
+``process-sock`` and ``process-shm`` on the one hub returned by
+:func:`get_sock_pool`; rank payloads and results travel pickled.  Both ends
+of every connection set ``TCP_NODELAY``: the protocol writes small frames
+back to back (a message, then a result), which Nagle's algorithm would
+otherwise hold for the peer's delayed ACK.
 
 Rendezvous knobs (all read from the environment so spawned workers and CI
 scripts share one configuration surface):
@@ -87,7 +87,6 @@ from typing import Any, Callable, Optional, Sequence
 
 from ..faults import current_plan, fault_point
 from .comm import CommStats, _Message, _MessagingComm, watchdog_poll
-from .shm import resolve_payload
 
 __all__ = [
     "SockComm",
@@ -423,7 +422,7 @@ class _Worker:
             os.kill(os.getpid(), signal.SIGKILL)
         comm = SockComm(rank, n_ranks, _RoundChannel(self, rid, rank))
         try:
-            value = fn(comm, *resolve_payload(extra), *args, **kwargs)
+            value = fn(comm, *extra, *args, **kwargs)
         except BaseException as exc:  # noqa: BLE001 — shipped to the hub
             self.send(
                 ("result", rid, rank, "error", f"{type(exc).__name__}: {exc}", traceback.format_exc())
@@ -436,7 +435,7 @@ class _Worker:
     def _run_task(self, frame: tuple) -> None:
         _, task_id, fn, item_args = frame
         try:
-            value = fn(*resolve_payload(item_args))
+            value = fn(*item_args)
         except BaseException as exc:  # noqa: BLE001 — shipped to the hub
             self.send(
                 ("task_result", task_id, "error", f"{type(exc).__name__}: {exc}", traceback.format_exc())

@@ -39,7 +39,6 @@ from typing import Any, Callable, Optional, Sequence
 from ..faults import fault_point
 from ..parallel.rng import derive_seed
 from ..parallel.runner import shutdown_worker_pool
-from ..parallel.shm import arena_scope
 from . import experiments as exp
 
 __all__ = [
@@ -289,7 +288,7 @@ def run_spec(spec: RunSpec) -> tuple[Any, float]:
     return _jsonify(output), time.perf_counter() - t0
 
 
-def _run_group(specs: list["RunSpec"], arena_dir: Optional[str] = None) -> list[dict[str, Any]]:
+def _run_group(specs: list["RunSpec"]) -> list[dict[str, Any]]:
     """Process-pool task: run one scale-group of specs in a single worker.
 
     Grouping by scale is the bundle dedup: within the worker the figure
@@ -301,7 +300,7 @@ def _run_group(specs: list["RunSpec"], arena_dir: Optional[str] = None) -> list[
     the content hash.
     """
     try:
-        return _run_group_keep_pool(specs, arena_dir)
+        return _run_group_keep_pool(specs)
     finally:
         # Drivers that ran filters with backend="process" share one worker
         # pool across the whole group (see repro.parallel.runner); release it
@@ -309,27 +308,15 @@ def _run_group(specs: list["RunSpec"], arena_dir: Optional[str] = None) -> list[
         shutdown_worker_pool()
 
 
-def _run_group_keep_pool(
-    specs: list["RunSpec"], arena_dir: Optional[str] = None
-) -> list[dict[str, Any]]:
-    """Run one group of specs, leaving the shared filter worker pool alive.
-
-    The group shares one shared-memory arena (:func:`arena_scope`): every
-    filter inside it that runs with a ``process-shm`` backend exports into
-    the group arena instead of creating and unlinking a private one per
-    call, and the segments are destroyed once when the scale-group ends.
-    With ``arena_dir`` the group arena is file-backed under that directory
-    and persists instead: a later batch over the same directory re-adopts
-    equal graph bundles by content digest rather than re-exporting them.
-    """
+def _run_group_keep_pool(specs: list["RunSpec"]) -> list[dict[str, Any]]:
+    """Run one group of specs, leaving the shared filter worker pool alive."""
     out: list[dict[str, Any]] = []
-    with arena_scope(path=arena_dir):
-        for spec in specs:
-            try:
-                output, seconds = run_spec(spec)
-                out.append({"hash": spec.spec_hash(), "output": output, "seconds": seconds})
-            except Exception as err:  # noqa: BLE001 — reported per-run, batch continues
-                out.append({"hash": spec.spec_hash(), "error": f"{type(err).__name__}: {err}"})
+    for spec in specs:
+        try:
+            output, seconds = run_spec(spec)
+            out.append({"hash": spec.spec_hash(), "output": output, "seconds": seconds})
+        except Exception as err:  # noqa: BLE001 — reported per-run, batch continues
+            out.append({"hash": spec.spec_hash(), "error": f"{type(err).__name__}: {err}"})
     return out
 
 
@@ -405,7 +392,6 @@ def run_batch(
     jobs: int = 1,
     force: bool = False,
     root_seed: int = 0,
-    arena_dir: Optional[str] = None,
 ) -> list[BatchRunResult]:
     """Run a batch of experiment specs with dedup, caching and fan-out.
 
@@ -425,12 +411,6 @@ def run_batch(
         Re-run specs even when a cache entry exists (the entry is rewritten).
     root_seed:
         Root of the per-run RNG streams (see :func:`_resolve_seed`).
-    arena_dir:
-        Optional directory for a persistent **file-backed** group arena:
-        ``process-shm`` filter runs export graph bundles there, and a later
-        batch over the same directory re-adopts equal bundles by content
-        digest instead of re-exporting (see
-        :func:`repro.parallel.shm.arena_scope`).
 
     Returns
     -------
@@ -517,13 +497,13 @@ def run_batch(
         # and releases it once at the end instead.
         try:
             for group in group_list:
-                _absorb(group, _run_group_keep_pool([spec for _, spec in group], arena_dir))
+                _absorb(group, _run_group_keep_pool([spec for _, spec in group]))
         finally:
             shutdown_worker_pool()
     elif group_list:
         with ProcessPoolExecutor(max_workers=min(jobs, len(group_list))) as pool:
             futures = [
-                (group, pool.submit(_run_group, [spec for _, spec in group], arena_dir))
+                (group, pool.submit(_run_group, [spec for _, spec in group]))
                 for group in group_list
             ]
             for group, future in futures:

@@ -3,11 +3,11 @@
 The cold CLI pays dataset generation, network thresholding, GO-index
 construction and cluster discovery on *every* invocation; the serve layer
 pays them once.  A :class:`ReproServer` holds prepared dataset bundles (and
-the shared-memory arena + worker pool of the parallel backends) resident and
-answers ``filter`` / ``classify`` / ``enrich`` requests over a local socket —
-admission-bounded, LRU-cached by spec hash and with cross-request enrichment
-coalescing.  Responses are byte-identical to a cold ``repro … --json`` run of
-the same request; the test tier enforces it.
+the worker pool of the parallel backends) resident and answers ``filter`` /
+``classify`` / ``enrich`` requests over a local socket — admission-bounded,
+LRU-cached by spec hash and with cross-request enrichment coalescing.
+Responses are byte-identical to a cold ``repro … --json`` run of the same
+request; the test tier enforces it.
 """
 
 from .._lazy import lazy_exports

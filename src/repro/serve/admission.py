@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import queue
 import threading
-from contextlib import nullcontext
-from typing import Any, Callable, ContextManager, Optional
+from typing import Any, Callable, Optional
 
 from ..faults import fault_point
 
@@ -63,27 +62,15 @@ class Ticket:
 
 
 class AdmissionQueue:
-    """Bounded work queue executed by a fixed set of worker threads.
+    """Bounded work queue executed by a fixed set of worker threads."""
 
-    ``worker_wrap`` optionally supplies a context manager entered for the
-    lifetime of each worker thread — the server uses it to make its shared
-    arena ambient (:func:`repro.parallel.shm.arena_scope`) inside every
-    worker, so ``process-shm`` filter requests export into one arena.
-    """
-
-    def __init__(
-        self,
-        max_pending: int = 64,
-        workers: int = 4,
-        worker_wrap: Optional[Callable[[], ContextManager[Any]]] = None,
-    ) -> None:
+    def __init__(self, max_pending: int = 64, workers: int = 4) -> None:
         if max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.max_pending = max_pending
         self.workers = workers
-        self._worker_wrap = worker_wrap
         self._queue: "queue.Queue[Optional[Ticket]]" = queue.Queue(maxsize=max_pending)
         self._threads: list[threading.Thread] = []
         self._lock = threading.Lock()
@@ -209,27 +196,25 @@ class AdmissionQueue:
     # workers
     # ------------------------------------------------------------------
     def _worker_loop(self) -> None:
-        wrap = self._worker_wrap() if self._worker_wrap is not None else nullcontext()
-        with wrap:
-            while True:
-                ticket = self._queue.get()
-                if ticket is None:
-                    return
-                try:
-                    fault_point("serve.worker")
-                except BaseException as exc:
-                    # The injected failure stands in for a crashing worker
-                    # thread: fail the picked-up ticket (its waiter gets an
-                    # error, not a hang) and let the thread die — the
-                    # server's supervisor respawns it.
-                    ticket.error = exc
-                    ticket._done.set()
-                    return
+        while True:
+            ticket = self._queue.get()
+            if ticket is None:
+                return
+            try:
+                fault_point("serve.worker")
+            except BaseException as exc:
+                # The injected failure stands in for a crashing worker
+                # thread: fail the picked-up ticket (its waiter gets an
+                # error, not a hang) and let the thread die — the
+                # server's supervisor respawns it.
+                ticket.error = exc
+                ticket._done.set()
+                return
+            with self._lock:
+                self._in_flight += 1
+            try:
+                ticket.run()
+            finally:
                 with self._lock:
-                    self._in_flight += 1
-                try:
-                    ticket.run()
-                finally:
-                    with self._lock:
-                        self._in_flight -= 1
-                        self.executed += 1
+                    self._in_flight -= 1
+                    self.executed += 1

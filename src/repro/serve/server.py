@@ -1,9 +1,8 @@
 """The resident analysis server (``repro serve``).
 
 One :class:`ReproServer` owns the warm state the cold CLI rebuilds on every
-invocation — prepared dataset bundles, the shared-memory arena of the
-``process-shm`` filter backend, the worker pool — and serves requests over a
-local stream socket with the newline-delimited JSON protocol of
+invocation — prepared dataset bundles, the worker pool — and serves requests
+over a local stream socket with the newline-delimited JSON protocol of
 :mod:`repro.serve.protocol`.  The moving parts, one module each:
 
 * admission (:mod:`repro.serve.admission`): a bounded queue in front of a
@@ -18,10 +17,7 @@ local stream socket with the newline-delimited JSON protocol of
 
 Threading model: one accept thread, one connection thread per client (it
 parses, admits and *waits* — cheap), ``workers`` executor threads (they run
-the pipeline).  Every executor thread keeps the server's arena ambient via
-:func:`~repro.parallel.shm.arena_scope`, so ``process-shm`` filter requests
-export graph buffers into one long-lived arena instead of churning segments
-per request.
+the pipeline).
 
 ``hooks`` exist for the concurrency tests: they are synchronisation points
 (events/barriers), never sleeps, and all default to no-ops.
@@ -37,7 +33,6 @@ from typing import Any, Callable, Optional
 
 from ..faults import fault_point
 from ..parallel.runner import comm_counters, shutdown_worker_pool, supervision_counters
-from ..parallel.shm import SharedArena, arena_scope
 from ..pipeline.experiments import default_scale as _default_scale
 from .admission import AdmissionQueue, BusyError, ShuttingDownError
 from .cache import ResultCache
@@ -107,7 +102,6 @@ class ReproServer:
         workers: int = 4,
         max_pending: int = 64,
         cache_size: int = 256,
-        arena_dir: Optional[str] = None,
         hooks: Optional[ServerHooks] = None,
         extra_handlers: Optional[dict[str, Callable[[dict[str, Any]], Any]]] = None,
         supervisor_interval: float = 1.0,
@@ -122,11 +116,6 @@ class ReproServer:
         self.workers = workers
         self.max_pending = max_pending
         self.cache_size = cache_size
-        #: When set, the server's arena is file-backed under this directory:
-        #: exported bundles persist across restarts (a warm restart re-adopts
-        #: the previous generation's segments by content digest instead of
-        #: rebuilding them).
-        self.arena_dir = arena_dir
         self.hooks = hooks or ServerHooks()
         #: Test-only ops (fault injection) executed through admission but
         #: outside the dataset/cache path; ``fn(params) -> payload``.
@@ -144,7 +133,6 @@ class ReproServer:
         self._connections: set[socket.socket] = set()
         self._started_at = 0.0
 
-        self.arena: Optional[SharedArena] = None
         self.state = None  # type: ignore[assignment]
         self.cache: Optional[ResultCache] = None
         self.admission: Optional[AdmissionQueue] = None
@@ -153,16 +141,31 @@ class ReproServer:
     # lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "ReproServer":
-        """Bind, warm the preloaded datasets and begin accepting clients."""
+        """Bind, warm the preloaded datasets and begin accepting clients.
+
+        A start that fails (an occupied port, a preload error) releases what
+        it brought up and leaves the server not running, so it can be
+        started again.
+        """
         with self._lock:
             if self._started:
                 return self
             self._started = True
         self._started_at = time.time()
-        # The server owns one arena for its whole lifetime; every executor
-        # thread makes it ambient, so process-shm runs share segments.  A
-        # file-backed arena additionally survives restarts via its manifest.
-        self.arena = SharedArena(content_dedup=True, path=self.arena_dir)
+        try:
+            self._bring_up()
+        except BaseException:
+            if self.admission is not None:
+                self.admission.shutdown()
+            if self.state is not None:
+                self.state.close()
+            self.admission = self.state = self.cache = None
+            with self._lock:
+                self._started = False
+            raise
+        return self
+
+    def _bring_up(self) -> None:
         from .state import ServerState  # deferred: keeps module import light
 
         self.state = ServerState(
@@ -172,11 +175,7 @@ class ReproServer:
             batch_submit=self.hooks.batch_submit,
         )
         self.cache = ResultCache(self.cache_size)
-        self.admission = AdmissionQueue(
-            max_pending=self.max_pending,
-            workers=self.workers,
-            worker_wrap=lambda: arena_scope(self.arena),
-        )
+        self.admission = AdmissionQueue(max_pending=self.max_pending, workers=self.workers)
         self.admission.start()
         for name in self.preload:
             self.state.get(name)
@@ -199,8 +198,8 @@ class ReproServer:
         Order matters: the listener closes first (no new clients), the
         admission queue drains (every admitted request completes and its
         connection thread writes the response), and only then are the
-        batchers stopped, the worker pool shut down, the arena unlinked and
-        the remaining client sockets closed.  Idempotent.
+        batchers stopped, the worker pool shut down and the remaining client
+        sockets closed.  Idempotent.
         """
         with self._lock:
             if not self._started or self._stopped.is_set():
@@ -232,13 +231,6 @@ class ReproServer:
         if self.state is not None:
             self.state.close()
         shutdown_worker_pool()
-        if self.arena is not None:
-            if self.arena.kind == "file":
-                # File-backed segments are the warm-restart state: persist
-                # them (close flushes mappings and saves the manifest).
-                self.arena.close()
-            else:
-                self.arena.unlink()
         with self._lock:
             conns = list(self._connections)
         for conn in conns:
@@ -532,14 +524,6 @@ class ReproServer:
                 datasets.append(state.summary())
                 for key, value in state.batcher.stats().items():
                     enrichment[key] += value
-        arena: dict[str, Any] = {}
-        if self.arena is not None:
-            arena = {
-                "kind": self.arena.kind,
-                "path": self.arena.path,
-                "segments": self.arena.n_segments,
-                "bytes": self.arena.total_bytes,
-            }
         return {
             "protocol": PROTOCOL_VERSION,
             "host": self.host,
@@ -553,6 +537,5 @@ class ReproServer:
             "enrichment": enrichment,
             "supervision": supervision_counters(),
             "comm": comm_counters(),
-            "arena": arena,
             "datasets": datasets,
         }

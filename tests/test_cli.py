@@ -33,6 +33,13 @@ class TestParser:
         assert exc.value.code == 2
         assert "--kernels" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["serve", "batch"])
+    def test_arena_dir_option_removed(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "--arena-dir", "arena"])
+        assert exc.value.code == 2
+        assert "--arena-dir" in capsys.readouterr().err
+
     def test_kernels_subcommand_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["kernels"])
@@ -72,6 +79,19 @@ class TestCommands:
         exp.clear_bundle_cache()  # the second run rebuilds the bundle cold
         assert main(argv) == 0
         assert capsys.readouterr().out == baseline
+
+    @pytest.mark.parametrize("method", ["chordal", "chordal_comm"])
+    def test_filter_json_is_byte_identical_across_backends(self, capsys, method):
+        outputs = {}
+        for backend in ("serial", "process", "process-shm"):
+            argv = [
+                "filter", "--dataset", "CRE", "--scale", SCALE, "--method", method,
+                "--partitions", "2", "--backend", backend, "--json",
+            ]
+            assert main(argv) == 0
+            outputs[backend] = capsys.readouterr().out
+        assert outputs["process"] == outputs["serial"]
+        assert outputs["process-shm"] == outputs["serial"]
 
     def test_filter_command_random_walk(self, capsys):
         assert main(["filter", "--dataset", "YNG", "--scale", SCALE, "--method", "random_walk"]) == 0

@@ -8,9 +8,11 @@ backend computes the same result as the requested one.  Schedules are seeded
 (``REPRO_CHAOS_SEED`` varies the victims in CI's chaos matrix) so every
 failure is reproducible.
 
-Also covered here: the fault plane's own mechanics, the zero-cost guarantee
-of disabled injection sites, and the shared-memory leak accounting across a
-kill → worker-respawn cycle.
+Also covered here: the fault plane's own mechanics, the zero-cost
+guarantee of disabled injection sites, and the ``process`` aliases
+(``process-shm``, ``process-sock``) under the same faults: they retry on
+their own name, step down from the ``process`` rung, and map no arena
+segment across a kill → worker-respawn cycle.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from repro.faults import (
     current_plan,
     fault_point,
 )
-from repro.parallel import shm
 from repro.parallel.runner import (
     DeadRankError,
     WorkerPoolError,
@@ -47,11 +48,15 @@ from repro.parallel.runner import (
     supervision_policy,
     worker_pool_size,
 )
+from repro.parallel.shm import open_segment_count
 from repro.pipeline.workflow import filter_payload
 
 #: CI's chaos matrix varies this to shift which victims the schedules pick.
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
 SCALE = 0.02
+
+#: The backend names that run the ``process`` path under another name.
+ALIASES = ["process-shm", "process-sock"]
 
 
 def _canon(payload: dict) -> str:
@@ -98,6 +103,10 @@ def _rank_add(comm, offset: int) -> int:
 
 def _arr_sum(arr) -> float:
     return float(arr.sum())
+
+
+def _degrades(events: list[dict]) -> list[tuple[str, str, str]]:
+    return [(e["entry"], e["backend"], e["to"]) for e in events if e["action"] == "degrade"]
 
 
 # ----------------------------------------------------------------------
@@ -215,6 +224,29 @@ class TestSupervisedMap:
         shutdown_worker_pool()
 
 
+    @pytest.mark.parametrize("alias", ALIASES)
+    def test_alias_spawn_failure_degrades_to_thread(self, alias):
+        # An alias stands on the process rung: a hub that cannot come up
+        # steps it down to thread, and the event names the alias asked for.
+        shutdown_worker_pool()
+        plan = FaultPlan(CHAOS_SEED).fail("pool.spawn", times=99, exc=OSError)
+        with active_plan(plan):
+            out = parallel_map(_times_ten, self.ITEMS, backend=alias, max_retries=0)
+        assert out == self.EXPECTED
+        assert _degrades(pop_supervision_events()) == [("parallel_map", alias, "thread")]
+
+    @pytest.mark.parametrize("alias", ALIASES)
+    def test_alias_no_degrade_raises_the_original_error(self, alias):
+        shutdown_worker_pool()
+        plan = FaultPlan(CHAOS_SEED).fail("pool.spawn", times=99, exc=OSError)
+        with active_plan(plan):
+            with pytest.raises(OSError):
+                parallel_map(
+                    _times_ten, self.ITEMS, backend=alias, max_retries=0, degrade=False
+                )
+        assert _degrades(pop_supervision_events()) == []
+
+
 # ----------------------------------------------------------------------
 # supervised run_spmd
 # ----------------------------------------------------------------------
@@ -233,21 +265,27 @@ class TestSupervisedSpmd:
             with pytest.raises(DeadRankError, match="died without reporting"):
                 run_spmd(_rank_add, 2, args=(1,), backend="process", max_retries=0)
 
-    def test_arena_export_failure_degrades_to_process(self):
-        arrays = [(np.arange(64, dtype=np.float64) + r,) for r in range(2)]
-        plan = FaultPlan(CHAOS_SEED).fail("arena.export", times=99, exc=shm.ArenaError)
+
+    @pytest.mark.parametrize("alias", ALIASES)
+    def test_alias_dead_rank_round_is_retried_on_the_alias(self, alias):
+        plan = FaultPlan(CHAOS_SEED)
+        plan.kill_rank(at=1, rank=plan.rng.randrange(3))
         with active_plan(plan):
-            report = run_spmd(
-                _arr_sum_rank, 2, rank_args=arrays, backend="process-shm", max_retries=0
-            )
-        expected = [float(a[0].sum()) for a in arrays]
-        assert report.values == expected
-        degrades = [e for e in pop_supervision_events() if e["action"] == "degrade"]
-        assert degrades and degrades[0]["to"] == "process"
+            report = run_spmd(_rank_add, 3, args=(7,), backend=alias)
+        assert report.values == [7, 8, 9]
+        assert report.backend == alias
+        retries = [e for e in pop_supervision_events() if e["action"] == "retry"]
+        assert retries and {e["backend"] for e in retries} == {alias}
 
-
-def _arr_sum_rank(comm, arr) -> float:
-    return float(arr.sum())
+    @pytest.mark.parametrize("alias", ALIASES)
+    def test_alias_bringup_failure_degrades_to_thread(self, alias):
+        shutdown_worker_pool()
+        plan = FaultPlan(CHAOS_SEED).fail("pool.spawn", times=99, exc=OSError)
+        with active_plan(plan):
+            report = run_spmd(_rank_add, 3, args=(7,), backend=alias, max_retries=0)
+        assert report.values == [7, 8, 9]
+        assert report.backend == "thread"
+        assert _degrades(pop_supervision_events()) == [("run_spmd", alias, "thread")]
 
 
 # ----------------------------------------------------------------------
@@ -306,21 +344,19 @@ class TestFilterByteIdentity:
         [(parallel_chordal_nocomm_filter, "parallel_map"), (parallel_chordal_comm_filter, "run_spmd")],
         ids=["nocomm", "comm"],
     )
-    def test_arena_export_failure_degrades_filter_to_process(self, network, filter_fn, entry):
-        # process-shm is an ordinary runner backend for both filters: an
-        # arena that cannot export retries, then the runner's ladder steps
-        # down to process — and the output cannot tell.
+    def test_alias_bringup_failure_degrades_filter_to_thread(self, network, filter_fn, entry):
+        # process-shm is the process path under another name: a hub that
+        # cannot come up retries, then the ladder steps down to thread — and
+        # the output cannot tell.
         baseline = _canon(filter_payload(filter_fn(network, 2, ordering="natural", backend="serial")))
         pop_supervision_events()
-        plan = FaultPlan(CHAOS_SEED).fail("arena.export", times=99, exc=shm.ArenaError)
+        shutdown_worker_pool()
+        plan = FaultPlan(CHAOS_SEED).fail("pool.spawn", times=99, exc=OSError)
         with active_plan(plan):
             result = filter_fn(network, 2, ordering="natural", backend="process-shm")
-        assert plan.fired("arena.export")
+        assert plan.fired("pool.spawn")
         assert _canon(filter_payload(result)) == baseline
-        degrades = [e for e in result.extra["supervision"] if e["action"] == "degrade"]
-        assert [(e["entry"], e["backend"], e["to"]) for e in degrades] == [
-            (entry, "process-shm", "process")
-        ]
+        assert _degrades(result.extra["supervision"]) == [(entry, "process-shm", "thread")]
 
 
 # ----------------------------------------------------------------------
@@ -366,27 +402,25 @@ class TestBatchCacheCrashSafety:
 
 
 # ----------------------------------------------------------------------
-# leak accounting across kill → respawn (shared-memory substrate)
+# leak accounting across kill → respawn (the process-shm alias)
 # ----------------------------------------------------------------------
-class TestShmLeakAccounting:
-    def test_kill_respawn_cycle_leaks_no_segments_or_handles(self):
+class TestAliasLeakAccounting:
+    def test_kill_respawn_cycle_under_alias_maps_no_segments(self):
+        # Payloads travel pickled on every process backend, so the alias
+        # maps no arena segment, not even for the killed attempt.
         arr = np.arange(1024, dtype=np.float64)
         items = [(arr,) for _ in range(4)]
-        expected = [float(arr.sum())] * 4
-        baseline_segments = shm.open_segment_count()
-        baseline_handles = shm.attached_handle_count()
+        baseline = open_segment_count()
         plan = FaultPlan(CHAOS_SEED)
         plan.kill_task(at=1, index=plan.rng.randrange(4))
         with active_plan(plan):
             out = parallel_map(_arr_sum, items, backend="process-shm")
-        assert out == expected
+        assert out == [float(arr.sum())] * 4
         assert supervision_counters()["retries"] >= 1
-        # The respawned hub is alive; the per-call arena (including the one
-        # of the killed attempt) is gone.
-        assert worker_pool_size() > 0
+        assert worker_pool_size() > 0  # the respawned hub is alive
+        assert open_segment_count() == baseline
         shutdown_worker_pool()
-        assert shm.open_segment_count() == baseline_segments
-        assert shm.attached_handle_count() == baseline_handles
+        assert worker_pool_size() == 0
 
 
 class TestIncrementalFaults:

@@ -1,12 +1,10 @@
-"""File-backed arena tests (`repro.parallel.shm` scale-out tier).
+"""File-backed arena tests (`repro.parallel.shm`).
 
 Two concerns share this module:
 
-* lifecycle edge cases **parametrized over both arena kinds** — the shm and
-  the file substrates must behave identically for attach-after-unlink,
-  double close, zero-length arrays and the process-wide
-  :func:`open_segment_count` leak accounting (with the one deliberate
-  asymmetry: a *closed* file arena is persistence, not a leak);
+* lifecycle edge cases — attach-after-unlink, double close, zero-length
+  arrays and the process-wide :func:`open_segment_count` leak accounting
+  (a *closed* arena is persistence, not a leak);
 * manifest persistence — the warm-restart contract: a second arena opened
   over the same directory re-adopts the previous generation's segments by
   content digest, so re-exporting rebuilt-but-equal payloads returns the
@@ -21,38 +19,22 @@ import os
 import numpy as np
 import pytest
 
-from repro.parallel.shm import (
-    ArenaError,
-    SharedArena,
-    arena_scope,
-    attach,
-    open_segment_count,
-)
+from repro.parallel.shm import ArenaError, SharedArena, attach, open_segment_count
 
 
-@pytest.fixture(params=["shm", "file"])
-def make_arena(request, tmp_path):
-    """Factory building a fresh arena of the parametrized kind."""
+@pytest.fixture
+def make_arena(tmp_path):
+    """Factory building a fresh arena in its own directory."""
     counter = {"n": 0}
 
     def factory() -> SharedArena:
-        if request.param == "shm":
-            return SharedArena(content_dedup=True)
         counter["n"] += 1
-        return SharedArena(content_dedup=True, path=str(tmp_path / f"arena{counter['n']}"))
+        return SharedArena(path=str(tmp_path / f"arena{counter['n']}"))
 
-    factory.kind = request.param
     return factory
 
 
-class TestLifecycleBothKinds:
-    def test_kind_reported(self, make_arena):
-        arena = make_arena()
-        try:
-            assert arena.kind == make_arena.kind
-        finally:
-            arena.unlink()
-
+class TestLifecycle:
     def test_round_trip(self, make_arena):
         arena = make_arena()
         try:
@@ -117,18 +99,7 @@ class TestLifecycleBothKinds:
         assert open_segment_count() == base
 
 
-class TestOpenSegmentCountAsymmetry:
-    def test_closed_shm_arena_still_counts(self):
-        # A closed (but not unlinked) shm arena still holds kernel-backed
-        # segments — that *is* a leak until someone unlinks.
-        base = open_segment_count()
-        arena = SharedArena()
-        arena.export(np.arange(8))
-        arena.close()
-        assert open_segment_count() == base + 1
-        arena.unlink()
-        assert open_segment_count() == base
-
+class TestOpenSegmentCount:
     def test_closed_file_arena_is_persistence_not_leak(self, tmp_path):
         base = open_segment_count()
         arena = SharedArena(path=str(tmp_path / "arena"))
@@ -161,14 +132,13 @@ class TestManifestPersistence:
             assert gen2.n_segments == segs1
             for key in payload:
                 assert refs2[key].name == refs1[key].name
-                assert refs2[key].kind == "file"
                 assert np.array_equal(attach(refs2[key]), payload[key])
         finally:
             gen2.unlink()
 
     def test_concurrent_generations_merge_instead_of_clobber(self, tmp_path):
-        # Two arena generations over the same directory (batch jobs>1 hands
-        # one arena_dir to several worker processes): each saves the manifest
+        # Two arena generations over the same directory (say, two processes
+        # sharing one arena directory): each saves the manifest
         # knowing only its own exports, and a blind overwrite would drop the
         # sibling's entries.  The locked read-merge-replace must keep both.
         d = str(tmp_path / "arena")
@@ -247,16 +217,3 @@ class TestManifestPersistence:
             assert np.array_equal(attach(fresh), np.arange(20))
         finally:
             gen2.unlink()
-
-    def test_arena_scope_with_path_persists(self, tmp_path):
-        d = str(tmp_path / "arena")
-        with arena_scope(path=d) as arena:
-            ref = arena.export(np.arange(9))
-            assert arena.kind == "file"
-        # Scope exit closed (persisted) rather than unlinked.
-        assert os.path.exists(ref.name)
-        follow = SharedArena(path=d)
-        try:
-            assert follow.n_segments == 1
-        finally:
-            follow.unlink()

@@ -85,6 +85,19 @@ def test_worker_entry_module_loads_no_scipy_and_no_analysis_stack():
         assert within(package, loaded) == [], package
 
 
+@pytest.mark.parametrize(
+    "module",
+    ["repro.parallel", "repro.parallel.comm", "repro.parallel.runner", "repro.parallel.sock"],
+)
+def test_process_transport_loads_no_arena_and_no_numpy(module):
+    # Rank payloads travel pickled: the runner, the worker hub and the
+    # communicators never touch the arena, so a worker's bring-up imports no
+    # numpy (the package re-exports the arena names lazily).
+    loaded = loaded_after(f"import {module}")
+    for name in ("repro.parallel.shm", "multiprocessing.shared_memory", "numpy"):
+        assert within(name, loaded) == [], name
+
+
 def test_analyze_command_loads_no_scipy():
     # The p-value criterion folds into the 0.95 cut-off in closed form.
     loaded = loaded_after(

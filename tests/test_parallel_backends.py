@@ -1,21 +1,22 @@
 """Execution-backend equivalence and lifecycle tests.
 
-The shared-memory execution runtime promises that the choice of backend —
-``serial`` / ``thread`` / ``process`` (pickled payloads) / ``process-shm``
-(zero-copy arena payloads) — never changes a sampler's output: same kept
-edge set, same admission order, same duplicate counts.  This module pins
-that promise:
+The execution runtime promises that the choice of backend — ``serial`` /
+``thread`` / ``process`` (and its aliases ``process-shm``, ``process-sock``)
+— never changes a sampler's output: same kept edge set, same admission
+order, same duplicate counts.  This module pins that promise:
 
 * the no-communication sampler across **all orderings × all partitioners**
-  on the ``process-shm`` backend against the serial reference (the process
+  on the ``process`` backend against the serial reference (the process
   grid is cheap here because every call reuses the resident workers);
 * the with-communication sampler across the full grid on ``thread`` vs
   ``serial``, plus a Latin-square of (ordering, partitioner) cells on the
   real-process backends — every ordering and every partitioner appears in a
   process-backed cell;
+* the ``process-shm`` alias: both filters' canonical payloads equal the
+  ``process`` ones;
 * the ``run_spmd`` process backend itself (send/recv messaging via
   SockComm, statistics, error propagation, resident workers across rounds);
-* ``parallel_map`` thread / process-shm backends;
+* ``parallel_map`` thread / process backends;
 * worker-hub lifecycle: grow requests keep the warm workers, the hub never
   shrinks, shutdown is idempotent and leaves no child process, and a fresh
   hub appears on demand afterwards.
@@ -33,7 +34,7 @@ import pytest
 from repro.core.parallel_comm import parallel_chordal_comm_filter
 from repro.core.parallel_nocomm import parallel_chordal_nocomm_filter
 from repro.graph.generators import correlation_like_graph
-from repro.parallel.shm import arena_scope
+from repro.pipeline.workflow import filter_payload
 from repro.parallel.runner import (
     available_backends,
     parallel_map,
@@ -68,12 +69,12 @@ def _signature(result):
 class TestNocommBackendEquivalence:
     @pytest.mark.parametrize("ordering", ORDERINGS)
     @pytest.mark.parametrize("partition_method", PARTITIONERS)
-    def test_process_shm_matches_serial_full_grid(self, graph, ordering, partition_method):
+    def test_process_matches_serial_full_grid(self, graph, ordering, partition_method):
         ref = parallel_chordal_nocomm_filter(
             graph, 4, ordering=ordering, partition_method=partition_method, backend="serial"
         )
         got = parallel_chordal_nocomm_filter(
-            graph, 4, ordering=ordering, partition_method=partition_method, backend="process-shm"
+            graph, 4, ordering=ordering, partition_method=partition_method, backend="process"
         )
         assert _signature(got) == _signature(ref)
 
@@ -88,30 +89,17 @@ class TestNocommBackendEquivalence:
         )
         assert _signature(got) == _signature(ref)
 
-    def test_empty_partitions_process_shm(self, graph):
+    def test_empty_partitions_process(self, graph):
         # More partitions than some parts can fill: block partitioning leaves
         # trailing parts empty on a small subgraph; outputs must still match.
         small = correlation_like_graph(seed=5, n_modules=1, module_size=4, n_background=3)
         ref = parallel_chordal_nocomm_filter(small, 9, ordering="natural", backend="serial")
-        got = parallel_chordal_nocomm_filter(small, 9, ordering="natural", backend="process-shm")
+        got = parallel_chordal_nocomm_filter(small, 9, ordering="natural", backend="process")
         assert _signature(got) == _signature(ref)
 
     def test_unknown_backend_rejected(self, graph):
         with pytest.raises(ValueError, match="process-shm"):
             parallel_chordal_nocomm_filter(graph, 2, backend="gpu")
-
-    def test_repeat_runs_in_arena_scope_reuse_segments(self, graph):
-        # Steady-state reuse: inside a scope the second run's rebuilt-but-
-        # equal buffers content-dedup onto the first run's segments (no new
-        # exports) and the output stays bit-identical.
-        ref = parallel_chordal_nocomm_filter(graph, 4, ordering="rcm", backend="serial")
-        with arena_scope() as arena:
-            first = parallel_chordal_nocomm_filter(graph, 4, ordering="rcm", backend="process-shm")
-            segments_after_first = arena.n_segments
-            second = parallel_chordal_nocomm_filter(graph, 4, ordering="rcm", backend="process-shm")
-            assert arena.n_segments == segments_after_first
-        assert _signature(first) == _signature(ref)
-        assert _signature(second) == _signature(ref)
 
     def test_backend_recorded_in_extra(self, graph):
         result = parallel_chordal_nocomm_filter(graph, 2, backend="thread")
@@ -131,15 +119,15 @@ class TestCommBackendEquivalence:
         assert _signature(got) == _signature(ref)
 
     @pytest.mark.parametrize("ordering,partition_method", LATIN_CELLS)
-    def test_process_shm_matches_thread(self, graph, ordering, partition_method):
+    def test_process_matches_thread(self, graph, ordering, partition_method):
         ref = parallel_chordal_comm_filter(
             graph, 2, ordering=ordering, partition_method=partition_method, backend="thread"
         )
         got = parallel_chordal_comm_filter(
-            graph, 2, ordering=ordering, partition_method=partition_method, backend="process-shm"
+            graph, 2, ordering=ordering, partition_method=partition_method, backend="process"
         )
         assert _signature(got) == _signature(ref)
-        assert got.extra["backend"] == "process-shm"
+        assert got.extra["backend"] == "process"
 
     def test_process_pickled_matches_thread(self, graph):
         ref = parallel_chordal_comm_filter(graph, 2, ordering="rcm", backend="thread")
@@ -156,6 +144,19 @@ class TestCommBackendEquivalence:
     def test_unknown_backend_rejected(self, graph):
         with pytest.raises(ValueError, match="process-shm"):
             parallel_chordal_comm_filter(graph, 2, backend="gpu")
+
+
+@pytest.mark.parametrize(
+    "filter_fn",
+    [parallel_chordal_nocomm_filter, parallel_chordal_comm_filter],
+    ids=["nocomm", "comm"],
+)
+def test_process_shm_alias_payload_equals_process(graph, filter_fn):
+    process = filter_fn(graph, 2, ordering="rcm", backend="process")
+    alias = filter_fn(graph, 2, ordering="rcm", backend="process-shm")
+    assert filter_payload(alias) == filter_payload(process)
+    assert alias.extra["backend"] == "process-shm"
+    assert not alias.extra.get("supervision")
 
 
 def _ring_rank(comm, offset):
@@ -203,9 +204,9 @@ class TestRunSpmdProcessBackend:
         with pytest.raises(RuntimeError, match="SPMD rank 1 failed"):
             run_spmd(_failing_rank, 2, backend="process")
 
-    def test_rank_args_with_arrays_process_shm(self):
+    def test_rank_args_with_arrays_process(self):
         rank_args = [(np.arange(4),), (np.arange(4) * 2,)]
-        report = run_spmd(_sum_with_rank, 2, rank_args=rank_args, backend="process-shm")
+        report = run_spmd(_sum_with_rank, 2, rank_args=rank_args, backend="process")
         assert report.values == [6, 13]
 
     def test_failed_round_frees_a_blocked_peer_for_the_next_round(self):
@@ -238,38 +239,18 @@ class TestParallelMapBackends:
             lambda a, b: a * b, items, backend="serial"
         )
 
-    def test_process_shm_routes_arrays(self):
+    def test_process_routes_arrays(self):
         items = [(np.full(50, i),) for i in range(5)]
-        out = parallel_map(_array_sum, items, backend="process-shm")
+        out = parallel_map(_array_sum, items, backend="process")
         assert out == [0, 50, 100, 150, 200]
 
     def test_empty_items(self):
         for backend in available_backends():
             assert parallel_map(_array_sum, [], backend=backend) == []
 
-    def test_each_process_shm_call_adds_at_most_one_segment(self):
-        # Every array of a call's payloads travels in one arena bundle, so a
-        # map or round over k > 1 arrays costs one segment, not k.
-        items = [(np.arange(5) + i, np.full(3, i)) for i in range(3)]
-        rank_args = [(np.arange(7) * 10 + r, np.full(2, r)) for r in range(2)]
-        with arena_scope() as arena:
-            assert parallel_map(_pair_sum, items, backend="process-shm") == [10, 18, 26]
-            assert arena.n_segments == 1
-            report = run_spmd(_pair_sum_rank, 2, rank_args=rank_args, backend="process-shm")
-            assert report.values == [210, 220]
-            assert arena.n_segments == 2
-
 
 def _array_sum(arr):
     return int(np.asarray(arr).sum())
-
-
-def _pair_sum(a, b):
-    return int(a.sum() + b.sum())
-
-
-def _pair_sum_rank(comm, a, b):
-    return _pair_sum(a, b) + comm.rank
 
 
 def _worker_pids(n: int) -> set[int]:

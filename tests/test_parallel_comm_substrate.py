@@ -12,6 +12,7 @@ from repro.parallel import (
     parallel_map,
     run_spmd,
 )
+from repro.parallel.runner import _degradation_ladder
 
 
 class TestPointToPoint:
@@ -96,6 +97,21 @@ class TestRunner:
         assert available_backends() == [
             "serial", "thread", "process", "process-shm", "process-sock"
         ]
+
+    @pytest.mark.parametrize(
+        "backend,floor,expected",
+        [
+            ("serial", "serial", ["serial"]),
+            ("thread", "serial", ["thread", "serial"]),
+            ("process", "serial", ["process", "thread", "serial"]),
+            ("process-shm", "serial", ["process-shm", "thread", "serial"]),
+            ("process-sock", "thread", ["process-sock", "thread"]),
+        ],
+        ids=["serial", "thread", "process", "process-shm", "process-sock"],
+    )
+    def test_degradation_ladder(self, backend, floor, expected):
+        # Both aliases step down from the process rung under their own name.
+        assert _degradation_ladder(backend, floor=floor) == expected
 
     def test_unknown_backend_errors_name_the_backends(self):
         with pytest.raises(ValueError, match="process-shm"):

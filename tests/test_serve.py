@@ -240,6 +240,9 @@ class TestServedRoundTrips:
         }
         assert set(stats["enrichment"]) == {"batches", "coalesced_requests", "scored_clusters"}
         assert set(stats["supervision"]) == {"retries", "degrades"}
+        assert {"messages_sent", "messages_received", "bytes_sent", "bytes_received"} <= set(
+            stats["comm"]
+        )
         assert any(d["dataset"] == "CRE" for d in stats["datasets"])
         assert all(d["health"] == "healthy" for d in stats["datasets"])
 
@@ -248,7 +251,7 @@ class TestServedRoundTrips:
         assert set(stats) == {
             "protocol", "host", "port", "uptime_s", "default_scale", "workers",
             "max_pending", "admission", "cache", "enrichment", "supervision",
-            "comm", "arena", "datasets",
+            "comm", "datasets",
         }
 
     def test_enrich_original_matches_direct_scoring(self, server, client):
@@ -324,50 +327,3 @@ class TestColdCliEquivalence:
         assert canonical(hit["result"]) == cold
 
 
-# ----------------------------------------------------------------------
-# file-backed warm-restart arena (scale-out tier)
-# ----------------------------------------------------------------------
-class TestFileBackedServeArena:
-    def test_warm_restart_readopts_segments(self, tmp_path):
-        import numpy as np
-
-        d = str(tmp_path / "serve-arena")
-        payload = {"indptr": np.arange(64, dtype=np.int64)}
-        gen1 = ReproServer(default_scale=SCALE, workers=1, arena_dir=d)
-        gen1.start()
-        try:
-            refs1 = gen1.arena.export_bundle(payload)
-            segs = gen1.arena.n_segments
-            assert gen1.arena.kind == "file"
-        finally:
-            gen1.stop()  # persists instead of unlinking
-
-        gen2 = ReproServer(default_scale=SCALE, workers=1, arena_dir=d)
-        gen2.start()
-        try:
-            # The restart adopted the previous generation's segments, so an
-            # equal re-export digest-hits instead of rebuilding.
-            assert gen2.arena.n_segments == segs
-            refs2 = gen2.arena.export_bundle({k: v.copy() for k, v in payload.items()})
-            assert refs2["indptr"].name == refs1["indptr"].name
-        finally:
-            gen2.stop()
-
-    def test_stats_surface_arena_and_comm(self, tmp_path):
-        d = str(tmp_path / "serve-arena")
-        with ReproServer(default_scale=SCALE, workers=1, arena_dir=d) as srv:
-            stats = srv.stats()
-            assert stats["arena"]["kind"] == "file"
-            assert stats["arena"]["path"] is not None
-            assert {"segments", "bytes"} <= set(stats["arena"])
-            assert {"messages_sent", "messages_received", "bytes_sent", "bytes_received"} <= set(
-                stats["comm"]
-            )
-
-    def test_default_arena_is_shm_and_unlinked_on_stop(self):
-        srv = ReproServer(default_scale=SCALE, workers=1)
-        srv.start()
-        arena = srv.arena
-        assert arena.kind == "shm"
-        srv.stop()
-        assert arena._unlinked

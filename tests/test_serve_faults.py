@@ -5,10 +5,9 @@ Covers the failure modes a resident daemon must absorb:
 * a pool worker SIGKILLed mid-request → :class:`WorkerPoolError` for that
   request, pool torn down and respawned, daemon keeps serving;
 * a stalled peer → the client times out instead of hanging forever;
-* repeated serve start/stop cycles → no leaked shared-memory segments and no
-  orphaned worker pool (the arena layer's open-handle accounting);
-* interpreter-exit interplay → arena cleanup tears the worker pool down
-  before unlinking segments, regardless of atexit registration order.
+* repeated serve start/stop cycles → no orphaned worker pool;
+* a start that fails (port already bound) → no leaked admission workers,
+  and the server reports not running and can be started again.
 
 The worker kill is deterministic: the victim is the pool process executing
 the poisoned item, which SIGKILLs itself — no racing an external kill against
@@ -24,7 +23,6 @@ import threading
 
 import pytest
 
-from repro.parallel import shm
 from repro.parallel.runner import (
     WorkerPoolError,
     parallel_map,
@@ -146,32 +144,37 @@ class TestClientTimeout:
 # start/stop cycles leak nothing
 # ----------------------------------------------------------------------
 class TestServeCycleLeaks:
-    def test_repeated_start_stop_cycles_leak_no_segments(self):
-        baseline_segments = shm.open_segment_count()
-        baseline_handles = shm.attached_handle_count()
+    def test_repeated_start_stop_cycles_leak_no_workers(self):
         for cycle in range(3):
             with ReproServer(default_scale=SCALE, workers=2) as srv:
                 with ServeClient(port=srv.port, timeout=600.0) as client:
                     params = {"dataset": "CRE", "partitions": 2, "seed": 700 + cycle}
                     if cycle == 1:
-                        # One cycle exercises the shared-memory path for real:
-                        # the filter exports its graph into the server's arena.
-                        params["backend"] = "process-shm"
+                        # One cycle runs the filter on the resident worker hub.
+                        params["backend"] = "process"
                     assert client.result("filter", **params)["edges_kept"] > 0
-            assert shm.open_segment_count() == baseline_segments, f"cycle {cycle} leaked"
-            assert worker_pool_size() == 0
-        assert shm.attached_handle_count() == baseline_handles
+            assert worker_pool_size() == 0, f"cycle {cycle} leaked"
 
-    def test_arena_cleanup_shuts_worker_pool_first(self):
-        # The atexit interplay, invoked directly: _cleanup_all_arenas must be
-        # able to run before the runner's own atexit hook without stranding
-        # pool workers attached to segments it is about to unlink.
-        parallel_map(_well_behaved, [(1,)], backend="process")
-        assert worker_pool_size() > 0
-        arena = shm.SharedArena()
+    def test_failed_start_releases_workers_and_is_not_running(self):
+        holder = socket.create_server(("127.0.0.1", 0))
+        port = holder.getsockname()[1]
+        before = set(threading.enumerate())
+        srv = ReproServer(port=port, default_scale=SCALE, workers=2)
         try:
-            shm._cleanup_all_arenas()
-            assert worker_pool_size() == 0  # pool down first...
-            assert arena._unlinked  # ...then the arena
+            with pytest.raises(OSError):
+                with srv:
+                    pass
+            leaked = [t.name for t in set(threading.enumerate()) - before if t.is_alive()]
+            assert leaked == []
+            assert not srv.running
         finally:
-            arena.unlink()
+            holder.close()
+        # The failed start left nothing behind that would make a second
+        # start return early without listening.
+        srv.start()
+        try:
+            assert srv.running
+            with ServeClient(port=port, timeout=60.0) as client:
+                assert client.ping()["status"] == "ok"
+        finally:
+            srv.stop()

@@ -7,8 +7,8 @@ outputs across the ordering × partitioner latin square against the serial
 reference.  Also covers the satellite knobs: per-rank :class:`CommStats`
 with real wire-byte counters, the configurable receive-timeout resolution
 order, ``TCP_NODELAY`` on both ends of every connection, external-worker
-mode (``REPRO_SOCK_SPAWN=0``) and its refusal of host-local arena payloads,
-and supervised degradation off the ``process-sock`` rung when the hub
+mode (``REPRO_SOCK_SPAWN=0``) serving every process backend name, and
+supervised degradation off the ``process-sock`` rung when the hub
 cannot come up.
 
 Rank functions live at module level so the spawned worker processes can
@@ -383,15 +383,12 @@ class TestExternalWorkers:
         assert parallel_map(_square, [(3,), (4,)], backend="process") == [9, 16]
         assert sock_pool_size() == 2
 
-    def test_process_shm_refused_before_any_export(self, external_hub):
+    def test_process_shm_alias_rides_the_external_workers(self, external_hub):
         arrays = [(np.arange(8, dtype=np.float64),), (np.ones(8),)]
         pop_supervision_events()
-        plan = FaultPlan()
-        with active_plan(plan):
-            with pytest.raises(RuntimeError, match="REPRO_SOCK_SPAWN=0"):
-                run_spmd(_arr_sum_rank, 2, rank_args=arrays, backend="process-shm")
-            with pytest.raises(RuntimeError, match="host-local"):
-                parallel_map(_square, [(np.ones(2),)], backend="process-shm")
-        assert plan.hits("arena.export") == 0
-        # A clear error, not a supervised detour: nothing was retried or degraded.
+        report = run_spmd(_arr_sum_rank, 2, rank_args=arrays, backend="process-shm")
+        assert report.backend == "process-shm"
+        assert report.values == [28.0, 8.0]
+        assert parallel_map(_square, [(3,), (4,)], backend="process-shm") == [9, 16]
+        # The alias runs the process path itself, not a supervised detour.
         assert not pop_supervision_events()
