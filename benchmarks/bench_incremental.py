@@ -5,9 +5,9 @@ Measures what :mod:`repro.incremental` actually buys a warm service: a bundle
 that has absorbed a history of dataset mutations can take the *next* mutation
 as a structural-sharing delta (:func:`apply_update`), while the only correct
 alternative for cold machinery is a full reference rebuild — ``prepare_dataset``
-plus a replay of the entire update log (:func:`replay_reference`), which is
-exactly what the daemon's ``reload`` op must do to reach the same logical
-state.  For each grid cell this harness warms a bundle with ``HISTORY`` mixed
+plus a replay of the entire update log that derives every layer after each
+update (:func:`replay_reference`, the oracle; the daemon's ``reload`` reaches
+the same state with one derivation, :func:`replay_updates`).  For each grid cell this harness warms a bundle with ``HISTORY`` mixed
 updates, then times, per update kind:
 
 * ``update_seconds`` — one delta absorption into the warm bundle;

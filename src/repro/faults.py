@@ -51,7 +51,7 @@ import random
 import signal
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Optional
 
 __all__ = [

@@ -40,12 +40,18 @@ any correlation moved (edges carry ``rho`` attributes).
 
 Every delta output is pinned byte-identical to the cold reference: the
 rebuild of a mutated dataset's state from nothing is ``prepare_dataset``
-plus a deterministic replay of the whole update history — which is exactly
-what the serve layer's ``reload`` alternative costs, and what
+plus a deterministic replay of the whole update history, deriving every
+layer again after each spec (:func:`replay_reference`) — what
 ``benchmarks/bench_incremental.py`` measures the delta paths against.
 
+A rebuild does not need the per-step derivation: update synthesis reads only
+the primary state (study, DAG, annotations), so :func:`replay_updates`
+replays the log on that state alone and derives the network, CSR, original
+clusters and scorer once.  It is what the serve layer's ``reload`` runs, and
+it is pinned byte-identical to :func:`replay_reference`.
+
 A failed delta (chaos site ``incremental.delta``, or any unexpected error
-mid-application) degrades to that reference replay instead of serving
+mid-application) degrades to that one-derivation replay instead of serving
 corrupt warm state; the warm bundle must be considered consumed either way.
 """
 
@@ -67,8 +73,15 @@ from .expression.correlation import (
 from .expression.datasets import SyntheticStudy
 from .expression.microarray import ExpressionMatrix
 from .faults import fault_point
-from .ontology.annotation import AnnotationIndex
-from .pipeline.workflow import DatasetBundle, cluster_network, prepare_dataset
+from .ontology.annotation import AnnotationIndex, AnnotationTable
+from .ontology.go_dag import GODag
+from .pipeline.workflow import (
+    DatasetBundle,
+    cluster_network,
+    derive_dataset,
+    prepare_dataset,
+    prepare_primary,
+)
 
 __all__ = [
     "UpdateSpec",
@@ -78,7 +91,11 @@ __all__ = [
     "apply_update",
     "reference_apply_update",
     "replay_reference",
+    "replay_updates",
 ]
+
+#: Dirty-set of a bundle whose every layer was rebuilt from primary state.
+_ALL_DIRTY = frozenset({"expression", "network", "ontology", "annotations"})
 
 
 @dataclass(frozen=True)
@@ -145,10 +162,14 @@ def synthesize_update(bundle: DatasetBundle, spec: UpdateSpec) -> UpdateData:
     cold rebuild regenerates bit-identical payloads at every step — no data
     needs to be persisted alongside the log.
     """
-    study = bundle.study
+    return _synthesize(bundle.study, bundle.scorer.dag, bundle.scorer.annotations, spec)
+
+
+def _synthesize(
+    study: SyntheticStudy, dag: GODag, table: AnnotationTable, spec: UpdateSpec
+) -> UpdateData:
+    """:func:`synthesize_update` over the primary state it reads."""
     matrix = study.matrix
-    dag = bundle.scorer.dag
-    table = bundle.scorer.annotations
     rng = np.random.default_rng(
         [
             study.seed,
@@ -247,9 +268,9 @@ def apply_update(
 
     ``history`` is the spec log already absorbed by ``bundle`` (oldest
     first); it is only consulted when the delta path fails and ``fallback``
-    is set, in which case the whole state is rebuilt by the reference replay
-    (``prepare_dataset`` + every logged spec + this one) — the degraded but
-    always-correct path, reached deterministically under the
+    is set, in which case the whole state is rebuilt by
+    :func:`replay_updates` over every logged spec plus this one — the
+    degraded but always-correct path, reached deterministically under the
     ``incremental.delta`` chaos site.  With ``fallback=False`` the delta
     failure propagates (the serve layer does its own replay so it can keep
     its lock/batcher discipline).
@@ -264,12 +285,12 @@ def apply_update(
     except Exception:
         if not fallback:
             raise
-        rebuilt = replay_reference(
+        rebuilt = replay_updates(
             bundle.name, bundle.scale, bundle.study.seed, tuple(history) + (spec,)
         )
         report = UpdateReport(
             mode="rebuild",
-            dirty=frozenset({"expression", "network", "ontology", "annotations"}),
+            dirty=_ALL_DIRTY,
             reused=(),
             counts=spec.counts(),
         )
@@ -409,9 +430,41 @@ def reference_apply_update(bundle: DatasetBundle, data: UpdateData) -> DatasetBu
     """
     from .ontology.enrichment import EnrichmentScorer
 
-    spec = data.spec
-    study = bundle.study
     dag, table = bundle.scorer.dag, bundle.scorer.annotations
+    new_study = _apply_primary(bundle.study, dag, table, data)
+    network = new_study.network()
+    network_csr = new_study.network_csr()
+    scorer = EnrichmentScorer(dag, table)
+    clusters = cluster_network(
+        network,
+        bundle.mcode_params,
+        source=f"{new_study.name}/original",
+        csr=network_csr,
+    )
+    return dataclasses.replace(
+        bundle,
+        study=new_study,
+        network=network,
+        network_csr=network_csr,
+        scorer=scorer,
+        original_clusters=clusters,
+        generation=bundle.generation + 1,
+        dirty=_ALL_DIRTY,
+    )
+
+
+def _apply_primary(
+    study: SyntheticStudy, dag: GODag, table: AnnotationTable, data: UpdateData
+) -> SyntheticStudy:
+    """Apply one payload to the primary state through the cold paths.
+
+    The expression matrix is reconstructed without memos, terms go in through
+    :meth:`~repro.ontology.go_dag.GODag.add_term` and annotations through
+    :meth:`~repro.ontology.annotation.AnnotationTable.annotate` (``dag`` and
+    ``table`` are mutated in place).  Returns the new study, with no derived
+    network state cached.
+    """
+    spec = data.spec
     values = study.matrix.values
     genes = list(study.matrix.genes)
     samples = list(study.matrix.samples)
@@ -435,27 +488,8 @@ def reference_apply_update(bundle: DatasetBundle, data: UpdateData) -> DatasetBu
         dag.add_term(term_id, list(parents))
     for gene, terms in data.annotation_specs:
         table.annotate(gene, list(terms))
-    new_study = dataclasses.replace(
-        study, matrix=matrix, _network=None, _network_csr=None, _pairs={}
-    )
-    network = new_study.network()
-    network_csr = new_study.network_csr()
-    scorer = EnrichmentScorer(dag, table)
-    clusters = cluster_network(
-        network,
-        bundle.mcode_params,
-        source=f"{new_study.name}/original",
-        csr=network_csr,
-    )
     return dataclasses.replace(
-        bundle,
-        study=new_study,
-        network=network,
-        network_csr=network_csr,
-        scorer=scorer,
-        original_clusters=clusters,
-        generation=bundle.generation + 1,
-        dirty=frozenset({"expression", "network", "ontology", "annotations"}),
+        study, matrix=matrix, _network=None, _network_csr=None, _pairs={}
     )
 
 
@@ -471,12 +505,35 @@ def replay_reference(
     ``prepare_dataset`` plus one :func:`reference_apply_update` per logged
     spec, synthesising each payload against the replayed state — which
     matches the warm path's payloads bit for bit because synthesis depends
-    only on (pre-update state, spec).  This is also exactly what a serve
-    ``reload`` must do to reach the same state, i.e. the honest cost of
+    only on (pre-update state, spec).  Every layer is derived again after
+    each spec, so this is the oracle that :func:`replay_updates` (the serve
+    ``reload``) and the delta paths are pinned to, and the honest cost of
     *not* having the delta paths.
     """
     bundle = prepare_dataset(name, scale=scale, seed=seed, **prepare_kwargs)
     for spec in specs:
         data = synthesize_update(bundle, spec)
         bundle = reference_apply_update(bundle, data)
+    return bundle
+
+
+def replay_updates(
+    name: str, scale: float, seed: Optional[int], specs: Sequence[UpdateSpec]
+) -> DatasetBundle:
+    """Rebuild the state after ``specs`` from nothing with one derivation.
+
+    Synthesis reads only primary state (the study seed, the matrix, the DAG's
+    terms and the annotation count), so the log is replayed on the study,
+    DAG and annotations alone; the correlation pass, network views, original
+    clusters and scorer are built once, from the final state.  Byte-identical
+    to :func:`replay_reference` (paper-default parameters), at one
+    derivation's cost whatever the log length.
+    """
+    study, dag, table = prepare_primary(name, scale=scale, seed=seed)
+    for spec in specs:
+        study = _apply_primary(study, dag, table, _synthesize(study, dag, table, spec))
+    bundle = derive_dataset(study, dag, table, scale=scale)
+    if specs:
+        bundle.generation = len(specs)
+        bundle.dirty = _ALL_DIRTY
     return bundle

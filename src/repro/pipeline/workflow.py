@@ -42,13 +42,17 @@ from ..expression.correlation import CorrelationThreshold
 from ..expression.datasets import SyntheticStudy, make_study
 from ..graph.csr import CSRGraph
 from ..graph.graph import Graph
+from ..ontology.annotation import AnnotationTable
 from ..ontology.enrichment import EnrichmentScorer
 from ..ontology.generator import make_study_ontology
+from ..ontology.go_dag import GODag
 
 __all__ = [
     "DatasetBundle",
     "FilterAnalysis",
     "prepare_dataset",
+    "prepare_primary",
+    "derive_dataset",
     "analyze_filter",
     "cluster_network",
     "payload_digest",
@@ -173,6 +177,65 @@ def cluster_network(
     return mcode_clusters(graph, params=params or MCODEParams(), source=source, csr=csr)
 
 
+def prepare_primary(
+    name: str,
+    scale: float = 1.0,
+    seed: Optional[int] = None,
+    ontology_depth: int = 8,
+    ontology_branching: int = 3,
+) -> tuple[SyntheticStudy, GODag, AnnotationTable]:
+    """Generate a dataset's primary state: the study, its GO DAG and annotations.
+
+    Everything else in a :class:`DatasetBundle` is derived from these three
+    by :func:`derive_dataset`; updates (see :mod:`repro.incremental`) mutate
+    only them.
+    """
+    study = make_study(name, scale=scale, seed=seed)
+    dag, annotations = make_study_ontology(
+        study, depth=ontology_depth, branching=ontology_branching
+    )
+    return study, dag, annotations
+
+
+def derive_dataset(
+    study: SyntheticStudy,
+    dag: GODag,
+    annotations: AnnotationTable,
+    scale: float = 1.0,
+    mcode_params: Optional[MCODEParams] = None,
+    thresholds: Optional[EvaluationThresholds] = None,
+    correlation_threshold: Optional[CorrelationThreshold] = None,
+) -> DatasetBundle:
+    """Build the derived layers of a bundle from its primary state.
+
+    One correlation pass, the label and CSR network views, the enrichment
+    scorer and the clusters of the original network.
+    """
+    params = mcode_params or MCODEParams()
+    thresholds = thresholds or EvaluationThresholds()
+    # Both network views come from one cached correlation pass: the label
+    # graph for the filters (edge attributes, spanning subgraphs) and the CSR
+    # view — built straight from the expression tiles — for the index-native
+    # analysis kernels.
+    network = study.network(threshold=correlation_threshold)
+    network_csr = study.network_csr(threshold=correlation_threshold)
+    scorer = EnrichmentScorer(dag, annotations)
+    original_clusters = cluster_network(
+        network, params, source=f"{study.name}/original", csr=network_csr
+    )
+    return DatasetBundle(
+        name=study.name,
+        study=study,
+        network=network,
+        scorer=scorer,
+        original_clusters=original_clusters,
+        mcode_params=params,
+        thresholds=thresholds,
+        scale=scale,
+        network_csr=network_csr,
+    )
+
+
 def prepare_dataset(
     name: str,
     scale: float = 1.0,
@@ -190,32 +253,11 @@ def prepare_dataset(
     shrinks the study for fast runs; the remaining parameters expose the
     pipeline's thresholds (paper defaults when omitted).
     """
-    params = mcode_params or MCODEParams()
-    thresholds = thresholds or EvaluationThresholds()
-    study = make_study(name, scale=scale, seed=seed)
-    # Both network views come from one cached correlation pass: the label
-    # graph for the filters (edge attributes, spanning subgraphs) and the CSR
-    # view — built straight from the expression tiles — for the index-native
-    # analysis kernels.
-    network = study.network(threshold=correlation_threshold)
-    network_csr = study.network_csr(threshold=correlation_threshold)
-    dag, annotations = make_study_ontology(
-        study, depth=ontology_depth, branching=ontology_branching
+    study, dag, annotations = prepare_primary(
+        name, scale, seed, ontology_depth, ontology_branching
     )
-    scorer = EnrichmentScorer(dag, annotations)
-    original_clusters = cluster_network(
-        network, params, source=f"{study.name}/original", csr=network_csr
-    )
-    return DatasetBundle(
-        name=study.name,
-        study=study,
-        network=network,
-        scorer=scorer,
-        original_clusters=original_clusters,
-        mcode_params=params,
-        thresholds=thresholds,
-        scale=scale,
-        network_csr=network_csr,
+    return derive_dataset(
+        study, dag, annotations, scale, mcode_params, thresholds, correlation_threshold
     )
 
 

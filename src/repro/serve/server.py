@@ -127,6 +127,7 @@ class ReproServer:
         self._responding_cv = threading.Condition(self._lock)
         self._started = False
         self._stopped = threading.Event()
+        self._stop_done = threading.Event()
         self._listener: Optional[socket.socket] = None
         self._accept_thread: Optional[threading.Thread] = None
         self._supervisor_thread: Optional[threading.Thread] = None
@@ -199,13 +200,24 @@ class ReproServer:
         admission queue drains (every admitted request completes and its
         connection thread writes the response), and only then are the
         batchers stopped, the worker pool shut down and the remaining client
-        sockets closed.  Idempotent.
+        sockets closed.  Idempotent: a second caller returns only once the
+        first has finished, so ``serve_forever`` (woken by the ``shutdown``
+        op's stop) cannot end the process under a connection thread that is
+        still writing the ``shutdown`` response.
         """
         with self._lock:
-            if not self._started or self._stopped.is_set():
-                self._stopped.set()
-                return
+            first = self._started and not self._stopped.is_set()
             self._stopped.set()
+        if not first:
+            if self._started:
+                self._stop_done.wait()
+            return
+        try:
+            self._stop()
+        finally:
+            self._stop_done.set()
+
+    def _stop(self) -> None:
         if self._listener is not None:
             # shutdown() before close(): close() alone does not wake a thread
             # blocked in accept() on Linux, shutdown() does (accept raises).

@@ -28,14 +28,8 @@ from typing import Any, Callable, Optional
 from collections.abc import Sequence
 
 from ..faults import fault_point
-from ..incremental import (
-    UpdateReport,
-    UpdateSpec,
-    apply_update,
-    reference_apply_update,
-    synthesize_update,
-)
-from ..pipeline.workflow import DatasetBundle, prepare_dataset
+from ..incremental import UpdateReport, UpdateSpec, apply_update, replay_updates
+from ..pipeline.workflow import DatasetBundle
 from .coalesce import EnrichmentBatcher
 
 __all__ = ["DatasetState", "ServerState"]
@@ -221,14 +215,17 @@ class ServerState:
     def _build_bundle(
         self, name: str, scale: float, update_log: Sequence[UpdateSpec] = ()
     ) -> DatasetBundle:
+        """Build a dataset's bundle cold: preload, ``reload`` and ``update`` fallback.
+
+        A rebuild of a mutated dataset must reach the same logical state the
+        warm bundle is in, so the absorbed update log is replayed on the
+        primary state and every derived layer is built once
+        (:func:`~repro.incremental.replay_updates`, pinned byte-identical to
+        the per-step oracle :func:`~repro.incremental.replay_reference`).
+        An empty log is exactly ``prepare_dataset``.
+        """
         fault_point("serve.rebuild", dataset=name, scale=scale)
-        bundle = prepare_dataset(name, scale=scale, seed=self.seed)
-        # A rebuild of a mutated dataset must reach the same logical state the
-        # warm bundle is in: replay the absorbed update log through the cold
-        # reference path (synthesize_update is deterministic given the
-        # pre-update state, so the replayed data matches bit for bit).
-        for spec in update_log:
-            bundle = reference_apply_update(bundle, synthesize_update(bundle, spec))
+        bundle = replay_updates(name, scale, self.seed, update_log)
         # Requests execute on concurrent worker threads; the scorer's memo
         # tables must not race (see _LockedScorer).
         bundle.scorer = _LockedScorer(bundle.scorer)
@@ -305,10 +302,11 @@ class ServerState:
         cannot have changed keep hitting.
 
         If the delta path fails (including an injected ``serve.update`` or
-        ``incremental.delta`` fault), the update degrades to a full reference
-        rebuild that replays the whole update log plus this spec — same
-        logical state, cold machinery.  Only when that replay *also* fails is
-        the state marked degraded (the previous bundle keeps serving).
+        ``incremental.delta`` fault), the update degrades to a cold rebuild
+        (:meth:`_build_bundle`) that replays the whole update log plus this
+        spec — same logical state, cold machinery.  Only when that replay
+        *also* fails is the state marked degraded (the previous bundle keeps
+        serving).
         """
         state.begin_reload(on_drain)
         try:

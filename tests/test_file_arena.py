@@ -1,10 +1,11 @@
 """File-backed arena tests (`repro.parallel.shm`).
 
-Two concerns share this module:
+Two concerns share this module (the export/attach and close/unlink edge
+cases live in ``test_shm.py``):
 
-* lifecycle edge cases — attach-after-unlink, double close, zero-length
-  arrays and the process-wide :func:`open_segment_count` leak accounting
-  (a *closed* arena is persistence, not a leak);
+* lifecycle accounting — dedup within one arena and the process-wide
+  :func:`open_segment_count` leak accounting (a *closed* arena is
+  persistence, not a leak);
 * manifest persistence — the warm-restart contract: a second arena opened
   over the same directory re-adopts the previous generation's segments by
   content digest, so re-exporting rebuilt-but-equal payloads returns the
@@ -19,7 +20,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.parallel.shm import ArenaError, SharedArena, attach, open_segment_count
+from repro.parallel.shm import SharedArena, attach, open_segment_count
 
 
 @pytest.fixture
@@ -35,50 +36,6 @@ def make_arena(tmp_path):
 
 
 class TestLifecycle:
-    def test_round_trip(self, make_arena):
-        arena = make_arena()
-        try:
-            src = np.arange(64, dtype=np.int64)
-            view = attach(arena.export(src))
-            assert np.array_equal(view, src)
-            assert not view.flags.writeable
-        finally:
-            arena.unlink()
-
-    def test_attach_after_unlink_raises(self, make_arena):
-        arena = make_arena()
-        ref = arena.export(np.arange(16))
-        assert np.array_equal(attach(ref), np.arange(16))
-        arena.unlink()
-        with pytest.raises(FileNotFoundError):
-            attach(ref)
-
-    def test_double_close_and_double_unlink_are_safe(self, make_arena):
-        arena = make_arena()
-        arena.export(np.arange(4))
-        arena.close()
-        arena.close()
-        arena.unlink()
-        arena.unlink()
-
-    def test_export_after_unlink_raises(self, make_arena):
-        arena = make_arena()
-        arena.unlink()
-        with pytest.raises(ArenaError):
-            arena.export(np.arange(3))
-
-    def test_zero_length_array_has_no_segment(self, make_arena):
-        arena = make_arena()
-        try:
-            ref = arena.export(np.empty(0, dtype=np.float64))
-            assert ref.name is None
-            assert arena.n_segments == 0
-            view = attach(ref)
-            assert view.shape == (0,)
-            assert view.dtype == np.float64
-        finally:
-            arena.unlink()
-
     def test_bundle_dedup_within_arena(self, make_arena):
         arena = make_arena()
         try:

@@ -7,7 +7,8 @@ reference paths (``replay_reference``).  The schedule grid randomises the
 *kind* ordering and sizes, so structural-sharing shortcuts (standardisation
 memos, correlation tile deltas, term-index extensions, pair-table remaps,
 reused cluster state) are exercised in interleaved combinations, not one at a
-time.
+time.  The one-derivation rebuild (``replay_updates``, what a serve reload
+runs) is pinned to the same oracle, layer by layer.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from repro.incremental import (
     apply_update,
     reference_apply_update,
     replay_reference,
+    replay_updates,
     synthesize_update,
 )
 from repro.pipeline.workflow import (
@@ -62,6 +64,44 @@ KINDS = {
     "terms": dict(add_terms=2),
     "mixed": dict(add_samples=1, add_genes=2, add_annotations=2, add_terms=1),
 }
+
+
+def _mixed_log(seed: int, length: int = 8) -> list[UpdateSpec]:
+    """A seeded log holding every kind of :data:`KINDS` at least once."""
+    rng = random.Random(seed)
+    kinds = list(KINDS) + [rng.choice(list(KINDS)) for _ in range(length - len(KINDS))]
+    rng.shuffle(kinds)
+    return [UpdateSpec(seed=1000 * seed + i, **KINDS[k]) for i, k in enumerate(kinds)]
+
+
+def _state(bundle) -> tuple:
+    """Every layer of a bundle, down to float bits and neighbour order."""
+    matrix = bundle.study.matrix
+    net, csr = bundle.network, bundle.network_csr
+    dag = bundle.scorer.dag
+    index = bundle.scorer.annotations.indexed()
+    return (
+        matrix.values.dtype.str,
+        matrix.values.shape,
+        matrix.values.tobytes(),
+        tuple(matrix.genes),
+        tuple(matrix.samples),
+        tuple(matrix.conditions or ()),
+        [
+            (v, [(u, float(net.edge_attr(v, u, "rho")).hex()) for u in net.neighbors(v)])
+            for v in net.vertices()
+        ],
+        csr.indptr.tobytes(),
+        csr.indices.tobytes(),
+        csr.labels,
+        [(c.members, c.score.hex(), c.seed) for c in bundle.original_clusters],
+        [(t, tuple(dag.parents(t))) for t in dag.terms()],
+        index.genes,
+        index.indptr.tobytes(),
+        index.term_ids.tobytes(),
+        bundle.generation,
+        bundle.dirty,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -167,6 +207,75 @@ class TestUpdateScheduleGrid:
 
 
 # ----------------------------------------------------------------------
+# one-derivation rebuild
+# ----------------------------------------------------------------------
+class TestReplayUpdates:
+    @pytest.mark.parametrize("dataset,log_seed", [("YNG", 0), ("CRE", 1)])
+    def test_every_prefix_matches_reference(self, dataset, log_seed):
+        """N = 0..8 over a mixed log: every layer equals the per-step oracle."""
+        log = _mixed_log(log_seed)
+        # The walk is replay_reference's own body, so each prefix's oracle
+        # state is reached once instead of being replayed from scratch.
+        reference = prepare_dataset(dataset, scale=SCALE)
+        for n in range(len(log) + 1):
+            if n:
+                spec = log[n - 1]
+                reference = reference_apply_update(
+                    reference, synthesize_update(reference, spec)
+                )
+            rebuilt = replay_updates(dataset, SCALE, None, log[:n])
+            assert _state(rebuilt) == _state(reference), n
+            if n == 0:
+                assert _classify_bytes(rebuilt) == _classify_bytes(reference)
+                assert _filter_bytes(rebuilt) == _filter_bytes(reference)
+        oracle = replay_reference(dataset, SCALE, None, log)
+        assert _classify_bytes(rebuilt) == _classify_bytes(oracle)
+        assert _filter_bytes(rebuilt) == _filter_bytes(oracle)
+
+    def test_one_derivation_whatever_the_log_length(self, monkeypatch):
+        """One correlation pass and one original MCODE run for 8 specs."""
+        import repro.expression.datasets as datasets
+        import repro.pipeline.workflow as workflow
+
+        calls = {"correlation": 0, "mcode": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            datasets,
+            "correlated_pair_arrays",
+            counted("correlation", datasets.correlated_pair_arrays),
+        )
+        monkeypatch.setattr(
+            workflow, "mcode_clusters", counted("mcode", workflow.mcode_clusters)
+        )
+        log = _mixed_log(0)
+        assert any(s.add_samples for s in log) and any(s.add_genes for s in log)
+        replay_updates("YNG", SCALE, None, log)
+        assert calls == {"correlation": 1, "mcode": 1}
+        # The oracle derives after every spec: once cold plus once per spec.
+        calls.update(correlation=0, mcode=0)
+        replay_reference("YNG", SCALE, None, log)
+        assert calls == {"correlation": len(log) + 1, "mcode": len(log) + 1}
+
+    def test_delta_fallback_rebuilds_to_the_oracle(self):
+        spec = UpdateSpec(add_genes=2, add_terms=1, seed=4)
+        history = [UpdateSpec(add_samples=1, add_annotations=2, seed=3)]
+        bundle = replay_updates("YNG", SCALE, None, history)
+        with active_plan(FaultPlan(seed=0).fail("incremental.delta")):
+            bundle, report = apply_update(bundle, spec, history=history)
+        assert report.mode == "rebuild"
+        assert bundle.generation == 2
+        reference = replay_reference("YNG", SCALE, None, history + [spec])
+        assert _state(bundle) == _state(reference)
+
+
+# ----------------------------------------------------------------------
 # serve-level warm updates
 # ----------------------------------------------------------------------
 class TestServeUpdate:
@@ -210,6 +319,44 @@ class TestServeUpdate:
                 summary = c.result("datasets")[0]
                 assert summary["updates"] == 2
                 assert summary["health"] == "healthy"
+
+    def test_reload_matches_reference_replay(self):
+        """A reload after a mixed log serves the oracle's bytes."""
+        log = [
+            UpdateSpec(add_samples=1, seed=1),
+            UpdateSpec(add_genes=2, seed=2),
+            UpdateSpec(add_terms=2, seed=3),
+            UpdateSpec(add_annotations=3, seed=4),
+            UpdateSpec(add_samples=1, add_genes=1, add_annotations=2, add_terms=1, seed=5),
+        ]
+        with ReproServer(default_scale=SCALE, workers=2) as srv:
+            with ServeClient(port=srv.port, timeout=600.0) as c:
+                for spec in log:
+                    up = c.result(
+                        "update",
+                        dataset="CRE",
+                        add_samples=spec.add_samples,
+                        add_genes=spec.add_genes,
+                        add_annotations=spec.add_annotations,
+                        add_terms=spec.add_terms,
+                        seed=spec.seed,
+                    )
+                    assert up["mode"] == "delta"
+                before = c.result("stats")["datasets"][0]
+                assert c.result("reload", dataset="CRE")["generation"] == (
+                    before["generation"] + 1
+                )
+                classify = c.result("classify", dataset="CRE", method="chordal")
+                filtered = c.result(
+                    "filter", dataset="CRE", method="chordal", include_edges=True
+                )
+                after = c.result("stats")["datasets"][0]
+        oracle = replay_reference("CRE", SCALE, None, log)
+        assert _canon(classify) == _classify_bytes(oracle)
+        assert _canon(filtered) == _filter_bytes(oracle)
+        assert after["updates"] == before["updates"] == len(log)
+        assert after["generation"] == before["generation"] + 1
+        assert after["health"] == "healthy"
 
     def test_noop_update_is_rejected(self):
         with ReproServer(default_scale=SCALE, workers=1) as srv:

@@ -280,6 +280,39 @@ class TestGracefulShutdown:
         srv.stop()
         assert not srv.running
 
+    def test_second_stop_returns_only_after_the_first(self):
+        # `repro serve` ends the process when serve_forever's own stop()
+        # returns; if that call did not wait for the `shutdown` op's stop,
+        # the response still being written would be cut off.
+        entered = threading.Event()
+        release = threading.Event()
+        hooks = ServerHooks(before_execute=lambda op, h: (entered.set(), release.wait()))
+        srv = ReproServer(default_scale=SCALE, workers=1, hooks=hooks)
+        srv.start()
+        responses: dict[str, dict] = {}
+
+        def send() -> None:
+            with ServeClient(port=srv.port, timeout=600.0) as client:
+                responses["a"] = client.request("filter", dataset="CRE")
+
+        sender = threading.Thread(target=send)
+        sender.start()
+        first = threading.Thread(target=srv.stop)
+        second = threading.Thread(target=srv.stop)
+        try:
+            assert entered.wait(120)  # the request is executing (parked)
+            first.start()
+            assert srv._stopped.wait(120)  # the first stop owns the drain
+            second.start()
+            second.join(timeout=0.5)
+            assert second.is_alive()  # still waiting on the first stop's drain
+        finally:
+            release.set()
+        for thread in (first, second, sender):
+            thread.join(timeout=600)
+            assert not thread.is_alive()
+        assert responses["a"]["ok"] is True
+
 
 # ----------------------------------------------------------------------
 # cross-request enrichment coalescing through the socket

@@ -56,13 +56,14 @@ class TestExportAttach:
         assert np.array_equal(view, src)
 
     def test_empty_array_has_no_segment(self, arena):
-        ref = arena.export(np.empty(0, dtype=np.int64))
-        assert ref.name is None
-        assert arena.n_segments == 0
-        view = attach(ref)
-        assert view.shape == (0,)
-        assert view.dtype == np.int64
-        assert not view.flags.writeable
+        for dtype in (np.int64, np.float64):
+            ref = arena.export(np.empty(0, dtype=dtype))
+            assert ref.name is None
+            assert arena.n_segments == 0
+            view = attach(ref)
+            assert view.shape == (0,)
+            assert view.dtype == dtype
+            assert not view.flags.writeable
 
     def test_export_dedup_by_identity(self, arena):
         src = np.arange(10)
