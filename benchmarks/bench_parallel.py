@@ -33,12 +33,12 @@ JSON schema (``bench_parallel/v1``) extras::
                    "shm_speedup", "edges_kept_identical"}
     }
 
-``--check`` gates the ``process-shm`` time at the largest shared scale /
-P16 divided by the same run's ``serial`` P1 time: the execution layer's
-overhead on top of one serial pass, with machine speed cancelled.  It
-does not cancel core topology (a P16 run on one core serialises the
-ranks a many-core box overlaps), so the gate is calibrated for
-same-topology comparisons.
+``--check`` gates two ratios over the same run's ``serial`` P1 time, each
+at the largest scale both files share: the ``process-shm`` P16 time and
+the ``process`` P4 time.  Each is the execution layer's overhead on top of
+one serial pass, with machine speed cancelled.  It does not cancel core
+topology (a P16 run on one core serialises the ranks a many-core box
+overlaps), so the gate is calibrated for same-topology comparisons.
 """
 
 from __future__ import annotations
@@ -196,15 +196,29 @@ def _headline(runs: list[dict[str, Any]]) -> Optional[dict[str, Any]]:
     return None
 
 
+#: The gated (backend, P) cells, each timed over serial/P1 at its scale.
+GATED = [("process-shm", 16), ("process", 4)]
+
+
 def gate_cells(runs: list[dict[str, Any]]) -> dict[str, tuple[float, float]]:
-    """nocomm process-shm/P16 time over nocomm serial/P1 time at each scale."""
+    """Each gated nocomm time over serial/P1, per kind smallest scale first."""
     by = {_key(r): r["seconds"] for r in runs}
     cells: dict[str, tuple[float, float]] = {}
-    for scale in SCALE_ORDER:
-        head, base = f"nocomm/{scale}/process-shm/P16", f"nocomm/{scale}/serial/P1"
-        if head in by and base in by:
-            cells[head] = (by[head], by[base])
+    for backend, P in GATED:
+        for scale in SCALE_ORDER:
+            head, base = f"nocomm/{scale}/{backend}/P{P}", f"nocomm/{scale}/serial/P1"
+            if head in by and base in by:
+                cells[head] = (by[head], by[base])
     return cells
+
+
+def gate_headline(shared: list[str]) -> list[str]:
+    """The largest shared scale of each gated kind."""
+    last: dict[str, str] = {}
+    for cell in shared:
+        _, _, backend, P = cell.split("/")
+        last[f"{backend}/{P}"] = cell
+    return list(last.values())
 
 
 def mismatches(runs: list[dict[str, Any]]) -> list[str]:
@@ -224,6 +238,7 @@ BENCH = harness.Bench(
     run=run_grid,
     cells=gate_cells,
     gated="overhead vs serial/P1",
+    headline=gate_headline,
     mismatches=mismatches,
     extras=lambda runs: {"headline": _headline(runs)},
 )

@@ -185,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     spmd_worker = sub.add_parser(
         "spmd-worker",
         help="join a process-backend worker hub as one external worker "
-        "(scale-out tier); hub and worker must share the same "
+        "(external mode); hub and worker must share the same "
         "REPRO_SOCK_AUTHKEY",
     )
     spmd_worker.add_argument("--host", default=None, help="hub host (default REPRO_SOCK_HOST or 127.0.0.1)")

@@ -272,7 +272,7 @@ class SyntheticStudy:
         return out
 
     def _pair_arrays(
-        self, threshold: Optional[CorrelationThreshold], rebuild: bool = False
+        self, threshold: Optional[CorrelationThreshold]
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The thresholded pair arrays, cached per threshold.
 
@@ -283,10 +283,9 @@ class SyntheticStudy:
         cache key).
         """
         key = threshold or CorrelationThreshold()
-        if not rebuild:
-            cached = self._pairs.get(key)
-            if cached is not None:
-                return cached
+        cached = self._pairs.get(key)
+        if cached is not None:
+            return cached
         pairs = correlated_pair_arrays(self.matrix, threshold=key)
         self._pairs[key] = pairs
         return pairs
@@ -295,13 +294,12 @@ class SyntheticStudy:
         self,
         threshold: Optional[CorrelationThreshold] = None,
         include_all_genes: bool = False,
-        rebuild: bool = False,
     ) -> Graph:
         """Return (and cache) the thresholded correlation network of this study."""
         use_cache = threshold is None and not include_all_genes
-        if use_cache and self._network is not None and not rebuild:
+        if use_cache and self._network is not None:
             return self._network
-        ii, jj, rho = self._pair_arrays(threshold, rebuild=rebuild)
+        ii, jj, rho = self._pair_arrays(threshold)
         net = network_from_pair_arrays(
             self.matrix, ii, jj, rho, include_all_genes=include_all_genes
         )
@@ -313,7 +311,6 @@ class SyntheticStudy:
         self,
         threshold: Optional[CorrelationThreshold] = None,
         include_all_genes: bool = False,
-        rebuild: bool = False,
     ) -> CSRGraph:
         """Return (and cache) the CSR view of the thresholded correlation network.
 
@@ -322,9 +319,9 @@ class SyntheticStudy:
         ``CSRGraph.from_graph(self.network(...))`` for the same arguments.
         """
         use_cache = threshold is None and not include_all_genes
-        if use_cache and self._network_csr is not None and not rebuild:
+        if use_cache and self._network_csr is not None:
             return self._network_csr
-        ii, jj, _rho = self._pair_arrays(threshold, rebuild=rebuild)
+        ii, jj, _rho = self._pair_arrays(threshold)
         csr = csr_from_pair_arrays(
             self.matrix, ii, jj, include_all_genes=include_all_genes
         )

@@ -262,119 +262,6 @@ class CSRGraph:
         return cls(indptr, dst, labels)
 
     @classmethod
-    def from_edge_stream(
-        cls,
-        labels: "Sequence[Vertex] | int",
-        chunks: object,
-        *,
-        out: Optional[str] = None,
-    ) -> "CSRGraph":
-        """Build a CSR graph from a *stream* of edge chunks with bounded memory.
-
-        The out-of-core counterpart of :meth:`from_edge_arrays` for graphs
-        whose edge list should never be materialised at once: ``chunks``
-        yields ``(us, vs)`` pairs of aligned ``int64`` endpoint-index arrays,
-        and the build makes **two passes** (degree counting, then scatter),
-        so its peak working set beyond the output buffers is ``O(n_vertices
-        + chunk)`` — far below the ``O(n_edges)`` temporaries (symmetrised
-        copies plus a lexsort permutation) of the in-RAM path.  The result
-        is identical to ``from_edge_arrays(labels, concat(us), concat(vs))``:
-        rows sorted ascending, duplicates and self loops rejected.
-
-        ``chunks`` is either a zero-argument callable returning a fresh
-        iterator per pass (the streaming form — required when chunks are
-        generated on the fly) or a re-iterable collection of pairs.  A
-        one-shot generator is detected (the two passes see different edge
-        counts) and rejected.  ``labels`` may be an ``int`` *n* as shorthand
-        for the identity labelling ``range(n)``.
-
-        ``out`` names a file to back the ``indices`` buffer with a writable
-        ``np.memmap`` instead of process memory — the escape hatch for
-        graphs whose adjacency alone exceeds RAM; the mapped buffer feeds
-        straight into the zero-copy :meth:`from_buffers` path.
-        """
-        label_tuple = tuple(range(labels)) if isinstance(labels, int) else tuple(labels)
-        n = len(label_tuple)
-        factory = chunks if callable(chunks) else (lambda: chunks)
-
-        def _coerce(us: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            us = np.ascontiguousarray(us, dtype=np.int64)
-            vs = np.ascontiguousarray(vs, dtype=np.int64)
-            if us.shape != vs.shape or us.ndim != 1:
-                raise ValueError("each chunk must be a pair of equal-length 1-D arrays")
-            return us, vs
-
-        # Pass 1: per-vertex degrees (and full validation of endpoints).
-        deg = np.zeros(n, dtype=np.int64)
-        n_edges = 0
-        for us, vs in factory():
-            us, vs = _coerce(us, vs)
-            if us.size == 0:
-                continue
-            lo, hi = min(us.min(), vs.min()), max(us.max(), vs.max())
-            if lo < 0 or hi >= n:
-                raise ValueError("edge endpoints contain out-of-range vertex ids")
-            if (us == vs).any():
-                raise ValueError("self loops are not allowed")
-            n_edges += us.size
-            deg += np.bincount(us, minlength=n)
-            deg += np.bincount(vs, minlength=n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(deg, out=indptr[1:])
-        del deg
-        total = int(indptr[-1])
-        if out is not None and total:
-            indices = np.memmap(out, dtype=np.int64, mode="w+", shape=(total,))
-        else:
-            # mmap rejects zero-length files: an empty stream with out=...
-            # degrades to the (trivially small) in-memory buffer.
-            indices = np.empty(total, dtype=np.int64)
-
-        # Pass 2: scatter each chunk's half-edges behind per-row cursors.
-        # Within a chunk, repeats of the same row land at consecutive slots:
-        # sort the chunk by row (stable), then rank-within-run is just
-        # position minus the run's first position (searchsorted on itself).
-        cursors = indptr[:-1].copy()
-        seen = 0
-        for us, vs in factory():
-            us, vs = _coerce(us, vs)
-            if us.size == 0:
-                continue
-            seen += us.size
-            src = np.concatenate([us, vs])
-            dst = np.concatenate([vs, us])
-            order = np.argsort(src, kind="stable")
-            src_sorted = src[order]
-            first = np.searchsorted(src_sorted, src_sorted, side="left")
-            pos = cursors[src_sorted] + (np.arange(src_sorted.size) - first)
-            indices[pos] = dst[order]
-            cursors += np.bincount(src, minlength=n)
-        if seen != n_edges:
-            raise ValueError(
-                "edge stream yielded different edges on the second pass — "
-                "pass a zero-argument callable (fresh iterator per pass), "
-                "not a one-shot generator"
-            )
-        del cursors
-
-        # Rows arrive in stream order; sort each ascending to match the
-        # canonical from_edge_arrays layout (cheap: rows, not the edge list).
-        for i in range(n):
-            s, e = int(indptr[i]), int(indptr[i + 1])
-            if e - s > 1:
-                indices[s:e].sort()
-        if total:
-            dup = indices[1:] == indices[:-1]
-            starts = indptr[1:-1]
-            starts = starts[(starts > 0) & (starts < total)]
-            dup[starts - 1] = False  # row boundaries are not duplicates
-            if dup.any():
-                raise ValueError("duplicate edges in edge stream")
-        if isinstance(indices, np.memmap):
-            indices.flush()
-        return cls.from_buffers(indptr, indices, label_tuple)
-
-    @classmethod
     def from_buffers(
         cls,
         indptr: np.ndarray,
@@ -384,13 +271,13 @@ class CSRGraph:
         """Rebuild a graph around existing CSR buffers **without copying them**.
 
         The result's ``indptr``/``indices`` are views pinned to the given
-        arrays (``np.shares_memory`` holds), so a mapped buffer (an
-        :func:`repro.parallel.shm.attach` view, an ``np.memmap``) pays zero
-        copies.  Only O(1) shape/dtype consistency is
-        checked — the buffers are trusted to describe a valid symmetric CSR
-        (they came out of a validated graph); hand-built arrays should go
-        through the validating constructor instead.  ``labels`` defaults to
-        ``range(n)``, the index-native identity labelling.
+        arrays (``np.shares_memory`` holds), so unpickling a graph
+        (:meth:`__reduce__`, how process payloads travel) copies nothing.
+        Only O(1) shape/dtype consistency is checked — the buffers are
+        trusted to describe a valid symmetric CSR (they came out of a
+        validated graph); hand-built arrays should go through the validating
+        constructor instead.  ``labels`` defaults to ``range(n)``, the
+        index-native identity labelling.
         """
         indptr = np.asarray(indptr)
         indices = np.asarray(indices)

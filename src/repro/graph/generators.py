@@ -26,7 +26,6 @@ __all__ = [
     "planted_partition_graph",
     "correlation_like_graph",
     "random_tree",
-    "ring_chord_edge_stream",
 ]
 
 Vertex = Hashable
@@ -241,38 +240,3 @@ def correlation_like_graph(
             g.add_edge(all_vertices[int(i)], all_vertices[int(j)])
     return g
 
-
-def ring_chord_edge_stream(n: int, seed: int = 0, chunk: int = 65536):
-    """Return a re-runnable chunked edge stream for a ring-plus-chords graph.
-
-    The ``huge``-scale workload generator: the in-RAM generators above build
-    a :class:`Graph` edge by edge in Python and fall over two orders of
-    magnitude before the scale-out tier's targets, so the huge scale is
-    defined directly as an **edge stream** consumable by
-    :meth:`~repro.graph.csr.CSRGraph.from_edge_stream`.  The topology is a
-    cycle ``i — (i+1) mod n`` (connectivity, long cycles) plus one seeded
-    chord per vertex ``i — (i + h_i) mod n`` with gap ``h_i ∈ [2, n/2)``
-    (cheap local density, average degree 4).  Because every chord's gap is
-    below ``n/2``, each chord has a unique short orientation — no chord can
-    collide with another chord, a ring edge, or itself, so the stream is
-    duplicate- and self-loop-free *by construction* and never needs a global
-    uniqueness table.
-
-    Returns a zero-argument callable yielding ``(us, vs)`` ``int64`` chunk
-    pairs, deterministic in ``seed`` — the two-pass streaming build can
-    re-run it, and equal seeds give bit-identical graphs.  Peak memory per
-    chunk is ``O(chunk)``.
-    """
-    if n < 5:
-        raise ValueError("ring_chord_edge_stream needs n >= 5 (gap range [2, n/2) must be non-empty)")
-
-    def chunks():
-        rng = np.random.default_rng(seed)
-        for start in range(0, n, chunk):
-            i = np.arange(start, min(start + chunk, n), dtype=np.int64)
-            ring_v = (i + 1) % n
-            gaps = rng.integers(2, max(3, n // 2), size=i.size, dtype=np.int64)
-            chord_v = (i + gaps) % n
-            yield np.concatenate([i, i]), np.concatenate([ring_v, chord_v])
-
-    return chunks

@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -498,7 +498,6 @@ def replay_reference(
     scale: float,
     seed: Optional[int],
     specs: Sequence[UpdateSpec],
-    **prepare_kwargs: Any,
 ) -> DatasetBundle:
     """Rebuild the state after ``specs`` from nothing: the full-rebuild oracle.
 
@@ -510,7 +509,7 @@ def replay_reference(
     ``reload``) and the delta paths are pinned to, and the honest cost of
     *not* having the delta paths.
     """
-    bundle = prepare_dataset(name, scale=scale, seed=seed, **prepare_kwargs)
+    bundle = prepare_dataset(name, scale=scale, seed=seed)
     for spec in specs:
         data = synthesize_update(bundle, spec)
         bundle = reference_apply_update(bundle, data)
@@ -526,8 +525,8 @@ def replay_updates(
     terms and the annotation count), so the log is replayed on the study,
     DAG and annotations alone; the correlation pass, network views, original
     clusters and scorer are built once, from the final state.  Byte-identical
-    to :func:`replay_reference` (paper-default parameters), at one
-    derivation's cost whatever the log length.
+    to :func:`replay_reference`, at one derivation's cost whatever the log
+    length.
     """
     study, dag, table = prepare_primary(name, scale=scale, seed=seed)
     for spec in specs:

@@ -1,12 +1,11 @@
-"""Parallel runtime substrate: communicators, SPMD runner, file arena, cost model.
+"""Parallel runtime substrate: communicators, SPMD runner, cost model.
 
 The paper's algorithms were written for a distributed-memory MPI machine.
 This package substitutes an offline equivalent: the algorithms exchange the
 same messages over :class:`SimComm` (threads) or resident worker processes
-over TCP (:mod:`repro.parallel.sock`), arrays can persist in a file-backed
-:class:`SharedArena`, rank work is measured exactly, and :class:`CostModel`
-converts that work into simulated wall-clock times for the scalability
-study.
+over TCP (:mod:`repro.parallel.sock`), rank work is measured exactly, and
+:class:`CostModel` converts that work into simulated wall-clock times for
+the scalability study.
 """
 
 from .._lazy import lazy_exports
@@ -29,10 +28,6 @@ __all__ = [
     "supervision_counters",
     "reset_supervision_counters",
     "pop_supervision_events",
-    "SharedArena",
-    "ArenaRef",
-    "ArenaError",
-    "attach",
     "RankResult",
     "SpmdReport",
     "CostModel",
@@ -64,12 +59,6 @@ __getattr__, __dir__ = lazy_exports(
             "supervision_counters",
             "supervision_policy",
             "worker_pool_size",
-        ),
-        ".shm": (
-            "ArenaError",
-            "ArenaRef",
-            "SharedArena",
-            "attach",
         ),
         ".timing": ("CostModel", "RankWork", "efficiency", "speedup"),
     },

@@ -80,17 +80,12 @@ class CommStats:
     ``bytes_sent`` / ``bytes_received`` count real transport bytes where the
     transport actually frames them (the socket transport); the threaded
     transport never serializes a message, so it leaves them at zero.
-    ``barriers`` and ``collectives`` stay zero: the endpoints offer only
-    ``send`` / ``recv``, and the fields remain because serve ``stats``
-    publishes this counter set under ``"comm"``.
     """
 
     messages_sent: int = 0
     messages_received: int = 0
     items_sent: int = 0
     items_received: int = 0
-    barriers: int = 0
-    collectives: int = 0
     bytes_sent: int = 0
     bytes_received: int = 0
 
@@ -101,8 +96,6 @@ class CommStats:
             messages_received=self.messages_received + other.messages_received,
             items_sent=self.items_sent + other.items_sent,
             items_received=self.items_received + other.items_received,
-            barriers=self.barriers + other.barriers,
-            collectives=self.collectives + other.collectives,
             bytes_sent=self.bytes_sent + other.bytes_sent,
             bytes_received=self.bytes_received + other.bytes_received,
         )
@@ -114,8 +107,6 @@ class CommStats:
             "messages_received": self.messages_received,
             "items_sent": self.items_sent,
             "items_received": self.items_received,
-            "barriers": self.barriers,
-            "collectives": self.collectives,
             "bytes_sent": self.bytes_sent,
             "bytes_received": self.bytes_received,
         }
@@ -149,10 +140,6 @@ class SimCommWorld:
         if not 0 <= rank < self.size:
             raise ValueError(f"rank {rank} out of range for size {self.size}")
         return SimComm(rank, self)
-
-    def comms(self) -> list["SimComm"]:
-        """Return one endpoint per rank, in rank order."""
-        return [self.comm(r) for r in range(self.size)]
 
     def total_stats(self) -> CommStats:
         """Return the sum of all per-rank counters."""

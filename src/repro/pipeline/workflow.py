@@ -38,7 +38,6 @@ from ..clustering.mcode import MCODEParams, mcode_clusters
 from ..clustering.overlap import ClusterMatch, found_clusters, match_and_lost_clusters
 from ..core.results import FilterResult
 from ..core.sampling import apply_filter
-from ..expression.correlation import CorrelationThreshold
 from ..expression.datasets import SyntheticStudy, make_study
 from ..graph.csr import CSRGraph
 from ..graph.graph import Graph
@@ -72,7 +71,7 @@ class DatasetBundle:
     scorer: EnrichmentScorer
     original_clusters: list[Cluster]
     mcode_params: MCODEParams
-    thresholds: EvaluationThresholds
+    thresholds: EvaluationThresholds = field(default_factory=EvaluationThresholds)
     scale: float = 1.0
     #: CSR view of ``network``, built directly from the expression matrix
     #: (one correlation pass serves both views); ``None`` only for bundles
@@ -181,8 +180,6 @@ def prepare_primary(
     name: str,
     scale: float = 1.0,
     seed: Optional[int] = None,
-    ontology_depth: int = 8,
-    ontology_branching: int = 3,
 ) -> tuple[SyntheticStudy, GODag, AnnotationTable]:
     """Generate a dataset's primary state: the study, its GO DAG and annotations.
 
@@ -191,9 +188,7 @@ def prepare_primary(
     only them.
     """
     study = make_study(name, scale=scale, seed=seed)
-    dag, annotations = make_study_ontology(
-        study, depth=ontology_depth, branching=ontology_branching
-    )
+    dag, annotations = make_study_ontology(study)
     return study, dag, annotations
 
 
@@ -203,8 +198,6 @@ def derive_dataset(
     annotations: AnnotationTable,
     scale: float = 1.0,
     mcode_params: Optional[MCODEParams] = None,
-    thresholds: Optional[EvaluationThresholds] = None,
-    correlation_threshold: Optional[CorrelationThreshold] = None,
 ) -> DatasetBundle:
     """Build the derived layers of a bundle from its primary state.
 
@@ -212,13 +205,12 @@ def derive_dataset(
     scorer and the clusters of the original network.
     """
     params = mcode_params or MCODEParams()
-    thresholds = thresholds or EvaluationThresholds()
     # Both network views come from one cached correlation pass: the label
     # graph for the filters (edge attributes, spanning subgraphs) and the CSR
     # view — built straight from the expression tiles — for the index-native
     # analysis kernels.
-    network = study.network(threshold=correlation_threshold)
-    network_csr = study.network_csr(threshold=correlation_threshold)
+    network = study.network()
+    network_csr = study.network_csr()
     scorer = EnrichmentScorer(dag, annotations)
     original_clusters = cluster_network(
         network, params, source=f"{study.name}/original", csr=network_csr
@@ -230,7 +222,6 @@ def derive_dataset(
         scorer=scorer,
         original_clusters=original_clusters,
         mcode_params=params,
-        thresholds=thresholds,
         scale=scale,
         network_csr=network_csr,
     )
@@ -241,24 +232,17 @@ def prepare_dataset(
     scale: float = 1.0,
     seed: Optional[int] = None,
     mcode_params: Optional[MCODEParams] = None,
-    thresholds: Optional[EvaluationThresholds] = None,
-    correlation_threshold: Optional[CorrelationThreshold] = None,
-    ontology_depth: int = 8,
-    ontology_branching: int = 3,
 ) -> DatasetBundle:
     """Generate a dataset and everything needed to evaluate filters on it.
 
     Parameters mirror the experimental design: the dataset name selects one of
     the four canned studies (``YNG``, ``MID``, ``UNT``, ``CRE``); ``scale``
-    shrinks the study for fast runs; the remaining parameters expose the
-    pipeline's thresholds (paper defaults when omitted).
+    shrinks the study for fast runs; ``mcode_params`` overrides MCODE's.
+    The correlation cut-off, ontology shape and evaluation thresholds are
+    the paper's defaults.
     """
-    study, dag, annotations = prepare_primary(
-        name, scale, seed, ontology_depth, ontology_branching
-    )
-    return derive_dataset(
-        study, dag, annotations, scale, mcode_params, thresholds, correlation_threshold
-    )
+    study, dag, annotations = prepare_primary(name, scale, seed)
+    return derive_dataset(study, dag, annotations, scale, mcode_params)
 
 
 def analyze_filter(

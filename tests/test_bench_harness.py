@@ -21,14 +21,13 @@ sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
 import harness  # noqa: E402
 
-NAMES = ["pipeline", "parallel", "scaleout", "workflow", "enrichment", "serve", "incremental"]
+NAMES = ["pipeline", "parallel", "workflow", "enrichment", "serve", "incremental"]
 
 #: Each committed file's headline ratio(s), at the precision the per-script
 #: gates printed them before the harness replaced them.
 COMMITTED_RATIOS = {
     "pipeline": {"nocomm/large/rcm/P16": (2.83, 2)},
-    "parallel": {"nocomm/large/process-shm/P16": (2.29, 2)},
-    "scaleout": {"transport/large/process-sock": (1.79, 2)},
+    "parallel": {"nocomm/large/process-shm/P16": (2.29, 2), "nocomm/large/process/P4": (2.31, 2)},
     "workflow": {"CRE/large": (0.033, 3)},
     "enrichment": {"CRE/large": (0.0349, 4)},
     "serve": {"CRE/large": (0.00068, 5)},
@@ -38,18 +37,21 @@ COMMITTED_RATIOS = {
     },
 }
 
-#: Where each headline numerator lives: (fields a row must match, timed field).
+#: Where the headline numerators live: (the fields a row must match, one
+#: dict per gated kind; the timed field).
 NUMERATORS = {
-    "pipeline": (dict(filter="nocomm", scale="large", ordering="rcm", n_partitions=16), "seconds"),
+    "pipeline": ([dict(filter="nocomm", scale="large", ordering="rcm", n_partitions=16)], "seconds"),
     "parallel": (
-        dict(sampler="nocomm", scale="large", backend="process-shm", n_partitions=16),
+        [
+            dict(sampler="nocomm", scale="large", backend="process-shm", n_partitions=16),
+            dict(sampler="nocomm", scale="large", backend="process", n_partitions=4),
+        ],
         "seconds",
     ),
-    "scaleout": (dict(cell="transport", scale="large", op="process-sock"), "seconds"),
-    "workflow": (dict(scale="large", impl="csr"), "seconds"),
-    "enrichment": (dict(scale="large", impl="batched", backend="serial"), "seconds"),
-    "serve": (dict(scale="large", op="classify"), "warm_hit_p50"),
-    "incremental": (dict(scale="large"), "rebuild_seconds"),
+    "workflow": ([dict(scale="large", impl="csr")], "seconds"),
+    "enrichment": ([dict(scale="large", impl="batched", backend="serial")], "seconds"),
+    "serve": ([dict(scale="large", op="classify")], "warm_hit_p50"),
+    "incremental": ([dict(scale="large")], "rebuild_seconds"),
 }
 
 #: One output-identity break per script that has one (pipeline has none):
@@ -60,7 +62,6 @@ BREAKS = {
         "edges_kept",
         -1,
     ),
-    "scaleout": (dict(cell="transport", scale="large", op="process-shm"), "edges_kept", -1),
     "workflow": (dict(scale="small", impl="csr"), "clusters_digest", "0"),
     "enrichment": (dict(scale="small", impl="batched", backend="serial"), "score_digest", "0"),
     "serve": (dict(scale="large", op="filter"), "identical", False),
@@ -118,9 +119,10 @@ def test_gate_threshold(name, move, expected):
     # A speedup gets worse going down, an overhead ratio going up.
     factor = 1.0 - move if bench.higher_is_better else 1.0 + move
     fresh = copy.deepcopy(committed["runs"])
-    match, field = NUMERATORS[name]
-    for row in _rows(fresh, match):
-        row[field] *= factor
+    matches, field = NUMERATORS[name]
+    for match in matches:
+        for row in _rows(fresh, match):
+            row[field] *= factor
     old, new = _headline_ratios(bench, committed["runs"]), _headline_ratios(bench, fresh)
     assert {c: new[c] / old[c] for c in old} == pytest.approx({c: factor for c in old})
     assert harness.check(bench, fresh, committed, 0.25) == expected
@@ -181,3 +183,46 @@ def test_interleaved_medians_alternates_order():
     assert results == {"a": "a", "b": "b", "c": "c"}
     assert set(seconds) == set("abc") and all(s >= 0 for s in seconds.values())
 
+
+
+# ----------------------------------------------------------------------
+# bench_parallel's two gated kinds
+# ----------------------------------------------------------------------
+def _parallel_runs(scales: set[str], drop_p4: bool = False) -> list[dict]:
+    return [
+        r
+        for r in _committed("parallel")["runs"]
+        if r["scale"] in scales
+        and not (drop_p4 and r["backend"] == "process" and r["n_partitions"] == 4)
+    ]
+
+
+def test_parallel_headline_gates_the_largest_shared_scale_of_each_kind():
+    bench = _bench("parallel")
+    quick = _parallel_runs({"small", "medium"})
+    cells = bench.cells(quick)
+    assert bench.headline(list(cells)) == [
+        "nocomm/medium/process-shm/P16",
+        "nocomm/medium/process/P4",
+    ]
+    assert harness.check(bench, quick, _committed("parallel"), 0.25) == 0
+
+
+@pytest.mark.parametrize("scale", ["small", "medium", "large"])
+def test_parallel_p4_cell_is_process_p4_over_serial_p1(scale):
+    # The ratio the retired scale-out gate measured, on the same networks.
+    runs = _committed("parallel")["runs"]
+    (p4,) = _rows(runs, dict(sampler="nocomm", scale=scale, backend="process", n_partitions=4))
+    (p1,) = _rows(runs, dict(sampler="nocomm", scale=scale, backend="serial", n_partitions=1))
+    assert _bench("parallel").cells(runs)[f"nocomm/{scale}/process/P4"] == (
+        p4["seconds"],
+        p1["seconds"],
+    )
+
+
+def test_parallel_gate_against_a_file_without_the_p4_cell(capsys):
+    bench, runs = _bench("parallel"), _committed("parallel")["runs"]
+    committed = {"runs": _parallel_runs({"small", "medium", "large"}, drop_p4=True)}
+    assert harness.check(bench, runs, committed, 0.25) == 0
+    out = capsys.readouterr().out
+    assert "nocomm/large/process-shm/P16" in out and "process/P4" not in out

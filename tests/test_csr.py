@@ -12,12 +12,15 @@ label-level implementations are retained in :mod:`repro.core.chordal` as
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.chordal import (
+    chordal_subgraph_edge_indices,
     chordal_subgraph_edges,
     is_chordal,
     is_perfect_elimination_ordering,
@@ -129,6 +132,91 @@ class TestRoundTrip:
         assert csr.n_vertices == 0
         assert csr.n_edges == 0
         assert csr.to_graph() == Graph()
+
+
+class TestBuffers:
+    """``from_buffers``: the zero-copy rebuild every pickled CSR goes through."""
+
+    def test_from_buffers_is_zero_copy_and_equal(self):
+        g = Graph(edges=[("a", "b"), ("b", "c"), ("c", "d"), ("a", "c")])
+        csr = CSRGraph.from_graph(g)
+        rebuilt = CSRGraph.from_buffers(csr.indptr, csr.indices)
+        assert np.shares_memory(rebuilt.indptr, csr.indptr)
+        assert np.shares_memory(rebuilt.indices, csr.indices)
+        assert np.array_equal(rebuilt.indptr, csr.indptr)
+        assert np.array_equal(rebuilt.indices, csr.indices)
+        assert rebuilt.labels == tuple(range(csr.n_vertices))
+        assert not rebuilt.indptr.flags.writeable
+
+    def test_from_buffers_explicit_labels(self):
+        g = Graph(edges=[("x", "y")])
+        csr = CSRGraph.from_graph(g)
+        rebuilt = CSRGraph.from_buffers(csr.indptr, csr.indices, labels=csr.labels)
+        assert rebuilt == csr
+
+    def test_from_buffers_rejects_inconsistent_buffers(self):
+        with pytest.raises(ValueError):
+            CSRGraph.from_buffers(
+                np.asarray([1, 2], dtype=np.int64), np.empty(0, dtype=np.int64)
+            )
+        with pytest.raises(ValueError):
+            CSRGraph.from_buffers(
+                np.asarray([0, 3], dtype=np.int64), np.zeros(1, dtype=np.int64)
+            )
+        with pytest.raises(ValueError):
+            CSRGraph.from_buffers(
+                np.asarray([0, 1, 1], dtype=np.int64),
+                np.zeros(1, dtype=np.int64),
+                labels=("only-one-label",),
+            )
+
+    def test_empty_graph_round_trip(self):
+        csr = CSRGraph.from_graph(Graph())
+        rebuilt = CSRGraph.from_buffers(csr.indptr, csr.indices)
+        assert rebuilt.n_vertices == 0
+        assert rebuilt.n_edges == 0
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            Graph(edges=[("a", "b"), ("b", "c"), ("c", "a"), (0, "a"), (1, 2)]),
+            Graph(vertices=["lonely", 7]),
+            Graph(),
+        ],
+        ids=["mixed-labels", "no-edges", "empty"],
+    )
+    def test_pickle_round_trip(self, graph):
+        # Process-backend payloads carry CSR graphs pickled: __reduce__
+        # rebuilds them through from_buffers.
+        csr = CSRGraph.from_graph(graph)
+        back = pickle.loads(pickle.dumps(csr))
+        assert back == csr
+        assert back.labels == csr.labels
+        assert np.array_equal(back.indptr, csr.indptr)
+        assert np.array_equal(back.indices, csr.indices)
+        assert back.indptr.dtype == back.indices.dtype == np.int64
+
+    def test_corpus_pickle_round_trip(self, corpus_graph):
+        csr = CSRGraph.from_graph(corpus_graph)
+        back = pickle.loads(pickle.dumps(csr))
+        assert back == csr and back.labels == csr.labels
+        assert back.to_graph() == corpus_graph
+
+    def test_corpus_from_buffers_shares_memory(self, corpus_graph):
+        csr = CSRGraph.from_graph(corpus_graph)
+        rebuilt = CSRGraph.from_buffers(csr.indptr, csr.indices, csr.labels)
+        assert rebuilt == csr
+        assert np.shares_memory(rebuilt.indices, csr.indices) or csr.indices.size == 0
+
+    def test_corpus_pickled_rank_subgraph_runs_the_same_kernel(self, corpus_graph):
+        # A nocomm rank receives the pickled induced subgraph of its part:
+        # the kernel must accept exactly the edges it accepts in the parent.
+        csr = CSRGraph.from_graph(corpus_graph)
+        part = np.arange(0, csr.n_vertices, 2, dtype=np.int64)
+        sub = csr.induced_subgraph(part)
+        back = pickle.loads(pickle.dumps(sub))
+        assert back == sub
+        assert chordal_subgraph_edge_indices(back) == chordal_subgraph_edge_indices(sub)
 
 
 def _all_orders(g: Graph) -> list:

@@ -121,6 +121,24 @@ class TestGeneration:
         custom = tiny_study.network(threshold=CorrelationThreshold(min_abs_rho=0.99))
         assert custom.n_edges <= tiny_study.network().n_edges
 
+    @pytest.mark.parametrize("min_abs_rho", [None, 0.9, 0.99])
+    def test_one_correlation_pass_per_threshold(self, tiny_study_config, monkeypatch, min_abs_rho):
+        from repro.expression import CorrelationThreshold, datasets
+
+        calls = []
+        real = datasets.correlated_pair_arrays
+        monkeypatch.setattr(
+            datasets,
+            "correlated_pair_arrays",
+            lambda *a, **k: calls.append(k["threshold"]) or real(*a, **k),
+        )
+        study = generate_study(tiny_study_config, seed=11)
+        threshold = None if min_abs_rho is None else CorrelationThreshold(min_abs_rho=min_abs_rho)
+        net = study.network(threshold=threshold)
+        csr = study.network_csr(threshold=threshold)
+        assert study.network(threshold=threshold).n_edges == net.n_edges == csr.n_edges
+        assert calls == [threshold or CorrelationThreshold()]
+
 
 def study_digest(study) -> str:
     """sha256 over the matrix bytes and shape, gene order, modules, clumps and edge hints."""

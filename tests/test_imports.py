@@ -91,11 +91,35 @@ def test_worker_entry_module_loads_no_scipy_and_no_analysis_stack():
 )
 def test_process_transport_loads_no_arena_and_no_numpy(module):
     # Rank payloads travel pickled: the runner, the worker hub and the
-    # communicators never touch the arena, so a worker's bring-up imports no
-    # numpy (the package re-exports the arena names lazily).
+    # communicators never touch the arena module, so a worker's bring-up
+    # imports no numpy.
     loaded = loaded_after(f"import {module}")
     for name in ("repro.parallel.shm", "multiprocessing.shared_memory", "numpy"):
         assert within(name, loaded) == [], name
+
+
+def test_arena_module_keeps_only_the_leak_counter():
+    from repro.parallel import shm
+
+    assert shm.__all__ == ["open_segment_count"]
+    assert shm.open_segment_count() == 0
+
+
+def test_parallel_package_exports_exactly_the_runtime():
+    import repro.parallel
+
+    assert sorted(repro.parallel.__all__) == sorted(
+        [
+            "SimComm", "SimCommWorld", "CommStats", "ANY_SOURCE", "ANY_TAG",
+            "run_spmd", "parallel_map", "available_backends", "shutdown_worker_pool",
+            "worker_pool_size", "DeadRankError", "SupervisionPolicy", "configure_supervision",
+            "supervision_policy", "supervision_counters", "reset_supervision_counters",
+            "pop_supervision_events", "RankResult", "SpmdReport", "CostModel", "RankWork",
+            "speedup", "efficiency", "rank_rngs", "rank_rng", "derive_seed",
+        ]
+    )
+    for name in repro.parallel.__all__:
+        assert getattr(repro.parallel, name) is not None, name
 
 
 def test_analyze_command_loads_no_scipy():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.parallel import (
@@ -83,11 +85,38 @@ class TestWorldAndErrors:
 
     def test_stats_merge(self):
         a = CommStats(messages_sent=1, items_sent=3)
-        b = CommStats(messages_sent=2, barriers=1)
+        b = CommStats(messages_sent=2, bytes_received=5)
         merged = a.merge(b)
         assert merged.messages_sent == 3
         assert merged.items_sent == 3
-        assert merged.barriers == 1
+        assert merged.bytes_received == 5
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(CommStats)])
+    def test_merge_sums_every_counter(self, field):
+        a, b = CommStats(**{field: 2}), CommStats(**{field: 5})
+        assert a.merge(b).as_dict() == {**CommStats().as_dict(), field: 7}
+
+    def test_as_dict_is_exactly_the_counters(self):
+        # Serve ``stats["comm"]`` publishes this dict; every key is a live counter.
+        assert list(CommStats().as_dict()) == [f.name for f in dataclasses.fields(CommStats)]
+        assert set(CommStats().as_dict()) == {
+            "messages_sent", "messages_received", "items_sent", "items_received",
+            "bytes_sent", "bytes_received",
+        }
+
+    def test_threaded_round_counts_messages_and_items(self):
+        def rank_fn(comm):
+            if comm.rank == 0:
+                comm.send([1, 2, 3], dest=1)
+            else:
+                comm.recv(source=0)
+            return comm.rank
+
+        stats = run_spmd(rank_fn, 2, backend="thread").total_stats()
+        assert (stats.messages_sent, stats.messages_received) == (1, 1)
+        assert (stats.items_sent, stats.items_received) == (3, 3)
+        # The in-process transport never frames a message.
+        assert stats.bytes_sent == stats.bytes_received == 0
 
 
 class TestRunner:

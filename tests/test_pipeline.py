@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
 
 import pytest
 
 from repro.clustering import MCODEParams
+from repro.clustering.evaluation import EvaluationThresholds
 from repro.core import is_chordal
+from repro.incremental import replay_reference
+from repro.ontology.generator import make_study_ontology
 from repro.pipeline import analyze_filter, cluster_network, format_table, prepare_dataset
 from repro.pipeline.report import format_kv, format_series
+from repro.pipeline.workflow import derive_dataset, prepare_primary
 
 
 class TestPrepareDataset:
@@ -30,6 +35,49 @@ class TestPrepareDataset:
     def test_custom_mcode_params(self):
         bundle = prepare_dataset("YNG", scale=0.02, seed=5, mcode_params=MCODEParams(min_score=2.0))
         assert bundle.mcode_params.min_score == 2.0
+
+
+@pytest.fixture(scope="module", params=["YNG", "MID", "UNT", "CRE"])
+def tiny_bundle(request):
+    return prepare_dataset(request.param, scale=0.02)
+
+
+class TestPaperDefaults:
+    """``prepare_dataset`` takes no threshold or ontology-shape knob: it builds
+    every dataset at the paper's cut-off, ontology shape and thresholds."""
+
+    def test_bundle_uses_the_paper_defaults(self, tiny_bundle):
+        study = tiny_bundle.study
+        assert tiny_bundle.thresholds == EvaluationThresholds()
+        assert tiny_bundle.network is study.network()
+        assert tiny_bundle.network_csr is study.network_csr()
+        dag, fresh = tiny_bundle.scorer.dag, make_study_ontology(study)[0]
+        assert (len(dag), dag.max_depth()) == (len(fresh), fresh.max_depth())
+
+    def test_prepare_is_primary_then_derive(self, tiny_bundle):
+        study, dag, annotations = prepare_primary(tiny_bundle.name, scale=0.02)
+        derived = derive_dataset(study, dag, annotations, scale=0.02)
+        assert sorted(map(str, derived.network.iter_edges())) == sorted(
+            map(str, tiny_bundle.network.iter_edges())
+        )
+        assert [sorted(map(str, c.members)) for c in derived.original_clusters] == [
+            sorted(map(str, c.members)) for c in tiny_bundle.original_clusters
+        ]
+        assert len(dag) == len(tiny_bundle.scorer.dag)
+
+    @pytest.mark.parametrize(
+        "call, parameters",
+        [
+            ("prepare_dataset", ["name", "scale", "seed", "mcode_params"]),
+            ("prepare_primary", ["name", "scale", "seed"]),
+            ("derive_dataset", ["study", "dag", "annotations", "scale", "mcode_params"]),
+            ("replay_reference", ["name", "scale", "seed", "specs"]),
+        ],
+    )
+    def test_signature_has_no_threshold_or_shape_knob(self, call, parameters):
+        # A threshold the incremental paths could not carry is refused up
+        # front instead of being dropped after the first update.
+        assert list(inspect.signature(globals()[call]).parameters) == parameters
 
 
 class TestAnalyzeFilter:

@@ -240,9 +240,10 @@ class TestServedRoundTrips:
         }
         assert set(stats["enrichment"]) == {"batches", "coalesced_requests", "scored_clusters"}
         assert set(stats["supervision"]) == {"retries", "degrades"}
-        assert {"messages_sent", "messages_received", "bytes_sent", "bytes_received"} <= set(
-            stats["comm"]
-        )
+        assert set(stats["comm"]) == {
+            "messages_sent", "messages_received", "items_sent", "items_received",
+            "bytes_sent", "bytes_received",
+        }
         assert any(d["dataset"] == "CRE" for d in stats["datasets"])
         assert all(d["health"] == "healthy" for d in stats["datasets"])
 
