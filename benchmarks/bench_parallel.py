@@ -11,7 +11,7 @@ filter latency of the index-native pipeline, this harness isolates the
 * ``serial``      — in-process loop (the deterministic reference),
 * ``thread``      — one GIL-bound thread per rank,
 * ``process``     — resident worker processes, rank payloads pickled over
-  the socket hub's TCP wire (``process-sock`` is an alias, not timed apart),
+  the hub's socket-pair wire (``process-sock`` is an alias, not timed apart),
 * ``process-shm`` — an alias of ``process`` since the shared-memory payload
   path was folded into it; its rows (and the headline and gate built on
   them) now time the ``process`` path again, kept so the committed

@@ -11,7 +11,7 @@ A small CLI so the pipeline can be driven without writing Python:
 ``python -m repro figure``
     regenerate one of the paper's figures and print its rows/series;
 ``python -m repro batch``
-    run a sweep of figure experiments (dedup, disk cache, process fan-out);
+    run a sweep of figure experiments (dedup, disk cache, in-process);
 ``python -m repro datasets``
     list the built-in synthetic datasets and their scaled sizes;
 ``python -m repro serve``
@@ -90,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="execution backend for the parallel chordal filters "
         "(default: each filter's own — serial for the no-communication "
         "sampler, threaded SPMD for the with-communication one); "
-        "'process' runs ranks on resident worker processes over TCP "
+        "'process' runs ranks on resident worker processes over local sockets "
         "('process-sock' and 'process-shm' are aliases of it)",
     )
     filt.add_argument("--seed", type=int, default=0, help="seed for the random-walk filter")
@@ -182,22 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="seed of the synthesised mutation payload (params key: seed)",
     )
 
-    spmd_worker = sub.add_parser(
-        "spmd-worker",
-        help="join a process-backend worker hub as one external worker "
-        "(external mode); hub and worker must share the same "
-        "REPRO_SOCK_AUTHKEY",
-    )
-    spmd_worker.add_argument("--host", default=None, help="hub host (default REPRO_SOCK_HOST or 127.0.0.1)")
-    spmd_worker.add_argument("--port", type=int, default=None, help="hub port (default REPRO_SOCK_PORT)")
-    spmd_worker.add_argument(
-        "--connect-timeout",
-        type=float,
-        default=None,
-        help="seconds to keep retrying the hub connection "
-        "(default REPRO_SOCK_CONNECT_TIMEOUT or 30)",
-    )
-
     figure = sub.add_parser("figure", help="regenerate one of the paper's figures")
     figure.add_argument(
         "name",
@@ -209,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     batch = sub.add_parser(
         "batch",
-        help="run a batch of figure experiments (dedup, disk cache, process fan-out)",
+        help="run a batch of figure experiments (dedup, disk cache, in-process)",
     )
     batch.add_argument(
         "--figures",
@@ -235,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="comma-separated seeds, applied to drivers that take one",
     )
-    batch.add_argument("--jobs", type=int, default=1, help="worker processes (1 = in-process)")
     batch.add_argument(
         "--cache-dir",
         default=".repro-batch-cache",
@@ -481,8 +464,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     if not figures or figures == ["all"]:
         figures = driver_names()
     try:
-        if args.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {args.jobs}")
         scales = [parse_scale(s) for s in _split(args.scales)] or [default_scale()]
         seeds = [int(s) for s in _split(args.seeds)] or [None]
         orderings = _split(args.orderings) or [None]
@@ -512,7 +493,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     results = run_batch(
         specs,
         cache_dir=None if args.no_cache else args.cache_dir,
-        jobs=args.jobs,
         force=args.force,
         root_seed=args.root_seed,
     )
@@ -523,21 +503,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     if not args.no_cache:
         print(f"results cached under {args.cache_dir}")
     return 1 if failed else 0
-
-
-def _cmd_spmd_worker(args: argparse.Namespace) -> int:
-    import os
-
-    from .parallel.sock import worker_main  # deferred: workers are opt-in
-
-    host = args.host or os.environ.get("REPRO_SOCK_HOST", "127.0.0.1")
-    port = args.port if args.port is not None else os.environ.get("REPRO_SOCK_PORT")
-    if port is None:
-        print("repro spmd-worker: --port (or REPRO_SOCK_PORT) is required", file=sys.stderr)
-        return 2
-    print(f"repro spmd-worker: joining hub {host}:{int(port)}", flush=True)
-    worker_main(host, int(port), args.connect_timeout)
-    return 0
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
@@ -591,7 +556,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "batch": _cmd_batch,
         "serve": _cmd_serve,
         "request": _cmd_request,
-        "spmd-worker": _cmd_spmd_worker,
     }
     return handlers[args.command](args)
 

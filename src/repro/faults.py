@@ -17,14 +17,14 @@ workload proceeds cleanly (which is what lets the chaos tier pin that the
 Sites (see ``docs/ARCHITECTURE.md`` for the full table):
 
 ==================== =========================================================
-``pool.spawn``       worker-hub creation and each local worker spawn (growth)
+``pool.spawn``       worker-hub creation and each worker spawn (growth)
 ``pool.dispatch``    each process-backend map scatter (supports ``kill_task``)
 ``spmd.ranks``       each SPMD process-backend round (supports ``kill_rank``)
 ``comm.send``        each communicator send
 ``comm.recv``        each communicator receive (supports ``hook`` delays)
-``comm.connect``     each worker's hub connect
-``sock.send``        each TCP frame written (hub routing and worker sends)
-``sock.recv``        each TCP frame read off a socket
+``comm.connect``     each worker starting on its hub connection
+``sock.send``        each frame written (hub routing and worker sends)
+``sock.recv``        each frame read off a socket
 ``serve.admit``      each work-request admission on the daemon
 ``serve.execute``    each cache-miss execution on an admission worker
 ``serve.worker``     each ticket pickup by an admission worker thread

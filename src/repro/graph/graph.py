@@ -123,11 +123,6 @@ class Graph:
             self._adj[v] = {}
             self._version += 1
 
-    def add_vertices(self, vs: Iterable[Vertex]) -> None:
-        """Add every vertex in ``vs``."""
-        for v in vs:
-            self.add_vertex(v)
-
     def add_edge(self, u: Vertex, v: Vertex, **attrs: Any) -> None:
         """Add the undirected edge ``{u, v}``; endpoints are created if needed.
 

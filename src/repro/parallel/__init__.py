@@ -3,9 +3,9 @@
 The paper's algorithms were written for a distributed-memory MPI machine.
 This package substitutes an offline equivalent: the algorithms exchange the
 same messages over :class:`SimComm` (threads) or resident worker processes
-over TCP (:mod:`repro.parallel.sock`), rank work is measured exactly, and
-:class:`CostModel` converts that work into simulated wall-clock times for
-the scalability study.
+on local socket pairs (:mod:`repro.parallel.sock`), rank work is measured
+exactly, and :class:`CostModel` converts that work into simulated
+wall-clock times for the scalability study.
 """
 
 from .._lazy import lazy_exports

@@ -12,7 +12,7 @@ chordal samplers use:
     mailboxes (``queue.Queue``) — zero start-up cost, GIL-bound compute;
 :class:`~repro.parallel.sock.SockComm`
     the same endpoint API inside a resident worker process, messages routed
-    as TCP frames through the socket hub, so communicating rank functions
+    as socket frames through the hub, so communicating rank functions
     execute on real cores.  Built by every ``process*`` backend of
     :func:`repro.parallel.runner.run_spmd`.
 

@@ -17,13 +17,11 @@ source of truth shared with :func:`parallel_map`):
 ``process``
     one resident worker process per rank with a
     :class:`~repro.parallel.sock.SockComm` endpoint, served by the
-    HMAC-authenticated socket hub in :mod:`repro.parallel.sock` — messages
-    travel as length-prefixed pickle frames over TCP through the hub, so
-    communicating rank functions execute on real cores.  The workers stay
-    alive between calls, so only the first call pays interpreter bring-up.
-    By default the hub spawns its workers locally; with the ``REPRO_SOCK_*``
-    rendezvous knobs they can be external ``repro spmd-worker`` processes on
-    other hosts.  Rank payloads and results are pickled;
+    socket hub in :mod:`repro.parallel.sock` — the hub spawns each worker
+    on a local socket pair, and messages travel as length-prefixed pickle
+    frames through the hub, so communicating rank functions execute on real
+    cores.  The workers stay alive between calls, so only the first call
+    pays interpreter bring-up.  Rank payloads and results are pickled;
 ``process-sock``, ``process-shm``
     aliases of ``process``, kept for existing callers.  They run the same
     code path; reports keep the name the caller asked for.
@@ -33,7 +31,7 @@ work items (no communicator); its process backends scatter the items over
 the same resident workers.  The hub is brought up at the first caller's
 actual need and grown when a larger request arrives — warm interpreters are
 never discarded — torn down by :func:`shutdown_worker_pool` (the batch
-engine calls it at the end of every batch / worker group) and cleaned up at
+engine calls it at the end of every batch) and cleaned up at
 interpreter exit.
 
 Failure supervision
@@ -51,7 +49,7 @@ which always propagate untouched:
   never degrade the backend: a payload that kills its worker would take the
   host process down with it on the thread/serial backends.
 * **degradable** — the backend's substrate could not be brought up at all
-  (hub bind, worker spawn or rendezvous failure).  After retries are
+  (hub creation, worker spawn or a missing hello).  After retries are
   exhausted the supervisor steps down the degradation ladder ``process →
   thread → serial`` (both aliases sit on the ``process`` rung; SPMD stops
   at ``thread``, whose serial backend cannot service blocking receives) and
@@ -248,8 +246,8 @@ def _record_event(event: dict[str, Any]) -> None:
 class _DegradableFailure(Exception):
     """Internal wrapper marking an infrastructure failure as ladder-eligible.
 
-    Raised only around substrate bring-up (hub bind, worker spawn,
-    rendezvous), never around user code — so a user function that happens
+    Raised only around substrate bring-up (hub creation, worker spawn,
+    hello), never around user code — so a user function that happens
     to raise ``OSError`` propagates normally instead of being degraded to
     serial.
     """
@@ -259,7 +257,7 @@ class _DegradableFailure(Exception):
         self.original = original
 
 
-#: Exceptions that mark substrate bring-up (bind, spawn, rendezvous) as failed.
+#: Exceptions that mark substrate bring-up (spawn, hello) as failed.
 _DEGRADABLE_EXC = OSError
 
 #: The step-down order for degradable failures, most substrate first.
@@ -396,14 +394,14 @@ def available_backends() -> list[str]:
 def _on_hub(run: Callable[[Any], Any]) -> Any:
     """Call ``run(hub)`` on the resident worker hub.
 
-    Bring-up failures (bind, spawn, rendezvous) are degradable; worker
+    Bring-up failures (spawn, hello) are degradable; worker
     deaths and user errors propagate as they are.
     """
     from .sock import get_sock_pool  # lazy: only process-backend users pay the import
 
     try:
         return run(get_sock_pool())
-    except _DEGRADABLE_EXC as exc:  # worker spawn, rendezvous or a lost connection
+    except _DEGRADABLE_EXC as exc:  # worker spawn, missing hello or a lost connection
         raise _DegradableFailure(exc) from exc
 
 

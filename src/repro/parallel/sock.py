@@ -1,78 +1,46 @@
 """Resident socket workers — the one transport of every ``process*`` backend.
 
 The paper's experiments ran on a distributed-memory cluster.  This module
-is the runtime's process substrate: the
+is the runtime's local stand-in for it: the
 :class:`~repro.parallel.comm._MessagingComm` matching machinery
 (:class:`SockComm` is a sibling of ``SimComm``) over length-prefixed pickle
-frames on TCP sockets, in a hub-and-spokes topology:
+frames on local socket pairs, in a hub-and-spokes topology:
 
-* the parent process runs a :class:`SockWorkerPool` **hub**: it binds a
-  listening socket, accepts worker connections, and *routes* every rank-to-
-  rank message through itself — workers never talk to each other directly,
-  so a worker needs exactly one connection no matter the world size, and
-  the rendezvous is a single ``(host, port)`` pair;
-* each **worker** (:func:`worker_main`) is a resident rank executor: it
-  connects, announces itself, and then serves SPMD rounds and map tasks
+* the parent process runs a :class:`SockWorkerPool` **hub**: it spawns each
+  worker with one end of a fresh :func:`socket.socketpair` and *routes*
+  every rank-to-rank message through itself — workers never talk to each
+  other directly, so a worker needs exactly one connection no matter the
+  world size;
+* each **worker** (:class:`_Worker`) is a resident rank executor: it
+  announces itself with a hello, then serves SPMD rounds and map tasks
   until told to shut down, so only the first call in a process pays
-  interpreter bring-up.  Workers are either spawned locally by the hub (the
-  default) or launched out-of-process via ``repro spmd-worker --host H
-  --port P`` on any machine that can reach the hub.
+  interpreter bring-up.
 
 :func:`repro.parallel.runner.run_spmd` and
 :func:`~repro.parallel.runner.parallel_map` run ``process`` and its aliases
 ``process-sock`` and ``process-shm`` on the one hub returned by
-:func:`get_sock_pool`; rank payloads and results travel pickled.  Both ends
-of every connection set ``TCP_NODELAY``: the protocol writes small frames
-back to back (a message, then a result), which Nagle's algorithm would
-otherwise hold for the peer's delayed ACK.
-
-Rendezvous knobs (all read from the environment so spawned workers and CI
-scripts share one configuration surface):
-
-``REPRO_SOCK_HOST`` / ``REPRO_SOCK_PORT``
-    where the hub binds (default ``127.0.0.1`` / an ephemeral port).  Fix
-    the port to let externally launched workers find the hub.
-``REPRO_SOCK_SPAWN``
-    ``0`` disables local worker spawning: the pool waits for external
-    workers to connect instead (the distributed deployment mode, and what
-    the CI loopback smoke test exercises).
-``REPRO_SOCK_ACCEPT_TIMEOUT`` / ``REPRO_SOCK_CONNECT_TIMEOUT``
-    how long the hub waits for enough workers / a worker retries the
-    connect (seconds, default 30).  Workers may start before the hub —
-    the connect loop retries until the deadline.
-``REPRO_SOCK_AUTHKEY``
-    the shared secret for the connection handshake (see below).  Required
-    on *both* hub and workers in the external-worker deployment; locally
-    spawned workers inherit the parent's ``multiprocessing`` authkey and
-    need no configuration.
+:func:`get_sock_pool`; rank payloads and results travel pickled.
 
 Trust model: frames are pickled, and unpickling attacker bytes is arbitrary
-code execution, so the hub never reads a frame from an unauthenticated
-peer.  Every accepted connection starts with an HMAC-SHA256 challenge/
-response (the :mod:`multiprocessing.connection` scheme): the hub sends a
-random nonce, the worker answers with ``HMAC(key, nonce)``, and a wrong or
-missing digest closes the connection before the first pickle ever crosses
-it.  The key is ``REPRO_SOCK_AUTHKEY`` when set, else the process's
-``multiprocessing`` authkey — which locally spawned workers inherit, so the
-default single-host mode is authenticated out of the box, while two
-unrelated processes (or hosts) only talk once both export the same
-``REPRO_SOCK_AUTHKEY``.  The handshake authenticates; it does not encrypt —
-run cross-host traffic over a trusted network or a tunnel.
+code execution.  The hub never listens: every connection is an unnamed
+socket pair that the parent creates and hands to the child it spawns, so no
+other process can reach the pickle stream, and no handshake is needed.
 
 Failure taxonomy: a worker that dies mid-round surfaces as
 :class:`~repro.parallel.runner.DeadRankError` (retryable — the round is a
 deterministic unit), mid-map as
-:class:`~repro.parallel.runner.WorkerPoolError`; connect/bring-up failures
-raise ``OSError`` and are degradable down the backend ladder.  Fault sites:
-``pool.spawn`` (hub creation and every local worker spawn), ``pool.dispatch``
-(each map scatter, supports ``kill_task``), ``comm.connect`` (worker-side
-connect), ``sock.send`` / ``sock.recv`` (every frame crossing a socket).
+:class:`~repro.parallel.runner.WorkerPoolError`; bring-up failures (a new
+worker that closes its connection before its hello, or sends none within
+:data:`HELLO_TIMEOUT`) raise ``OSError`` and are degradable down the
+backend ladder.  Fault sites: ``pool.spawn`` (hub creation and every worker
+spawn), ``pool.dispatch`` (each map scatter, supports ``kill_task``),
+``comm.connect`` (a worker starting on its connection), ``sock.send`` /
+``sock.recv`` (every frame crossing a socket).
 """
 
 from __future__ import annotations
 
 import atexit
-import hmac
 import multiprocessing
 import os
 import pickle
@@ -94,7 +62,6 @@ __all__ = [
     "get_sock_pool",
     "shutdown_sock_pool",
     "sock_pool_size",
-    "worker_main",
 ]
 
 #: Frame header: 8-byte big-endian payload length.
@@ -108,14 +75,15 @@ _LEN = struct.Struct(">Q")
 SOCK_DRAIN_TIMEOUT = 10.0
 
 
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name)
-    if raw:
-        try:
-            return float(raw)
-        except ValueError:
-            pass
-    return default
+#: How long a newly spawned worker has to send its hello before bring-up
+#: fails with ``OSError``.
+HELLO_TIMEOUT = 30.0
+
+#: Send and receive buffer of both ends of every socket pair.  The kernel
+#: default (about 212 kB) splits a paper-scale rank payload (about 700 kB)
+#: into several wakeups; with 1 MiB a framed 700 kB echo across a spawned
+#: process measured 0.84 ms instead of 1.88 ms on a 2-core VM.
+_SOCK_BUF = 1 << 20
 
 
 # ----------------------------------------------------------------------
@@ -164,77 +132,6 @@ def _close_quietly(sock_obj: socket.socket) -> None:
         sock_obj.close()
     except OSError:  # pragma: no cover - defensive
         pass
-
-
-# ----------------------------------------------------------------------
-# authentication handshake
-# ----------------------------------------------------------------------
-# HMAC-SHA256 challenge/response before the first pickle frame, using the
-# multiprocessing.connection scheme.  The handshake speaks raw length-
-# prefixed *bytes* — never pickle — because its whole point is to refuse
-# to unpickle anything from an unauthenticated peer.
-_CHALLENGE = b"#REPRO_CHALLENGE#"
-_WELCOME = b"#REPRO_WELCOME#"
-_FAILURE = b"#REPRO_FAILURE#"
-_NONCE_LEN = 32
-_HANDSHAKE_MAX = 1 << 12  # handshake frames are tiny; cap before reading
-_HANDSHAKE_TIMEOUT = 10.0
-
-
-def _authkey() -> bytes:
-    """The handshake secret: ``REPRO_SOCK_AUTHKEY``, else the process authkey.
-
-    Locally spawned workers inherit the parent's ``multiprocessing`` authkey,
-    so the default matches hub-side automatically; external workers must set
-    ``REPRO_SOCK_AUTHKEY`` on both sides.
-    """
-    raw = os.environ.get("REPRO_SOCK_AUTHKEY")
-    if raw:
-        return raw.encode("utf-8")
-    return bytes(multiprocessing.current_process().authkey)
-
-
-def _send_raw(sock_obj: socket.socket, blob: bytes) -> None:
-    sock_obj.sendall(_LEN.pack(len(blob)) + blob)
-
-
-def _recv_raw(sock_obj: socket.socket) -> bytes:
-    (length,) = _LEN.unpack(_recv_exact(sock_obj, _LEN.size))
-    if length > _HANDSHAKE_MAX:
-        raise ConnectionError("oversized handshake frame")
-    return _recv_exact(sock_obj, length)
-
-
-def _deliver_challenge(sock_obj: socket.socket) -> bool:
-    """Hub side: challenge a fresh connection; ``True`` iff it proves the key."""
-    try:
-        sock_obj.settimeout(_HANDSHAKE_TIMEOUT)
-        nonce = os.urandom(_NONCE_LEN)
-        _send_raw(sock_obj, _CHALLENGE + nonce)
-        digest = _recv_raw(sock_obj)
-        expected = hmac.new(_authkey(), nonce, "sha256").digest()
-        if not hmac.compare_digest(digest, expected):
-            _send_raw(sock_obj, _FAILURE)
-            return False
-        _send_raw(sock_obj, _WELCOME)
-        sock_obj.settimeout(None)
-        return True
-    except (OSError, ConnectionError, struct.error):
-        return False
-
-
-def _answer_challenge(sock_obj: socket.socket) -> None:
-    """Worker side: answer the hub's challenge or raise ``ConnectionError``."""
-    blob = _recv_raw(sock_obj)
-    if not blob.startswith(_CHALLENGE):
-        raise ConnectionError("hub did not open with an auth challenge")
-    _send_raw(sock_obj, hmac.new(_authkey(), blob[len(_CHALLENGE):], "sha256").digest())
-    if _recv_raw(sock_obj) != _WELCOME:
-        raise ConnectionError(
-            "hub rejected this worker's auth digest — hub and workers must share "
-            "one key (export the same REPRO_SOCK_AUTHKEY on both sides for "
-            "externally launched workers)"
-        )
 
 
 # ----------------------------------------------------------------------
@@ -331,29 +228,9 @@ class _Worker:
     out its receive timeout.
     """
 
-    def __init__(self, host: str, port: int, connect_timeout: Optional[float] = None) -> None:
-        timeout = (
-            _env_float("REPRO_SOCK_CONNECT_TIMEOUT", 30.0)
-            if connect_timeout is None
-            else connect_timeout
-        )
-        fault_point("comm.connect", host=host, port=port)
-        deadline = time.monotonic() + timeout
-        while True:
-            try:
-                self._sock = socket.create_connection((host, port), timeout=timeout)
-                self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                break
-            except OSError:
-                # The hub may not be up yet (workers and hub race at launch);
-                # retry until the rendezvous deadline.
-                if time.monotonic() >= deadline:
-                    raise
-                time.sleep(0.1)
-        # Prove knowledge of the shared key before the hub will read (or
-        # send) any pickle frame; the connect timeout still governs this.
-        _answer_challenge(self._sock)
-        self._sock.settimeout(None)
+    def __init__(self, sock_obj: socket.socket) -> None:
+        fault_point("comm.connect")
+        self._sock = sock_obj
         self._send_lock = threading.Lock()
         self._ctl: "queue.SimpleQueue[tuple]" = queue.SimpleQueue()
         self._rounds: dict[int, queue.Queue] = {}
@@ -400,7 +277,7 @@ class _Worker:
     def run(self) -> None:
         try:
             self.send(("hello", os.getpid()))
-        except OSError:  # the hub shut down during the handshake
+        except OSError:  # the hub dropped this worker before its hello
             _close_quietly(self._sock)
             return
         while True:
@@ -444,18 +321,16 @@ class _Worker:
             self.send(("task_result", task_id, "ok", value))
 
 
-def worker_main(host: str, port: int, connect_timeout: Optional[float] = None) -> None:
-    """Run a resident socket worker until the hub shuts it down.
-
-    The body of ``repro spmd-worker`` and of the pool's locally spawned
-    workers: connect to the hub at ``(host, port)`` (retrying until the
-    rendezvous deadline), then serve SPMD rounds and map tasks.
-    """
-    _Worker(host, port, connect_timeout).run()
+def _worker_entry(sock_obj: socket.socket) -> None:  # pragma: no cover - child process
+    _Worker(sock_obj).run()
 
 
-def _local_worker_entry(host: str, port: int) -> None:  # pragma: no cover - child process
-    worker_main(host, port)
+def _socket_pair() -> tuple[socket.socket, socket.socket]:
+    pair = socket.socketpair()
+    for end in pair:
+        end.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, _SOCK_BUF)
+        end.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, _SOCK_BUF)
+    return pair
 
 
 # ----------------------------------------------------------------------
@@ -469,14 +344,14 @@ class _WorkerConn:
     def __init__(self, sock_obj: socket.socket, name: str) -> None:
         self.sock = sock_obj
         self.lock = threading.Lock()
-        self.pid: Optional[int] = None
+        self.pid: Optional[int] = None  # set by the worker's hello
         self.alive = True
-        self.proc: Optional[Any] = None  # local spawn Process, if any
+        self.proc: Optional[Any] = None  # the spawned worker Process
         self.name = name
 
 
 class SockWorkerPool:
-    """The hub: listener, router, and lifecycle owner of socket workers.
+    """The hub: spawner, router, and lifecycle owner of socket workers.
 
     One hub per process (see :func:`get_sock_pool`), shared by every
     ``process*`` backend: workers are brought up lazily at the first
@@ -486,30 +361,10 @@ class SockWorkerPool:
     while the routing itself runs on the per-connection reader threads.
     """
 
-    def __init__(
-        self,
-        host: Optional[str] = None,
-        port: Optional[int] = None,
-        spawn: Optional[bool] = None,
-    ) -> None:
-        self.host = host if host is not None else os.environ.get("REPRO_SOCK_HOST", "127.0.0.1")
-        env_port = os.environ.get("REPRO_SOCK_PORT")
-        self.spawn = (
-            spawn
-            if spawn is not None
-            else os.environ.get("REPRO_SOCK_SPAWN", "1") not in ("0", "false", "no")
-        )
-        bind_port = port if port is not None else (int(env_port) if env_port else 0)
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((self.host, bind_port))
-        self._listener.listen(64)
-        self.port = self._listener.getsockname()[1]
+    def __init__(self) -> None:
         self._mu = threading.Lock()
         self._cv = threading.Condition(self._mu)
-        self._workers: list[_WorkerConn] = []
-        self._unregistered: set[_WorkerConn] = set()  # accepted, no hello yet
-        self._pending_procs: list[Any] = []
+        self._workers: list[_WorkerConn] = []  # every conn spawned and not yet dropped
         self._closed = False
         self._round_seq = 0
         self._task_seq = 0
@@ -518,37 +373,31 @@ class SockWorkerPool:
         self._task_results: dict[int, tuple] = {}
         self._live_tasks: set[int] = set()  # tids whose results anyone still wants
         self._round_mutex = threading.Lock()  # one round / map at a time
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="sock-accept", daemon=True
-        )
-        self._accept_thread.start()
 
     # -- connection management -----------------------------------------
-    def _accept_loop(self) -> None:
-        while True:
-            try:
-                sock_obj, _addr = self._listener.accept()
-            except OSError:
-                return  # listener closed: pool is shutting down
-            sock_obj.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            conn = _WorkerConn(sock_obj, f"sock-worker-{len(self._workers)}")
-            with self._mu:
-                if self._closed:
-                    _close_quietly(sock_obj)
-                    return
-                self._unregistered.add(conn)
-            threading.Thread(
-                target=self._conn_loop, args=(conn,), name=f"{conn.name}-reader", daemon=True
-            ).start()
+    def _spawn_worker(self) -> _WorkerConn:
+        """Start one worker process on a fresh socket pair (under _cv)."""
+        hub_end, worker_end = _socket_pair()
+        conn = _WorkerConn(hub_end, f"sock-worker-{len(self._workers)}")
+        try:
+            conn.proc = multiprocessing.get_context("spawn").Process(
+                target=_worker_entry, args=(worker_end,), daemon=True
+            )
+            conn.proc.start()
+        except BaseException:
+            _close_quietly(hub_end)
+            raise
+        finally:
+            # The child holds its own duplicate now; keeping the parent's copy
+            # open would hide the child's exit from the hub's reader.
+            _close_quietly(worker_end)
+        self._workers.append(conn)
+        threading.Thread(
+            target=self._conn_loop, args=(conn,), name=f"{conn.name}-reader", daemon=True
+        ).start()
+        return conn
 
     def _conn_loop(self, conn: _WorkerConn) -> None:
-        if not _deliver_challenge(conn.sock):
-            # Unauthenticated peer: drop it before reading a single pickle
-            # frame.  It was never registered, so nothing to mark dead.
-            with self._mu:
-                self._unregistered.discard(conn)
-            _close_quietly(conn.sock)
-            return
         try:
             while True:
                 frame, raw = _recv_frame(conn.sock)
@@ -559,26 +408,13 @@ class SockWorkerPool:
     def _mark_conn_dead(self, conn: _WorkerConn) -> None:
         with self._cv:
             conn.alive = False
-            self._unregistered.discard(conn)
             self._cv.notify_all()
 
     def _dispatch(self, conn: _WorkerConn, frame: tuple, raw: bytes) -> None:
         kind = frame[0]
         if kind == "hello":
             with self._cv:
-                self._unregistered.discard(conn)
-                if self._closed:
-                    # The hub shut down while this worker was still in its
-                    # handshake: it was never registered, so shutdown() could
-                    # not tell it to exit — do it here, never register it.
-                    try:
-                        _send_frame(conn.sock, ("shutdown",), conn.lock)
-                    except OSError:
-                        pass
-                    _close_quietly(conn.sock)
-                    return
                 conn.pid = frame[1]
-                self._workers.append(conn)
                 self._cv.notify_all()
         elif kind == "msg":
             _, rid, dest, _src, _tag, _payload = frame
@@ -611,52 +447,41 @@ class SockWorkerPool:
                     self._cv.notify_all()
 
     def _alive_workers(self) -> list[_WorkerConn]:
-        return [w for w in self._workers if w.alive]
+        return [w for w in self._workers if w.alive and w.pid is not None]
 
     def n_workers(self) -> int:
         with self._mu:
             return len(self._alive_workers())
 
     def ensure_workers(self, n: int) -> list[_WorkerConn]:
-        """Bring the pool up to ``n`` live workers (spawn or wait for external).
+        """Bring the pool up to ``n`` live workers, spawning the missing ones.
 
-        Raises ``OSError`` — the degradable bring-up failure — when the
-        rendezvous deadline passes with too few workers connected.
+        Raises ``OSError`` — the degradable bring-up failure — when a new
+        worker closes its connection before its hello, or sends none within
+        :data:`HELLO_TIMEOUT` seconds.
         """
-        deadline = time.monotonic() + _env_float("REPRO_SOCK_ACCEPT_TIMEOUT", 30.0)
         with self._cv:
-            if self.spawn:
-                missing = n - len(self._alive_workers())
-                if missing > 0:
-                    fault_point("pool.spawn", n_workers=n)
-                    ctx = multiprocessing.get_context("spawn")
-                    for _ in range(missing):
-                        proc = ctx.Process(
-                            target=_local_worker_entry,
-                            args=(self.host, self.port),
-                            daemon=True,
-                        )
-                        proc.start()
-                        # Adopted by the matching conn at hello time (below).
-                        self._pending_procs.append(proc)
-            while len(self._alive_workers()) < n:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise OSError(
-                        f"socket worker rendezvous timed out: {len(self._alive_workers())} "
-                        f"of {n} workers connected to {self.host}:{self.port}"
-                    )
-                self._cv.wait(timeout=min(remaining, watchdog_poll()))
-            workers = self._alive_workers()[:n]
-            # Pair locally spawned processes with their connections by pid so
-            # shutdown can reap them.
-            by_pid = {w.pid: w for w in self._workers if w.proc is None}
-            for proc in list(self._pending_procs):
-                w = by_pid.get(proc.pid)
-                if w is not None:
-                    w.proc = proc
-                    self._pending_procs.remove(proc)
-            return workers
+            if self._closed:
+                raise OSError("socket worker pool is shut down")
+            missing = n - len(self._alive_workers())
+            if missing > 0:
+                fault_point("pool.spawn", n_workers=n)
+                new = [self._spawn_worker() for _ in range(missing)]
+                deadline = time.monotonic() + HELLO_TIMEOUT
+                while any(w.alive and w.pid is None for w in new):
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        break
+                    self._cv.wait(timeout=min(remaining, watchdog_poll()))
+            workers = self._alive_workers()
+            if len(workers) < n:
+                self._drop([w for w in self._workers if w not in workers])
+                raise OSError(
+                    f"socket worker bring-up failed: {len(workers)} of {n} workers said "
+                    f"hello (a worker closed its connection first or stayed silent "
+                    f"for {HELLO_TIMEOUT:g} s)"
+                )
+            return workers[:n]
 
     # -- SPMD rounds -----------------------------------------------------
     def run_round(
@@ -734,7 +559,7 @@ class SockWorkerPool:
                     self._cv.wait(timeout=SOCK_DRAIN_TIMEOUT)
                     still = [r for r, c in enumerate(conns) if not c.alive and r not in results]
                     if still:
-                        self._reap_dead()
+                        self._drop([w for w in self._workers if not w.alive])
                         raise dead_rank_error(
                             f"SPMD socket backend: rank(s) {still} died without "
                             f"reporting a result"
@@ -742,14 +567,12 @@ class SockWorkerPool:
                     continue
                 self._cv.wait(timeout=watchdog_poll())
 
-    def _reap_dead(self) -> None:
-        """Drop dead connections and join their local processes (under _cv)."""
-        for w in self._workers:
-            if not w.alive:
-                _close_quietly(w.sock)
-                if w.proc is not None:
-                    w.proc.join(timeout=5.0)
-        self._workers = [w for w in self._workers if w.alive]
+    def _drop(self, conns: list[_WorkerConn]) -> None:
+        """Close ``conns`` and reap their processes (under _cv)."""
+        for w in conns:
+            w.alive = False
+        _close_workers(conns)
+        self._workers = [w for w in self._workers if w not in conns]
 
     # -- map tasks -------------------------------------------------------
     def run_map(self, payloads: Sequence[tuple[Callable[..., Any], tuple[Any, ...]]],
@@ -826,37 +649,32 @@ class SockWorkerPool:
 
     # -- teardown --------------------------------------------------------
     def shutdown(self) -> None:
-        """Tell every worker to exit, reap local processes, close the listener."""
+        """Tell every worker to exit, close every connection, reap the processes."""
         with self._mu:
             if self._closed:
                 return
             self._closed = True
-            workers = list(self._workers)
+            workers = self._workers
             self._workers = []
-            unregistered = list(self._unregistered)
-            self._unregistered.clear()
-        # Accepted connections whose hello has not arrived yet: closing them
-        # ends the worker's handshake (or its read loop) with an EOF.
-        for conn in unregistered:
-            _close_quietly(conn.sock)
         for w in workers:
             if w.alive:
                 try:
                     _send_frame(w.sock, ("shutdown",), w.lock)
                 except OSError:
                     pass
-            _close_quietly(w.sock)
-        for w in workers:
-            if w.proc is not None:
+        _close_workers(workers)
+
+
+def _close_workers(conns: list[_WorkerConn]) -> None:
+    """Close each hub end, then join each worker (terminating a stuck one)."""
+    for w in conns:
+        _close_quietly(w.sock)
+    for w in conns:
+        if w.proc is not None:
+            w.proc.join(timeout=5.0)
+            if w.proc.is_alive():  # pragma: no cover - stuck worker
+                w.proc.terminate()
                 w.proc.join(timeout=5.0)
-                if w.proc.is_alive():  # pragma: no cover - stuck worker
-                    w.proc.terminate()
-                    w.proc.join(timeout=5.0)
-        for proc in list(self._pending_procs):
-            proc.terminate()
-            proc.join(timeout=5.0)
-            self._pending_procs.remove(proc)
-        _close_quietly(self._listener)
 
 
 # ----------------------------------------------------------------------

@@ -8,11 +8,10 @@ such a sweep into a single batched run:
 
 * a :class:`RunSpec` names one run — ``(figure, scale, ordering, seed)`` plus
   optional extra driver parameters — and has a stable content hash;
-* duplicate specs are collapsed, and runs are grouped by scale so every
-  worker process reuses its memoised dataset bundles
-  (:func:`repro.pipeline.experiments.get_bundle`) across the runs it owns;
-* runs fan out over a :class:`concurrent.futures.ProcessPoolExecutor`
-  (``jobs > 1``) or execute in-process (``jobs == 1``);
+* duplicate specs are collapsed, and runs execute in-process grouped by
+  scale, so the memoised dataset bundles
+  (:func:`repro.pipeline.experiments.get_bundle`) are shared by every run
+  of a scale;
 * every run draws its randomness from a per-run stream derived with
   :func:`repro.parallel.rng.derive_seed`, so adding or reordering specs never
   changes another run's result;
@@ -32,7 +31,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Optional, Sequence
 
@@ -177,8 +175,8 @@ class RunSpec:
 
         The round trip is lossy for non-JSON ``params`` values (tuples become
         lists, arbitrary objects their ``repr``) — do NOT route specs that
-        will actually execute through it; workers receive pickled
-        :class:`RunSpec` objects directly (see :func:`_run_group`).
+        will actually execute through it; :func:`run_batch` hands the
+        caller's :class:`RunSpec` objects to the drivers directly.
         """
         return cls(
             figure=data["figure"],
@@ -288,28 +286,15 @@ def run_spec(spec: RunSpec) -> tuple[Any, float]:
     return _jsonify(output), time.perf_counter() - t0
 
 
-def _run_group(specs: list["RunSpec"]) -> list[dict[str, Any]]:
-    """Process-pool task: run one scale-group of specs in a single worker.
-
-    Grouping by scale is the bundle dedup: within the worker the figure
-    drivers share :func:`repro.pipeline.experiments.get_bundle`'s memoised
-    bundles, so a (dataset, scale) pair is generated once per group instead
-    of once per run.  Specs travel as :class:`RunSpec` objects (pickled for
-    process workers), so drivers receive ``params`` values exactly as the
-    caller supplied them — the JSON coercion applies only to results and to
-    the content hash.
-    """
-    try:
-        return _run_group_keep_pool(specs)
-    finally:
-        # Drivers that ran filters with backend="process" share one worker
-        # pool across the whole group (see repro.parallel.runner); release it
-        # when the group is done so batch workers never leak grandchildren.
-        shutdown_worker_pool()
-
-
 def _run_group_keep_pool(specs: list["RunSpec"]) -> list[dict[str, Any]]:
-    """Run one group of specs, leaving the shared filter worker pool alive."""
+    """Run one scale-group of specs, leaving the shared filter worker pool alive.
+
+    Grouping by scale is the bundle dedup: the figure drivers share
+    :func:`repro.pipeline.experiments.get_bundle`'s memoised bundles, so a
+    (dataset, scale) pair is generated once per group instead of once per
+    run.  Drivers receive ``params`` values exactly as the caller supplied
+    them — the JSON coercion applies only to results and to the content hash.
+    """
     out: list[dict[str, Any]] = []
     for spec in specs:
         try:
@@ -389,11 +374,10 @@ def _write_cache(path: str, payload: dict[str, Any]) -> None:
 def run_batch(
     specs: Sequence[RunSpec],
     cache_dir: Optional[str] = None,
-    jobs: int = 1,
     force: bool = False,
     root_seed: int = 0,
 ) -> list[BatchRunResult]:
-    """Run a batch of experiment specs with dedup, caching and fan-out.
+    """Run a batch of experiment specs in-process with dedup and caching.
 
     Parameters
     ----------
@@ -403,10 +387,6 @@ def run_batch(
     cache_dir:
         Directory for per-spec JSON result files.  ``None`` disables the disk
         cache entirely.
-    jobs:
-        Worker processes.  ``1`` (default) runs in-process — deterministic,
-        and dataset bundles are shared with the caller; ``> 1`` fans the
-        scale-groups out over a :class:`ProcessPoolExecutor`.
     force:
         Re-run specs even when a cache entry exists (the entry is rewritten).
     root_seed:
@@ -416,8 +396,6 @@ def run_batch(
     -------
     One :class:`BatchRunResult` per *input* spec, in input order.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
     resolved = [_resolve_seed(spec, root_seed) for spec in specs]
     hashes = [spec.spec_hash() for spec in resolved]
 
@@ -446,23 +424,11 @@ def run_batch(
                 continue
         pending.append((h, spec))
 
-    # Group pending runs by scale so each worker amortises bundle generation
-    # (bundles are memoised per (dataset, scale) inside the worker).  When
-    # there are more workers than scales, the scale-groups are split
-    # round-robin: some bundle work is repeated across chunks, but the sweep
-    # actually uses the requested parallelism.
+    # Group pending runs by scale so each (dataset, scale) bundle is
+    # generated once per batch (bundles are memoised in-process).
     groups: dict[float, list[tuple[str, RunSpec]]] = {}
     for h, spec in pending:
         groups.setdefault(spec.scale, []).append((h, spec))
-    if jobs > len(groups) > 0:
-        n_chunks = max(1, jobs // len(groups))
-        split: list[list[tuple[str, RunSpec]]] = []
-        for group in groups.values():
-            chunks = [group[i::n_chunks] for i in range(min(n_chunks, len(group)))]
-            split.extend(chunk for chunk in chunks if chunk)
-        group_list = split
-    else:
-        group_list = list(groups.values())
 
     def _absorb(group: list[tuple[str, RunSpec]], outputs: list[dict[str, Any]]) -> None:
         by_hash = {h: spec for h, spec in group}
@@ -491,22 +457,13 @@ def run_batch(
                 cache_path=path,
             )
 
-    if jobs == 1:
-        # _run_group shuts the shared filter worker pool down per group; the
-        # in-process path keeps it alive across groups (one pool per batch)
-        # and releases it once at the end instead.
-        try:
-            for group in group_list:
-                _absorb(group, _run_group_keep_pool([spec for _, spec in group]))
-        finally:
-            shutdown_worker_pool()
-    elif group_list:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(group_list))) as pool:
-            futures = [
-                (group, pool.submit(_run_group, [spec for _, spec in group]))
-                for group in group_list
-            ]
-            for group, future in futures:
-                _absorb(group, future.result())
+    # Drivers that run filters with backend="process" share one worker pool
+    # across the whole batch; release it once at the end so a batch never
+    # leaks worker processes.
+    try:
+        for group in groups.values():
+            _absorb(group, _run_group_keep_pool([spec for _, spec in group]))
+    finally:
+        shutdown_worker_pool()
 
     return [results[h] for h in hashes]

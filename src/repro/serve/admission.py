@@ -150,12 +150,6 @@ class AdmissionQueue:
         """Admitted requests not yet picked up by a worker."""
         return self._queue.qsize()
 
-    @property
-    def alive_workers(self) -> int:
-        """Worker threads currently alive."""
-        with self._lock:
-            return sum(1 for t in self._threads if t.is_alive())
-
     def respawn_dead(self) -> int:
         """Replace dead worker threads with fresh ones; returns how many.
 

@@ -143,10 +143,6 @@ class TestEngine:
         out = b._jsonify({"a": np.float64(1.5), "b": (1, 2), 3: {4: np.int32(7)}})
         assert out == {"a": 1.5, "b": [1, 2], "3": {"4": 7}}
 
-    def test_jobs_validation(self):
-        with pytest.raises(ValueError):
-            run_batch([], jobs=0)
-
     def test_real_driver_smoke(self, tmp_path):
         """One real figure at tiny scale exercises the driver-kwarg plumbing."""
         from repro.pipeline import experiments as exp

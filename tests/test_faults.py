@@ -37,7 +37,6 @@ from repro.faults import (
 )
 from repro.parallel.runner import (
     DeadRankError,
-    WorkerPoolError,
     configure_supervision,
     parallel_map,
     pop_supervision_events,

@@ -4,12 +4,12 @@ The resident-worker hub must keep the runtime's semantics: identical
 messaging (send/recv matching by source and tag), identical
 ``parallel_map`` results, and — the acceptance pin — *bit-identical* filter
 outputs across the ordering × partitioner latin square against the serial
-reference.  Also covers the satellite knobs: per-rank :class:`CommStats`
-with real wire-byte counters, the configurable receive-timeout resolution
-order, ``TCP_NODELAY`` on both ends of every connection, external-worker
-mode (``REPRO_SOCK_SPAWN=0``) serving every process backend name, and
-supervised degradation off the ``process-sock`` rung when the hub
-cannot come up.
+reference.  Also covers per-rank :class:`CommStats` with real wire-byte
+counters, the configurable receive-timeout resolution order, the hub's
+socket-pair bring-up (no listening socket; a worker that closes its
+connection before its hello fails bring-up with ``OSError``), and
+supervised degradation off the ``process-sock`` rung when the hub cannot
+come up.
 
 Rank functions live at module level so the spawned worker processes can
 unpickle them by import.
@@ -18,9 +18,10 @@ unpickle them by import.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import pickle
 import socket
-import threading
+import sys
 import time
 
 import numpy as np
@@ -33,20 +34,12 @@ from repro.graph.generators import correlation_like_graph
 from repro.parallel.runner import (
     available_backends,
     parallel_map,
-    pop_supervision_events,
     run_spmd,
 )
+from repro.parallel import sock
 from repro.parallel.sock import (
     SockComm,
     SockWorkerPool,
-    _answer_challenge,
-    _CHALLENGE,
-    _FAILURE,
-    _recv_frame,
-    _recv_raw,
-    _send_frame,
-    _send_raw,
-    _Worker,
     _WorkerConn,
     get_sock_pool,
     shutdown_sock_pool,
@@ -156,76 +149,83 @@ class TestSockMap:
             assert pool._live_tasks == set()
 
 
-class TestAuthHandshake:
-    """The hub must never unpickle bytes from an unauthenticated peer."""
-
-    def test_unauthenticated_peer_is_dropped_before_any_frame(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SOCK_AUTHKEY", "right-key")
-        pool = SockWorkerPool(spawn=False)
+def _listening_socket_inodes():
+    """Inodes of the sockets this process holds in LISTEN state (TCP or unix)."""
+    held = set()
+    for fd in os.listdir("/proc/self/fd"):
         try:
-            with socket.create_connection(("127.0.0.1", pool.port), timeout=10) as s:
-                s.settimeout(10)
-                # The hub speaks first — a challenge, never a frame read.
-                blob = _recv_raw(s)
-                assert blob.startswith(_CHALLENGE)
-                _send_raw(s, b"not-the-right-digest")
-                assert _recv_raw(s) == _FAILURE
-                # The connection is closed without ever being registered.
-                try:
-                    leftover = s.recv(1)
-                except OSError:
-                    leftover = b""
-                assert leftover == b""
+            target = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:  # closed since the listing
+            continue
+        if target.startswith("socket:["):
+            held.add(target[len("socket:["):-1])
+    listening = set()
+    for table in ("tcp", "tcp6"):
+        try:
+            with open(f"/proc/self/net/{table}") as fh:
+                rows = fh.read().splitlines()[1:]
+        except OSError:  # no such address family here
+            continue
+        listening.update(row.split()[9] for row in rows if row.split()[3] == "0A")
+    with open("/proc/self/net/unix") as fh:
+        for row in fh.read().splitlines()[1:]:
+            cols = row.split()
+            if int(cols[3], 16) & 0x10000:  # __SO_ACCEPTCON: a listening socket
+                listening.add(cols[6])
+    return held & listening
+
+
+def _close_before_hello(sock_obj):
+    sock_obj.close()
+
+
+def _silent_worker(sock_obj):
+    time.sleep(2.0)
+
+
+class TestSocketPairBringUp:
+    """The hub reaches its workers only through the socket pairs it spawns them on."""
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+    def test_hub_opens_no_listening_socket(self):
+        before = _listening_socket_inodes()
+        pool = SockWorkerPool()
+        try:
+            assert len(pool.ensure_workers(2)) == 2
+            assert _listening_socket_inodes() - before == set()
+        finally:
+            pool.shutdown()
+
+    def test_worker_closing_before_hello_fails_bringup_fast(self, monkeypatch):
+        monkeypatch.setattr(sock, "_worker_entry", _close_before_hello)
+        pool = SockWorkerPool()
+        try:
+            start = time.monotonic()
+            with pytest.raises(OSError, match="bring-up failed"):
+                pool.ensure_workers(1)
+            assert time.monotonic() - start < sock.HELLO_TIMEOUT / 3
             assert pool.n_workers() == 0
+            assert pool._workers == []  # the failed worker was dropped and reaped
         finally:
             pool.shutdown()
 
-    def test_shared_env_key_admits_worker(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SOCK_AUTHKEY", "right-key")
-        pool = SockWorkerPool(spawn=False)
+    def test_silent_worker_fails_bringup_at_the_hello_deadline(self, monkeypatch):
+        monkeypatch.setattr(sock, "_worker_entry", _silent_worker)
+        monkeypatch.setattr(sock, "HELLO_TIMEOUT", 0.5)
+        pool = SockWorkerPool()
         try:
-            with socket.create_connection(("127.0.0.1", pool.port), timeout=10) as s:
-                s.settimeout(10)
-                _answer_challenge(s)  # same process, same env key
-                _send_frame(s, ("hello", 12345))
-                deadline = time.monotonic() + 10
-                while pool.n_workers() < 1:
-                    assert time.monotonic() < deadline, "authenticated hello not registered"
-                    time.sleep(0.01)
-        finally:
-            pool.shutdown()
-
-
-class TestShutdownDuringHandshake:
-    """A worker still in its handshake when the hub shuts down must exit too."""
-
-    def test_worker_whose_hello_is_held_past_shutdown_exits(self):
-        pool = SockWorkerPool(spawn=False)
-        # Authenticated and accepted, but run() (which sends hello) is held
-        # until the hub is already gone.
-        worker = _Worker(pool.host, pool.port)
-        pool.shutdown()
-        thread = threading.Thread(target=worker.run, daemon=True)
-        thread.start()
-        thread.join(timeout=10)
-        assert not thread.is_alive(), "a worker that missed shutdown must still exit"
-        assert pool.n_workers() == 0
-
-    def test_hello_after_shutdown_is_told_to_exit_not_registered(self):
-        pool = SockWorkerPool(spawn=False)
-        hub_end, worker_end = socket.socketpair()
-        conn = _WorkerConn(hub_end, "late")
-        try:
-            pool.shutdown()
-            pool._dispatch(conn, ("hello", 4242), b"")
-            worker_end.settimeout(10)
-            obj, _raw = _recv_frame(worker_end)
-            assert obj == ("shutdown",)
-            assert worker_end.recv(1) == b""  # and the hub closed its end
+            with pytest.raises(OSError, match="bring-up failed"):
+                pool.ensure_workers(1)
             assert pool._workers == []
         finally:
-            worker_end.close()
-            hub_end.close()
+            pool.shutdown()
+
+    def test_shut_down_pool_spawns_nothing(self):
+        pool = SockWorkerPool()
+        pool.shutdown()
+        with pytest.raises(OSError, match="shut down"):
+            pool.ensure_workers(1)
+        assert pool._workers == []
 
 
 class TestHubForwardIsolation:
@@ -239,7 +239,7 @@ class TestHubForwardIsolation:
         return sender, b1, target, b2
 
     def test_dead_destination_marks_target_not_sender(self):
-        pool = SockWorkerPool(spawn=False)
+        pool = SockWorkerPool()
         sender, sender_peer, target, target_peer = self._two_conns()
         try:
             target.sock.close()  # the destination died
@@ -255,7 +255,7 @@ class TestHubForwardIsolation:
             pool.shutdown()
 
     def test_stale_task_result_is_dropped(self):
-        pool = SockWorkerPool(spawn=False)
+        pool = SockWorkerPool()
         try:
             pool._dispatch(None, ("task_result", 999, "ok", 42), b"")
             with pool._cv:
@@ -340,55 +340,3 @@ class TestSupervisedDegrade:
             report = run_spmd(_ring_fn, 2, rank_args=[(0,), (0,)], backend="process-sock")
         assert report.backend == "process-sock"
         assert report.values == [(10, 1), (0, 1)]
-
-
-def _arr_sum_rank(comm, arr):
-    return float(arr.sum())
-
-
-@pytest.fixture
-def external_hub(monkeypatch):
-    """A hub in external-worker mode with two in-test workers (threads of this process)."""
-    shutdown_sock_pool()
-    monkeypatch.setenv("REPRO_SOCK_SPAWN", "0")
-    hub = get_sock_pool()
-    assert not hub.spawn
-    workers = [_Worker(hub.host, hub.port) for _ in range(2)]
-    threads = [threading.Thread(target=w.run, daemon=True) for w in workers]
-    for t in threads:
-        t.start()
-    yield hub, workers
-    shutdown_sock_pool()
-    for t in threads:
-        t.join(timeout=10)
-    assert not any(t.is_alive() for t in threads), "workers must exit with the hub"
-
-
-class TestExternalWorkers:
-    def test_tcp_nodelay_on_both_ends(self, external_hub):
-        hub, workers = external_hub
-        assert hub.ensure_workers(2)
-        for w in workers:
-            assert w._sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) == 1
-        with hub._mu:
-            conns = list(hub._workers)
-        assert len(conns) == 2
-        for conn in conns:
-            assert conn.sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) == 1
-
-    def test_process_backends_ride_the_external_workers(self, external_hub):
-        report = run_spmd(_ring_fn, 2, rank_args=[(0,), (0,)], backend="process")
-        assert report.backend == "process"
-        assert report.values == [(10, 1), (0, 1)]
-        assert parallel_map(_square, [(3,), (4,)], backend="process") == [9, 16]
-        assert sock_pool_size() == 2
-
-    def test_process_shm_alias_rides_the_external_workers(self, external_hub):
-        arrays = [(np.arange(8, dtype=np.float64),), (np.ones(8),)]
-        pop_supervision_events()
-        report = run_spmd(_arr_sum_rank, 2, rank_args=arrays, backend="process-shm")
-        assert report.backend == "process-shm"
-        assert report.values == [28.0, 8.0]
-        assert parallel_map(_square, [(3,), (4,)], backend="process-shm") == [9, 16]
-        # The alias runs the process path itself, not a supervised detour.
-        assert not pop_supervision_events()
