@@ -82,7 +82,7 @@ HELLO_TIMEOUT = 30.0
 #: Send and receive buffer of both ends of every socket pair.  The kernel
 #: default (about 212 kB) splits a paper-scale rank payload (about 700 kB)
 #: into several wakeups; with 1 MiB a framed 700 kB echo across a spawned
-#: process measured 0.84 ms instead of 1.88 ms on a 2-core VM.
+#: process measured 0.94 ms instead of 1.77 ms on a 2-core VM.
 _SOCK_BUF = 1 << 20
 
 
