@@ -6,10 +6,11 @@ messaging (send/recv matching by source and tag), identical
 outputs across the ordering × partitioner latin square against the serial
 reference.  Also covers per-rank :class:`CommStats` with real wire-byte
 counters, the configurable receive-timeout resolution order, the hub's
-socket-pair bring-up (no listening socket; a worker that closes its
-connection before its hello fails bring-up with ``OSError``), and
-supervised degradation off the ``process-sock`` rung when the hub cannot
-come up.
+socket-pair bring-up (no listening socket; enlarged send and receive
+buffers on both ends; a worker that closes its connection before its hello
+fails bring-up with ``OSError``), clean worker exit at shutdown, every
+``process*`` backend name riding the hub's workers, and supervised
+degradation off the ``process-sock`` rung when the hub cannot come up.
 
 Rank functions live at module level so the spawned worker processes can
 unpickle them by import.
@@ -22,6 +23,7 @@ import os
 import pickle
 import socket
 import sys
+import threading
 import time
 
 import numpy as np
@@ -34,6 +36,7 @@ from repro.graph.generators import correlation_like_graph
 from repro.parallel.runner import (
     available_backends,
     parallel_map,
+    pop_supervision_events,
     run_spmd,
 )
 from repro.parallel import sock
@@ -227,6 +230,58 @@ class TestSocketPairBringUp:
             pool.ensure_workers(1)
         assert pool._workers == []
 
+    def test_socket_buffers_set_on_both_ends(self):
+        plain = socket.socketpair()
+        try:
+            default = {
+                opt: plain[0].getsockopt(socket.SOL_SOCKET, opt)
+                for opt in (socket.SO_SNDBUF, socket.SO_RCVBUF)
+            }
+        finally:
+            for end in plain:
+                end.close()
+        pair = sock._socket_pair()
+        pool = SockWorkerPool()
+        try:
+            pool.ensure_workers(2)
+            ends = list(pair) + [w.sock for w in pool._workers]
+            assert len(ends) == 4
+            for end in ends:
+                for opt, plain_size in default.items():
+                    assert end.getsockopt(socket.SOL_SOCKET, opt) > plain_size
+        finally:
+            for end in pair:
+                end.close()
+            pool.shutdown()
+
+    def test_shutdown_lets_every_worker_exit_cleanly(self):
+        pool = SockWorkerPool()
+        pool.ensure_workers(2)
+        procs = [w.proc for w in pool._workers]
+        pool.shutdown()
+        # Told to exit, not terminated: a terminated worker's exitcode is -SIGTERM.
+        assert [p.exitcode for p in procs] == [0, 0]
+
+
+class TestShutdownDuringHandshake:
+    """A worker whose hello has not reached the hub when it shuts down must exit too."""
+
+    def test_worker_whose_hello_is_held_past_shutdown_exits(self):
+        pool = SockWorkerPool()
+        hub_end, worker_end = sock._socket_pair()
+        # Spawned but silent: the hub holds the conn, the worker has no pid yet.
+        pool._workers.append(_WorkerConn(hub_end, "late"))
+        worker = sock._Worker(worker_end)
+        pool.shutdown()
+        thread = threading.Thread(target=worker.run, daemon=True)
+        thread.start()
+        thread.join(timeout=10)
+        try:
+            assert not thread.is_alive(), "a worker that missed shutdown must still exit"
+            assert pool.n_workers() == 0
+        finally:
+            worker_end.close()
+
 
 class TestHubForwardIsolation:
     """A dead *destination* must not take the healthy sender's conn down."""
@@ -340,3 +395,33 @@ class TestSupervisedDegrade:
             report = run_spmd(_ring_fn, 2, rank_args=[(0,), (0,)], backend="process-sock")
         assert report.backend == "process-sock"
         assert report.values == [(10, 1), (0, 1)]
+
+
+def _arr_sum_rank(comm, arr):
+    return float(arr.sum())
+
+
+class TestHubWorkers:
+    """Every ``process*`` backend name runs on the hub's spawned socket workers."""
+
+    def test_process_backends_ride_the_hub_workers(self):
+        shutdown_sock_pool()
+        report = run_spmd(_ring_fn, 2, rank_args=[(0,), (0,)], backend="process")
+        assert report.backend == "process"
+        assert report.values == [(10, 1), (0, 1)]
+        assert parallel_map(_square, [(3,), (4,)], backend="process") == [9, 16]
+        assert sock_pool_size() == 2
+        pids = parallel_map(os.getpid, [()] * 2, backend="process")
+        assert set(pids) <= {w.pid for w in get_sock_pool()._workers}
+
+    def test_process_shm_alias_rides_the_hub_workers(self):
+        shutdown_sock_pool()
+        arrays = [(np.arange(8, dtype=np.float64),), (np.ones(8),)]
+        pop_supervision_events()
+        report = run_spmd(_arr_sum_rank, 2, rank_args=arrays, backend="process-shm")
+        assert report.backend == "process-shm"
+        assert report.values == [28.0, 8.0]
+        assert parallel_map(_square, [(3,), (4,)], backend="process-shm") == [9, 16]
+        assert sock_pool_size() == 2
+        # The alias runs the process path itself, not a supervised detour.
+        assert not pop_supervision_events()
