@@ -79,12 +79,6 @@ SOCK_DRAIN_TIMEOUT = 10.0
 #: fails with ``OSError``.
 HELLO_TIMEOUT = 30.0
 
-#: Send and receive buffer of both ends of every socket pair.  The kernel
-#: default (about 212 kB) splits a paper-scale rank payload (about 700 kB)
-#: into several wakeups; with 1 MiB a framed 700 kB echo across a spawned
-#: process measured 0.94 ms instead of 1.77 ms on a 2-core VM.
-_SOCK_BUF = 1 << 20
-
 
 # ----------------------------------------------------------------------
 # framing
@@ -325,14 +319,6 @@ def _worker_entry(sock_obj: socket.socket) -> None:  # pragma: no cover - child 
     _Worker(sock_obj).run()
 
 
-def _socket_pair() -> tuple[socket.socket, socket.socket]:
-    pair = socket.socketpair()
-    for end in pair:
-        end.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, _SOCK_BUF)
-        end.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, _SOCK_BUF)
-    return pair
-
-
 # ----------------------------------------------------------------------
 # hub side
 # ----------------------------------------------------------------------
@@ -377,7 +363,7 @@ class SockWorkerPool:
     # -- connection management -----------------------------------------
     def _spawn_worker(self) -> _WorkerConn:
         """Start one worker process on a fresh socket pair (under _cv)."""
-        hub_end, worker_end = _socket_pair()
+        hub_end, worker_end = socket.socketpair()
         conn = _WorkerConn(hub_end, f"sock-worker-{len(self._workers)}")
         try:
             conn.proc = multiprocessing.get_context("spawn").Process(
@@ -474,14 +460,15 @@ class SockWorkerPool:
                         break
                     self._cv.wait(timeout=min(remaining, watchdog_poll()))
             workers = self._alive_workers()
-            if len(workers) < n:
-                self._drop([w for w in self._workers if w not in workers])
-                raise OSError(
-                    f"socket worker bring-up failed: {len(workers)} of {n} workers said "
-                    f"hello (a worker closed its connection first or stayed silent "
-                    f"for {HELLO_TIMEOUT:g} s)"
-                )
-            return workers[:n]
+            if len(workers) >= n:
+                return workers[:n]
+            failed = self._detach([w for w in self._workers if w not in workers])
+        _close_workers(failed)
+        raise OSError(
+            f"socket worker bring-up failed: {len(workers)} of {n} workers said "
+            f"hello (a worker closed its connection first or stayed silent "
+            f"for {HELLO_TIMEOUT:g} s)"
+        )
 
     # -- SPMD rounds -----------------------------------------------------
     def run_round(
@@ -559,20 +546,25 @@ class SockWorkerPool:
                     self._cv.wait(timeout=SOCK_DRAIN_TIMEOUT)
                     still = [r for r, c in enumerate(conns) if not c.alive and r not in results]
                     if still:
-                        self._drop([w for w in self._workers if not w.alive])
-                        raise dead_rank_error(
-                            f"SPMD socket backend: rank(s) {still} died without "
-                            f"reporting a result"
-                        )
+                        lost = self._detach([w for w in self._workers if not w.alive])
+                        break
                     continue
                 self._cv.wait(timeout=watchdog_poll())
+        _close_workers(lost)
+        raise dead_rank_error(
+            f"SPMD socket backend: rank(s) {still} died without reporting a result"
+        )
 
-    def _drop(self, conns: list[_WorkerConn]) -> None:
-        """Close ``conns`` and reap their processes (under _cv)."""
+    def _detach(self, conns: list[_WorkerConn]) -> list[_WorkerConn]:
+        """Mark ``conns`` dead and forget them (under _cv).
+
+        Returns ``conns``; the caller reaps them with :func:`_close_workers`
+        after releasing the lock, so no reader thread waits out the joins.
+        """
         for w in conns:
             w.alive = False
-        _close_workers(conns)
         self._workers = [w for w in self._workers if w not in conns]
+        return conns
 
     # -- map tasks -------------------------------------------------------
     def run_map(self, payloads: Sequence[tuple[Callable[..., Any], tuple[Any, ...]]],

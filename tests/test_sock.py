@@ -6,9 +6,9 @@ messaging (send/recv matching by source and tag), identical
 outputs across the ordering × partitioner latin square against the serial
 reference.  Also covers per-rank :class:`CommStats` with real wire-byte
 counters, the configurable receive-timeout resolution order, the hub's
-socket-pair bring-up (no listening socket; enlarged send and receive
-buffers on both ends; a worker that closes its connection before its hello
-fails bring-up with ``OSError``), clean worker exit at shutdown, every
+socket-pair bring-up (no listening socket; a worker that closes its
+connection before its hello fails bring-up with ``OSError``; lost workers
+are reaped outside the hub lock), clean worker exit at shutdown, every
 ``process*`` backend name riding the hub's workers, and supervised
 degradation off the ``process-sock`` rung when the hub cannot come up.
 
@@ -230,28 +230,31 @@ class TestSocketPairBringUp:
             pool.ensure_workers(1)
         assert pool._workers == []
 
-    def test_socket_buffers_set_on_both_ends(self):
-        plain = socket.socketpair()
-        try:
-            default = {
-                opt: plain[0].getsockopt(socket.SOL_SOCKET, opt)
-                for opt in (socket.SO_SNDBUF, socket.SO_RCVBUF)
-            }
-        finally:
-            for end in plain:
-                end.close()
-        pair = sock._socket_pair()
+    def test_lost_workers_are_reaped_outside_the_hub_lock(self, monkeypatch):
+        # Joining a lost worker can take seconds; the reader threads must not
+        # wait that out behind the hub lock.  Covers both paths that drop
+        # workers: a failed bring-up and a rank that died mid-round.
+        from repro.parallel.runner import DeadRankError
+
+        monkeypatch.setattr(sock, "SOCK_DRAIN_TIMEOUT", 0.5)
+        monkeypatch.setattr(sock, "HELLO_TIMEOUT", 0.5)
         pool = SockWorkerPool()
+        locked = []
+        close_workers = sock._close_workers
+
+        def recording_close(conns):
+            locked.append(pool._mu.locked())
+            close_workers(conns)
+
+        monkeypatch.setattr(sock, "_close_workers", recording_close)
         try:
-            pool.ensure_workers(2)
-            ends = list(pair) + [w.sock for w in pool._workers]
-            assert len(ends) == 4
-            for end in ends:
-                for opt, plain_size in default.items():
-                    assert end.getsockopt(socket.SOL_SOCKET, opt) > plain_size
+            with pytest.raises(DeadRankError):
+                pool.run_round(_ring_fn, 2, [()] * 2, (0,), {}, kill_ranks={1})
+            monkeypatch.setattr(sock, "_worker_entry", _silent_worker)
+            with pytest.raises(OSError, match="bring-up failed"):
+                pool.ensure_workers(2)
+            assert locked == [False, False]
         finally:
-            for end in pair:
-                end.close()
             pool.shutdown()
 
     def test_shutdown_lets_every_worker_exit_cleanly(self):
@@ -268,7 +271,7 @@ class TestShutdownDuringHandshake:
 
     def test_worker_whose_hello_is_held_past_shutdown_exits(self):
         pool = SockWorkerPool()
-        hub_end, worker_end = sock._socket_pair()
+        hub_end, worker_end = socket.socketpair()
         # Spawned but silent: the hub holds the conn, the worker has no pid yet.
         pool._workers.append(_WorkerConn(hub_end, "late"))
         worker = sock._Worker(worker_end)
