@@ -1,4 +1,4 @@
-"""Ablation benches for the design choices listed in DESIGN.md §6.
+"""Ablation benches for the design choices the paper fixes (``repro.pipeline.ablation``).
 
 Not figures of the paper, but the knobs the paper fixes without exploring:
 the MCODE score threshold, the data-distribution (partitioner) choice, how

@@ -4,7 +4,7 @@ The paper discusses two costs of parallelisation: the earlier algorithm's
 border-edge exchange (communication volume growing with b, receiver work
 O(b²/d)) and the new algorithm's duplicate border edges (bounded by b, removed
 sequentially).  This bench sweeps processor counts and partitioners and
-reports both, ablating the partitioner choice called out in DESIGN.md §6.
+reports both, ablating the partitioner choice (see README's figure table).
 """
 
 from __future__ import annotations

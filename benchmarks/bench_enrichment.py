@@ -91,7 +91,8 @@ def build_workload(scale_factor: float) -> dict[str, Any]:
     ii, jj, rho = correlated_pair_arrays(study.matrix)
     network = network_from_pair_arrays(study.matrix, ii, jj, rho, include_all_genes=False)
     csr = csr_from_pair_arrays(study.matrix, ii, jj, include_all_genes=False)
-    original = mcode_clusters(network, source=f"{study.name}/original", csr=csr)
+    csr.attach_label_graph(network)
+    original = mcode_clusters(csr, source=f"{study.name}/original")
     result = apply_filter(network, **FILTER)
     filtered = mcode_clusters(result.graph, source=f"{study.name}/filtered")
     graphs = [c.subgraph for c in original] + [c.subgraph for c in filtered]

@@ -4,8 +4,8 @@ Paper claim: classifying matched clusters into TP/FP/FN/TN quadrants (AEES 3.0
 × 50% overlap) shows node-overlap matching to be highly sensitive but
 unspecific; edge-overlap matching is the less sensitive criterion.
 (The paper additionally reports higher specificity for edge overlap — a
-finding its authors call counterintuitive; see EXPERIMENTS.md for how the
-synthetic data reproduces the sensitivity contrast but not that part.)
+finding its authors call counterintuitive; the synthetic data reproduces
+the sensitivity contrast but not that part.)
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ are not enough edges retained using the random walk method to identify very
 dense groups of nodes", while the chordal filter keeps finding the clusters of
 interest.  On synthetic data the random walk occasionally retains a couple of
 dense groups, so the reproduced claim is "at least an order of magnitude fewer
-clusters than the chordal filter" (see EXPERIMENTS.md).
+clusters than the chordal filter" (README's figure table lists this bench).
 """
 
 from __future__ import annotations

@@ -220,8 +220,9 @@ def run_csr_workflow(study: Any, dag: Any, annotations: Any) -> dict[str, Any]:
     ii, jj, rho = correlated_pair_arrays(study.matrix)
     network = network_from_pair_arrays(study.matrix, ii, jj, rho, include_all_genes=False)
     csr = csr_from_pair_arrays(study.matrix, ii, jj, include_all_genes=False)
+    csr.attach_label_graph(network)
     lap("network")
-    original = mcode_clusters(network, source=f"{study.name}/original", csr=csr)
+    original = mcode_clusters(csr, source=f"{study.name}/original")
     lap("cluster_original")
     result = apply_filter(network, **FILTER)
     lap("filter")

@@ -280,9 +280,8 @@ def _cmd_filter(args: argparse.Namespace) -> int:
     _apply_supervision(args)
     scale = args.scale if args.scale is not None else default_scale()
     study = make_study(args.dataset, scale=scale)
-    network = study.network()
     result = apply_filter(
-        network,
+        study.network_csr(),
         method=args.method,
         ordering=args.ordering if args.method != "random_walk" else None,
         n_partitions=args.partitions,

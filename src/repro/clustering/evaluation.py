@@ -148,7 +148,7 @@ def classify_match(
     if overlap_attr not in ("node_overlap", "edge_overlap"):
         raise ValueError("overlap_attr must be 'node_overlap' or 'edge_overlap'")
     if aees is None:
-        aees = scorer.cluster(match.filtered.subgraph).aees
+        aees = scorer.cluster_aees([match.filtered])[0]
     overlap = getattr(match, overlap_attr)
     high_aees = aees >= thresholds.aees_threshold
     high_overlap = overlap > thresholds.overlap_threshold
@@ -179,12 +179,13 @@ def classify_matches(
 
     When no scores are supplied, all matched clusters are scored in **one
     batched pass** over the scorer's array front-end
-    (:meth:`~repro.ontology.enrichment.EnrichmentScorer.cluster_aees`) —
-    bit-identical to scoring each cluster separately, but resolved against
-    the distinct-term-pair memo table instead of one Python loop per edge.
+    (:meth:`~repro.ontology.enrichment.EnrichmentScorer.cluster_aees`), which
+    reads index-native clusters' edge pairs directly — bit-identical to
+    scoring each cluster subgraph separately, but resolved against the
+    distinct-term-pair memo table instead of one Python loop per edge.
     """
     if aees is None:
-        aees = scorer.cluster_aees([m.filtered.subgraph for m in matches])
+        aees = scorer.cluster_aees([m.filtered for m in matches])
     elif len(aees) != len(matches):
         raise ValueError("aees must align one-to-one with matches")
     return [

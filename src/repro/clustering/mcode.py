@@ -22,8 +22,10 @@ VWP = 0.2), which is what "run under default parameters" means.
 Since PR 3 the public functions run **index-native on the CSR kernel**: the
 graph is converted once (:class:`~repro.graph.csr.CSRGraph`), stage 1 peels
 every vertex's neighbourhood at once over array-built local edges (one per
-triangle corner), stages 2–3 grow and prune complexes as index sets, and labels
-reappear only when the final :class:`Cluster` objects are materialised.  The
+triangle corner), stages 2–3 grow and prune complexes as index sets, and the
+final :class:`Cluster` objects stay index-native (member indices, edge pairs
+and the CSR); labels reappear as member lists, and as a cluster's label
+subgraph only when that is read.  The
 seed label-level implementations are retained as ``reference_*`` functions and
 the test suite pins cluster member sets, scores and ordering to them
 bit-for-bit (``tests/test_csr_analysis.py``), the same discipline PR 1–2
@@ -39,7 +41,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..graph.csr import CSRGraph
+from ..graph.csr import CSRGraph, gather_csr_rows
 from ..graph.graph import Graph
 from .cluster import Cluster
 
@@ -410,11 +412,39 @@ def mcode_score(subgraph: Graph) -> float:
     return _weight_density(subgraph) * subgraph.n_vertices
 
 
+def _complex_pairs(csr: CSRGraph, complexes: Sequence[IndexComplex]) -> list[np.ndarray]:
+    """The induced edges of every complex, as ``(k, 2)`` index pairs.
+
+    One row gather over all members at once: a neighbour ``w`` of member
+    ``v`` is kept when it belongs to the same complex and comes later in
+    its member order, so each complex lists its edges in the order
+    ``Graph.subgraph(members)`` adds them.  Membership is a binary search
+    over ``complex × n + vertex`` keys, because fluff can put one vertex in
+    two complexes.
+    """
+    n = csr.n_vertices
+    sizes = np.array([len(c.members) for c in complexes], dtype=np.int64)
+    flat = np.fromiter(
+        (u for c in complexes for u in c.members), dtype=np.int64, count=int(sizes.sum())
+    )
+    owner = np.repeat(np.arange(sizes.size, dtype=np.int64), sizes)
+    keys = owner * n + flat
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    values, counts = gather_csr_rows(csr.indptr, csr.indices, flat)
+    slot = np.repeat(np.arange(flat.size, dtype=np.int64), counts)
+    wanted = owner[slot] * n + values
+    at = np.minimum(np.searchsorted(sorted_keys, wanted), max(sorted_keys.size - 1, 0))
+    keep = (sorted_keys[at] == wanted) & (order[at] > slot)
+    pairs = np.column_stack((flat[slot[keep]], values[keep]))
+    bounds = np.cumsum(np.bincount(owner[slot[keep]], minlength=sizes.size))[:-1]
+    return np.split(pairs, bounds)
+
+
 def mcode_clusters(
-    graph: Graph,
+    graph: "Graph | CSRGraph",
     params: Optional[MCODEParams] = None,
     source: str = "",
-    csr: Optional[CSRGraph] = None,
 ) -> list[Cluster]:
     """Run MCODE on ``graph`` and return clusters sorted by descending score.
 
@@ -423,30 +453,28 @@ def mcode_clusters(
     discards bare triangles ("scores of 2.9 or lower tend to indicate small
     cliques, or K3 graphs").
 
-    The computation is index-native: ``graph`` is converted to a CSR view
-    once (or ``csr`` — which must be ``CSRGraph.from_graph(graph)``-equivalent,
-    e.g. the cached :meth:`SyntheticStudy.network_csr` view — is reused), and
-    indices are mapped back to labels exactly once, when the returned
-    :class:`Cluster` objects are built.
+    The computation is index-native: ``graph`` is a CSR view (the bundle's
+    ``network_csr``, a result's ``filtered_csr()``) or a label graph,
+    converted once.  The clusters are index-native too
+    (:meth:`Cluster.from_indices`): members, seed, edge pairs and the CSR,
+    with each cluster's label subgraph cut from the CSR's label graph only
+    when it is read.
     """
     params = params or MCODEParams()
-    if csr is None:
-        csr = CSRGraph.from_graph(graph)
-    labels = csr.labels
-    clusters: list[Cluster] = []
-    for i, complex_ in enumerate(mcode_clusters_indices(csr, params)):
-        members = [labels[u] for u in complex_.members]
-        clusters.append(
-            Cluster(
-                cluster_id=i,
-                members=members,
-                subgraph=graph.subgraph(members),
-                score=complex_.score,
-                seed=labels[complex_.seed],
-                source=source,
-            )
+    csr = graph if isinstance(graph, CSRGraph) else CSRGraph.from_graph(graph)
+    complexes = mcode_clusters_indices(csr, params)
+    return [
+        Cluster.from_indices(
+            i,
+            csr,
+            np.asarray(complex_.members, dtype=np.int64),
+            pairs,
+            complex_.score,
+            complex_.seed,
+            source=source,
         )
-    return clusters
+        for i, (complex_, pairs) in enumerate(zip(complexes, _complex_pairs(csr, complexes)))
+    ]
 
 
 # ----------------------------------------------------------------------

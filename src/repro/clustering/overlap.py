@@ -19,7 +19,10 @@ Python set intersections; :func:`match_clusters` and :func:`lost_clusters`
 now take an index-native fast path for the two standard measures: cluster
 member (or edge) sets are mapped onto a shared integer universe and only
 the nonzero pairwise intersection counts are computed, by a sorted
-element join (:func:`_intersection_counts`).  Memory and time grow with the
+element join (:func:`_shared_counts`).  Index-native clusters over one
+network's label space (MCODE's, see :class:`~repro.clustering.cluster.Cluster`)
+already are that universe: their member indices and packed edge pairs are
+joined directly, and no label set is built.  Memory and time grow with the
 number of shared (element, cluster) incidences, never with
 clusters × universe or original × filtered clusters.  The generic-``key``
 behaviour is retained as ``reference_match_clusters`` /
@@ -96,21 +99,40 @@ class ClusterMatch:
 # ----------------------------------------------------------------------
 # index-native pairwise intersection counts
 # ----------------------------------------------------------------------
-def _intersection_counts(
-    original_sets: Sequence[set], filtered_sets: Sequence[set]
+def _shared_counts(
+    orig_el: np.ndarray, orig_row: np.ndarray, filt_el: np.ndarray, filt_row: np.ndarray, width: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The nonzero pairwise intersection sizes as ``(rows, cols, counts)``.
 
-    Entry ``k`` says original set ``rows[k]`` shares ``counts[k]`` elements
-    with filtered set ``cols[k]``; pairs sharing nothing are absent and the
-    entries come out row-major.  Every element (node label or canonical edge
-    tuple) is assigned a dense integer id; the filtered side's
-    ``(element, set)`` incidences are sorted by element, so ``searchsorted``
-    + ``repeat`` expand each original incidence into the filtered sets that
-    share its element, and ``np.unique`` over the ``row × |filtered| + col``
-    keys counts them.  Counts are small exact integers in float64, so
-    downstream divisions reproduce the set-based fractions bit-for-bit.
+    The inputs are ``(element, set)`` incidences over integer element ids
+    (original set ``orig_row[k]`` holds ``orig_el[k]``; ``width`` filtered
+    sets).  Entry ``k`` says original set ``rows[k]`` shares ``counts[k]``
+    elements with filtered set ``cols[k]``; pairs sharing nothing are absent
+    and the entries come out row-major.  The filtered incidences are sorted
+    by element, so ``searchsorted`` + ``repeat`` expand each original
+    incidence into the filtered sets that share its element, and
+    ``np.unique`` over the ``row × width + col`` keys counts them.  Counts
+    are small exact integers in float64, so downstream divisions reproduce
+    the set-based fractions bit-for-bit.
     """
+    order = np.argsort(filt_el, kind="stable")
+    filt_el, filt_row = filt_el[order], filt_row[order]
+    start = np.searchsorted(filt_el, orig_el, side="left")
+    shared = np.searchsorted(filt_el, orig_el, side="right") - start
+    rows = np.repeat(orig_row, shared)
+    # Position of each expanded pair inside its run of equal elements.
+    offsets = np.arange(rows.size) - np.repeat(np.cumsum(shared) - shared, shared)
+    cols = filt_row[np.repeat(start, shared) + offsets]
+    width = max(width, 1)
+    keys, counts = np.unique(rows * width + cols, return_counts=True)
+    rows, cols = np.divmod(keys, width)
+    return rows, cols, counts.astype(np.float64)
+
+
+def _intersection_counts(
+    original_sets: Sequence[set], filtered_sets: Sequence[set]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_shared_counts` of label sets, interned to dense ids first."""
     index: dict = {}
 
     def incidences(sets: Sequence[set]) -> tuple[np.ndarray, np.ndarray]:
@@ -120,18 +142,33 @@ def _intersection_counts(
 
     orig_el, orig_row = incidences(original_sets)
     filt_el, filt_row = incidences(filtered_sets)
-    order = np.argsort(filt_el, kind="stable")
-    filt_el, filt_row = filt_el[order], filt_row[order]
-    start = np.searchsorted(filt_el, orig_el, side="left")
-    shared = np.searchsorted(filt_el, orig_el, side="right") - start
-    rows = np.repeat(orig_row, shared)
-    # Position of each expanded pair inside its run of equal elements.
-    offsets = np.arange(rows.size) - np.repeat(np.cumsum(shared) - shared, shared)
-    cols = filt_row[np.repeat(start, shared) + offsets]
-    width = max(len(filtered_sets), 1)
-    keys, counts = np.unique(rows * width + cols, return_counts=True)
-    rows, cols = np.divmod(keys, width)
-    return rows, cols, counts.astype(np.float64)
+    return _shared_counts(orig_el, orig_row, filt_el, filt_row, len(filtered_sets))
+
+
+def _label_space(clusters: Sequence[Cluster]) -> Optional[tuple]:
+    """The label tuple all clusters index, or ``None`` (hand-built or mixed)."""
+    labels = None
+    for c in clusters:
+        if c.csr is None:
+            return None
+        if labels is None:
+            labels = c.csr.labels
+        elif c.csr.labels is not labels and c.csr.labels != labels:
+            return None
+    return labels
+
+
+def _index_incidences(
+    clusters: Sequence[Cluster], by_edges: bool, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(elements, owners, sizes)``: member indices or ``min × n + max`` edge keys."""
+    parts = [c.pairs if by_edges else c.indices for c in clusters]
+    sizes = np.array([p.shape[0] for p in parts], dtype=np.int64)
+    elements = np.concatenate([np.empty((0, 2) if by_edges else 0, dtype=np.int64), *parts])
+    if by_edges:
+        elements = elements.min(axis=1) * n + elements.max(axis=1)
+    owners = np.repeat(np.arange(len(clusters), dtype=np.int64), sizes)
+    return elements, owners, sizes
 
 
 def _overlap_entries(
@@ -143,15 +180,24 @@ def _overlap_entries(
 
     Zero-count pairs (and so every pair with an empty original) have overlap
     0.0 and are absent, exactly the entries the seed loop scores as zero.
+    Index-native clusters over one label space join their indices directly.
     """
-    if by_edges:
-        orig = [c.edge_set() for c in original_clusters]
-        filt = [c.edge_set() for c in filtered_clusters]
+    labels = _label_space([*original_clusters, *filtered_clusters])
+    if labels is None:
+        if by_edges:
+            orig = [c.edge_set() for c in original_clusters]
+            filt = [c.edge_set() for c in filtered_clusters]
+        else:
+            orig = [c.node_set() for c in original_clusters]
+            filt = [c.node_set() for c in filtered_clusters]
+        rows, cols, counts = _intersection_counts(orig, filt)
+        sizes = np.array([len(s) for s in orig], dtype=np.float64)
     else:
-        orig = [c.node_set() for c in original_clusters]
-        filt = [c.node_set() for c in filtered_clusters]
-    rows, cols, counts = _intersection_counts(orig, filt)
-    sizes = np.array([len(s) for s in orig], dtype=np.float64)
+        orig_el, orig_row, sizes = _index_incidences(original_clusters, by_edges, len(labels))
+        filt_el, filt_row, _ = _index_incidences(filtered_clusters, by_edges, len(labels))
+        rows, cols, counts = _shared_counts(
+            orig_el, orig_row, filt_el, filt_row, len(filtered_clusters)
+        )
     return rows, cols, counts / sizes[rows]
 
 

@@ -206,7 +206,7 @@ def _rank_function(
 
 
 def parallel_chordal_comm_filter(
-    graph: Graph,
+    graph: "Graph | CSRGraph",
     n_partitions: int,
     ordering: Optional[str] = "natural",
     explicit_order: Optional[Sequence[Vertex]] = None,
@@ -288,7 +288,6 @@ def parallel_chordal_comm_filter(
         csr=csr,
         # Local edges stay inside a part and accepted ones cross parts: disjoint.
         kept=np.concatenate([local, accepted]),
-        original=graph,
         method="chordal_comm",
         ordering=ordering_name,
         n_partitions=ipart.n_parts,

@@ -293,7 +293,7 @@ def resolve_index_partition(
 
 
 def parallel_chordal_nocomm_filter(
-    graph: Graph,
+    graph: "Graph | CSRGraph",
     n_partitions: int,
     ordering: Optional[str] = "natural",
     explicit_order: Optional[Sequence[Vertex]] = None,
@@ -309,7 +309,7 @@ def parallel_chordal_nocomm_filter(
     Parameters
     ----------
     graph:
-        The network to sample.
+        The network to sample (a label graph or its CSR view).
     n_partitions:
         Number of simulated processors ``P``.
     ordering / explicit_order:
@@ -379,7 +379,6 @@ def parallel_chordal_nocomm_filter(
     result = FilterResult(
         csr=csr,
         kept=kept,
-        original=graph,
         method="chordal_nocomm",
         ordering=ordering_name,
         n_partitions=ipart.n_parts,

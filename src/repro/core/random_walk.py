@@ -116,7 +116,7 @@ def _subgraph_rows(sub: CSRGraph) -> list[list[int]]:
 
 
 def parallel_random_walk_filter(
-    graph: Graph,
+    graph: "Graph | CSRGraph",
     n_partitions: int,
     seed: int = 0,
     selection_fraction: float = 0.5,
@@ -188,7 +188,6 @@ def parallel_random_walk_filter(
         csr=csr,
         # Walked edges lie inside one part, border edges cross parts: disjoint.
         kept=np.concatenate(walked + [accepted]),
-        original=graph,
         method="random_walk",
         ordering=None,
         n_partitions=ipart.n_parts,

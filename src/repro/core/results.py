@@ -43,22 +43,21 @@ class FilterResult:
 
     The result is *index-native*: the kept edges and the border edges are
     ``(k, 2)`` ``int64`` arrays of vertex indices into :attr:`csr`, and the
-    label views (:attr:`graph`, :attr:`border_edges`,
+    label views (:attr:`original`, :attr:`graph`, :attr:`border_edges`,
     :attr:`accepted_border_edges`) are built from them the first time they are
-    read, then cached.  Counts, summaries and the canonical payload read the
-    arrays, so a caller that never asks for labels never pays for them.
+    read, then cached.  Counts, summaries, the canonical payload and
+    :meth:`filtered_csr` read the arrays, so a caller that never asks for
+    labels never pays for them.
 
     Attributes
     ----------
     csr:
-        CSR view of :attr:`original` (``CSRGraph.of(original)``); the index
-        space of every pair array.
+        The network the filter was applied to, as its CSR view
+        (``CSRGraph.of(network)``); the index space of every pair array.
     kept:
         The surviving edges in admission order — the order the filter
         accepted them, which fixes every vertex's neighbour order in
         :attr:`graph`.
-    original:
-        The network the filter was applied to (not copied).
     method:
         Registry name of the filter (``"chordal"``, ``"chordal_comm"``,
         ``"random_walk"``, …).
@@ -90,7 +89,6 @@ class FilterResult:
 
     csr: CSRGraph
     kept: np.ndarray
-    original: Graph
     method: str
     ordering: Optional[str] = None
     n_partitions: int = 1
@@ -106,6 +104,16 @@ class FilterResult:
     # ------------------------------------------------------------------
     # label views (built on first read)
     # ------------------------------------------------------------------
+    @cached_property
+    def original(self) -> Graph:
+        """The network the filter was applied to, as a label :class:`Graph`.
+
+        The input graph itself (not copied) when the filter was given one;
+        for a CSR input, its :meth:`~repro.graph.csr.CSRGraph.label_graph`
+        (a dataset's network with its ``rho`` attributes).
+        """
+        return self.csr.label_graph()
+
     @cached_property
     def graph(self) -> Graph:
         """The filtered network: all original vertices, the kept edges only.
@@ -136,10 +144,19 @@ class FilterResult:
         """The CSR of :attr:`graph`, built from :attr:`kept` without the graph.
 
         Bit-identical to ``CSRGraph.from_graph(self.graph)``: rows list
-        neighbours in admission order.  Built on every call and not cached,
-        so the result pins no second CSR in memory.
+        neighbours in admission order, and its label graph is
+        :attr:`graph`, built when first read.  Built on every call and not
+        cached, so the result pins no second CSR in memory.
         """
-        return CSRGraph.from_edge_sequence(self.csr.labels, self.kept[:, 0], self.kept[:, 1])
+        csr = CSRGraph.from_edge_sequence(self.csr.labels, self.kept[:, 0], self.kept[:, 1])
+        csr.attach_label_graph(lambda: self.graph)
+        return csr
+
+    def __getstate__(self) -> dict[str, Any]:
+        # A CSR pickles as bare arrays: resolve the label network so it
+        # travels with the result, as the input graph always did.
+        self.original
+        return self.__dict__
 
     # ------------------------------------------------------------------
     # derived quantities

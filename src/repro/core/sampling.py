@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections.abc import Hashable, Sequence
 from typing import Any, Callable, Optional
 
+from ..graph.csr import CSRGraph
 from ..graph.graph import Graph
 from .parallel_comm import parallel_chordal_comm_filter
 from .parallel_nocomm import parallel_chordal_nocomm_filter
@@ -26,7 +27,7 @@ Vertex = Hashable
 
 
 def _dispatch_chordal(
-    graph: Graph,
+    graph: "Graph | CSRGraph",
     n_partitions: int,
     ordering: Optional[str],
     explicit_order: Optional[Sequence[Vertex]],
@@ -52,7 +53,7 @@ def _dispatch_chordal(
 
 
 def _dispatch_chordal_comm(
-    graph: Graph,
+    graph: "Graph | CSRGraph",
     n_partitions: int,
     ordering: Optional[str],
     explicit_order: Optional[Sequence[Vertex]],
@@ -76,7 +77,7 @@ def _dispatch_chordal_comm(
 
 
 def _dispatch_random_walk(
-    graph: Graph,
+    graph: "Graph | CSRGraph",
     n_partitions: int,
     ordering: Optional[str],
     explicit_order: Optional[Sequence[Vertex]],
@@ -123,7 +124,7 @@ def filter_names() -> list[str]:
 
 
 def apply_filter(
-    graph: Graph,
+    graph: "Graph | CSRGraph",
     method: str = "chordal",
     ordering: Optional[str] = "natural",
     n_partitions: int = 1,
@@ -134,6 +135,11 @@ def apply_filter(
 
     Parameters
     ----------
+    graph:
+        The network, as a label :class:`Graph` or a :class:`CSRGraph` (a
+        dataset's ``network_csr``).  The filters run on the CSR view either
+        way; a CSR input builds no label graph until the result's
+        ``original`` or ``graph`` is read.
     method:
         ``"chordal"`` (communication-free parallel / sequential), ``"chordal_comm"``
         (the older with-communication baseline) or ``"random_walk"`` (control).

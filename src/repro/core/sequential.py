@@ -82,7 +82,7 @@ def priority_from_permutation(perm: Optional[np.ndarray], n: int) -> Optional[np
 
 
 def sequential_chordal_filter(
-    graph: Graph,
+    graph: "Graph | CSRGraph",
     ordering: Optional[str] = "natural",
     explicit_order: Optional[Sequence[Vertex]] = None,
     strict_order: bool = False,
@@ -120,7 +120,6 @@ def sequential_chordal_filter(
     result = FilterResult(
         csr=csr,
         kept=as_pairs(pairs),
-        original=graph,
         method="chordal_sequential",
         ordering=name or "natural",
         n_partitions=1,
@@ -136,7 +135,7 @@ def sequential_chordal_filter(
 
 
 def sequential_random_walk_filter(
-    graph: Graph,
+    graph: "Graph | CSRGraph",
     seed: int = 0,
     selection_fraction: float = 0.5,
 ) -> FilterResult:
@@ -205,7 +204,6 @@ def sequential_random_walk_filter(
         csr=csr,
         # Set iteration order is the admission order the label graph keeps.
         kept=as_pairs(list(kept)),
-        original=graph,
         method="random_walk_sequential",
         ordering=None,
         n_partitions=1,

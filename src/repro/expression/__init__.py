@@ -2,7 +2,7 @@
 
 The filters operate on gene correlation networks; this package builds those
 networks — from synthetic microarray data that mimics the paper's GEO series
-(see DESIGN.md §2 for the substitution rationale) — via exact Pearson
+(``repro.expression.datasets`` explains the substitution) — via exact Pearson
 correlation with significance and magnitude thresholds.
 """
 

@@ -36,7 +36,8 @@ Every generated study records its ground truth (module membership, noise
 edges) so the ontology annotations and the evaluation can be tied back to it.
 Sizes are controlled by a ``scale`` parameter: ``scale=1.0`` approximates the
 paper's vertex counts, while the benchmark configuration uses a smaller scale
-so the full pipeline runs in seconds (see EXPERIMENTS.md).
+so the full pipeline runs in seconds (README's figure table lists the
+benchmark behind each figure).
 """
 
 from __future__ import annotations
@@ -253,7 +254,6 @@ class SyntheticStudy:
     noise_clumps: list[list[str]] = field(default_factory=list)
     noise_edges_hint: list[tuple[str, str]] = field(default_factory=list)
     seed: int = 0
-    _network: Optional[Graph] = field(default=None, repr=False)
     _network_csr: Optional[CSRGraph] = field(default=None, repr=False)
     _pairs: dict[CorrelationThreshold, tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
         default_factory=dict, repr=False
@@ -277,10 +277,10 @@ class SyntheticStudy:
         """The thresholded pair arrays, cached per threshold.
 
         One correlation-tile pass serves both :meth:`network` and
-        :meth:`network_csr`, so preparing a label view and a CSR view of the
-        same study never recomputes the genes × genes correlations — for the
-        default threshold or any explicit one (the frozen dataclass is the
-        cache key).
+        :meth:`network_csr`, so a label view and a CSR view of the same study
+        never recompute the genes × genes correlations — for the default
+        threshold or any explicit one (the frozen dataclass is the cache
+        key).
         """
         key = threshold or CorrelationThreshold()
         cached = self._pairs.get(key)
@@ -295,17 +295,18 @@ class SyntheticStudy:
         threshold: Optional[CorrelationThreshold] = None,
         include_all_genes: bool = False,
     ) -> Graph:
-        """Return (and cache) the thresholded correlation network of this study."""
-        use_cache = threshold is None and not include_all_genes
-        if use_cache and self._network is not None:
-            return self._network
+        """Return the thresholded correlation network of this study.
+
+        The default network is the label graph of :meth:`network_csr`,
+        built on first read and cached there; other arguments build a new
+        graph.  Each edge carries its correlation as ``rho``.
+        """
+        if threshold is None and not include_all_genes:
+            return self.network_csr().label_graph()
         ii, jj, rho = self._pair_arrays(threshold)
-        net = network_from_pair_arrays(
+        return network_from_pair_arrays(
             self.matrix, ii, jj, rho, include_all_genes=include_all_genes
         )
-        if use_cache:
-            self._network = net
-        return net
 
     def network_csr(
         self,
@@ -316,14 +317,20 @@ class SyntheticStudy:
 
         Built directly from the cached pair arrays — no ``Graph``
         materialisation, no ``from_graph`` conversion.  Equal to
-        ``CSRGraph.from_graph(self.network(...))`` for the same arguments.
+        ``CSRGraph.from_graph(self.network(...))`` for the same arguments;
+        that label graph, with its ``rho`` attributes, is the CSR's
+        :meth:`~repro.graph.csr.CSRGraph.label_graph`, built only when read.
         """
         use_cache = threshold is None and not include_all_genes
         if use_cache and self._network_csr is not None:
             return self._network_csr
-        ii, jj, _rho = self._pair_arrays(threshold)
-        csr = csr_from_pair_arrays(
-            self.matrix, ii, jj, include_all_genes=include_all_genes
+        matrix = self.matrix
+        ii, jj, rho = self._pair_arrays(threshold)
+        csr = csr_from_pair_arrays(matrix, ii, jj, include_all_genes=include_all_genes)
+        csr.attach_label_graph(
+            lambda: network_from_pair_arrays(
+                matrix, ii, jj, rho, include_all_genes=include_all_genes
+            )
         )
         if use_cache:
             self._network_csr = csr

@@ -24,15 +24,18 @@ converts at the boundary.  :meth:`from_graph` is the plain (uncached)
 conversion; :meth:`of` returns the one view cached on the graph itself, keyed
 by the graph's structural version, so the samplers convert a network they
 filter repeatedly only once.  Edge attributes are intentionally not carried
-over — a filter result keeps its kept edges as index pairs and re-attaches
-the attributes (``Graph.spanning_subgraph`` on the original graph) only when
-its label graph is first read.
+over; a CSR knows its *label graph* instead (:meth:`label_graph`) — the
+graph it was converted from, or, for a CSR built from arrays such as a
+dataset's network, a builder run on first read.  A filter result keeps
+its kept edges as index pairs and re-attaches the attributes
+(``Graph.spanning_subgraph`` on that label graph) only when its own label
+graph is first read.
 """
 
 from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Iterator, Sequence
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -91,6 +94,7 @@ class CSRGraph:
         "_rows",
         "_row_sets",
         "_edge_arr",
+        "_graph",
     )
 
     def __init__(
@@ -121,6 +125,7 @@ class CSRGraph:
         object.__setattr__(self, "_rows", None)
         object.__setattr__(self, "_row_sets", None)
         object.__setattr__(self, "_edge_arr", None)
+        object.__setattr__(self, "_graph", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("CSRGraph is frozen; build a new one instead of mutating")
@@ -135,7 +140,8 @@ class CSRGraph:
         Vertex ``i`` is the ``i``-th vertex of ``graph.vertices()`` and row
         ``i`` lists its neighbours in the graph's (insertion) iteration order,
         so every deterministic traversal of the :class:`Graph` has an exact
-        int-indexed counterpart here.
+        int-indexed counterpart here.  ``graph`` becomes the view's
+        :meth:`label_graph`.
         """
         adj = graph._adj  # package-internal fast path; Graph owns the invariants
         labels = tuple(adj)
@@ -154,11 +160,15 @@ class CSRGraph:
         csr = cls(indptr, np.asarray(flat, dtype=np.int64), labels)
         object.__setattr__(csr, "_label_index", index)
         object.__setattr__(csr, "_rows", rows)
+        object.__setattr__(csr, "_graph", graph)
         return csr
 
     @classmethod
-    def of(cls, graph: Graph) -> "CSRGraph":
+    def of(cls, graph: "Graph | CSRGraph") -> "CSRGraph":
         """The CSR view of ``graph``, built once and cached on the graph.
+
+        A :class:`CSRGraph` is its own view, so every sampler takes either
+        form of a network.
 
         The cache is keyed by the graph's structural version: any new vertex,
         new edge or removal makes the next call rebuild, while attribute-only
@@ -167,6 +177,8 @@ class CSRGraph:
         a one-off conversion should call :meth:`from_graph`, which pins
         nothing in memory.
         """
+        if isinstance(graph, CSRGraph):
+            return graph
         view = graph._csr_view
         if view is None or view[0] != graph._version:
             view = (graph._version, cls.from_graph(graph))
@@ -186,6 +198,27 @@ class CSRGraph:
                 f"{self!r} cannot be the CSR view of {graph!r}: sizes differ"
             )
         graph._csr_view = (graph._version, self)
+
+    def attach_label_graph(self, source: "Graph | Callable[[], Graph]") -> None:
+        """Name the label graph of a CSR built from arrays: the graph, or a
+        builder run on the first :meth:`label_graph` read.  It must equal
+        :meth:`to_graph` (vertex and neighbour order) and may carry edge
+        attributes.
+        """
+        object.__setattr__(self, "_graph", source)
+
+    def label_graph(self) -> Graph:
+        """The label :class:`Graph` this CSR views: the graph :meth:`from_graph`
+        converted, or the one :meth:`attach_label_graph` names, or else
+        :meth:`to_graph`.  A built graph is cached, with this CSR as its
+        :meth:`of` view; pickling drops it.
+        """
+        graph = self._graph
+        if not isinstance(graph, Graph):
+            graph = self.to_graph() if graph is None else graph()
+            self.install_as_view_of(graph)
+            object.__setattr__(self, "_graph", graph)
+        return graph
 
     @classmethod
     def from_edge_sequence(
@@ -311,24 +344,27 @@ class CSRGraph:
         object.__setattr__(csr, "_rows", None)
         object.__setattr__(csr, "_row_sets", None)
         object.__setattr__(csr, "_edge_arr", None)
+        object.__setattr__(csr, "_graph", None)
         return csr
 
     def to_graph(self) -> Graph:
-        """Convert back to a :class:`Graph`.
+        """Convert back to a new :class:`Graph`.
 
-        The result compares equal to the source graph (same vertex set,
-        iteration order and edge set).  Edges are inserted in row-major order,
-        so per-vertex *neighbour* order may differ from an arbitrarily
-        interleaved construction sequence; edge attributes are not carried by
-        the CSR form at all (re-attach them via ``Graph.spanning_subgraph`` on
-        the original graph).
+        Vertex ``i`` is ``labels[i]`` and its neighbours come in row order,
+        so ``CSRGraph.from_graph(csr.to_graph()) == csr`` bit for bit.  Edge
+        attributes are not carried by the CSR form at all (see
+        :meth:`label_graph`).
         """
-        g = Graph(vertices=self.labels)
-        indptr, indices, labels = self.indptr, self.indices, self.labels
-        for i in range(self.n_vertices):
-            for j in indices[indptr[i] : indptr[i + 1]]:
-                if j > i:
-                    g.add_edge(labels[i], labels[int(j)])
+        labels = self.labels
+        g = Graph()
+        # Package-internal fast path: rows in any order are a valid Graph,
+        # and ``add_edge`` could not reproduce every neighbour order.
+        g._adj = {
+            labels[i]: dict.fromkeys(map(labels.__getitem__, row))
+            for i, row in enumerate(self.neighbor_lists())
+        }
+        g._n_edges = self.n_edges
+        g._version = self.n_vertices + self.n_edges
         return g
 
     # ------------------------------------------------------------------

@@ -33,10 +33,11 @@ add annotations :meth:`~repro.ontology.annotation.AnnotationIndex.updated`
                 per-edge memos touching those genes.
 ==============  =====================================================================
 
-Downstream, the network views and MCODE cluster state are reused whenever
+Downstream, the network view and MCODE cluster state are reused whenever
 the thresholded ``(ii, jj)`` edge structure is unchanged (MCODE is
-structure-only); the label/CSR views rebuild from the pair arrays whenever
-any correlation moved (edges carry ``rho`` attributes).
+structure-only); the CSR view rebuilds from the pair arrays whenever any
+correlation moved, and its label network (edges carry ``rho`` attributes)
+is built only if something reads it.
 
 Every delta output is pinned byte-identical to the cold reference: the
 rebuild of a mutated dataset's state from nothing is ``prepare_dataset``
@@ -67,8 +68,6 @@ from .expression.correlation import (
     CorrelationThreshold,
     correlated_pair_arrays,
     correlated_pair_arrays_delta,
-    csr_from_pair_arrays,
-    network_from_pair_arrays,
 )
 from .expression.datasets import SyntheticStudy
 from .expression.microarray import ExpressionMatrix
@@ -338,26 +337,31 @@ def _delta_apply(bundle: DatasetBundle, data: UpdateData) -> tuple[DatasetBundle
         and np.array_equal(jj, old_jj)
     )
     values_same = structure_same and np.array_equal(rho, old_rho)
+    new_study = study
+    network_csr = bundle.network_csr
+    clusters = bundle.original_clusters
+    if "expression" in dirty:
+        new_study = dataclasses.replace(
+            study,
+            matrix=matrix,
+            _network_csr=network_csr if values_same else None,
+            _pairs={threshold_key: pairs},
+        )
     if "expression" not in dirty or values_same:
-        network, network_csr = bundle.network, bundle.network_csr
-        clusters = bundle.original_clusters
         reused += ["network", "clusters"]
     else:
         dirty.add("network")
-        network = network_from_pair_arrays(matrix, ii, jj, rho, include_all_genes=False)
-        network_csr = csr_from_pair_arrays(matrix, ii, jj, include_all_genes=False)
+        # The CSR view rebuilds from the new pairs; its label network (the
+        # ``rho`` attributes) is built only if something reads it.
+        network_csr = new_study.network_csr()
         if structure_same:
             # MCODE is structure-only: identical (ii, jj) over the same
             # vertex order means identical clusters — only the rho edge
-            # attributes moved, so the label/CSR views rebuilt above.
-            clusters = bundle.original_clusters
+            # attributes moved.
             reused.append("clusters")
         else:
             clusters = cluster_network(
-                network,
-                bundle.mcode_params,
-                source=f"{study.name}/original",
-                csr=network_csr,
+                network_csr, bundle.mcode_params, source=f"{study.name}/original"
             )
 
     # --- ontology ------------------------------------------------------------
@@ -389,20 +393,9 @@ def _delta_apply(bundle: DatasetBundle, data: UpdateData) -> tuple[DatasetBundle
         reused.append("annotation_index")
 
     # --- assemble ------------------------------------------------------------
-    if "expression" in dirty:
-        new_study = dataclasses.replace(
-            study,
-            matrix=matrix,
-            _network=network,
-            _network_csr=network_csr,
-            _pairs={threshold_key: pairs},
-        )
-    else:
-        new_study = study
     new_bundle = dataclasses.replace(
         bundle,
         study=new_study,
-        network=network,
         network_csr=network_csr,
         original_clusters=clusters,
         generation=bundle.generation + 1,
@@ -432,19 +425,14 @@ def reference_apply_update(bundle: DatasetBundle, data: UpdateData) -> DatasetBu
 
     dag, table = bundle.scorer.dag, bundle.scorer.annotations
     new_study = _apply_primary(bundle.study, dag, table, data)
-    network = new_study.network()
     network_csr = new_study.network_csr()
     scorer = EnrichmentScorer(dag, table)
     clusters = cluster_network(
-        network,
-        bundle.mcode_params,
-        source=f"{new_study.name}/original",
-        csr=network_csr,
+        network_csr, bundle.mcode_params, source=f"{new_study.name}/original"
     )
     return dataclasses.replace(
         bundle,
         study=new_study,
-        network=network,
         network_csr=network_csr,
         scorer=scorer,
         original_clusters=clusters,
@@ -488,9 +476,7 @@ def _apply_primary(
         dag.add_term(term_id, list(parents))
     for gene, terms in data.annotation_specs:
         table.annotate(gene, list(terms))
-    return dataclasses.replace(
-        study, matrix=matrix, _network=None, _network_csr=None, _pairs={}
-    )
+    return dataclasses.replace(study, matrix=matrix, _network_csr=None, _pairs={})
 
 
 def replay_reference(

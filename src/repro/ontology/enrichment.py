@@ -24,7 +24,8 @@ Two implementations live here:
   breadth)`` array table (:class:`_PairTable`); every edge then resolves by a
   gather plus a segment max, and whole cluster *sets* reduce to AEES /
   max-score / max-depth / dominant-term arrays with segment reductions
-  (:meth:`EnrichmentScorer.score_cluster_graphs`).  Scoring is serial and
+  (:meth:`EnrichmentScorer.score_cluster_graphs`, which reads index-native
+  clusters' edge pairs without a label graph).  Scoring is serial and
   in-process: at every scale ``benchmarks/bench_enrichment.py`` records, one
   process scores the distinct pairs faster than a worker fan-out ships them.
 * the **reference implementation**: the seed per-edge double loop over term
@@ -39,7 +40,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Hashable, Iterable, Sequence
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -60,6 +61,13 @@ __all__ = [
 
 Vertex = Hashable
 Edge = tuple[Vertex, Vertex]
+#: A :class:`~repro.clustering.cluster.Cluster` or a cluster subgraph.
+ClusterLike = Any
+
+
+def _cluster_graph(item: ClusterLike) -> Graph:
+    """The label subgraph of a cluster (a graph is its own)."""
+    return item if isinstance(item, Graph) else item.subgraph
 
 
 @dataclass(frozen=True)
@@ -295,6 +303,7 @@ class EnrichmentScorer:
         self._cache: dict[Edge, EdgeAnnotation] = {}
         self._pairs = _PairTable()
         self._pairs_index: Optional[TermIndex] = None
+        self._rows: Optional[tuple[Sequence[Vertex], AnnotationIndex, np.ndarray]] = None
 
     # ------------------------------------------------------------------
     # object APIs (per-edge cache)
@@ -351,18 +360,23 @@ class EnrichmentScorer:
     # ------------------------------------------------------------------
     # array front-end (whole-bundle scoring, no per-edge objects)
     # ------------------------------------------------------------------
-    def score_cluster_graphs(self, graphs: Sequence[Graph]) -> ClusterScores:
-        """Score a set of cluster subgraphs in one concatenated pass.
+    def score_cluster_graphs(self, clusters: Sequence[ClusterLike]) -> ClusterScores:
+        """Score a set of clusters in one concatenated pass.
 
-        All edges of all clusters are resolved against the pair table
-        together, and the per-cluster aggregates (AEES, max score, max depth,
-        dominant term) come out of segment reductions — no per-edge Python
-        objects.  Bit-identical to ``[self.cluster(g) for g in graphs]``
-        aggregates (edge scores are integer-valued, so the float sums are
-        exact in any order).
+        Each entry is a :class:`~repro.clustering.cluster.Cluster` or a
+        cluster subgraph.  An index-native cluster contributes its edge
+        pairs as they are; a graph (or a hand-built cluster's subgraph) is
+        walked.  All edges of all clusters are then
+        resolved against the pair table together, and the per-cluster
+        aggregates (AEES, max score, max depth, dominant term) come out of
+        segment reductions — no per-edge Python objects.  Bit-identical to
+        ``[self.cluster(g) for g in graphs]`` aggregates: every edge is
+        scored in its ``edge_key`` orientation, as a graph walk reports it,
+        and edge scores are integer-valued, so the float sums are exact in
+        any order.
         """
         if self.engine == "reference":
-            per = [self.cluster(g) for g in graphs]
+            per = [self.cluster(_cluster_graph(c)) for c in clusters]
             return ClusterScores(
                 aees=np.array([c.aees for c in per], dtype=float),
                 max_score=np.array([c.max_score for c in per], dtype=float),
@@ -371,20 +385,10 @@ class EnrichmentScorer:
                 dominant=[c.dominant_term() for c in per],
             )
         term_index, ann_index = self._indexes()
-        n_clusters = len(graphs)
-        flat_u: list[Vertex] = []
-        flat_v: list[Vertex] = []
-        counts = np.zeros(n_clusters, dtype=np.int64)
-        for c, g in enumerate(graphs):
-            before = len(flat_u)
-            for u, v in g.iter_edges():
-                flat_u.append(u)
-                flat_v.append(v)
-            counts[c] = len(flat_u) - before
-        ru = ann_index.rows_for(flat_u)
-        rv = ann_index.rows_for(flat_v)
+        n_clusters = len(clusters)
+        ru, rv, cluster_of = self._edge_rows(clusters, ann_index)
         dcp, depth, breadth, score = self._edge_score_arrays(ru, rv, term_index, ann_index)
-        cluster_of = np.repeat(np.arange(n_clusters, dtype=np.int64), counts)
+        counts = np.bincount(cluster_of, minlength=n_clusters)
         nonempty = counts > 0
         aees = np.zeros(n_clusters, dtype=float)
         np.divide(
@@ -419,19 +423,70 @@ class EnrichmentScorer:
             dominant=dominant,
         )
 
-    def cluster_aees(self, graphs: Sequence[Graph]) -> list[float]:
-        """AEES of each cluster subgraph — the quadrant evaluation's input.
+    def cluster_aees(self, clusters: Sequence[ClusterLike]) -> list[float]:
+        """AEES of each cluster (or cluster subgraph) — the quadrant evaluation's input.
 
         One concatenated batch on the batched engine; the per-cluster object
         path on the reference engine.
         """
-        if self.engine == "reference":
-            return [self.cluster(g).aees for g in graphs]
-        return self.score_cluster_graphs(graphs).aees.tolist()
+        return self.score_cluster_graphs(clusters).aees.tolist()
 
     # ------------------------------------------------------------------
     # batched internals
     # ------------------------------------------------------------------
+    def _edge_rows(
+        self, clusters: Sequence[ClusterLike], ann_index: AnnotationIndex
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Gene rows ``(ru, rv)`` of every cluster edge and the cluster it belongs to.
+
+        Each edge is oriented as ``edge_key`` orders its labels.  A graph (or
+        a hand-built cluster's subgraph) is walked; index-native clusters
+        over one label space (one network and its filtered views share its
+        label tuple) concatenate their pairs and map them through one row
+        array.
+        """
+        walked_u: list[Vertex] = []
+        walked_v: list[Vertex] = []
+        walked_of: list[int] = []
+        spaces: dict[int, tuple[Sequence[Vertex], list[int], list[np.ndarray]]] = {}
+        for position, item in enumerate(clusters):
+            if isinstance(item, Graph) or item.pairs is None:
+                for u, v in _cluster_graph(item).iter_edges():
+                    walked_u.append(u)
+                    walked_v.append(v)
+                    walked_of.append(position)
+            else:
+                space = spaces.setdefault(id(item.csr.labels), (item.csr.labels, [], []))
+                space[1].append(position)
+                space[2].append(item.pairs)
+        ru = [ann_index.rows_for(walked_u)]
+        rv = [ann_index.rows_for(walked_v)]
+        cluster_of = [np.array(walked_of, dtype=np.int64)]
+        for labels, positions, pair_list in spaces.values():
+            pairs = np.concatenate(pair_list)
+            rows = self._label_rows(labels, ann_index)
+            first, second = pairs[:, 0], pairs[:, 1]
+            flip = np.fromiter(
+                (
+                    edge_key(labels[a], labels[b])[0] is not labels[a]
+                    for a, b in zip(first.tolist(), second.tolist())
+                ),
+                dtype=bool,
+                count=first.size,
+            )
+            ru.append(rows[np.where(flip, second, first)])
+            rv.append(rows[np.where(flip, first, second)])
+            cluster_of.append(np.repeat(positions, [p.shape[0] for p in pair_list]))
+        return np.concatenate(ru), np.concatenate(rv), np.concatenate(cluster_of)
+
+    def _label_rows(self, labels: Sequence[Vertex], ann_index: AnnotationIndex) -> np.ndarray:
+        """``ann_index.rows_for(labels)``, kept for the last (labels, index) pair."""
+        cached = self._rows
+        if cached is None or cached[0] is not labels or cached[1] is not ann_index:
+            cached = (labels, ann_index, ann_index.rows_for(labels))
+            self._rows = cached
+        return cached[2]
+
     def _indexes(self) -> tuple[TermIndex, AnnotationIndex]:
         """Current (term, annotation) index snapshots; resets the pair table
         when the DAG has structurally changed underneath the memo."""

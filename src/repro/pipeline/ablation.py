@@ -1,4 +1,4 @@
-"""Ablation studies for the design choices called out in DESIGN.md §6.
+"""Ablation studies for the paper's fixed design choices.
 
 The paper fixes several knobs without exploring them (MCODE's 3.0 score
 threshold, block data distribution, the triangle-based border-admission rule).
@@ -24,6 +24,7 @@ from typing import Any, Optional, Sequence
 
 from ..clustering.mcode import MCODEParams, mcode_clusters
 from ..core.quasi import quasi_chordal_report
+from ..core.results import FilterResult
 from ..core.sampling import apply_filter
 from ..graph.centrality import centrality_spearman, hub_retention
 from ..graph.partition import partition_graph
@@ -51,26 +52,23 @@ def mcode_threshold_sweep(
     the number of biologically relevant clusters respond to that choice.
     """
     bundle = get_bundle(dataset, scale)
-    filtered = apply_filter(bundle.network, method="chordal", ordering=ordering, n_partitions=1)
+    filtered = apply_filter(bundle.network_csr, method="chordal", ordering=ordering, n_partitions=1)
+    filtered_csr = filtered.filtered_csr()
     rows: list[dict[str, Any]] = []
     for threshold in thresholds:
         params = MCODEParams(min_score=threshold)
-        original_clusters = mcode_clusters(bundle.network, params)
-        filtered_clusters = mcode_clusters(filtered.graph, params)
+        original_clusters = mcode_clusters(bundle.network_csr, params)
+        filtered_clusters = mcode_clusters(filtered_csr, params)
         rows.append(
             {
                 "min_score": threshold,
                 "original_clusters": len(original_clusters),
                 "filtered_clusters": len(filtered_clusters),
                 "original_relevant": sum(
-                    1
-                    for aees in bundle.scorer.cluster_aees([c.subgraph for c in original_clusters])
-                    if aees >= 3.0
+                    1 for aees in bundle.scorer.cluster_aees(original_clusters) if aees >= 3.0
                 ),
                 "filtered_relevant": sum(
-                    1
-                    for aees in bundle.scorer.cluster_aees([c.subgraph for c in filtered_clusters])
-                    if aees >= 3.0
+                    1 for aees in bundle.scorer.cluster_aees(filtered_clusters) if aees >= 3.0
                 ),
             }
         )
@@ -91,12 +89,12 @@ def partitioner_ablation(
     data distribution (the paper only uses the block distribution).
     """
     bundle = get_bundle(dataset, scale)
-    sequential = apply_filter(bundle.network, method="chordal", ordering=ordering, n_partitions=1)
-    sequential_relevant = _relevant_cluster_count(bundle, sequential.graph)
+    sequential = apply_filter(bundle.network_csr, method="chordal", ordering=ordering, n_partitions=1)
+    sequential_relevant = _relevant_cluster_count(bundle, sequential)
     rows: list[dict[str, Any]] = []
     for method in methods:
         result = apply_filter(
-            bundle.network,
+            bundle.network_csr,
             method="chordal",
             ordering=ordering,
             n_partitions=n_partitions,
@@ -108,7 +106,7 @@ def partitioner_ablation(
                 "border_edges": result.n_border_edges,
                 "duplicates": result.duplicate_border_edges,
                 "edges_kept": result.n_edges_kept,
-                "relevant_clusters": _relevant_cluster_count(bundle, result.graph),
+                "relevant_clusters": _relevant_cluster_count(bundle, result),
                 "sequential_relevant": sequential_relevant,
                 "simulated_time": result.simulated_time,
             }
@@ -116,9 +114,9 @@ def partitioner_ablation(
     return {"dataset": dataset, "n_partitions": n_partitions, "rows": rows}
 
 
-def _relevant_cluster_count(bundle: DatasetBundle, graph) -> int:
-    clusters = mcode_clusters(graph, bundle.mcode_params)
-    scores = bundle.scorer.cluster_aees([c.subgraph for c in clusters])
+def _relevant_cluster_count(bundle: DatasetBundle, result: FilterResult) -> int:
+    clusters = mcode_clusters(result.filtered_csr(), bundle.mcode_params)
+    scores = bundle.scorer.cluster_aees(clusters)
     return sum(1 for aees in scores if aees >= bundle.thresholds.aees_threshold)
 
 

@@ -2,8 +2,8 @@
 
 Every data figure and in-text quantitative claim of the paper's evaluation has
 a driver here that regenerates the corresponding rows / series; the benchmark
-files under ``benchmarks/`` are thin wrappers around these functions, and
-EXPERIMENTS.md records the measured outputs next to the paper's values.
+files under ``benchmarks/`` are thin wrappers around these functions (README's
+figure table maps each figure to its benchmark).
 
 All drivers take a ``scale`` parameter (see
 :meth:`repro.expression.StudyConfig.scaled`); the default is read from the
@@ -107,7 +107,7 @@ def fig04_aees_by_ordering(
     means: dict[str, float] = {}
     for name in datasets:
         bundle = get_bundle(name, scale)
-        orig_scores = bundle.scorer.cluster_aees([c.subgraph for c in bundle.original_clusters])
+        orig_scores = bundle.scorer.cluster_aees(bundle.original_clusters)
         for cid, aees in enumerate(orig_scores):
             rows.append({"dataset": name, "network": "ORIG", "cluster": f"C{cid}", "aees": aees})
         if orig_scores:
@@ -275,22 +275,22 @@ def fig09_cluster_refinement(
     for match in analysis.matches:
         if match.original is None:
             continue
-        filtered_enrichment = bundle.scorer.cluster(match.filtered.subgraph)
-        original_enrichment = bundle.scorer.cluster(match.original.subgraph)
-        gain = filtered_enrichment.aees - original_enrichment.aees
+        scores = bundle.scorer.score_cluster_graphs([match.filtered, match.original])
+        filtered_aees, original_aees = scores.aees.tolist()
+        gain = filtered_aees - original_aees
         row = {
             "dataset": dataset,
             "ordering": ORDERING_LABELS.get(ordering, ordering),
             "original_cluster": match.original.cluster_id,
             "filtered_cluster": match.filtered.cluster_id,
-            "original_aees": original_enrichment.aees,
-            "filtered_aees": filtered_enrichment.aees,
+            "original_aees": original_aees,
+            "filtered_aees": filtered_aees,
             "aees_gain": gain,
             "node_overlap": match.node_overlap,
             "edge_overlap": match.edge_overlap,
             "original_size": match.original.n_vertices,
             "filtered_size": match.filtered.n_vertices,
-            "dominant_term": filtered_enrichment.dominant_term(),
+            "dominant_term": scores.dominant[0],
         }
         if best is None or row["aees_gain"] > best["aees_gain"]:
             best = row
@@ -322,9 +322,9 @@ def fig10_scalability(
         meta[label] = {"dataset": name, "n_vertices": bundle.n_vertices, "n_edges": bundle.n_edges}
         series[label] = {"chordal_comm": {}, "chordal_nocomm": {}, "random_walk": {}}
         for p in processor_counts:
-            comm = apply_filter(bundle.network, method="chordal_comm", ordering=ordering, n_partitions=p)
-            nocomm = apply_filter(bundle.network, method="chordal", ordering=ordering, n_partitions=p)
-            walk = apply_filter(bundle.network, method="random_walk", ordering=None, n_partitions=p)
+            comm = apply_filter(bundle.network_csr, method="chordal_comm", ordering=ordering, n_partitions=p)
+            nocomm = apply_filter(bundle.network_csr, method="chordal", ordering=ordering, n_partitions=p)
+            walk = apply_filter(bundle.network_csr, method="random_walk", ordering=None, n_partitions=p)
             series[label]["chordal_comm"][p] = float(comm.simulated_time or 0.0)
             series[label]["chordal_nocomm"][p] = float(nocomm.simulated_time or 0.0)
             series[label]["random_walk"][p] = float(walk.simulated_time or 0.0)
@@ -350,16 +350,18 @@ def fig11_parallel_consistency(
     top_clusters: dict[str, list[dict[str, Any]]] = {}
 
     orig_rows = []
-    for c in bundle.original_clusters:
-        enrich = bundle.scorer.cluster(c.subgraph)
-        if enrich.aees >= aees_threshold:
+    scores = bundle.scorer.score_cluster_graphs(bundle.original_clusters)
+    for c, aees, max_score in zip(
+        bundle.original_clusters, scores.aees.tolist(), scores.max_score.tolist()
+    ):
+        if aees >= aees_threshold:
             orig_rows.append(
                 {
                     "network": "ORIG",
                     "cluster": c.cluster_id,
                     "size": c.n_vertices,
-                    "aees": enrich.aees,
-                    "max_score": enrich.max_score,
+                    "aees": aees,
+                    "max_score": max_score,
                 }
             )
     top_clusters["ORIG"] = orig_rows
@@ -376,16 +378,16 @@ def fig11_parallel_consistency(
         ]
         overlap_points[p] = points
         rows = []
-        for c, aees in zip(analysis.clusters, analysis.cluster_aees()):
+        max_scores = bundle.scorer.score_cluster_graphs(analysis.clusters).max_score.tolist()
+        for c, aees, max_score in zip(analysis.clusters, analysis.cluster_aees(), max_scores):
             if aees >= aees_threshold:
-                enrich = bundle.scorer.cluster(c.subgraph)
                 rows.append(
                     {
                         "network": f"{p}P",
                         "cluster": c.cluster_id,
                         "size": c.n_vertices,
                         "aees": aees,
-                        "max_score": enrich.max_score,
+                        "max_score": max_score,
                     }
                 )
         top_clusters[f"{p}P"] = rows
@@ -443,10 +445,10 @@ def border_edge_study(
     for method in partition_methods:
         for p in processor_counts:
             nocomm = apply_filter(
-                bundle.network, method="chordal", ordering=ordering, n_partitions=p, partition_method=method
+                bundle.network_csr, method="chordal", ordering=ordering, n_partitions=p, partition_method=method
             )
             comm = apply_filter(
-                bundle.network, method="chordal_comm", ordering=ordering, n_partitions=p, partition_method=method
+                bundle.network_csr, method="chordal_comm", ordering=ordering, n_partitions=p, partition_method=method
             )
             comm_stats = comm.extra.get("comm_stats")
             rows.append(

@@ -63,20 +63,22 @@ __all__ = [
 
 @dataclass
 class DatasetBundle:
-    """Everything derived from one dataset that filters are evaluated against."""
+    """Everything derived from one dataset that filters are evaluated against.
+
+    The network lives in index form: ``network_csr`` is built straight from
+    the correlation pairs, the filters run on it, and the original clusters
+    index it.  The label :attr:`network` (with its ``rho`` edge attributes)
+    is built only when read.
+    """
 
     name: str
     study: SyntheticStudy
-    network: Graph
+    network_csr: CSRGraph
     scorer: EnrichmentScorer
     original_clusters: list[Cluster]
     mcode_params: MCODEParams
     thresholds: EvaluationThresholds = field(default_factory=EvaluationThresholds)
     scale: float = 1.0
-    #: CSR view of ``network``, built directly from the expression matrix
-    #: (one correlation pass serves both views); ``None`` only for bundles
-    #: constructed by hand without it.
-    network_csr: Optional[CSRGraph] = None
     #: Number of incremental updates absorbed since the cold build (see
     #: :mod:`repro.incremental`); 0 for a fresh :func:`prepare_dataset`.
     generation: int = 0
@@ -86,19 +88,18 @@ class DatasetBundle:
     #: what lets the serve layer scope its cache invalidation.
     dirty: frozenset = frozenset()
 
-    def __post_init__(self) -> None:
-        # The filters read ``CSRGraph.of(network)``: serve them this CSR
-        # rather than converting the network a second time.
-        if self.network_csr is not None:
-            self.network_csr.install_as_view_of(self.network)
+    @property
+    def network(self) -> Graph:
+        """The label network, built on first read (``network_csr.label_graph()``)."""
+        return self.network_csr.label_graph()
 
     @property
     def n_vertices(self) -> int:
-        return self.network.n_vertices
+        return self.network_csr.n_vertices
 
     @property
     def n_edges(self) -> int:
-        return self.network.n_edges
+        return self.network_csr.n_edges
 
     def summary(self) -> dict[str, Any]:
         return {
@@ -133,8 +134,12 @@ class FilterAnalysis:
         return f"{self.bundle.name}/{self.result.method}/{ordering}/{self.result.n_partitions}P"
 
     def cluster_aees(self) -> list[float]:
-        """AEES of every filtered cluster, in cluster order (one batched pass)."""
-        return self.bundle.scorer.cluster_aees([c.subgraph for c in self.clusters])
+        """AEES of every filtered cluster, in cluster order.
+
+        The scores the classification computed: ``matches[j]`` is filtered
+        cluster ``j``, so no cluster is scored twice.
+        """
+        return [s.aees for s in self.scored_by_node]
 
     def high_scoring_clusters(self, threshold: Optional[float] = None) -> list[Cluster]:
         """Clusters whose AEES clears the (default 3.0) relevance threshold."""
@@ -163,17 +168,13 @@ class FilterAnalysis:
 
 
 def cluster_network(
-    graph: Graph,
+    graph: "Graph | CSRGraph",
     params: Optional[MCODEParams] = None,
     source: str = "",
-    csr: Optional[CSRGraph] = None,
 ) -> list[Cluster]:
-    """Cluster a network with MCODE under the paper's default parameters.
-
-    ``csr`` optionally reuses a prebuilt CSR view of ``graph`` (the bundle's
-    ``network_csr``) so the index-native MCODE skips its one conversion.
-    """
-    return mcode_clusters(graph, params=params or MCODEParams(), source=source, csr=csr)
+    """Cluster a network (a label graph or its CSR view) with MCODE under
+    the paper's default parameters."""
+    return mcode_clusters(graph, params=params or MCODEParams(), source=source)
 
 
 def prepare_primary(
@@ -201,29 +202,24 @@ def derive_dataset(
 ) -> DatasetBundle:
     """Build the derived layers of a bundle from its primary state.
 
-    One correlation pass, the label and CSR network views, the enrichment
-    scorer and the clusters of the original network.
+    One correlation pass, the CSR network view, the enrichment scorer and
+    the clusters of the original network.  The label network is left to the
+    first read of :attr:`DatasetBundle.network`.
     """
     params = mcode_params or MCODEParams()
-    # Both network views come from one cached correlation pass: the label
-    # graph for the filters (edge attributes, spanning subgraphs) and the CSR
-    # view — built straight from the expression tiles — for the index-native
-    # analysis kernels.
-    network = study.network()
     network_csr = study.network_csr()
     scorer = EnrichmentScorer(dag, annotations)
     original_clusters = cluster_network(
-        network, params, source=f"{study.name}/original", csr=network_csr
+        network_csr, params, source=f"{study.name}/original"
     )
     return DatasetBundle(
         name=study.name,
         study=study,
-        network=network,
+        network_csr=network_csr,
         scorer=scorer,
         original_clusters=original_clusters,
         mcode_params=params,
         scale=scale,
-        network_csr=network_csr,
     )
 
 
@@ -258,18 +254,21 @@ def analyze_filter(
     filtered network's MCODE clusters, their best overlap match against the
     original clusters (by node overlap), both overlap values, lost/found
     clusters and quadrant counts for node- and edge-overlap matching.
+
+    The chain stays on indices from the filter to the payload: the filter
+    reads ``bundle.network_csr``, MCODE clusters the result's
+    ``filtered_csr()``, and scoring and overlap read the clusters' index
+    pairs.  No label graph is built.
     """
     result = apply_filter(
-        bundle.network,
+        bundle.network_csr,
         method=method,
         ordering=ordering,
         n_partitions=n_partitions,
         **filter_kwargs,
     )
     label = f"{bundle.name}/{method}/{ordering or '-'}/{n_partitions}P"
-    clusters = cluster_network(
-        result.graph, bundle.mcode_params, source=label, csr=result.filtered_csr()
-    )
+    clusters = cluster_network(result.filtered_csr(), bundle.mcode_params, source=label)
     matches, lost = match_and_lost_clusters(bundle.original_clusters, clusters)
     scored_node = classify_matches(matches, bundle.scorer, bundle.thresholds, "node_overlap")
     # The edge-overlap pass classifies the same filtered clusters, so it

@@ -8,8 +8,8 @@ and the pair dedup across concurrent clients falls out of ``_PairTable`` —
 two requests whose clusters share annotation-term pairs score each distinct
 pair once.
 
-:class:`EnrichmentBatcher` is the funnel: requests submit their cluster
-subgraphs and block; a single drain thread collects everything pending,
+:class:`EnrichmentBatcher` is the funnel: requests submit their clusters
+and block; a single drain thread collects everything pending,
 scores it in **one** scorer call and distributes the per-cluster slices back.
 Per-cluster results are independent of batch composition (pinned bit-identical
 to per-cluster scoring by the enrichment engine's tests), so coalescing never
@@ -21,16 +21,16 @@ from __future__ import annotations
 import threading
 from typing import Callable, Optional, Sequence
 
-from ..graph.graph import Graph
+from ..clustering.cluster import Cluster
 
 __all__ = ["EnrichmentBatcher"]
 
 
 class _Pending:
-    """One submitted scoring request: its graphs and its completion latch."""
+    """One submitted scoring request: its clusters and its completion latch."""
 
-    def __init__(self, graphs: Sequence[Graph]) -> None:
-        self.graphs = list(graphs)
+    def __init__(self, clusters: Sequence[Cluster]) -> None:
+        self.clusters = list(clusters)
         self.event = threading.Event()
         self.values: Optional[list[float]] = None
         self.error: Optional[BaseException] = None
@@ -69,9 +69,9 @@ class EnrichmentBatcher:
     # ------------------------------------------------------------------
     # submission side
     # ------------------------------------------------------------------
-    def submit(self, graphs: Sequence[Graph]) -> _Pending:
+    def submit(self, clusters: Sequence[Cluster]) -> _Pending:
         """Queue a scoring request; returns its pending handle."""
-        item = _Pending(graphs)
+        item = _Pending(clusters)
         with self._lock:
             if self._stop:
                 raise RuntimeError("EnrichmentBatcher is stopped")
@@ -82,9 +82,9 @@ class EnrichmentBatcher:
             self._on_submit(pending)
         return item
 
-    def score(self, graphs: Sequence[Graph], timeout: Optional[float] = None) -> list[float]:
-        """Submit and block until scored; the AEES of every graph, in order."""
-        item = self.submit(graphs)
+    def score(self, clusters: Sequence[Cluster], timeout: Optional[float] = None) -> list[float]:
+        """Submit and block until scored; the AEES of every cluster, in order."""
+        item = self.submit(clusters)
         if not item.event.wait(timeout):
             raise TimeoutError("enrichment batch did not complete in time")
         if item.error is not None:
@@ -132,9 +132,9 @@ class EnrichmentBatcher:
                 return
 
     def _run_batch(self, batch: list[_Pending]) -> None:
-        graphs = [g for item in batch for g in item.graphs]
+        clusters = [c for item in batch for c in item.clusters]
         try:
-            values = self._scorer.cluster_aees(graphs)
+            values = self._scorer.cluster_aees(clusters)
         except BaseException as exc:  # noqa: BLE001 — delivered to every waiter
             for item in batch:
                 item.error = exc
@@ -143,9 +143,9 @@ class EnrichmentBatcher:
         with self._lock:
             self.batches += 1
             self.coalesced_requests += len(batch)
-            self.scored_clusters += len(graphs)
+            self.scored_clusters += len(clusters)
         offset = 0
         for item in batch:
-            item.values = list(values[offset : offset + len(item.graphs)])
-            offset += len(item.graphs)
+            item.values = list(values[offset : offset + len(item.clusters)])
+            offset += len(item.clusters)
             item.event.set()

@@ -207,7 +207,7 @@ def normalize_update_params(
 # ----------------------------------------------------------------------
 def _run_filter(state: DatasetState, params: dict[str, Any]):
     return apply_filter(
-        state.bundle.network,
+        state.bundle.network_csr,
         method=params["method"],
         ordering=params["ordering"],
         n_partitions=params["partitions"],
@@ -246,12 +246,10 @@ def handle_enrich(state: DatasetState, params: dict[str, Any]) -> dict[str, Any]
             f"{bundle.name}/{params['method']}/"
             f"{params['ordering'] or '-'}/{params['partitions']}P"
         )
-        clusters = cluster_network(
-            result.graph, bundle.mcode_params, source=source, csr=result.filtered_csr()
-        )
+        clusters = cluster_network(result.filtered_csr(), bundle.mcode_params, source=source)
     # The one stage where cross-request batching pays: concurrent enrich
     # requests coalesce into a single scorer pass (see serve.coalesce).
-    aees = state.batcher.score([c.subgraph for c in clusters])
+    aees = state.batcher.score(clusters)
     return enrichment_payload(clusters, aees, source)
 
 

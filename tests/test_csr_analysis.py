@@ -175,7 +175,7 @@ class TestCSRMCODE:
     def test_prebuilt_csr_shortcut(self):
         g = correlation_like_graph(n_modules=3, module_size=8, n_background=40, seed=9)
         csr = CSRGraph.from_graph(g)
-        assert_clusters_identical(mcode_clusters(g), mcode_clusters(g, csr=csr))
+        assert_clusters_identical(mcode_clusters(g), mcode_clusters(csr))
 
 
 def _random_clusters(g: Graph, rng: np.random.Generator, count: int) -> list[Cluster]:
@@ -297,5 +297,5 @@ class TestEndToEndWorkflowEquivalence:
         net = study.network()
         csr = study.network_csr()
         ref_orig = reference_mcode_clusters(net, source="orig")
-        new_orig = mcode_clusters(net, source="orig", csr=csr)
+        new_orig = mcode_clusters(csr, source="orig")
         assert_clusters_identical(ref_orig, new_orig)

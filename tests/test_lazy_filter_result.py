@@ -465,3 +465,96 @@ def test_edge_sequence_csr_matches_incremental_graph():
     expected = CSRGraph.from_graph(g)
     assert built == expected
     assert np.array_equal(built.indices, expected.indices)
+
+
+# ----------------------------------------------------------------------
+# lazy label objects of the CSR-native chain equal the eager ones
+# ----------------------------------------------------------------------
+def _eager_network(study) -> Graph:
+    from repro.expression.correlation import network_from_pair_arrays
+
+    ii, jj, rho = study._pair_arrays(None)
+    return network_from_pair_arrays(study.matrix, ii, jj, rho, include_all_genes=False)
+
+
+def _rho_bits(g: Graph) -> list:
+    return [
+        (repr(v), [float(g.edge_attr(v, w, "rho")).hex() for w in g.neighbors(v)])
+        for v in g.vertices()
+    ]
+
+
+def test_lazy_bundle_network_equals_the_eager_network(build_counts):
+    from repro.graph import CSRGraph
+    from repro.pipeline.workflow import prepare_dataset
+
+    bundle = prepare_dataset("CRE", scale=0.03)
+    assert build_counts["add_edge"] == 0  # nothing built until read
+    eager = _eager_network(bundle.study)
+    network = bundle.network
+    assert graph_fingerprint(network) == graph_fingerprint(eager)
+    assert _rho_bits(network) == _rho_bits(eager)
+    assert network is bundle.network is bundle.study.network()
+    assert CSRGraph.of(network) is bundle.network_csr
+    assert bundle.network_csr == CSRGraph.from_graph(eager)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=spec_id)
+def test_csr_input_filter_matches_eager_fingerprint(build_counts, spec):
+    from repro.expression.datasets import make_study
+
+    study = make_study("CRE", scale=0.03)
+    csr = study.network_csr()
+    result = run_case(csr, spec)
+    filter_payload(result, include_edges=True)
+    result.summary()
+    assert result.csr is csr
+    if not spec[2].get("repair_cycles"):  # the repair pass builds its own check graph
+        assert build_counts == {"add_edge": 0, "from_graph": 0}
+    assert result_fingerprint(result) == RESULT_DIGESTS["cre_study", spec_id(spec)]
+    assert result.original is study.network()
+    assert _rho_bits(result.original) == _rho_bits(_eager_network(study))
+
+
+def test_filtered_csr_label_graph_is_the_result_graph():
+    g = erdos_renyi_graph(60, 0.15, seed=8)
+    result = apply_filter(g, method="chordal_comm", n_partitions=2, backend="serial")
+    filtered = result.filtered_csr()
+    assert filtered.label_graph() is result.graph
+
+
+@pytest.mark.parametrize("source", ["network", "filtered"])
+def test_index_clusters_equal_their_eager_label_form(source):
+    from repro.clustering.mcode import MCODEParams, mcode_clusters
+    from repro.graph import CSRGraph
+    from repro.graph.graph import edge_key
+    from repro.pipeline.workflow import prepare_dataset
+
+    bundle = prepare_dataset("YNG", scale=0.05)
+    if source == "network":
+        csr, graph = bundle.network_csr, _eager_network(bundle.study)
+    else:
+        result = apply_filter(bundle.network_csr, method="chordal", ordering="rcm")
+        labels = result.csr.labels
+        kept = [(labels[i], labels[j]) for i, j in result.kept.tolist()]
+        csr, graph = result.filtered_csr(), _eager_network(bundle.study).spanning_subgraph(kept)
+    for params in (MCODEParams(), MCODEParams(fluff=True, fluff_density_threshold=0.1)):
+        clusters = mcode_clusters(csr, params)
+        assert clusters
+        for c in clusters:
+            eager = graph.subgraph(c.members)
+            assert c.n_edges == eager.n_edges
+            assert c.edge_set() == {edge_key(u, v) for u, v in eager.iter_edges()}
+            # The pairs come in the order Graph.subgraph adds the edges.
+            local = {v: i for i, v in enumerate(c.members)}
+            labels = csr.labels
+            seq = np.array(
+                [[local[labels[u]], local[labels[v]]] for u, v in c.pairs.tolist()],
+                dtype=np.int64,
+            ).reshape(-1, 2)
+            built = CSRGraph.from_edge_sequence(c.members, seq[:, 0], seq[:, 1])
+            assert built == CSRGraph.from_graph(eager)
+            assert np.array_equal(built.indices, CSRGraph.from_graph(eager).indices)
+            assert graph_fingerprint(c.subgraph) == graph_fingerprint(eager)
+            assert _rho_bits(c.subgraph) == _rho_bits(eager)
+            assert c.density == eager.density()
