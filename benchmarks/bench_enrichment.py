@@ -84,8 +84,8 @@ def build_workload(scale_factor: float) -> dict[str, Any]:
     """The classify-stage scoring workload of one cell (built once, untimed).
 
     Original-network clusters plus one chordal filter run's clusters — the
-    same subgraph population ``classify_matches`` scores in the workflow —
-    and a fresh (DAG, annotations) pair.
+    same index-native cluster population ``classify_matches`` scores in the
+    workflow.
     """
     study = make_study(DATASET, scale=scale_factor)
     ii, jj, rho = correlated_pair_arrays(study.matrix)
@@ -95,8 +95,10 @@ def build_workload(scale_factor: float) -> dict[str, Any]:
     original = mcode_clusters(csr, source=f"{study.name}/original")
     result = apply_filter(network, **FILTER)
     filtered = mcode_clusters(result.graph, source=f"{study.name}/filtered")
-    graphs = [c.subgraph for c in original] + [c.subgraph for c in filtered]
-    return {"study": study, "graphs": graphs}
+    clusters = original + filtered
+    for cluster in clusters:
+        cluster.subgraph  # cut untimed: the label leg walks these subgraphs
+    return {"study": study, "clusters": clusters}
 
 
 def score_digest(scores: Any) -> str:
@@ -133,14 +135,14 @@ def run_impl(workload: dict[str, Any], impl: str) -> dict[str, Any]:
         dag.term_index()
         annotations.indexed()
         lap("interning")
-    scores = scorer.score_cluster_graphs(workload["graphs"])
+    scores = scorer.score_cluster_graphs(workload["clusters"])
     lap("score")
     digest = score_digest(scores)
     lap("digest")
     return {
         "stages": stages,
         "digest": digest,
-        "n_clusters": len(workload["graphs"]),
+        "n_clusters": len(workload["clusters"]),
         "n_edges": int(scores.n_edges.sum()),
         "distinct_pairs": scorer.pair_table_size,
         # The timed portion excludes the (identical) ontology generation.

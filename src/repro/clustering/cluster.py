@@ -25,7 +25,10 @@ class Cluster:
     to labels once, :meth:`edge_set` on each call, and :attr:`subgraph` is
     cut from the CSR's label graph on first read.  The hand-built form
     ``Cluster(cluster_id, members, subgraph, score)`` holds its subgraph and
-    has no index view (``csr``, ``indices`` and ``pairs`` are ``None``).
+    has no index view (``csr``, ``indices`` and ``pairs`` are ``None``), so
+    overlap matching runs the ``reference_*`` loops on it and enrichment
+    scores it one cluster at a time; only index-native clusters take the
+    fast paths.
 
     Attributes
     ----------

@@ -16,18 +16,16 @@ analysis in :mod:`repro.clustering.evaluation`.
 
 The all-pairs matching used to walk every (original, filtered) pair through
 Python set intersections; :func:`match_clusters` and :func:`lost_clusters`
-now take an index-native fast path for the two standard measures: cluster
-member (or edge) sets are mapped onto a shared integer universe and only
-the nonzero pairwise intersection counts are computed, by a sorted
-element join (:func:`_shared_counts`).  Index-native clusters over one
-network's label space (MCODE's, see :class:`~repro.clustering.cluster.Cluster`)
-already are that universe: their member indices and packed edge pairs are
-joined directly, and no label set is built.  Memory and time grow with the
-number of shared (element, cluster) incidences, never with
-clusters × universe or original × filtered clusters.  The generic-``key``
-behaviour is retained as ``reference_match_clusters`` /
-``reference_lost_clusters`` and the fast path is pinned to it by the test
-suite.
+now take an index-native fast path for the two standard measures when every
+cluster is index-native over one network's label space (MCODE's, see
+:class:`~repro.clustering.cluster.Cluster`): member indices and packed edge
+pairs are joined directly, and only the nonzero pairwise intersection counts
+are computed, by a sorted element join (:func:`_shared_counts`).  Memory and
+time grow with the number of shared (element, cluster) incidences, never
+with clusters × universe or original × filtered clusters.  Any other input
+(hand-built clusters, mixed label spaces, a generic ``key``) runs the
+retained ``reference_match_clusters`` / ``reference_lost_clusters`` loops,
+which the test suite pins the fast path to.
 """
 
 from __future__ import annotations
@@ -129,33 +127,30 @@ def _shared_counts(
     return rows, cols, counts.astype(np.float64)
 
 
-def _intersection_counts(
-    original_sets: Sequence[set], filtered_sets: Sequence[set]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_shared_counts` of label sets, interned to dense ids first."""
-    index: dict = {}
+def _fast_width(
+    original_clusters: Sequence[Cluster],
+    filtered_clusters: Sequence[Cluster],
+    key: Callable[[Cluster, Cluster], float],
+) -> Optional[int]:
+    """The size of the label space the fast path joins over, or ``None``.
 
-    def incidences(sets: Sequence[set]) -> tuple[np.ndarray, np.ndarray]:
-        elements = [index.setdefault(x, len(index)) for s in sets for x in s]
-        owners = np.repeat(np.arange(len(sets)), [len(s) for s in sets])
-        return np.array(elements, dtype=np.int64), owners.astype(np.int64)
-
-    orig_el, orig_row = incidences(original_sets)
-    filt_el, filt_row = incidences(filtered_sets)
-    return _shared_counts(orig_el, orig_row, filt_el, filt_row, len(filtered_sets))
-
-
-def _label_space(clusters: Sequence[Cluster]) -> Optional[tuple]:
-    """The label tuple all clusters index, or ``None`` (hand-built or mixed)."""
-    labels = None
-    for c in clusters:
+    The single dispatch predicate for :func:`match_clusters`,
+    :func:`match_and_lost_clusters` and :func:`lost_clusters`: ``key`` must be
+    one of the two measures with a count form, and every cluster must be
+    index-native over one label tuple.  Anything else (a generic ``key``, a
+    hand-built cluster, two label spaces) takes the reference loops.
+    """
+    if key is not node_overlap and key is not edge_overlap:
+        return None
+    labels: Optional[tuple] = None
+    for c in (*original_clusters, *filtered_clusters):
         if c.csr is None:
             return None
         if labels is None:
             labels = c.csr.labels
         elif c.csr.labels is not labels and c.csr.labels != labels:
             return None
-    return labels
+    return 0 if labels is None else len(labels)
 
 
 def _index_incidences(
@@ -175,29 +170,19 @@ def _overlap_entries(
     original_clusters: Sequence[Cluster],
     filtered_clusters: Sequence[Cluster],
     by_edges: bool,
+    n: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nonzero overlap fractions ``counts / |original|`` as ``(rows, cols, values)``.
 
+    The clusters are index-native over one label space of ``n`` labels.
     Zero-count pairs (and so every pair with an empty original) have overlap
     0.0 and are absent, exactly the entries the seed loop scores as zero.
-    Index-native clusters over one label space join their indices directly.
     """
-    labels = _label_space([*original_clusters, *filtered_clusters])
-    if labels is None:
-        if by_edges:
-            orig = [c.edge_set() for c in original_clusters]
-            filt = [c.edge_set() for c in filtered_clusters]
-        else:
-            orig = [c.node_set() for c in original_clusters]
-            filt = [c.node_set() for c in filtered_clusters]
-        rows, cols, counts = _intersection_counts(orig, filt)
-        sizes = np.array([len(s) for s in orig], dtype=np.float64)
-    else:
-        orig_el, orig_row, sizes = _index_incidences(original_clusters, by_edges, len(labels))
-        filt_el, filt_row, _ = _index_incidences(filtered_clusters, by_edges, len(labels))
-        rows, cols, counts = _shared_counts(
-            orig_el, orig_row, filt_el, filt_row, len(filtered_clusters)
-        )
+    orig_el, orig_row, sizes = _index_incidences(original_clusters, by_edges, n)
+    filt_el, filt_row, _ = _index_incidences(filtered_clusters, by_edges, n)
+    rows, cols, counts = _shared_counts(
+        orig_el, orig_row, filt_el, filt_row, len(filtered_clusters)
+    )
     return rows, cols, counts / sizes[rows]
 
 
@@ -216,20 +201,11 @@ def _values_at(
     return np.where(keys[pos] == wanted, np.append(values, 0.0)[pos], 0.0)
 
 
-def _is_fast_key(key: Callable[[Cluster, Cluster], float]) -> bool:
-    """Whether ``key`` is one of the two measures the sparse fast path serves.
-
-    The single dispatch predicate for :func:`match_clusters`,
-    :func:`match_and_lost_clusters` and :func:`lost_clusters` — extend it in
-    one place if another measure gains a count form.
-    """
-    return key is node_overlap or key is edge_overlap
-
-
 def _fast_matches(
     original_clusters: Sequence[Cluster],
     filtered_clusters: Sequence[Cluster],
     key: Callable[[Cluster, Cluster], float],
+    n: int,
 ) -> tuple[list[ClusterMatch], np.ndarray]:
     """Best matches plus the original rows with any nonzero ``key`` overlap.
 
@@ -239,8 +215,8 @@ def _fast_matches(
     row).  Filtered clusters with no nonzero entry are *found* (``None``).
     """
     width = len(filtered_clusters)
-    node = _overlap_entries(original_clusters, filtered_clusters, by_edges=False)
-    edge = _overlap_entries(original_clusters, filtered_clusters, by_edges=True)
+    node = _overlap_entries(original_clusters, filtered_clusters, False, n)
+    edge = _overlap_entries(original_clusters, filtered_clusters, True, n)
     rows, cols, values = node if key is node_overlap else edge
     order = np.lexsort((rows, -values, cols))
     first = order[np.diff(cols[order], prepend=-1) != 0]
@@ -280,13 +256,14 @@ def match_clusters(
     ``None`` — the paper's *found* clusters.
 
     For the two standard measures (:func:`node_overlap` / :func:`edge_overlap`)
-    the matching runs on sparse intersection counts (see
-    :func:`_intersection_counts`); any other ``key`` falls back to
+    over index-native clusters the matching runs on sparse intersection
+    counts (see :func:`_fast_width`); anything else falls back to
     :func:`reference_match_clusters`.
     """
-    if not _is_fast_key(key):
+    n = _fast_width(original_clusters, filtered_clusters, key)
+    if n is None:
         return reference_match_clusters(original_clusters, filtered_clusters, key)
-    return _fast_matches(original_clusters, filtered_clusters, key)[0]
+    return _fast_matches(original_clusters, filtered_clusters, key, n)[0]
 
 
 def match_and_lost_clusters(
@@ -296,16 +273,17 @@ def match_and_lost_clusters(
 ) -> tuple[list[ClusterMatch], list[Cluster]]:
     """:func:`match_clusters` and :func:`lost_clusters` in one pass.
 
-    The workflow needs both over the same cluster lists; for the standard
-    measures this computes the overlap entries once and reads the matches
-    and the zero-overlap (lost) originals off them.
+    The workflow needs both over the same cluster lists; on the fast path
+    this computes the overlap entries once and reads the matches and the
+    zero-overlap (lost) originals off them.
     """
-    if not _is_fast_key(key):
+    n = _fast_width(original_clusters, filtered_clusters, key)
+    if n is None:
         return (
             reference_match_clusters(original_clusters, filtered_clusters, key),
             reference_lost_clusters(original_clusters, filtered_clusters, key),
         )
-    matches, rows = _fast_matches(original_clusters, filtered_clusters, key)
+    matches, rows = _fast_matches(original_clusters, filtered_clusters, key, n)
     return matches, _lost_from_rows(original_clusters, rows)
 
 
@@ -320,11 +298,10 @@ def lost_clusters(
     key: Callable[[Cluster, Cluster], float] = node_overlap,
 ) -> list[Cluster]:
     """Original clusters that share nothing with any filtered cluster (lost to filtering)."""
-    if not _is_fast_key(key):
+    n = _fast_width(original_clusters, filtered_clusters, key)
+    if n is None:
         return reference_lost_clusters(original_clusters, filtered_clusters, key)
-    rows, _, _ = _overlap_entries(
-        original_clusters, filtered_clusters, by_edges=key is edge_overlap
-    )
+    rows, _, _ = _overlap_entries(original_clusters, filtered_clusters, key is edge_overlap, n)
     return _lost_from_rows(original_clusters, rows)
 
 

@@ -271,8 +271,8 @@ def apply_update(
     :func:`replay_updates` over every logged spec plus this one — the
     degraded but always-correct path, reached deterministically under the
     ``incremental.delta`` chaos site.  With ``fallback=False`` the delta
-    failure propagates (the serve layer does its own replay so it can keep
-    its lock/batcher discipline).
+    failure propagates (the serve layer does its own replay so the rebuilt
+    bundle gets its locked scorer).
 
     The input bundle is *consumed*: the delta path mutates its ontology and
     annotation state in place and returns a new bundle sharing them.

@@ -25,9 +25,11 @@ Two implementations live here:
   gather plus a segment max, and whole cluster *sets* reduce to AEES /
   max-score / max-depth / dominant-term arrays with segment reductions
   (:meth:`EnrichmentScorer.score_cluster_graphs`, which reads index-native
-  clusters' edge pairs without a label graph).  Scoring is serial and
-  in-process: at every scale ``benchmarks/bench_enrichment.py`` records, one
-  process scores the distinct pairs faster than a worker fan-out ships them.
+  clusters' edge pairs without a label graph; graphs and hand-built
+  clusters are scored one by one through the per-edge object path).
+  Scoring is serial and in-process: at every scale
+  ``benchmarks/bench_enrichment.py`` records, one process scores the
+  distinct pairs faster than a worker fan-out ships them.
 * the **reference implementation**: the seed per-edge double loop over term
   pairs (:func:`reference_score_edge` / :func:`reference_score_cluster`),
   retained as the behavioural pin — the test suite asserts the batched
@@ -364,18 +366,20 @@ class EnrichmentScorer:
         """Score a set of clusters in one concatenated pass.
 
         Each entry is a :class:`~repro.clustering.cluster.Cluster` or a
-        cluster subgraph.  An index-native cluster contributes its edge
-        pairs as they are; a graph (or a hand-built cluster's subgraph) is
-        walked.  All edges of all clusters are then
-        resolved against the pair table together, and the per-cluster
-        aggregates (AEES, max score, max depth, dominant term) come out of
-        segment reductions — no per-edge Python objects.  Bit-identical to
-        ``[self.cluster(g) for g in graphs]`` aggregates: every edge is
-        scored in its ``edge_key`` orientation, as a graph walk reports it,
-        and edge scores are integer-valued, so the float sums are exact in
-        any order.
+        cluster subgraph.  When every entry is an index-native cluster, the
+        edge pairs of all clusters are resolved against the pair table
+        together, and the per-cluster aggregates (AEES, max score, max
+        depth, dominant term) come out of segment reductions — no per-edge
+        Python objects.  Bit-identical to ``[self.cluster(c.subgraph) for c
+        in clusters]`` aggregates: every edge is scored in its ``edge_key``
+        orientation, as a graph walk reports it, and edge scores are
+        integer-valued, so the float sums are exact in any order.  Any
+        graph or hand-built cluster sends the whole set down that
+        per-cluster :meth:`cluster` path instead.
         """
-        if self.engine == "reference":
+        if self.engine == "reference" or any(
+            isinstance(c, Graph) or c.pairs is None for c in clusters
+        ):
             per = [self.cluster(_cluster_graph(c)) for c in clusters]
             return ClusterScores(
                 aees=np.array([c.aees for c in per], dtype=float),
@@ -426,8 +430,9 @@ class EnrichmentScorer:
     def cluster_aees(self, clusters: Sequence[ClusterLike]) -> list[float]:
         """AEES of each cluster (or cluster subgraph) — the quadrant evaluation's input.
 
-        One concatenated batch on the batched engine; the per-cluster object
-        path on the reference engine.
+        One concatenated batch for index-native clusters on the batched
+        engine; the per-cluster object path otherwise (see
+        :meth:`score_cluster_graphs`).
         """
         return self.score_cluster_graphs(clusters).aees.tolist()
 
@@ -439,29 +444,19 @@ class EnrichmentScorer:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Gene rows ``(ru, rv)`` of every cluster edge and the cluster it belongs to.
 
-        Each edge is oriented as ``edge_key`` orders its labels.  A graph (or
-        a hand-built cluster's subgraph) is walked; index-native clusters
-        over one label space (one network and its filtered views share its
-        label tuple) concatenate their pairs and map them through one row
-        array.
+        The clusters are index-native.  Each edge is oriented as ``edge_key``
+        orders its labels; clusters over one label space (one network and
+        its filtered views share its label tuple) concatenate their pairs
+        and map them through one row array.
         """
-        walked_u: list[Vertex] = []
-        walked_v: list[Vertex] = []
-        walked_of: list[int] = []
         spaces: dict[int, tuple[Sequence[Vertex], list[int], list[np.ndarray]]] = {}
         for position, item in enumerate(clusters):
-            if isinstance(item, Graph) or item.pairs is None:
-                for u, v in _cluster_graph(item).iter_edges():
-                    walked_u.append(u)
-                    walked_v.append(v)
-                    walked_of.append(position)
-            else:
-                space = spaces.setdefault(id(item.csr.labels), (item.csr.labels, [], []))
-                space[1].append(position)
-                space[2].append(item.pairs)
-        ru = [ann_index.rows_for(walked_u)]
-        rv = [ann_index.rows_for(walked_v)]
-        cluster_of = [np.array(walked_of, dtype=np.int64)]
+            space = spaces.setdefault(id(item.csr.labels), (item.csr.labels, [], []))
+            space[1].append(position)
+            space[2].append(item.pairs)
+        ru = [np.empty(0, dtype=np.int64)]
+        rv = [np.empty(0, dtype=np.int64)]
+        cluster_of = [np.empty(0, dtype=np.int64)]
         for labels, positions, pair_list in spaces.values():
             pairs = np.concatenate(pair_list)
             rows = self._label_rows(labels, ann_index)

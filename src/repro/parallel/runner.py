@@ -83,7 +83,6 @@ __all__ = [
     "supervision_counters",
     "reset_supervision_counters",
     "comm_counters",
-    "reset_comm_counters",
     "run_spmd",
     "parallel_map",
     "available_backends",
@@ -225,12 +224,6 @@ def comm_counters() -> dict[str, int]:
     """
     with _comm_totals_lock:
         return _comm_totals.as_dict()
-
-
-def reset_comm_counters() -> None:
-    global _comm_totals
-    with _comm_totals_lock:
-        _comm_totals = CommStats()
 
 
 def _record_event(event: dict[str, Any]) -> None:

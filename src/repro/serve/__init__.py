@@ -4,10 +4,9 @@ The cold CLI pays dataset generation, network thresholding, GO-index
 construction and cluster discovery on *every* invocation; the serve layer
 pays them once.  A :class:`ReproServer` holds prepared dataset bundles (and
 the worker pool of the parallel backends) resident and answers ``filter`` /
-``classify`` / ``enrich`` requests over a local socket — admission-bounded,
-LRU-cached by spec hash and with cross-request enrichment coalescing.
-Responses are byte-identical to a cold ``repro … --json`` run of the same
-request; the test tier enforces it.
+``classify`` / ``enrich`` requests over a local socket, admission-bounded
+and LRU-cached by spec hash.  Responses are byte-identical to a cold
+``repro … --json`` run of the same request; the test tier enforces it.
 """
 
 from .._lazy import lazy_exports
@@ -22,7 +21,6 @@ __all__ = [
     "ServeClient",
     "ServeError",
     "ServeTimeout",
-    "EnrichmentBatcher",
     "CACHEABLE_OPS",
     "HANDLERS",
     "normalize_params",
@@ -53,7 +51,6 @@ __getattr__, __dir__ = lazy_exports(
         ".admission": ("AdmissionQueue", "BusyError", "ShuttingDownError", "Ticket"),
         ".cache": ("CacheStats", "ResultCache"),
         ".client": ("ServeClient", "ServeError", "ServeTimeout"),
-        ".coalesce": ("EnrichmentBatcher",),
         ".handlers": ("CACHEABLE_OPS", "HANDLERS", "normalize_params"),
         ".protocol": (
             "ERROR_BAD_REQUEST",

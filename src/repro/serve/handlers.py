@@ -11,8 +11,8 @@ through the canonical payload builders in :mod:`repro.pipeline.workflow`:
     the full downstream analysis (filter + MCODE + enrichment + overlap) →
     :func:`~repro.pipeline.workflow.analysis_payload`;
 ``enrich``
-    AEES scores of the original or a filtered network's clusters, routed
-    through the server's cross-request batcher →
+    AEES scores of the original or a filtered network's clusters, one direct
+    pass of the dataset's (locked) scorer →
     :func:`~repro.pipeline.workflow.enrichment_payload`.
 
 :func:`normalize_params` is the admission-side gate: it fills the CLI's
@@ -247,9 +247,8 @@ def handle_enrich(state: DatasetState, params: dict[str, Any]) -> dict[str, Any]
             f"{params['ordering'] or '-'}/{params['partitions']}P"
         )
         clusters = cluster_network(result.filtered_csr(), bundle.mcode_params, source=source)
-    # The one stage where cross-request batching pays: concurrent enrich
-    # requests coalesce into a single scorer pass (see serve.coalesce).
-    aees = state.batcher.score(clusters)
+    aees = bundle.scorer.cluster_aees(clusters)
+    state.count_enrichment(len(clusters))
     return enrichment_payload(clusters, aees, source)
 
 

@@ -10,8 +10,6 @@ over a local stream socket with the newline-delimited JSON protocol of
   queued unboundedly;
 * caching (:mod:`repro.serve.cache`): responses of the pure work ops are
   memoised under their spec hash, tagged with the dataset generation;
-* coalescing (:mod:`repro.serve.coalesce`): concurrent enrichment requests
-  batch into single scorer passes;
 * warm state (:mod:`repro.serve.state`): per-dataset bundles with a
   drain-then-swap reload discipline.
 
@@ -74,18 +72,13 @@ class ServerHooks:
     ``before_execute(op, spec_hash)`` fires on the executor thread after the
     cache miss, before the handler — tests park requests there to pin
     concurrent interleavings.  ``on_reload_drain(dataset_key)`` fires when a
-    reload found in-flight requests to wait for.  ``batch_gate()`` /
-    ``batch_submit(pending)`` are the enrichment batcher's drain gate and its
-    submission-side counterpart (see
-    :class:`~repro.serve.coalesce.EnrichmentBatcher`).
+    reload found in-flight requests to wait for.
     """
 
     on_admit: Optional[Callable[[str, str], None]] = None
     on_enqueued: Optional[Callable[[str, str], None]] = None
     before_execute: Optional[Callable[[str, str], None]] = None
     on_reload_drain: Optional[Callable[[str], None]] = None
-    batch_gate: Optional[Callable[[], None]] = None
-    batch_submit: Optional[Callable[[int], None]] = None
 
 
 class ReproServer:
@@ -158,8 +151,6 @@ class ReproServer:
         except BaseException:
             if self.admission is not None:
                 self.admission.shutdown()
-            if self.state is not None:
-                self.state.close()
             self.admission = self.state = self.cache = None
             with self._lock:
                 self._started = False
@@ -169,12 +160,7 @@ class ReproServer:
     def _bring_up(self) -> None:
         from .state import ServerState  # deferred: keeps module import light
 
-        self.state = ServerState(
-            self.default_scale,
-            seed=self.seed,
-            batch_gate=self.hooks.batch_gate,
-            batch_submit=self.hooks.batch_submit,
-        )
+        self.state = ServerState(self.default_scale, seed=self.seed)
         self.cache = ResultCache(self.cache_size)
         self.admission = AdmissionQueue(max_pending=self.max_pending, workers=self.workers)
         self.admission.start()
@@ -198,9 +184,8 @@ class ReproServer:
 
         Order matters: the listener closes first (no new clients), the
         admission queue drains (every admitted request completes and its
-        connection thread writes the response), and only then are the
-        batchers stopped, the worker pool shut down and the remaining client
-        sockets closed.  Idempotent: a second caller returns only once the
+        connection thread writes the response), and only then is the worker
+        pool shut down and are the remaining client sockets closed.  Idempotent: a second caller returns only once the
         first has finished, so ``serve_forever`` (woken by the ``shutdown``
         op's stop) cannot end the process under a connection thread that is
         still writing the ``shutdown`` response.
@@ -240,8 +225,6 @@ class ReproServer:
         with self._responding_cv:
             while self._responding > 0:
                 self._responding_cv.wait()
-        if self.state is not None:
-            self.state.close()
         shutdown_worker_pool()
         with self._lock:
             conns = list(self._connections)
@@ -534,7 +517,7 @@ class ReproServer:
         if self.state is not None:
             for state in self.state.states():
                 datasets.append(state.summary())
-                for key, value in state.batcher.stats().items():
+                for key, value in state.enrichment_stats().items():
                     enrichment[key] += value
         return {
             "protocol": PROTOCOL_VERSION,

@@ -6,7 +6,7 @@ rebuilds from cold on every invocation: the prepared
 CSR network views, GO DAG with its interned term index, annotation index,
 enrichment scorer with its pair-table memo, original clusters) plus the
 service-side machinery — a drain lock for reload, a generation counter for
-cache invalidation and the enrichment batcher.
+cache invalidation and the enrichment counters.
 
 Reload discipline: requests hold a *shared* claim on the state while they
 execute; ``begin_reload`` blocks new claims, waits for the active ones to
@@ -16,7 +16,8 @@ in-flight request never observes a half-swapped state.
 The bundle's scorer is wrapped in :class:`_LockedScorer`: worker threads run
 requests concurrently, but the scorer's pair-table memo is a mutable shared
 structure, so every scorer call is serialised per dataset.  (Scores are
-bit-identical either way; the lock only removes the data race.)
+bit-identical either way; the lock only removes the data race.)  A served
+``enrich`` scores its clusters in one direct call through that lock.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from collections.abc import Sequence
 from ..faults import fault_point
 from ..incremental import UpdateReport, UpdateSpec, apply_update, replay_updates
 from ..pipeline.workflow import DatasetBundle
-from .coalesce import EnrichmentBatcher
 
 __all__ = ["DatasetState", "ServerState"]
 
@@ -70,14 +70,7 @@ def dataset_key(name: str, scale: float) -> str:
 class DatasetState:
     """One warm ``(dataset, scale)`` slot: bundle + generation + drain lock."""
 
-    def __init__(
-        self,
-        name: str,
-        scale: float,
-        bundle: DatasetBundle,
-        batch_gate: Optional[Callable[[], None]] = None,
-        batch_submit: Optional[Callable[[int], None]] = None,
-    ) -> None:
+    def __init__(self, name: str, scale: float, bundle: DatasetBundle) -> None:
         self.name = name.upper()
         self.scale = round(float(scale), 6)
         self.bundle = bundle
@@ -97,9 +90,10 @@ class DatasetState:
         #: state (the previous bundle keeps serving) instead of killing it.
         self.health = "healthy"
         self.degraded_reason: Optional[str] = None
-        self._batch_gate = batch_gate
-        self._batch_submit = batch_submit
-        self.batcher = EnrichmentBatcher(bundle.scorer, gate=batch_gate, on_submit=batch_submit)
+        #: ``stats["enrichment"]``, whose keys ``perfbench/serve_mixed.py``
+        #: reads: every served ``enrich`` is one scorer pass, so ``batches``
+        #: and ``coalesced_requests`` both count requests.
+        self._enrichment = {"batches": 0, "coalesced_requests": 0, "scored_clusters": 0}
         self._cond = threading.Condition()
         self._active = 0
         self._reloading = False
@@ -155,6 +149,17 @@ class DatasetState:
             self._reloading = False
             self._cond.notify_all()
 
+    def count_enrichment(self, n_clusters: int) -> None:
+        """Record one ``enrich`` scorer pass over ``n_clusters`` clusters."""
+        with self._cond:
+            self._enrichment["batches"] += 1
+            self._enrichment["coalesced_requests"] += 1
+            self._enrichment["scored_clusters"] += n_clusters
+
+    def enrichment_stats(self) -> dict[str, int]:
+        with self._cond:
+            return dict(self._enrichment)
+
     def mark_degraded(self, reason: str) -> None:
         self.health = "degraded"
         self.degraded_reason = reason
@@ -197,17 +202,9 @@ class DatasetState:
 class ServerState:
     """All warm dataset states of one server, built lazily and reloadable."""
 
-    def __init__(
-        self,
-        default_scale: float,
-        seed: Optional[int] = None,
-        batch_gate: Optional[Callable[[], None]] = None,
-        batch_submit: Optional[Callable[[int], None]] = None,
-    ) -> None:
+    def __init__(self, default_scale: float, seed: Optional[int] = None) -> None:
         self.default_scale = round(float(default_scale), 6)
         self.seed = seed
-        self.batch_gate = batch_gate
-        self.batch_submit = batch_submit
         self._states: dict[str, DatasetState] = {}
         self._lock = threading.Lock()
         self._build_lock = threading.Lock()
@@ -246,13 +243,7 @@ class ServerState:
                 state = self._states.get(key)
             if state is not None:
                 return state
-            state = DatasetState(
-                name,
-                scale,
-                self._build_bundle(name, scale),
-                batch_gate=self.batch_gate,
-                batch_submit=self.batch_submit,
-            )
+            state = DatasetState(name, scale, self._build_bundle(name, scale))
             with self._lock:
                 self._states[key] = state
             return state
@@ -264,8 +255,8 @@ class ServerState:
 
         The new bundle is built *before* anything of the old state is torn
         down: a failed rebuild marks the state degraded and re-raises, while
-        the previous bundle (and its still-running batcher) keeps serving —
-        a reload can fail, but it can never strand the dataset.
+        the previous bundle keeps serving — a reload can fail, but it can
+        never strand the dataset.
         """
         state.begin_reload(on_drain)
         try:
@@ -276,11 +267,7 @@ class ServerState:
             except Exception as exc:
                 state.mark_degraded(f"reload failed: {type(exc).__name__}: {exc}")
                 raise
-            state.batcher.stop()
             state.bundle = bundle
-            state.batcher = EnrichmentBatcher(
-                bundle.scorer, gate=state._batch_gate, on_submit=state._batch_submit
-            )
             state.generation += 1
             state.mark_healthy()
             return state.generation
@@ -296,8 +283,8 @@ class ServerState:
         """Absorb one dataset mutation into a warm state without a cold rebuild.
 
         The delta path runs under the same drain discipline as ``reload`` (no
-        request observes a half-updated bundle) but keeps the scorer, batcher
-        and every untouched component alive.  Only the generation tags of the
+        request observes a half-updated bundle) but keeps the scorer and every
+        untouched component alive.  Only the generation tags of the
         components the update dirtied are bumped, so cached responses that
         cannot have changed keep hitting.
 
@@ -312,8 +299,8 @@ class ServerState:
         try:
             try:
                 fault_point("serve.update", dataset=state.name, scale=state.scale)
-                # fallback=False: the serve layer owns the fallback so it can
-                # also swap in a fresh scorer/batcher pair.
+                # fallback=False: the serve layer owns the fallback, so the
+                # rebuilt bundle gets its locked scorer from _build_bundle.
                 bundle, report = apply_update(
                     state.bundle, spec, history=state.update_log, fallback=False
                 )
@@ -327,13 +314,9 @@ class ServerState:
                 except Exception as exc:
                     state.mark_degraded(f"update failed: {type(exc).__name__}: {exc}")
                     raise
-                # Full rebuild: new scorer, so the batcher must be restarted
-                # and every component generation conservatively bumped.
-                state.batcher.stop()
+                # Full rebuild: every component generation is conservatively
+                # bumped.
                 state.bundle = bundle
-                state.batcher = EnrichmentBatcher(
-                    bundle.scorer, gate=state._batch_gate, on_submit=state._batch_submit
-                )
                 state.update_log.append(spec)
                 state.network_generation += 1
                 state.ontology_generation += 1
@@ -347,8 +330,7 @@ class ServerState:
                     counts=spec.counts(),
                 )
             # Delta path: the returned bundle shares the (locked) scorer and
-            # the untouched views with the old one — the batcher keeps its
-            # scorer reference, so no restart.
+            # the untouched views with the old one.
             state.bundle = bundle
             state.update_log.append(spec)
             if report.dirty & {"expression", "network"}:
@@ -363,8 +345,3 @@ class ServerState:
     def states(self) -> list[DatasetState]:
         with self._lock:
             return list(self._states.values())
-
-    def close(self) -> None:
-        """Stop the per-state batcher threads (bundles are plain memory)."""
-        for state in self.states():
-            state.batcher.stop()

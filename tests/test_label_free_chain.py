@@ -11,6 +11,8 @@ edge pairs.  This suite pins:
   label overlap sets — and the served ``enrich`` payload likewise;
 * that the chain, a served ``enrich`` and a served sample update build no
   label graph at all;
+* that no product path falls back to the reference overlap loops or to
+  per-cluster scoring;
 * that one analysis scores its filtered clusters exactly once;
 * that cluster scores do not depend on the order or orientation of a
   cluster's edge pairs.
@@ -24,14 +26,16 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from repro.clustering import overlap
 from repro.clustering.cluster import Cluster
 from repro.clustering.evaluation import classify_matches, quadrant_counts
 from repro.clustering.mcode import mcode_clusters_indices
 from repro.clustering.overlap import found_clusters, match_and_lost_clusters
 from repro.core.sampling import apply_filter
 from repro.graph import CSRGraph, Graph
-from repro.incremental import UpdateSpec
+from repro.incremental import UpdateSpec, apply_update
 from repro.ontology.enrichment import EnrichmentScorer
+from repro.pipeline import experiments
 from repro.pipeline.workflow import (
     FilterAnalysis,
     analysis_payload,
@@ -127,11 +131,7 @@ def test_payload_equals_the_label_chain(bundles, dataset, method, ordering, n_pa
 
 @pytest.fixture
 def served():
-    server = ServerState(SCALE)
-    try:
-        yield server
-    finally:
-        server.close()
+    return ServerState(SCALE)
 
 
 @pytest.mark.parametrize(
@@ -203,6 +203,68 @@ def test_served_enrich_and_update_build_no_label_graph(served, label_builds):
     handle_classify(state, normalize_params("classify", {"dataset": "CRE"}, SCALE))
     state.summary()
     assert label_builds == {"add_edge": 0, "subgraph": 0}
+
+
+# ----------------------------------------------------------------------
+# no product path takes a slow path
+# ----------------------------------------------------------------------
+UPDATE_KINDS = [
+    UpdateSpec(add_samples=1, seed=1),
+    UpdateSpec(add_genes=2, seed=2),
+    UpdateSpec(add_annotations=3, seed=3),
+    UpdateSpec(add_terms=2, seed=4),
+]
+
+
+@pytest.fixture
+def slow_paths(monkeypatch):
+    """Counts calls of the reference overlap loops and per-cluster scoring."""
+    counts: Counter = Counter()
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    counting(overlap, "reference_match_clusters")
+    counting(overlap, "reference_lost_clusters")
+    counting(EnrichmentScorer, "cluster")
+    return counts
+
+
+def analyze_all_methods(bundle) -> None:
+    for method, n_partitions in (("chordal", 1), ("chordal_comm", 2), ("random_walk", 4)):
+        analysis = analyze_filter(bundle, method=method, ordering="rcm", n_partitions=n_partitions)
+        analysis_payload(analysis)
+
+
+def test_product_paths_take_no_slow_path(slow_paths):
+    bundle = prepare_dataset("CRE", scale=SCALE)
+    analyze_all_methods(bundle)
+    for spec in UPDATE_KINDS:
+        bundle, report = apply_update(bundle, spec)
+        assert report.mode == "delta"
+        analyze_all_methods(bundle)
+    try:
+        experiments.fig04_aees_by_ordering(SCALE, datasets=("YNG",))
+        experiments.fig05_overlap_scatter(SCALE, datasets=("CRE",))
+        experiments.fig09_cluster_refinement(SCALE, dataset="CRE")
+        experiments.fig11_parallel_consistency(SCALE, dataset="CRE", processor_counts=(1, 4))
+    finally:
+        experiments.clear_bundle_cache()
+    served = ServerState(SCALE)
+    state = served.get("CRE")
+    for spec in (None, UpdateSpec(add_samples=1, seed=5)):
+        if spec is not None:
+            served.update(state, spec)
+        for params in ({"source": "original"}, {"source": "filtered", "partitions": 2}):
+            handle_enrich(state, normalize_params("enrich", {"dataset": "CRE", **params}, SCALE))
+        handle_classify(state, normalize_params("classify", {"dataset": "CRE"}, SCALE))
+    assert slow_paths == {}
 
 
 # ----------------------------------------------------------------------
@@ -288,3 +350,24 @@ def test_mixed_cluster_forms_score_like_their_subgraphs(bundles):
     assert scores.n_edges.tolist() == [
         clusters[1].n_edges, clusters[2].n_edges, clusters[0].n_edges, 0, clusters[3].n_edges
     ]
+
+
+def test_any_graph_item_scores_the_whole_set_per_cluster(bundles, monkeypatch):
+    bundle = bundles["YNG"]
+    clusters = bundle.original_clusters[:5]
+    dag, table = bundle.scorer.dag, bundle.scorer.annotations
+    calls = Counter()
+    cluster = EnrichmentScorer.cluster
+
+    def counted(self, graph):
+        calls["cluster"] += 1
+        return cluster(self, graph)
+
+    monkeypatch.setattr(EnrichmentScorer, "cluster", counted)
+    segment = EnrichmentScorer(dag, table).score_cluster_graphs(clusters)
+    assert calls == {}
+    per_cluster = EnrichmentScorer(dag, table).score_cluster_graphs(
+        [*clusters[:4], clusters[4].subgraph]
+    )
+    assert calls == {"cluster": 5}
+    assert_same_scores(segment, per_cluster)

@@ -26,8 +26,9 @@ from repro.clustering import (
     reference_lost_clusters,
     reference_match_clusters,
 )
-from repro.clustering.overlap import _intersection_counts
-from repro.graph import Graph, complete_graph
+from repro.clustering import overlap
+from repro.clustering.overlap import _index_incidences, _shared_counts
+from repro.graph import CSRGraph, Graph, complete_graph
 from repro.ontology import AnnotationTable, EnrichmentScorer, GODag
 
 
@@ -182,15 +183,28 @@ class TestQuadrants:
 # ----------------------------------------------------------------------
 # sparse intersection counts pinned to the set-based reference loops
 # ----------------------------------------------------------------------
-def random_clusters(rng, n, prefix, n_nodes=24, max_size=8):
-    """``n`` clusters over nodes ``prefix0..``: overlapping, some empty."""
+def index_space(n_nodes: int) -> CSRGraph:
+    """The complete graph over labels ``n0..``: every member pair is an edge."""
+    us, vs = np.triu_indices(n_nodes, k=1)
+    return CSRGraph.from_edge_arrays([f"n{i}" for i in range(n_nodes)], us, vs)
+
+
+def index_cluster(csr: CSRGraph, cid: int, members: list[int], pairs: list) -> Cluster:
+    indices = np.array(members, dtype=np.int64)
+    edges = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    return Cluster.from_indices(cid, csr, indices, edges, 4.0, members[0] if members else 0)
+
+
+def random_clusters(rng, n, csr, lo, n_nodes=24, max_size=8):
+    """``n`` index-native clusters over ``csr`` vertices ``lo..lo+n_nodes``:
+    overlapping, some empty."""
     clusters = []
     for cid in range(n):
         size = rng.choice([0, 1, 2, 3, max_size, rng.randrange(max_size)])
-        members = rng.sample([f"{prefix}{i}" for i in range(n_nodes)], size)
+        members = rng.sample(range(lo, lo + n_nodes), size)
         pairs = [(u, v) for k, u in enumerate(members) for v in members[k + 1 :]]
         edges = [e for e in pairs if rng.random() < 0.5]
-        clusters.append(make_cluster(members, edges, cluster_id=cid))
+        clusters.append(index_cluster(csr, cid, members, edges))
     return clusters
 
 
@@ -201,12 +215,15 @@ def match_signature(matches):
     ]
 
 
+#: (case, n original, n filtered, first original index, first filtered index)
+#: over one 48-vertex CSR; "disjoint universes" draws the two sides from
+#: disjoint index ranges.
 CASES = [
-    ("overlapping", 9, 7, "n", "n"),
-    ("disjoint universes", 6, 5, "a", "b"),
-    ("no originals", 0, 6, "n", "n"),
-    ("no filtered", 6, 0, "n", "n"),
-    ("both empty", 0, 0, "n", "n"),
+    ("overlapping", 9, 7, 0, 0),
+    ("disjoint universes", 6, 5, 0, 24),
+    ("no originals", 0, 6, 0, 0),
+    ("no filtered", 6, 0, 0, 0),
+    ("both empty", 0, 0, 0, 0),
 ]
 
 
@@ -214,11 +231,12 @@ class TestSparseOverlapCounts:
     @pytest.mark.parametrize("key", [node_overlap, edge_overlap], ids=lambda k: k.__name__)
     @pytest.mark.parametrize("case", CASES, ids=lambda c: c[0])
     def test_matches_reference_loops(self, case, key):
-        _, n_orig, n_filt, orig_prefix, filt_prefix = case
+        _, n_orig, n_filt, orig_lo, filt_lo = case
+        csr = index_space(48)
         for seed in range(25):
             rng = random.Random(seed)
-            original = random_clusters(rng, n_orig, orig_prefix)
-            filtered = random_clusters(rng, n_filt, filt_prefix)
+            original = random_clusters(rng, n_orig, csr, orig_lo)
+            filtered = random_clusters(rng, n_filt, csr, filt_lo)
             want_matches = reference_match_clusters(original, filtered, key)
             want_lost = reference_lost_clusters(original, filtered, key)
             matches, lost = match_and_lost_clusters(original, filtered, key)
@@ -233,9 +251,12 @@ class TestSparseOverlapCounts:
 
     def test_count_entries_are_exact_float64(self):
         rng = random.Random(3)
-        original = [c.edge_set() for c in random_clusters(rng, 11, "n")]
-        filtered = [c.edge_set() for c in random_clusters(rng, 9, "n")]
-        rows, cols, counts = _intersection_counts(original, filtered)
+        csr = index_space(24)
+        original = random_clusters(rng, 11, csr, 0)
+        filtered = random_clusters(rng, 9, csr, 0)
+        orig_el, orig_row, _ = _index_incidences(original, True, csr.n_vertices)
+        filt_el, filt_row, _ = _index_incidences(filtered, True, csr.n_vertices)
+        rows, cols, counts = _shared_counts(orig_el, orig_row, filt_el, filt_row, len(filtered))
         assert rows.dtype == np.int64 and cols.dtype == np.int64
         assert counts.dtype == np.float64
         assert rows.shape == cols.shape == counts.shape
@@ -244,7 +265,7 @@ class TestSparseOverlapCounts:
         assert (rows < len(original)).all() and (cols < len(filtered)).all()
         dense = np.zeros((len(original), len(filtered)))
         dense[rows, cols] = counts
-        want = [[len(a & b) for b in filtered] for a in original]
+        want = [[len(a.edge_set() & b.edge_set()) for b in filtered] for a in original]
         assert dense.tolist() == want
         assert (counts > 0).all()
 
@@ -253,7 +274,7 @@ class TestSparseOverlapCounts:
         # matrices over that universe would need several hundred MB.
         rng = random.Random(0)
 
-        def clusters(n, shift):
+        def member_lists(n, shift):
             out = []
             for cid in range(n):
                 base = cid * 9 + shift
@@ -261,13 +282,19 @@ class TestSparseOverlapCounts:
                 edges = rng.sample(
                     [(u, v) for k, u in enumerate(members) for v in members[k + 1 :]], 30
                 )
-                out.append(make_cluster(members, edges, cluster_id=cid))
+                out.append((members, edges))
             return out
 
-        original = clusters(1700, 0)
-        filtered = clusters(1700, 4)
-        universe = set().union(*(c.edge_set() for c in original + filtered))
-        assert len(universe) > 45_000
+        sides = [member_lists(1700, 0), member_lists(1700, 4)]
+        n_nodes = 1700 * 9 + 16
+        packed = np.unique(
+            [u * n_nodes + v for side in sides for _, edges in side for u, v in edges]
+        )
+        assert packed.size > 45_000
+        csr = CSRGraph.from_edge_arrays(range(n_nodes), packed // n_nodes, packed % n_nodes)
+        original, filtered = (
+            [index_cluster(csr, cid, m, e) for cid, (m, e) in enumerate(side)] for side in sides
+        )
         tracemalloc.start()
         try:
             matches, lost = match_and_lost_clusters(original, filtered)
@@ -276,3 +303,53 @@ class TestSparseOverlapCounts:
             tracemalloc.stop()
         assert len(matches) == 1700 and not lost
         assert peak < 32 * 2**20, peak / 2**20
+
+
+class TestMatchDispatch:
+    """Only index-native clusters over one label tuple take the sparse join."""
+
+    @pytest.fixture
+    def reference_calls(self, monkeypatch):
+        calls = []
+        for name in ("reference_match_clusters", "reference_lost_clusters"):
+            original = getattr(overlap, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(overlap, name, counted)
+        return calls
+
+    def sides(self, original_csr, filtered_csr):
+        rng = random.Random(5)
+        return (
+            random_clusters(rng, 7, original_csr, 0),
+            random_clusters(rng, 6, filtered_csr, 0),
+        )
+
+    def test_one_label_tuple_takes_the_sparse_join(self, reference_calls):
+        # Two CSR objects whose label tuples are equal share one index space.
+        original, filtered = self.sides(index_space(24), index_space(24))
+        matches, lost = match_and_lost_clusters(original, filtered)
+        assert reference_calls == []
+        assert match_signature(matches) == match_signature(
+            reference_match_clusters(original, filtered)
+        )
+        assert lost == reference_lost_clusters(original, filtered)
+
+    def test_other_inputs_take_the_reference_loops(self, reference_calls):
+        other_labels = CSRGraph.from_edge_arrays(
+            [f"m{i}" for i in range(24)], *np.triu_indices(24, k=1)
+        )
+        original, filtered = self.sides(index_space(24), other_labels)
+        hand_built = make_cluster(["n0", "n1", "n2"], [("n0", "n1"), ("n1", "n2")])
+        for orig, filt in ((original, filtered), (original, [*filtered[:3], hand_built])):
+            reference_calls.clear()
+            match_and_lost_clusters(orig, filt)
+            lost_clusters(orig, filt)
+            assert reference_calls == [
+                "reference_match_clusters",
+                "reference_lost_clusters",
+                "reference_lost_clusters",
+            ]

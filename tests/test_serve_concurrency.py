@@ -2,10 +2,9 @@
 
 Every synchronisation point here is an event, barrier or server hook — no
 sleeps-as-synchronisation.  The hooks (:class:`repro.serve.ServerHooks`) are
-the deterministic seams: ``before_execute`` parks an executing request,
-``on_enqueued`` establishes the happens-before edge for admission-overflow
-ordering, and ``batch_gate``/``batch_submit`` pin the enrichment batcher's
-drain loop.
+the deterministic seams: ``before_execute`` parks an executing request (or
+holds two at a barrier so they run concurrently), and ``on_enqueued``
+establishes the happens-before edge for admission-overflow ordering.
 """
 
 from __future__ import annotations
@@ -16,15 +15,16 @@ import threading
 
 import pytest
 
+from repro.pipeline.workflow import cluster_network, enrichment_payload
 from repro.serve import (
     AdmissionQueue,
     BusyError,
-    EnrichmentBatcher,
     ReproServer,
     ServeClient,
     ServerHooks,
     ShuttingDownError,
 )
+from repro.serve.handlers import _run_filter, normalize_params
 
 SCALE = 0.02
 
@@ -83,61 +83,6 @@ class TestAdmissionQueue:
             AdmissionQueue(max_pending=0)
         with pytest.raises(ValueError):
             AdmissionQueue(workers=0)
-
-
-# ----------------------------------------------------------------------
-# enrichment batcher (unit level, deterministic coalescing)
-# ----------------------------------------------------------------------
-class TestEnrichmentBatcher:
-    def test_two_submissions_coalesce_into_one_scorer_pass(self, cre_bundle):
-        allow = threading.Event()
-        scorer_calls = []
-        real = cre_bundle.scorer
-
-        class CountingScorer:
-            def cluster_aees(self, graphs):
-                scorer_calls.append(len(graphs))
-                return real.cluster_aees(graphs)
-
-        batcher = EnrichmentBatcher(CountingScorer(), gate=lambda: allow.wait())
-        graphs = [c.subgraph for c in cre_bundle.original_clusters]
-        first_half, second_half = graphs[: len(graphs) // 2], graphs[len(graphs) // 2 :]
-        try:
-            # The drain loop is gated shut, so both submissions pile up and
-            # are collected by ONE wake-up once the gate opens.
-            item_a = batcher.submit(first_half)
-            item_b = batcher.submit(second_half)
-            allow.set()
-            assert item_a.event.wait(60) and item_b.event.wait(60)
-        finally:
-            allow.set()
-            batcher.stop()
-        assert scorer_calls == [len(graphs)]  # one concatenated pass
-        stats = batcher.stats()
-        assert stats["batches"] == 1
-        assert stats["coalesced_requests"] == 2
-        assert stats["scored_clusters"] == len(graphs)
-        # Batch composition does not change per-cluster scores.
-        assert item_a.values == real.cluster_aees(first_half)
-        assert item_b.values == real.cluster_aees(second_half)
-
-    def test_batch_error_delivered_to_every_waiter(self):
-        class FailingScorer:
-            def cluster_aees(self, graphs):
-                raise RuntimeError("scorer exploded")
-
-        batcher = EnrichmentBatcher(FailingScorer())
-        try:
-            with pytest.raises(RuntimeError, match="scorer exploded"):
-                batcher.score([object()], timeout=60)
-        finally:
-            batcher.stop()
-
-    def test_submit_after_stop_raises(self, cre_bundle):
-        batcher = EnrichmentBatcher(cre_bundle.scorer)
-        batcher.stop()
-        with pytest.raises(RuntimeError):
-            batcher.submit([])
 
 
 # ----------------------------------------------------------------------
@@ -315,40 +260,77 @@ class TestGracefulShutdown:
 
 
 # ----------------------------------------------------------------------
-# cross-request enrichment coalescing through the socket
+# concurrent enrich requests score directly, one pass each
 # ----------------------------------------------------------------------
-class TestServedCoalescing:
-    def test_concurrent_enrich_requests_share_one_batch(self):
-        allow = threading.Event()
-        hooks = ServerHooks(
-            batch_gate=lambda: allow.wait(),
-            # Opens the gate exactly when the second submission is pending.
-            batch_submit=lambda pending: allow.set() if pending >= 2 else None,
+def expected_enrich(state, params: dict) -> dict:
+    """The ``enrich`` payload scored straight on the warm bundle's scorer."""
+    bundle = state.bundle
+    request = normalize_params("enrich", {"dataset": "CRE", **params}, SCALE)
+    if request["source"] == "original":
+        clusters, source = bundle.original_clusters, "CRE/original"
+    else:
+        source = f"CRE/{request['method']}/{request['ordering'] or '-'}/{request['partitions']}P"
+        result = _run_filter(state, request)
+        clusters = cluster_network(result.filtered_csr(), bundle.mcode_params, source=source)
+    return enrichment_payload(clusters, bundle.scorer.cluster_aees(clusters), source)
+
+
+class TestConcurrentEnrich:
+    def test_concurrent_enrich_equals_sequential_and_direct_scoring(self):
+        baseline = set(threading.enumerate())
+        sources = ("original", "filtered")
+        barrier = threading.Barrier(len(sources))
+        thread_names: set[str] = set()
+        concurrent_round = threading.Event()
+        concurrent_round.set()
+
+        def before_execute(op: str, _hash: str) -> None:
+            thread_names.update(t.name for t in threading.enumerate())
+            if op == "enrich" and concurrent_round.is_set():
+                # Both requests are executing before either scores.
+                barrier.wait(timeout=120)
+
+        srv = ReproServer(
+            default_scale=SCALE, workers=2, hooks=ServerHooks(before_execute=before_execute)
         )
-        with ReproServer(default_scale=SCALE, workers=2, hooks=hooks) as srv:
-            results: dict[str, dict] = {}
+        srv.start()
+        try:
+            concurrent: dict[str, str] = {}
 
-            def send(tag: str, **params) -> None:
+            def send(source: str) -> None:
                 with ServeClient(port=srv.port, timeout=600.0) as client:
-                    results[tag] = client.result("enrich", dataset="CRE", **params)
+                    concurrent[source] = canonical(
+                        client.result("enrich", dataset="CRE", source=source)
+                    )
 
-            threads = [
-                threading.Thread(target=send, args=("original",), kwargs={"source": "original"}),
-                threading.Thread(target=send, args=("filtered",), kwargs={"source": "filtered"}),
-            ]
+            threads = [threading.Thread(target=send, args=(source,)) for source in sources]
             for t in threads:
                 t.start()
             for t in threads:
                 t.join(timeout=600)
-            assert set(results) == {"original", "filtered"}
+            assert set(concurrent) == set(sources)
+
+            concurrent_round.clear()
+            srv.cache.clear()  # the sequential requests must score again
+            with ServeClient(port=srv.port, timeout=600.0) as client:
+                sequential = {}
+                for source in sources:
+                    response = client.request("enrich", dataset="CRE", source=source)
+                    assert response["ok"] and not response["cached"]
+                    sequential[source] = canonical(response["result"])
+                stats = client.result("stats")["enrichment"]
+            assert concurrent == sequential
+
             state = srv.state.get("CRE", SCALE)
-            stats = state.batcher.stats()
-            assert stats["coalesced_requests"] == 2
-            assert stats["batches"] == 1  # both scored in one concatenated pass
-            # Coalescing must not change the scores: compare against direct
-            # per-request scoring on the same warm bundle.
-            expected = state.bundle.scorer.cluster_aees(
-                [c.subgraph for c in state.bundle.original_clusters]
-            )
-            got = [r["aees_hex"] for r in results["original"]["clusters"]]
-            assert got == [float(v).hex() for v in expected]
+            expected = {source: expected_enrich(state, {"source": source}) for source in sources}
+            assert concurrent == {source: canonical(expected[source]) for source in sources}
+            scored = sum(expected[source]["n_clusters"] for source in sources)
+            assert stats == {"batches": 4, "coalesced_requests": 4, "scored_clusters": 2 * scored}
+        finally:
+            srv.stop()
+        assert "serve-enrich-batcher" not in thread_names
+        # stop() closed every connection; their reader threads end on EOF.
+        for t in threading.enumerate():
+            if t.name == "serve-conn":
+                t.join(timeout=60)
+        assert set(threading.enumerate()) <= baseline
