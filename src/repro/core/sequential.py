@@ -32,6 +32,7 @@ __all__ = [
     "sequential_chordal_filter",
     "sequential_random_walk_filter",
     "resolve_order_indices",
+    "kernel_priority",
 ]
 
 Vertex = Hashable
@@ -81,6 +82,17 @@ def priority_from_permutation(perm: Optional[np.ndarray], n: int) -> Optional[np
     return priority
 
 
+def kernel_priority(priority: Optional[np.ndarray]) -> Optional[list[int]]:
+    """``priority`` in the form the DSW kernel takes: a plain ``list``, or
+    ``None`` when it never decreases along the vertex indices — the
+    kernel's natural order, which then needs no ranking pass.  A block
+    partition lists each part in ordering sequence, so its ranks always
+    take the ``None`` form."""
+    if priority is None or not (np.diff(priority) < 0).any():
+        return None
+    return priority.tolist()
+
+
 def sequential_chordal_filter(
     graph: "Graph | CSRGraph",
     ordering: Optional[str] = "natural",
@@ -107,7 +119,9 @@ def sequential_chordal_filter(
     csr = CSRGraph.of(graph)
     perm, name = resolve_order_indices(csr, ordering, explicit_order)
     priority = priority_from_permutation(perm, csr.n_vertices)
-    pairs = chordal_subgraph_edge_indices(csr, priority=priority, strict_order=strict_order)
+    pairs = chordal_subgraph_edge_indices(
+        csr, priority=kernel_priority(priority), strict_order=strict_order
+    )
     wall = time.perf_counter() - start
     work = RankWork(
         edges_examined=csr.n_edges,

@@ -25,6 +25,12 @@ map back — and the original label-and-dict implementations are retained as
 ``reference_*`` so the property suite can pin the index kernels to the seed
 semantics, including their ``repr``/``str`` tie-breaking.
 
+The label sort ranks and each named ordering depend on the view alone, so
+:func:`label_sort_ranks` (for ``repr`` and ``str``) and
+:func:`ordering_indices` keep theirs in the view's memo
+(:meth:`CSRGraph.memo`): a sweep of filter specs sorts the labels and
+computes each ordering once.
+
 Every function returns all vertices of the graph exactly once; callers feed
 the order directly to the samplers.
 """
@@ -32,7 +38,7 @@ the order directly to the samplers.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Hashable
+from collections.abc import Hashable, Sequence
 from typing import Callable, Optional
 
 import numpy as np
@@ -55,6 +61,7 @@ __all__ = [
     "rcm_order_indices",
     "ordering_indices",
     "label_sort_ranks",
+    "natural_label_ranks",
     "reference_high_degree_order",
     "reference_low_degree_order",
     "reference_rcm_order",
@@ -69,6 +76,15 @@ def _stable_key(v: Vertex) -> str:
     return repr(v)
 
 
+def _sort_ranks(labels: Sequence[Vertex], key: Callable[[Vertex], str]) -> np.ndarray:
+    """Rank of every label when ``labels`` are sorted by ``key`` (stable)."""
+    n = len(labels)
+    order = sorted(range(n), key=lambda i: key(labels[i]))
+    ranks = np.empty(n, dtype=np.int64)
+    ranks[np.asarray(order, dtype=np.int64)] = np.arange(n, dtype=np.int64)
+    return ranks
+
+
 def label_sort_ranks(csr: CSRGraph, key: Callable[[Vertex], str] = repr) -> np.ndarray:
     """Rank of every vertex when the labels are sorted by ``key`` (default ``repr``).
 
@@ -76,14 +92,26 @@ def label_sort_ranks(csr: CSRGraph, key: Callable[[Vertex], str] = repr) -> np.n
     pseudo-peripheral step by ``str``); the index kernels reproduce those
     label-dependent tie-breaks by consuming this precomputed rank array —
     one ``key`` call per vertex at the boundary instead of one per
-    comparison inside the loops.
+    comparison inside the loops.  The ``repr`` and ``str`` ranks are kept
+    in the view's memo (read-only); any other ``key`` sorts afresh.
     """
-    n = csr.n_vertices
-    labels = csr.labels
-    order = sorted(range(n), key=lambda i: key(labels[i]))
-    ranks = np.empty(n, dtype=np.int64)
-    ranks[np.asarray(order, dtype=np.int64)] = np.arange(n, dtype=np.int64)
-    return ranks
+    if key is repr or key is str:
+        return csr.memo(("label_ranks", key.__name__), lambda: _sort_ranks(csr.labels, key))
+    return _sort_ranks(csr.labels, key)
+
+
+def natural_label_ranks(csr: CSRGraph) -> Optional[np.ndarray]:
+    """Ranks of the labels under ``<`` when every label is a ``str``, else ``None``.
+
+    :func:`~repro.graph.graph.edge_key` puts the endpoints of an edge in
+    ``<`` order, which for ``str`` labels is their ``str`` order, so these
+    ranks (the memoised ``str`` ranks) orient whole edge arrays at once.
+    Labels of any other type (a ``str`` subclass included) get ``None``:
+    their order is ``edge_key``'s to decide, one edge at a time.
+    """
+    if not csr.memo(("str_labels",), lambda: all(type(v) is str for v in csr.labels)):
+        return None
+    return label_sort_ranks(csr, str)
 
 
 # ----------------------------------------------------------------------
@@ -245,17 +273,22 @@ ORDERING_INDEX_FNS: dict[str, Callable[[CSRGraph], np.ndarray]] = {
 
 
 def ordering_indices(name: str, csr: CSRGraph) -> np.ndarray:
-    """Compute the named ordering directly on a CSR view (no label round-trip)."""
+    """Compute the named ordering directly on a CSR view (no label round-trip).
+
+    Computed once per view and kept in its memo, so the permutation is
+    read-only.  The natural order is the identity, cheaper to rebuild than
+    to keep alive, so it is built afresh.
+    """
     key = name.strip().lower()
     key = _ALIASES.get(key, key)
-    try:
-        fn = ORDERING_INDEX_FNS[key]
-    except KeyError:
+    if key not in ORDERING_INDEX_FNS:
         raise KeyError(
             f"unknown ordering {name!r}; valid names: {sorted(ORDERING_INDEX_FNS)} "
             f"and aliases {sorted(_ALIASES)}"
-        ) from None
-    return fn(csr)
+        )
+    if key == "natural":
+        return ORDERING_INDEX_FNS[key](csr)
+    return csr.memo(("ordering", key), lambda: ORDERING_INDEX_FNS[key](csr))
 
 
 # ----------------------------------------------------------------------

@@ -319,16 +319,27 @@ def _canonical_edges(graph: Graph) -> list[list[str]]:
     return sorted(sorted((str(u), str(v))) for u, v in graph.iter_edges())
 
 
-def _canonical_pairs(labels: Sequence[Any], pairs: np.ndarray) -> list[list[str]]:
-    """:func:`_canonical_edges` of the edges ``pairs`` over ``labels``, from the arrays.
+def _canonical_names(csr: CSRGraph) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Dense ranks of the labels' strings (equal strings share a rank) and
+    the distinct strings in order; kept in the view's memo."""
+
+    def build() -> tuple[np.ndarray, tuple[str, ...]]:
+        names = [str(v) for v in csr.labels]
+        distinct = sorted(set(names))
+        rank_of = {name: r for r, name in enumerate(distinct)}
+        rank = np.fromiter((rank_of[name] for name in names), dtype=np.int64, count=len(names))
+        return rank, tuple(distinct)
+
+    return csr.memo(("canonical_names",), build)
+
+
+def _canonical_pairs(csr: CSRGraph, pairs: np.ndarray) -> list[list[str]]:
+    """:func:`_canonical_edges` of the edges ``pairs`` over ``csr``'s labels, from the arrays.
 
     Each label is ranked by its string (equal strings share a rank), so
     sorting the rank pairs sorts the string pairs exactly as the oracle does.
     """
-    names = [str(v) for v in labels]
-    distinct = sorted(set(names))
-    rank_of = {name: r for r, name in enumerate(distinct)}
-    rank = np.fromiter((rank_of[name] for name in names), dtype=np.int64, count=len(names))
+    rank, distinct = _canonical_names(csr)
     a, b = rank[pairs[:, 0]], rank[pairs[:, 1]]
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     order = np.lexsort((hi, lo))
@@ -343,7 +354,7 @@ def filter_payload(result: FilterResult, include_edges: bool = False) -> dict[st
     Everything is read off the result's index arrays; the label graph is not
     built.
     """
-    edges = _canonical_pairs(result.csr.labels, result.kept)
+    edges = _canonical_pairs(result.csr, result.kept)
     payload: dict[str, Any] = {
         "method": result.method,
         "ordering": result.ordering,
