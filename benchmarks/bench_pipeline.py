@@ -6,7 +6,9 @@ dataset scales x vertex orderings x partition counts and writes the measured
 trajectory to ``BENCH_pipeline.json``.  It times the *whole* filter call —
 ordering, partitioning, per-rank subgraph construction, kernel, border
 admission and merge — because the paper's Figure 11 claim is about end-to-end
-filter latency.  Flags, envelope and ``--check`` come from
+filter latency.  Every repeat runs on a new CSR view of the network (built
+outside the timer), so none of them reads what an earlier one left in the
+view's memo.  Flags, envelope and ``--check`` come from
 :mod:`harness`.
 
 JSON schema (``bench_pipeline/v1``) extras: ``runs`` rows are
@@ -30,6 +32,7 @@ import harness
 from repro.core.parallel_comm import parallel_chordal_comm_filter
 from repro.core.parallel_nocomm import parallel_chordal_nocomm_filter
 from repro.core.sequential import sequential_chordal_filter
+from repro.graph.csr import CSRGraph
 from repro.graph.generators import correlation_like_graph
 
 #: Benchmark networks: correlation-like graphs at three sizes.  ``large`` is
@@ -101,8 +104,12 @@ def run_grid(quick: bool, verbose: bool = True) -> list[dict[str, Any]]:
         best = float("inf")
         result = None
         for _ in range(cell["repeats"]):
+            # A new view per repeat, built untimed: the view memo would
+            # otherwise hand every repeat after the first its ordering,
+            # partition and border lists, and the cell would stop timing them.
+            view = CSRGraph.from_graph(g)
             t0 = time.perf_counter()
-            result = fn(g, cell["ordering"], cell["P"])
+            result = fn(view, cell["ordering"], cell["P"])
             best = min(best, time.perf_counter() - t0)
         row = {
             "filter": cell["filter"],

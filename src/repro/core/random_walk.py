@@ -98,17 +98,19 @@ def random_walk_edges(
     return [edge_key(labels[i], labels[j]) for i, j in _repr_order(kept, labels)], selections
 
 
-def _subgraph_rows(sub: CSRGraph) -> list[list[int]]:
-    """The adjacency rows ``Graph.subgraph`` builds for the part ``sub`` slices.
+def _subgraph_rows(indptr: np.ndarray, indices: np.ndarray) -> list[list[int]]:
+    """The adjacency rows ``Graph.subgraph`` builds for the part whose
+    induced CSR arrays (:meth:`IndexPartition.part_arrays`) are given.
 
     ``Graph.subgraph`` adds each edge from whichever endpoint comes first in
     the part, so a row lists its earlier neighbours (in part order) before
     its later ones (in the original row order) — the neighbour order the
     walk draws from.
     """
-    rows: list[list[int]] = [[] for _ in range(sub.n_vertices)]
-    for x, row in enumerate(sub.neighbor_lists()):
-        for y in row:
+    flat, bounds = indices.tolist(), indptr.tolist()
+    rows: list[list[int]] = [[] for _ in range(len(bounds) - 1)]
+    for x in range(len(rows)):
+        for y in flat[bounds[x] : bounds[x + 1]]:
             if y > x:
                 rows[x].append(y)
                 rows[y].append(x)
@@ -160,10 +162,10 @@ def parallel_random_walk_filter(
 
     walked: list[np.ndarray] = []
     works: list[RankWork] = []
-    for rank in range(ipart.n_parts):
-        sub = ipart.part_csr(rank)
-        rows = _subgraph_rows(sub)
-        pairs, selections = _walk(rows, sub.n_edges, rngs[rank], selection_fraction)
+    for rank, (sub_indptr, sub_indices) in enumerate(ipart.part_arrays()):
+        rows = _subgraph_rows(sub_indptr, sub_indices)
+        n_edges = int(sub_indices.shape[0]) // 2
+        pairs, selections = _walk(rows, n_edges, rngs[rank], selection_fraction)
         to_global = ipart.part_indices(rank).tolist()
         global_pairs = [
             (a, b) if a < b else (b, a) for a, b in ((to_global[i], to_global[j]) for i, j in pairs)
@@ -176,7 +178,7 @@ def parallel_random_walk_filter(
                 border_edges=int(ipart.border_edges_of(rank)[0].shape[0]),
                 messages=0,
                 items_sent=0,
-                max_degree=max(sub.max_degree(), 1),
+                max_degree=max(int(np.diff(sub_indptr).max(initial=0)), 1),
             )
         )
 

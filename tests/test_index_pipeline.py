@@ -42,6 +42,7 @@ from repro.graph.ordering import (
 from repro.graph.partition import (
     INDEX_PARTITIONERS,
     IndexPartition,
+    block_partition_indices,
     index_partition_graph,
 )
 
@@ -187,6 +188,23 @@ class TestIndexPartitioners:
             sub = ip.part_csr(p)
             assert sub.to_graph() == lp.part_subgraph(p)
             assert list(sub.labels) == lp.part_subgraph(p).vertices()
+
+    @settings(max_examples=25, deadline=None)
+    @given(random_graphs(), st.integers(min_value=1, max_value=5), st.randoms())
+    def test_part_arrays_equal_per_part_induced_subgraphs(self, g: Graph, n_parts: int, rnd):
+        csr = CSRGraph.from_graph(g)
+        order = list(range(csr.n_vertices))
+        rnd.shuffle(order)
+        iparts = [index_partition_graph(csr, n_parts, method=m) for m in PARTITIONER_NAMES]
+        iparts.append(block_partition_indices(csr, n_parts, order=np.asarray(order)))
+        for ip in iparts:
+            arrays = ip.part_arrays()
+            assert len(arrays) == n_parts
+            for p, (indptr, indices) in enumerate(arrays):
+                sub = csr.induced_subgraph(ip.part_indices(p))
+                assert indptr.dtype == indices.dtype == np.int64
+                assert indptr.tolist() == sub.indptr.tolist()
+                assert indices.tolist() == sub.indices.tolist()
 
     @settings(max_examples=15, deadline=None)
     @given(random_graphs(), st.integers(min_value=1, max_value=4))
