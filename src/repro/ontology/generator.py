@@ -20,6 +20,7 @@ score separates "real" clusters from coincidental ones.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from typing import Optional
 
 import numpy as np
@@ -28,7 +29,7 @@ from ..expression.datasets import SyntheticStudy
 from .annotation import AnnotationTable
 from .go_dag import GODag
 
-__all__ = ["make_go_dag", "annotate_study", "make_study_ontology"]
+__all__ = ["make_go_dag", "annotate_study", "reference_annotate_study", "make_study_ontology"]
 
 
 def make_go_dag(
@@ -90,6 +91,59 @@ def _shallow_terms(dag: GODag, max_depth: int) -> list[str]:
     return [t for t in dag.terms() if 0 < dag.depth(t) <= max_depth]
 
 
+def _module_annotations(
+    study: SyntheticStudy,
+    dag: GODag,
+    rng: np.random.Generator,
+    min_depth: Optional[int],
+    all_terms: list[str],
+) -> Iterator[tuple[str, list[str]]]:
+    """Yield ``(gene, [term, term])`` for every planted-module member, drawing
+    from ``rng`` in the order the annotation stream is pinned to.
+
+    The draws are interleaved and conditional (a signal coin, a child coin, a
+    child pick, a shallow or noise pick), so this loop stays scalar; it covers
+    only the module members, a few hundred genes at paper scale.
+    """
+    if min_depth is None:
+        min_depth = max(3, dag.max_depth() - 2)
+    deep = _deep_terms(dag, min_depth)
+    shallow = _shallow_terms(dag, max_depth=2)
+    if not deep:
+        raise ValueError("the DAG has no terms deep enough for module annotation")
+    signal = float(np.clip(study.config.biological_signal, 0.0, 1.0))
+
+    # one deep function per planted module
+    module_terms: dict[str, str] = {}
+    for module_name in study.modules:
+        module_terms[module_name] = deep[int(rng.integers(0, len(deep)))]
+
+    for module_name, members in study.modules.items():
+        term = module_terms[module_name]
+        children = dag.children(term)
+        # the coarse ("generic") ancestor used for weakly annotated members:
+        # the module term's ancestor at absolute depth 2, i.e. a term as broad
+        # as GO's "metabolic process" example in the paper.
+        lineage = dag.path_to_root(term)  # [term, ..., root]
+        coarse_index = max(0, len(lineage) - 1 - 2)
+        coarse = lineage[coarse_index]
+        for gene in members:
+            if rng.random() < signal:
+                assigned = term
+                if children and rng.random() < 0.3:
+                    assigned = children[int(rng.integers(0, len(children)))]
+                extra = shallow[int(rng.integers(0, len(shallow)))] if shallow else dag.root_id
+                yield gene, [assigned, extra]
+            else:
+                # weak-signal module gene: only a coarse ancestor plus one noise term
+                noise_term = all_terms[int(rng.integers(0, len(all_terms)))]
+                yield gene, [coarse, noise_term]
+
+
+def _annotation_rng(study: SyntheticStudy, seed: Optional[int]) -> np.random.Generator:
+    return np.random.default_rng(study.seed * 7919 + 13 if seed is None else seed)
+
+
 def annotate_study(
     study: SyntheticStudy,
     dag: GODag,
@@ -107,46 +161,59 @@ def annotate_study(
     enrichment of the paper's pre-filtered YNG/MID datasets arises.  All other
     genes in the study receive ``background_terms_per_gene`` terms drawn
     uniformly from the whole DAG, so coincidental clusters score low.
+
+    The background picks are one ``integers(0, n, size=k * genes)`` call —
+    the same stream as one scalar draw per pick — and the table and its
+    :class:`~repro.ontology.annotation.AnnotationIndex` are bulk-built from
+    the (gene row, interned term id) arrays.  Byte-identical to
+    :func:`reference_annotate_study`, which the tests pin it against.
     """
-    rng = np.random.default_rng(study.seed * 7919 + 13 if seed is None else seed)
-    min_depth = module_term_min_depth
-    if min_depth is None:
-        min_depth = max(3, dag.max_depth() - 2)
-    deep = _deep_terms(dag, min_depth)
-    shallow = _shallow_terms(dag, max_depth=2)
+    rng = _annotation_rng(study, seed)
     all_terms = [t for t in dag.terms() if t != dag.root_id]
-    if not deep:
-        raise ValueError("the DAG has no terms deep enough for module annotation")
+    row_of: dict[str, int] = {}
+    rows: list[int] = []
+    terms: list[str] = []
+    for gene, gene_terms in _module_annotations(study, dag, rng, module_term_min_depth, all_terms):
+        rows += [row_of.setdefault(gene, len(row_of))] * len(gene_terms)
+        terms += gene_terms
+    background = [g for g in study.matrix.genes if g not in row_of]
+    k = background_terms_per_gene
+    picks = rng.integers(0, len(all_terms), size=len(background) * k)
+    term_index = dag.term_index()
+    n_module = len(row_of)
+    return AnnotationTable.from_pairs(
+        dag,
+        list(row_of) + background,
+        np.concatenate(
+            [
+                np.asarray(rows, dtype=np.int64),
+                np.repeat(np.arange(n_module, n_module + len(background), dtype=np.int64), k),
+            ]
+        ),
+        np.concatenate([term_index.ids_for(terms), term_index.ids_for(all_terms)[picks]]),
+    )
+
+
+def reference_annotate_study(
+    study: SyntheticStudy,
+    dag: GODag,
+    seed: Optional[int] = None,
+    module_term_min_depth: Optional[int] = None,
+    background_terms_per_gene: int = 3,
+) -> AnnotationTable:
+    """Seed :func:`annotate_study`: one scalar draw per background pick and one
+    :meth:`AnnotationTable.annotate` call per gene.
+
+    Retained as the oracle the bulk build is pinned to (the test suite's
+    ``ANNOTATION_DIGESTS`` and equality tests).
+    """
+    rng = _annotation_rng(study, seed)
+    all_terms = [t for t in dag.terms() if t != dag.root_id]
     table = AnnotationTable(dag)
-    signal = float(np.clip(study.config.biological_signal, 0.0, 1.0))
-
-    # one deep function per planted module
-    module_terms: dict[str, str] = {}
-    for i, module_name in enumerate(study.modules):
-        module_terms[module_name] = deep[int(rng.integers(0, len(deep)))]
-
     annotated_genes: set[str] = set()
-    for module_name, members in study.modules.items():
-        term = module_terms[module_name]
-        children = dag.children(term)
-        # the coarse ("generic") ancestor used for weakly annotated members:
-        # the module term's ancestor at absolute depth 2, i.e. a term as broad
-        # as GO's "metabolic process" example in the paper.
-        lineage = dag.path_to_root(term)  # [term, ..., root]
-        coarse_index = max(0, len(lineage) - 1 - 2)
-        coarse = lineage[coarse_index]
-        for gene in members:
-            if rng.random() < signal:
-                assigned = term
-                if children and rng.random() < 0.3:
-                    assigned = children[int(rng.integers(0, len(children)))]
-                extra = shallow[int(rng.integers(0, len(shallow)))] if shallow else dag.root_id
-                table.annotate(gene, [assigned, extra])
-            else:
-                # weak-signal module gene: only a coarse ancestor plus one noise term
-                noise_term = all_terms[int(rng.integers(0, len(all_terms)))]
-                table.annotate(gene, [coarse, noise_term])
-            annotated_genes.add(gene)
+    for gene, terms in _module_annotations(study, dag, rng, module_term_min_depth, all_terms):
+        table.annotate(gene, terms)
+        annotated_genes.add(gene)
 
     for gene in study.matrix.genes:
         if gene in annotated_genes:

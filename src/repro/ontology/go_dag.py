@@ -75,31 +75,18 @@ class TermIndex:
         n = len(self.terms)
         self.depths = np.array([dag._depth_cache[t] for t in self.terms], dtype=np.int64)
         self.depths.setflags(write=False)
-        # Ancestor CSR: process terms shallowest-first so every parent row is
-        # complete before its children union it (the DAG guarantees
-        # depth(parent) < depth(child) under longest-path depths).
-        rows: list[Optional[np.ndarray]] = [None] * n
-        own = np.arange(n, dtype=np.int64)
-        for t in np.argsort(self.depths, kind="stable"):
-            term = dag._terms[self.terms[t]]
-            if not term.parents:
-                rows[t] = own[t : t + 1]
-                continue
-            parent_rows = [rows[self.id_of[p]] for p in term.parents]
-            rows[t] = np.unique(np.concatenate(parent_rows + [own[t : t + 1]]))
-        counts = np.array([r.shape[0] for r in rows], dtype=np.int64)
-        self.anc_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.anc_indptr[1:])
-        self.anc_indices = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
+        # Parent links over interned ids, (child, parent), each link once.
+        us = np.fromiter(
+            (self.id_of[t] for t, term in dag._terms.items() for _ in term.parents), dtype=np.int64
+        )
+        vs = np.fromiter(
+            (self.id_of[p] for term in dag._terms.values() for p in term.parents), dtype=np.int64
+        )
+        self.anc_indptr, self.anc_indices = _ancestor_csr(self.depths, us, vs)
         self.anc_indptr.setflags(write=False)
         self.anc_indices.setflags(write=False)
-        # Undirected term structure over interned ids (each parent link is one
-        # undirected edge, exactly once).
-        us = [self.id_of[t] for t, term in dag._terms.items() for _ in term.parents]
-        vs = [self.id_of[p] for term in dag._terms.values() for p in term.parents]
-        self.term_csr = CSRGraph.from_edge_arrays(
-            range(n), np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64)
-        )
+        # Undirected term structure (each parent link is one undirected edge).
+        self.term_csr = CSRGraph.from_edge_arrays(range(n), us, vs)
         self._dist_rows: dict[int, np.ndarray] = {}
 
     @property
@@ -148,6 +135,61 @@ class TermIndex:
         return _cached_bfs_row(
             self.term_csr.indptr, self.term_csr.indices, src, self._dist_rows, self._DIST_ROW_LIMIT
         )
+
+
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique`` of an int64 array by one sort and a neighbour mask.
+
+    Plain ``np.unique`` takes numpy's hash-table path and then sorts its
+    output: on 84k packed annotation keys (numpy 2.4, a 2-core x86 VM) that
+    took 17 ms against 0.7 ms for this.
+    """
+    out = np.sort(values)
+    keep = np.empty(out.shape[0], dtype=bool)
+    keep[:1] = True
+    np.not_equal(out[1:], out[:-1], out=keep[1:])
+    return out[keep]
+
+
+def _ancestor_csr(
+    depths: np.ndarray, child: np.ndarray, parent: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted ancestor rows (each term included) of every term, as a CSR.
+
+    Built one depth level at a time: under longest-path depths every parent
+    sits on a shallower level, so a level's rows are one gather of its
+    parents' finished rows plus the terms themselves, and one sort-unique of
+    the packed ``(term, ancestor)`` keys sorts and dedupes every row of the
+    level at once.  Rows are stored in level order and re-gathered into id
+    order at the end.
+    """
+    n = depths.shape[0]
+    order = np.argsort(depths, kind="stable")  # level by level, ids ascending
+    pos_of = np.empty(n, dtype=np.int64)
+    pos_of[order] = np.arange(n, dtype=np.int64)
+    levels = np.arange(int(depths.max()) + 2)
+    term_bounds = np.searchsorted(depths[order], levels)
+    by_child = np.argsort(depths[child], kind="stable")
+    child, parent = child[by_child], parent[by_child]
+    edge_bounds = np.searchsorted(depths[child], levels)
+    indptr = np.zeros(n + 1, dtype=np.int64)  # over level-order positions
+    store = np.empty(0, dtype=np.int64)
+    for d in range(levels.shape[0] - 1):
+        lo, hi = term_bounds[d], term_bounds[d + 1]
+        ea, eb = edge_bounds[d], edge_bounds[d + 1]
+        terms = order[lo:hi]
+        vals, counts = gather_csr_rows(indptr, store, pos_of[parent[ea:eb]])
+        keys = _sorted_unique(
+            np.concatenate([np.repeat(child[ea:eb], counts) * n + vals, terms * n + terms])
+        )
+        owners = keys // n
+        np.cumsum(np.bincount(owners, minlength=n)[terms], out=indptr[lo + 1 : hi + 1])
+        indptr[lo + 1 : hi + 1] += indptr[lo]
+        store = np.concatenate([store, keys - owners * n])
+    anc_indices, counts = gather_csr_rows(indptr, store, pos_of)
+    anc_indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=anc_indptr[1:])
+    return anc_indptr, anc_indices
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,23 @@ class TestAnnotationTable:
         with pytest.raises(KeyError):
             table.annotate("g", ["NOPE"])
 
+    def test_empty_annotation_is_a_no_op(self, dag):
+        table = AnnotationTable(dag)
+        table.annotate("g", ["L1a"])
+        table.annotate("h", ["L2a"])
+        index = table.indexed()
+        table.annotate("x", [])
+        assert "x" not in table
+        assert len(table) == 2
+        assert table.indexed() is index
+        assert table.indexed().rows_for(["g", "h", "x"]).tolist() == [0, 1, -1]
+
+    def test_genes_of_follows_later_annotations(self, dag, annotations):
+        assert annotations.genes_of("L1a") == set()
+        annotations.annotate("geneE", ["L1a", "L3a"])
+        assert annotations.genes_of("L1a") == {"geneE"}
+        assert annotations.genes_of("L3a") == {"geneA", "geneE"}
+
     def test_genes_of_term_and_subtree(self, dag, annotations):
         assert annotations.genes_of("L3a") == {"geneA"}
         assert annotations.genes_of_subtree("L2a") == {"geneA", "geneB", "geneC", "geneMulti"}

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.ontology import GODag
+from repro.ontology import GODag, TermIndex
+from repro.ontology.generator import make_go_dag
 
 
 def make_dag() -> GODag:
@@ -242,3 +244,42 @@ class TestScopedInvalidation:
         for x, y, d in zip(a, b, batch):
             expect = dag.reference_term_distance(x, y)
             assert d == dag.term_distance(x, y) == expect == rebuilt.term_distance(x, y), (x, y)
+
+
+class TestTermIndexAncestors:
+    """The level-built ancestor CSR equals the per-term ancestor sets."""
+
+    @staticmethod
+    def assert_rows_are_ancestor_sets(dag, index):
+        assert index.anc_indptr[-1] == index.anc_indices.shape[0]
+        for term in dag.terms():
+            row = index.ancestors_of(index.id_of[term])
+            assert np.all(np.diff(row) > 0), term  # sorted, no repeats
+            assert {index.terms[int(t)] for t in row} == dag.ancestors(term), term
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_generated_dags(self, seed):
+        dag = make_go_dag(depth=5, branching=3, extra_parent_fraction=0.2, seed=seed)
+        self.assert_rows_are_ancestor_sets(dag, dag.term_index())
+
+    def test_hand_built_dag_with_late_cross_link(self):
+        dag = make_dag()
+        dag.add_parent("G", "O")  # G gets a second lineage after construction
+        self.assert_rows_are_ancestor_sets(dag, dag.term_index())
+
+    def test_after_append_leaf_terms(self):
+        dag = make_go_dag(depth=4, branching=3, extra_parent_fraction=0.2, seed=5)
+        dag.term_index()
+        leaves = [t for t in dag.terms() if dag.is_leaf(t)]
+        dag.append_leaf_terms(
+            [
+                ("GO:NEW1", [leaves[0]]),
+                ("GO:NEW2", [leaves[1], leaves[-1]]),
+                ("GO:NEW3", ["GO:NEW1"]),
+            ]
+        )
+        extended = dag.term_index()
+        self.assert_rows_are_ancestor_sets(dag, extended)
+        cold = TermIndex(dag)
+        assert np.array_equal(cold.anc_indptr, extended.anc_indptr)
+        assert np.array_equal(cold.anc_indices, extended.anc_indices)
