@@ -114,7 +114,7 @@ class _SeedDistanceDag:
 
 
 def _seed_pair_extraction(matrix: Any) -> list[tuple[str, str, float]]:
-    """The seed per-pair tile loop (pre-vectorisation ``correlated_pairs``)."""
+    """The seed per-pair tile loop (before the extraction was vectorised)."""
     threshold = CorrelationThreshold()
     std = matrix.standardized()
     n_samples = std.n_samples

@@ -34,7 +34,6 @@ applied to the chordality kernels and the sampler pipeline.
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Hashable, Sequence
 from dataclasses import dataclass
 from typing import Optional
@@ -47,12 +46,8 @@ from .cluster import Cluster
 
 __all__ = [
     "MCODEParams",
-    "mcode_vertex_weights",
     "mcode_clusters",
     "mcode_score",
-    "k_core",
-    "highest_k_core",
-    "core_numbers_indices",
     "mcode_vertex_weights_indices",
     "mcode_clusters_indices",
     "IndexComplex",
@@ -125,49 +120,6 @@ def _peel_subset(
 def _subset_edge_count(row_sets: list[set[int]], members: set[int]) -> int:
     """Number of edges of the subgraph induced by ``members``."""
     return sum(len(row_sets[u] & members) for u in members) // 2
-
-
-def _core_decompose(
-    members: Sequence[int], adj: "Sequence[set[int]] | dict[int, set[int]]"
-) -> tuple[int, dict[int, int]]:
-    """Core numbers of a small induced subgraph via lazy min-degree peeling.
-
-    Returns ``(kmax, core)`` where ``core[u]`` is the classic core number
-    (the largest k such that u belongs to the k-core) and ``kmax`` the
-    degeneracy — the highest non-empty core is exactly
-    ``{u : core[u] == kmax}``.
-    """
-    deg = {u: len(adj[u]) for u in members}
-    heap = [(d, u) for u, d in deg.items()]
-    heapq.heapify(heap)
-    removed: set[int] = set()
-    core: dict[int, int] = {}
-    k = 0
-    while heap:
-        d, u = heapq.heappop(heap)
-        if u in removed or d != deg[u]:
-            continue
-        if d > k:
-            k = d
-        core[u] = k
-        removed.add(u)
-        for w in adj[u]:
-            if w not in removed:
-                deg[w] -= 1
-                heapq.heappush(heap, (deg[w], w))
-    return k, core
-
-
-def core_numbers_indices(csr: CSRGraph) -> np.ndarray:
-    """Core number of every vertex of ``csr`` as one ``int64`` array."""
-    n = csr.n_vertices
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    _, core = _core_decompose(range(n), csr.neighbor_sets())
-    out = np.zeros(n, dtype=np.int64)
-    for u, c in core.items():
-        out[u] = c
-    return out
 
 
 def _neighbourhood_edges(csr: CSRGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -366,45 +318,12 @@ def mcode_clusters_indices(
 # ----------------------------------------------------------------------
 # public label-level API (CSR-native, labels only at the boundary)
 # ----------------------------------------------------------------------
-def k_core(graph: Graph, k: int) -> Graph:
-    """Return the ``k``-core of ``graph`` (maximal subgraph with min degree ≥ k)."""
-    if graph.n_vertices == 0 or k <= 0:
-        return graph.copy()
-    csr = CSRGraph.from_graph(graph)
-    alive = _peel_subset(csr.neighbor_sets(), range(csr.n_vertices), k)
-    return graph.subgraph([csr.labels[i] for i in range(csr.n_vertices) if i in alive])
-
-
-def highest_k_core(graph: Graph) -> tuple[int, Graph]:
-    """Return ``(k, core)`` for the highest non-empty k-core of ``graph``.
-
-    The empty graph yields ``(0, empty graph)``; an edgeless graph yields
-    ``(0, full copy)`` — both matching the peeling reference.
-    """
-    if graph.n_vertices == 0:
-        return 0, graph.copy()
-    csr = CSRGraph.from_graph(graph)
-    core = core_numbers_indices(csr)
-    kmax = int(core.max())
-    if kmax == 0:
-        return 0, graph.copy()
-    keep = np.flatnonzero(core == kmax)
-    return kmax, graph.subgraph([csr.labels[int(i)] for i in keep])
-
-
 def _weight_density(core: Graph) -> float:
     """MCODE neighbourhood density: 2·E / (V·(V−1)); 0 for fewer than 2 vertices."""
     n = core.n_vertices
     if n < 2:
         return 0.0
     return 2.0 * core.n_edges / (n * (n - 1))
-
-
-def mcode_vertex_weights(graph: Graph) -> dict[Vertex, float]:
-    """Stage 1: weight every vertex by k × density of its neighbourhood's highest core."""
-    csr = CSRGraph.from_graph(graph)
-    weights = mcode_vertex_weights_indices(csr)
-    return {v: float(w) for v, w in zip(csr.labels, weights.tolist())}
 
 
 def mcode_score(subgraph: Graph) -> float:
@@ -481,7 +400,11 @@ def mcode_clusters(
 # retained seed implementations (behavioural references)
 # ----------------------------------------------------------------------
 def reference_k_core(graph: Graph, k: int) -> Graph:
-    """Seed ``k_core``: repeated full-vertex rescans on the label graph."""
+    """Seed k-core: repeated full-vertex rescans on the label graph.
+
+    The reference of :func:`_peel_subset`, the peel the haircut and 2-core
+    steps run on indices.
+    """
     work = graph.copy()
     changed = True
     while changed:
@@ -494,7 +417,8 @@ def reference_k_core(graph: Graph, k: int) -> Graph:
 
 
 def reference_highest_k_core(graph: Graph) -> tuple[int, Graph]:
-    """Seed ``highest_k_core``: peel k = 1, 2, … until the core empties."""
+    """Seed highest k-core: peel k = 1, 2, … until the core empties
+    (the neighbourhood core of :func:`reference_mcode_vertex_weights`)."""
     if graph.n_vertices == 0:
         return 0, graph.copy()
     k = 1

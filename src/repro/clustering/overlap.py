@@ -14,18 +14,17 @@ with any filtered cluster are *lost*.  Those categories, together with the
 overlap values and the enrichment score, drive the TP/FP/FN/TN quadrant
 analysis in :mod:`repro.clustering.evaluation`.
 
-The all-pairs matching used to walk every (original, filtered) pair through
-Python set intersections; :func:`match_clusters` and :func:`lost_clusters`
-now take an index-native fast path for the two standard measures when every
-cluster is index-native over one network's label space (MCODE's, see
-:class:`~repro.clustering.cluster.Cluster`): member indices and packed edge
-pairs are joined directly, and only the nonzero pairwise intersection counts
-are computed, by a sorted element join (:func:`_shared_counts`).  Memory and
-time grow with the number of shared (element, cluster) incidences, never
-with clusters × universe or original × filtered clusters.  Any other input
-(hand-built clusters, mixed label spaces, a generic ``key``) runs the
-retained ``reference_match_clusters`` / ``reference_lost_clusters`` loops,
-which the test suite pins the fast path to.
+:func:`match_and_lost_clusters` finds both at once.  For the two standard
+measures, when every cluster is index-native over one network's label space
+(MCODE's, see :class:`~repro.clustering.cluster.Cluster`), it joins member
+indices and packed edge pairs directly and computes only the nonzero
+pairwise intersection counts, by a sorted element join
+(:func:`_shared_counts`).  Memory and time grow with the number of shared
+(element, cluster) incidences, never with clusters × universe or original ×
+filtered clusters.  Any other input (hand-built clusters, mixed label
+spaces, a generic ``key``) runs the retained ``reference_match_clusters`` /
+``reference_lost_clusters`` loops, which the test suite pins the fast path
+to.
 """
 
 from __future__ import annotations
@@ -41,11 +40,8 @@ from .cluster import Cluster
 __all__ = [
     "node_overlap",
     "edge_overlap",
-    "jaccard_node_overlap",
     "ClusterMatch",
-    "match_clusters",
     "match_and_lost_clusters",
-    "lost_clusters",
     "found_clusters",
     "reference_match_clusters",
     "reference_lost_clusters",
@@ -68,15 +64,6 @@ def edge_overlap(original: Cluster, candidate: Cluster) -> float:
     if not orig:
         return 0.0
     return len(orig & candidate.edge_set()) / len(orig)
-
-
-def jaccard_node_overlap(a: Cluster, b: Cluster) -> float:
-    """Jaccard index of the two clusters' node sets (symmetric alternative)."""
-    na, nb = a.node_set(), b.node_set()
-    union = na | nb
-    if not union:
-        return 0.0
-    return len(na & nb) / len(union)
 
 
 @dataclass
@@ -134,9 +121,8 @@ def _fast_width(
 ) -> Optional[int]:
     """The size of the label space the fast path joins over, or ``None``.
 
-    The single dispatch predicate for :func:`match_clusters`,
-    :func:`match_and_lost_clusters` and :func:`lost_clusters`: ``key`` must be
-    one of the two measures with a count form, and every cluster must be
+    The dispatch predicate of :func:`match_and_lost_clusters`: ``key`` must
+    be one of the two measures with a count form, and every cluster must be
     index-native over one label tuple.  Anything else (a generic ``key``, a
     hand-built cluster, two label spaces) takes the reference loops.
     """
@@ -243,39 +229,24 @@ def _lost_from_rows(original_clusters: Sequence[Cluster], rows: np.ndarray) -> l
     return [oc for r, oc in enumerate(original_clusters) if not touched[r]]
 
 
-def match_clusters(
-    original_clusters: Sequence[Cluster],
-    filtered_clusters: Sequence[Cluster],
-    key: Callable[[Cluster, Cluster], float] = node_overlap,
-) -> list[ClusterMatch]:
-    """Match every filtered cluster to its best-overlapping original cluster.
-
-    ``key(original, filtered)`` determines "best" (node overlap by default);
-    both node and edge overlap of the chosen pairing are reported.  Filtered
-    clusters with zero overlap against every original cluster are matched to
-    ``None`` — the paper's *found* clusters.
-
-    For the two standard measures (:func:`node_overlap` / :func:`edge_overlap`)
-    over index-native clusters the matching runs on sparse intersection
-    counts (see :func:`_fast_width`); anything else falls back to
-    :func:`reference_match_clusters`.
-    """
-    n = _fast_width(original_clusters, filtered_clusters, key)
-    if n is None:
-        return reference_match_clusters(original_clusters, filtered_clusters, key)
-    return _fast_matches(original_clusters, filtered_clusters, key, n)[0]
-
-
 def match_and_lost_clusters(
     original_clusters: Sequence[Cluster],
     filtered_clusters: Sequence[Cluster],
     key: Callable[[Cluster, Cluster], float] = node_overlap,
 ) -> tuple[list[ClusterMatch], list[Cluster]]:
-    """:func:`match_clusters` and :func:`lost_clusters` in one pass.
+    """Match every filtered cluster to its best original, and list the lost originals.
 
-    The workflow needs both over the same cluster lists; on the fast path
-    this computes the overlap entries once and reads the matches and the
-    zero-overlap (lost) originals off them.
+    ``key(original, filtered)`` determines "best" (node overlap by default);
+    both node and edge overlap of the chosen pairing are reported.  Filtered
+    clusters with zero overlap against every original cluster are matched to
+    ``None`` — the paper's *found* clusters — and original clusters that
+    share nothing with any filtered cluster are *lost*.
+
+    For the two standard measures (:func:`node_overlap` / :func:`edge_overlap`)
+    over index-native clusters this computes the sparse overlap entries once
+    (see :func:`_fast_width`) and reads the matches and the lost originals off
+    them; anything else runs :func:`reference_match_clusters` and
+    :func:`reference_lost_clusters`.
     """
     n = _fast_width(original_clusters, filtered_clusters, key)
     if n is None:
@@ -290,19 +261,6 @@ def match_and_lost_clusters(
 def found_clusters(matches: Sequence[ClusterMatch]) -> list[Cluster]:
     """Filtered clusters with no original counterpart (structure uncovered by filtering)."""
     return [m.filtered for m in matches if m.is_found]
-
-
-def lost_clusters(
-    original_clusters: Sequence[Cluster],
-    filtered_clusters: Sequence[Cluster],
-    key: Callable[[Cluster, Cluster], float] = node_overlap,
-) -> list[Cluster]:
-    """Original clusters that share nothing with any filtered cluster (lost to filtering)."""
-    n = _fast_width(original_clusters, filtered_clusters, key)
-    if n is None:
-        return reference_lost_clusters(original_clusters, filtered_clusters, key)
-    rows, _, _ = _overlap_entries(original_clusters, filtered_clusters, key is edge_overlap, n)
-    return _lost_from_rows(original_clusters, rows)
 
 
 # ----------------------------------------------------------------------

@@ -24,14 +24,9 @@ from .._lazy import lazy_exports
 __all__ = [
     # chordal kernels
     "is_chordal",
-    "is_simplicial",
-    "find_simplicial_vertex",
-    "is_perfect_elimination_ordering",
     "maximum_cardinality_search",
     "fill_in_edges",
-    "chordal_subgraph_edges",
     "maximal_chordal_subgraph",
-    "augment_to_maximal",
     "is_maximal_chordal_subgraph",
     "edge_insertion_preserves_chordality",
     # filters
@@ -43,7 +38,6 @@ __all__ = [
     "admit_border_edges_no_communication",
     "receiver_admit_border_edges",
     "receiver_admit_border_edges_indices",
-    "random_walk_edges",
     # quasi-chordal analysis
     "QuasiChordalReport",
     "quasi_chordal_report",
@@ -60,15 +54,10 @@ __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         ".chordal": (
-            "augment_to_maximal",
-            "chordal_subgraph_edges",
             "edge_insertion_preserves_chordality",
             "fill_in_edges",
-            "find_simplicial_vertex",
             "is_chordal",
             "is_maximal_chordal_subgraph",
-            "is_perfect_elimination_ordering",
-            "is_simplicial",
             "maximal_chordal_subgraph",
             "maximum_cardinality_search",
         ),
@@ -87,7 +76,7 @@ __getattr__, __dir__ = lazy_exports(
             "long_cycle_census",
             "quasi_chordal_report",
         ),
-        ".random_walk": ("parallel_random_walk_filter", "random_walk_edges"),
+        ".random_walk": ("parallel_random_walk_filter",),
         ".results": ("FilterResult",),
         ".sampling": ("FILTERS", "apply_filter", "filter_names"),
         ".sequential": ("sequential_chordal_filter", "sequential_random_walk_filter"),

@@ -11,24 +11,26 @@ Dearing, Shier & Warner (Discrete Applied Mathematics, 1988).
 This module provides
 
 * :func:`maximum_cardinality_search` — the MCS vertex ordering,
-* :func:`is_perfect_elimination_ordering` / :func:`is_chordal` — the classic
-  Tarjan–Yannakakis recognition test,
-* :func:`maximal_chordal_subgraph` — the Dearing–Shier–Warner construction,
-  with the vertex-ordering hooks the paper's sensitivity study requires,
-* :func:`augment_to_maximal` — a (slower) post-pass that adds any remaining
-  admissible edges, used to verify maximality in tests,
-* simplicial-vertex and fill-in helpers.
+* :func:`is_chordal` — the classic Tarjan–Yannakakis recognition test
+  (:func:`is_peo_indices` on the reverse MCS order),
+* :func:`chordal_subgraph_edge_indices` — the Dearing–Shier–Warner
+  construction on the CSR kernel, with the vertex-ordering hooks the
+  paper's sensitivity study requires; :func:`maximal_chordal_subgraph` is
+  its label-level entry point,
+* :func:`edge_insertion_preserves_chordality` — the label two-pair test, the
+  reference of the with-communication sampler's receiver,
+* :func:`is_maximal_chordal_subgraph` — a brute-force maximality check the
+  tests apply to the DSW output,
+* the fill-in helper behind the quasi-chordal report.
 
 All functions treat the input graph as read-only.
 
 The hot paths (MCS, the PEO check and the DSW construction) run on the
-int-indexed :class:`~repro.graph.csr.CSRGraph` kernel: the public functions
-convert the :class:`Graph` at the boundary, run the ``*_indices`` kernel on
-plain integers and map the result back to labels.  The original
-label-and-set implementations are retained as ``reference_*`` functions; the
-property suite asserts that kernel and reference agree edge-for-edge on
-randomized graphs, so the CSR port cannot silently drift from the seed
-semantics.
+int-indexed :class:`~repro.graph.csr.CSRGraph` kernel; the samplers call the
+``*_indices`` kernels on plain integers.  The original label-and-set
+implementations are retained as ``reference_*`` functions; the property
+suite asserts that kernel and reference agree edge-for-edge on randomized
+graphs, so the CSR port cannot silently drift from the seed semantics.
 """
 
 from __future__ import annotations
@@ -42,17 +44,12 @@ from ..graph.graph import Graph, edge_key
 
 __all__ = [
     "maximum_cardinality_search",
-    "is_perfect_elimination_ordering",
     "is_chordal",
-    "find_simplicial_vertex",
-    "is_simplicial",
     "fill_in_edges",
     "maximal_chordal_subgraph",
-    "chordal_subgraph_edges",
     "chordal_subgraph_edge_indices",
     "mcs_order_indices",
     "is_peo_indices",
-    "augment_to_maximal",
     "is_maximal_chordal_subgraph",
     "edge_insertion_preserves_chordality",
     "reference_chordal_subgraph_edges",
@@ -146,20 +143,6 @@ def is_peo_indices(csr: CSRGraph, order: Sequence[int]) -> bool:
     return True
 
 
-def is_perfect_elimination_ordering(graph: Graph, order: Sequence[Vertex]) -> bool:
-    """Return ``True`` when ``order`` is a perfect elimination ordering of ``graph``.
-
-    ``order[0]`` is eliminated first.  The test is the standard one: for every
-    vertex ``v``, its neighbours that appear *later* in the ordering must have
-    their earliest member ``w`` adjacent to all the others (Tarjan &
-    Yannakakis, 1984).  Runs in O(V + E·d).
-    """
-    if len(order) != graph.n_vertices or set(order) != set(graph.vertices()):
-        raise ValueError("order must be a permutation of the graph's vertex set")
-    csr = CSRGraph.from_graph(graph)
-    return is_peo_indices(csr, csr.to_indices(order))
-
-
 def is_chordal(graph: Graph) -> bool:
     """Return ``True`` when the graph is chordal (every cycle ≥ 4 has a chord)."""
     if graph.n_vertices <= 3:
@@ -202,29 +185,6 @@ def reference_maximum_cardinality_search(
             if w not in visited:
                 weight[w] += 1
     return order
-
-
-def is_simplicial(graph: Graph, v: Vertex) -> bool:
-    """Return ``True`` when the neighbourhood of ``v`` induces a clique."""
-    nbrs = graph.neighbors(v)
-    for i, a in enumerate(nbrs):
-        a_adj = graph.neighbor_set(a)
-        for b in nbrs[i + 1 :]:
-            if b not in a_adj:
-                return False
-    return True
-
-
-def find_simplicial_vertex(graph: Graph) -> Optional[Vertex]:
-    """Return some simplicial vertex, or ``None`` when none exists.
-
-    Every chordal graph with at least one vertex has at least one simplicial
-    vertex (Dirac), so this doubles as a cheap sanity probe in the tests.
-    """
-    for v in graph.vertices():
-        if is_simplicial(graph, v):
-            return v
-    return None
 
 
 def fill_in_edges(graph: Graph, order: Optional[Sequence[Vertex]] = None) -> list[Edge]:
@@ -346,73 +306,6 @@ def chordal_subgraph_edge_indices(
     return accepted
 
 
-def chordal_subgraph_edges(
-    graph: Graph,
-    order: Optional[Sequence[Vertex]] = None,
-    strict_order: bool = False,
-    start: Optional[Vertex] = None,
-) -> list[Edge]:
-    """Return the edges of a maximal chordal subgraph of ``graph``.
-
-    The construction follows Dearing, Shier & Warner (1988).  Vertices are
-    added to a processed set ``P`` one at a time; for every unprocessed vertex
-    ``v`` the algorithm maintains ``S(v)`` — the set of processed neighbours of
-    ``v`` that form a clique in the subgraph built so far.  When ``v`` is
-    processed, the edges from ``v`` to every member of ``S(v)`` are accepted.
-    Because each accepted neighbourhood is a clique, the reverse processing
-    order is a perfect elimination ordering and the result is chordal; the
-    greedy selection rule (process the vertex with the largest ``S``) makes it
-    maximal.  Complexity is O(|E|·d) where ``d`` is the maximum degree.
-
-    The computation runs on the int-indexed CSR kernel
-    (:func:`chordal_subgraph_edge_indices`); labels only appear at this
-    boundary.
-
-    Parameters
-    ----------
-    order:
-        A vertex permutation expressing the *preference* order studied in the
-        paper (natural / high-degree / low-degree / RCM).  In the default
-        greedy mode it breaks ties between vertices with equal ``|S|`` and
-        chooses the starting vertex; in ``strict_order`` mode vertices are
-        processed exactly in this sequence.
-    strict_order:
-        Process vertices exactly in ``order`` (still chordal, possibly not
-        maximal).  Mirrors the "graph traversal variation" wording of the
-        paper when the permutation is imposed directly.
-    start:
-        Optional starting vertex (defaults to the first vertex of ``order``).
-
-    Returns
-    -------
-    list of canonical edges of the chordal subgraph.
-    """
-    verts = graph.vertices()
-    n = len(verts)
-    if n == 0:
-        return []
-    csr = CSRGraph.from_graph(graph)
-    start_idx: Optional[int] = None
-    if order is None:
-        priority: Optional[list[int]] = None
-    else:
-        if len(order) != n or set(order) != set(verts):
-            raise ValueError("order must be a permutation of the graph's vertex set")
-        priority = [0] * n
-        index = csr.label_index
-        for rank, v in enumerate(order):
-            priority[index[v]] = rank
-    if start is not None:
-        if start not in graph:
-            raise KeyError(f"start vertex {start!r} not in graph")
-        start_idx = csr.index_of(start)
-    pairs = chordal_subgraph_edge_indices(
-        csr, priority=priority, strict_order=strict_order, start=start_idx
-    )
-    labels = csr.labels
-    return [edge_key(labels[i], labels[j]) for i, j in pairs]
-
-
 def reference_chordal_subgraph_edges(
     graph: Graph,
     order: Optional[Sequence[Vertex]] = None,
@@ -422,8 +315,8 @@ def reference_chordal_subgraph_edges(
     """The seed label-and-set DSW implementation.
 
     Kept verbatim as the behavioural reference for
-    :func:`chordal_subgraph_edges`; the property suite asserts the CSR kernel
-    accepts the identical edge set under every ordering.
+    :func:`chordal_subgraph_edge_indices`; the property suite asserts the CSR
+    kernel accepts the identical edge set under every ordering.
     """
     verts = graph.vertices()
     n = len(verts)
@@ -515,35 +408,59 @@ def maximal_chordal_subgraph(
 ) -> Graph:
     """Return a maximal chordal subgraph of ``graph`` as a new :class:`Graph`.
 
-    See :func:`chordal_subgraph_edges` for the algorithm and parameters.
-    ``keep_all_vertices`` keeps isolated vertices in the result (the sampling
-    convention: filters drop edges, never genes).
+    The construction follows Dearing, Shier & Warner (1988).  Vertices are
+    added to a processed set ``P`` one at a time; for every unprocessed vertex
+    ``v`` the algorithm maintains ``S(v)`` — the set of processed neighbours of
+    ``v`` that form a clique in the subgraph built so far.  When ``v`` is
+    processed, the edges from ``v`` to every member of ``S(v)`` are accepted.
+    Because each accepted neighbourhood is a clique, the reverse processing
+    order is a perfect elimination ordering and the result is chordal; the
+    greedy selection rule (process the vertex with the largest ``S``) makes it
+    maximal.  Complexity is O(|E|·d) where ``d`` is the maximum degree.
+
+    The computation runs on the int-indexed CSR kernel
+    (:func:`chordal_subgraph_edge_indices`); labels only appear at this
+    boundary.
+
+    Parameters
+    ----------
+    order:
+        A vertex permutation expressing the *preference* order studied in the
+        paper (natural / high-degree / low-degree / RCM).  In the default
+        greedy mode it breaks ties between vertices with equal ``|S|`` and
+        chooses the starting vertex; in ``strict_order`` mode vertices are
+        processed exactly in this sequence.
+    strict_order:
+        Process vertices exactly in ``order`` (still chordal, possibly not
+        maximal).  Mirrors the "graph traversal variation" wording of the
+        paper when the permutation is imposed directly.
+    start:
+        Optional starting vertex (defaults to the first vertex of ``order``).
+    keep_all_vertices:
+        Keep isolated vertices in the result (the sampling convention:
+        filters drop edges, never genes).
     """
-    edges = chordal_subgraph_edges(graph, order=order, strict_order=strict_order, start=start)
+    csr = CSRGraph.from_graph(graph)
+    priority: Optional[list[int]] = None
+    if order is not None:
+        if len(order) != csr.n_vertices or set(order) != set(csr.labels):
+            raise ValueError("order must be a permutation of the graph's vertex set")
+        priority = [0] * csr.n_vertices
+        for rank, i in enumerate(csr.to_indices(order)):
+            priority[i] = rank
+    start_idx: Optional[int] = None
+    if start is not None:
+        if start not in graph:
+            raise KeyError(f"start vertex {start!r} not in graph")
+        start_idx = csr.index_of(start)
+    pairs = chordal_subgraph_edge_indices(
+        csr, priority=priority, strict_order=strict_order, start=start_idx
+    )
+    labels = csr.labels
+    edges = [edge_key(labels[i], labels[j]) for i, j in pairs]
     if keep_all_vertices:
         return graph.spanning_subgraph(edges)
     return graph.edge_subgraph(edges)
-
-
-def augment_to_maximal(graph: Graph, subgraph: Graph) -> Graph:
-    """Greedily add original edges to ``subgraph`` while it stays chordal.
-
-    This is the brute-force maximality completion: each candidate edge is
-    tried in deterministic order and kept only if the enlarged subgraph
-    remains chordal (checked with MCS).  Quadratic in practice — intended for
-    verification on test-sized graphs and for the sequential reference filter,
-    not for the parallel hot path.
-    """
-    result = subgraph.copy()
-    for v in graph.vertices():
-        result.add_vertex(v)
-    for u, v in graph.edges():
-        if result.has_edge(u, v):
-            continue
-        result.add_edge(u, v)
-        if not is_chordal(result):
-            result.remove_edge(u, v)
-    return result
 
 
 def edge_insertion_preserves_chordality(chordal_graph: Graph, u: Vertex, v: Vertex) -> bool:

@@ -47,7 +47,7 @@ import numpy as np
 from ..graph.csr import CSRGraph
 from ..graph.graph import Graph, edge_key
 from ..graph.ordering import label_sort_ranks, natural_label_ranks
-from ..graph.partition import IndexPartition, Partition
+from ..graph.partition import IndexPartition
 from ..parallel.comm import SimComm
 from ..parallel.runner import available_backends, pop_supervision_events, run_spmd
 from ..parallel.timing import RankWork
@@ -255,7 +255,6 @@ def parallel_chordal_comm_filter(
     ordering: Optional[str] = "natural",
     explicit_order: Optional[Sequence[Vertex]] = None,
     partition_method: str = "block",
-    partition: Optional[Partition] = None,
     strict_order: bool = False,
     backend: Optional[str] = None,
 ) -> FilterResult:
@@ -283,11 +282,9 @@ def parallel_chordal_comm_filter(
     perm, ordering_name = resolve_order_indices(csr, ordering, explicit_order)
     # A memo key cannot name an explicit order, so its partition is not kept.
     memo_name = None if explicit_order is not None else ordering_name
-    ipart = resolve_index_partition(
-        csr, n_partitions, partition_method, partition, perm, memo_name
-    )
+    ipart = resolve_index_partition(csr, n_partitions, partition_method, perm, memo_name)
     # The lists are a function of the partition, so they share its key.
-    key = partition_memo_key(n_partitions, partition_method, partition, perm, memo_name)
+    key = partition_memo_key(n_partitions, partition_method, perm, memo_name)
     by_peer_per_rank = csr.memo(
         key and ("comm_border", *key[1:]), lambda: _comm_border_lists(csr, ipart)
     )

@@ -48,16 +48,11 @@ from typing import Optional
 
 import numpy as np
 
-from ..graph.csr import CSRGraph, gather_csr_rows
+from ..graph.csr import CSRGraph, gather_csr_rows, sorted_unique
 from ..graph.cycles import cycle_basis_sizes, cycle_basis_sizes_csr
 from ..graph.graph import Graph, edge_key
 from ..graph.ordering import natural_label_ranks
-from ..graph.partition import (
-    IndexPartition,
-    Partition,
-    block_partition_indices,
-    index_partition_graph,
-)
+from ..graph.partition import IndexPartition, block_partition_indices, index_partition_graph
 from ..parallel.runner import available_backends, parallel_map, pop_supervision_events
 from ..parallel.timing import RankWork
 from .chordal import chordal_subgraph_edge_indices
@@ -161,7 +156,7 @@ def _admit_border_keys(
     # (block partitions hand the last rank ids near N).  ``ids`` is sorted,
     # so the compact↔global mapping is monotonic and preserves the
     # lexicographic output order.
-    ids = np.unique(np.concatenate([ext, internal, chordal_u, chordal_v]))
+    ids = sorted_unique(np.concatenate([ext, internal, chordal_u, chordal_v]))
     n = int(ids.shape[0])
     ext = np.searchsorted(ids, ext)
     internal = np.searchsorted(ids, internal)
@@ -190,7 +185,7 @@ def _admit_border_keys(
     eh, ih, nh = e_exp[hit], i_exp[hit], nbrs[hit]
     first = np.minimum(eh, ih) * n + np.maximum(eh, ih)
     second = np.minimum(eh, nh) * n + np.maximum(eh, nh)
-    keys = np.unique(np.concatenate([first, second]))
+    keys = sorted_unique(np.concatenate([first, second]))
     return ids[keys // n], ids[keys % n]
 
 
@@ -279,16 +274,12 @@ def merge_rank_outputs(
 def partition_memo_key(
     n_partitions: int,
     partition_method: str,
-    partition: Optional[Partition],
     perm: Optional[np.ndarray],
     ordering: Optional[str],
 ) -> Optional[tuple]:
     """The view-memo key of the partition :func:`resolve_index_partition`
-    picks, or ``None`` when no key can name it: an explicit ``partition``,
-    or a block layout of a permutation without an ordering name (an
-    explicit order)."""
-    if partition is not None:
-        return None
+    picks, or ``None`` when no key can name it: a block layout of a
+    permutation without an ordering name (an explicit order)."""
     if partition_method == "block" and perm is not None:
         if ordering is None:
             return None
@@ -300,21 +291,17 @@ def resolve_index_partition(
     csr: CSRGraph,
     n_partitions: int,
     partition_method: str,
-    partition: Optional[Partition],
     perm: Optional[np.ndarray],
     ordering: Optional[str] = None,
 ) -> IndexPartition:
     """Choose the index partition for a parallel filter run.
 
-    An explicit label-level ``partition`` wins (converted to its index view);
-    otherwise a block partition follows the ordering permutation when one was
-    requested, and any other method runs index-native directly.  ``ordering``
+    A block partition follows the ordering permutation when one was
+    requested; any other method runs index-native directly.  ``ordering``
     names the ordering ``perm`` was computed from (``None`` for an explicit
     order); a partition that :func:`partition_memo_key` names is built once
     per view and kept, settled and read-only, in its memo.
     """
-    if partition is not None:
-        return IndexPartition.from_partition(partition, csr)
 
     def build() -> tuple:
         if partition_method == "block" and perm is not None:
@@ -323,7 +310,7 @@ def resolve_index_partition(
             ipart = index_partition_graph(csr, n_partitions, method=partition_method)
         return ipart.settled_state()
 
-    key = partition_memo_key(n_partitions, partition_method, partition, perm, ordering)
+    key = partition_memo_key(n_partitions, partition_method, perm, ordering)
     return IndexPartition.from_settled_state(csr, csr.memo(key, build))
 
 
@@ -333,7 +320,6 @@ def parallel_chordal_nocomm_filter(
     ordering: Optional[str] = "natural",
     explicit_order: Optional[Sequence[Vertex]] = None,
     partition_method: str = "block",
-    partition: Optional[Partition] = None,
     strict_order: bool = False,
     repair_cycles: bool = False,
     backend: Optional[str] = None,
@@ -351,8 +337,7 @@ def parallel_chordal_nocomm_filter(
         Vertex ordering used both to lay out the block partition and to drive
         every rank's local Dearing–Shier–Warner traversal.
     partition_method:
-        Partitioner name (``block``, ``hash``, ``bfs``, ``greedy``); ignored
-        when an explicit ``partition`` is supplied.
+        Partitioner name (``block``, ``hash``, ``bfs``, ``greedy``).
     repair_cycles:
         Run the optional cycle-repair pass on the border-edge-induced subgraph
         (deletes admitted border edges until no fundamental cycle among them
@@ -378,9 +363,7 @@ def parallel_chordal_nocomm_filter(
     perm, ordering_name = resolve_order_indices(csr, ordering, explicit_order)
     # A memo key cannot name an explicit order, so its partition is not kept.
     memo_name = None if explicit_order is not None else ordering_name
-    ipart = resolve_index_partition(
-        csr, n_partitions, partition_method, partition, perm, memo_name
-    )
+    ipart = resolve_index_partition(csr, n_partitions, partition_method, perm, memo_name)
     position = priority_from_permutation(perm, csr.n_vertices)
 
     assignment = ipart.assignment

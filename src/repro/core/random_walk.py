@@ -30,14 +30,13 @@ import numpy as np
 
 from ..graph.csr import CSRGraph
 from ..graph.graph import Graph, edge_key
-from ..graph.partition import Partition
 from ..parallel.rng import rank_rngs
 from ..parallel.timing import RankWork
 from .parallel_nocomm import resolve_index_partition
 from .results import FilterResult, as_pairs
 from .sequential import resolve_order_indices
 
-__all__ = ["parallel_random_walk_filter", "random_walk_edges"]
+__all__ = ["parallel_random_walk_filter"]
 
 Vertex = Hashable
 Edge = tuple[Vertex, Vertex]
@@ -81,23 +80,6 @@ def _repr_order(pairs: Sequence[IndexEdge], labels: Sequence[Vertex]) -> list[In
     return sorted(pairs, key=lambda e: repr(edge_key(labels[e[0]], labels[e[1]])))
 
 
-def random_walk_edges(
-    graph: Graph,
-    rng: np.random.Generator,
-    selection_fraction: float = 0.5,
-) -> tuple[list[Edge], int]:
-    """Run one random walk over ``graph`` and return (selected edges, n selections).
-
-    The walk restarts at a uniformly random vertex whenever it reaches an
-    isolated vertex.  Selection counting includes repeats, per the paper.
-    The edges come back as canonical label edges sorted by ``repr``.
-    """
-    csr = CSRGraph.from_graph(graph)
-    kept, selections = _walk(csr.neighbor_lists(), csr.n_edges, rng, selection_fraction)
-    labels = csr.labels
-    return [edge_key(labels[i], labels[j]) for i, j in _repr_order(kept, labels)], selections
-
-
 def _subgraph_rows(indptr: np.ndarray, indices: np.ndarray) -> list[list[int]]:
     """The adjacency rows ``Graph.subgraph`` builds for the part whose
     induced CSR arrays (:meth:`IndexPartition.part_arrays`) are given.
@@ -124,7 +106,6 @@ def parallel_random_walk_filter(
     selection_fraction: float = 0.5,
     border_keep_probability: float = 0.5,
     partition_method: str = "block",
-    partition: Optional[Partition] = None,
     explicit_order: Optional[Sequence[Vertex]] = None,
 ) -> FilterResult:
     """Run the parallel random-walk control filter.
@@ -152,9 +133,9 @@ def parallel_random_walk_filter(
     start = time.perf_counter()
     csr = CSRGraph.of(graph)
     perm = None
-    if partition is None and partition_method == "block" and explicit_order is not None:
+    if partition_method == "block" and explicit_order is not None:
         perm, _ = resolve_order_indices(csr, None, explicit_order)
-    ipart = resolve_index_partition(csr, n_partitions, partition_method, partition, perm)
+    ipart = resolve_index_partition(csr, n_partitions, partition_method, perm)
 
     rngs = rank_rngs(seed, ipart.n_parts + 1)
     border_rng = rngs[-1]

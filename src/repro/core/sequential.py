@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..graph.csr import CSRGraph
+from ..graph.csr import CSRGraph, sorted_unique
 from ..graph.graph import Graph
 from ..graph.ordering import ordering_indices
 from ..parallel.timing import RankWork
@@ -61,7 +61,7 @@ def resolve_order_indices(
         if len(order) != n or not all(v in index for v in order):
             raise ValueError("explicit order must be a permutation of the graph's vertex set")
         perm = np.fromiter((index[v] for v in order), dtype=np.int64, count=n)
-        if np.unique(perm).shape[0] != n:
+        if sorted_unique(perm).shape[0] != n:
             raise ValueError("explicit order must be a permutation of the graph's vertex set")
         return perm, ordering or "explicit"
     if ordering is None:
@@ -111,7 +111,7 @@ def sequential_chordal_filter(
         An explicit vertex permutation overriding ``ordering``.
     strict_order:
         Process vertices exactly in the given order instead of the greedy
-        maximum-|S| rule (see :func:`repro.core.chordal.chordal_subgraph_edges`).
+        maximum-|S| rule (see :func:`repro.core.chordal.maximal_chordal_subgraph`).
     """
     start = time.perf_counter()
     # One CSR view serves the ordering, the extraction kernel and the work

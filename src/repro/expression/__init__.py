@@ -11,14 +11,10 @@ from .._lazy import lazy_exports
 __all__ = [
     "ExpressionMatrix",
     "CorrelationThreshold",
-    "pearson_correlation_matrix",
     "correlation_p_value",
-    "correlation_p_values",
     "critical_correlation",
-    "correlated_pairs",
     "correlated_pair_arrays",
     "build_correlation_network",
-    "build_correlation_csr",
     "csr_from_pair_arrays",
     "network_from_pair_arrays",
     "StudyConfig",
@@ -31,8 +27,6 @@ __all__ = [
     "differential_expression_scores",
     "select_differential_genes",
     "apply_differential_filter",
-    "write_expression_tsv",
-    "read_expression_tsv",
 ]
 
 __getattr__, __dir__ = lazy_exports(
@@ -40,16 +34,12 @@ __getattr__, __dir__ = lazy_exports(
     {
         ".correlation": (
             "CorrelationThreshold",
-            "build_correlation_csr",
             "build_correlation_network",
             "correlated_pair_arrays",
-            "correlated_pairs",
             "correlation_p_value",
-            "correlation_p_values",
             "critical_correlation",
             "csr_from_pair_arrays",
             "network_from_pair_arrays",
-            "pearson_correlation_matrix",
         ),
         ".datasets": (
             "DATASET_CONFIGS",
@@ -59,7 +49,6 @@ __getattr__, __dir__ = lazy_exports(
             "generate_study",
             "make_study",
         ),
-        ".io": ("read_expression_tsv", "write_expression_tsv"),
         ".microarray": ("ExpressionMatrix",),
         ".preprocess": (
             "DifferentialExpressionResult",

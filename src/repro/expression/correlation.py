@@ -5,11 +5,15 @@ between every pair of genes, keeping pairs with a significant p-value
 (p ≤ 0.0005) and a very high correlation (0.95 ≤ |ρ| ≤ 1.0), and connecting the
 corresponding genes with an edge.  This module implements that construction:
 
-* :func:`pearson_correlation_matrix` — the full ρ matrix (blocked so that
-  tens of thousands of genes do not require an n² intermediate in one piece),
-* :func:`correlation_p_value` / :func:`critical_correlation` — the two-sided
-  t-distribution significance test for ρ given the sample count,
-* :func:`build_correlation_network` — the thresholded network as a
+* :func:`correlated_pair_arrays` — every admitted gene pair as index
+  arrays, computed in correlation tiles so that tens of thousands of genes
+  never need an n² intermediate in one piece,
+* :class:`CorrelationThreshold` — the admission criterion, with the
+  p-value test folded into one ρ cut-off (:func:`critical_correlation`;
+  :func:`correlation_p_value` is the scalar test it is checked against),
+* :func:`csr_from_pair_arrays` — the thresholded network as a
+  :class:`~repro.graph.csr.CSRGraph`, which the pipeline analyses;
+  :func:`build_correlation_network` materialises the label
   :class:`repro.graph.Graph` whose edges carry the correlation as a ``rho``
   attribute.
 """
@@ -27,35 +31,15 @@ from ..graph.graph import Graph
 from .microarray import ExpressionMatrix
 
 __all__ = [
-    "pearson_correlation_matrix",
     "correlation_p_value",
-    "correlation_p_values",
     "critical_correlation",
     "CorrelationThreshold",
     "build_correlation_network",
-    "build_correlation_csr",
-    "correlated_pairs",
     "correlated_pair_arrays",
     "correlated_pair_arrays_delta",
     "network_from_pair_arrays",
     "csr_from_pair_arrays",
 ]
-
-
-def pearson_correlation_matrix(matrix: ExpressionMatrix) -> np.ndarray:
-    """Return the full genes × genes Pearson correlation matrix.
-
-    Zero-variance genes yield zero correlation against everything (instead of
-    NaN) so the downstream thresholding never picks them up.
-    """
-    std = matrix.standardized()
-    n = std.n_samples
-    if n < 2:
-        return np.zeros((matrix.n_genes, matrix.n_genes))
-    corr = std.values @ std.values.T / n
-    np.clip(corr, -1.0, 1.0, out=corr)
-    np.fill_diagonal(corr, 1.0)
-    return corr
 
 
 def correlation_p_value(rho: float, n_samples: int) -> float:
@@ -76,28 +60,6 @@ def correlation_p_value(rho: float, n_samples: int) -> float:
 
     t = abs(r) * math.sqrt((n_samples - 2) / (1.0 - r * r))
     return float(2.0 * stdtr(n_samples - 2, -t))
-
-
-def correlation_p_values(rho: np.ndarray, n_samples: int) -> np.ndarray:
-    """Vectorised :func:`correlation_p_value`: one ``stdtr`` call per array.
-
-    Element-for-element identical to the scalar function (same clamp, same
-    ``t`` transform, same survival function) — the test suite pins the two on
-    a grid — but amortises the ufunc dispatch overhead across the whole
-    array, which is what per-pair p-value reporting over thousands of
-    admitted correlations needs.
-    """
-    rho = np.asarray(rho, dtype=float)
-    if n_samples < 3:
-        return np.ones(rho.shape, dtype=float)
-    from scipy.special import stdtr
-
-    r = np.clip(rho, -1.0, 1.0)
-    saturated = np.abs(r) >= 1.0
-    safe = np.where(saturated, 0.0, r)
-    t = np.abs(safe) * np.sqrt((n_samples - 2) / (1.0 - safe * safe))
-    p = 2.0 * stdtr(n_samples - 2, -t)
-    return np.where(saturated, 0.0, p)
 
 
 def critical_correlation(p_value: float, n_samples: int) -> float:
@@ -131,34 +93,6 @@ class CorrelationThreshold:
     min_abs_rho: float = 0.95
     max_p_value: float = 0.0005
     include_negative: bool = False
-
-    def admits(self, rho: float, n_samples: int) -> bool:
-        """Return ``True`` when a correlation passes both criteria.
-
-        With ``include_negative`` the magnitude |ρ| is tested; otherwise the
-        signed value is clamped at zero, so negative correlations can only
-        pass a (degenerate) ``min_abs_rho`` of 0.0.
-        """
-        value = abs(rho) if self.include_negative else max(rho, 0.0)
-        if value < self.min_abs_rho:
-            return False
-        return correlation_p_value(rho, n_samples) <= self.max_p_value
-
-    def admits_array(self, rho: np.ndarray, n_samples: int) -> np.ndarray:
-        """Vectorised :meth:`admits`: one boolean per correlation.
-
-        Uses :func:`correlation_p_values` so bulk admission tests (e.g.
-        re-checking an extracted pair list under a different criterion) cost
-        one ``stdtr`` call instead of one per pair.  The tiled network
-        extraction itself never needs this — :meth:`effective_cutoff` folds
-        the p-value criterion into a single ρ cut-off — so this is the
-        per-pair *reporting* path.
-        """
-        rho = np.asarray(rho, dtype=float)
-        value = np.abs(rho) if self.include_negative else np.maximum(rho, 0.0)
-        return (value >= self.min_abs_rho) & (
-            correlation_p_values(rho, n_samples) <= self.max_p_value
-        )
 
     def effective_cutoff(self, n_samples: int) -> float:
         """Return the binding |ρ| cut-off once the p-value criterion is folded in.
@@ -284,7 +218,7 @@ def correlated_pair_arrays(
     paper's CRE network has ~28k genes), and each tile's admitted entries are
     extracted by array ops (see :func:`_pair_tiles`) — no per-pair Python
     loop.  Pair order is *tile order*: tiles row-major, entries row-major
-    within a tile (the historical ``correlated_pairs`` order).
+    within a tile.
     """
     _check_block_size(block_size)
     threshold = threshold or CorrelationThreshold()
@@ -354,24 +288,6 @@ def correlated_pair_arrays_delta(
     ii, jj, rho = (np.concatenate(p) for p in zip(*parts))
     order = np.lexsort((jj, ii, jj // block_size, ii // block_size))
     return ii[order], jj[order], rho[order]
-
-
-def correlated_pairs(
-    matrix: ExpressionMatrix,
-    threshold: Optional[CorrelationThreshold] = None,
-    block_size: int = 2048,
-) -> list[tuple[str, str, float]]:
-    """Return every gene pair passing the threshold as ``(gene_a, gene_b, rho)``.
-
-    Label-level convenience wrapper over :func:`correlated_pair_arrays` —
-    same pairs, same (tile) order, gene names instead of row indices.
-    """
-    ii, jj, rho = correlated_pair_arrays(matrix, threshold=threshold, block_size=block_size)
-    genes = matrix.genes
-    return [
-        (genes[i], genes[j], r)
-        for i, j, r in zip(ii.tolist(), jj.tolist(), rho.tolist())
-    ]
 
 
 def _first_appearance_order(ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
@@ -455,27 +371,8 @@ def build_correlation_network(
 
     Thin label wrapper over the vectorised extraction: the pair arrays come
     from :func:`correlated_pair_arrays` and only the ``Graph`` materialisation
-    itself is per-edge.  Use :func:`build_correlation_csr` to skip that
-    materialisation entirely.
+    itself is per-edge.  :func:`csr_from_pair_arrays` builds the same network
+    as a :class:`CSRGraph` without that materialisation.
     """
     ii, jj, rho = correlated_pair_arrays(matrix, threshold=threshold, block_size=block_size)
     return network_from_pair_arrays(matrix, ii, jj, rho, include_all_genes=include_all_genes)
-
-
-def build_correlation_csr(
-    matrix: ExpressionMatrix,
-    threshold: Optional[CorrelationThreshold] = None,
-    block_size: int = 2048,
-    include_all_genes: bool = True,
-) -> CSRGraph:
-    """Build the thresholded correlation network directly as a :class:`CSRGraph`.
-
-    Same network as :func:`build_correlation_network` (gene labels retained,
-    ``CSRGraph.from_graph`` of that graph compares equal) but constructed
-    straight from the correlation tiles by array ops — no per-pair loop, no
-    ``Graph.add_edge``.  Correlation values are not carried (CSR is the
-    attribute-free compute view); build the label graph when ``rho`` is
-    needed.
-    """
-    ii, jj, _rho = correlated_pair_arrays(matrix, threshold=threshold, block_size=block_size)
-    return csr_from_pair_arrays(matrix, ii, jj, include_all_genes=include_all_genes)

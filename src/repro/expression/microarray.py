@@ -139,8 +139,8 @@ class ExpressionMatrix:
         signal and would otherwise produce NaNs).
 
         The result is memoised on the matrix: every correlation pass starts
-        by standardising (:func:`~repro.expression.correlation.pearson_correlation_matrix`,
-        :func:`~repro.expression.correlation.correlated_pair_arrays`), and a
+        by standardising
+        (:func:`~repro.expression.correlation.correlated_pair_arrays`), and a
         study is correlated repeatedly — both network views, every
         threshold.  Matrices are treated as immutable after construction, so
         the cache needs no invalidation; a standardised matrix memoises

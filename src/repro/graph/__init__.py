@@ -27,15 +27,10 @@ __all__ = [
     "cycle_basis_sizes",
     "find_chordless_cycle",
     # orderings
-    "ORDERINGS",
     "ORDERING_INDEX_FNS",
     "get_ordering",
     "ordering_names",
     "ordering_indices",
-    "natural_order",
-    "high_degree_order",
-    "low_degree_order",
-    "rcm_order",
     "natural_order_indices",
     "high_degree_order_indices",
     "low_degree_order_indices",
@@ -48,7 +43,6 @@ __all__ = [
     "INDEX_PARTITIONERS",
     "partition_graph",
     "index_partition_graph",
-    "get_partitioner",
     "block_partition",
     "hash_partition",
     "bfs_partition",
@@ -71,10 +65,6 @@ __all__ = [
     # io
     "write_edge_list",
     "read_edge_list",
-    "write_adjacency",
-    "read_adjacency",
-    "edge_list_string",
-    "graph_from_string",
 ]
 
 __getattr__, __dir__ = lazy_exports(
@@ -108,27 +98,18 @@ __getattr__, __dir__ = lazy_exports(
         ),
         ".graph": ("Graph", "edge_key"),
         ".io": (
-            "edge_list_string",
-            "graph_from_string",
-            "read_adjacency",
             "read_edge_list",
-            "write_adjacency",
             "write_edge_list",
         ),
         ".ordering": (
             "ORDERING_INDEX_FNS",
-            "ORDERINGS",
             "get_ordering",
-            "high_degree_order",
             "high_degree_order_indices",
             "label_sort_ranks",
-            "low_degree_order",
             "low_degree_order_indices",
-            "natural_order",
             "natural_order_indices",
             "ordering_indices",
             "ordering_names",
-            "rcm_order",
             "rcm_order_indices",
         ),
         ".partition": (
@@ -140,7 +121,6 @@ __getattr__, __dir__ = lazy_exports(
             "bfs_partition_indices",
             "block_partition",
             "block_partition_indices",
-            "get_partitioner",
             "greedy_edge_cut_partition",
             "greedy_partition_indices",
             "hash_partition",

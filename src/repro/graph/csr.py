@@ -15,9 +15,8 @@ scalability study those constants dominate the measured time.
 * adjacency is the classic CSR pair ``(indptr, indices)`` of numpy ``int64``
   arrays — the neighbours of vertex ``i`` are ``indices[indptr[i]:indptr[i+1]]``
   in the same order the :class:`Graph` would iterate them;
-* degrees are one vectorised ``diff``, edge membership is a binary search over
-  a packed sorted edge array, and bulk membership (:meth:`has_edges`) is fully
-  vectorised.
+* degrees are one vectorised ``diff``, and edge membership is a binary
+  search over a packed sorted edge array.
 
 A ``CSRGraph`` is *frozen*: all mutation happens on :class:`Graph`, and code
 converts at the boundary.  :meth:`from_graph` is the plain (uncached)
@@ -48,7 +47,7 @@ import numpy as np
 
 from .graph import Graph
 
-__all__ = ["CSRGraph", "MEMO_ENTRIES"]
+__all__ = ["CSRGraph", "MEMO_ENTRIES", "edge_arrays_csr", "gather_csr_rows", "sorted_unique"]
 
 Vertex = Hashable
 T = TypeVar("T")
@@ -99,6 +98,50 @@ def gather_csr_rows(
     np.cumsum(counts[:-1], out=row_base[1:])
     take = np.repeat(starts - row_base, counts) + np.arange(total, dtype=np.int64)
     return indices[take], counts
+
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)`` of an int64 array by one sort and a neighbour mask.
+
+    Plain ``np.unique`` takes numpy's hash-table path and then sorts its
+    output: on 84k packed annotation keys (numpy 2.4, a 2-core x86 VM) that
+    took 17 ms against 0.7 ms for this.
+    """
+    out = np.sort(values)
+    keep = np.empty(out.shape[0], dtype=bool)
+    keep[:1] = True
+    np.not_equal(out[1:], out[:-1], out=keep[1:])
+    return out[keep]
+
+
+def edge_arrays_csr(n: int, us: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(indptr, indices)`` of ``n`` vertices and the undirected edges ``(us[k], vs[k])``.
+
+    Each edge must appear exactly once (either orientation) with no self
+    loops or duplicates.  Rows come out sorted ascending, from one stable
+    ``lexsort`` over the symmetrised arrays — no per-edge Python loop.
+    """
+    us = np.ascontiguousarray(us, dtype=np.int64)
+    vs = np.ascontiguousarray(vs, dtype=np.int64)
+    if us.shape != vs.shape or us.ndim != 1:
+        raise ValueError("us and vs must be equal-length 1-D arrays")
+    if us.size:
+        lo, hi = min(us.min(), vs.min()), max(us.max(), vs.max())
+        if lo < 0 or hi >= n:
+            raise ValueError("edge endpoints contain out-of-range vertex ids")
+        if (us == vs).any():
+            raise ValueError("self loops are not allowed")
+    src = np.concatenate([us, vs])
+    dst = np.concatenate([vs, us])
+    # Stable sort by (row, column): gives sorted rows and deterministic
+    # layout; n_vertices+1 bins keeps searchsorted-free row offsets.
+    order = np.lexsort((dst, src))
+    src, dst = src[order], dst[order]
+    if src.size and ((src[1:] == src[:-1]) & (dst[1:] == dst[:-1])).any():
+        raise ValueError("duplicate edges in input arrays")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr, dst
 
 
 class CSRGraph:
@@ -298,34 +341,10 @@ class CSRGraph:
         ``(min, max)`` endpoint this is exactly the CSR that
         :meth:`from_graph` would produce for a :class:`Graph` built by adding
         those edges in order, because each vertex then meets its neighbours in
-        ascending-index order.  Construction is fully vectorised (one
-        ``argsort`` over the symmetrised arrays), no per-edge Python loop.
+        ascending-index order (see :func:`edge_arrays_csr`).
         """
         labels = tuple(labels)
-        n = len(labels)
-        us = np.ascontiguousarray(us, dtype=np.int64)
-        vs = np.ascontiguousarray(vs, dtype=np.int64)
-        if us.shape != vs.shape or us.ndim != 1:
-            raise ValueError("us and vs must be equal-length 1-D arrays")
-        if us.size:
-            lo, hi = min(us.min(), vs.min()), max(us.max(), vs.max())
-            if lo < 0 or hi >= n:
-                raise ValueError("edge endpoints contain out-of-range vertex ids")
-            if (us == vs).any():
-                raise ValueError("self loops are not allowed")
-        src = np.concatenate([us, vs])
-        dst = np.concatenate([vs, us])
-        # Stable sort by (row, column): gives sorted rows and deterministic
-        # layout; n_vertices+1 bins keeps searchsorted-free row offsets.
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
-        if src.size and (
-            (src[1:] == src[:-1]) & (dst[1:] == dst[:-1])
-        ).any():
-            raise ValueError("duplicate edges in input arrays")
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-        return cls(indptr, dst, labels)
+        return cls(*edge_arrays_csr(len(labels), us, vs), labels)
 
     @classmethod
     def from_buffers(
@@ -509,23 +528,6 @@ class CSRGraph:
         pos = int(np.searchsorted(packed, key))
         return pos < packed.shape[0] and int(packed[pos]) == key
 
-    def has_edges(self, us: Sequence[int], vs: Sequence[int]) -> np.ndarray:
-        """Vectorised membership test: one bool per ``(us[k], vs[k])`` pair."""
-        n = self.n_vertices
-        us = np.asarray(us, dtype=np.int64)
-        vs = np.asarray(vs, dtype=np.int64)
-        if us.shape != vs.shape:
-            raise ValueError("us and vs must have the same shape")
-        packed = self._packed_edges
-        keys = us * n + vs
-        pos = np.searchsorted(packed, keys)
-        valid = pos < packed.shape[0]
-        out = np.zeros(keys.shape, dtype=bool)
-        if packed.shape[0]:
-            out[valid] = packed[pos[valid]] == keys[valid]
-        in_range = (us >= 0) & (us < n) & (vs >= 0) & (vs < n)
-        return out & in_range
-
     def edge_indices(self) -> Iterator[tuple[int, int]]:
         """Iterate every undirected edge once as ``(i, j)`` with row-major order.
 
@@ -590,7 +592,7 @@ class CSRGraph:
         k = int(sub.shape[0])
         if k and (sub.min() < 0 or sub.max() >= n):
             raise ValueError("part_indices contain out-of-range vertex ids")
-        if np.unique(sub).shape[0] != k:
+        if sorted_unique(sub).shape[0] != k:
             raise ValueError("part_indices contain duplicates")
         new_id = np.full(n, -1, dtype=np.int64)
         new_id[sub] = np.arange(k, dtype=np.int64)

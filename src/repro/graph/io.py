@@ -1,14 +1,13 @@
-"""Edge-list and adjacency I/O for :class:`repro.graph.Graph`.
+"""Edge-list I/O for :class:`repro.graph.Graph`.
 
 Correlation networks are conventionally exchanged as whitespace- or
 tab-separated edge lists (optionally with a weight column holding the Pearson
-correlation).  These helpers read and write that format plus a trivial
-adjacency-list format, so example scripts can persist intermediate networks.
+correlation).  ``repro filter --output`` writes the filtered network in that
+format; :func:`read_edge_list` reads it back.
 """
 
 from __future__ import annotations
 
-import io
 import os
 from collections.abc import Hashable
 from pathlib import Path
@@ -16,14 +15,7 @@ from typing import TextIO, Union
 
 from .graph import Graph
 
-__all__ = [
-    "write_edge_list",
-    "read_edge_list",
-    "write_adjacency",
-    "read_adjacency",
-    "edge_list_string",
-    "graph_from_string",
-]
+__all__ = ["write_edge_list", "read_edge_list"]
 
 PathLike = Union[str, os.PathLike]
 Vertex = Hashable
@@ -108,47 +100,3 @@ def read_edge_list(
         if should_close:
             handle.close()
     return g
-
-
-def write_adjacency(graph: Graph, target: Union[PathLike, TextIO], delimiter: str = "\t") -> None:
-    """Write one line per vertex: ``v<delim>nbr1<delim>nbr2…``."""
-    handle, should_close = _open_for_write(target)
-    try:
-        for v in graph.vertices():
-            nbrs = delimiter.join(str(n) for n in graph.neighbors(v))
-            handle.write(f"{v}{delimiter}{nbrs}\n" if nbrs else f"{v}\n")
-    finally:
-        if should_close:
-            handle.close()
-
-
-def read_adjacency(source: Union[PathLike, TextIO], delimiter: str | None = None, comment: str = "#") -> Graph:
-    """Read the adjacency format written by :func:`write_adjacency`."""
-    handle, should_close = _open_for_read(source)
-    g = Graph()
-    try:
-        for raw in handle:
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith(comment):
-                continue
-            parts = line.split(delimiter) if delimiter else line.split()
-            v = parts[0]
-            g.add_vertex(v)
-            for nbr in parts[1:]:
-                g.add_edge(v, nbr)
-    finally:
-        if should_close:
-            handle.close()
-    return g
-
-
-def edge_list_string(graph: Graph, weight_attr: str | None = None) -> str:
-    """Return the edge-list serialisation as a string (convenience for tests)."""
-    buf = io.StringIO()
-    write_edge_list(graph, buf, weight_attr=weight_attr)
-    return buf.getvalue()
-
-
-def graph_from_string(text: str, weight_attr: str | None = None) -> Graph:
-    """Parse an edge-list string produced by :func:`edge_list_string`."""
-    return read_edge_list(io.StringIO(text), weight_attr=weight_attr)

@@ -14,16 +14,15 @@ evaluates four orderings:
     Reverse Cuthill–McKee, which numbers closely connected vertices
     consecutively to reduce the bandwidth of the adjacency matrix.
 
-Since the index-native pipeline rewrite the orderings are *computed on the
-CSR kernel*: each has a ``*_order_indices`` function that takes a
+Each ordering is a ``*_order_indices`` function that takes a
 :class:`~repro.graph.csr.CSRGraph` and returns an ``int64`` permutation of
 ``0 .. n-1`` (vectorised ``np.argsort``/``np.lexsort`` for the degree
 orders; for RCM a lockstep Cuthill–McKee that numbers every component in one
-level-synchronous pass).  The label-level functions
-(``high_degree_order`` …) are thin boundary wrappers — convert, permute,
-map back — and the original label-and-dict implementations are retained as
-``reference_*`` so the property suite can pin the index kernels to the seed
-semantics, including their ``repr``/``str`` tie-breaking.
+level-synchronous pass).  A caller holding a label :class:`Graph` maps the
+permutation back with :meth:`CSRGraph.to_labels`.  The original
+label-and-dict implementations are retained as ``reference_*`` so the
+property suite can pin the index kernels to the seed semantics, including
+their ``repr``/``str`` tie-breaking.
 
 The label sort ranks and each named ordering depend on the view alone, so
 :func:`label_sort_ranks` (for ``repr`` and ``str``) and
@@ -43,16 +42,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .csr import CSRGraph, gather_csr_rows
+from .csr import CSRGraph, gather_csr_rows, sorted_unique
 from .graph import Graph
 from .traversal import pseudo_peripheral_vertex
 
 __all__ = [
-    "natural_order",
-    "high_degree_order",
-    "low_degree_order",
-    "rcm_order",
-    "ORDERINGS",
     "get_ordering",
     "ordering_names",
     "natural_order_indices",
@@ -68,7 +62,7 @@ __all__ = [
 ]
 
 Vertex = Hashable
-OrderingFn = Callable[[Graph], list[Vertex]]
+OrderingFn = Callable[[CSRGraph], np.ndarray]
 
 
 def _stable_key(v: Vertex) -> str:
@@ -168,7 +162,7 @@ def _bfs_distances(indptr: np.ndarray, indices: np.ndarray, sources: np.ndarray)
     while frontier.size:
         dist[frontier] = k
         nbrs, _ = gather_csr_rows(indptr, indices, frontier)
-        frontier = np.unique(nbrs[dist[nbrs] < 0])
+        frontier = sorted_unique(nbrs[dist[nbrs] < 0])
         k += 1
     return dist
 
@@ -263,13 +257,46 @@ def rcm_order_indices(csr: CSRGraph, start: Optional[int] = None) -> np.ndarray:
     return cm[np.argsort(root[cm], kind="stable")][::-1].copy()
 
 
-#: Index-native counterparts of :data:`ORDERINGS` (CSR in, permutation out).
-ORDERING_INDEX_FNS: dict[str, Callable[[CSRGraph], np.ndarray]] = {
+#: The orderings evaluated in the paper (CSR in, permutation out), keyed by
+#: the short names used in its figures (NO, HD, LD, RCM).
+ORDERING_INDEX_FNS: dict[str, OrderingFn] = {
     "natural": natural_order_indices,
     "high_degree": high_degree_order_indices,
     "low_degree": low_degree_order_indices,
     "rcm": rcm_order_indices,
 }
+
+#: Abbreviations used in the paper's figures mapped onto registry names.
+_ALIASES = {
+    "no": "natural",
+    "hd": "high_degree",
+    "ld": "low_degree",
+    "rcm": "rcm",
+    "natural_order": "natural",
+    "high": "high_degree",
+    "low": "low_degree",
+}
+
+
+def _canonical_name(name: str) -> str:
+    key = name.strip().lower()
+    key = _ALIASES.get(key, key)
+    if key not in ORDERING_INDEX_FNS:
+        raise KeyError(
+            f"unknown ordering {name!r}; valid names: {sorted(ORDERING_INDEX_FNS)} "
+            f"and aliases {sorted(_ALIASES)}"
+        )
+    return key
+
+
+def ordering_names() -> list[str]:
+    """Return the canonical ordering names in the paper's presentation order."""
+    return list(ORDERING_INDEX_FNS)
+
+
+def get_ordering(name: str) -> OrderingFn:
+    """Look up an ordering kernel by name or paper abbreviation (case-insensitive)."""
+    return ORDERING_INDEX_FNS[_canonical_name(name)]
 
 
 def ordering_indices(name: str, csr: CSRGraph) -> np.ndarray:
@@ -279,51 +306,10 @@ def ordering_indices(name: str, csr: CSRGraph) -> np.ndarray:
     read-only.  The natural order is the identity, cheaper to rebuild than
     to keep alive, so it is built afresh.
     """
-    key = name.strip().lower()
-    key = _ALIASES.get(key, key)
-    if key not in ORDERING_INDEX_FNS:
-        raise KeyError(
-            f"unknown ordering {name!r}; valid names: {sorted(ORDERING_INDEX_FNS)} "
-            f"and aliases {sorted(_ALIASES)}"
-        )
+    key = _canonical_name(name)
     if key == "natural":
         return ORDERING_INDEX_FNS[key](csr)
     return csr.memo(("ordering", key), lambda: ORDERING_INDEX_FNS[key](csr))
-
-
-# ----------------------------------------------------------------------
-# label-level API (thin boundary wrappers over the index kernels)
-# ----------------------------------------------------------------------
-def natural_order(graph: Graph) -> list[Vertex]:
-    """Return vertices in their insertion ("nomenclature") order."""
-    return graph.vertices()
-
-
-def high_degree_order(graph: Graph) -> list[Vertex]:
-    """Return vertices sorted by descending degree (ties broken by label)."""
-    csr = CSRGraph.from_graph(graph)
-    return csr.to_labels(high_degree_order_indices(csr))
-
-
-def low_degree_order(graph: Graph) -> list[Vertex]:
-    """Return vertices sorted by ascending degree (ties broken by label)."""
-    csr = CSRGraph.from_graph(graph)
-    return csr.to_labels(low_degree_order_indices(csr))
-
-
-def rcm_order(graph: Graph, start: Optional[Vertex] = None) -> list[Vertex]:
-    """Return the Reverse Cuthill–McKee ordering of the graph.
-
-    Each connected component is numbered from a pseudo-peripheral vertex using
-    the classic Cuthill–McKee breadth-first scheme (neighbours visited in
-    ascending degree), and the concatenated numbering is reversed.  Components
-    are concatenated in the natural order of their first vertex, so an
-    isolated vertex keeps its natural slot among them.  Computed by
-    :func:`rcm_order_indices` on the CSR kernel.
-    """
-    csr = CSRGraph.from_graph(graph)
-    start_idx = None if start is None else csr.label_index.get(start)
-    return csr.to_labels(rcm_order_indices(csr, start=start_idx))
 
 
 # ----------------------------------------------------------------------
@@ -392,42 +378,3 @@ def reference_rcm_order(graph: Graph, start: Optional[Vertex] = None) -> list[Ve
         remaining.difference_update(comp_order)
     cm.reverse()
     return cm
-
-
-#: Registry of the orderings evaluated in the paper, keyed by the short names
-#: used in its figures (NO, HD, LD, RCM).
-ORDERINGS: dict[str, OrderingFn] = {
-    "natural": natural_order,
-    "high_degree": high_degree_order,
-    "low_degree": low_degree_order,
-    "rcm": rcm_order,
-}
-
-#: Abbreviations used in the paper's figures mapped onto registry names.
-_ALIASES = {
-    "no": "natural",
-    "hd": "high_degree",
-    "ld": "low_degree",
-    "rcm": "rcm",
-    "natural_order": "natural",
-    "high": "high_degree",
-    "low": "low_degree",
-}
-
-
-def ordering_names() -> list[str]:
-    """Return the canonical ordering names in the paper's presentation order."""
-    return list(ORDERINGS)
-
-
-def get_ordering(name: str) -> OrderingFn:
-    """Look up an ordering function by name or paper abbreviation (case-insensitive)."""
-    key = name.strip().lower()
-    key = _ALIASES.get(key, key)
-    try:
-        return ORDERINGS[key]
-    except KeyError:
-        raise KeyError(
-            f"unknown ordering {name!r}; valid names: {sorted(ORDERINGS)} "
-            f"and aliases {sorted(_ALIASES)}"
-        ) from None

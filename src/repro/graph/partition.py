@@ -21,9 +21,12 @@ so the library ships several partitioners:
     partition where most of its already-placed neighbours live, subject to a
     balance cap (a simplified LDG / Fennel streaming partitioner).
 
-All partitioners return a :class:`Partition` describing vertex→part
-assignment, per-part vertex lists, the *internal* edges of every part and the
-global list of border edges.
+Each partitioner takes a :class:`~repro.graph.csr.CSRGraph` and returns an
+:class:`IndexPartition`: a vertex→part assignment array, per-part index
+arrays and the border mask over the CSR edge list.  The label partitioners
+that return a :class:`Partition` (dicts and per-part edge lists) are kept
+only as the behavioural references of the index ones; the property suite
+pins each index partitioner to its label twin.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .csr import CSRGraph, gather_csr_rows
-from .graph import Graph, edge_key
+from .graph import Graph
 
 __all__ = [
     "Partition",
@@ -45,7 +48,6 @@ __all__ = [
     "bfs_partition",
     "greedy_edge_cut_partition",
     "PARTITIONERS",
-    "get_partitioner",
     "partition_graph",
     "IndexPartition",
     "block_partition_indices",
@@ -62,7 +64,7 @@ Edge = tuple[Vertex, Vertex]
 
 @dataclass
 class Partition:
-    """The result of dividing a graph into ``n_parts`` vertex-disjoint parts.
+    """A label partitioner's result: ``n_parts`` vertex-disjoint parts (reference).
 
     Attributes
     ----------
@@ -83,79 +85,19 @@ class Partition:
     internal_edges: list[list[Edge]]
     border_edges: list[Edge]
     graph: Graph = field(repr=False)
-    _border_by_part: Optional[list[list[Edge]]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     @property
     def n_parts(self) -> int:
         return len(self.parts)
-
-    @property
-    def n_border_edges(self) -> int:
-        return len(self.border_edges)
-
-    def part_of(self, v: Vertex) -> int:
-        """Return the part index of ``v``."""
-        return self.assignment[v]
 
     def part_subgraph(self, part: int) -> Graph:
         """Return the subgraph induced by part ``part`` (internal edges only)."""
         return self.graph.subgraph(self.parts[part])
 
     def border_edges_of(self, part: int) -> list[Edge]:
-        """Return the border edges with at least one endpoint in ``part``.
-
-        The per-part lists are built once (lazily) in a single pass over the
-        border edges, so asking for every rank's border set — which the
-        parallel samplers do on every run — costs O(B + P) in total instead
-        of O(B · P).
-        """
-        cache = self._border_by_part
-        if cache is None:
-            cache = [[] for _ in range(self.n_parts)]
-            assignment = self.assignment
-            for u, v in self.border_edges:
-                pu, pv = assignment[u], assignment[v]
-                cache[pu].append((u, v))
-                if pv != pu:
-                    cache[pv].append((u, v))
-            self._border_by_part = cache
-        return list(cache[part])
-
-    def edge_cut(self) -> int:
-        """Return the number of border (cut) edges."""
-        return len(self.border_edges)
-
-    def balance(self) -> float:
-        """Return max part size divided by the ideal part size (1.0 = perfect)."""
-        if not self.parts or self.graph.n_vertices == 0:
-            return 1.0
-        ideal = self.graph.n_vertices / len(self.parts)
-        return max(len(p) for p in self.parts) / ideal if ideal else 1.0
-
-    def validate(self) -> None:
-        """Raise ``ValueError`` if the partition is inconsistent with its graph."""
-        seen: set[Vertex] = set()
-        for idx, part in enumerate(self.parts):
-            for v in part:
-                if v in seen:
-                    raise ValueError(f"vertex {v!r} appears in more than one part")
-                if self.assignment.get(v) != idx:
-                    raise ValueError(f"assignment of {v!r} disagrees with parts listing")
-                seen.add(v)
-        if seen != set(self.graph.vertices()):
-            raise ValueError("partition does not cover the graph's vertex set exactly")
-        for idx, edges in enumerate(self.internal_edges):
-            for u, v in edges:
-                if self.assignment[u] != idx or self.assignment[v] != idx:
-                    raise ValueError(f"edge ({u!r},{v!r}) listed internal to part {idx} but crosses parts")
-        for u, v in self.border_edges:
-            if self.assignment[u] == self.assignment[v]:
-                raise ValueError(f"edge ({u!r},{v!r}) listed as border but lies inside a part")
-        n_internal = sum(len(e) for e in self.internal_edges)
-        if n_internal + len(self.border_edges) != self.graph.n_edges:
-            raise ValueError("internal + border edge counts do not add up to |E|")
+        """Return the border edges with at least one endpoint in ``part``."""
+        a = self.assignment
+        return [(u, v) for u, v in self.border_edges if part in (a[u], a[v])]
 
 
 def _classify_edges(graph: Graph, assignment: dict[Vertex, int], n_parts: int) -> tuple[list[list[Edge]], list[Edge]]:
@@ -344,20 +286,9 @@ PARTITIONERS: dict[str, PartitionerFn] = {
 }
 
 
-def get_partitioner(name: str) -> PartitionerFn:
-    """Return a partitioner function by (case-insensitive) name."""
-    key = name.strip().lower()
-    try:
-        return PARTITIONERS[key]
-    except KeyError:
-        raise KeyError(
-            f"unknown partitioner {name!r}; valid names: {sorted(PARTITIONERS)}"
-        ) from None
-
-
 def partition_graph(graph: Graph, n_parts: int, method: str = "block", **kwargs) -> Partition:
-    """Partition ``graph`` into ``n_parts`` parts using the named method."""
-    return get_partitioner(method)(graph, n_parts, **kwargs)
+    """Partition ``graph`` into ``n_parts`` parts using the named label reference."""
+    return PARTITIONERS[method](graph, n_parts, **kwargs)
 
 
 # ======================================================================
@@ -366,12 +297,10 @@ def partition_graph(graph: Graph, n_parts: int, method: str = "block", **kwargs)
 class IndexPartition:
     """An index-native partition of a :class:`~repro.graph.csr.CSRGraph`.
 
-    The label-level :class:`Partition` materialises dicts and per-part edge
-    lists; the parallel samplers only ever need *arrays*: a vertex→part
+    The parallel samplers only ever need *arrays*: a vertex→part
     ``assignment`` vector, per-part index arrays, and the border mask over
     the CSR edge list.  Everything here is vectorised numpy on the frozen
-    CSR view; labels appear only in :meth:`to_partition` (reporting /
-    back-compat boundary).
+    CSR view.
 
     Parameters
     ----------
@@ -491,19 +420,9 @@ class IndexPartition:
             self._part_arrays = arrays
         return arrays
 
-    def part_csr(self, part: int) -> CSRGraph:
-        """CSR subgraph induced by part ``part``, labelled (see :meth:`part_arrays`)."""
-        labels = self.csr.labels
-        indptr, indices = self.part_arrays()[part]
-        return CSRGraph(indptr, indices, [labels[i] for i in self.part_indices(part).tolist()])
-
     # ------------------------------------------------------------------
     # edge side
     # ------------------------------------------------------------------
-    def _edges(self) -> tuple[np.ndarray, np.ndarray]:
-        eu, ev = self.csr.edge_array()
-        return eu, ev
-
     @property
     def border_mask(self) -> np.ndarray:
         """Boolean mask over :meth:`CSRGraph.edge_array`: ``True`` = border edge.
@@ -514,26 +433,26 @@ class IndexPartition:
         """
         mask = self._border_mask
         if mask is None:
-            eu, ev = self._edges()
+            eu, ev = self.csr.edge_array()
             mask = self.assignment[eu] != self.assignment[ev]
             self._border_mask = mask
         return mask
 
     def border_edges(self) -> tuple[np.ndarray, np.ndarray]:
         """Border edges as aligned index arrays ``(us, vs)`` with ``us < vs``."""
-        eu, ev = self._edges()
+        eu, ev = self.csr.edge_array()
         mask = self.border_mask
         return eu[mask], ev[mask]
 
     def internal_edges_of(self, part: int) -> tuple[np.ndarray, np.ndarray]:
         """Edges with both endpoints in ``part``, as aligned index arrays."""
-        eu, ev = self._edges()
+        eu, ev = self.csr.edge_array()
         mask = (self.assignment[eu] == part) & (self.assignment[ev] == part)
         return eu[mask], ev[mask]
 
     def border_edges_of(self, part: int) -> tuple[np.ndarray, np.ndarray]:
         """Border edges with at least one endpoint in ``part`` (aligned arrays)."""
-        eu, ev = self._edges()
+        eu, ev = self.csr.edge_array()
         mask = self.border_mask & (
             (self.assignment[eu] == part) | (self.assignment[ev] == part)
         )
@@ -542,19 +461,6 @@ class IndexPartition:
     @property
     def n_border_edges(self) -> int:
         return int(self.border_mask.sum())
-
-    def edge_cut(self) -> int:
-        """Return the number of border (cut) edges."""
-        return self.n_border_edges
-
-    def balance(self) -> float:
-        """Return max part size divided by the ideal part size (1.0 = perfect)."""
-        n = self.csr.n_vertices
-        if n == 0:
-            return 1.0
-        ideal = n / self.n_parts
-        counts = np.bincount(self.assignment, minlength=self.n_parts)
-        return float(counts.max()) / ideal
 
     def validate(self) -> None:
         """Raise ``ValueError`` if the partition is inconsistent with its CSR."""
@@ -570,58 +476,14 @@ class IndexPartition:
         if n_internal + self.n_border_edges != self.csr.n_edges:
             raise ValueError("internal + border edge counts do not add up to |E|")
 
-    # ------------------------------------------------------------------
-    # label boundary
-    # ------------------------------------------------------------------
-    def to_partition(self, graph: Optional[Graph] = None) -> Partition:
-        """Materialise the label-level :class:`Partition` view (boundary only).
-
-        ``graph`` defaults to ``csr.to_graph()``; pass the original
-        :class:`Graph` to keep edge attributes reachable from the result.
-        """
-        labels = self.csr.labels
-        if graph is None:
-            graph = self.csr.to_graph()
-        assignment = {labels[i]: int(p) for i, p in enumerate(self.assignment)}
-        parts = [[labels[int(i)] for i in idx] for idx in self.parts]
-        internal = [
-            [edge_key(labels[int(u)], labels[int(v)]) for u, v in zip(*self.internal_edges_of(p))]
-            for p in range(self.n_parts)
-        ]
-        bu, bv = self.border_edges()
-        border = [edge_key(labels[int(u)], labels[int(v)]) for u, v in zip(bu, bv)]
-        return Partition(
-            assignment=assignment,
-            parts=parts,
-            internal_edges=internal,
-            border_edges=border,
-            graph=graph,
-        )
-
-    @classmethod
-    def from_partition(cls, partition: Partition, csr: CSRGraph) -> "IndexPartition":
-        """Index view of a label-level :class:`Partition` over the same graph.
-
-        Per-part traversal order is taken from ``partition.parts`` so the
-        index pipeline processes vertices in the identical sequence.
-        """
-        index = csr.label_index
-        assignment = np.full(csr.n_vertices, -1, dtype=np.int64)
-        for v, p in partition.assignment.items():
-            assignment[index[v]] = p
-        if (assignment < 0).any():
-            raise ValueError("partition does not cover every CSR vertex")
-        ipart = cls(csr, assignment, partition.n_parts)
-        ipart._parts = [
-            np.asarray([index[v] for v in part], dtype=np.int64) for part in partition.parts
-        ]
-        return ipart
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return (
-            f"IndexPartition(n_vertices={self.csr.n_vertices}, "
-            f"n_parts={self.n_parts}, border={self.n_border_edges})"
-        )
+def _index_order(order: Optional[np.ndarray], n: int) -> np.ndarray:
+    """``order`` as an ``int64`` permutation of ``0 .. n-1`` (identity if ``None``)."""
+    if order is None:
+        return np.arange(n, dtype=np.int64)
+    order = np.ascontiguousarray(order, dtype=np.int64)
+    if order.shape != (n,) or not np.array_equal(np.sort(order), np.arange(n)):
+        raise ValueError("order must be a permutation of the CSR vertex indices")
+    return order
 
 
 def block_partition_indices(
@@ -630,12 +492,7 @@ def block_partition_indices(
     """Index-native :func:`block_partition`: contiguous balanced blocks of ``order``."""
     _check_n_parts(csr, n_parts)
     n = csr.n_vertices
-    if order is None:
-        order = np.arange(n, dtype=np.int64)
-    else:
-        order = np.ascontiguousarray(order, dtype=np.int64)
-        if order.shape[0] != n or np.unique(order).shape[0] != n:
-            raise ValueError("order must be a permutation of the CSR vertex indices")
+    order = _index_order(order, n)
     base, extra = divmod(n, n_parts)
     sizes = np.full(n_parts, base, dtype=np.int64)
     sizes[:extra] += 1
@@ -711,12 +568,7 @@ def greedy_partition_indices(
     if imbalance < 1.0:
         raise ValueError("imbalance factor must be >= 1.0")
     n = csr.n_vertices
-    if order is None:
-        order = np.arange(n, dtype=np.int64)
-    else:
-        order = np.ascontiguousarray(order, dtype=np.int64)
-        if order.shape[0] != n or np.unique(order).shape[0] != n:
-            raise ValueError("order must be a permutation of the CSR vertex indices")
+    order = _index_order(order, n)
     indptr, indices = csr.indptr, csr.indices
     cap = max(1, int(imbalance * -(-n // n_parts))) if n else 1
     sizes = np.zeros(n_parts, dtype=np.int64)

@@ -29,8 +29,8 @@ add terms       :meth:`~repro.ontology.go_dag.GODag.append_leaf_terms` extends
                 pair table remaps its packed keys (or resets when the batch
                 may have shortened existing term distances).
 add annotations :meth:`~repro.ontology.annotation.AnnotationIndex.updated`
-                rebuilds only the touched gene rows; the scorer drops only the
-                per-edge memos touching those genes.
+                rebuilds only the touched gene rows; the scorer's term-pair
+                table does not depend on annotations and is kept.
 ==============  =====================================================================
 
 Downstream, the network view and MCODE cluster state are reused whenever
@@ -375,10 +375,8 @@ def _delta_apply(bundle: DatasetBundle, data: UpdateData) -> tuple[DatasetBundle
     else:
         reused.append("term_index")
     if spec.add_annotations:
-        touched = [g for g, _terms in data.annotation_specs]
         for gene, terms in data.annotation_specs:
             table.annotate(gene, list(terms))
-        scorer.invalidate_genes(touched)
         dirty.add("annotations")
     if spec.add_terms or spec.add_annotations:
         table._index = AnnotationIndex.updated(

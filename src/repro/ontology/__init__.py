@@ -17,8 +17,6 @@ __all__ = [
     "ClusterEnrichment",
     "ClusterScores",
     "EnrichmentScorer",
-    "score_edge",
-    "score_cluster",
     "reference_score_edge",
     "reference_score_cluster",
     "make_go_dag",
@@ -37,8 +35,6 @@ __getattr__, __dir__ = lazy_exports(
             "EnrichmentScorer",
             "reference_score_cluster",
             "reference_score_edge",
-            "score_cluster",
-            "score_edge",
         ),
         ".generator": ("annotate_study", "make_go_dag", "make_study_ontology"),
         ".go_dag": ("GODag", "GOTerm", "TermIndex"),

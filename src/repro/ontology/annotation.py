@@ -14,8 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from ..graph.csr import gather_csr_rows
-from .go_dag import GODag, TermIndex, _sorted_unique
+from ..graph.csr import gather_csr_rows, sorted_unique
+from .go_dag import GODag, TermIndex
 
 __all__ = ["AnnotationTable", "AnnotationIndex"]
 
@@ -77,7 +77,7 @@ class AnnotationIndex:
         """The one row builder: a single sort of the packed ``(row, term id)``
         keys orders every row and drops repeated pairs."""
         n_terms = term_index.n_terms
-        keys = _sorted_unique(rows * n_terms + term_ids)
+        keys = sorted_unique(rows * n_terms + term_ids)
         key_rows = keys // n_terms
         counts = np.bincount(key_rows, minlength=len(genes))
         present = counts > 0

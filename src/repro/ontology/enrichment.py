@@ -25,8 +25,8 @@ Two implementations live here:
   gather plus a segment max, and whole cluster *sets* reduce to AEES /
   max-score / max-depth / dominant-term arrays with segment reductions
   (:meth:`EnrichmentScorer.score_cluster_graphs`, which reads index-native
-  clusters' edge pairs without a label graph; graphs and hand-built
-  clusters are scored one by one through the per-edge object path).
+  clusters' edge pairs without a label graph, and the label edges of graphs
+  and hand-built clusters).
   Scoring is serial and in-process: at every scale
   ``benchmarks/bench_enrichment.py`` records, one process scores the
   distinct pairs faster than a worker fan-out ships them.
@@ -40,12 +40,13 @@ Two implementations live here:
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Hashable, Iterable, Sequence
+from collections.abc import Hashable, Sequence
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 import numpy as np
 
+from ..graph.csr import sorted_unique
 from ..graph.graph import Graph, edge_key
 from .annotation import AnnotationIndex, AnnotationTable
 from .go_dag import GODag, TermIndex
@@ -55,8 +56,6 @@ __all__ = [
     "ClusterEnrichment",
     "ClusterScores",
     "EnrichmentScorer",
-    "score_edge",
-    "score_cluster",
     "reference_score_edge",
     "reference_score_cluster",
 ]
@@ -67,9 +66,12 @@ Edge = tuple[Vertex, Vertex]
 ClusterLike = Any
 
 
-def _cluster_graph(item: ClusterLike) -> Graph:
-    """The label subgraph of a cluster (a graph is its own)."""
-    return item if isinstance(item, Graph) else item.subgraph
+def _cluster_graph(item: ClusterLike) -> Optional[Graph]:
+    """The label subgraph of a graph or hand-built cluster; ``None`` for an
+    index-native cluster, whose edge pairs are read instead."""
+    if isinstance(item, Graph):
+        return item
+    return item.subgraph if item.pairs is None else None
 
 
 @dataclass(frozen=True)
@@ -126,10 +128,6 @@ class ClusterEnrichment:
         best = max(counts.items(), key=lambda kv: (kv[1], kv[0]))
         return best[0]
 
-    def term_frequencies(self) -> dict[str, int]:
-        """Return DCP term → number of edges annotated with it."""
-        return dict(Counter(e.dcp for e in self.edges if e.dcp is not None))
-
 
 @dataclass(frozen=True)
 class ClusterScores:
@@ -158,7 +156,7 @@ def reference_score_edge(
     u: Vertex,
     v: Vertex,
 ) -> EdgeAnnotation:
-    """Seed ``score_edge``: the per-edge double loop over the endpoints' terms.
+    """Seed edge scoring: the per-edge double loop over the endpoints' terms.
 
     Retained as the behavioural reference for the batched engine (and as the
     baseline measurement in ``benchmarks/bench_enrichment.py``); the test
@@ -190,35 +188,11 @@ def reference_score_cluster(
     annotations: AnnotationTable,
     cluster_graph: Graph,
 ) -> ClusterEnrichment:
-    """Seed ``score_cluster``: one :func:`reference_score_edge` per edge."""
+    """Seed cluster scoring: one :func:`reference_score_edge` per edge."""
     enrichment = ClusterEnrichment()
     for u, v in cluster_graph.iter_edges():
         enrichment.edges.append(reference_score_edge(dag, annotations, u, v))
     return enrichment
-
-
-def score_edge(
-    dag: GODag,
-    annotations: AnnotationTable,
-    u: Vertex,
-    v: Vertex,
-) -> EdgeAnnotation:
-    """Score a single edge; see the module docstring for the scoring rule.
-
-    Routed through the batched engine (a one-edge batch over the cached term
-    and annotation indexes); pinned bit-identical to
-    :func:`reference_score_edge` by the test suite.
-    """
-    return EnrichmentScorer(dag, annotations).edge(u, v)
-
-
-def score_cluster(
-    dag: GODag,
-    annotations: AnnotationTable,
-    cluster_graph: Graph,
-) -> ClusterEnrichment:
-    """Score every edge of a cluster subgraph and return the aggregate."""
-    return EnrichmentScorer(dag, annotations).cluster(cluster_graph)
 
 
 class _PairTable:
@@ -273,22 +247,22 @@ class _PairTable:
 
 
 class EnrichmentScorer:
-    """A caching front-end for edge / cluster enrichment scoring.
+    """A caching front-end for cluster enrichment scoring.
 
     The overlap analysis scores the same gene pairs repeatedly (original
-    network, four orderings, several processor counts), so results are
-    memoised at two levels: per-edge :class:`EdgeAnnotation` objects for the
-    object APIs, and the distinct-term-pair :class:`_PairTable` the batched
-    engine resolves edges against.  The scorer is deliberately tied to one
-    (DAG, annotation) pair and scores in-process; its term distances come
-    from the DAG's one distance cache, the :class:`TermIndex` BFS rows.
+    network, four orderings, several processor counts), so the batched
+    engine memoises the distinct term pairs it resolves edges against
+    (:class:`_PairTable`).  The scorer is deliberately tied to one (DAG,
+    annotation) pair and scores in-process; its term distances come from
+    the DAG's one distance cache, the :class:`TermIndex` BFS rows.
 
     Parameters
     ----------
     engine:
         ``"batched"`` (default) resolves edges over the interned term space;
-        ``"reference"`` forces the retained seed per-edge double loop —
-        benchmarks use it to measure the seed baseline.
+        ``"reference"`` forces the retained seed per-edge double loop
+        (:func:`reference_score_cluster`) — benchmarks use it to measure the
+        seed baseline.
     """
 
     def __init__(
@@ -302,62 +276,9 @@ class EnrichmentScorer:
         self.dag = dag
         self.annotations = annotations
         self.engine = engine
-        self._cache: dict[Edge, EdgeAnnotation] = {}
         self._pairs = _PairTable()
         self._pairs_index: Optional[TermIndex] = None
         self._rows: Optional[tuple[Sequence[Vertex], AnnotationIndex, np.ndarray]] = None
-
-    # ------------------------------------------------------------------
-    # object APIs (per-edge cache)
-    # ------------------------------------------------------------------
-    def edge(self, u: Vertex, v: Vertex) -> EdgeAnnotation:
-        """Return the (cached) enrichment annotation of one edge."""
-        return self.edge_annotations([(u, v)])[0]
-
-    def cluster(self, cluster_graph: Graph) -> ClusterEnrichment:
-        """Return the enrichment of a cluster subgraph (edges scored via the cache)."""
-        return ClusterEnrichment(edges=self.edge_annotations(list(cluster_graph.iter_edges())))
-
-    def edge_subset(self, edges: Iterable[Edge]) -> ClusterEnrichment:
-        """Score an explicit edge list (used for ad-hoc cluster comparisons)."""
-        return ClusterEnrichment(edges=self.edge_annotations(list(edges)))
-
-    def edge_annotations(self, edges: Sequence[Edge]) -> list[EdgeAnnotation]:
-        """Annotate an edge list in one batch, first consulting the edge cache.
-
-        Like the scalar scorer, each *new* edge is scored in the orientation
-        it arrives in (the candidate tie-break is orientation-sensitive) and
-        cached under its normalised :func:`edge_key`; repeats — in either
-        orientation — are cache hits.
-        """
-        cache = self._cache
-        keys = [edge_key(u, v) for u, v in edges]
-        fresh: list[tuple[Edge, Edge]] = []  # (key, oriented edge), first occurrence
-        seen: set[Edge] = set()
-        for key, (u, v) in zip(keys, edges):
-            if key not in cache and key not in seen:
-                seen.add(key)
-                fresh.append((key, (u, v)))
-        if fresh:
-            if self.engine == "reference":
-                for key, (u, v) in fresh:
-                    cache[key] = reference_score_edge(self.dag, self.annotations, u, v)
-            else:
-                term_index, ann_index = self._indexes()
-                ru = ann_index.rows_for(u for _, (u, _v) in fresh)
-                rv = ann_index.rows_for(v for _, (_u, v) in fresh)
-                dcp, depth, breadth, score = self._edge_score_arrays(ru, rv, term_index, ann_index)
-                terms = term_index.terms
-                for i, (key, _uv) in enumerate(fresh):
-                    d = int(dcp[i])
-                    cache[key] = EdgeAnnotation(
-                        edge=key,
-                        dcp=terms[d] if d >= 0 else None,
-                        depth=int(depth[i]),
-                        breadth=int(breadth[i]),
-                        score=float(score[i]),
-                    )
-        return [cache[key] for key in keys]
 
     # ------------------------------------------------------------------
     # array front-end (whole-bundle scoring, no per-edge objects)
@@ -366,21 +287,22 @@ class EnrichmentScorer:
         """Score a set of clusters in one concatenated pass.
 
         Each entry is a :class:`~repro.clustering.cluster.Cluster` or a
-        cluster subgraph.  When every entry is an index-native cluster, the
-        edge pairs of all clusters are resolved against the pair table
-        together, and the per-cluster aggregates (AEES, max score, max
-        depth, dominant term) come out of segment reductions — no per-edge
-        Python objects.  Bit-identical to ``[self.cluster(c.subgraph) for c
-        in clusters]`` aggregates: every edge is scored in its ``edge_key``
-        orientation, as a graph walk reports it, and edge scores are
-        integer-valued, so the float sums are exact in any order.  Any
-        graph or hand-built cluster sends the whole set down that
-        per-cluster :meth:`cluster` path instead.
+        cluster subgraph.  The edges of all clusters are resolved against
+        the pair table together, and the per-cluster aggregates (AEES, max
+        score, max depth, dominant term) come out of segment reductions — no
+        per-edge Python objects.  Bit-identical to
+        :func:`reference_score_cluster` aggregates over each cluster's
+        subgraph: every edge is scored in its ``edge_key`` orientation, as a
+        graph walk reports it, and edge scores are integer-valued, so the
+        float sums are exact in any order.
         """
-        if self.engine == "reference" or any(
-            isinstance(c, Graph) or c.pairs is None for c in clusters
-        ):
-            per = [self.cluster(_cluster_graph(c)) for c in clusters]
+        if self.engine == "reference":
+            per = [
+                reference_score_cluster(
+                    self.dag, self.annotations, c if isinstance(c, Graph) else c.subgraph
+                )
+                for c in clusters
+            ]
             return ClusterScores(
                 aees=np.array([c.aees for c in per], dtype=float),
                 max_score=np.array([c.max_score for c in per], dtype=float),
@@ -430,8 +352,7 @@ class EnrichmentScorer:
     def cluster_aees(self, clusters: Sequence[ClusterLike]) -> list[float]:
         """AEES of each cluster (or cluster subgraph) — the quadrant evaluation's input.
 
-        One concatenated batch for index-native clusters on the batched
-        engine; the per-cluster object path otherwise (see
+        One concatenated batch on the batched engine (see
         :meth:`score_cluster_graphs`).
         """
         return self.score_cluster_graphs(clusters).aees.tolist()
@@ -444,19 +365,27 @@ class EnrichmentScorer:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Gene rows ``(ru, rv)`` of every cluster edge and the cluster it belongs to.
 
-        The clusters are index-native.  Each edge is oriented as ``edge_key``
-        orders its labels; clusters over one label space (one network and
-        its filtered views share its label tuple) concatenate their pairs
-        and map them through one row array.
+        Each edge is oriented as ``edge_key`` orders its labels.
+        Index-native clusters over one label space (one network and its
+        filtered views share its label tuple) concatenate their pairs and
+        map them through one row array; a graph or hand-built cluster maps
+        its label edges directly.
         """
         spaces: dict[int, tuple[Sequence[Vertex], list[int], list[np.ndarray]]] = {}
-        for position, item in enumerate(clusters):
-            space = spaces.setdefault(id(item.csr.labels), (item.csr.labels, [], []))
-            space[1].append(position)
-            space[2].append(item.pairs)
         ru = [np.empty(0, dtype=np.int64)]
         rv = [np.empty(0, dtype=np.int64)]
         cluster_of = [np.empty(0, dtype=np.int64)]
+        for position, item in enumerate(clusters):
+            graph = _cluster_graph(item)
+            if graph is None:
+                space = spaces.setdefault(id(item.csr.labels), (item.csr.labels, [], []))
+                space[1].append(position)
+                space[2].append(item.pairs)
+                continue
+            edges = list(graph.iter_edges())
+            ru.append(ann_index.rows_for(u for u, _ in edges))
+            rv.append(ann_index.rows_for(v for _, v in edges))
+            cluster_of.append(np.full(len(edges), position, dtype=np.int64))
         for labels, positions, pair_list in spaces.values():
             pairs = np.concatenate(pair_list)
             rows = self._label_rows(labels, ann_index)
@@ -534,7 +463,7 @@ class EnrichmentScorer:
         k = np.int64(term_index.n_terms)
         keys = np.minimum(ta, tb) * k + np.maximum(ta, tb)
         self._pairs.ensure(
-            np.unique(keys),
+            sorted_unique(keys),
             int(k),
             lambda a, b: (term_index.dcp_batch(a, b), term_index.distance_batch(a, b)),
         )
@@ -567,8 +496,7 @@ class EnrichmentScorer:
         its packed keys are remapped through the strictly-increasing
         ``old_to_new`` gather (unpack with the old ``n_terms``, gather,
         repack with the new — monotone per component, so the key array stays
-        sorted) instead of being dropped; unsafe batches reset the table
-        *and* the per-edge cache, whose breadth components may be stale.
+        sorted) instead of being dropped; unsafe batches reset the table.
         """
         if (
             self._pairs_index is delta.old_index
@@ -583,31 +511,7 @@ class EnrichmentScorer:
             self._pairs.dcp = delta.old_to_new[self._pairs.dcp]
         else:
             self._pairs = _PairTable()
-            if not delta.distances_safe:
-                self._cache.clear()
         self._pairs_index = delta.new_index
-
-    def invalidate_genes(self, genes: Iterable[Hashable]) -> None:
-        """Drop per-edge memos touching ``genes`` (their annotation sets changed).
-
-        The pair table survives — it memoises *term* pairs, which are
-        annotation-independent; only the per-edge winners over the changed
-        genes' candidate sets can move.
-        """
-        changed = {str(g) for g in genes}
-        if not changed:
-            return
-        stale = [
-            key
-            for key in self._cache
-            if str(key[0]) in changed or str(key[1]) in changed
-        ]
-        for key in stale:
-            del self._cache[key]
-
-    @property
-    def cache_size(self) -> int:
-        return len(self._cache)
 
     @property
     def pair_table_size(self) -> int:

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..graph.csr import CSRGraph, gather_csr_rows
+from ..graph.csr import edge_arrays_csr, gather_csr_rows, sorted_unique
 
 __all__ = [
     "GOTerm",
@@ -46,9 +46,9 @@ class TermIndex:
     * the ancestor structure is CSR: ``anc_indices[anc_indptr[t]:anc_indptr[t+1]]``
       is the **sorted** array of ``t``'s ancestor ids including ``t`` itself,
       which turns common-ancestor queries into sorted-array intersections;
-    * ``term_csr`` is the undirected parent/child structure as a
-      :class:`CSRGraph` over interned ids (rows sorted), the BFS substrate for
-      term distances.
+    * ``term_indptr`` / ``term_indices`` are the undirected parent/child
+      structure as read-only CSR arrays over interned ids (rows sorted), the
+      BFS substrate for term distances.
 
     The index is a frozen snapshot: :meth:`GODag.term_index` caches one per
     DAG and drops it on any structural mutation.
@@ -60,7 +60,8 @@ class TermIndex:
         "depths",
         "anc_indptr",
         "anc_indices",
-        "term_csr",
+        "term_indptr",
+        "term_indices",
         "_dist_rows",
     )
 
@@ -72,7 +73,6 @@ class TermIndex:
     def __init__(self, dag: "GODag") -> None:
         self.terms: tuple[str, ...] = tuple(sorted(dag._terms))
         self.id_of: dict[str, int] = {t: i for i, t in enumerate(self.terms)}
-        n = len(self.terms)
         self.depths = np.array([dag._depth_cache[t] for t in self.terms], dtype=np.int64)
         self.depths.setflags(write=False)
         # Parent links over interned ids, (child, parent), each link once.
@@ -86,7 +86,7 @@ class TermIndex:
         self.anc_indptr.setflags(write=False)
         self.anc_indices.setflags(write=False)
         # Undirected term structure (each parent link is one undirected edge).
-        self.term_csr = CSRGraph.from_edge_arrays(range(n), us, vs)
+        self.term_indptr, self.term_indices = _term_structure(len(self.terms), us, vs)
         self._dist_rows: dict[int, np.ndarray] = {}
 
     @property
@@ -120,8 +120,8 @@ class TermIndex:
         return distance_batch_arrays(
             a_ids,
             b_ids,
-            self.term_csr.indptr,
-            self.term_csr.indices,
+            self.term_indptr,
+            self.term_indices,
             row_cache=self._dist_rows,
             row_limit=self._DIST_ROW_LIMIT,
         )
@@ -133,22 +133,16 @@ class TermIndex:
         warmed by either serves both.
         """
         return _cached_bfs_row(
-            self.term_csr.indptr, self.term_csr.indices, src, self._dist_rows, self._DIST_ROW_LIMIT
+            self.term_indptr, self.term_indices, src, self._dist_rows, self._DIST_ROW_LIMIT
         )
 
 
-def _sorted_unique(values: np.ndarray) -> np.ndarray:
-    """``np.unique`` of an int64 array by one sort and a neighbour mask.
-
-    Plain ``np.unique`` takes numpy's hash-table path and then sorts its
-    output: on 84k packed annotation keys (numpy 2.4, a 2-core x86 VM) that
-    took 17 ms against 0.7 ms for this.
-    """
-    out = np.sort(values)
-    keep = np.empty(out.shape[0], dtype=bool)
-    keep[:1] = True
-    np.not_equal(out[1:], out[:-1], out=keep[1:])
-    return out[keep]
+def _term_structure(n: int, us: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only CSR arrays of the undirected parent links ``(us[k], vs[k])``."""
+    indptr, indices = edge_arrays_csr(n, us, vs)
+    indptr.setflags(write=False)
+    indices.setflags(write=False)
+    return indptr, indices
 
 
 def _ancestor_csr(
@@ -179,7 +173,7 @@ def _ancestor_csr(
         ea, eb = edge_bounds[d], edge_bounds[d + 1]
         terms = order[lo:hi]
         vals, counts = gather_csr_rows(indptr, store, pos_of[parent[ea:eb]])
-        keys = _sorted_unique(
+        keys = sorted_unique(
             np.concatenate([np.repeat(child[ea:eb], counts) * n + vals, terms * n + terms])
         )
         owners = keys // n
@@ -250,7 +244,7 @@ def extended_term_index(
     for t in new_terms:
         tid = id_of[t]
         parent_rows = [rows[id_of[p]] for p in dag._terms[t].parents]
-        rows[tid] = np.unique(
+        rows[tid] = sorted_unique(
             np.concatenate(parent_rows + [np.array([tid], dtype=np.int64)])
         )
     counts = np.array([r.shape[0] for r in rows], dtype=np.int64)
@@ -261,23 +255,23 @@ def extended_term_index(
     anc_indices.setflags(write=False)
     # Undirected structure: old edges (upper-triangle extraction of the old
     # CSR — each edge once) remapped, plus one edge per new parent link.
-    old_csr = old.term_csr
-    row_of = np.repeat(np.arange(old_n, dtype=np.int64), np.diff(old_csr.indptr))
-    tri = old_csr.indices > row_of
+    row_of = np.repeat(np.arange(old_n, dtype=np.int64), np.diff(old.term_indptr))
+    tri = old.term_indices > row_of
     us = [old_to_new[row_of[tri]]]
-    vs = [old_to_new[old_csr.indices[tri]]]
+    vs = [old_to_new[old.term_indices[tri]]]
     for t in new_terms:
         parents = dag._terms[t].parents
         us.append(np.full(len(parents), id_of[t], dtype=np.int64))
         vs.append(np.fromiter((id_of[p] for p in parents), dtype=np.int64, count=len(parents)))
-    term_csr = CSRGraph.from_edge_arrays(range(n), np.concatenate(us), np.concatenate(vs))
+    term_indptr, term_indices = _term_structure(n, np.concatenate(us), np.concatenate(vs))
     index = object.__new__(TermIndex)
     index.terms = terms
     index.id_of = id_of
     index.depths = depths
     index.anc_indptr = anc_indptr
     index.anc_indices = anc_indices
-    index.term_csr = term_csr
+    index.term_indptr = term_indptr
+    index.term_indices = term_indices
     index._dist_rows = {}
     return index, old_to_new
 
@@ -476,7 +470,7 @@ def _bfs_distances(indptr: np.ndarray, indices: np.ndarray, src: int) -> np.ndar
         nbrs = nbrs[dist[nbrs] < 0]
         if nbrs.size == 0:
             break
-        frontier = np.unique(nbrs)
+        frontier = sorted_unique(nbrs)
         dist[frontier] = d
     return dist
 

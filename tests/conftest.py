@@ -23,6 +23,8 @@ from repro.graph import (
     random_tree,
     star_graph,
 )
+from repro.graph.graph import edge_key
+from repro.ontology.enrichment import EdgeAnnotation
 from repro.ontology.generator import make_go_dag
 from repro.pipeline.workflow import prepare_dataset
 
@@ -135,3 +137,28 @@ def small_go_dag():
 def cre_bundle():
     """A very small CRE bundle exercising the full pipeline (treat as read-only)."""
     return prepare_dataset("CRE", scale=0.02, seed=123)
+
+
+def _score_edges(scorer, edges) -> list[EdgeAnnotation]:
+    term_index, ann_index = scorer._indexes()
+    ru = ann_index.rows_for(u for u, _ in edges)
+    rv = ann_index.rows_for(v for _, v in edges)
+    dcp, depth, breadth, score = scorer._edge_score_arrays(ru, rv, term_index, ann_index)
+    return [
+        EdgeAnnotation(
+            edge=edge_key(u, v),
+            dcp=term_index.terms[int(d)] if d >= 0 else None,
+            depth=int(dp),
+            breadth=int(b),
+            score=float(sc),
+        )
+        for (u, v), d, dp, b, sc in zip(edges, dcp, depth, breadth, score)
+    ]
+
+
+@pytest.fixture
+def score_edges():
+    """``score_edges(scorer, edges)``: the batched kernel's annotation of each
+    edge, scored in the orientation given — the form ``reference_score_edge``
+    returns."""
+    return _score_edges

@@ -5,13 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.graph import Graph
-from repro.ontology import (
-    AnnotationTable,
-    EnrichmentScorer,
-    GODag,
-    score_cluster,
-    score_edge,
-)
+from repro.ontology import AnnotationTable, EnrichmentScorer, GODag
 
 
 @pytest.fixture
@@ -93,71 +87,57 @@ class TestAnnotationTable:
             annotations.merged_with(other)
 
 
+def score_edge(score_edges, dag, annotations, u, v):
+    return score_edges(EnrichmentScorer(dag, annotations), [(u, v)])[0]
+
+
 class TestEdgeScoring:
-    def test_sibling_terms_score(self, dag, annotations):
+    def test_sibling_terms_score(self, score_edges, dag, annotations):
         # L3a and L3b share DCP L2a (depth 2) at breadth 2 -> score 0
-        ann = score_edge(dag, annotations, "geneA", "geneB")
+        ann = score_edge(score_edges, dag, annotations, "geneA", "geneB")
         assert ann.dcp == "L2a"
         assert ann.depth == 2
         assert ann.breadth == 2
         assert ann.score == pytest.approx(0.0)
 
-    def test_parent_child_terms_score_high(self, dag, annotations):
+    def test_parent_child_terms_score_high(self, score_edges, dag, annotations):
         # L3a and L4a: DCP is L3a (depth 3), breadth 1 -> score 2
-        ann = score_edge(dag, annotations, "geneA", "geneC")
+        ann = score_edge(score_edges, dag, annotations, "geneA", "geneC")
         assert ann.dcp == "L3a"
         assert ann.score == pytest.approx(2.0)
 
-    def test_unrelated_terms_score_negative(self, dag, annotations):
+    def test_unrelated_terms_score_negative(self, score_edges, dag, annotations):
         # L3a vs L1b: DCP root (depth 0), breadth 4 -> score -4
-        ann = score_edge(dag, annotations, "geneA", "geneD")
+        ann = score_edge(score_edges, dag, annotations, "geneA", "geneD")
         assert ann.dcp == dag.root_id
         assert ann.score < 0
 
-    def test_multi_term_gene_takes_best_pair(self, dag, annotations):
-        ann = score_edge(dag, annotations, "geneC", "geneMulti")
+    def test_multi_term_gene_takes_best_pair(self, score_edges, dag, annotations):
+        ann = score_edge(score_edges, dag, annotations, "geneC", "geneMulti")
         assert ann.score == pytest.approx(4.0)  # L4a with itself: depth 4, breadth 0
 
-    def test_unannotated_gene_scores_zero(self, dag, annotations):
-        ann = score_edge(dag, annotations, "geneA", "mystery")
+    def test_unannotated_gene_scores_zero(self, score_edges, dag, annotations):
+        ann = score_edge(score_edges, dag, annotations, "geneA", "mystery")
         assert ann.dcp is None
         assert ann.score == 0.0
 
 
 class TestClusterScoring:
-    def test_cluster_aees_average(self, dag, annotations):
+    def test_cluster_aees_average(self, score_edges, dag, annotations):
+        scorer = EnrichmentScorer(dag, annotations)
         cluster = Graph(edges=[("geneA", "geneC"), ("geneA", "geneD")])
-        enrichment = score_cluster(dag, annotations, cluster)
-        scores = sorted(e.score for e in enrichment.edges)
-        assert enrichment.aees == pytest.approx(sum(scores) / 2)
-        assert enrichment.max_score == max(scores)
+        scores = sorted(e.score for e in score_edges(scorer, list(cluster.iter_edges())))
+        enrichment = scorer.score_cluster_graphs([cluster])
+        assert enrichment.aees[0] == pytest.approx(sum(scores) / 2)
+        assert enrichment.max_score[0] == max(scores)
 
     def test_empty_cluster(self, dag, annotations):
-        enrichment = score_cluster(dag, annotations, Graph())
-        assert enrichment.aees == 0.0
-        assert enrichment.dominant_term() is None
+        enrichment = EnrichmentScorer(dag, annotations).score_cluster_graphs([Graph()])
+        assert enrichment.aees[0] == 0.0
+        assert enrichment.dominant == [None]
 
     def test_dominant_term(self, dag, annotations):
         cluster = Graph(edges=[("geneA", "geneC"), ("geneB", "geneA")])
-        enrichment = score_cluster(dag, annotations, cluster)
-        assert enrichment.dominant_term() in {"L3a", "L2a"}
-        freqs = enrichment.term_frequencies()
-        assert sum(freqs.values()) == 2
-
-    def test_scorer_caches(self, dag, annotations):
-        scorer = EnrichmentScorer(dag, annotations)
-        scorer.edge("geneA", "geneC")
-        scorer.edge("geneC", "geneA")
-        assert scorer.cache_size == 1
-
-    def test_scorer_cluster_matches_direct(self, dag, annotations):
-        scorer = EnrichmentScorer(dag, annotations)
-        cluster = Graph(edges=[("geneA", "geneB"), ("geneB", "geneC")])
-        via_scorer = scorer.cluster(cluster).aees
-        direct = score_cluster(dag, annotations, cluster).aees
-        assert via_scorer == pytest.approx(direct)
-
-    def test_edge_subset(self, dag, annotations):
-        scorer = EnrichmentScorer(dag, annotations)
-        enrichment = scorer.edge_subset([("geneA", "geneC")])
-        assert len(enrichment.edges) == 1
+        enrichment = EnrichmentScorer(dag, annotations).score_cluster_graphs([cluster])
+        assert enrichment.dominant[0] in {"L3a", "L2a"}
+        assert enrichment.n_edges[0] == 2

@@ -8,16 +8,12 @@ import numpy as np
 import pytest
 
 from repro.core.chordal import (
-    augment_to_maximal,
     chordal_subgraph_edge_indices,
-    chordal_subgraph_edges,
     edge_insertion_preserves_chordality,
     fill_in_edges,
-    find_simplicial_vertex,
     is_chordal,
     is_maximal_chordal_subgraph,
-    is_perfect_elimination_ordering,
-    is_simplicial,
+    is_peo_indices,
     maximal_chordal_subgraph,
     maximum_cardinality_search,
     mcs_order_indices,
@@ -90,8 +86,8 @@ class TestMCS:
     def test_reverse_mcs_is_peo_for_chordal_graph(self):
         g = complete_graph(4)
         g.add_edge("v0", "leaf")
-        order = maximum_cardinality_search(g)
-        assert is_perfect_elimination_ordering(g, list(reversed(order)))
+        csr = CSRGraph.from_graph(g)
+        assert is_peo_indices(csr, mcs_order_indices(csr)[::-1])
 
     def test_empty_graph(self):
         assert maximum_cardinality_search(Graph()) == []
@@ -115,36 +111,10 @@ class TestMCS:
 
 class TestPEO:
     def test_path_any_leaf_first_order(self):
-        g = path_graph(4)
-        assert is_perfect_elimination_ordering(g, ["v0", "v1", "v2", "v3"])
+        assert is_peo_indices(CSRGraph.from_graph(path_graph(4)), [0, 1, 2, 3])
 
     def test_cycle_has_no_peo(self):
-        g = cycle_graph(4)
-        assert not is_perfect_elimination_ordering(g, g.vertices())
-
-    def test_rejects_non_permutation(self):
-        g = path_graph(3)
-        with pytest.raises(ValueError):
-            is_perfect_elimination_ordering(g, ["v0", "v1"])
-
-
-class TestSimplicial:
-    def test_clique_vertices_are_simplicial(self):
-        g = complete_graph(4)
-        assert all(is_simplicial(g, v) for v in g.vertices())
-
-    def test_cycle_has_no_simplicial_vertex(self):
-        assert find_simplicial_vertex(cycle_graph(5)) is None
-
-    def test_chordal_graph_has_simplicial_vertex(self):
-        g = complete_graph(4)
-        g.add_edge("v0", "pendant")
-        assert find_simplicial_vertex(g) is not None
-
-    def test_degree_one_vertex_is_simplicial(self):
-        g = path_graph(3)
-        assert is_simplicial(g, "v0")
-        assert not is_simplicial(g, "v1")
+        assert not is_peo_indices(CSRGraph.from_graph(cycle_graph(4)), [0, 1, 2, 3])
 
 
 class TestFillIn:
@@ -225,19 +195,18 @@ class TestDearingShierWarner:
 
     def test_explicit_start_vertex(self):
         g = cycle_graph(5)
-        edges = chordal_subgraph_edges(g, start="v3")
-        assert len(edges) == 4
+        assert maximal_chordal_subgraph(g, start="v3").n_edges == 4
 
     def test_bad_order_rejected(self):
         with pytest.raises(ValueError):
-            chordal_subgraph_edges(path_graph(3), order=["v0", "v1"])
+            maximal_chordal_subgraph(path_graph(3), order=["v0", "v1"])
 
     def test_bad_start_rejected(self):
         with pytest.raises(KeyError):
-            chordal_subgraph_edges(path_graph(3), start="nope")
+            maximal_chordal_subgraph(path_graph(3), start="nope")
 
     def test_empty_graph(self):
-        assert chordal_subgraph_edges(Graph()) == []
+        assert maximal_chordal_subgraph(Graph()).n_edges == 0
 
 
 class TestCSRKernelsMatchReference:
@@ -283,18 +252,10 @@ class TestCSRKernelsMatchReference:
     def test_chordal_edges_match_reference_seed_body(self):
         g = erdos_renyi_graph(20, 0.15, seed=5)
         expected = sorted(reference_chordal_subgraph_edges(g))
-        assert sorted(chordal_subgraph_edges(g)) == expected
         assert sorted(maximal_chordal_subgraph(g).edges()) == expected
 
 
-class TestAugmentAndMaximality:
-    def test_augment_reaches_maximality(self):
-        g = cycle_graph(6)
-        partial = g.spanning_subgraph([("v0", "v1"), ("v2", "v3")])
-        augmented = augment_to_maximal(g, partial)
-        assert is_chordal(augmented)
-        assert is_maximal_chordal_subgraph(g, augmented)
-
+class TestMaximalityCheck:
     def test_is_maximal_rejects_non_chordal(self):
         g = cycle_graph(4)
         assert not is_maximal_chordal_subgraph(g, g)

@@ -6,14 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.chordal import (
-    chordal_subgraph_edges,
     fill_in_edges,
     is_chordal,
-    is_perfect_elimination_ordering,
+    is_peo_indices,
     maximal_chordal_subgraph,
-    maximum_cardinality_search,
+    mcs_order_indices,
 )
-from repro.graph import Graph, count_triangles, edge_key
+from repro.graph import CSRGraph, Graph, count_triangles, edge_key
 from repro.graph.cycles import cycle_basis_sizes
 
 
@@ -60,10 +59,10 @@ def test_dsw_keeps_all_edges_of_chordal_inputs(g: Graph):
 @given(random_graphs())
 def test_mcs_reverse_peo_iff_chordal(g: Graph):
     """Reverse-MCS is a perfect elimination ordering exactly for chordal graphs."""
-    order = maximum_cardinality_search(g)
-    if not order:
+    csr = CSRGraph.from_graph(g)
+    if not csr.n_vertices:
         return
-    peo_ok = is_perfect_elimination_ordering(g, list(reversed(order)))
+    peo_ok = is_peo_indices(csr, mcs_order_indices(csr)[::-1])
     assert peo_ok == is_chordal(g)
 
 
@@ -84,7 +83,7 @@ def test_chordal_subgraph_preserves_triangles_at_least_one_per_clique(g: Graph):
     edges — if two sides of an original triangle are kept, adding the third
     keeps chordality, so DSW maximality demands it be present.)
     """
-    kept = set(chordal_subgraph_edges(g))
+    kept = set(maximal_chordal_subgraph(g).iter_edges())
     sub = g.spanning_subgraph(kept)
     for u, v in g.iter_edges():
         if (edge_key(u, v)) in kept:

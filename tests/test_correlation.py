@@ -11,14 +11,11 @@ from repro.expression import (
     DATASET_CONFIGS,
     CorrelationThreshold,
     ExpressionMatrix,
-    build_correlation_csr,
     build_correlation_network,
     correlated_pair_arrays,
-    correlated_pairs,
     correlation_p_value,
-    correlation_p_values,
     critical_correlation,
-    pearson_correlation_matrix,
+    csr_from_pair_arrays,
 )
 from repro.expression.correlation import _t_tail, correlated_pair_arrays_delta
 from repro.graph import CSRGraph
@@ -43,31 +40,15 @@ def toy_matrix() -> ExpressionMatrix:
     )
 
 
-class TestCorrelationMatrix:
-    def test_diagonal_is_one(self):
-        corr = pearson_correlation_matrix(toy_matrix())
-        assert np.allclose(np.diag(corr), 1.0)
+def named_pairs(m: ExpressionMatrix, **kwargs) -> list[tuple[str, str, float]]:
+    """The admitted pairs of :func:`correlated_pair_arrays` with gene names."""
+    ii, jj, rho = correlated_pair_arrays(m, **kwargs)
+    return [(m.genes[i], m.genes[j], r) for i, j, r in zip(ii.tolist(), jj.tolist(), rho.tolist())]
 
-    def test_symmetry(self):
-        corr = pearson_correlation_matrix(toy_matrix())
-        assert np.allclose(corr, corr.T)
 
-    def test_known_relationships(self):
-        m = toy_matrix()
-        corr = pearson_correlation_matrix(m)
-        assert corr[0, 1] > 0.95
-        assert corr[0, 2] == pytest.approx(-1.0, abs=1e-9)
-        assert abs(corr[0, 3]) < 0.9
-
-    def test_flat_gene_has_zero_correlation(self):
-        corr = pearson_correlation_matrix(toy_matrix())
-        assert np.allclose(corr[4, :4], 0.0)
-
-    def test_matches_numpy_corrcoef(self):
-        m = toy_matrix()
-        ours = pearson_correlation_matrix(m)
-        ref = np.corrcoef(m.values[:4])
-        assert np.allclose(ours[:4, :4], ref, atol=1e-9)
+def pair_csr(m: ExpressionMatrix, include_all_genes: bool = True, block_size: int = 2048):
+    ii, jj, _ = correlated_pair_arrays(m, block_size=block_size)
+    return csr_from_pair_arrays(m, ii, jj, include_all_genes=include_all_genes)
 
 
 class TestPValues:
@@ -101,47 +82,9 @@ class TestPValues:
 
 
 class TestThreshold:
-    def test_default_admits_only_high_positive(self):
-        t = CorrelationThreshold()
-        assert t.admits(0.99, 12)
-        assert not t.admits(0.7, 12)
-        assert not t.admits(-0.99, 12)
-
-    def test_include_negative(self):
-        t = CorrelationThreshold(include_negative=True)
-        assert t.admits(-0.99, 12)
-
     def test_effective_cutoff_binds_to_p_value_for_tiny_samples(self):
         t = CorrelationThreshold(min_abs_rho=0.5, max_p_value=0.0005)
         assert t.effective_cutoff(6) > 0.5
-
-    def test_admits_positive_branch(self):
-        """Without ``include_negative`` the signed ρ (clamped at 0) is tested."""
-        t = CorrelationThreshold(min_abs_rho=0.9, max_p_value=0.01)
-        assert t.admits(0.95, 30)
-        assert not t.admits(0.5, 30)          # below the magnitude bar
-        assert not t.admits(-0.95, 30)        # strong negatives clamp to 0
-        # a degenerate bar of 0.0 admits any rho whose p-value passes
-        zero_bar = CorrelationThreshold(min_abs_rho=0.0, max_p_value=0.01)
-        assert zero_bar.admits(-0.95, 30)
-        assert not zero_bar.admits(0.01, 30)  # magnitude fine, p-value fails
-
-    def test_admits_negative_branch(self):
-        """With ``include_negative`` the magnitude |ρ| is tested."""
-        t = CorrelationThreshold(min_abs_rho=0.9, max_p_value=0.01, include_negative=True)
-        assert t.admits(0.95, 30)
-        assert t.admits(-0.95, 30)
-        assert not t.admits(-0.5, 30)         # |rho| below the bar
-        assert not t.admits(0.5, 30)
-
-    def test_admits_p_value_vetoes_both_branches(self):
-        # with 4 samples even rho = 0.93 is insignificant at p <= 0.0005
-        for include_negative in (False, True):
-            t = CorrelationThreshold(
-                min_abs_rho=0.9, max_p_value=0.0005, include_negative=include_negative
-            )
-            assert not t.admits(0.93, 4)
-
 
 class TestCutoffFold:
     """``effective_cutoff`` decides the paper's case without scipy; the value must not move."""
@@ -197,23 +140,23 @@ class TestCutoffFold:
 
 class TestNetworkConstruction:
     def test_correlated_pairs_found(self):
-        pairs = correlated_pairs(toy_matrix())
+        pairs = named_pairs(toy_matrix())
         names = {(a, b) for a, b, _ in pairs}
         assert ("a", "a_twin") in names
         assert all(rho >= 0.95 for _, _, rho in pairs)
 
     def test_negative_pairs_excluded_by_default(self):
-        pairs = correlated_pairs(toy_matrix())
+        pairs = named_pairs(toy_matrix())
         assert ("a", "anti") not in {(a, b) for a, b, _ in pairs}
 
     def test_negative_pairs_included_when_requested(self):
-        pairs = correlated_pairs(toy_matrix(), threshold=CorrelationThreshold(include_negative=True))
+        pairs = named_pairs(toy_matrix(), threshold=CorrelationThreshold(include_negative=True))
         assert ("a", "anti") in {(a, b) for a, b, _ in pairs}
 
     def test_blocked_computation_matches_unblocked(self):
         m = toy_matrix()
-        small_blocks = correlated_pairs(m, block_size=2)
-        one_block = correlated_pairs(m, block_size=1024)
+        small_blocks = named_pairs(m, block_size=2)
+        one_block = named_pairs(m, block_size=1024)
         assert sorted(small_blocks) == sorted(one_block)
 
     def test_build_network_vertices_and_attributes(self):
@@ -230,13 +173,10 @@ class TestNetworkConstruction:
         m = ExpressionMatrix(np.zeros((3, 1)), genes=["a", "b", "c"], samples=["s"])
         assert build_correlation_network(m).n_edges == 0
 
-    def test_pair_arrays_align_with_pairs(self):
-        m = toy_matrix()
-        ii, jj, rho = correlated_pair_arrays(m)
+    def test_pair_arrays_are_canonical_index_pairs(self):
+        ii, jj, _ = correlated_pair_arrays(toy_matrix())
         assert ii.dtype == np.int64 and jj.dtype == np.int64
         assert (ii < jj).all()
-        rebuilt = [(m.genes[i], m.genes[j], r) for i, j, r in zip(ii, jj, rho)]
-        assert rebuilt == correlated_pairs(m)
 
     def test_csr_matches_graph_conversion(self):
         m = toy_matrix()
@@ -244,55 +184,13 @@ class TestNetworkConstruction:
             net = build_correlation_network(
                 m, include_all_genes=include_all, block_size=block_size
             )
-            csr = build_correlation_csr(
-                m, include_all_genes=include_all, block_size=block_size
-            )
+            csr = pair_csr(m, include_all_genes=include_all, block_size=block_size)
             assert csr == CSRGraph.from_graph(net), (include_all, block_size)
 
     def test_empty_matrix_yields_empty_csr(self):
         m = ExpressionMatrix(np.zeros((3, 1)), genes=["a", "b", "c"], samples=["s"])
-        assert build_correlation_csr(m).n_edges == 0
-        assert build_correlation_csr(m, include_all_genes=False).n_vertices == 0
-
-
-class TestVectorisedPValues:
-    def test_scalar_equals_vector_on_grid(self):
-        from repro.expression import correlation_p_values
-
-        grid = np.concatenate(
-            [np.linspace(-1.0, 1.0, 101), [0.9999999, -0.9999999, 1.5, -1.5]]
-        )
-        for n in (3, 4, 10, 30, 100):
-            vector = correlation_p_values(grid, n)
-            scalar = np.array([correlation_p_value(r, n) for r in grid])
-            assert np.array_equal(vector, scalar)
-
-    def test_underpowered_sample_counts_return_ones(self):
-        from repro.expression import correlation_p_values
-
-        out = correlation_p_values(np.array([0.0, 0.5, 0.99]), 2)
-        assert np.array_equal(out, np.ones(3))
-
-    def test_saturated_correlations_are_exactly_zero(self):
-        from repro.expression import correlation_p_values
-
-        out = correlation_p_values(np.array([1.0, -1.0, 2.0]), 10)
-        assert np.array_equal(out, np.zeros(3))
-
-    def test_admits_array_matches_scalar_admits(self):
-        from repro.expression import correlation_p_values  # noqa: F401 - import path
-
-        rng = np.random.default_rng(3)
-        rhos = np.concatenate([rng.uniform(-1, 1, 200), [0.95, -0.95, 1.0, -1.0]])
-        for threshold in (
-            CorrelationThreshold(),
-            CorrelationThreshold(include_negative=True),
-            CorrelationThreshold(min_abs_rho=0.0, max_p_value=0.01),
-        ):
-            for n in (3, 12, 40):
-                vector = threshold.admits_array(rhos, n)
-                scalar = np.array([threshold.admits(r, n) for r in rhos])
-                assert np.array_equal(vector, scalar), (threshold, n)
+        assert pair_csr(m).n_edges == 0
+        assert pair_csr(m, include_all_genes=False).n_vertices == 0
 
 
 def _stats_p_value(rho: float, n_samples: int) -> float:
@@ -304,17 +202,6 @@ def _stats_p_value(rho: float, n_samples: int) -> float:
         return 0.0
     t = abs(r) * math.sqrt((n_samples - 2) / (1.0 - r * r))
     return float(2.0 * stats.t.sf(t, df=n_samples - 2))
-
-
-def _stats_p_values(rho: np.ndarray, n_samples: int) -> np.ndarray:
-    """The vectorised p-values through ``scipy.stats.t.sf``."""
-    from scipy import stats
-
-    r = np.clip(rho, -1.0, 1.0)
-    saturated = np.abs(r) >= 1.0
-    safe = np.where(saturated, 0.0, r)
-    t = np.abs(safe) * np.sqrt((n_samples - 2) / (1.0 - safe * safe))
-    return np.where(saturated, 0.0, 2.0 * stats.t.sf(t, df=n_samples - 2))
 
 
 def _stats_critical_correlation(p_value: float, n_samples: int) -> float:
@@ -340,11 +227,6 @@ class TestScipyStatsIdentity:
             -0.95 + np.linspace(-1e-3, 1e-3, 41),
         ]
     )
-
-    def test_vector_p_values(self):
-        for n in range(3, 201):
-            expected = _stats_p_values(self.RHOS, n)
-            assert np.array_equal(correlation_p_values(self.RHOS, n), expected, equal_nan=True), n
 
     def test_scalar_p_values(self):
         for n in (3, 4, 5, 10, 12, 30, 100, 200):

@@ -21,15 +21,16 @@ from hypothesis import strategies as st
 
 from repro.core.chordal import (
     chordal_subgraph_edge_indices,
-    chordal_subgraph_edges,
     is_chordal,
-    is_perfect_elimination_ordering,
+    is_peo_indices,
     maximum_cardinality_search,
+    mcs_order_indices,
     reference_chordal_subgraph_edges,
     reference_maximum_cardinality_search,
 )
-from repro.graph import CSRGraph, Graph, erdos_renyi_graph
-from repro.graph.ordering import ORDERINGS
+from repro.graph import CSRGraph, Graph, edge_key, erdos_renyi_graph
+from repro.graph.csr import sorted_unique
+from repro.graph.ordering import ORDERING_INDEX_FNS
 
 
 @st.composite
@@ -93,16 +94,6 @@ class TestRoundTrip:
         for i in range(n):
             for j in range(n):
                 assert csr.has_edge(i, j) == g.has_edge(verts[i], verts[j])
-
-    def test_has_edges_vectorized(self):
-        g = erdos_renyi_graph(20, 0.3, seed=2)
-        csr = CSRGraph.from_graph(g)
-        verts = g.vertices()
-        rng = np.random.default_rng(0)
-        us = rng.integers(0, 20, size=50)
-        vs = rng.integers(0, 20, size=50)
-        expect = np.array([g.has_edge(verts[u], verts[v]) for u, v in zip(us, vs)])
-        assert np.array_equal(csr.has_edges(us, vs), expect)
 
     def test_frozen(self):
         csr = CSRGraph.from_graph(erdos_renyi_graph(5, 0.5, seed=1))
@@ -219,11 +210,27 @@ class TestBuffers:
         assert chordal_subgraph_edge_indices(back) == chordal_subgraph_edge_indices(sub)
 
 
+def kernel_edges(g: Graph, order=None, strict_order: bool = False, start=None) -> list:
+    """The DSW kernel's accepted edges on ``g``'s CSR view, as label pairs."""
+    csr = CSRGraph.from_graph(g)
+    priority = None
+    if order is not None:
+        priority = [0] * csr.n_vertices
+        for rank, i in enumerate(csr.to_indices(order)):
+            priority[i] = rank
+    start_idx = None if start is None else csr.index_of(start)
+    pairs = chordal_subgraph_edge_indices(
+        csr, priority=priority, strict_order=strict_order, start=start_idx
+    )
+    return [edge_key(csr.labels[i], csr.labels[j]) for i, j in pairs]
+
+
 def _all_orders(g: Graph) -> list:
     """Every ordering of ``graph/ordering.py`` plus reverse and a seeded shuffle."""
     orders = [None]
     if g.n_vertices:
-        orders.extend(fn(g) for fn in ORDERINGS.values())
+        csr = CSRGraph.from_graph(g)
+        orders.extend(csr.to_labels(fn(csr)) for fn in ORDERING_INDEX_FNS.values())
         verts = g.vertices()
         orders.append(verts[::-1])
         orders.append([verts[i] for i in np.random.default_rng(13).permutation(len(verts))])
@@ -233,18 +240,18 @@ def _all_orders(g: Graph) -> list:
 class TestSeedEquivalence:
     @settings(max_examples=30, deadline=None)
     @given(random_graphs())
-    def test_extraction_matches_reference_all_orderings(self, g: Graph):
+    def test_kernel_matches_reference_chordal_subgraph_edges_all_orderings(self, g: Graph):
         for order in _all_orders(g):
             for strict in (False, True):
-                new = chordal_subgraph_edges(g, order=order, strict_order=strict)
+                new = kernel_edges(g, order=order, strict_order=strict)
                 ref = reference_chordal_subgraph_edges(g, order=order, strict_order=strict)
                 assert set(new) == set(ref)
                 assert len(new) == len(set(new))  # no duplicate edges
 
     @settings(max_examples=25, deadline=None)
     @given(random_graphs(mixed_labels=True))
-    def test_extraction_matches_reference_mixed_labels(self, g: Graph):
-        new = chordal_subgraph_edges(g)
+    def test_kernel_matches_reference_chordal_subgraph_edges_mixed_labels(self, g: Graph):
+        new = kernel_edges(g)
         ref = reference_chordal_subgraph_edges(g)
         assert set(new) == set(ref)
 
@@ -258,24 +265,47 @@ class TestSeedEquivalence:
             )
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_extraction_matches_reference_larger_graphs(self, seed):
+    def test_kernel_matches_reference_chordal_subgraph_edges_larger_graphs(self, seed):
         g = erdos_renyi_graph(60, 0.12, seed=seed)
         for order in _all_orders(g):
-            new = chordal_subgraph_edges(g, order=order)
+            new = kernel_edges(g, order=order)
             ref = reference_chordal_subgraph_edges(g, order=order)
             assert set(new) == set(ref)
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_explicit_start_matches_reference(self, seed):
+    def test_explicit_start_matches_reference_chordal_subgraph_edges(self, seed):
         g = erdos_renyi_graph(25, 0.2, seed=seed)
         start = g.vertices()[7]
-        new = chordal_subgraph_edges(g, start=start)
+        new = kernel_edges(g, start=start)
         ref = reference_chordal_subgraph_edges(g, start=start)
         assert set(new) == set(ref)
 
     @settings(max_examples=30, deadline=None)
     @given(random_graphs())
     def test_peo_and_chordality_consistency(self, g: Graph):
-        order = maximum_cardinality_search(g)
-        if order:
-            assert is_perfect_elimination_ordering(g, list(reversed(order))) == is_chordal(g)
+        csr = CSRGraph.from_graph(g)
+        if csr.n_vertices:
+            assert is_peo_indices(csr, mcs_order_indices(csr)[::-1]) == is_chordal(g)
+
+
+class TestSortedUnique:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(min_value=-(2**62), max_value=2**62), max_size=60))
+    def test_equals_np_unique(self, values):
+        arr = np.array(values, dtype=np.int64)
+        got = sorted_unique(arr)
+        want = np.unique(arr)
+        assert got.dtype == want.dtype == np.int64
+        assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize(
+        "values", [[], [7], [-3], [-5, -5, -1, 0, -5, 2**40, -(2**40)]], ids=repr
+    )
+    def test_edge_cases(self, values):
+        arr = np.array(values, dtype=np.int64)
+        assert sorted_unique(arr).tolist() == np.unique(arr).tolist()
+
+    def test_input_left_unchanged(self):
+        arr = np.array([3, 1, 3, -2], dtype=np.int64)
+        sorted_unique(arr)
+        assert arr.tolist() == [3, 1, 3, -2]

@@ -22,17 +22,10 @@ from hypothesis import strategies as st
 from repro.clustering import (
     Cluster,
     MCODEParams,
-    highest_k_core,
-    k_core,
     match_and_lost_clusters,
-    match_clusters,
-    lost_clusters,
     mcode_clusters,
-    mcode_vertex_weights,
     node_overlap,
     edge_overlap,
-    jaccard_node_overlap,
-    reference_highest_k_core,
     reference_k_core,
     reference_lost_clusters,
     reference_match_clusters,
@@ -40,8 +33,9 @@ from repro.clustering import (
     reference_mcode_vertex_weights,
 )
 from repro.expression import (
-    build_correlation_csr,
     build_correlation_network,
+    correlated_pair_arrays,
+    csr_from_pair_arrays,
     make_study,
 )
 from repro.graph import (
@@ -56,6 +50,7 @@ from repro.graph import (
     planted_partition_graph,
     star_graph,
 )
+from repro.clustering.mcode import _peel_subset, mcode_vertex_weights_indices
 from repro.ontology.generator import make_study_ontology
 
 
@@ -115,41 +110,34 @@ def assert_clusters_identical(ref: list[Cluster], new: list[Cluster]) -> None:
         assert r.subgraph.vertices() == c.subgraph.vertices()
 
 
+
+def vertex_weights(g: Graph) -> dict:
+    """The stage-1 kernel's weights on ``g``'s CSR view, keyed by label."""
+    csr = CSRGraph.from_graph(g)
+    return dict(zip(csr.labels, mcode_vertex_weights_indices(csr).tolist()))
+
 class TestCSRKCore:
     @settings(max_examples=40, deadline=None)
     @given(random_graphs(), st.integers(min_value=0, max_value=4))
-    def test_k_core_matches_reference(self, g: Graph, k: int):
+    def test_peel_subset_matches_reference_k_core(self, g: Graph, k: int):
         ref = reference_k_core(g, k)
-        new = k_core(g, k)
+        csr = CSRGraph.from_graph(g)
+        alive = _peel_subset(csr.neighbor_sets(), range(csr.n_vertices), k)
+        new = g.subgraph([v for i, v in enumerate(csr.labels) if i in alive])
         assert ref == new
         assert ref.vertices() == new.vertices()
-
-    @settings(max_examples=40, deadline=None)
-    @given(random_graphs(mixed_labels=True))
-    def test_highest_k_core_matches_reference(self, g: Graph):
-        k_ref, core_ref = reference_highest_k_core(g)
-        k_new, core_new = highest_k_core(g)
-        assert k_ref == k_new
-        assert core_ref == core_new
-        assert core_ref.vertices() == core_new.vertices()
-
-    def test_k_core_keeps_edge_attributes(self):
-        g = complete_graph(4)
-        g.set_edge_attr("v0", "v1", "rho", 0.97)
-        core = k_core(g, 2)
-        assert core.edge_attr("v0", "v1", "rho") == 0.97
 
 
 class TestCSRMCODE:
     @settings(max_examples=40, deadline=None)
     @given(random_graphs())
     def test_vertex_weights_match_reference(self, g: Graph):
-        assert reference_mcode_vertex_weights(g) == mcode_vertex_weights(g)
+        assert reference_mcode_vertex_weights(g) == vertex_weights(g)
 
     @settings(max_examples=30, deadline=None)
     @given(random_graphs(mixed_labels=True))
     def test_vertex_weights_match_reference_mixed_labels(self, g: Graph):
-        assert reference_mcode_vertex_weights(g) == mcode_vertex_weights(g)
+        assert reference_mcode_vertex_weights(g) == vertex_weights(g)
 
     @settings(max_examples=25, deadline=None)
     @given(random_graphs(), st.sampled_from(MCODE_PARAM_GRID))
@@ -166,7 +154,7 @@ class TestCSRMCODE:
     @pytest.mark.parametrize("gi", range(len(GENERATOR_GRAPHS)))
     def test_clusters_match_reference_generators(self, gi: int):
         g = GENERATOR_GRAPHS[gi]
-        assert reference_mcode_vertex_weights(g) == mcode_vertex_weights(g)
+        assert reference_mcode_vertex_weights(g) == vertex_weights(g)
         for params in MCODE_PARAM_GRID[:4]:
             assert_clusters_identical(
                 reference_mcode_clusters(g, params), mcode_clusters(g, params)
@@ -192,52 +180,50 @@ def _random_clusters(g: Graph, rng: np.random.Generator, count: int) -> list[Clu
 
 class TestCSRMatching:
     @pytest.mark.parametrize("seed", range(8))
-    def test_match_clusters_matches_reference(self, seed: int):
+    def test_matches_reference_match_and_lost_clusters(self, seed: int):
         rng = np.random.default_rng(seed)
         g = erdos_renyi_graph(25, 0.2, seed=seed)
         original = _random_clusters(g, rng, int(rng.integers(0, 7)))
         filtered = _random_clusters(g, rng, int(rng.integers(0, 7)))
         for key in (node_overlap, edge_overlap):
             ref = reference_match_clusters(original, filtered, key)
-            new = match_clusters(original, filtered, key)
+            new, lost = match_and_lost_clusters(original, filtered, key)
             assert len(ref) == len(new)
             for r, m in zip(ref, new):
                 assert r.original is m.original
                 assert r.node_overlap == m.node_overlap
                 assert r.edge_overlap == m.edge_overlap
-            assert reference_lost_clusters(original, filtered, key) == lost_clusters(
-                original, filtered, key
-            )
-            combined_matches, combined_lost = match_and_lost_clusters(
-                original, filtered, key
-            )
-            assert [(m.original, m.node_overlap, m.edge_overlap) for m in combined_matches] == [
-                (m.original, m.node_overlap, m.edge_overlap) for m in new
-            ]
-            assert combined_lost == reference_lost_clusters(original, filtered, key)
+            assert lost == reference_lost_clusters(original, filtered, key)
 
     def test_generic_key_falls_back_to_reference(self):
         rng = np.random.default_rng(3)
         g = erdos_renyi_graph(20, 0.25, seed=3)
         original = _random_clusters(g, rng, 4)
         filtered = _random_clusters(g, rng, 4)
-        ref = reference_match_clusters(original, filtered, jaccard_node_overlap)
-        new = match_clusters(original, filtered, jaccard_node_overlap)
+
+        def jaccard(a, b):
+            na, nb = a.node_set(), b.node_set()
+            return len(na & nb) / len(na | nb) if na | nb else 0.0
+
+        ref = reference_match_clusters(original, filtered, jaccard)
+        new, lost = match_and_lost_clusters(original, filtered, jaccard)
         assert [(m.original, m.node_overlap, m.edge_overlap) for m in ref] == [
             (m.original, m.node_overlap, m.edge_overlap) for m in new
         ]
+        assert lost == reference_lost_clusters(original, filtered, jaccard)
 
     def test_no_originals_yields_found_matches(self):
         g = complete_graph(5)
         filtered = _random_clusters(g, np.random.default_rng(0), 3)
-        for m in match_clusters([], filtered):
+        matches, lost = match_and_lost_clusters([], filtered)
+        for m in matches:
             assert m.original is None and m.is_found
-        assert lost_clusters([], filtered) == []
+        assert lost == []
 
     def test_no_filtered_clusters_loses_everything(self):
         g = complete_graph(5)
         original = _random_clusters(g, np.random.default_rng(1), 3)
-        assert lost_clusters(original, []) == list(original)
+        assert match_and_lost_clusters(original, [])[1] == list(original)
 
 
 class TestCorrelationCSRNetwork:
@@ -257,7 +243,8 @@ class TestCorrelationCSRNetwork:
         net = build_correlation_network(
             study.matrix, block_size=61, include_all_genes=False
         )
-        csr = build_correlation_csr(study.matrix, block_size=61, include_all_genes=False)
+        ii, jj, _ = correlated_pair_arrays(study.matrix, block_size=61)
+        csr = csr_from_pair_arrays(study.matrix, ii, jj, include_all_genes=False)
         assert csr == CSRGraph.from_graph(net)
 
 

@@ -28,8 +28,6 @@ from repro.ontology import (
     make_go_dag,
     reference_score_cluster,
     reference_score_edge,
-    score_cluster,
-    score_edge,
 )
 
 
@@ -105,15 +103,15 @@ class TestTermIndex:
         a = rng.integers(0, n, 400).astype(np.int64)
         b = rng.integers(0, n, 400).astype(np.int64)
         assert np.unique(np.minimum(a, b)).size > _BITSET_SOURCE_THRESHOLD
-        csr = index.term_csr
-        cold = distance_batch_arrays(a, b, csr.indptr, csr.indices)  # bitset path
+        indptr, indices = index.term_indptr, index.term_indices
+        cold = distance_batch_arrays(a, b, indptr, indices)  # bitset path
         warm = index.distance_batch(a, b)  # row-cache path (sources get cached)
         again = index.distance_batch(a, b)  # pure cache hits
         assert np.array_equal(cold, warm)
         assert np.array_equal(cold, again)
         # One frontier BFS per source: the path small cold batches take.
         per_source = [
-            _bfs_distances(csr.indptr, csr.indices, min(x, y))[max(x, y)]
+            _bfs_distances(indptr, indices, min(x, y))[max(x, y)]
             for x, y in zip(a.tolist(), b.tolist())
         ]
         assert cold.tolist() == per_source
@@ -175,7 +173,7 @@ class TestTermIndex:
 
 class TestBatchedEqualsReference:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
-    def test_random_edges_bit_identical(self, seed):
+    def test_random_edges_match_reference_score_edge(self, score_edges, seed):
         """Property test: engine == reference on random DAGs and annotations."""
         dag = random_dag(seed)
         table = random_annotations(dag, seed * 13 + 1)
@@ -187,22 +185,13 @@ class TestBatchedEqualsReference:
             v = genes[int(rng.integers(len(genes)))]
             if u != v:
                 edges.append((u, v))
-        scorer = EnrichmentScorer(dag, table)
-        batched = scorer.edge_annotations(edges)
-        # Mirror the seed scorer's cache contract: a repeated unordered edge
-        # keeps the result of its *first* orientation (the candidate
-        # tie-break is orientation-sensitive), keyed by edge_key.
-        from repro.graph.graph import edge_key
-
-        expected: dict = {}
-        for u, v in edges:
-            key = edge_key(u, v)
-            if key not in expected:
-                expected[key] = reference_score_edge(dag, table, u, v)
+        batched = score_edges(EnrichmentScorer(dag, table), edges)
+        # Each edge is scored in the orientation it arrives in (the
+        # candidate tie-break is orientation-sensitive).
         for (u, v), got in zip(edges, batched):
-            assert got == expected[edge_key(u, v)]
+            assert got == reference_score_edge(dag, table, u, v)
 
-    def test_orientation_sensitive_tie_break(self):
+    def test_orientation_sensitive_tie_break(self, score_edges):
         """(u, v) and (v, u) can legitimately pick different DCPs on score
         ties; the engine must reproduce the scalar loop's choice for the
         orientation it was asked, like the seed scorer did."""
@@ -212,24 +201,11 @@ class TestBatchedEqualsReference:
         dag.add_term("A1", ["A"])
         dag.add_term("B1", ["B"])
         table = AnnotationTable(dag, {"g1": ["A1", "B1"], "g2": ["A1", "B1"]})
-        forward = score_edge(dag, table, "g1", "g2")
+        forward, backward = score_edges(EnrichmentScorer(dag, table), [("g1", "g2"), ("g2", "g1")])
         assert forward == reference_score_edge(dag, table, "g1", "g2")
         # identical term sets, so both orientations agree here — but each
         # must match its own reference run
-        backward = score_edge(dag, table, "g2", "g1")
         assert backward == reference_score_edge(dag, table, "g2", "g1")
-
-    def test_module_functions_route_through_engine(self):
-        dag = random_dag(6)
-        table = random_annotations(dag, 6)
-        cluster = Graph(edges=[("gene1", "gene2"), ("gene2", "gene3")])
-        assert score_edge(dag, table, "gene1", "gene2") == reference_score_edge(
-            dag, table, "gene1", "gene2"
-        )
-        got = score_cluster(dag, table, cluster)
-        ref = reference_score_cluster(dag, table, cluster)
-        assert got.edges == ref.edges
-        assert got.aees == ref.aees
 
     @pytest.mark.parametrize("seed", [0, 2, 5])
     def test_score_cluster_graphs_matches_reference_aggregates(self, seed):
@@ -257,12 +233,12 @@ class TestBatchedEqualsReference:
             assert scores.n_edges[i] == len(ref.edges)
             assert scores.dominant[i] == ref.dominant_term()
 
-    def test_cluster_aees_matches_object_path(self):
+    def test_cluster_aees_matches_reference_score_cluster(self):
         dag = random_dag(7)
         table = random_annotations(dag, 7)
         g = Graph(edges=[("gene1", "gene2"), ("gene3", "gene4"), ("gene2", "gene3")])
         scorer = EnrichmentScorer(dag, table)
-        assert scorer.cluster_aees([g, Graph()]) == [scorer.cluster(g).aees, 0.0]
+        assert scorer.cluster_aees([g, Graph()]) == [reference_score_cluster(dag, table, g).aees, 0.0]
 
     def test_reference_engine_scorer(self):
         dag = random_dag(8)
@@ -270,10 +246,9 @@ class TestBatchedEqualsReference:
         g = Graph(edges=[("gene1", "gene2"), ("gene2", "gene5")])
         ref_scorer = EnrichmentScorer(dag, table, engine="reference")
         fast_scorer = EnrichmentScorer(dag, table)
-        assert ref_scorer.cluster(g).edges == fast_scorer.cluster(g).edges
         assert ref_scorer.cluster_aees([g]) == fast_scorer.cluster_aees([g])
         scores = ref_scorer.score_cluster_graphs([g])
-        assert scores.aees[0] == fast_scorer.cluster(g).aees
+        assert scores.aees[0] == reference_score_cluster(dag, table, g).aees
 
     def test_invalid_engine_and_backend_rejected(self):
         dag = random_dag(9)
@@ -292,12 +267,11 @@ class TestEdgeCases:
         dag.add_term("L2b", ["L1a"])
         return dag
 
-    def test_unannotated_endpoints_score_zero(self, dag):
+    def test_unannotated_endpoints_score_zero(self, score_edges, dag):
         table = AnnotationTable(dag, {"known": ["L2a"]})
         table.annotate("hollow", [])  # in the table, zero terms
-        scorer = EnrichmentScorer(dag, table)
-        for u, v in [("known", "ghost"), ("ghost", "known"), ("known", "hollow"), ("x", "y")]:
-            ann = scorer.edge(u, v)
+        edges = [("known", "ghost"), ("ghost", "known"), ("known", "hollow"), ("x", "y")]
+        for (u, v), ann in zip(edges, score_edges(EnrichmentScorer(dag, table), edges)):
             assert ann == reference_score_edge(dag, table, u, v)
             assert ann.dcp is None and ann.score == 0.0
 
@@ -309,7 +283,7 @@ class TestEdgeCases:
         assert scores.max_score.tolist() == [0.0, 0.0]
         assert scores.max_depth.tolist() == [0, 0]
         assert scores.dominant == [None, None]
-        assert scorer.cluster(Graph()).dominant_term() is None
+        assert reference_score_cluster(dag, table, Graph()).dominant_term() is None
 
     def test_all_unannotated_cluster_has_no_dominant_term(self, dag):
         table = AnnotationTable(dag, {"g": ["L2a"]})
@@ -341,23 +315,26 @@ class TestEdgeCases:
         ref = reference_score_cluster(dag, table, g)
         assert scores.dominant[0] == ref.dominant_term() == "L2a"
 
-    def test_edge_cache_normalises_orientation(self, dag):
+    def test_pair_table_memoises_term_pairs(self, dag):
         table = AnnotationTable(dag, {"g1": ["L2a"], "g2": ["L2b"]})
         scorer = EnrichmentScorer(dag, table)
-        scorer.edge("g1", "g2")
-        scorer.edge("g2", "g1")
-        assert scorer.cache_size == 1
-        assert scorer.pair_table_size >= 1
+        first = scorer.score_cluster_graphs([Graph(edges=[("g1", "g2")])])
+        size = scorer.pair_table_size
+        assert size >= 1
+        again = scorer.score_cluster_graphs([Graph(edges=[("g2", "g1")])])
+        assert scorer.pair_table_size == size
+        assert again.aees.tolist() == first.aees.tolist()
 
     def test_pair_table_reset_on_dag_mutation(self, dag):
         table = AnnotationTable(dag, {"g1": ["L2a"], "g2": ["L2b"]})
         scorer = EnrichmentScorer(dag, table)
-        scorer.edge("g1", "g2")
+        g = Graph(edges=[("g1", "g2")])
+        before = scorer.score_cluster_graphs([g]).aees.tolist()
         assert scorer.pair_table_size >= 1
         dag.add_term("L2c", ["L1a"])
-        scorer.edge_annotations([("g1", "g2"), ("g2", "g1")])
-        # table rebuilt against the fresh index; cached edge results remain
-        assert scorer.cache_size == 1
+        # table rebuilt against the fresh index
+        assert scorer.score_cluster_graphs([g]).aees.tolist() == before
+        assert scorer.pair_table_size >= 1
 
 
 class TestBitsetBfsEdgeCases:

@@ -1,18 +1,10 @@
-"""Unit tests for edge-list / adjacency I/O."""
+"""Unit tests for edge-list I/O."""
 
 from __future__ import annotations
 
 import io
 
-from repro.graph import (
-    Graph,
-    edge_list_string,
-    graph_from_string,
-    read_adjacency,
-    read_edge_list,
-    write_adjacency,
-    write_edge_list,
-)
+from repro.graph import Graph, read_edge_list, write_edge_list
 
 
 def make_graph() -> Graph:
@@ -55,31 +47,8 @@ class TestEdgeList:
         g = read_edge_list(io.StringIO("a b strong\n"))
         assert g.edge_attr("a", "b", "weight") == "strong"
 
-    def test_string_roundtrip(self):
-        g = make_graph()
-        text = edge_list_string(g)
-        assert graph_from_string(text) == g
-
     def test_write_to_stream(self):
         g = make_graph()
         buf = io.StringIO()
         write_edge_list(g, buf)
         assert "geneA\tgeneB" in buf.getvalue()
-
-
-class TestAdjacency:
-    def test_roundtrip(self, tmp_path):
-        g = make_graph()
-        path = tmp_path / "adj.txt"
-        write_adjacency(g, path)
-        back = read_adjacency(path)
-        assert back == g
-
-    def test_isolated_vertex_line(self):
-        g = Graph()
-        g.add_vertex("solo")
-        buf = io.StringIO()
-        write_adjacency(g, buf)
-        assert buf.getvalue().strip() == "solo"
-        back = read_adjacency(io.StringIO(buf.getvalue()))
-        assert back.has_vertex("solo")

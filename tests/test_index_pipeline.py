@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.chordal import chordal_subgraph_edges, is_chordal
+from repro.core.chordal import is_chordal, reference_chordal_subgraph_edges
 from repro.core.parallel_comm import (
     parallel_chordal_comm_filter,
     receiver_admit_border_edges,
@@ -32,16 +32,14 @@ from repro.graph import CSRGraph, Graph, erdos_renyi_graph, partition_graph
 from repro.graph.graph import edge_key
 from repro.graph.ordering import (
     ORDERING_INDEX_FNS,
-    get_ordering,
     ordering_indices,
-    rcm_order,
+    rcm_order_indices,
     reference_high_degree_order,
     reference_low_degree_order,
     reference_rcm_order,
 )
 from repro.graph.partition import (
     INDEX_PARTITIONERS,
-    IndexPartition,
     block_partition_indices,
     index_partition_graph,
 )
@@ -122,7 +120,7 @@ def label_view(csr: CSRGraph, us, vs) -> set:
 class TestIndexOrderings:
     @settings(max_examples=40, deadline=None)
     @given(random_graphs())
-    def test_orderings_match_reference(self, g: Graph):
+    def test_orderings_match_reference_orderings(self, g: Graph):
         csr = CSRGraph.from_graph(g)
         for name in ORDERING_NAMES:
             perm = ordering_indices(name, csr)
@@ -132,36 +130,32 @@ class TestIndexOrderings:
 
     @settings(max_examples=25, deadline=None)
     @given(random_graphs(mixed_labels=True))
-    def test_orderings_match_reference_mixed_labels(self, g: Graph):
+    def test_orderings_match_reference_orderings_mixed_labels(self, g: Graph):
         csr = CSRGraph.from_graph(g)
         for name in ORDERING_NAMES:
             assert csr.to_labels(ordering_indices(name, csr)) == REFERENCE_ORDERINGS[name](g), name
 
-    @settings(max_examples=20, deadline=None)
-    @given(random_graphs())
-    def test_label_wrappers_equal_reference(self, g: Graph):
-        for name in ORDERING_NAMES:
-            assert get_ordering(name)(g) == REFERENCE_ORDERINGS[name](g), name
-
     @settings(max_examples=40, deadline=None)
     @given(component_unions())
-    def test_rcm_matches_reference_on_many_components(self, g: Graph):
+    def test_rcm_matches_reference_rcm_order_on_many_components(self, g: Graph):
         # Every component's George–Liu search and Cuthill–McKee numbering
         # advance in the same pass; each must still come out as the seed's.
         csr = CSRGraph.from_graph(g)
         assert csr.to_labels(ordering_indices("rcm", csr)) == reference_rcm_order(g)
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_rcm_start_vertex_matches_reference(self, seed):
+    def test_rcm_start_vertex_matches_reference_rcm_order(self, seed):
         g = erdos_renyi_graph(30, 0.1, seed=seed)
-        for start in (g.vertices()[0], g.vertices()[7]):
-            assert rcm_order(g, start=start) == reference_rcm_order(g, start=start)
+        csr = CSRGraph.from_graph(g)
+        for start in (0, 7):
+            got = csr.to_labels(rcm_order_indices(csr, start=start))
+            assert got == reference_rcm_order(g, start=g.vertices()[start])
 
 
 class TestIndexPartitioners:
     @settings(max_examples=25, deadline=None)
     @given(random_graphs(), st.integers(min_value=1, max_value=5))
-    def test_partitioners_match_reference(self, g: Graph, n_parts: int):
+    def test_partitioners_match_label_partitioners(self, g: Graph, n_parts: int):
         csr = CSRGraph.from_graph(g)
         labels = csr.labels
         for method in PARTITIONER_NAMES:
@@ -180,12 +174,12 @@ class TestIndexPartitioners:
 
     @settings(max_examples=15, deadline=None)
     @given(random_graphs(), st.integers(min_value=1, max_value=4))
-    def test_induced_subgraph_matches_graph_subgraph(self, g: Graph, n_parts: int):
+    def test_part_arrays_match_reference_part_subgraph(self, g: Graph, n_parts: int):
         csr = CSRGraph.from_graph(g)
         lp = partition_graph(g, n_parts, method="hash")
         ip = index_partition_graph(csr, n_parts, method="hash")
-        for p in range(n_parts):
-            sub = ip.part_csr(p)
+        for p, (indptr, indices) in enumerate(ip.part_arrays()):
+            sub = CSRGraph(indptr, indices, csr.to_labels(ip.part_indices(p).tolist()))
             assert sub.to_graph() == lp.part_subgraph(p)
             assert list(sub.labels) == lp.part_subgraph(p).vertices()
 
@@ -206,18 +200,6 @@ class TestIndexPartitioners:
                 assert indptr.tolist() == sub.indptr.tolist()
                 assert indices.tolist() == sub.indices.tolist()
 
-    @settings(max_examples=15, deadline=None)
-    @given(random_graphs(), st.integers(min_value=1, max_value=4))
-    def test_partition_round_trips(self, g: Graph, n_parts: int):
-        csr = CSRGraph.from_graph(g)
-        lp = partition_graph(g, n_parts, method="greedy")
-        ip = IndexPartition.from_partition(lp, csr)
-        assert label_view(csr, *ip.border_edges()) == set(lp.border_edges)
-        back = ip.to_partition(g)
-        back.validate()
-        assert back.assignment == lp.assignment
-        assert back.parts == lp.parts
-
     def test_induced_subgraph_rejects_bad_indices(self):
         csr = CSRGraph.from_graph(erdos_renyi_graph(6, 0.5, seed=0))
         with pytest.raises(ValueError):
@@ -226,7 +208,7 @@ class TestIndexPartitioners:
             csr.induced_subgraph([0, 99])
 
     @pytest.mark.parametrize("method", ["block", "greedy"])
-    def test_explicit_order_parts_match_reference(self, method):
+    def test_explicit_order_parts_match_label_partitioners(self, method):
         # The label block partitioner lists parts in the given order, the
         # label greedy partitioner in *natural* order even when streaming in
         # a custom order — the index views must mirror both conventions.
@@ -251,21 +233,13 @@ class TestIndexPartitioners:
         for p in range(3):
             assert [csr.labels[int(i)] for i in ip.part_indices(p)] == lp.parts[p]
 
-    def test_from_partition_rejects_incomplete_partition(self):
-        g = erdos_renyi_graph(8, 0.3, seed=1)
-        csr = CSRGraph.from_graph(g)
-        lp = partition_graph(g, 2, method="block")
-        missing = g.vertices()[0]
-        del lp.assignment[missing]
-        with pytest.raises(ValueError):
-            IndexPartition.from_partition(lp, csr)
-
 
 def local_chordal_edges(part_graph: Graph, order=None) -> list:
-    """One rank's local chordal edges under the global ``order`` restricted to its part."""
+    """One rank's local chordal edges under the global ``order`` restricted to
+    its part, from the seed DSW body."""
     if order is not None:
         order = [v for v in order if v in part_graph]
-    return chordal_subgraph_edges(part_graph, order=order)
+    return reference_chordal_subgraph_edges(part_graph, order=order)
 
 
 class TestBorderAdmission:
@@ -275,13 +249,13 @@ class TestBorderAdmission:
         st.integers(min_value=2, max_value=5),
         st.sampled_from(PARTITIONER_NAMES),
     )
-    def test_index_admission_matches_reference(self, g: Graph, n_parts: int, method: str):
+    def test_index_admission_matches_admit_border_edges_no_communication(self, g: Graph, n_parts: int, method: str):
         # The array admission the rank body runs, pinned straight to the
         # label-level triangle rule on the same partition.
         csr = CSRGraph.from_graph(g)
         labels, index = csr.labels, csr.label_index
         lp = partition_graph(g, n_parts, method=method)
-        ip = IndexPartition.from_partition(lp, csr)
+        ip = index_partition_graph(csr, n_parts, method=method)
         for rank in range(n_parts):
             local_edges = local_chordal_edges(lp.part_subgraph(rank))
             ref = admit_border_edges_no_communication(
@@ -300,7 +274,7 @@ class TestBorderAdmission:
             assert {edge_key(labels[i], labels[j]) for i, j in got} == set(ref)
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_random_arrays_match_label_rule(self, seed):
+    def test_random_arrays_match_admit_border_edges_no_communication(self, seed):
         # Arbitrary border and chordal edge arrays over one consistent part:
         # repeated border edges, edges with no endpoint inside, chordal edges
         # that touch no border pair.
@@ -331,7 +305,7 @@ class TestBorderAdmission:
         us, vs = _admit_border_keys(empty, empty, empty_bool, empty_bool, empty, empty)
         assert us.size == 0 and vs.size == 0
 
-    def test_receiver_admission_matches_reference_sequence(self):
+    def test_receiver_admission_matches_receiver_admit_border_edges(self):
         # Admission is order-dependent: feed both implementations the same
         # candidate sequence and require identical accept/reject decisions.
         g = erdos_renyi_graph(18, 0.2, seed=3)
@@ -357,7 +331,7 @@ class TestBorderAdmission:
 
 def reference_nocomm_kept(graph: Graph, n_parts: int, ordering, method: str):
     """The PR1 label pipeline recomposed from its retained reference pieces."""
-    order = get_ordering(ordering)(graph) if ordering else None
+    order = REFERENCE_ORDERINGS[ordering](graph) if ordering else None
     if method == "block" and order is not None:
         part = partition_graph(graph, n_parts, method="block", order=order)
     else:
@@ -402,9 +376,10 @@ class TestFilterEquivalence:
         # tests/test_parallel_comm.py on the rewritten path).
         g = erdos_renyi_graph(36, 0.15, seed=seed)
         res = parallel_chordal_comm_filter(g, 4, ordering="rcm")
-        part = partition_graph(g, 4, method="block", order=rcm_order(g))
+        order = reference_rcm_order(g)
+        part = partition_graph(g, 4, method="block", order=order)
         for rank in range(4):
-            for e in local_chordal_edges(part.part_subgraph(rank), rcm_order(g)):
+            for e in local_chordal_edges(part.part_subgraph(rank), order):
                 assert res.graph.has_edge(*e)
 
 
@@ -430,7 +405,7 @@ class TestApplyFilterGrid:
         if method == "chordal" or n_parts == 1:
             assert kept == reference_nocomm_kept(g, n_parts, ordering, partition_method)
             return
-        order = get_ordering(ordering)(g)
+        order = REFERENCE_ORDERINGS[ordering](g)
         if partition_method == "block":
             part = partition_graph(g, n_parts, method="block", order=order)
         else:

@@ -7,12 +7,11 @@ edge pairs.  This suite pins:
 
 * the payload bytes to the label chain recomposed from the retained bodies —
   a label network filtered as a ``Graph``, hand-built clusters cut with
-  ``Graph.subgraph``, graph-walk scoring (``EnrichmentScorer.cluster``) and
+  ``Graph.subgraph``, graph-walk scoring (a subgraph's label edges) and
   label overlap sets — and the served ``enrich`` payload likewise;
 * that the chain, a served ``enrich`` and a served sample update build no
   label graph at all;
-* that no product path falls back to the reference overlap loops or to
-  per-cluster scoring;
+* that no product path falls back to the reference overlap loops;
 * that one analysis scores its filtered clusters exactly once;
 * that cluster scores do not depend on the order or orientation of a
   cluster's edge pairs.
@@ -84,9 +83,9 @@ def label_clusters(graph: Graph, params, source: str) -> list[Cluster]:
 
 
 def graph_walk_aees(bundle, clusters: list[Cluster]) -> list[float]:
-    """AEES by walking each cluster subgraph through the per-edge object API."""
+    """AEES of each cluster's label subgraph, scored from its label edges."""
     scorer = EnrichmentScorer(bundle.scorer.dag, bundle.scorer.annotations)
-    return [scorer.cluster(c.subgraph).aees for c in clusters]
+    return scorer.cluster_aees([c.subgraph for c in clusters])
 
 
 def label_chain_payload(bundle, method: str, ordering, n_partitions: int) -> dict:
@@ -218,7 +217,7 @@ UPDATE_KINDS = [
 
 @pytest.fixture
 def slow_paths(monkeypatch):
-    """Counts calls of the reference overlap loops and per-cluster scoring."""
+    """Counts calls of the reference overlap loops."""
     counts: Counter = Counter()
 
     def counting(owner, name):
@@ -232,7 +231,6 @@ def slow_paths(monkeypatch):
 
     counting(overlap, "reference_match_clusters")
     counting(overlap, "reference_lost_clusters")
-    counting(EnrichmentScorer, "cluster")
     return counts
 
 
@@ -274,7 +272,7 @@ def test_analysis_scores_its_clusters_once(bundles, monkeypatch):
     bundle = bundles["YNG"]
     scorer = bundle.scorer
     calls: Counter = Counter()
-    for name in ("cluster_aees", "score_cluster_graphs", "cluster"):
+    for name in ("cluster_aees", "score_cluster_graphs"):
         method = getattr(scorer, name)
 
         def counted(*args, _name=name, _method=method, **kwargs):
@@ -352,22 +350,12 @@ def test_mixed_cluster_forms_score_like_their_subgraphs(bundles):
     ]
 
 
-def test_any_graph_item_scores_the_whole_set_per_cluster(bundles, monkeypatch):
+def test_a_graph_item_scores_like_its_index_cluster(bundles):
     bundle = bundles["YNG"]
     clusters = bundle.original_clusters[:5]
     dag, table = bundle.scorer.dag, bundle.scorer.annotations
-    calls = Counter()
-    cluster = EnrichmentScorer.cluster
-
-    def counted(self, graph):
-        calls["cluster"] += 1
-        return cluster(self, graph)
-
-    monkeypatch.setattr(EnrichmentScorer, "cluster", counted)
     segment = EnrichmentScorer(dag, table).score_cluster_graphs(clusters)
-    assert calls == {}
-    per_cluster = EnrichmentScorer(dag, table).score_cluster_graphs(
+    mixed = EnrichmentScorer(dag, table).score_cluster_graphs(
         [*clusters[:4], clusters[4].subgraph]
     )
-    assert calls == {"cluster": 5}
-    assert_same_scores(segment, per_cluster)
+    assert_same_scores(segment, mixed)

@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.clustering import MCODEParams, highest_k_core, k_core, mcode_clusters, mcode_vertex_weights
+from repro.clustering import MCODEParams, mcode_clusters
 from repro.clustering.mcode import (
+    _peel_subset,
     mcode_score,
     mcode_vertex_weights_indices,
     reference_k_core,
@@ -23,6 +24,19 @@ from repro.graph import (
     path_graph,
     star_graph,
 )
+
+
+def vertex_weights(g: Graph) -> dict:
+    """The stage-1 kernel's weights on ``g``'s CSR view, keyed by label."""
+    csr = CSRGraph.from_graph(g)
+    return dict(zip(csr.labels, mcode_vertex_weights_indices(csr).tolist()))
+
+
+def peeled_core(g: Graph, k: int) -> Graph:
+    """The ``k``-core the peeling kernel leaves, as a label subgraph of ``g``."""
+    csr = CSRGraph.from_graph(g)
+    alive = _peel_subset(csr.neighbor_sets(), range(csr.n_vertices), k)
+    return g.subgraph([v for i, v in enumerate(csr.labels) if i in alive])
 
 
 def two_cliques_with_bridge() -> Graph:
@@ -43,43 +57,31 @@ def two_cliques_with_bridge() -> Graph:
 class TestKCore:
     def test_k_core_of_clique(self):
         g = complete_graph(5)
-        assert k_core(g, 4).n_vertices == 5
-        assert k_core(g, 5).n_vertices == 0
+        assert peeled_core(g, 4).n_vertices == 5
+        assert peeled_core(g, 5).n_vertices == 0
 
     def test_k_core_strips_pendants(self):
         g = complete_graph(4)
         g.add_edge("v0", "pendant")
-        core = k_core(g, 2)
+        core = peeled_core(g, 2)
         assert not core.has_vertex("pendant")
         assert core.n_vertices == 4
-
-    def test_highest_k_core(self):
-        g = complete_graph(6)
-        g.add_edge("v0", "tail")
-        k, core = highest_k_core(g)
-        assert k == 5
-        assert core.n_vertices == 6
-
-    def test_highest_k_core_empty_graph(self):
-        k, core = highest_k_core(Graph())
-        assert k == 0
-        assert core.n_vertices == 0
 
 
 class TestVertexWeights:
     def test_clique_vertices_heavily_weighted(self):
         g = complete_graph(6)
-        weights = mcode_vertex_weights(g)
+        weights = vertex_weights(g)
         # neighbourhood of each vertex is K5 => core number 4, density 1 => weight 4
         assert all(w == pytest.approx(4.0) for w in weights.values())
 
     def test_path_vertices_weight_zero(self):
-        weights = mcode_vertex_weights(path_graph(5))
+        weights = vertex_weights(path_graph(5))
         assert all(w == 0.0 for w in weights.values())
 
     def test_clique_members_outweigh_bridges(self):
         g = two_cliques_with_bridge()
-        weights = mcode_vertex_weights(g)
+        weights = vertex_weights(g)
         assert weights["a1"] > weights["bridge1"]
 
 
@@ -163,14 +165,14 @@ class TestReferenceEquivalence:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_kernels_match_reference(self, seed):
         g = erdos_renyi_graph(60, 0.12, seed=seed)
-        assert mcode_vertex_weights(g) == reference_mcode_vertex_weights(g)
+        assert vertex_weights(g) == reference_mcode_vertex_weights(g)
         for params in (MCODEParams(), MCODEParams(fluff=True, min_score=1.0, min_size=2)):
             got = mcode_clusters(g, params)
             expected = reference_mcode_clusters(g, params)
             assert [c.members for c in got] == [c.members for c in expected]
             assert [c.score for c in got] == [c.score for c in expected]
         for k in (2, 3):
-            core, ref_core = k_core(g, k), reference_k_core(g, k)
+            core, ref_core = peeled_core(g, k), reference_k_core(g, k)
             assert core.vertices() == ref_core.vertices()
             assert sorted(core.edges()) == sorted(ref_core.edges())
 
@@ -230,7 +232,7 @@ class TestBatchedStageOne:
 
     def test_shared_vertex_weight(self):
         # N(hub) is a K4 plus a K3 with no edge between them: top core is the K4.
-        weights = mcode_vertex_weights(cliques_sharing_a_vertex())
+        weights = vertex_weights(cliques_sharing_a_vertex())
         assert weights["hub"] == 3.0 * 1.0
 
     @pytest.mark.parametrize("seed", range(12))

@@ -123,10 +123,7 @@ class TestStandardizedMemo:
         assert std.standardized() is std.standardized()
 
     def test_correlation_passes_reuse_the_memo(self, monkeypatch):
-        from repro.expression.correlation import (
-            correlated_pair_arrays,
-            pearson_correlation_matrix,
-        )
+        from repro.expression.correlation import correlated_pair_arrays
 
         m = make_matrix()
         calls = {"n": 0}
@@ -137,9 +134,9 @@ class TestStandardizedMemo:
             return original(self)
 
         monkeypatch.setattr(ExpressionMatrix, "standardized", counting)
-        pearson_correlation_matrix(m)
         correlated_pair_arrays(m)
-        pearson_correlation_matrix(m)
+        correlated_pair_arrays(m, block_size=3)
+        correlated_pair_arrays(m)
         # Three passes, three cache lookups, one actual standardisation: the
         # counting wrapper fires per call but the body's compute path only
         # runs while the memo is empty.

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.expression.datasets import make_study
+from repro.graph import Graph
 from repro.ontology import (
     AnnotationIndex,
     EnrichmentScorer,
@@ -93,19 +94,14 @@ class TestAnnotateStudy:
         table = annotate_study(tiny_study, small_go_dag, seed=2)
         scorer = EnrichmentScorer(small_go_dag, table)
         module = next(iter(tiny_study.modules.values()))
-        module_scores = [
-            scorer.edge(module[i], module[j]).score
-            for i in range(len(module))
-            for j in range(i + 1, len(module))
-        ]
         background = [g for g in tiny_study.matrix.genes if g not in tiny_study.module_of()][:16]
-        background_scores = [
-            scorer.edge(background[i], background[j]).score
-            for i in range(len(background))
-            for j in range(i + 1, len(background))
-        ]
-        mean = lambda xs: sum(xs) / len(xs)  # noqa: E731
-        assert mean(module_scores) > mean(background_scores) + 1.0
+
+        def clique(genes):
+            return Graph(edges=[(a, b) for i, a in enumerate(genes) for b in genes[i + 1 :]])
+
+        # A clique's AEES is the mean score of every pair of its genes.
+        module_mean, background_mean = scorer.cluster_aees([clique(module), clique(background)])
+        assert module_mean > background_mean + 1.0
 
     def test_annotation_reproducible_for_seed(self, tiny_study, small_go_dag):
         a = annotate_study(tiny_study, small_go_dag, seed=7)

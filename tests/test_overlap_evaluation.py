@@ -17,10 +17,7 @@ from repro.clustering import (
     classify_matches,
     edge_overlap,
     found_clusters,
-    jaccard_node_overlap,
-    lost_clusters,
     match_and_lost_clusters,
-    match_clusters,
     node_overlap,
     quadrant_counts,
     reference_lost_clusters,
@@ -60,14 +57,12 @@ class TestOverlapMeasures:
         a = make_cluster(["x", "y", "z"], [("x", "y"), ("y", "z")])
         assert node_overlap(a, a) == 1.0
         assert edge_overlap(a, a) == 1.0
-        assert jaccard_node_overlap(a, a) == 1.0
 
     def test_partial_overlap(self):
         original = make_cluster(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")])
         candidate = make_cluster(["a", "b", "x"], [("a", "b")])
         assert node_overlap(original, candidate) == pytest.approx(0.5)
         assert edge_overlap(original, candidate) == pytest.approx(1 / 3)
-        assert jaccard_node_overlap(original, candidate) == pytest.approx(2 / 5)
 
     def test_disjoint_clusters(self):
         a = make_cluster(["a", "b"], [("a", "b")])
@@ -86,7 +81,7 @@ class TestMatching:
         orig1 = make_cluster(["a", "b", "c"], [("a", "b"), ("b", "c")], cluster_id=0)
         orig2 = make_cluster(["x", "y", "z"], [("x", "y"), ("y", "z")], cluster_id=1)
         filtered = make_cluster(["x", "y", "q"], [("x", "y")], cluster_id=7)
-        matches = match_clusters([orig1, orig2], [filtered])
+        matches, _ = match_and_lost_clusters([orig1, orig2], [filtered])
         assert len(matches) == 1
         assert matches[0].original is orig2
         assert matches[0].node_overlap == pytest.approx(2 / 3)
@@ -94,7 +89,7 @@ class TestMatching:
     def test_found_clusters_have_no_match(self):
         orig = make_cluster(["a", "b"], [("a", "b")])
         new = make_cluster(["p", "q"], [("p", "q")])
-        matches = match_clusters([orig], [new])
+        matches, _ = match_and_lost_clusters([orig], [new])
         assert matches[0].original is None
         assert matches[0].is_found
         assert found_clusters(matches) == [new]
@@ -103,12 +98,11 @@ class TestMatching:
         orig_kept = make_cluster(["a", "b"], [("a", "b")])
         orig_lost = make_cluster(["m", "n"], [("m", "n")])
         filtered = make_cluster(["a", "b"], [("a", "b")])
-        assert lost_clusters([orig_kept, orig_lost], [filtered]) == [orig_lost]
+        assert match_and_lost_clusters([orig_kept, orig_lost], [filtered])[1] == [orig_lost]
 
     def test_no_filtered_clusters_all_lost(self):
         orig = make_cluster(["a", "b"], [("a", "b")])
-        assert lost_clusters([orig], []) == [orig]
-        assert match_clusters([orig], []) == []
+        assert match_and_lost_clusters([orig], []) == ([], [orig])
 
 
 class TestQuadrants:
@@ -242,12 +236,6 @@ class TestSparseOverlapCounts:
             matches, lost = match_and_lost_clusters(original, filtered, key)
             assert match_signature(matches) == match_signature(want_matches), seed
             assert [id(c) for c in lost] == [id(c) for c in want_lost], seed
-            assert match_signature(match_clusters(original, filtered, key)) == (
-                match_signature(want_matches)
-            )
-            assert [id(c) for c in lost_clusters(original, filtered, key)] == (
-                [id(c) for c in want_lost]
-            )
 
     def test_count_entries_are_exact_float64(self):
         rng = random.Random(3)
@@ -347,9 +335,4 @@ class TestMatchDispatch:
         for orig, filt in ((original, filtered), (original, [*filtered[:3], hand_built])):
             reference_calls.clear()
             match_and_lost_clusters(orig, filt)
-            lost_clusters(orig, filt)
-            assert reference_calls == [
-                "reference_match_clusters",
-                "reference_lost_clusters",
-                "reference_lost_clusters",
-            ]
+            assert reference_calls == ["reference_match_clusters", "reference_lost_clusters"]

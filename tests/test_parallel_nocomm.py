@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import chordal_subgraph_edges, is_chordal
+from repro.core import is_chordal
+from repro.core.chordal import reference_chordal_subgraph_edges
 from repro.core.parallel_nocomm import (
     admit_border_edges_no_communication,
     parallel_chordal_nocomm_filter,
@@ -107,11 +108,6 @@ class TestParallelFilter:
         with pytest.raises(ValueError):
             parallel_chordal_nocomm_filter(network, 0)
 
-    def test_explicit_partition_object(self, network):
-        part = partition_graph(network, 3, method="bfs")
-        result = parallel_chordal_nocomm_filter(network, 3, partition=part)
-        assert result.n_partitions == 3
-
     def test_simulated_time_positive_and_decreasing_with_partitions(self, network):
         one = parallel_chordal_nocomm_filter(network, 1)
         eight = parallel_chordal_nocomm_filter(network, 8)
@@ -125,5 +121,5 @@ class TestParallelFilter:
         # every partition-internal chordal edge must appear in the result
         part = partition_graph(g, 4, method="hash")
         for idx in range(4):
-            for e in chordal_subgraph_edges(part.part_subgraph(idx)):
+            for e in reference_chordal_subgraph_edges(part.part_subgraph(idx)):
                 assert result.graph.has_edge(*e)

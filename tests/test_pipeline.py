@@ -28,7 +28,7 @@ class TestPrepareDataset:
         assert summary["original_clusters"] == len(cre_bundle.original_clusters)
 
     def test_scorer_separates_modules_from_noise(self, cre_bundle):
-        aees = [cre_bundle.scorer.cluster(c.subgraph).aees for c in cre_bundle.original_clusters]
+        aees = cre_bundle.scorer.cluster_aees(cre_bundle.original_clusters)
         assert max(aees) >= 3.0
         assert min(aees) < 3.0
 
@@ -94,11 +94,8 @@ class TestAnalyzeFilter:
 
     def test_chordal_preserves_most_high_scoring_clusters(self, cre_bundle):
         analysis = analyze_filter(cre_bundle, method="chordal", ordering="high_degree", n_partitions=1)
-        original_relevant = [
-            c
-            for c in cre_bundle.original_clusters
-            if cre_bundle.scorer.cluster(c.subgraph).aees >= 3.0
-        ]
+        aees = cre_bundle.scorer.cluster_aees(cre_bundle.original_clusters)
+        original_relevant = [a for a in aees if a >= 3.0]
         filtered_relevant = analysis.high_scoring_clusters()
         assert len(filtered_relevant) >= max(1, len(original_relevant) // 2)
 

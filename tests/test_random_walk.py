@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.random_walk import parallel_random_walk_filter, random_walk_edges
-from repro.graph import Graph, complete_graph, correlation_like_graph, path_graph
+from repro.core.random_walk import _walk, parallel_random_walk_filter
+from repro.graph import CSRGraph, Graph, complete_graph, correlation_like_graph, path_graph
 
 
 @pytest.fixture(scope="module")
@@ -14,33 +14,40 @@ def network():
     return correlation_like_graph(n_modules=3, module_size=8, n_background=60, seed=29)
 
 
-class TestRandomWalkEdges:
+def walk_graph(g: Graph, rng: np.random.Generator, selection_fraction: float = 0.5):
+    """One walk of the rank kernel over ``g``'s CSR rows: (label edges, selections)."""
+    csr = CSRGraph.from_graph(g)
+    kept, selections = _walk(csr.neighbor_lists(), csr.n_edges, rng, selection_fraction)
+    return [(csr.labels[i], csr.labels[j]) for i, j in kept], selections
+
+
+class TestWalkKernel:
     def test_selected_edges_belong_to_graph(self):
         g = complete_graph(8)
-        edges, selections = random_walk_edges(g, np.random.default_rng(0))
+        edges, selections = walk_graph(g, np.random.default_rng(0))
         assert selections == int(0.5 * g.n_edges)
         for u, v in edges:
             assert g.has_edge(u, v)
 
     def test_unique_edges_at_most_selections(self):
         g = complete_graph(10)
-        edges, selections = random_walk_edges(g, np.random.default_rng(1))
+        edges, selections = walk_graph(g, np.random.default_rng(1))
         assert len(edges) <= selections
 
     def test_empty_graph(self):
-        edges, selections = random_walk_edges(Graph(), np.random.default_rng(0))
+        edges, selections = walk_graph(Graph(), np.random.default_rng(0))
         assert edges == [] and selections == 0
 
     def test_walk_restarts_from_isolated_vertices(self):
         g = path_graph(4)
         g.add_vertex("island")
-        edges, _ = random_walk_edges(g, np.random.default_rng(3))
+        edges, _ = walk_graph(g, np.random.default_rng(3))
         for u, v in edges:
             assert "island" not in (u, v)
 
     def test_invalid_fraction(self):
         with pytest.raises(ValueError):
-            random_walk_edges(complete_graph(4), np.random.default_rng(0), selection_fraction=1.5)
+            walk_graph(complete_graph(4), np.random.default_rng(0), selection_fraction=1.5)
 
 
 class TestParallelRandomWalk:

@@ -23,7 +23,6 @@ from repro.core.sampling import apply_filter
 from repro.expression import make_study
 from repro.graph import CSRGraph
 from repro.graph.csr import MEMO_ENTRIES
-from repro.graph.partition import block_partition
 from repro.pipeline.workflow import filter_payload
 
 ORDERINGS = ("natural", "high_degree", "low_degree", "rcm")
@@ -171,31 +170,24 @@ LABEL_ENTRIES = {"label_ranks", "str_labels", "canonical_names"}
 
 
 class TestExplicitRuns:
-    """An explicit order or partition has no name a memo key could hold, so
-    such a run neither reads nor fills an ordering, partition or border-list
-    entry under the name it was given."""
+    """An explicit order has no name a memo key could hold, so such a run
+    neither reads nor fills an ordering, partition or border-list entry
+    under the name it was given."""
 
     @staticmethod
     def explicit_runs(csr):
         # Orders computed on a twin view, so this one's memo stays untouched.
         twin = CSRGraph(*network_view(csr))
         order = csr.to_labels(ordering_module.high_degree_order_indices(twin))
-        partition = block_partition(csr.label_graph(), 2, order=list(reversed(order)))
-        results = []
-        for method in METHODS:
-            results.append(run(csr, "high_degree", method, explicit_order=order))
-            results.append(run(csr, "rcm", method, partition=partition))
-        return results
+        return [run(csr, "high_degree", method, explicit_order=order) for method in METHODS]
 
     def test_explicit_runs_keep_no_partition_or_named_order(self, network_arrays):
         csr = fresh_csr(network_arrays)
         csr.label_graph()
         self.explicit_runs(csr)
         kinds = Counter(key[0] for key in csr._memo)
-        assert set(kinds) - LABEL_ENTRIES == {"ordering"}
-        # The partition runs' "rcm" is a named ordering of the view; the
-        # explicit order given as "high_degree" is kept under no name.
-        assert [key for key in csr._memo if key[0] == "ordering"] == [("ordering", "rcm")]
+        # The explicit order given as "high_degree" is kept under no name.
+        assert set(kinds) - LABEL_ENTRIES == set()
 
     def test_explicit_runs_never_read_spec_entries(self, network_arrays):
         clean = fresh_csr(network_arrays)
