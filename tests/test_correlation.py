@@ -81,10 +81,123 @@ class TestPValues:
         assert critical_correlation(0.01, 2) == 1.0
 
 
+# Every pair with a nonzero correlation passes: no magnitude bar, a p-value bar
+# just under 1, negatives kept.
+LOOSE = CorrelationThreshold(min_abs_rho=0.0, max_p_value=1.0 - 1e-9, include_negative=True)
+
+
+def pair_rho(m: ExpressionMatrix, threshold: CorrelationThreshold = LOOSE) -> dict:
+    """``{(gene_a, gene_b): rho}`` of the pairs :func:`correlated_pair_arrays` admits."""
+    return {(a, b): r for a, b, r in named_pairs(m, threshold=threshold)}
+
+
+def two_gene_matrix(rho: float, n_samples: int) -> ExpressionMatrix:
+    """Two genes over ``n_samples`` samples whose Pearson correlation is ``rho``."""
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal(n_samples)
+    x -= x.mean()
+    x /= np.linalg.norm(x)
+    z = rng.standard_normal(n_samples)
+    z -= z.mean()
+    z -= (z @ x) * x
+    z /= np.linalg.norm(z)
+    y = rho * x + np.sqrt(max(0.0, 1.0 - rho * rho)) * z
+    return ExpressionMatrix(
+        values=np.vstack([x, y]),
+        genes=["x", "y"],
+        samples=[f"s{i}" for i in range(n_samples)],
+    )
+
+
+def admitted(threshold: CorrelationThreshold, rho: float, n_samples: int) -> bool:
+    """Whether the tiled kernel admits a pair correlated at ``rho``."""
+    ii, _, got = correlated_pair_arrays(two_gene_matrix(rho, n_samples), threshold=threshold)
+    if len(ii):
+        assert got[0] == pytest.approx(rho, abs=1e-12)
+    return bool(len(ii))
+
+
+class TestPairCorrelations:
+    def test_every_unordered_pair_listed_once(self):
+        m = toy_matrix()
+        ii, jj, _ = correlated_pair_arrays(m, threshold=LOOSE)
+        pairs = list(zip(ii.tolist(), jj.tolist()))
+        assert len(pairs) == len(set(pairs))
+        # the flat gene (row 4) has no pair; the other four form all 6 pairs
+        assert set(pairs) == {(i, j) for i in range(4) for j in range(i + 1, 4)}
+
+    def test_known_relationships(self):
+        rho = pair_rho(toy_matrix())
+        assert rho["a", "a_twin"] > 0.95
+        assert rho["a", "anti"] == pytest.approx(-1.0, abs=1e-9)
+        assert abs(rho["a", "noise"]) < 0.9
+
+    def test_flat_gene_is_never_admitted(self):
+        rho = pair_rho(toy_matrix())
+        assert not any("flat" in pair for pair in rho)
+
+    def test_matches_numpy_corrcoef(self):
+        m = toy_matrix()
+        ref = np.corrcoef(m.values[:4])
+        for (a, b), r in pair_rho(m).items():
+            assert r == pytest.approx(ref[m.genes.index(a), m.genes.index(b)], abs=1e-9)
+
+    def test_rho_stays_in_unit_interval(self):
+        base = np.random.default_rng(4).standard_normal(12)
+        m = ExpressionMatrix(
+            values=np.vstack([base, 2.0 * base + 1.0, -3.0 * base]),
+            genes=["a", "b", "c"],
+            samples=[f"s{i}" for i in range(12)],
+        )
+        _, _, rho = correlated_pair_arrays(m, threshold=LOOSE)
+        assert len(rho) == 3
+        assert np.all(np.abs(rho) <= 1.0)
+
+
 class TestThreshold:
     def test_effective_cutoff_binds_to_p_value_for_tiny_samples(self):
         t = CorrelationThreshold(min_abs_rho=0.5, max_p_value=0.0005)
         assert t.effective_cutoff(6) > 0.5
+
+    def test_default_admits_only_high_positive(self):
+        t = CorrelationThreshold()
+        assert admitted(t, 0.99, 12)
+        assert not admitted(t, 0.7, 12)
+        assert not admitted(t, -0.99, 12)
+
+    def test_include_negative(self):
+        t = CorrelationThreshold(include_negative=True)
+        assert admitted(t, -0.99, 12)
+        assert admitted(t, 0.99, 12)
+
+    def test_admits_positive_branch(self):
+        """Without ``include_negative`` the signed ρ is tested."""
+        t = CorrelationThreshold(min_abs_rho=0.9, max_p_value=0.01)
+        assert admitted(t, 0.95, 30)
+        assert not admitted(t, 0.5, 30)          # below the magnitude bar
+        assert not admitted(t, -0.95, 30)        # strong negatives are not edges
+        # with no magnitude bar the p-value alone decides, still on the signed ρ
+        zero_bar = CorrelationThreshold(min_abs_rho=0.0, max_p_value=0.01)
+        assert admitted(zero_bar, 0.6, 30)
+        assert not admitted(zero_bar, 0.01, 30)  # p-value fails
+        assert not admitted(zero_bar, -0.95, 30)
+
+    def test_admits_negative_branch(self):
+        """With ``include_negative`` the magnitude |ρ| is tested."""
+        t = CorrelationThreshold(min_abs_rho=0.9, max_p_value=0.01, include_negative=True)
+        assert admitted(t, 0.95, 30)
+        assert admitted(t, -0.95, 30)
+        assert not admitted(t, -0.5, 30)         # |rho| below the bar
+        assert not admitted(t, 0.5, 30)
+
+    def test_admits_p_value_vetoes_both_branches(self):
+        # with 4 samples even rho = 0.93 is insignificant at p <= 0.0005
+        for include_negative in (False, True):
+            t = CorrelationThreshold(
+                min_abs_rho=0.9, max_p_value=0.0005, include_negative=include_negative
+            )
+            assert not admitted(t, 0.93, 4)
+            assert not admitted(t, -0.93, 4)
 
 class TestCutoffFold:
     """``effective_cutoff`` decides the paper's case without scipy; the value must not move."""

@@ -10,6 +10,7 @@ from repro.clustering.mcode import (
     _peel_subset,
     mcode_score,
     mcode_vertex_weights_indices,
+    reference_highest_k_core,
     reference_k_core,
     reference_mcode_clusters,
     reference_mcode_vertex_weights,
@@ -66,6 +67,20 @@ class TestKCore:
         core = peeled_core(g, 2)
         assert not core.has_vertex("pendant")
         assert core.n_vertices == 4
+
+    def test_highest_k_core(self):
+        g = complete_graph(6)
+        g.add_edge("v0", "tail")
+        k, core = reference_highest_k_core(g)
+        assert k == 5
+        assert core.n_vertices == 6
+        assert peeled_core(g, k) == core
+        assert peeled_core(g, k + 1).n_vertices == 0
+
+    def test_highest_k_core_empty_graph(self):
+        k, core = reference_highest_k_core(Graph())
+        assert k == 0
+        assert core.n_vertices == 0
 
 
 class TestVertexWeights:
