@@ -10,7 +10,7 @@ stage and writes the measured trajectory to ``BENCH_workflow.json``:
   ``Graph.add_edge`` network build, ``reference_mcode_clusters``,
   ``reference_match_clusters``, per-pair early-exit ontology BFS
   (``GODag.reference_term_distance``), the reference per-edge enrichment
-  scorer (``engine="reference"``) and one enrichment pass per overlap
+  scorer (``reference_score_cluster``) and one enrichment pass per overlap
   criterion;
 * ``csr`` — the index-native path: vectorised tile extraction straight into
   CSR edge arrays, CSR MCODE, sparse intersection-count overlap matching, and the
@@ -72,7 +72,7 @@ from repro.expression.correlation import (
     network_from_pair_arrays,
 )
 from repro.graph import Graph
-from repro.ontology.enrichment import EnrichmentScorer
+from repro.ontology.enrichment import EnrichmentScorer, reference_score_cluster
 from repro.ontology.generator import make_study_ontology
 
 DATASET = "CRE"
@@ -186,12 +186,19 @@ def run_label_workflow(study: Any, dag: Any, annotations: Any) -> dict[str, Any]
     found = found_clusters(matches)
     lost = reference_lost_clusters(original, filtered)
     lap("match")
-    # engine="reference" keeps the retained per-edge double loop (the seed
-    # enrichment path); the default batched engine would bypass the proxy's
-    # seed distance function entirely.
-    scorer = EnrichmentScorer(_SeedDistanceDag(dag), annotations, engine="reference")
-    scored_node = classify_matches(matches, scorer, overlap_attr="node_overlap")
-    scored_edge = classify_matches(matches, scorer, overlap_attr="edge_overlap")
+    # The retained per-edge double loop (the seed enrichment path) scores
+    # every filtered cluster once per classification pass, through the
+    # proxy's seed distance function.
+    seed_dag = _SeedDistanceDag(dag)
+
+    def seed_aees() -> list[float]:
+        return [
+            reference_score_cluster(seed_dag, annotations, m.filtered.subgraph).aees
+            for m in matches
+        ]
+
+    scored_node = classify_matches(matches, None, overlap_attr="node_overlap", aees=seed_aees())
+    scored_edge = classify_matches(matches, None, overlap_attr="edge_overlap", aees=seed_aees())
     node_counts = quadrant_counts(scored_node)
     edge_counts = quadrant_counts(scored_edge)
     lap("classify")

@@ -33,11 +33,10 @@ import argparse
 import json
 import random
 import sys
-import time
 from typing import Iterator, Optional, Sequence
 
 from .core.sampling import apply_filter, filter_names
-from .parallel.runner import available_backends, configure_supervision
+from .parallel.runner import BACKOFF_SEED, available_backends, backoff, configure_supervision
 from .expression.datasets import DATASET_CONFIGS, dataset_names, default_scale, make_study
 from .graph.io import write_edge_list
 from .graph.ordering import get_ordering, ordering_names
@@ -381,7 +380,7 @@ def _read_port_file(path: str, retries: int) -> int:
     only once it is listening; retrying the read (missing or still-empty
     file) with seeded backoff lets a request race that startup safely.
     """
-    rng = random.Random(0)
+    rng = random.Random(BACKOFF_SEED)
     attempt = 0
     while True:
         try:
@@ -394,8 +393,7 @@ def _read_port_file(path: str, retries: int) -> int:
             if attempt >= retries:
                 raise
             attempt += 1
-            delay = min(2.0, 0.05 * 2 ** (attempt - 1))
-            time.sleep(delay * (0.5 + 0.5 * rng.random()))
+            backoff(rng, attempt)
 
 
 def _cmd_request(args: argparse.Namespace) -> int:

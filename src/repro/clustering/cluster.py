@@ -25,10 +25,11 @@ class Cluster:
     to labels once, :meth:`edge_set` on each call, and :attr:`subgraph` is
     cut from the CSR's label graph on first read.  The hand-built form
     ``Cluster(cluster_id, members, subgraph, score)`` holds its subgraph and
-    has no index view (``csr``, ``indices`` and ``pairs`` are ``None``), so
-    overlap matching runs the ``reference_*`` loops on it and enrichment
-    scores it one cluster at a time; only index-native clusters take the
-    fast paths.
+    has no index view (``csr``, ``indices`` and ``pairs`` are ``None``).  It
+    serves the oracle chain only (``reference_mcode_clusters`` makes it,
+    ``reference_match_clusters`` / ``reference_lost_clusters`` match it and
+    ``reference_score_cluster`` scores its subgraph); the product consumers,
+    ``match_and_lost_clusters`` and ``EnrichmentScorer``, refuse it.
 
     Attributes
     ----------

@@ -14,17 +14,17 @@ with any filtered cluster are *lost*.  Those categories, together with the
 overlap values and the enrichment score, drive the TP/FP/FN/TN quadrant
 analysis in :mod:`repro.clustering.evaluation`.
 
-:func:`match_and_lost_clusters` finds both at once.  For the two standard
-measures, when every cluster is index-native over one network's label space
-(MCODE's, see :class:`~repro.clustering.cluster.Cluster`), it joins member
-indices and packed edge pairs directly and computes only the nonzero
-pairwise intersection counts, by a sorted element join
-(:func:`_shared_counts`).  Memory and time grow with the number of shared
-(element, cluster) incidences, never with clusters × universe or original ×
-filtered clusters.  Any other input (hand-built clusters, mixed label
-spaces, a generic ``key``) runs the retained ``reference_match_clusters`` /
-``reference_lost_clusters`` loops, which the test suite pins the fast path
-to.
+:func:`match_and_lost_clusters` finds both at once, by node overlap, over
+index-native clusters of one network's label space (MCODE's, see
+:class:`~repro.clustering.cluster.Cluster`).  It joins member indices and
+packed edge pairs directly and computes only the nonzero pairwise
+intersection counts, by a sorted element join (:func:`_shared_counts`).
+Memory and time grow with the number of shared (element, cluster)
+incidences, never with clusters × universe or original × filtered clusters.
+It refuses any other input: hand-built clusters, two label spaces and other
+matching keys are the business of the retained ``reference_match_clusters`` /
+``reference_lost_clusters`` loops, which the test suite pins it to and which
+are called by name.
 """
 
 from __future__ import annotations
@@ -114,29 +114,27 @@ def _shared_counts(
     return rows, cols, counts.astype(np.float64)
 
 
-def _fast_width(
-    original_clusters: Sequence[Cluster],
-    filtered_clusters: Sequence[Cluster],
-    key: Callable[[Cluster, Cluster], float],
-) -> Optional[int]:
-    """The size of the label space the fast path joins over, or ``None``.
+def _label_width(
+    original_clusters: Sequence[Cluster], filtered_clusters: Sequence[Cluster]
+) -> int:
+    """The size of the one label space every cluster indexes.
 
-    The dispatch predicate of :func:`match_and_lost_clusters`: ``key`` must
-    be one of the two measures with a count form, and every cluster must be
-    index-native over one label tuple.  Anything else (a generic ``key``, a
-    hand-built cluster, two label spaces) takes the reference loops.
+    Each distinct ``labels`` tuple is compared once: the filtered network's
+    view carries a tuple equal to, but not always the same object as, the
+    original's.  A hand-built cluster or a second label space raises
+    ``ValueError``.
     """
-    if key is not node_overlap and key is not edge_overlap:
-        return None
-    labels: Optional[tuple] = None
+    spaces = {}
     for c in (*original_clusters, *filtered_clusters):
-        if c.csr is None:
-            return None
-        if labels is None:
-            labels = c.csr.labels
-        elif c.csr.labels is not labels and c.csr.labels != labels:
-            return None
-    return 0 if labels is None else len(labels)
+        labels = None if c.csr is None else c.csr.labels
+        spaces.setdefault(id(labels), labels)
+    first, *others = spaces.values() or [()]
+    if first is None or any(other != first for other in others):
+        raise ValueError(
+            "match_and_lost_clusters takes index-native clusters of one label space; "
+            "call reference_match_clusters / reference_lost_clusters for other input"
+        )
+    return len(first)
 
 
 def _index_incidences(
@@ -190,20 +188,19 @@ def _values_at(
 def _fast_matches(
     original_clusters: Sequence[Cluster],
     filtered_clusters: Sequence[Cluster],
-    key: Callable[[Cluster, Cluster], float],
     n: int,
 ) -> tuple[list[ClusterMatch], np.ndarray]:
-    """Best matches plus the original rows with any nonzero ``key`` overlap.
+    """Best matches plus the original rows with any nonzero node overlap.
 
     A filtered cluster's best original is the first one (lowest index)
-    attaining its largest ``key`` overlap — the seed loop's strict ``>`` scan
+    attaining its largest node overlap — the seed loop's strict ``>`` scan
     — found by one ``lexsort`` of the nonzero entries by (column, −value,
     row).  Filtered clusters with no nonzero entry are *found* (``None``).
     """
     width = len(filtered_clusters)
     node = _overlap_entries(original_clusters, filtered_clusters, False, n)
     edge = _overlap_entries(original_clusters, filtered_clusters, True, n)
-    rows, cols, values = node if key is node_overlap else edge
+    rows, cols, values = node
     order = np.lexsort((rows, -values, cols))
     first = order[np.diff(cols[order], prepend=-1) != 0]
     best_rows, best_cols = rows[first], cols[first]
@@ -232,29 +229,23 @@ def _lost_from_rows(original_clusters: Sequence[Cluster], rows: np.ndarray) -> l
 def match_and_lost_clusters(
     original_clusters: Sequence[Cluster],
     filtered_clusters: Sequence[Cluster],
-    key: Callable[[Cluster, Cluster], float] = node_overlap,
 ) -> tuple[list[ClusterMatch], list[Cluster]]:
     """Match every filtered cluster to its best original, and list the lost originals.
 
-    ``key(original, filtered)`` determines "best" (node overlap by default);
-    both node and edge overlap of the chosen pairing are reported.  Filtered
-    clusters with zero overlap against every original cluster are matched to
-    ``None`` — the paper's *found* clusters — and original clusters that
-    share nothing with any filtered cluster are *lost*.
+    "Best" is the largest node overlap; both node and edge overlap of the
+    chosen pairing are reported.  Filtered clusters with zero overlap
+    against every original cluster are matched to ``None`` — the paper's
+    *found* clusters — and original clusters that share nothing with any
+    filtered cluster are *lost*.
 
-    For the two standard measures (:func:`node_overlap` / :func:`edge_overlap`)
-    over index-native clusters this computes the sparse overlap entries once
-    (see :func:`_fast_width`) and reads the matches and the lost originals off
-    them; anything else runs :func:`reference_match_clusters` and
-    :func:`reference_lost_clusters`.
+    Every cluster must be index-native over one label space (see
+    :func:`_label_width`); the sparse overlap entries are computed once and
+    the matches and the lost originals read off them.  Other inputs raise
+    ``ValueError``: :func:`reference_match_clusters` and
+    :func:`reference_lost_clusters` take them.
     """
-    n = _fast_width(original_clusters, filtered_clusters, key)
-    if n is None:
-        return (
-            reference_match_clusters(original_clusters, filtered_clusters, key),
-            reference_lost_clusters(original_clusters, filtered_clusters, key),
-        )
-    matches, rows = _fast_matches(original_clusters, filtered_clusters, key, n)
+    n = _label_width(original_clusters, filtered_clusters)
+    matches, rows = _fast_matches(original_clusters, filtered_clusters, n)
     return matches, _lost_from_rows(original_clusters, rows)
 
 
@@ -264,7 +255,7 @@ def found_clusters(matches: Sequence[ClusterMatch]) -> list[Cluster]:
 
 
 # ----------------------------------------------------------------------
-# retained label-level references (generic-key behaviour)
+# retained label-level references (any cluster form, any key)
 # ----------------------------------------------------------------------
 def reference_match_clusters(
     original_clusters: Sequence[Cluster],

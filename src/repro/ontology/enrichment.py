@@ -15,8 +15,8 @@ how functionally coherent they are according to the Gene Ontology:
 
 Two implementations live here:
 
-* the **batched engine** (the default): edges are resolved over the interned
-  term space of :class:`~repro.ontology.go_dag.TermIndex` /
+* the **batched engine** (:class:`EnrichmentScorer`): edges are resolved
+  over the interned term space of :class:`~repro.ontology.go_dag.TermIndex` /
   :class:`~repro.ontology.annotation.AnnotationIndex`.  The distinct packed
   ``(ta, tb)`` term pairs across all edges are scored once — DCP by
   vectorised sorted-ancestor-array intersection, breadth from per-source
@@ -24,17 +24,17 @@ Two implementations live here:
   breadth)`` array table (:class:`_PairTable`); every edge then resolves by a
   gather plus a segment max, and whole cluster *sets* reduce to AEES /
   max-score / max-depth / dominant-term arrays with segment reductions
-  (:meth:`EnrichmentScorer.score_cluster_graphs`, which reads index-native
-  clusters' edge pairs without a label graph, and the label edges of graphs
-  and hand-built clusters).
+  (:meth:`EnrichmentScorer.score_cluster_graphs`, which reads the edge pairs
+  of index-native clusters and takes nothing else).
   Scoring is serial and in-process: at every scale
   ``benchmarks/bench_enrichment.py`` records, one process scores the
   distinct pairs faster than a worker fan-out ships them.
 * the **reference implementation**: the seed per-edge double loop over term
   pairs (:func:`reference_score_edge` / :func:`reference_score_cluster`),
-  retained as the behavioural pin — the test suite asserts the batched
-  engine reproduces it bit-identically (same DCP tie-breaks, same scores),
-  and ``benchmarks/bench_enrichment.py`` measures the gap.
+  retained as the behavioural pin and called by name on a label graph — the
+  test suite asserts the batched engine reproduces it bit-identically (same
+  DCP tie-breaks, same scores), and ``benchmarks/bench_enrichment.py``
+  measures the gap.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Hashable, Sequence
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
@@ -50,6 +50,9 @@ from ..graph.csr import sorted_unique
 from ..graph.graph import Graph, edge_key
 from .annotation import AnnotationIndex, AnnotationTable
 from .go_dag import GODag, TermIndex
+
+if TYPE_CHECKING:
+    from ..clustering.cluster import Cluster
 
 __all__ = [
     "EdgeAnnotation",
@@ -62,16 +65,6 @@ __all__ = [
 
 Vertex = Hashable
 Edge = tuple[Vertex, Vertex]
-#: A :class:`~repro.clustering.cluster.Cluster` or a cluster subgraph.
-ClusterLike = Any
-
-
-def _cluster_graph(item: ClusterLike) -> Optional[Graph]:
-    """The label subgraph of a graph or hand-built cluster; ``None`` for an
-    index-native cluster, whose edge pairs are read instead."""
-    if isinstance(item, Graph):
-        return item
-    return item.subgraph if item.pairs is None else None
 
 
 @dataclass(frozen=True)
@@ -254,28 +247,13 @@ class EnrichmentScorer:
     engine memoises the distinct term pairs it resolves edges against
     (:class:`_PairTable`).  The scorer is deliberately tied to one (DAG,
     annotation) pair and scores in-process; its term distances come from
-    the DAG's one distance cache, the :class:`TermIndex` BFS rows.
-
-    Parameters
-    ----------
-    engine:
-        ``"batched"`` (default) resolves edges over the interned term space;
-        ``"reference"`` forces the retained seed per-edge double loop
-        (:func:`reference_score_cluster`) — benchmarks use it to measure the
-        seed baseline.
+    the DAG's one distance cache, the :class:`TermIndex` BFS rows.  The seed
+    per-edge loop is not an option here: call :func:`reference_score_cluster`.
     """
 
-    def __init__(
-        self,
-        dag: GODag,
-        annotations: AnnotationTable,
-        engine: str = "batched",
-    ) -> None:
-        if engine not in ("batched", "reference"):
-            raise ValueError(f"engine must be 'batched' or 'reference', got {engine!r}")
+    def __init__(self, dag: GODag, annotations: AnnotationTable) -> None:
         self.dag = dag
         self.annotations = annotations
-        self.engine = engine
         self._pairs = _PairTable()
         self._pairs_index: Optional[TermIndex] = None
         self._rows: Optional[tuple[Sequence[Vertex], AnnotationIndex, np.ndarray]] = None
@@ -283,33 +261,21 @@ class EnrichmentScorer:
     # ------------------------------------------------------------------
     # array front-end (whole-bundle scoring, no per-edge objects)
     # ------------------------------------------------------------------
-    def score_cluster_graphs(self, clusters: Sequence[ClusterLike]) -> ClusterScores:
-        """Score a set of clusters in one concatenated pass.
+    def score_cluster_graphs(self, clusters: Sequence["Cluster"]) -> ClusterScores:
+        """Score a set of index-native clusters in one concatenated pass.
 
-        Each entry is a :class:`~repro.clustering.cluster.Cluster` or a
-        cluster subgraph.  The edges of all clusters are resolved against
-        the pair table together, and the per-cluster aggregates (AEES, max
-        score, max depth, dominant term) come out of segment reductions — no
-        per-edge Python objects.  Bit-identical to
+        Each entry is a :class:`~repro.clustering.cluster.Cluster` with an
+        index view (``pairs`` over ``csr``), as MCODE makes them; a graph or
+        a hand-built cluster raises ``TypeError`` (score its subgraph with
+        :func:`reference_score_cluster`).  The edges of all clusters are
+        resolved against the pair table together, and the per-cluster
+        aggregates (AEES, max score, max depth, dominant term) come out of
+        segment reductions — no per-edge Python objects.  Bit-identical to
         :func:`reference_score_cluster` aggregates over each cluster's
         subgraph: every edge is scored in its ``edge_key`` orientation, as a
         graph walk reports it, and edge scores are integer-valued, so the
         float sums are exact in any order.
         """
-        if self.engine == "reference":
-            per = [
-                reference_score_cluster(
-                    self.dag, self.annotations, c if isinstance(c, Graph) else c.subgraph
-                )
-                for c in clusters
-            ]
-            return ClusterScores(
-                aees=np.array([c.aees for c in per], dtype=float),
-                max_score=np.array([c.max_score for c in per], dtype=float),
-                max_depth=np.array([c.max_depth for c in per], dtype=np.int64),
-                n_edges=np.array([len(c.edges) for c in per], dtype=np.int64),
-                dominant=[c.dominant_term() for c in per],
-            )
         term_index, ann_index = self._indexes()
         n_clusters = len(clusters)
         ru, rv, cluster_of = self._edge_rows(clusters, ann_index)
@@ -349,11 +315,10 @@ class EnrichmentScorer:
             dominant=dominant,
         )
 
-    def cluster_aees(self, clusters: Sequence[ClusterLike]) -> list[float]:
-        """AEES of each cluster (or cluster subgraph) — the quadrant evaluation's input.
+    def cluster_aees(self, clusters: Sequence["Cluster"]) -> list[float]:
+        """AEES of each index-native cluster — the quadrant evaluation's input.
 
-        One concatenated batch on the batched engine (see
-        :meth:`score_cluster_graphs`).
+        One concatenated batch (see :meth:`score_cluster_graphs`).
         """
         return self.score_cluster_graphs(clusters).aees.tolist()
 
@@ -361,31 +326,29 @@ class EnrichmentScorer:
     # batched internals
     # ------------------------------------------------------------------
     def _edge_rows(
-        self, clusters: Sequence[ClusterLike], ann_index: AnnotationIndex
+        self, clusters: Sequence["Cluster"], ann_index: AnnotationIndex
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Gene rows ``(ru, rv)`` of every cluster edge and the cluster it belongs to.
 
-        Each edge is oriented as ``edge_key`` orders its labels.
-        Index-native clusters over one label space (one network and its
-        filtered views share its label tuple) concatenate their pairs and
-        map them through one row array; a graph or hand-built cluster maps
-        its label edges directly.
+        Each edge is oriented as ``edge_key`` orders its labels.  Clusters
+        over one label space (one network and its filtered views share its
+        label tuple) concatenate their pairs and map them through one row
+        array.
         """
         spaces: dict[int, tuple[Sequence[Vertex], list[int], list[np.ndarray]]] = {}
         ru = [np.empty(0, dtype=np.int64)]
         rv = [np.empty(0, dtype=np.int64)]
         cluster_of = [np.empty(0, dtype=np.int64)]
         for position, item in enumerate(clusters):
-            graph = _cluster_graph(item)
-            if graph is None:
-                space = spaces.setdefault(id(item.csr.labels), (item.csr.labels, [], []))
-                space[1].append(position)
-                space[2].append(item.pairs)
-                continue
-            edges = list(graph.iter_edges())
-            ru.append(ann_index.rows_for(u for u, _ in edges))
-            rv.append(ann_index.rows_for(v for _, v in edges))
-            cluster_of.append(np.full(len(edges), position, dtype=np.int64))
+            if getattr(item, "pairs", None) is None:
+                raise TypeError(
+                    f"score_cluster_graphs takes index-native clusters, got a "
+                    f"{type(item).__name__} without an index view; score a label "
+                    "graph with reference_score_cluster"
+                )
+            space = spaces.setdefault(id(item.csr.labels), (item.csr.labels, [], []))
+            space[1].append(position)
+            space[2].append(item.pairs)
         for labels, positions, pair_list in spaces.values():
             pairs = np.concatenate(pair_list)
             rows = self._label_rows(labels, ann_index)

@@ -26,7 +26,6 @@ __all__ = [
     "configure_supervision",
     "supervision_policy",
     "supervision_counters",
-    "reset_supervision_counters",
     "pop_supervision_events",
     "RankResult",
     "SpmdReport",
@@ -53,8 +52,7 @@ __getattr__, __dir__ = lazy_exports(
             "configure_supervision",
             "parallel_map",
             "pop_supervision_events",
-            "reset_supervision_counters",
-            "run_spmd",
+                    "run_spmd",
             "shutdown_worker_pool",
             "supervision_counters",
             "supervision_policy",

@@ -36,18 +36,22 @@ interpreter exit.
 
 Failure supervision
 -------------------
-Both entry points run under a supervising retry policy (see
-:class:`SupervisionPolicy` / :func:`configure_supervision`).  Two classes of
-*infrastructure* failure are distinguished from ordinary errors in user code,
-which always propagate untouched:
+Both entry points run under one process-wide retry policy of two settings,
+``max_retries`` and ``degrade`` (:class:`SupervisionPolicy`, set by
+:func:`configure_supervision` or the CLI's ``--max-retries`` /
+``--no-degrade``; no call overrides it).  Two classes of *infrastructure*
+failure are distinguished from ordinary errors in user code, which always
+propagate untouched:
 
 * **retryable** — a worker died mid-map or mid-round
   (:class:`WorkerPoolError`, :class:`DeadRankError`).  A broken map tears
   the hub down, a dead rank drops its worker, and the map (or the whole
   deterministic SPMD round) is retried on fresh workers, same backend, up to
-  ``max_retries`` times with seeded jittered exponential backoff.  These
-  never degrade the backend: a payload that kills its worker would take the
-  host process down with it on the thread/serial backends.
+  ``max_retries`` times, spaced by :func:`backoff` (the package's one
+  seeded, jittered, capped exponential schedule; its constants are module
+  globals, not settings).  These never degrade the backend: a payload that
+  kills its worker would take the host process down with it on the
+  thread/serial backends.
 * **degradable** — the backend's substrate could not be brought up at all
   (hub creation, worker spawn or a missing hello).  After retries are
   exhausted the supervisor steps down the degradation ladder ``process →
@@ -79,9 +83,9 @@ __all__ = [
     "SupervisionPolicy",
     "configure_supervision",
     "supervision_policy",
+    "backoff",
     "pop_supervision_events",
     "supervision_counters",
-    "reset_supervision_counters",
     "comm_counters",
     "run_spmd",
     "parallel_map",
@@ -118,6 +122,28 @@ RankFn = Callable[..., Any]
 # ----------------------------------------------------------------------
 # supervision policy, events and counters
 # ----------------------------------------------------------------------
+BACKOFF_BASE = 0.05
+BACKOFF_FACTOR = 2.0
+BACKOFF_MAX = 2.0
+BACKOFF_SEED = 0
+
+
+def backoff(rng: random.Random, attempt: int) -> float:
+    """Sleep before retry ``attempt`` (1-based) and return the delay slept.
+
+    The one retry schedule of the runtime, the serve client and ``repro
+    request``: ``BACKOFF_BASE * BACKOFF_FACTOR**(attempt-1)`` seconds,
+    capped at ``BACKOFF_MAX``, times a jitter in ``[0.5, 1.0)`` from
+    ``rng`` (callers hold a ``Random(BACKOFF_SEED)``) — so a retry storm
+    from many callers decorrelates, yet each caller's schedule is
+    reproducible.
+    """
+    delay = min(BACKOFF_MAX, BACKOFF_BASE * BACKOFF_FACTOR ** (attempt - 1))
+    delay *= 0.5 + 0.5 * rng.random()
+    time.sleep(delay)
+    return delay
+
+
 @dataclass
 class SupervisionPolicy:
     """Retry/degradation policy applied by :func:`parallel_map` / :func:`run_spmd`.
@@ -125,19 +151,11 @@ class SupervisionPolicy:
     ``max_retries`` bounds the *extra* attempts per ladder rung (0 restores
     the pre-supervision fail-fast behaviour).  ``degrade`` enables the
     backend step-down ladder for degradable infrastructure failures.  The
-    backoff between attempts is exponential with seeded jitter:
-    ``min(backoff_max, backoff_base * backoff_factor**(attempt-1))`` scaled
-    by a uniform factor in ``[0.5, 1.0)`` drawn from ``Random(seed)`` — so a
-    retry storm from many supervised callers decorrelates, yet any single
-    run's schedule is reproducible.
+    attempts are spaced by :func:`backoff`.
     """
 
     max_retries: int = 2
     degrade: bool = True
-    backoff_base: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_max: float = 2.0
-    seed: int = 0
 
 
 _policy = SupervisionPolicy()
@@ -151,10 +169,6 @@ _counters = {"retries": 0, "degrades": 0}
 def configure_supervision(
     max_retries: Optional[int] = None,
     degrade: Optional[bool] = None,
-    backoff_base: Optional[float] = None,
-    backoff_factor: Optional[float] = None,
-    backoff_max: Optional[float] = None,
-    seed: Optional[int] = None,
 ) -> SupervisionPolicy:
     """Update the process-wide :class:`SupervisionPolicy` (None = keep current)."""
     global _policy
@@ -163,10 +177,6 @@ def configure_supervision(
         _policy = SupervisionPolicy(
             max_retries=p.max_retries if max_retries is None else max(0, int(max_retries)),
             degrade=p.degrade if degrade is None else bool(degrade),
-            backoff_base=p.backoff_base if backoff_base is None else float(backoff_base),
-            backoff_factor=p.backoff_factor if backoff_factor is None else float(backoff_factor),
-            backoff_max=p.backoff_max if backoff_max is None else float(backoff_max),
-            seed=p.seed if seed is None else int(seed),
         )
         return _policy
 
@@ -196,12 +206,6 @@ def supervision_counters() -> dict[str, int]:
     """Process-wide totals of supervision actions (for serve ``stats``)."""
     with _counters_lock:
         return dict(_counters)
-
-
-def reset_supervision_counters() -> None:
-    with _counters_lock:
-        for key in _counters:
-            _counters[key] = 0
 
 
 _comm_totals_lock = threading.Lock()
@@ -270,18 +274,11 @@ def _degradation_ladder(backend: str, floor: str = "serial") -> list[str]:
     return [backend, *_LADDER[start + 1 : stop + 1]]
 
 
-def _backoff_sleep(rng: random.Random, policy: SupervisionPolicy, attempt: int) -> None:
-    delay = min(policy.backoff_max, policy.backoff_base * policy.backoff_factor ** (attempt - 1))
-    time.sleep(delay * (0.5 + 0.5 * rng.random()))
-
-
 def _supervise(
     entry: str,
     backend: str,
     ladder: list[str],
     attempt_fn: Callable[[str], Any],
-    max_retries: Optional[int],
-    degrade: Optional[bool],
 ) -> Any:
     """Run ``attempt_fn(backend)`` under the retry/degradation policy.
 
@@ -291,9 +288,7 @@ def _supervise(
     child traceback — propagates on the first occurrence.
     """
     policy = supervision_policy()
-    retries = policy.max_retries if max_retries is None else max(0, int(max_retries))
-    degrade_ok = policy.degrade if degrade is None else bool(degrade)
-    rng = random.Random(policy.seed)
+    rng = random.Random(BACKOFF_SEED)
     idx = 0
     attempts = 0
     while True:
@@ -301,34 +296,14 @@ def _supervise(
         try:
             return attempt_fn(current)
         except (WorkerPoolError, DeadRankError) as exc:
-            if attempts >= retries:
+            if attempts >= policy.max_retries:
                 raise
-            attempts += 1
-            _record_event(
-                {
-                    "action": "retry",
-                    "entry": entry,
-                    "backend": current,
-                    "attempt": attempts,
-                    "error": f"{type(exc).__name__}: {exc}",
-                }
-            )
-            _backoff_sleep(rng, policy, attempts)
+            error = f"{type(exc).__name__}: {exc}"
         except _DegradableFailure as exc:
             error = f"{type(exc.original).__name__}: {exc.original}"
-            if attempts < retries:
-                attempts += 1
-                _record_event(
-                    {
-                        "action": "retry",
-                        "entry": entry,
-                        "backend": current,
-                        "attempt": attempts,
-                        "error": error,
-                    }
-                )
-                _backoff_sleep(rng, policy, attempts)
-            elif degrade_ok and idx + 1 < len(ladder):
+            if attempts >= policy.max_retries:
+                if not (policy.degrade and idx + 1 < len(ladder)):
+                    raise exc.original from exc.original.__cause__
                 _record_event(
                     {
                         "action": "degrade",
@@ -340,8 +315,18 @@ def _supervise(
                 )
                 idx += 1
                 attempts = 0
-            else:
-                raise exc.original from exc.original.__cause__
+                continue
+        attempts += 1
+        _record_event(
+            {
+                "action": "retry",
+                "entry": entry,
+                "backend": current,
+                "attempt": attempts,
+                "error": error,
+            }
+        )
+        backoff(rng, attempts)
 
 
 @dataclass
@@ -459,8 +444,6 @@ def run_spmd(
     kwargs: Optional[dict[str, Any]] = None,
     rank_args: Optional[Sequence[Sequence[Any]]] = None,
     backend: str = "thread",
-    max_retries: Optional[int] = None,
-    degrade: Optional[bool] = None,
 ) -> SpmdReport:
     """Execute ``fn(comm, *args, **kwargs)`` on ``n_ranks`` simulated ranks.
 
@@ -483,14 +466,14 @@ def run_spmd(
         ``"process"`` (aliases ``"process-shm"``, ``"process-sock"``) runs
         each rank on a resident worker process (``fn``, payloads and results
         must be picklable).
-    max_retries, degrade:
-        Per-call overrides of the process-wide :class:`SupervisionPolicy`.
-        A dead rank (:class:`DeadRankError`) retries the whole round — one
-        SPMD round is a deterministic unit, so a clean rerun produces the
-        identical result; substrate bring-up failures degrade the backend
-        down to ``thread`` (never ``serial``: blocking receives need live
-        peers).  The report's ``backend`` field records the backend that
-        actually ran (an alias keeps its own name).
+
+    Under the process-wide :class:`SupervisionPolicy`, a dead rank
+    (:class:`DeadRankError`) retries the whole round — one SPMD round is a
+    deterministic unit, so a clean rerun produces the identical result;
+    substrate bring-up failures degrade the backend down to ``thread``
+    (never ``serial``: blocking receives need live peers).  The report's
+    ``backend`` field records the backend that actually ran (an alias keeps
+    its own name).
 
     Returns
     -------
@@ -516,8 +499,6 @@ def run_spmd(
         backend,
         ladder,
         lambda b: _run_spmd_backend(fn, n_ranks, args, kwargs, rank_args, b),
-        max_retries,
-        degrade,
     )
     _accumulate_comm(report.total_stats())
     return report
@@ -553,8 +534,6 @@ def parallel_map(
     items: Sequence[Sequence[Any]],
     backend: str = "serial",
     processes: Optional[int] = None,
-    max_retries: Optional[int] = None,
-    degrade: Optional[bool] = None,
 ) -> list[Any]:
     """Apply ``fn(*item)`` to every item, optionally in parallel.
 
@@ -574,10 +553,9 @@ def parallel_map(
 
     The result order always matches the input order.
 
-    ``max_retries`` / ``degrade`` override the process-wide
-    :class:`SupervisionPolicy` for this call: a :class:`WorkerPoolError`
-    retries the map on fresh workers (same backend); hub bring-up failures
-    degrade ``process → thread → serial``.
+    Under the process-wide :class:`SupervisionPolicy`, a
+    :class:`WorkerPoolError` retries the map on fresh workers (same
+    backend); hub bring-up failures degrade ``process → thread → serial``.
     """
     if backend not in available_backends():
         raise ValueError(f"unknown backend {backend!r}; expected one of {available_backends()}")
@@ -591,8 +569,6 @@ def parallel_map(
         backend,
         _degradation_ladder(backend),
         lambda b: _map_backend(payloads, b, processes),
-        max_retries,
-        degrade,
     )
 
 

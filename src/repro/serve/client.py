@@ -10,9 +10,10 @@ caller forever.
 Two bounded retry knobs make the client robust against a daemon that is
 *about* to be available rather than absent:
 
-* ``connect_retries`` — re-attempt a refused connection with seeded jittered
-  backoff, so ``repro request`` issued immediately after ``repro serve &``
-  finds the socket once the daemon finishes binding;
+* ``connect_retries`` — re-attempt a refused connection after the runtime's
+  one seeded jittered backoff (:func:`repro.parallel.runner.backoff`), so
+  ``repro request`` issued immediately after ``repro serve &`` finds the
+  socket once the daemon finishes binding;
 * ``max_retries`` — re-issue a request after a transient failure (``busy``
   rejection, timeout, dropped connection), reconnecting first.  Work
   requests are idempotent by construction — the daemon keys them by spec
@@ -27,9 +28,9 @@ from __future__ import annotations
 
 import random
 import socket
-import time
 from typing import Any, Optional
 
+from ..parallel.runner import BACKOFF_SEED, backoff
 from .protocol import read_message, write_message
 
 __all__ = ["ServeError", "ServeTimeout", "ServeClient"]
@@ -63,27 +64,18 @@ class ServeClient:
         timeout: float = 60.0,
         connect_retries: int = 0,
         max_retries: int = 0,
-        backoff_base: float = 0.05,
-        backoff_max: float = 2.0,
-        seed: int = 0,
     ) -> None:
         self.host = host
         self.port = port
         self.timeout = timeout
         self.connect_retries = max(0, int(connect_retries))
         self.max_retries = max(0, int(max_retries))
-        self.backoff_base = float(backoff_base)
-        self.backoff_max = float(backoff_max)
-        self._rng = random.Random(seed)
+        self._rng = random.Random(BACKOFF_SEED)
         self._next_id = 0
         self._sock: Optional[socket.socket] = None
         self._connect()
 
     # ------------------------------------------------------------------
-    def _backoff(self, attempt: int) -> None:
-        delay = min(self.backoff_max, self.backoff_base * 2 ** (attempt - 1))
-        time.sleep(delay * (0.5 + 0.5 * self._rng.random()))
-
     def _connect(self) -> None:
         """(Re)open the connection, retrying refused attempts when asked to."""
         self._teardown()
@@ -98,7 +90,7 @@ class ServeClient:
                 if attempt >= self.connect_retries:
                     raise
                 attempt += 1
-                self._backoff(attempt)
+                backoff(self._rng, attempt)
         self._rfile = self._sock.makefile("rb")
         self._wfile = self._sock.makefile("wb")
 
@@ -145,14 +137,14 @@ class ServeClient:
                 if exc.code != "disconnected" or attempt >= self.max_retries:
                     raise
                 attempt += 1
-                self._backoff(attempt)
+                backoff(self._rng, attempt)
                 self._reconnect_quietly()
                 continue
             except (ServeTimeout, OSError):
                 if attempt >= self.max_retries:
                     raise
                 attempt += 1
-                self._backoff(attempt)
+                backoff(self._rng, attempt)
                 self._reconnect_quietly()
                 continue
             if response.get("ok"):
@@ -161,7 +153,7 @@ class ServeClient:
             code = error.get("code", "internal")
             if code in _RETRYABLE_CODES and attempt < self.max_retries:
                 attempt += 1
-                self._backoff(attempt)
+                backoff(self._rng, attempt)
                 if code == "disconnected":
                     self._reconnect_quietly()
                 continue

@@ -96,7 +96,6 @@ class ReproServer:
         max_pending: int = 64,
         cache_size: int = 256,
         hooks: Optional[ServerHooks] = None,
-        extra_handlers: Optional[dict[str, Callable[[dict[str, Any]], Any]]] = None,
         supervisor_interval: float = 1.0,
     ) -> None:
         self.host = host
@@ -110,9 +109,6 @@ class ReproServer:
         self.max_pending = max_pending
         self.cache_size = cache_size
         self.hooks = hooks or ServerHooks()
-        #: Test-only ops (fault injection) executed through admission but
-        #: outside the dataset/cache path; ``fn(params) -> payload``.
-        self.extra_handlers = dict(extra_handlers or {})
         self.supervisor_interval = float(supervisor_interval)
 
         self._lock = threading.Lock()
@@ -366,8 +362,6 @@ class ReproServer:
             # not wait on this very connection.
             threading.Thread(target=self.stop, name="serve-stop", daemon=True).start()
             return ok_response(request.id, {"stopping": True})
-        if op in self.extra_handlers:
-            return self._dispatch_extra(request)
         if op in HANDLERS:
             return self._dispatch_work(request)
         return error_response(
@@ -433,23 +427,6 @@ class ReproServer:
     def _on_reload_drain(self, dataset_key: str) -> None:
         if self.hooks.on_reload_drain is not None:
             self.hooks.on_reload_drain(dataset_key)
-
-    def _dispatch_extra(self, request: Request) -> dict[str, Any]:
-        fn = self.extra_handlers[request.op]
-        params = dict(request.params)
-        try:
-            ticket = self.admission.submit(lambda: fn(params))
-        except BusyError as err:
-            return error_response(request.id, ERROR_BUSY, str(err))
-        except ShuttingDownError as err:
-            return error_response(request.id, ERROR_SHUTTING_DOWN, str(err))
-        if self.hooks.on_enqueued is not None:
-            self.hooks.on_enqueued(request.op, "")
-        ticket.wait()
-        if ticket.error is not None:
-            err = ticket.error
-            return error_response(request.id, ERROR_INTERNAL, f"{type(err).__name__}: {err}")
-        return ok_response(request.id, ticket.value)
 
     def _dispatch_work(self, request: Request) -> dict[str, Any]:
         try:

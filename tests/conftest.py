@@ -7,10 +7,14 @@ exercising the full pipeline.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.clustering.cluster import Cluster
 from repro.expression.datasets import StudyConfig, generate_study
+from repro.faults import clear_plan
 from repro.graph import (
+    CSRGraph,
     Graph,
     barabasi_albert_graph,
     complete_graph,
@@ -26,6 +30,7 @@ from repro.graph import (
 from repro.graph.graph import edge_key
 from repro.ontology.enrichment import EdgeAnnotation
 from repro.ontology.generator import make_go_dag
+from repro.parallel.runner import pop_supervision_events, supervision_counters
 from repro.pipeline.workflow import prepare_dataset
 
 
@@ -162,3 +167,59 @@ def score_edges():
     edge, scored in the orientation given — the form ``reference_score_edge``
     returns."""
     return _score_edges
+
+
+def _index_cluster(csr, cid, members, pairs, score=4.0) -> Cluster:
+    indices = np.array(members, dtype=np.int64)
+    edges = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    return Cluster.from_indices(cid, csr, indices, edges, score, members[0] if members else 0)
+
+
+@pytest.fixture
+def index_cluster():
+    """``index_cluster(csr, cid, members, pairs, score=4.0)``: an index-native
+    cluster over ``csr`` from member indices and ``(u, v)`` index pairs — the
+    form MCODE hands the product consumers."""
+    return _index_cluster
+
+
+def _graph_clusters(*graphs: Graph) -> list[Cluster]:
+    union = Graph()
+    for g in graphs:
+        for v in g.vertices():
+            union.add_vertex(v)
+        union.add_edges(g.iter_edges())
+    csr = CSRGraph.from_graph(union)
+    return [
+        _index_cluster(
+            csr,
+            cid,
+            csr.to_indices(g.vertices()),
+            [csr.to_indices(edge) for edge in g.iter_edges()],
+        )
+        for cid, g in enumerate(graphs)
+    ]
+
+
+@pytest.fixture
+def graph_clusters():
+    """``graph_clusters(*graphs)``: one index-native cluster per label graph
+    (its vertices and edges), all over the CSR of the graphs' union, so they
+    share one label space.  At least one graph must have a vertex."""
+    return _graph_clusters
+
+
+@pytest.fixture
+def counter_delta():
+    """No fault plan and drained supervision events around the test.
+
+    Yields ``delta()``: how far the process-wide supervision counters moved
+    since the test began, so a count an earlier test left behind cannot
+    satisfy an assertion.
+    """
+    clear_plan()
+    pop_supervision_events()
+    start = supervision_counters()
+    yield lambda: {key: value - start[key] for key, value in supervision_counters().items()}
+    clear_plan()
+    pop_supervision_events()

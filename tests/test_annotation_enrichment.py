@@ -123,21 +123,24 @@ class TestEdgeScoring:
 
 
 class TestClusterScoring:
-    def test_cluster_aees_average(self, score_edges, dag, annotations):
+    def test_cluster_aees_average(self, score_edges, graph_clusters, dag, annotations):
         scorer = EnrichmentScorer(dag, annotations)
         cluster = Graph(edges=[("geneA", "geneC"), ("geneA", "geneD")])
         scores = sorted(e.score for e in score_edges(scorer, list(cluster.iter_edges())))
-        enrichment = scorer.score_cluster_graphs([cluster])
+        enrichment = scorer.score_cluster_graphs(graph_clusters(cluster))
         assert enrichment.aees[0] == pytest.approx(sum(scores) / 2)
         assert enrichment.max_score[0] == max(scores)
 
-    def test_empty_cluster(self, dag, annotations):
-        enrichment = EnrichmentScorer(dag, annotations).score_cluster_graphs([Graph()])
+    def test_empty_cluster(self, graph_clusters, dag, annotations):
+        empty = graph_clusters(Graph(), Graph(vertices=["geneA"]))[:1]
+        enrichment = EnrichmentScorer(dag, annotations).score_cluster_graphs(empty)
         assert enrichment.aees[0] == 0.0
         assert enrichment.dominant == [None]
 
-    def test_dominant_term(self, dag, annotations):
+    def test_dominant_term(self, graph_clusters, dag, annotations):
         cluster = Graph(edges=[("geneA", "geneC"), ("geneB", "geneA")])
-        enrichment = EnrichmentScorer(dag, annotations).score_cluster_graphs([cluster])
+        enrichment = EnrichmentScorer(dag, annotations).score_cluster_graphs(
+            graph_clusters(cluster)
+        )
         assert enrichment.dominant[0] in {"L3a", "L2a"}
         assert enrichment.n_edges[0] == 2

@@ -24,8 +24,6 @@ from repro.clustering import (
     MCODEParams,
     match_and_lost_clusters,
     mcode_clusters,
-    node_overlap,
-    edge_overlap,
     reference_k_core,
     reference_lost_clusters,
     reference_match_clusters,
@@ -166,63 +164,68 @@ class TestCSRMCODE:
         assert_clusters_identical(mcode_clusters(g), mcode_clusters(csr))
 
 
-def _random_clusters(g: Graph, rng: np.random.Generator, count: int) -> list[Cluster]:
+def _random_clusters(index_cluster, g: Graph, rng: np.random.Generator, count: int) -> list[Cluster]:
+    """``count`` index-native clusters over ``g``'s view, each an induced subgraph."""
+    csr = CSRGraph.of(g)
     verts = g.vertices()
     out = []
     for i in range(count):
         k = int(rng.integers(0, min(8, len(verts)) + 1))
         members = [verts[j] for j in rng.choice(len(verts), size=k, replace=False)]
-        out.append(
-            Cluster(cluster_id=i, members=members, subgraph=g.subgraph(members), score=1.0)
-        )
+        pairs = [csr.to_indices(edge) for edge in g.subgraph(members).iter_edges()]
+        out.append(index_cluster(csr, i, csr.to_indices(members), pairs, score=1.0))
     return out
 
 
 class TestCSRMatching:
     @pytest.mark.parametrize("seed", range(8))
-    def test_matches_reference_match_and_lost_clusters(self, seed: int):
+    def test_matches_reference_match_and_lost_clusters(self, seed: int, index_cluster):
         rng = np.random.default_rng(seed)
         g = erdos_renyi_graph(25, 0.2, seed=seed)
-        original = _random_clusters(g, rng, int(rng.integers(0, 7)))
-        filtered = _random_clusters(g, rng, int(rng.integers(0, 7)))
-        for key in (node_overlap, edge_overlap):
-            ref = reference_match_clusters(original, filtered, key)
-            new, lost = match_and_lost_clusters(original, filtered, key)
-            assert len(ref) == len(new)
-            for r, m in zip(ref, new):
-                assert r.original is m.original
-                assert r.node_overlap == m.node_overlap
-                assert r.edge_overlap == m.edge_overlap
-            assert lost == reference_lost_clusters(original, filtered, key)
+        original = _random_clusters(index_cluster, g, rng, int(rng.integers(0, 7)))
+        filtered = _random_clusters(index_cluster, g, rng, int(rng.integers(0, 7)))
+        ref = reference_match_clusters(original, filtered)
+        new, lost = match_and_lost_clusters(original, filtered)
+        assert len(ref) == len(new)
+        for r, m in zip(ref, new):
+            assert r.original is m.original
+            assert r.node_overlap == m.node_overlap
+            assert r.edge_overlap == m.edge_overlap
+        assert lost == reference_lost_clusters(original, filtered)
 
-    def test_generic_key_falls_back_to_reference(self):
+    def test_generic_key_falls_back_to_reference(self, index_cluster):
+        # Matching ranks by node overlap only; any other key is the business
+        # of the reference loops, called by name.
         rng = np.random.default_rng(3)
         g = erdos_renyi_graph(20, 0.25, seed=3)
-        original = _random_clusters(g, rng, 4)
-        filtered = _random_clusters(g, rng, 4)
+        original = _random_clusters(index_cluster, g, rng, 4)
+        filtered = _random_clusters(index_cluster, g, rng, 4)
 
         def jaccard(a, b):
             na, nb = a.node_set(), b.node_set()
             return len(na & nb) / len(na | nb) if na | nb else 0.0
 
+        with pytest.raises(TypeError):
+            match_and_lost_clusters(original, filtered, jaccard)
         ref = reference_match_clusters(original, filtered, jaccard)
-        new, lost = match_and_lost_clusters(original, filtered, jaccard)
-        assert [(m.original, m.node_overlap, m.edge_overlap) for m in ref] == [
-            (m.original, m.node_overlap, m.edge_overlap) for m in new
-        ]
-        assert lost == reference_lost_clusters(original, filtered, jaccard)
+        for fc, m in zip(filtered, ref):
+            best = max(range(len(original)), key=lambda r: (jaccard(original[r], fc), -r))
+            want = original[best] if jaccard(original[best], fc) > 0.0 else None
+            assert m.filtered is fc and m.original is want
+        lost = [oc for oc in original if all(jaccard(oc, fc) == 0.0 for fc in filtered)]
+        assert reference_lost_clusters(original, filtered, jaccard) == lost
 
-    def test_no_originals_yields_found_matches(self):
+    def test_no_originals_yields_found_matches(self, index_cluster):
         g = complete_graph(5)
-        filtered = _random_clusters(g, np.random.default_rng(0), 3)
+        filtered = _random_clusters(index_cluster, g, np.random.default_rng(0), 3)
         matches, lost = match_and_lost_clusters([], filtered)
         for m in matches:
             assert m.original is None and m.is_found
         assert lost == []
 
-    def test_no_filtered_clusters_loses_everything(self):
+    def test_no_filtered_clusters_loses_everything(self, index_cluster):
         g = complete_graph(5)
-        original = _random_clusters(g, np.random.default_rng(1), 3)
+        original = _random_clusters(index_cluster, g, np.random.default_rng(1), 3)
         assert match_and_lost_clusters(original, [])[1] == list(original)
 
 

@@ -10,7 +10,8 @@ implementation is retained as ``reference_*`` and the new path is pinned
   orientation-sensitive first-pair-wins tie-break — across randomized DAGs
   and annotation tables,
 * the whole-bundle array front-end (``score_cluster_graphs``) against
-  per-cluster ``reference_score_cluster`` aggregates,
+  per-cluster ``reference_score_cluster`` aggregates, and its refusal of
+  label graphs and hand-built clusters (the oracle's inputs),
 * the edge cases: unannotated endpoints, empty clusters, empty term lists
   and ``dominant_term`` tie-breaking.
 """
@@ -20,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.clustering.cluster import Cluster
 from repro.graph import Graph
 from repro.ontology import (
     AnnotationTable,
@@ -208,7 +210,7 @@ class TestBatchedEqualsReference:
         assert backward == reference_score_edge(dag, table, "g2", "g1")
 
     @pytest.mark.parametrize("seed", [0, 2, 5])
-    def test_score_cluster_graphs_matches_reference_aggregates(self, seed):
+    def test_score_cluster_graphs_matches_reference_aggregates(self, seed, graph_clusters):
         dag = random_dag(seed, depth=4)
         table = random_annotations(dag, seed + 100, n_genes=30)
         rng = np.random.default_rng(seed)
@@ -223,7 +225,7 @@ class TestBatchedEqualsReference:
             clusters.append(g)
         clusters.append(Graph())  # empty cluster
         scorer = EnrichmentScorer(dag, table)
-        scores = scorer.score_cluster_graphs(clusters)
+        scores = scorer.score_cluster_graphs(graph_clusters(*clusters))
         assert len(scores) == len(clusters)
         for i, g in enumerate(clusters):
             ref = reference_score_cluster(dag, table, g)
@@ -233,28 +235,37 @@ class TestBatchedEqualsReference:
             assert scores.n_edges[i] == len(ref.edges)
             assert scores.dominant[i] == ref.dominant_term()
 
-    def test_cluster_aees_matches_reference_score_cluster(self):
+    def test_cluster_aees_matches_reference_score_cluster(self, graph_clusters):
         dag = random_dag(7)
         table = random_annotations(dag, 7)
         g = Graph(edges=[("gene1", "gene2"), ("gene3", "gene4"), ("gene2", "gene3")])
         scorer = EnrichmentScorer(dag, table)
-        assert scorer.cluster_aees([g, Graph()]) == [reference_score_cluster(dag, table, g).aees, 0.0]
+        assert scorer.cluster_aees(graph_clusters(g, Graph())) == [
+            reference_score_cluster(dag, table, g).aees,
+            0.0,
+        ]
 
-    def test_reference_engine_scorer(self):
+    def test_graphs_and_hand_built_clusters_are_refused(self, graph_clusters):
         dag = random_dag(8)
         table = random_annotations(dag, 8)
         g = Graph(edges=[("gene1", "gene2"), ("gene2", "gene5")])
-        ref_scorer = EnrichmentScorer(dag, table, engine="reference")
-        fast_scorer = EnrichmentScorer(dag, table)
-        assert ref_scorer.cluster_aees([g]) == fast_scorer.cluster_aees([g])
-        scores = ref_scorer.score_cluster_graphs([g])
-        assert scores.aees[0] == reference_score_cluster(dag, table, g).aees
+        hand_built = Cluster(0, g.vertices(), g, 4.0)
+        (index_native,) = graph_clusters(g)
+        scorer = EnrichmentScorer(dag, table)
+        for items in ([g], [hand_built], [index_native, g], [index_native, hand_built]):
+            with pytest.raises(TypeError, match="reference_score_cluster"):
+                scorer.score_cluster_graphs(items)
+            with pytest.raises(TypeError, match="reference_score_cluster"):
+                scorer.cluster_aees(items)
+        assert scorer.cluster_aees([index_native]) == [reference_score_cluster(dag, table, g).aees]
 
     def test_invalid_engine_and_backend_rejected(self):
+        # The scorer has one engine; the seed engine is reference_score_cluster.
         dag = random_dag(9)
         table = random_annotations(dag, 9)
-        with pytest.raises(ValueError):
-            EnrichmentScorer(dag, table, engine="nope")
+        for engine in ("nope", "reference", "batched"):
+            with pytest.raises(TypeError):
+                EnrichmentScorer(dag, table, engine=engine)
 
 
 class TestEdgeCases:
@@ -275,25 +286,25 @@ class TestEdgeCases:
             assert ann == reference_score_edge(dag, table, u, v)
             assert ann.dcp is None and ann.score == 0.0
 
-    def test_empty_cluster_scores(self, dag):
+    def test_empty_cluster_scores(self, dag, graph_clusters):
         table = AnnotationTable(dag, {"g": ["L2a"]})
         scorer = EnrichmentScorer(dag, table)
-        scores = scorer.score_cluster_graphs([Graph(), Graph(vertices=["g"])])
+        scores = scorer.score_cluster_graphs(graph_clusters(Graph(), Graph(vertices=["g"])))
         assert scores.aees.tolist() == [0.0, 0.0]
         assert scores.max_score.tolist() == [0.0, 0.0]
         assert scores.max_depth.tolist() == [0, 0]
         assert scores.dominant == [None, None]
         assert reference_score_cluster(dag, table, Graph()).dominant_term() is None
 
-    def test_all_unannotated_cluster_has_no_dominant_term(self, dag):
+    def test_all_unannotated_cluster_has_no_dominant_term(self, dag, graph_clusters):
         table = AnnotationTable(dag, {"g": ["L2a"]})
         scorer = EnrichmentScorer(dag, table)
         g = Graph(edges=[("u1", "u2"), ("u2", "u3")])
-        scores = scorer.score_cluster_graphs([g])
+        scores = scorer.score_cluster_graphs(graph_clusters(g))
         assert scores.dominant == [None]
         assert scores.aees[0] == 0.0 and scores.n_edges[0] == 2
 
-    def test_dominant_term_count_tie_breaks_lexically(self, dag):
+    def test_dominant_term_count_tie_breaks_lexically(self, dag, graph_clusters):
         # two edges with DCP L2a, two with DCP L2b -> tie broken by the
         # lexically larger term id, exactly like Counter + max on (count, id)
         table = AnnotationTable(
@@ -301,39 +312,39 @@ class TestEdgeCases:
         )
         g = Graph(edges=[("a1", "a2"), ("b1", "b2")])
         scorer = EnrichmentScorer(dag, table)
-        scores = scorer.score_cluster_graphs([g])
+        scores = scorer.score_cluster_graphs(graph_clusters(g))
         ref = reference_score_cluster(dag, table, g)
         assert scores.dominant[0] == ref.dominant_term() == "L2b"
 
-    def test_dominant_term_prefers_count_over_lexical(self, dag):
+    def test_dominant_term_prefers_count_over_lexical(self, dag, graph_clusters):
         table = AnnotationTable(
             dag, {"a1": ["L2a"], "a2": ["L2a"], "a3": ["L2a"], "b1": ["L2b"], "b2": ["L2b"]}
         )
         g = Graph(edges=[("a1", "a2"), ("a2", "a3"), ("a1", "a3"), ("b1", "b2")])
         scorer = EnrichmentScorer(dag, table)
-        scores = scorer.score_cluster_graphs([g])
+        scores = scorer.score_cluster_graphs(graph_clusters(g))
         ref = reference_score_cluster(dag, table, g)
         assert scores.dominant[0] == ref.dominant_term() == "L2a"
 
-    def test_pair_table_memoises_term_pairs(self, dag):
+    def test_pair_table_memoises_term_pairs(self, dag, graph_clusters):
         table = AnnotationTable(dag, {"g1": ["L2a"], "g2": ["L2b"]})
         scorer = EnrichmentScorer(dag, table)
-        first = scorer.score_cluster_graphs([Graph(edges=[("g1", "g2")])])
+        first = scorer.score_cluster_graphs(graph_clusters(Graph(edges=[("g1", "g2")])))
         size = scorer.pair_table_size
         assert size >= 1
-        again = scorer.score_cluster_graphs([Graph(edges=[("g2", "g1")])])
+        again = scorer.score_cluster_graphs(graph_clusters(Graph(edges=[("g2", "g1")])))
         assert scorer.pair_table_size == size
         assert again.aees.tolist() == first.aees.tolist()
 
-    def test_pair_table_reset_on_dag_mutation(self, dag):
+    def test_pair_table_reset_on_dag_mutation(self, dag, graph_clusters):
         table = AnnotationTable(dag, {"g1": ["L2a"], "g2": ["L2b"]})
         scorer = EnrichmentScorer(dag, table)
         g = Graph(edges=[("g1", "g2")])
-        before = scorer.score_cluster_graphs([g]).aees.tolist()
+        before = scorer.score_cluster_graphs(graph_clusters(g)).aees.tolist()
         assert scorer.pair_table_size >= 1
         dag.add_term("L2c", ["L1a"])
         # table rebuilt against the fresh index
-        assert scorer.score_cluster_graphs([g]).aees.tolist() == before
+        assert scorer.score_cluster_graphs(graph_clusters(g)).aees.tolist() == before
         assert scorer.pair_table_size >= 1
 
 

@@ -31,19 +31,17 @@ from repro.faults import (
     FaultError,
     FaultPlan,
     active_plan,
-    clear_plan,
     current_plan,
     fault_point,
 )
+from repro.parallel import runner
 from repro.parallel.runner import (
     DeadRankError,
     configure_supervision,
     parallel_map,
     pop_supervision_events,
-    reset_supervision_counters,
     run_spmd,
     shutdown_worker_pool,
-    supervision_counters,
     supervision_policy,
     worker_pool_size,
 )
@@ -61,34 +59,22 @@ def _canon(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-@pytest.fixture(autouse=True)
-def _fault_hygiene():
-    """No plan, drained events, zeroed counters before and after every test."""
-    clear_plan()
-    pop_supervision_events()
-    reset_supervision_counters()
-    yield
-    clear_plan()
-    pop_supervision_events()
+#: Every test runs without a plan, with drained events (see ``counter_delta``).
+pytestmark = pytest.mark.usefixtures("counter_delta")
 
 
 @pytest.fixture(autouse=True)
 def _fast_failure_detection(monkeypatch):
-    """Shrink drain grace + backoff so injected failures resolve quickly."""
+    """Shrink drain grace + backoff so injected failures resolve quickly;
+    restore the supervision policy a test configured."""
     from repro.parallel import sock
 
     monkeypatch.setattr(sock, "SOCK_DRAIN_TIMEOUT", 0.5)
+    monkeypatch.setattr(runner, "BACKOFF_BASE", 0.01)
+    monkeypatch.setattr(runner, "BACKOFF_MAX", 0.05)
     old = supervision_policy()
-    configure_supervision(backoff_base=0.01, backoff_max=0.05)
     yield
-    configure_supervision(
-        max_retries=old.max_retries,
-        degrade=old.degrade,
-        backoff_base=old.backoff_base,
-        backoff_factor=old.backoff_factor,
-        backoff_max=old.backoff_max,
-        seed=old.seed,
-    )
+    configure_supervision(max_retries=old.max_retries, degrade=old.degrade)
 
 
 def _times_ten(item: int) -> int:
@@ -165,7 +151,7 @@ class TestSupervisedMap:
     ITEMS = [(i,) for i in range(6)]
     EXPECTED = [i * 10 for i in range(6)]
 
-    def test_spawn_failure_is_retried(self):
+    def test_spawn_failure_is_retried(self, counter_delta):
         shutdown_worker_pool()  # the next map must actually spawn
         plan = FaultPlan(CHAOS_SEED).fail("pool.spawn", exc=OSError)
         with active_plan(plan):
@@ -173,30 +159,27 @@ class TestSupervisedMap:
         assert plan.exhausted()
         events = pop_supervision_events()
         assert any(e["action"] == "retry" for e in events)
-        assert supervision_counters()["retries"] >= 1
+        assert counter_delta() == {"retries": 1, "degrades": 0}
         shutdown_worker_pool()
 
-    def test_persistent_spawn_failure_degrades_to_thread(self):
+    def test_persistent_spawn_failure_degrades_to_thread(self, counter_delta):
         shutdown_worker_pool()
+        configure_supervision(max_retries=1)
         plan = FaultPlan(CHAOS_SEED).fail("pool.spawn", times=99, exc=OSError)
         with active_plan(plan):
-            out = parallel_map(
-                _times_ten, self.ITEMS, backend="process", max_retries=1
-            )
+            out = parallel_map(_times_ten, self.ITEMS, backend="process")
         assert out == self.EXPECTED
         degrades = [e for e in pop_supervision_events() if e["action"] == "degrade"]
         assert degrades and degrades[0]["to"] == "thread"
-        assert supervision_counters()["degrades"] >= 1
+        assert counter_delta() == {"retries": 1, "degrades": 1}
 
     def test_no_degrade_raises_the_original_error(self):
         shutdown_worker_pool()
+        configure_supervision(max_retries=0, degrade=False)
         plan = FaultPlan(CHAOS_SEED).fail("pool.spawn", times=99, exc=OSError)
         with active_plan(plan):
             with pytest.raises(OSError):
-                parallel_map(
-                    _times_ten, self.ITEMS, backend="process",
-                    max_retries=0, degrade=False,
-                )
+                parallel_map(_times_ten, self.ITEMS, backend="process")
 
     def test_growth_spawn_failure_is_retried_on_the_warm_hub(self):
         shutdown_worker_pool()
@@ -211,14 +194,14 @@ class TestSupervisedMap:
         assert worker_pool_size() == 2
         shutdown_worker_pool()
 
-    def test_killed_worker_retries_to_identical_result(self):
+    def test_killed_worker_retries_to_identical_result(self, counter_delta):
         plan = FaultPlan(CHAOS_SEED)
         victim = plan.rng.randrange(len(self.ITEMS))
         plan.kill_task(at=1, index=victim)
         with active_plan(plan):
             assert parallel_map(_times_ten, self.ITEMS, backend="process") == self.EXPECTED
         assert plan.fired("pool.dispatch")
-        assert supervision_counters()["retries"] >= 1
+        assert counter_delta() == {"retries": 1, "degrades": 0}
         shutdown_worker_pool()
 
 
@@ -227,21 +210,21 @@ class TestSupervisedMap:
         # An alias stands on the process rung: a hub that cannot come up
         # steps it down to thread, and the event names the alias asked for.
         shutdown_worker_pool()
+        configure_supervision(max_retries=0)
         plan = FaultPlan(CHAOS_SEED).fail("pool.spawn", times=99, exc=OSError)
         with active_plan(plan):
-            out = parallel_map(_times_ten, self.ITEMS, backend=alias, max_retries=0)
+            out = parallel_map(_times_ten, self.ITEMS, backend=alias)
         assert out == self.EXPECTED
         assert _degrades(pop_supervision_events()) == [("parallel_map", alias, "thread")]
 
     @pytest.mark.parametrize("alias", ALIASES)
     def test_alias_no_degrade_raises_the_original_error(self, alias):
         shutdown_worker_pool()
+        configure_supervision(max_retries=0, degrade=False)
         plan = FaultPlan(CHAOS_SEED).fail("pool.spawn", times=99, exc=OSError)
         with active_plan(plan):
             with pytest.raises(OSError):
-                parallel_map(
-                    _times_ten, self.ITEMS, backend=alias, max_retries=0, degrade=False
-                )
+                parallel_map(_times_ten, self.ITEMS, backend=alias)
         assert _degrades(pop_supervision_events()) == []
 
 
@@ -249,19 +232,20 @@ class TestSupervisedMap:
 # supervised run_spmd
 # ----------------------------------------------------------------------
 class TestSupervisedSpmd:
-    def test_dead_rank_round_is_retried(self):
+    def test_dead_rank_round_is_retried(self, counter_delta):
         plan = FaultPlan(CHAOS_SEED)
         plan.kill_rank(at=1, rank=plan.rng.randrange(3))
         with active_plan(plan):
             report = run_spmd(_rank_add, 3, args=(7,), backend="process")
         assert report.values == [7, 8, 9]
-        assert supervision_counters()["retries"] >= 1
+        assert counter_delta() == {"retries": 1, "degrades": 0}
 
     def test_dead_rank_fails_fast_without_retries(self):
+        configure_supervision(max_retries=0)
         plan = FaultPlan(CHAOS_SEED).kill_rank(at=1, rank=0)
         with active_plan(plan):
             with pytest.raises(DeadRankError, match="died without reporting"):
-                run_spmd(_rank_add, 2, args=(1,), backend="process", max_retries=0)
+                run_spmd(_rank_add, 2, args=(1,), backend="process")
 
 
     @pytest.mark.parametrize("alias", ALIASES)
@@ -278,9 +262,10 @@ class TestSupervisedSpmd:
     @pytest.mark.parametrize("alias", ALIASES)
     def test_alias_bringup_failure_degrades_to_thread(self, alias):
         shutdown_worker_pool()
+        configure_supervision(max_retries=0)
         plan = FaultPlan(CHAOS_SEED).fail("pool.spawn", times=99, exc=OSError)
         with active_plan(plan):
-            report = run_spmd(_rank_add, 3, args=(7,), backend=alias, max_retries=0)
+            report = run_spmd(_rank_add, 3, args=(7,), backend=alias)
         assert report.values == [7, 8, 9]
         assert report.backend == "thread"
         assert _degrades(pop_supervision_events()) == [("run_spmd", alias, "thread")]
@@ -403,7 +388,7 @@ class TestBatchCacheCrashSafety:
 # kill → respawn → shutdown under the process-shm alias
 # ----------------------------------------------------------------------
 class TestAliasLeakAccounting:
-    def test_kill_respawn_cycle_under_alias_leaves_no_worker(self):
+    def test_kill_respawn_cycle_under_alias_leaves_no_worker(self, counter_delta):
         # The alias runs the process path: a killed task is retried on a
         # respawned worker, and shutdown leaves no worker behind.
         arr = np.arange(1024, dtype=np.float64)
@@ -413,7 +398,7 @@ class TestAliasLeakAccounting:
         with active_plan(plan):
             out = parallel_map(_arr_sum, items, backend="process-shm")
         assert out == [float(arr.sum())] * 4
-        assert supervision_counters()["retries"] >= 1
+        assert counter_delta() == {"retries": 1, "degrades": 0}
         assert worker_pool_size() > 0  # the respawned hub is alive
         shutdown_worker_pool()
         assert worker_pool_size() == 0

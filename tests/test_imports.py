@@ -113,7 +113,7 @@ def test_parallel_package_exports_exactly_the_runtime():
             "SimComm", "SimCommWorld", "CommStats", "ANY_SOURCE", "ANY_TAG",
             "run_spmd", "parallel_map", "available_backends", "shutdown_worker_pool",
             "worker_pool_size", "DeadRankError", "SupervisionPolicy", "configure_supervision",
-            "supervision_policy", "supervision_counters", "reset_supervision_counters",
+            "supervision_policy", "supervision_counters",
             "pop_supervision_events", "RankResult", "SpmdReport", "CostModel", "RankWork",
             "speedup", "efficiency", "rank_rngs", "rank_rng", "derive_seed",
         ]
@@ -170,7 +170,9 @@ def test_enrichment_scoring_loads_no_parallel_layer():
     # The scorer is serial and its term distances come from the DAG's term
     # index: scoring a cluster set must not pull in the SPMD runtime.
     loaded = loaded_after(
-        "from repro.graph import Graph\n"
+        "import numpy as np\n"
+        "from repro.clustering.cluster import Cluster\n"
+        "from repro.graph import CSRGraph\n"
         "from repro.ontology import AnnotationTable, EnrichmentScorer, GODag\n"
         "dag = GODag()\n"
         "dag.add_term('A', [dag.root_id])\n"
@@ -178,8 +180,10 @@ def test_enrichment_scoring_loads_no_parallel_layer():
         "dag.add_term('A1', ['A'])\n"
         "dag.add_term('AB', ['A', 'B'])\n"
         "table = AnnotationTable(dag, {'g1': ['A1'], 'g2': ['AB'], 'g3': ['B', 'A1']})\n"
-        "graphs = [Graph(edges=[('g1', 'g2'), ('g2', 'g3')]), Graph(edges=[('g1', 'g3')])]\n"
-        "scores = EnrichmentScorer(dag, table).score_cluster_graphs(graphs)\n"
+        "csr = CSRGraph.from_edge_arrays(['g1', 'g2', 'g3'], [0, 1, 0], [1, 2, 2])\n"
+        "clusters = [Cluster.from_indices(0, csr, np.arange(3), np.array([[0, 1], [1, 2]]), 4.0, 0),\n"
+        "            Cluster.from_indices(1, csr, np.array([0, 2]), np.array([[0, 2]]), 3.0, 0)]\n"
+        "scores = EnrichmentScorer(dag, table).score_cluster_graphs(clusters)\n"
         "assert scores.n_edges.tolist() == [2, 1]\n"
         "assert dag.term_distance('A1', 'B') == 3\n"
     )

@@ -7,11 +7,13 @@ edge pairs.  This suite pins:
 
 * the payload bytes to the label chain recomposed from the retained bodies —
   a label network filtered as a ``Graph``, hand-built clusters cut with
-  ``Graph.subgraph``, graph-walk scoring (a subgraph's label edges) and
-  label overlap sets — and the served ``enrich`` payload likewise;
+  ``Graph.subgraph``, the seed per-edge scorer walking each subgraph's label
+  edges and the reference overlap loops — and the served ``enrich`` payload
+  likewise;
 * that the chain, a served ``enrich`` and a served sample update build no
   label graph at all;
-* that no product path falls back to the reference overlap loops;
+* that no product path reaches the reference overlap loops or the seed
+  scorer;
 * that one analysis scores its filtered clusters exactly once;
 * that cluster scores do not depend on the order or orientation of a
   cluster's edge pairs.
@@ -29,11 +31,16 @@ from repro.clustering import overlap
 from repro.clustering.cluster import Cluster
 from repro.clustering.evaluation import classify_matches, quadrant_counts
 from repro.clustering.mcode import mcode_clusters_indices
-from repro.clustering.overlap import found_clusters, match_and_lost_clusters
+from repro.clustering.overlap import (
+    found_clusters,
+    reference_lost_clusters,
+    reference_match_clusters,
+)
 from repro.core.sampling import apply_filter
 from repro.graph import CSRGraph, Graph
 from repro.incremental import UpdateSpec, apply_update
-from repro.ontology.enrichment import EnrichmentScorer
+from repro.ontology import enrichment
+from repro.ontology.enrichment import ClusterEnrichment, EnrichmentScorer, reference_score_edge
 from repro.pipeline import experiments
 from repro.pipeline.workflow import (
     FilterAnalysis,
@@ -82,10 +89,28 @@ def label_clusters(graph: Graph, params, source: str) -> list[Cluster]:
     return clusters
 
 
+#: id(annotation table) -> (table, {(u, v): EdgeAnnotation}); the table is
+#: held so its id cannot be reused while its memo lives.
+_EDGE_SCORES: dict = {}
+
+
+def reference_enrichment(bundle, graph: Graph) -> ClusterEnrichment:
+    """``reference_score_cluster`` over ``graph``, with each edge's
+    ``reference_score_edge`` memoised: the chain grid re-scores the same
+    edges under every ordering and partition count."""
+    dag, table = bundle.scorer.dag, bundle.scorer.annotations
+    memo = _EDGE_SCORES.setdefault(id(table), (table, {}))[1]
+    edges = []
+    for u, v in graph.iter_edges():
+        if (u, v) not in memo:
+            memo[u, v] = reference_score_edge(dag, table, u, v)
+        edges.append(memo[u, v])
+    return ClusterEnrichment(edges=edges)
+
+
 def graph_walk_aees(bundle, clusters: list[Cluster]) -> list[float]:
-    """AEES of each cluster's label subgraph, scored from its label edges."""
-    scorer = EnrichmentScorer(bundle.scorer.dag, bundle.scorer.annotations)
-    return scorer.cluster_aees([c.subgraph for c in clusters])
+    """AEES of each cluster's label subgraph, by the seed per-edge scorer."""
+    return [reference_enrichment(bundle, c.subgraph).aees for c in clusters]
 
 
 def label_chain_payload(bundle, method: str, ordering, n_partitions: int) -> dict:
@@ -95,7 +120,8 @@ def label_chain_payload(bundle, method: str, ordering, n_partitions: int) -> dic
     originals = label_clusters(network, bundle.mcode_params, f"{bundle.name}/original")
     clusters = label_clusters(result.graph, bundle.mcode_params, label)
     assert all(c.csr is None for c in originals + clusters)  # label overlap sets
-    matches, lost = match_and_lost_clusters(originals, clusters)
+    matches = reference_match_clusters(originals, clusters)
+    lost = reference_lost_clusters(originals, clusters)
     aees = graph_walk_aees(bundle, clusters)
     scored = {
         attr: classify_matches(matches, bundle.scorer, bundle.thresholds, attr, aees=aees)
@@ -217,7 +243,7 @@ UPDATE_KINDS = [
 
 @pytest.fixture
 def slow_paths(monkeypatch):
-    """Counts calls of the reference overlap loops."""
+    """Counts calls of the reference overlap loops and the seed scorer."""
     counts: Counter = Counter()
 
     def counting(owner, name):
@@ -231,6 +257,8 @@ def slow_paths(monkeypatch):
 
     counting(overlap, "reference_match_clusters")
     counting(overlap, "reference_lost_clusters")
+    counting(enrichment, "reference_score_cluster")
+    counting(enrichment, "reference_score_edge")
     return counts
 
 
@@ -327,35 +355,29 @@ def test_scores_do_not_depend_on_edge_order(bundles, dataset):
     for _ in range(3):
         shuffled = [shuffled_clone(c, rng) for c in clusters]
         assert_same_scores(scores, EnrichmentScorer(dag, table).score_cluster_graphs(shuffled))
-    # The index pairs score exactly like the label subgraphs they stand for.
-    graphs = [c.subgraph for c in clusters]
-    assert_same_scores(scores, EnrichmentScorer(dag, table).score_cluster_graphs(graphs))
-    reference = EnrichmentScorer(dag, table, engine="reference").score_cluster_graphs(graphs)
-    assert_same_scores(scores, reference)
-
-
-def test_mixed_cluster_forms_score_like_their_subgraphs(bundles):
-    bundle = bundles["CRE"]
-    clusters = bundle.original_clusters[:6]
-    hand_built = Cluster(99, clusters[0].members, clusters[0].subgraph, clusters[0].score)
-    items = [clusters[1], clusters[2].subgraph, hand_built, Graph(), clusters[3]]
-    dag, table = bundle.scorer.dag, bundle.scorer.annotations
-    scores = EnrichmentScorer(dag, table).score_cluster_graphs(items)
-    one_by_one = [
-        EnrichmentScorer(dag, table).score_cluster_graphs([item]).aees[0] for item in items
-    ]
-    assert scores.aees.tolist() == one_by_one
-    assert scores.n_edges.tolist() == [
-        clusters[1].n_edges, clusters[2].n_edges, clusters[0].n_edges, 0, clusters[3].n_edges
-    ]
+    # The index pairs score exactly like the seed scorer walking the label
+    # subgraphs they stand for.
+    reference = [reference_enrichment(bundle, c.subgraph) for c in clusters]
+    assert scores.aees.tolist() == [r.aees for r in reference]
+    assert scores.max_score.tolist() == [r.max_score for r in reference]
+    assert scores.max_depth.tolist() == [r.max_depth for r in reference]
+    assert scores.n_edges.tolist() == [len(r.edges) for r in reference]
+    assert scores.dominant == [r.dominant_term() for r in reference]
 
 
 def test_a_graph_item_scores_like_its_index_cluster(bundles):
+    # A label graph is the oracle's input: the product scorer refuses it and
+    # names the oracle, which scores it exactly like its index cluster.
     bundle = bundles["YNG"]
     clusters = bundle.original_clusters[:5]
     dag, table = bundle.scorer.dag, bundle.scorer.annotations
-    segment = EnrichmentScorer(dag, table).score_cluster_graphs(clusters)
-    mixed = EnrichmentScorer(dag, table).score_cluster_graphs(
-        [*clusters[:4], clusters[4].subgraph]
-    )
-    assert_same_scores(segment, mixed)
+    scorer = EnrichmentScorer(dag, table)
+    segment = scorer.score_cluster_graphs(clusters)
+    with pytest.raises(TypeError, match="reference_score_cluster"):
+        scorer.score_cluster_graphs([*clusters[:4], clusters[4].subgraph])
+    oracle = enrichment.reference_score_cluster(dag, table, clusters[4].subgraph)
+    assert segment.aees[4] == oracle.aees
+    assert segment.max_score[4] == oracle.max_score
+    assert segment.max_depth[4] == oracle.max_depth
+    assert segment.n_edges[4] == len(oracle.edges) == clusters[4].n_edges
+    assert segment.dominant[4] == oracle.dominant_term()

@@ -90,7 +90,9 @@ class TestAnnotateStudy:
         table = annotate_study(tiny_study, small_go_dag)
         assert table.coverage(tiny_study.matrix.genes) == pytest.approx(1.0)
 
-    def test_module_edges_score_higher_than_background_edges(self, tiny_study, small_go_dag):
+    def test_module_edges_score_higher_than_background_edges(
+        self, tiny_study, small_go_dag, graph_clusters
+    ):
         table = annotate_study(tiny_study, small_go_dag, seed=2)
         scorer = EnrichmentScorer(small_go_dag, table)
         module = next(iter(tiny_study.modules.values()))
@@ -100,7 +102,9 @@ class TestAnnotateStudy:
             return Graph(edges=[(a, b) for i, a in enumerate(genes) for b in genes[i + 1 :]])
 
         # A clique's AEES is the mean score of every pair of its genes.
-        module_mean, background_mean = scorer.cluster_aees([clique(module), clique(background)])
+        module_mean, background_mean = scorer.cluster_aees(
+            graph_clusters(clique(module), clique(background))
+        )
         assert module_mean > background_mean + 1.0
 
     def test_annotation_reproducible_for_seed(self, tiny_study, small_go_dag):

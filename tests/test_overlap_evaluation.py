@@ -24,7 +24,7 @@ from repro.clustering import (
     reference_match_clusters,
 )
 from repro.clustering import overlap
-from repro.clustering.overlap import _index_incidences, _shared_counts
+from repro.clustering.overlap import _index_incidences, _overlap_entries, _shared_counts
 from repro.graph import CSRGraph, Graph, complete_graph
 from repro.ontology import AnnotationTable, EnrichmentScorer, GODag
 
@@ -77,59 +77,43 @@ class TestOverlapMeasures:
 
 
 class TestMatching:
-    def test_best_match_selected(self):
-        orig1 = make_cluster(["a", "b", "c"], [("a", "b"), ("b", "c")], cluster_id=0)
-        orig2 = make_cluster(["x", "y", "z"], [("x", "y"), ("y", "z")], cluster_id=1)
-        filtered = make_cluster(["x", "y", "q"], [("x", "y")], cluster_id=7)
+    def test_best_match_selected(self, graph_clusters):
+        orig1, orig2, filtered = graph_clusters(
+            Graph(vertices=["a", "b", "c"], edges=[("a", "b"), ("b", "c")]),
+            Graph(vertices=["x", "y", "z"], edges=[("x", "y"), ("y", "z")]),
+            Graph(vertices=["x", "y", "q"], edges=[("x", "y")]),
+        )
         matches, _ = match_and_lost_clusters([orig1, orig2], [filtered])
         assert len(matches) == 1
         assert matches[0].original is orig2
         assert matches[0].node_overlap == pytest.approx(2 / 3)
 
-    def test_found_clusters_have_no_match(self):
-        orig = make_cluster(["a", "b"], [("a", "b")])
-        new = make_cluster(["p", "q"], [("p", "q")])
+    def test_found_clusters_have_no_match(self, graph_clusters):
+        orig, new = graph_clusters(Graph(edges=[("a", "b")]), Graph(edges=[("p", "q")]))
         matches, _ = match_and_lost_clusters([orig], [new])
         assert matches[0].original is None
         assert matches[0].is_found
         assert found_clusters(matches) == [new]
 
-    def test_lost_clusters(self):
-        orig_kept = make_cluster(["a", "b"], [("a", "b")])
-        orig_lost = make_cluster(["m", "n"], [("m", "n")])
-        filtered = make_cluster(["a", "b"], [("a", "b")])
+    def test_lost_clusters(self, graph_clusters):
+        orig_kept, orig_lost, filtered = graph_clusters(
+            Graph(edges=[("a", "b")]), Graph(edges=[("m", "n")]), Graph(edges=[("a", "b")])
+        )
         assert match_and_lost_clusters([orig_kept, orig_lost], [filtered])[1] == [orig_lost]
 
-    def test_no_filtered_clusters_all_lost(self):
-        orig = make_cluster(["a", "b"], [("a", "b")])
+    def test_no_filtered_clusters_all_lost(self, graph_clusters):
+        (orig,) = graph_clusters(Graph(edges=[("a", "b")]))
         assert match_and_lost_clusters([orig], []) == ([], [orig])
 
 
 class TestQuadrants:
-    def _match(self, members, overlap_members):
-        original = make_cluster(overlap_members, [])
-        filtered_graph = complete_graph(len(members))
-        filtered = Cluster(
-            cluster_id=0,
-            members=list(filtered_graph.vertices()),
-            subgraph=filtered_graph,
-            score=4.0,
-        )
-        shared = len(set(filtered.members) & set(original.members))
-        return ClusterMatch(
-            filtered=filtered,
-            original=original,
-            node_overlap=shared / max(len(original.members), 1),
-            edge_overlap=0.0,
-        )
-
-    def test_quadrant_assignment(self, deep_dag):
+    def test_quadrant_assignment(self, deep_dag, graph_clusters):
         genes = complete_graph(4).vertices()
         deep_scorer = scorer_for(deep_dag, genes, deep=True)
         shallow_scorer = scorer_for(deep_dag, genes, deep=False)
-        filtered = Cluster(0, list(genes), complete_graph(4), 4.0)
-        original_same = Cluster(1, list(genes), complete_graph(4), 4.0)
-        original_other = make_cluster(["z1", "z2", "z3", "z4"], [])
+        filtered, original_same, original_other = graph_clusters(
+            complete_graph(4), complete_graph(4), Graph(vertices=["z1", "z2", "z3", "z4"])
+        )
 
         high_overlap = ClusterMatch(filtered, original_same, node_overlap=1.0, edge_overlap=1.0)
         low_overlap = ClusterMatch(filtered, original_other, node_overlap=0.0, edge_overlap=0.0)
@@ -139,18 +123,17 @@ class TestQuadrants:
         assert classify_match(low_overlap, deep_scorer).quadrant is Quadrant.FALSE_NEGATIVE
         assert classify_match(low_overlap, shallow_scorer).quadrant is Quadrant.TRUE_NEGATIVE
 
-    def test_overlap_attr_validation(self, deep_dag):
+    def test_overlap_attr_validation(self, deep_dag, graph_clusters):
         genes = complete_graph(3).vertices()
         scorer = scorer_for(deep_dag, genes, deep=True)
-        match = ClusterMatch(Cluster(0, list(genes), complete_graph(3), 3.0), None, 0.0, 0.0)
+        match = ClusterMatch(graph_clusters(complete_graph(3))[0], None, 0.0, 0.0)
         with pytest.raises(ValueError):
             classify_match(match, scorer, overlap_attr="volume_overlap")
 
-    def test_counts_and_rates(self, deep_dag):
+    def test_counts_and_rates(self, deep_dag, graph_clusters):
         genes = complete_graph(4).vertices()
         deep_scorer = scorer_for(deep_dag, genes, deep=True)
-        filtered = Cluster(0, list(genes), complete_graph(4), 4.0)
-        original = Cluster(1, list(genes), complete_graph(4), 4.0)
+        filtered, original = graph_clusters(complete_graph(4), complete_graph(4))
         matches = [
             ClusterMatch(filtered, original, node_overlap=1.0, edge_overlap=1.0),
             ClusterMatch(filtered, original, node_overlap=0.1, edge_overlap=0.1),
@@ -164,11 +147,10 @@ class TestQuadrants:
         d = counts.as_dict()
         assert d["TP"] == 1
 
-    def test_custom_thresholds(self, deep_dag):
+    def test_custom_thresholds(self, deep_dag, graph_clusters):
         genes = complete_graph(4).vertices()
         scorer = scorer_for(deep_dag, genes, deep=True)
-        filtered = Cluster(0, list(genes), complete_graph(4), 4.0)
-        original = Cluster(1, list(genes), complete_graph(4), 4.0)
+        filtered, original = graph_clusters(complete_graph(4), complete_graph(4))
         match = ClusterMatch(filtered, original, node_overlap=0.6, edge_overlap=0.6)
         strict = EvaluationThresholds(aees_threshold=100.0, overlap_threshold=0.5)
         assert classify_match(match, scorer, strict).quadrant is Quadrant.FALSE_POSITIVE
@@ -183,13 +165,7 @@ def index_space(n_nodes: int) -> CSRGraph:
     return CSRGraph.from_edge_arrays([f"n{i}" for i in range(n_nodes)], us, vs)
 
 
-def index_cluster(csr: CSRGraph, cid: int, members: list[int], pairs: list) -> Cluster:
-    indices = np.array(members, dtype=np.int64)
-    edges = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    return Cluster.from_indices(cid, csr, indices, edges, 4.0, members[0] if members else 0)
-
-
-def random_clusters(rng, n, csr, lo, n_nodes=24, max_size=8):
+def random_clusters(index_cluster, rng, n, csr, lo, n_nodes=24, max_size=8):
     """``n`` index-native clusters over ``csr`` vertices ``lo..lo+n_nodes``:
     overlapping, some empty."""
     clusters = []
@@ -224,24 +200,37 @@ CASES = [
 class TestSparseOverlapCounts:
     @pytest.mark.parametrize("key", [node_overlap, edge_overlap], ids=lambda k: k.__name__)
     @pytest.mark.parametrize("case", CASES, ids=lambda c: c[0])
-    def test_matches_reference_loops(self, case, key):
+    def test_matches_reference_loops(self, case, key, index_cluster):
+        # Matching ranks by node overlap; the sparse entries of each measure
+        # must also equal the set-based ``key`` on every pair, zeros absent.
         _, n_orig, n_filt, orig_lo, filt_lo = case
         csr = index_space(48)
         for seed in range(25):
             rng = random.Random(seed)
-            original = random_clusters(rng, n_orig, csr, orig_lo)
-            filtered = random_clusters(rng, n_filt, csr, filt_lo)
-            want_matches = reference_match_clusters(original, filtered, key)
-            want_lost = reference_lost_clusters(original, filtered, key)
-            matches, lost = match_and_lost_clusters(original, filtered, key)
+            original = random_clusters(index_cluster, rng, n_orig, csr, orig_lo)
+            filtered = random_clusters(index_cluster, rng, n_filt, csr, filt_lo)
+            want_matches = reference_match_clusters(original, filtered)
+            want_lost = reference_lost_clusters(original, filtered)
+            matches, lost = match_and_lost_clusters(original, filtered)
             assert match_signature(matches) == match_signature(want_matches), seed
             assert [id(c) for c in lost] == [id(c) for c in want_lost], seed
+            rows, cols, values = _overlap_entries(
+                original, filtered, key is edge_overlap, csr.n_vertices
+            )
+            got = {(r, c): v.hex() for r, c, v in zip(rows.tolist(), cols.tolist(), values.tolist())}
+            want = {
+                (r, c): key(oc, fc).hex()
+                for r, oc in enumerate(original)
+                for c, fc in enumerate(filtered)
+                if key(oc, fc) != 0.0
+            }
+            assert got == want, seed
 
-    def test_count_entries_are_exact_float64(self):
+    def test_count_entries_are_exact_float64(self, index_cluster):
         rng = random.Random(3)
         csr = index_space(24)
-        original = random_clusters(rng, 11, csr, 0)
-        filtered = random_clusters(rng, 9, csr, 0)
+        original = random_clusters(index_cluster, rng, 11, csr, 0)
+        filtered = random_clusters(index_cluster, rng, 9, csr, 0)
         orig_el, orig_row, _ = _index_incidences(original, True, csr.n_vertices)
         filt_el, filt_row, _ = _index_incidences(filtered, True, csr.n_vertices)
         rows, cols, counts = _shared_counts(orig_el, orig_row, filt_el, filt_row, len(filtered))
@@ -257,7 +246,7 @@ class TestSparseOverlapCounts:
         assert dense.tolist() == want
         assert (counts > 0).all()
 
-    def test_paper_sized_matching_memory_is_bounded(self):
+    def test_paper_sized_matching_memory_is_bounded(self, index_cluster):
         # ~1,700 × 1,700 clusters over a ~50k-edge universe: dense membership
         # matrices over that universe would need several hundred MB.
         rng = random.Random(0)
@@ -294,7 +283,8 @@ class TestSparseOverlapCounts:
 
 
 class TestMatchDispatch:
-    """Only index-native clusters over one label tuple take the sparse join."""
+    """Only index-native clusters over one label space are matched; the
+    reference loops are never reached from the product entry point."""
 
     @pytest.fixture
     def reference_calls(self, monkeypatch):
@@ -309,16 +299,17 @@ class TestMatchDispatch:
             monkeypatch.setattr(overlap, name, counted)
         return calls
 
-    def sides(self, original_csr, filtered_csr):
+    def sides(self, index_cluster, original_csr, filtered_csr):
         rng = random.Random(5)
         return (
-            random_clusters(rng, 7, original_csr, 0),
-            random_clusters(rng, 6, filtered_csr, 0),
+            random_clusters(index_cluster, rng, 7, original_csr, 0),
+            random_clusters(index_cluster, rng, 6, filtered_csr, 0),
         )
 
-    def test_one_label_tuple_takes_the_sparse_join(self, reference_calls):
+    def test_one_label_tuple_takes_the_sparse_join(self, reference_calls, index_cluster):
         # Two CSR objects whose label tuples are equal share one index space.
-        original, filtered = self.sides(index_space(24), index_space(24))
+        original, filtered = self.sides(index_cluster, index_space(24), index_space(24))
+        assert original[0].csr.labels is not filtered[0].csr.labels
         matches, lost = match_and_lost_clusters(original, filtered)
         assert reference_calls == []
         assert match_signature(matches) == match_signature(
@@ -326,13 +317,19 @@ class TestMatchDispatch:
         )
         assert lost == reference_lost_clusters(original, filtered)
 
-    def test_other_inputs_take_the_reference_loops(self, reference_calls):
+    def test_other_inputs_are_refused(self, reference_calls, index_cluster):
         other_labels = CSRGraph.from_edge_arrays(
             [f"m{i}" for i in range(24)], *np.triu_indices(24, k=1)
         )
-        original, filtered = self.sides(index_space(24), other_labels)
+        original, filtered = self.sides(index_cluster, index_space(24), other_labels)
         hand_built = make_cluster(["n0", "n1", "n2"], [("n0", "n1"), ("n1", "n2")])
-        for orig, filt in ((original, filtered), (original, [*filtered[:3], hand_built])):
-            reference_calls.clear()
-            match_and_lost_clusters(orig, filt)
-            assert reference_calls == ["reference_match_clusters", "reference_lost_clusters"]
+        for orig, filt in (
+            (original, filtered),
+            (original, [*filtered[:3], hand_built]),
+            ([hand_built], []),
+        ):
+            with pytest.raises(ValueError, match="reference_match_clusters"):
+                match_and_lost_clusters(orig, filt)
+        with pytest.raises(TypeError):
+            match_and_lost_clusters(original, filtered, node_overlap)
+        assert reference_calls == []

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import inspect
 
 import pytest
@@ -114,20 +113,20 @@ class TestAnalyzeFilter:
         assert len(analysis.cluster_aees()) == len(analysis.clusters)
 
     def test_payload_matches_reference_scorer(self, cre_bundle):
-        # The seed scoring bodies, reached through the reference engine, must
-        # reproduce every pinned figure of the batched engine's analysis.
-        from repro.ontology import EnrichmentScorer
+        # The seed scoring body, called by name on each filtered cluster's
+        # subgraph, must reproduce every AEES the batched engine's analysis
+        # classifies (and so the payload's quadrants) bit for bit.
+        from repro.ontology import reference_score_cluster
         from repro.pipeline.workflow import analysis_payload
 
-        scorer = cre_bundle.scorer
-        reference = dataclasses.replace(
-            cre_bundle,
-            scorer=EnrichmentScorer(scorer.dag, scorer.annotations, engine="reference"),
-        )
-        kwargs = {"method": "chordal", "ordering": "natural"}
-        assert analysis_payload(analyze_filter(reference, **kwargs)) == analysis_payload(
-            analyze_filter(cre_bundle, **kwargs)
-        )
+        analysis = analyze_filter(cre_bundle, method="chordal", ordering="natural")
+        dag, table = cre_bundle.scorer.dag, cre_bundle.scorer.annotations
+        expected = [
+            float(reference_score_cluster(dag, table, c.subgraph).aees).hex()
+            for c in analysis.clusters
+        ]
+        assert analysis_payload(analysis)["aees_hex"] == expected
+        assert [float(s.aees).hex() for s in analysis.scored_by_edge] == expected
 
 
 class TestClusterNetwork:

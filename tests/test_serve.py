@@ -15,6 +15,7 @@ import json
 import pytest
 
 from repro.cli import main as cli_main
+from repro.ontology import reference_score_cluster
 from repro.serve import (
     ProtocolError,
     ReproServer,
@@ -258,9 +259,11 @@ class TestServedRoundTrips:
     def test_enrich_original_matches_direct_scoring(self, server, client):
         result = client.result("enrich", dataset="CRE")
         state = server.state.get("CRE", SCALE)
-        expected = state.bundle.scorer.cluster_aees(
-            [c.subgraph for c in state.bundle.original_clusters]
-        )
+        scorer = state.bundle.scorer
+        expected = [
+            reference_score_cluster(scorer.dag, scorer.annotations, c.subgraph).aees
+            for c in state.bundle.original_clusters
+        ]
         assert result["n_clusters"] == len(expected)
         assert [r["aees_hex"] for r in result["clusters"]] == [float(v).hex() for v in expected]
 

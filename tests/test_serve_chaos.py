@@ -21,8 +21,8 @@ import time
 
 import pytest
 
-from repro.faults import FaultPlan, active_plan, clear_plan
-from repro.parallel.runner import pop_supervision_events, reset_supervision_counters
+from repro.faults import FaultPlan, active_plan
+from repro.parallel import runner
 from repro.serve import ReproServer, ServeClient, ServeError
 from repro.serve.protocol import error_response, ok_response, read_message, write_message
 
@@ -30,14 +30,14 @@ CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
 SCALE = 0.02
 
 
+#: Every test runs without a plan, with drained events (see ``counter_delta``).
+pytestmark = pytest.mark.usefixtures("counter_delta")
+
+
 @pytest.fixture(autouse=True)
-def _fault_hygiene():
-    clear_plan()
-    pop_supervision_events()
-    reset_supervision_counters()
-    yield
-    clear_plan()
-    pop_supervision_events()
+def _fast_backoff(monkeypatch):
+    """Shrink the one retry backoff so client retries resolve quickly."""
+    monkeypatch.setattr(runner, "BACKOFF_BASE", 0.01)
 
 
 def _wait_for(predicate, timeout: float = 10.0, poll: float = 0.02) -> bool:
@@ -53,7 +53,7 @@ def _wait_for(predicate, timeout: float = 10.0, poll: float = 0.02) -> bool:
 # admission-worker crash → supervisor respawn
 # ----------------------------------------------------------------------
 class TestWorkerSupervisor:
-    def test_dead_worker_is_respawned_and_results_stay_identical(self):
+    def test_dead_worker_is_respawned_and_results_stay_identical(self, counter_delta):
         with ReproServer(default_scale=SCALE, workers=2, supervisor_interval=0.05) as srv:
             with ServeClient(port=srv.port, timeout=600.0) as client:
                 baseline = client.result("filter", dataset="CRE", seed=1)
@@ -75,6 +75,9 @@ class TestWorkerSupervisor:
                 # from before the crash is byte-identical after it.
                 assert client.result("filter", dataset="CRE", seed=2)["edges_kept"] > 0
                 assert client.result("filter", dataset="CRE", seed=1) == baseline
+        # An admission-thread crash is the serve supervisor's business: the
+        # runtime's retry counters do not move.
+        assert counter_delta() == {"retries": 0, "degrades": 0}
 
     def test_supervise_once_reports_respawn_count(self):
         with ReproServer(default_scale=SCALE, workers=2, supervisor_interval=60.0) as srv:
@@ -135,9 +138,7 @@ class TestAdmitFault:
         with ReproServer(default_scale=SCALE, workers=1) as srv:
             plan = FaultPlan(CHAOS_SEED).fail("serve.execute", at=1)
             with active_plan(plan):
-                with ServeClient(
-                    port=srv.port, timeout=600.0, max_retries=2, backoff_base=0.01
-                ) as client:
+                with ServeClient(port=srv.port, timeout=600.0, max_retries=2) as client:
                     with pytest.raises(ServeError, match="injected fault"):
                         # "internal" is not a retryable code: a genuine
                         # execution error surfaces on the first attempt.
@@ -169,7 +170,7 @@ class TestClientRetry:
 
         threading.Thread(target=late_open, daemon=True).start()
         try:
-            client = ServeClient(port=port, timeout=5.0, connect_retries=20, backoff_base=0.02)
+            client = ServeClient(port=port, timeout=5.0, connect_retries=20)
             client.close()
             assert opened.is_set()
         finally:
@@ -199,7 +200,7 @@ class TestClientRetry:
         server = threading.Thread(target=busy_then_ok, daemon=True)
         server.start()
         try:
-            with ServeClient(port=port, timeout=5.0, max_retries=2, backoff_base=0.01) as client:
+            with ServeClient(port=port, timeout=5.0, max_retries=2) as client:
                 assert client.result("ping") == {"answer": 42}
             server.join(10)
         finally:
@@ -221,9 +222,7 @@ class TestClientRetry:
         server = threading.Thread(target=drop_then_serve, daemon=True)
         server.start()
         try:
-            with ServeClient(
-                port=port, timeout=5.0, max_retries=2, connect_retries=5, backoff_base=0.01
-            ) as client:
+            with ServeClient(port=port, timeout=5.0, max_retries=2, connect_retries=5) as client:
                 assert client.result("ping") == {"answer": 7}
             server.join(10)
         finally:

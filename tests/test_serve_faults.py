@@ -2,8 +2,10 @@
 
 Covers the failure modes a resident daemon must absorb:
 
-* a pool worker SIGKILLed mid-request → :class:`WorkerPoolError` for that
-  request, pool torn down and respawned, daemon keeps serving;
+* a pool worker SIGKILLed mid-request (a served ``filter`` on the
+  ``process`` backend, its dispatch poisoned by a :class:`FaultPlan`) →
+  :class:`WorkerPoolError` for that request, pool torn down and respawned,
+  daemon keeps serving;
 * a stalled peer → the client times out instead of hanging forever;
 * repeated serve start/stop cycles → no orphaned worker pool;
 * a start that fails (port already bound) → no leaked admission workers,
@@ -23,10 +25,13 @@ import threading
 
 import pytest
 
+from repro.faults import FaultPlan, active_plan
 from repro.parallel.runner import (
     WorkerPoolError,
+    configure_supervision,
     parallel_map,
     shutdown_worker_pool,
+    supervision_policy,
     worker_pool_size,
 )
 from repro.serve import ReproServer, ServeClient, ServeError, ServeTimeout
@@ -45,25 +50,30 @@ def _well_behaved(item: int) -> int:
     return item + 1
 
 
+@pytest.fixture
+def no_retries():
+    """A fail-fast supervision policy (no retries) for one test."""
+    old = supervision_policy()
+    configure_supervision(max_retries=0)
+    yield
+    configure_supervision(max_retries=old.max_retries, degrade=old.degrade)
+
+
 # ----------------------------------------------------------------------
 # dead-worker detection in the shared pool
 # ----------------------------------------------------------------------
 class TestDeadPoolWorker:
-    # max_retries=0: these tests pin the *raise* path — retrying a payload
+    # no_retries: these tests pin the *raise* path — retrying a payload
     # that unconditionally SIGKILLs its worker would only repeat the drain.
-    def test_killed_worker_raises_instead_of_hanging(self):
+    def test_killed_worker_raises_instead_of_hanging(self, no_retries):
         with pytest.raises(WorkerPoolError, match="died"):
-            parallel_map(
-                _suicide_on_zero, [(i,) for i in range(4)], backend="process", max_retries=0
-            )
+            parallel_map(_suicide_on_zero, [(i,) for i in range(4)], backend="process")
         # The broken pool was torn down, not left half-dead.
         assert worker_pool_size() == 0
 
-    def test_pool_respawns_after_failure(self):
+    def test_pool_respawns_after_failure(self, no_retries):
         with pytest.raises(WorkerPoolError):
-            parallel_map(
-                _suicide_on_zero, [(i,) for i in range(4)], backend="process", max_retries=0
-            )
+            parallel_map(_suicide_on_zero, [(i,) for i in range(4)], backend="process")
         # The next call builds a fresh pool and works normally.
         assert parallel_map(_well_behaved, [(i,) for i in range(6)], backend="process") == [
             1, 2, 3, 4, 5, 6,
@@ -74,30 +84,29 @@ class TestDeadPoolWorker:
 # ----------------------------------------------------------------------
 # the daemon survives a killed pool worker
 # ----------------------------------------------------------------------
-def _faulty_op(params: dict) -> dict:
-    """Test-only server op: fans a poisoned map over the process pool."""
-    values = parallel_map(
-        _suicide_on_zero, [(i,) for i in range(4)], backend="process", max_retries=0
-    )
-    return {"values": values}
-
-
 class TestDaemonSurvivesWorkerDeath:
-    def test_failed_request_errors_but_daemon_keeps_serving(self):
-        with ReproServer(
-            default_scale=SCALE, workers=2, extra_handlers={"faulty": _faulty_op}
-        ) as srv:
+    def test_failed_request_errors_but_daemon_keeps_serving(self, no_retries):
+        params = {"dataset": "CRE", "partitions": 2, "backend": "process"}
+        with ReproServer(default_scale=SCALE, workers=2) as srv:
             with ServeClient(port=srv.port, timeout=600.0) as client:
-                response = client.request("faulty")
+                # The first scatter of the served filter loses a task: its
+                # worker SIGKILLs itself, and with no retries the map fails.
+                plan = FaultPlan().kill_task(at=1, index=0)
+                with active_plan(plan):
+                    response = client.request("filter", **params)
+                assert plan.fired("pool.dispatch")
                 assert response["ok"] is False
                 assert response["error"]["code"] == "internal"
                 assert "WorkerPoolError" in response["error"]["message"]
-                # Same connection, next request: the daemon is unharmed.
-                after = client.request("filter", dataset="CRE", seed=5)
+                # Same connection, next request: the daemon is unharmed and
+                # the hub comes back on fresh workers.
+                after = client.request("filter", **params)
                 assert after["ok"] is True
-            # A fresh connection works too, and the pool slot is clean.
+                assert after["result"]["edges_kept"] > 0
+            # A fresh connection works too.
             with ServeClient(port=srv.port, timeout=600.0) as client:
                 assert client.ping()["status"] == "ok"
+        shutdown_worker_pool()
 
 
 # ----------------------------------------------------------------------

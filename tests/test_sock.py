@@ -35,9 +35,11 @@ from repro.faults import FaultPlan, active_plan
 from repro.graph.generators import correlation_like_graph
 from repro.parallel.runner import (
     available_backends,
+    configure_supervision,
     parallel_map,
     pop_supervision_events,
     run_spmd,
+    supervision_policy,
 )
 from repro.parallel import sock
 from repro.parallel.sock import (
@@ -380,11 +382,14 @@ class TestSupervisedDegrade:
         # steps process-sock (the process rung) down to thread and the round
         # completes.
         shutdown_sock_pool()
+        old = supervision_policy()
+        configure_supervision(max_retries=0)
         plan = FaultPlan().fail("pool.spawn", at=1, exc=OSError, message="injected bind failure")
-        with active_plan(plan):
-            report = run_spmd(
-                _ring_fn, 2, rank_args=[(0,), (0,)], backend="process-sock", max_retries=0
-            )
+        try:
+            with active_plan(plan):
+                report = run_spmd(_ring_fn, 2, rank_args=[(0,), (0,)], backend="process-sock")
+        finally:
+            configure_supervision(max_retries=old.max_retries)
         assert report.backend == "thread"
         assert report.values == [(10, 1), (0, 1)]
 

@@ -1,9 +1,14 @@
-"""Unit tests for the cost model and the per-rank RNG streams."""
+"""Unit tests for the cost model, the per-rank RNG streams and the retry backoff."""
 
 from __future__ import annotations
 
+import random
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+
+from repro.parallel import runner
 
 from repro.parallel import (
     CostModel,
@@ -127,3 +132,24 @@ class TestPinnedStreams:
         values = rank_rng(0, 1, 2).random(3)
         expected = [0.677196856975102, 0.242986748542821, 0.611763796321812]
         assert np.allclose(values, expected, rtol=0, atol=1e-15)
+
+
+class TestBackoff:
+    """The one retry schedule (runtime, serve client, ``repro request``)."""
+
+    def test_first_delays_are_the_seeded_capped_exponential(self, monkeypatch):
+        slept = []
+        monkeypatch.setattr(runner, "time", SimpleNamespace(sleep=slept.append))
+        rng = random.Random(runner.BACKOFF_SEED)
+        delays = [runner.backoff(rng, attempt) for attempt in range(1, 7)]
+        # The pinned schedule: 0.05 * 2**(n-1) s, capped at 2 s, times a
+        # jitter in [0.5, 1) drawn from Random(0).
+        jitter = random.Random(0)
+        want = [min(2.0, 0.05 * 2 ** (n - 1)) * (0.5 + 0.5 * jitter.random()) for n in range(1, 7)]
+        assert delays == want
+        assert slept == want
+
+    def test_the_cap_holds(self, monkeypatch):
+        monkeypatch.setattr(runner, "time", SimpleNamespace(sleep=lambda _: None))
+        rng = random.Random(runner.BACKOFF_SEED)
+        assert max(runner.backoff(rng, attempt) for attempt in range(1, 20)) < 2.0
