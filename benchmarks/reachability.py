@@ -14,12 +14,17 @@ lists the functions of ``src/repro`` that none of them entered:
 * an in-process daemon answering ping, datasets, filter, classify, enrich
   (both sources), the four update kinds, reload, stats and shutdown.
 
-An unreached function must be one of three kinds, recorded with a tag in
-``reachability_kept.txt`` beside this script:
+An unreached function must be one of four kinds, recorded with a tag and a
+reason in ``reachability_kept.txt`` beside this script:
 
 ``oracle``      a test pins a product kernel against it;
-``public``      an example, a benchmark, perfbench, the CLI or a name in
-                ``repro.__all__`` (or a package ``__all__``) uses it;
+``public``      a CLI command, an example, a ``benchmarks/`` script or
+                ``perfbench/`` calls it, and the reason names that file; a
+                step the paper describes also counts, and its reason starts
+                ``paper:``;
+``harness``     test machinery that lives in ``src/``: only ``repro.faults``
+                (worker processes import it) and the seeded generators of
+                ``repro.graph.generators`` (inputs of the kernel pins);
 ``blind-spot``  a product path does reach it, but the trace cannot see the
                 call (worker processes, error and shutdown paths).
 
@@ -28,9 +33,10 @@ Anything else is dead code.  Usage, from the root of a checkout::
     PYTHONPATH=src python benchmarks/reachability.py           # report
     PYTHONPATH=src python benchmarks/reachability.py --check   # gate
 
-``--check`` exits 1 when a function is unreached but not listed, or when a
-listed function no longer exists.  A listed function that the trace reaches
-is reported but does not fail the check.
+``--check`` exits 1 when a function is unreached but not listed, when a
+listed function no longer exists, or when an entry breaks its tag's rule
+(:func:`entry_errors`).  A listed function that the trace reaches is
+reported but does not fail the check.
 """
 
 from __future__ import annotations
@@ -51,7 +57,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
 KEPT_FILE = Path(__file__).resolve().parent / "reachability_kept.txt"
 SCALE = "0.02"
-TAGS = ("oracle", "public", "blind-spot")
+TAGS = ("oracle", "public", "harness", "blind-spot")
+#: The only modules whose functions may be tagged ``harness``.
+HARNESS_MODULES = ("repro.faults", "repro.graph.generators")
 
 
 # ----------------------------------------------------------------------
@@ -203,18 +211,52 @@ def trace_workloads() -> set[tuple[str, int]]:
     return {(os.path.realpath(code.co_filename), code.co_firstlineno) for code in seen}
 
 
-def read_kept() -> dict[str, str]:
-    """``module:qualname -> tag`` from the committed list."""
-    kept: dict[str, str] = {}
-    for raw in KEPT_FILE.read_text(encoding="utf-8").splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+def read_kept(text: str) -> dict[str, tuple[str, str]]:
+    """``module:qualname -> (tag, reason)`` from the text of a keep list."""
+    kept: dict[str, tuple[str, str]] = {}
+    for raw in text.splitlines():
+        entry, _, reason = raw.partition("#")
+        if not entry.strip():
             continue
-        name, tag = line.split()[:2]
-        if tag not in TAGS:
-            raise ValueError(f"{KEPT_FILE.name}: unknown tag {tag!r} on {name}")
-        kept[name] = tag
+        name, tag = entry.split()[:2]
+        kept[name] = (tag, reason.strip())
     return kept
+
+
+def _needle(name: str) -> str:
+    """What a caller's file must contain: the def's own name or, for a
+    special method (spelt by syntax: ``len(x)``, ``with x``), its class's."""
+    parts = name.split(":", 1)[1].split(".")
+    if parts[-1].startswith("__") and parts[-1].endswith("__") and len(parts) > 1:
+        return parts[-2]
+    return parts[-1]
+
+
+def entry_errors(name: str, tag: str, reason: str, root: Path = ROOT) -> list[str]:
+    """Why the keep-list entry ``name tag # reason`` breaks its tag's rule.
+
+    A ``public`` reason starts ``paper:`` or names a file of the checkout
+    outside ``tests/`` and other than the def's own module that contains
+    the def's name (:func:`_needle`).  ``harness`` is refused outside
+    :data:`HARNESS_MODULES`.
+    """
+    module = name.split(":", 1)[0]
+    if tag not in TAGS:
+        return [f"{name}: unknown tag {tag!r}"]
+    if tag == "harness" and module not in HARNESS_MODULES:
+        return [f"{name}: harness outside {', '.join(HARNESS_MODULES)}"]
+    if tag != "public" or reason.startswith("paper:"):
+        return []
+    own = root / "src" / Path(*module.split(".")).with_suffix(".py")
+    needle = _needle(name)
+    for word in reason.replace(",", " ").replace(";", " ").split():
+        path = root / word.strip("()`'\".:")
+        if not path.is_file() or path == own or path.is_relative_to(root / "tests"):
+            continue
+        if needle in path.read_text(encoding="utf-8"):
+            return []
+        return [f"{name}: {path.relative_to(root)} does not mention {needle!r}"]
+    return [f"{name}: public reason names no caller file outside tests/ and no paper: step"]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -236,7 +278,8 @@ def main(argv: list[str] | None = None) -> int:
         unreached[(path, first)] = (name, end)
     lines = sum(end - first + 1 for (_, first), (_, end) in unreached.items())
 
-    kept = read_kept()
+    kept = read_kept(KEPT_FILE.read_text(encoding="utf-8"))
+    broken = [e for name, (tag, reason) in kept.items() for e in entry_errors(name, tag, reason)]
     unreached_names = {v[0] for v in unreached.values()}
     defined_names = {v[0] for v in key.values()}
     unlisted = sorted(unreached_names - set(kept))
@@ -244,7 +287,7 @@ def main(argv: list[str] | None = None) -> int:
     reached = sorted(set(kept) & defined_names - unreached_names)
 
     print(f"{len(unreached)} of {len(key)} functions unreached ({lines} lines)")
-    by_tag = {tag: sum(1 for n in unreached_names if kept.get(n) == tag) for tag in TAGS}
+    by_tag = {tag: sum(1 for n in unreached_names if kept.get(n, ("",))[0] == tag) for tag in TAGS}
     print("listed: " + ", ".join(f"{tag} {count}" for tag, count in by_tag.items()))
     for name in reached:
         print(f"listed but reached: {name}")
@@ -252,7 +295,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"listed but not defined: {name}")
     for name in unlisted:
         print(f"unreached and not listed: {name}")
-    if args.check and (unlisted or missing):
+    for error in broken:
+        print(f"entry breaks its rule: {error}")
+    if args.check and (unlisted or missing or broken):
         return 1
     return 0
 

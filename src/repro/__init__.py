@@ -57,7 +57,6 @@ __all__ = [
     "AnnotationTable",
     "EnrichmentScorer",
     "Cluster",
-    "MCODEParams",
     "mcode_clusters",
     "prepare_dataset",
     "analyze_filter",
@@ -71,10 +70,10 @@ __all__ = [
     "install_plan",
 ]
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__ = lazy_exports(
     __name__,
     {
-        ".clustering": ("Cluster", "MCODEParams", "mcode_clusters"),
+        ".clustering": ("Cluster", "mcode_clusters"),
         ".core": (
             "FilterResult",
             "apply_filter",

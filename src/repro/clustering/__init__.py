@@ -4,7 +4,6 @@ from .._lazy import lazy_exports
 
 __all__ = [
     "Cluster",
-    "MCODEParams",
     "IndexComplex",
     "mcode_clusters",
     "mcode_clusters_indices",
@@ -28,11 +27,9 @@ __all__ = [
     "classify_match",
     "classify_matches",
     "quadrant_counts",
-    "sensitivity",
-    "specificity",
 ]
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__ = lazy_exports(
     __name__,
     {
         ".cluster": ("Cluster",),
@@ -44,13 +41,10 @@ __getattr__, __dir__ = lazy_exports(
             "classify_match",
             "classify_matches",
             "quadrant_counts",
-            "sensitivity",
-            "specificity",
         ),
         ".mcode": (
             "IndexComplex",
-            "MCODEParams",
-            "mcode_clusters",
+                    "mcode_clusters",
             "mcode_clusters_indices",
             "mcode_score",
             "mcode_vertex_weights_indices",

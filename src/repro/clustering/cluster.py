@@ -57,7 +57,6 @@ class Cluster:
         score: float,
         seed: Optional[Vertex] = None,
         source: str = "",
-        metadata: Optional[dict] = None,
     ) -> None:
         self.cluster_id = cluster_id
         self.members = members
@@ -65,7 +64,6 @@ class Cluster:
         self.score = score
         self.seed = seed
         self.source = source
-        self.metadata = {} if metadata is None else metadata
         self.csr: Optional[CSRGraph] = None
         self.indices: Optional[np.ndarray] = None
         self.pairs: Optional[np.ndarray] = None
@@ -111,11 +109,6 @@ class Cluster:
             return int(self.pairs.shape[0])
         return self.subgraph.n_edges
 
-    @property
-    def density(self) -> float:
-        n = self.n_vertices
-        return 2.0 * self.n_edges / (n * (n - 1)) if n >= 2 else 0.0
-
     def node_set(self) -> set[Vertex]:
         return set(self.members)
 
@@ -124,15 +117,3 @@ class Cluster:
             labels = self.csr.labels
             return {edge_key(labels[u], labels[v]) for u, v in self.pairs.tolist()}
         return {edge_key(u, v) for u, v in self.subgraph.iter_edges()}
-
-    def __contains__(self, vertex: Vertex) -> bool:
-        return vertex in self.node_set()
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"Cluster(id={self.cluster_id}, n_vertices={self.n_vertices}, "
-            f"n_edges={self.n_edges}, score={self.score:.2f}, source={self.source!r})"
-        )

@@ -27,7 +27,6 @@ from enum import Enum
 from typing import Optional
 
 from ..ontology.enrichment import EnrichmentScorer
-from .cluster import Cluster
 from .overlap import ClusterMatch
 
 __all__ = [
@@ -37,8 +36,6 @@ __all__ = [
     "classify_match",
     "classify_matches",
     "quadrant_counts",
-    "sensitivity",
-    "specificity",
     "EvaluationThresholds",
 ]
 
@@ -74,14 +71,6 @@ class ScoredMatch:
     overlap: float
     quadrant: Quadrant
 
-    @property
-    def filtered(self) -> Cluster:
-        return self.match.filtered
-
-    @property
-    def original(self) -> Optional[Cluster]:
-        return self.match.original
-
 
 @dataclass
 class QuadrantCounts:
@@ -101,10 +90,6 @@ class QuadrantCounts:
             self.fn += 1
         else:
             self.tn += 1
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.fn + self.tn
 
     @property
     def sensitivity(self) -> float:
@@ -201,12 +186,3 @@ def quadrant_counts(scored: Sequence[ScoredMatch]) -> QuadrantCounts:
         counts.add(s.quadrant)
     return counts
 
-
-def sensitivity(scored: Sequence[ScoredMatch]) -> float:
-    """Sensitivity of a matching criterion over a set of scored matches."""
-    return quadrant_counts(scored).sensitivity
-
-
-def specificity(scored: Sequence[ScoredMatch]) -> float:
-    """Specificity of a matching criterion over a set of scored matches."""
-    return quadrant_counts(scored).specificity

@@ -10,14 +10,16 @@ this module reimplements the original three-stage algorithm:
    (the "core-clustering coefficient" scaled by the core number).
 2. **Complex prediction** — complexes are seeded from the highest-weighted
    unvisited vertex and grown outward over vertices whose weight is within
-   ``vertex_weight_percentage`` of the seed's weight.
-3. **Post-processing** — optional *haircut* (iteratively strip singly
-   connected vertices) and *fluff* (add dense neighbours), plus the 2-core
-   requirement; complexes are scored ``density × size`` and returned sorted by
-   score.
+   :data:`VERTEX_WEIGHT_PERCENTAGE` of the seed's weight.
+3. **Post-processing** — the *haircut* (iteratively strip singly connected
+   vertices) and the 2-core requirement, which reach the same fixpoint;
+   complexes of at least :data:`MIN_SIZE` vertices are scored
+   ``density × size`` and returned sorted by score.
 
-Defaults match the published MCODE defaults (haircut on, fluff off,
-VWP = 0.2), which is what "run under default parameters" means.
+The published MCODE defaults (haircut on, fluff off, VWP = 0.2) are what
+"run under default parameters" means, so they are module constants; the
+one value a caller sets is the score cut, ``min_score`` (3.0 in the paper,
+swept by :func:`repro.pipeline.ablation.mcode_threshold_sweep`).
 
 Since PR 3 the public functions run **index-native on the CSR kernel**: the
 graph is converted once (:class:`~repro.graph.csr.CSRGraph`), stage 1 peels
@@ -36,7 +38,6 @@ from __future__ import annotations
 
 from collections.abc import Hashable, Sequence
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -45,7 +46,6 @@ from ..graph.graph import Graph
 from .cluster import Cluster
 
 __all__ = [
-    "MCODEParams",
     "mcode_clusters",
     "mcode_score",
     "mcode_vertex_weights_indices",
@@ -59,24 +59,14 @@ __all__ = [
 
 Vertex = Hashable
 
-
-@dataclass(frozen=True)
-class MCODEParams:
-    """MCODE tuning knobs (defaults follow Bader & Hogue / AllegroMCODE 1.0)."""
-
-    vertex_weight_percentage: float = 0.2
-    haircut: bool = True
-    fluff: bool = False
-    fluff_density_threshold: float = 0.5
-    min_score: float = 3.0
-    min_size: int = 3
-    require_two_core: bool = True
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.vertex_weight_percentage <= 1.0:
-            raise ValueError("vertex_weight_percentage must lie in [0, 1]")
-        if self.min_size < 1:
-            raise ValueError("min_size must be >= 1")
+#: The paper's score cut: "scores of 2.9 or lower tend to indicate small
+#: cliques, or K3 graphs".
+MIN_SCORE = 3.0
+#: Stage 2 grows a complex over neighbours weighing more than
+#: ``(1 - VERTEX_WEIGHT_PERCENTAGE)`` times its seed's weight.
+VERTEX_WEIGHT_PERCENTAGE = 0.2
+#: Complexes smaller than this after the haircut are dropped.
+MIN_SIZE = 3
 
 
 @dataclass(frozen=True)
@@ -235,34 +225,7 @@ def _grow_complex_indices(
     return members
 
 
-def _fluff_indices(
-    rows: list[list[int]],
-    row_sets: list[set[int]],
-    members: list[int],
-    density_threshold: float,
-) -> list[int]:
-    """Fluff on indices: add neighbours with dense closed neighbourhoods."""
-    member_set = set(members)
-    added: list[int] = []
-    for v in members:
-        for w in rows[v]:
-            if w in member_set:
-                continue
-            closed = row_sets[w] | {w}
-            s = len(closed)
-            if s < 2:
-                continue
-            e = sum(len(row_sets[x] & closed) for x in closed) // 2
-            if 2.0 * e / (s * (s - 1)) > density_threshold:
-                member_set.add(w)
-                added.append(w)
-    return members + added
-
-
-def mcode_clusters_indices(
-    csr: CSRGraph,
-    params: Optional[MCODEParams] = None,
-) -> list[IndexComplex]:
+def mcode_clusters_indices(csr: CSRGraph, min_score: float = MIN_SCORE) -> list[IndexComplex]:
     """Run MCODE on a CSR view and return index-level complexes, sorted.
 
     The result order and scores are exactly those of
@@ -270,7 +233,6 @@ def mcode_clusters_indices(
     labels, as in the seed); only the label materialisation is left to the
     caller.
     """
-    params = params or MCODEParams()
     n = csr.n_vertices
     rows = csr.neighbor_lists()
     row_sets = csr.neighbor_sets()
@@ -282,32 +244,20 @@ def mcode_clusters_indices(
     for seed in order:
         if seed in seen or weights[seed] <= 0.0:
             continue
-        members = _grow_complex_indices(
-            rows, weights, seed, seen, params.vertex_weight_percentage
-        )
+        members = _grow_complex_indices(rows, weights, seed, seen, VERTEX_WEIGHT_PERCENTAGE)
         seen.update(members)
         if len(members) >= 2:
             raw.append((seed, members))
 
-    prune = params.haircut or params.require_two_core
     complexes: list[IndexComplex] = []
     for seed, members in raw:
-        if params.fluff:
-            members = _fluff_indices(rows, row_sets, members, params.fluff_density_threshold)
-        if prune:
-            survivors = _peel_subset(row_sets, members, 2)
-        else:
-            survivors = set(members)
+        survivors = _peel_subset(row_sets, members, 2)
         n_sub = len(survivors)
-        if n_sub < params.min_size:
+        if n_sub < MIN_SIZE:
             continue
-        if n_sub < 2:
-            density = 0.0
-        else:
-            e_sub = _subset_edge_count(row_sets, survivors)
-            density = 2.0 * e_sub / (n_sub * (n_sub - 1))
+        density = 2.0 * _subset_edge_count(row_sets, survivors) / (n_sub * (n_sub - 1))
         score = density * n_sub
-        if score < params.min_score:
+        if score < min_score:
             continue
         kept = tuple(u for u in members if u in survivors)
         complexes.append(IndexComplex(seed=seed, members=kept, score=score))
@@ -338,8 +288,7 @@ def _complex_pairs(csr: CSRGraph, complexes: Sequence[IndexComplex]) -> list[np.
     ``v`` is kept when it belongs to the same complex and comes later in
     its member order, so each complex lists its edges in the order
     ``Graph.subgraph(members)`` adds them.  Membership is a binary search
-    over ``complex × n + vertex`` keys, because fluff can put one vertex in
-    two complexes.
+    over ``complex × n + vertex`` keys.
     """
     n = csr.n_vertices
     sizes = np.array([len(c.members) for c in complexes], dtype=np.int64)
@@ -362,15 +311,14 @@ def _complex_pairs(csr: CSRGraph, complexes: Sequence[IndexComplex]) -> list[np.
 
 def mcode_clusters(
     graph: "Graph | CSRGraph",
-    params: Optional[MCODEParams] = None,
+    min_score: float = MIN_SCORE,
     source: str = "",
 ) -> list[Cluster]:
     """Run MCODE on ``graph`` and return clusters sorted by descending score.
 
-    Only clusters meeting ``params.min_score`` and ``params.min_size`` (after
-    post-processing) are returned; the paper's threshold of 3.0 deliberately
-    discards bare triangles ("scores of 2.9 or lower tend to indicate small
-    cliques, or K3 graphs").
+    Only clusters scoring at least ``min_score`` with :data:`MIN_SIZE` or
+    more vertices (after the haircut) are returned; the paper's cut of 3.0
+    deliberately discards bare triangles.
 
     The computation is index-native: ``graph`` is a CSR view (the bundle's
     ``network_csr``, a result's ``filtered_csr()``) or a label graph,
@@ -379,9 +327,8 @@ def mcode_clusters(
     with each cluster's label subgraph cut from the CSR's label graph only
     when it is read.
     """
-    params = params or MCODEParams()
     csr = graph if isinstance(graph, CSRGraph) else CSRGraph.from_graph(graph)
-    complexes = mcode_clusters_indices(csr, params)
+    complexes = mcode_clusters_indices(csr, min_score)
     return [
         Cluster.from_indices(
             i,
@@ -485,28 +432,12 @@ def _haircut(subgraph: Graph) -> Graph:
     return work
 
 
-def _fluff(graph: Graph, members: list[Vertex], density_threshold: float) -> list[Vertex]:
-    """Add neighbours whose closed-neighbourhood density clears the fluff threshold."""
-    member_set = set(members)
-    added: list[Vertex] = []
-    for v in members:
-        for w in graph.neighbors(v):
-            if w in member_set:
-                continue
-            closed = graph.subgraph([w] + graph.neighbors(w))
-            if _weight_density(closed) > density_threshold:
-                member_set.add(w)
-                added.append(w)
-    return members + added
-
-
 def reference_mcode_clusters(
     graph: Graph,
-    params: Optional[MCODEParams] = None,
+    min_score: float = MIN_SCORE,
     source: str = "",
 ) -> list[Cluster]:
     """Seed ``mcode_clusters``: the pure label-level three-stage pipeline."""
-    params = params or MCODEParams()
     weights = reference_mcode_vertex_weights(graph)
     order = sorted(graph.vertices(), key=lambda v: (-weights[v], repr(v)))
     seen: set[Vertex] = set()
@@ -514,24 +445,20 @@ def reference_mcode_clusters(
     for seed in order:
         if seed in seen or weights[seed] <= 0.0:
             continue
-        members = _grow_complex(graph, weights, seed, seen, params.vertex_weight_percentage)
+        members = _grow_complex(graph, weights, seed, seen, VERTEX_WEIGHT_PERCENTAGE)
         seen.update(members)
         if len(members) >= 2:
             raw.append((seed, members))
 
     clusters: list[Cluster] = []
     for seed, members in raw:
-        if params.fluff:
-            members = _fluff(graph, members, params.fluff_density_threshold)
         sub = graph.subgraph(members)
-        if params.haircut:
-            sub = _haircut(sub)
-        if params.require_two_core:
-            sub = reference_k_core(sub, 2)
-        if sub.n_vertices < params.min_size:
+        sub = _haircut(sub)
+        sub = reference_k_core(sub, 2)
+        if sub.n_vertices < MIN_SIZE:
             continue
         score = mcode_score(sub)
-        if score < params.min_score:
+        if score < min_score:
             continue
         kept_members = [v for v in members if sub.has_vertex(v)]
         clusters.append(

@@ -50,7 +50,7 @@ __all__ = [
     "filter_names",
 ]
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__ = lazy_exports(
     __name__,
     {
         ".chordal": (

@@ -18,7 +18,7 @@ from typing import Any, Optional
 import numpy as np
 
 from ..graph.csr import CSRGraph
-from ..graph.graph import Graph, edge_key
+from ..graph.graph import Graph
 from ..parallel.timing import CostModel, RankWork
 
 __all__ = ["FilterResult"]
@@ -43,9 +43,8 @@ class FilterResult:
 
     The result is *index-native*: the kept edges and the border edges are
     ``(k, 2)`` ``int64`` arrays of vertex indices into :attr:`csr`, and the
-    label views (:attr:`original`, :attr:`graph`, :attr:`border_edges`,
-    :attr:`accepted_border_edges`) are built from them the first time they are
-    read, then cached.  Counts, summaries, the canonical payload and
+    label views (:attr:`original`, :attr:`graph`) are built from them the
+    first time they are read, then cached.  Counts, summaries, the canonical payload and
     :meth:`filtered_csr` read the arrays, so a caller that never asks for
     labels never pays for them.
 
@@ -126,20 +125,6 @@ class FilterResult:
             (labels[i], labels[j]) for i, j in self.kept.tolist()
         )
 
-    @cached_property
-    def border_edges(self) -> list[Edge]:
-        """Canonical border edges of the partition (empty for sequential runs)."""
-        return self._label_edges(self.border_pairs)
-
-    @cached_property
-    def accepted_border_edges(self) -> list[Edge]:
-        """Canonical border edges that survived the filter."""
-        return self._label_edges(self.accepted_border_pairs)
-
-    def _label_edges(self, pairs: np.ndarray) -> list[Edge]:
-        labels = self.csr.labels
-        return [edge_key(labels[i], labels[j]) for i, j in pairs.tolist()]
-
     def filtered_csr(self) -> CSRGraph:
         """The CSR of :attr:`graph`, built from :attr:`kept` without the graph.
 
@@ -151,12 +136,6 @@ class FilterResult:
         csr = CSRGraph.from_edge_sequence(self.csr.labels, self.kept[:, 0], self.kept[:, 1])
         csr.attach_label_graph(lambda: self.graph)
         return csr
-
-    def __getstate__(self) -> dict[str, Any]:
-        # A CSR pickles as bare arrays: resolve the label network so it
-        # travels with the result, as the input graph always did.
-        self.original
-        return self.__dict__
 
     # ------------------------------------------------------------------
     # derived quantities

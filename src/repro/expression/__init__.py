@@ -29,7 +29,7 @@ __all__ = [
     "apply_differential_filter",
 ]
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__ = lazy_exports(
     __name__,
     {
         ".correlation": (

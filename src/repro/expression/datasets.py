@@ -263,14 +263,6 @@ class SyntheticStudy:
     def name(self) -> str:
         return self.config.name
 
-    def module_of(self) -> dict[str, str]:
-        """Return gene → module-name for every planted module member."""
-        out: dict[str, str] = {}
-        for mod, members in self.modules.items():
-            for g in members:
-                out[g] = mod
-        return out
-
     def _pair_arrays(
         self, threshold: Optional[CorrelationThreshold]
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -335,16 +327,6 @@ class SyntheticStudy:
         if use_cache:
             self._network_csr = csr
         return csr
-
-    def true_module_edges(self) -> set[tuple[str, str]]:
-        """Return every within-module gene pair as canonical edges (ground truth)."""
-        edges: set[tuple[str, str]] = set()
-        for members in self.modules.values():
-            for i, a in enumerate(members):
-                for b in members[i + 1 :]:
-                    edges.add(edge_key(a, b))
-        return edges
-
 
 def _module_gene_name(study: str, module: int, index: int) -> str:
     return f"{study}_M{module:02d}_{index:02d}"

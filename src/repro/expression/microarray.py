@@ -3,9 +3,7 @@
 A microarray experiment yields a genes × samples matrix of expression levels.
 :class:`ExpressionMatrix` wraps a NumPy array together with gene and sample
 labels and provides the handful of operations the pipeline needs: subsetting
-by genes/samples, splitting by experimental condition (the paper splits
-GSE5078 into YNG/MID and GSE5140 into UNT/CRE), per-gene standardisation and
-variance screening.
+by genes/samples, per-gene standardisation and structural-sharing appends.
 """
 
 from __future__ import annotations
@@ -32,8 +30,7 @@ class ExpressionMatrix:
     samples:
         sample identifiers, one per column.
     conditions:
-        optional per-sample condition labels (e.g. ``"YNG"`` / ``"MID"``)
-        used by :meth:`split_by_condition`.
+        optional per-sample condition labels (e.g. ``"YNG"`` / ``"MID"``).
     """
 
     values: np.ndarray
@@ -74,17 +71,6 @@ class ExpressionMatrix:
     def n_samples(self) -> int:
         return self.values.shape[1]
 
-    def gene_index(self, gene: str) -> int:
-        """Return the row index of ``gene`` (raises ``KeyError`` when absent)."""
-        try:
-            return self.genes.index(gene)
-        except ValueError:
-            raise KeyError(f"gene {gene!r} not in matrix") from None
-
-    def expression_of(self, gene: str) -> np.ndarray:
-        """Return the expression vector of one gene (view, do not mutate)."""
-        return self.values[self.gene_index(gene)]
-
     # ------------------------------------------------------------------
     # subsetting
     # ------------------------------------------------------------------
@@ -118,16 +104,6 @@ class ExpressionMatrix:
             conditions=[self.conditions[c] for c in cols] if self.conditions else None,
             metadata=dict(self.metadata),
         )
-
-    def split_by_condition(self) -> dict[str, "ExpressionMatrix"]:
-        """Split into one matrix per condition label (paper: age / treatment groups)."""
-        if not self.conditions:
-            raise ValueError("matrix has no condition labels to split on")
-        out: dict[str, ExpressionMatrix] = {}
-        for cond in dict.fromkeys(self.conditions):
-            samples = [s for s, c in zip(self.samples, self.conditions) if c == cond]
-            out[cond] = self.subset_samples(samples)
-        return out
 
     # ------------------------------------------------------------------
     # transforms
@@ -248,20 +224,3 @@ class ExpressionMatrix:
             memo.values.setflags(write=False)
             result._standardized = memo
         return result
-
-    def gene_variances(self) -> np.ndarray:
-        """Return the per-gene expression variance."""
-        return self.values.var(axis=1)
-
-    def top_variance_genes(self, fraction: float) -> list[str]:
-        """Return the ``fraction`` of genes with the highest expression variance.
-
-        Mirrors the statistical pre-selection the paper applies to GSE5078
-        ("about 33% of the total possible genes").
-        """
-        if not 0.0 < fraction <= 1.0:
-            raise ValueError("fraction must lie in (0, 1]")
-        k = max(1, int(round(fraction * self.n_genes)))
-        order = np.argsort(self.gene_variances())[::-1][:k]
-        keep = sorted(order)
-        return [self.genes[i] for i in keep]

@@ -67,7 +67,7 @@ __all__ = [
     "read_edge_list",
 ]
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__ = lazy_exports(
     __name__,
     {
         ".centrality": (

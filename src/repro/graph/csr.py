@@ -40,7 +40,7 @@ a new view with an empty memo.
 from __future__ import annotations
 
 import threading
-from collections.abc import Hashable, Iterable, Iterator, Sequence
+from collections.abc import Hashable, Iterable, Sequence
 from typing import Callable, Optional, TypeVar
 
 import numpy as np
@@ -164,7 +164,6 @@ class CSRGraph:
         "indices",
         "labels",
         "_label_index",
-        "_packed",
         "_rows",
         "_row_sets",
         "_edge_arr",
@@ -196,7 +195,6 @@ class CSRGraph:
         object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_label_index", None)
-        object.__setattr__(self, "_packed", None)
         object.__setattr__(self, "_rows", None)
         object.__setattr__(self, "_row_sets", None)
         object.__setattr__(self, "_edge_arr", None)
@@ -392,7 +390,6 @@ class CSRGraph:
         object.__setattr__(csr, "indices", ix)
         object.__setattr__(csr, "labels", label_tuple)
         object.__setattr__(csr, "_label_index", None)
-        object.__setattr__(csr, "_packed", None)
         object.__setattr__(csr, "_rows", None)
         object.__setattr__(csr, "_row_sets", None)
         object.__setattr__(csr, "_edge_arr", None)
@@ -436,10 +433,6 @@ class CSRGraph:
         """Return the index of ``label``; raises ``KeyError`` when absent."""
         return self.label_index[label]
 
-    def label_of(self, index: int) -> Vertex:
-        """Return the label of vertex ``index``."""
-        return self.labels[index]
-
     def to_indices(self, labels: Iterable[Vertex]) -> list[int]:
         """Map an iterable of labels to vertex indices."""
         idx = self.label_index
@@ -449,9 +442,6 @@ class CSRGraph:
         """Map an iterable of vertex indices back to labels."""
         labels = self.labels
         return [labels[i] for i in indices]
-
-    def __contains__(self, label: Vertex) -> bool:
-        return label in self.label_index
 
     # ------------------------------------------------------------------
     # structure queries
@@ -463,9 +453,6 @@ class CSRGraph:
     @property
     def n_edges(self) -> int:
         return int(self.indices.shape[0]) // 2
-
-    def degree(self, i: int) -> int:
-        return int(self.indptr[i + 1] - self.indptr[i])
 
     def degrees(self) -> np.ndarray:
         """All vertex degrees as one vectorised ``int64`` array."""
@@ -479,10 +466,6 @@ class CSRGraph:
         if self.n_vertices == 0:
             return 0
         return int(self.degrees().max())
-
-    def neighbors(self, i: int) -> np.ndarray:
-        """Neighbours of vertex ``i`` as a read-only array view (row order)."""
-        return self.indices[self.indptr[i] : self.indptr[i + 1]]
 
     def neighbor_lists(self) -> list[list[int]]:
         """All adjacency rows as plain Python ``list[int]`` (kernel-loop form).
@@ -506,54 +489,16 @@ class CSRGraph:
             object.__setattr__(self, "_row_sets", sets)
         return sets
 
-    @property
-    def _packed_edges(self) -> np.ndarray:
-        """Sorted array of ``u * n + v`` for every directed edge (lazy)."""
-        packed = self._packed
-        if packed is None:
-            n = self.n_vertices
-            rows = np.repeat(np.arange(n, dtype=np.int64), self.degrees())
-            packed = np.sort(rows * n + self.indices)
-            packed.setflags(write=False)
-            object.__setattr__(self, "_packed", packed)
-        return packed
-
-    def has_edge(self, i: int, j: int) -> bool:
-        """O(log E) membership test for the undirected edge ``{i, j}``."""
-        n = self.n_vertices
-        if not (0 <= i < n and 0 <= j < n):
-            return False
-        packed = self._packed_edges
-        key = i * n + j
-        pos = int(np.searchsorted(packed, key))
-        return pos < packed.shape[0] and int(packed[pos]) == key
-
-    def edge_indices(self) -> Iterator[tuple[int, int]]:
-        """Iterate every undirected edge once as ``(i, j)`` with row-major order.
-
-        Each edge is reported from the endpoint whose row mentions it first,
-        mirroring :meth:`Graph.iter_edges` determinism (but on indices).
-
-        A CSR built from a simple :class:`Graph` stores every undirected edge
-        in *both* endpoint rows, so in a row-major scan the first mention of
-        ``{i, j}`` is always in the row of the smaller endpoint — the ``j > i``
-        filter reports exactly the first mentions, no O(E) dedup set needed.
-        (Hand-built non-symmetric ``indptr/indices`` break this invariant the
-        same way they already break :attr:`n_edges`.)
-        """
-        indptr, indices = self.indptr, self.indices
-        for i in range(self.n_vertices):
-            for j in indices[indptr[i] : indptr[i + 1]]:
-                if j > i:
-                    yield (i, int(j))
-
     def edge_array(self) -> tuple[np.ndarray, np.ndarray]:
         """All undirected edges as two aligned ``int64`` arrays ``(us, vs)``.
 
-        Each edge appears exactly once with ``us[k] < vs[k]``, in the same
-        order :meth:`edge_indices` yields (row-major by smaller endpoint).
-        Built once and cached; treat the arrays as read-only.  Relies on the
-        symmetric-CSR invariant described in :meth:`edge_indices`.
+        Each edge appears exactly once with ``us[k] < vs[k]``, row-major by
+        the smaller endpoint, which mirrors :meth:`Graph.iter_edges`
+        determinism on indices.  Built once and cached; treat the arrays as
+        read-only.  A CSR built from a simple :class:`Graph` stores every
+        undirected edge in both endpoint rows, so the ``u < v`` mask reports
+        each edge once; hand-built non-symmetric ``indptr/indices`` break
+        this the same way they already break :attr:`n_edges`.
         """
         cached = self._edge_arr
         if cached is None:
@@ -642,12 +587,6 @@ class CSRGraph:
     # ------------------------------------------------------------------
     # dunder protocol
     # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return self.n_vertices
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return f"CSRGraph(n_vertices={self.n_vertices}, n_edges={self.n_edges})"
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CSRGraph):
             return NotImplemented
@@ -656,9 +595,6 @@ class CSRGraph:
             and np.array_equal(self.indptr, other.indptr)
             and np.array_equal(self.indices, other.indices)
         )
-
-    def __hash__(self) -> int:
-        return hash((self.labels, self.indptr.tobytes(), self.indices.tobytes()))
 
     def __reduce__(self):
         # The frozen ``__setattr__`` defeats pickle's default slot restore.

@@ -20,7 +20,7 @@ are meaningless in a gene correlation network.
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Iterator, Mapping
+from collections.abc import Hashable, Iterable, Iterator
 from typing import Any, Optional
 
 __all__ = ["Graph", "edge_key"]
@@ -141,11 +141,6 @@ class Graph:
         if attrs:
             self._edge_attrs.setdefault(edge_key(u, v), {}).update(attrs)
 
-    def add_edges(self, edges: Iterable[Edge]) -> None:
-        """Add every edge in ``edges``."""
-        for u, v in edges:
-            self.add_edge(u, v)
-
     def remove_edge(self, u: Vertex, v: Vertex) -> None:
         """Remove the edge ``{u, v}``.  Raises ``KeyError`` if absent."""
         if not self.has_edge(u, v):
@@ -164,13 +159,6 @@ class Graph:
             self.remove_edge(v, nbr)
         del self._adj[v]
         self._version += 1
-
-    def discard_edge(self, u: Vertex, v: Vertex) -> bool:
-        """Remove the edge if present; return ``True`` if something was removed."""
-        if self.has_edge(u, v):
-            self.remove_edge(u, v)
-            return True
-        return False
 
     # ------------------------------------------------------------------
     # queries
@@ -192,16 +180,6 @@ class Graph:
 
     def degree(self, v: Vertex) -> int:
         return len(self._adj[v])
-
-    def degrees(self) -> dict[Vertex, int]:
-        """Return a mapping vertex → degree for every vertex."""
-        return {v: len(nbrs) for v, nbrs in self._adj.items()}
-
-    def max_degree(self) -> int:
-        """Return the maximum degree (0 for an empty graph)."""
-        if not self._adj:
-            return 0
-        return max(len(nbrs) for nbrs in self._adj.values())
 
     def vertices(self) -> list[Vertex]:
         """Return all vertices in insertion order."""
@@ -233,16 +211,6 @@ class Graph:
         """Return attribute ``name`` of edge ``{u, v}`` or ``default``."""
         return self._edge_attrs.get(edge_key(u, v), {}).get(name, default)
 
-    def set_edge_attr(self, u: Vertex, v: Vertex, name: str, value: Any) -> None:
-        """Set attribute ``name`` on the existing edge ``{u, v}``."""
-        if not self.has_edge(u, v):
-            raise KeyError(f"edge ({u!r}, {v!r}) not in graph")
-        self._edge_attrs.setdefault(edge_key(u, v), {})[name] = value
-
-    def edge_attrs(self, u: Vertex, v: Vertex) -> Mapping[str, Any]:
-        """Return (a copy of) the attribute dict of edge ``{u, v}``."""
-        return dict(self._edge_attrs.get(edge_key(u, v), {}))
-
     @property
     def n_vertices(self) -> int:
         return len(self._adj)
@@ -251,27 +219,11 @@ class Graph:
     def n_edges(self) -> int:
         return self._n_edges
 
-    def density(self) -> float:
-        """Return ``2m / (n (n-1))`` — 0.0 for graphs with fewer than 2 vertices."""
-        n = self.n_vertices
-        if n < 2:
-            return 0.0
-        return 2.0 * self._n_edges / (n * (n - 1))
-
     # ------------------------------------------------------------------
     # dunder protocol
     # ------------------------------------------------------------------
     def __contains__(self, v: Vertex) -> bool:
         return v in self._adj
-
-    def __len__(self) -> int:
-        return len(self._adj)
-
-    def __iter__(self) -> Iterator[Vertex]:
-        return iter(self._adj)
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return f"Graph(n_vertices={self.n_vertices}, n_edges={self.n_edges})"
 
     def __eq__(self, other: object) -> bool:
         """Two graphs are equal when they have the same vertex and edge sets."""
@@ -282,8 +234,8 @@ class Graph:
             and set(self.iter_edges()) == set(other.iter_edges())
         )
 
-    def __hash__(self) -> int:  # Graphs are mutable; identity hash like list would be None.
-        raise TypeError("Graph objects are mutable and unhashable")
+    # Defining ``__eq__`` without ``__hash__`` leaves graphs unhashable, as
+    # mutable containers should be.
 
     # ------------------------------------------------------------------
     # derived graphs
@@ -338,24 +290,6 @@ class Graph:
                 g.add_edge(u, v, **self._edge_attrs.get(edge_key(u, v), {}))
         return g
 
-    def relabeled(self, mapping: Mapping[Vertex, Vertex]) -> "Graph":
-        """Return a copy with every vertex ``v`` renamed to ``mapping[v]``.
-
-        Vertices missing from ``mapping`` keep their label.  The mapping must
-        be injective on the vertex set.
-        """
-        new_labels = [mapping.get(v, v) for v in self._adj]
-        if len(set(new_labels)) != len(new_labels):
-            raise ValueError("relabeling mapping is not injective on the vertex set")
-        g = Graph()
-        for v, lab in zip(self._adj, new_labels):
-            g.add_vertex(lab)
-        for u, v in self.iter_edges():
-            g.add_edge(
-                mapping.get(u, u), mapping.get(v, v), **self._edge_attrs.get(edge_key(u, v), {})
-            )
-        return g
-
     # ------------------------------------------------------------------
     # interop
     # ------------------------------------------------------------------
@@ -368,24 +302,3 @@ class Graph:
         for u, v in self.iter_edges():
             g.add_edge(u, v, **self._edge_attrs.get(edge_key(u, v), {}))
         return g
-
-    @classmethod
-    def from_networkx(cls, nxg) -> "Graph":
-        """Build a :class:`Graph` from a networkx graph (self loops dropped)."""
-        g = cls()
-        for v in nxg.nodes:
-            g.add_vertex(v)
-        for u, v, data in nxg.edges(data=True):
-            if u == v:
-                continue
-            g.add_edge(u, v, **dict(data))
-        return g
-
-    @classmethod
-    def from_edge_list(cls, edges: Iterable[Edge]) -> "Graph":
-        """Build a graph from an iterable of ``(u, v)`` pairs."""
-        return cls(edges=edges)
-
-    def adjacency_lists(self) -> dict[Vertex, list[Vertex]]:
-        """Return a plain ``dict`` of adjacency lists (insertion order preserved)."""
-        return {v: list(nbrs) for v, nbrs in self._adj.items()}

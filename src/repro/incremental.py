@@ -64,6 +64,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .clustering.mcode import mcode_clusters
 from .expression.correlation import (
     CorrelationThreshold,
     correlated_pair_arrays,
@@ -76,7 +77,6 @@ from .ontology.annotation import AnnotationIndex, AnnotationTable
 from .ontology.go_dag import GODag
 from .pipeline.workflow import (
     DatasetBundle,
-    cluster_network,
     derive_dataset,
     prepare_dataset,
     prepare_primary,
@@ -360,9 +360,7 @@ def _delta_apply(bundle: DatasetBundle, data: UpdateData) -> tuple[DatasetBundle
             # attributes moved.
             reused.append("clusters")
         else:
-            clusters = cluster_network(
-                network_csr, bundle.mcode_params, source=f"{study.name}/original"
-            )
+            clusters = mcode_clusters(network_csr, source=f"{study.name}/original")
 
     # --- ontology ------------------------------------------------------------
     delta = None
@@ -425,9 +423,7 @@ def reference_apply_update(bundle: DatasetBundle, data: UpdateData) -> DatasetBu
     new_study = _apply_primary(bundle.study, dag, table, data)
     network_csr = new_study.network_csr()
     scorer = EnrichmentScorer(dag, table)
-    clusters = cluster_network(
-        network_csr, bundle.mcode_params, source=f"{new_study.name}/original"
-    )
+    clusters = mcode_clusters(network_csr, source=f"{new_study.name}/original")
     return dataclasses.replace(
         bundle,
         study=new_study,

@@ -24,7 +24,7 @@ __all__ = [
     "make_study_ontology",
 ]
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__ = lazy_exports(
     __name__,
     {
         ".annotation": ("AnnotationIndex", "AnnotationTable"),

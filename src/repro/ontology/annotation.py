@@ -2,9 +2,8 @@
 
 The enrichment scorer needs, for every gene, the set of ontology terms it is
 annotated with.  :class:`AnnotationTable` stores that mapping, validates the
-terms against a :class:`~repro.ontology.go_dag.GODag` and offers the couple of
-queries the pipeline uses (terms of a gene, annotated-gene test, per-term gene
-lists for enrichment summaries).
+terms against a :class:`~repro.ontology.go_dag.GODag` and builds the CSR
+:class:`AnnotationIndex` the batched scorer reads.
 """
 
 from __future__ import annotations
@@ -93,10 +92,6 @@ class AnnotationIndex:
         self.indptr.setflags(write=False)
         self.term_ids.setflags(write=False)
 
-    @property
-    def n_genes(self) -> int:
-        return len(self.genes)
-
     @classmethod
     def updated(
         cls,
@@ -133,18 +128,10 @@ class AnnotationIndex:
         )
         return cls.from_pairs(genes, rows, np.concatenate([kept_ids, fresh_ids]), term_index)
 
-    def row_of(self, gene: Hashable) -> int:
-        """Gene row of one label (``str()``-normalised), ``-1`` when unannotated."""
-        return self._row_of.get(str(gene), -1)
-
     def rows_for(self, genes: Iterable[Hashable]) -> np.ndarray:
         """Map labels to gene rows (``-1`` for unannotated) in one pass."""
         get = self._row_of.get
         return np.fromiter((get(str(g), -1) for g in genes), dtype=np.int64)
-
-    def terms_of_row(self, row: int) -> np.ndarray:
-        """The sorted interned term ids of gene row ``row``."""
-        return self.term_ids[self.indptr[row] : self.indptr[row + 1]]
 
 
 class AnnotationTable:
@@ -167,9 +154,6 @@ class AnnotationTable:
     ) -> None:
         self.dag = dag
         self._gene_terms: dict[str, set[str]] = {}
-        # The term -> genes inverse is built on the first genes_of* read: the
-        # scoring path never reads it, and it is one set per annotated term.
-        self._term_genes: Optional[dict[str, set[str]]] = None
         self._index: Optional[AnnotationIndex] = None
         if annotations:
             for gene, terms in annotations.items():
@@ -213,9 +197,6 @@ class AnnotationTable:
         if not term_list:
             return
         self._gene_terms.setdefault(gene, set()).update(term_list)
-        if self._term_genes is not None:
-            for t in term_list:
-                self._term_genes.setdefault(t, set()).add(gene)
         self._index = None
 
     def indexed(self) -> AnnotationIndex:
@@ -237,59 +218,6 @@ class AnnotationTable:
         """Return the terms annotated to ``gene`` (empty set when unannotated)."""
         return set(self._gene_terms.get(gene, set()))
 
-    def _genes_by_term(self) -> dict[str, set[str]]:
-        """The term -> genes inverse, built on first use and kept current after."""
-        if self._term_genes is None:
-            inverse: dict[str, set[str]] = {}
-            for gene, terms in self._gene_terms.items():
-                for t in terms:
-                    inverse.setdefault(t, set()).add(gene)
-            self._term_genes = inverse
-        return self._term_genes
-
-    def genes_of(self, term: str) -> set[str]:
-        """Return the genes annotated with ``term`` (directly, not via descendants)."""
-        return set(self._genes_by_term().get(term, set()))
-
-    def genes_of_subtree(self, term: str) -> set[str]:
-        """Return genes annotated with ``term`` or any of its descendants."""
-        inverse = self._genes_by_term()
-        out: set[str] = set()
-        for t in self.dag.subtree(term):
-            out |= inverse.get(t, set())
-        return out
-
-    def is_annotated(self, gene: str) -> bool:
-        return bool(self._gene_terms.get(gene))
-
-    def genes(self) -> list[str]:
-        """Return every annotated gene (insertion order)."""
-        return list(self._gene_terms)
-
     def n_annotations(self) -> int:
         """Return the total number of (gene, term) pairs."""
         return sum(len(v) for v in self._gene_terms.values())
-
-    def coverage(self, genes: Iterable[str]) -> float:
-        """Return the fraction of ``genes`` that carry at least one annotation."""
-        genes = list(genes)
-        if not genes:
-            return 0.0
-        return sum(1 for g in genes if self.is_annotated(g)) / len(genes)
-
-    def merged_with(self, other: "AnnotationTable") -> "AnnotationTable":
-        """Return a new table containing the union of both tables' annotations."""
-        if other.dag is not self.dag:
-            raise ValueError("both tables must reference the same GODag instance")
-        merged = AnnotationTable(self.dag)
-        for gene in self.genes():
-            merged.annotate(gene, self.terms_of(gene))
-        for gene in other.genes():
-            merged.annotate(gene, other.terms_of(gene))
-        return merged
-
-    def __len__(self) -> int:
-        return len(self._gene_terms)
-
-    def __contains__(self, gene: str) -> bool:
-        return gene in self._gene_terms

@@ -139,9 +139,6 @@ class ClusterScores:
     n_edges: np.ndarray  #: int64, scored edges per cluster
     dominant: list[Optional[str]]  #: most frequent DCP term (count, then lexical)
 
-    def __len__(self) -> int:
-        return int(self.aees.shape[0])
-
 
 def reference_score_edge(
     dag: GODag,
@@ -234,9 +231,6 @@ class _PairTable:
         """Return ``(dcp, breadth)`` for keys that are all present."""
         pos = np.searchsorted(self.keys, keys)
         return self.dcp[pos], self.breadth[pos]
-
-    def __len__(self) -> int:
-        return int(self.keys.size)
 
 
 class EnrichmentScorer:
@@ -479,4 +473,4 @@ class EnrichmentScorer:
     @property
     def pair_table_size(self) -> int:
         """Distinct term pairs memoised by the batched engine."""
-        return len(self._pairs)
+        return int(self._pairs.keys.size)

@@ -98,10 +98,6 @@ class TermIndex:
         id_of = self.id_of
         return np.array([id_of[t] for t in terms], dtype=np.int64)
 
-    def ancestors_of(self, term_id: int) -> np.ndarray:
-        """Sorted ancestor ids of one interned term, including itself."""
-        return self.anc_indices[self.anc_indptr[term_id] : self.anc_indptr[term_id + 1]]
-
     def dcp_batch(self, a_ids: np.ndarray, b_ids: np.ndarray) -> np.ndarray:
         """Deepest common parent of each aligned pair, vectorised.
 
@@ -126,15 +122,6 @@ class TermIndex:
             row_limit=self._DIST_ROW_LIMIT,
         )
 
-    def distance_row(self, src: int) -> np.ndarray:
-        """BFS distances from interned term ``src`` to every term (cached).
-
-        Shares the bounded row cache with :meth:`distance_batch`, so a row
-        warmed by either serves both.
-        """
-        return _cached_bfs_row(
-            self.term_indptr, self.term_indices, src, self._dist_rows, self._DIST_ROW_LIMIT
-        )
 
 
 def _term_structure(n: int, us: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -486,9 +473,6 @@ class GOTerm:
         self.parents: list[str] = []
         self.children: list[str] = []
 
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return f"GOTerm({self.term_id!r}, name={self.name!r})"
-
 
 class GODag:
     """A rooted DAG of :class:`GOTerm` objects with the paper's query operations.
@@ -707,14 +691,8 @@ class GODag:
         except KeyError:
             raise KeyError(f"unknown GO term {term_id!r}") from None
 
-    def parents(self, term_id: str) -> list[str]:
-        return list(self.term(term_id).parents)
-
     def children(self, term_id: str) -> list[str]:
         return list(self.term(term_id).children)
-
-    def is_leaf(self, term_id: str) -> bool:
-        return not self.term(term_id).children
 
     def depth(self, term_id: str) -> int:
         """Return the depth of a term: the longest path length from the root.
@@ -789,7 +767,8 @@ class GODag:
         sit in the ontology.  Terms in disconnected annotation namespaces
         would return ``-1``, but a rooted DAG is always connected.
 
-        One row of :meth:`TermIndex.distance_row` answers it: a frontier BFS
+        One cached BFS row of the :class:`TermIndex` answers it, shared with
+        :meth:`TermIndex.distance_batch`: a frontier BFS
         from the lexically smaller term (the smaller interned id, the source
         :meth:`TermIndex.distance_batch` groups by too), cached per source —
         the scorer combines the same annotation terms across thousands of
@@ -801,7 +780,11 @@ class GODag:
         self.term(term_b)
         index = self.term_index()
         a, b = index.id_of[term_a], index.id_of[term_b]
-        return int(index.distance_row(min(a, b))[max(a, b)])
+        row = _cached_bfs_row(
+            index.term_indptr, index.term_indices, min(a, b), index._dist_rows,
+            index._DIST_ROW_LIMIT,
+        )
+        return int(row[max(a, b)])
 
     def reference_term_distance(self, term_a: str, term_b: str) -> int:
         """Seed ``term_distance``: an early-exit pair BFS, no cross-pair reuse.
@@ -861,15 +844,3 @@ class GODag:
                     out.add(c)
                     stack.append(c)
         return out
-
-    def validate(self) -> None:
-        """Raise ``ValueError`` when parent/child links are inconsistent."""
-        for tid, term in self._terms.items():
-            for p in term.parents:
-                if tid not in self._terms[p].children:
-                    raise ValueError(f"parent link {tid} -> {p} missing reverse child link")
-            for c in term.children:
-                if tid not in self._terms[c].parents:
-                    raise ValueError(f"child link {tid} -> {c} missing reverse parent link")
-            if tid != self.root_id and not term.parents:
-                raise ValueError(f"non-root term {tid} has no parents")

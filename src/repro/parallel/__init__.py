@@ -34,15 +34,14 @@ __all__ = [
     "speedup",
     "efficiency",
     "rank_rngs",
-    "rank_rng",
     "derive_seed",
 ]
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__ = lazy_exports(
     __name__,
     {
         ".comm": ("ANY_SOURCE", "ANY_TAG", "CommStats", "SimComm", "SimCommWorld"),
-        ".rng": ("derive_seed", "rank_rng", "rank_rngs"),
+        ".rng": ("derive_seed", "rank_rngs"),
         ".runner": (
             "DeadRankError",
             "RankResult",

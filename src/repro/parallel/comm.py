@@ -141,13 +141,6 @@ class SimCommWorld:
             raise ValueError(f"rank {rank} out of range for size {self.size}")
         return SimComm(rank, self)
 
-    def total_stats(self) -> CommStats:
-        """Return the sum of all per-rank counters."""
-        total = CommStats()
-        for s in self.stats:
-            total = total.merge(s)
-        return total
-
 
 class _MessagingComm:
     """Shared matching machinery of the rank endpoints.
@@ -155,7 +148,8 @@ class _MessagingComm:
     Subclasses supply the transport: :meth:`_put` (deliver a message to a
     destination rank), :meth:`_get` (pull the next message addressed to this
     rank, blocking up to a timeout) and :meth:`_pending` (this rank's
-    out-of-order buffer).  Everything above those three primitives —
+    out-of-order buffer), plus the ``size`` and ``stats`` properties.
+    Everything above those three primitives —
     ``(source, tag)`` matching and statistics — is identical across the
     threaded and the socket communicator.
     """
@@ -187,24 +181,6 @@ class _MessagingComm:
             except ValueError:
                 pass
         return self.RECV_TIMEOUT
-
-    @property
-    def size(self) -> int:  # pragma: no cover - overridden
-        raise NotImplementedError
-
-    @property
-    def stats(self) -> CommStats:  # pragma: no cover - overridden
-        raise NotImplementedError
-
-    # -- transport primitives (subclass responsibility) -----------------
-    def _put(self, dest: int, msg: _Message) -> None:
-        raise NotImplementedError
-
-    def _get(self, timeout: float) -> _Message:
-        raise NotImplementedError
-
-    def _pending(self) -> list[_Message]:
-        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # point-to-point

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["rank_rngs", "rank_rng", "derive_seed"]
+__all__ = ["rank_rngs", "derive_seed"]
 
 
 def rank_rngs(seed: int, n_ranks: int) -> list[np.random.Generator]:
@@ -23,13 +23,6 @@ def rank_rngs(seed: int, n_ranks: int) -> list[np.random.Generator]:
         raise ValueError(f"n_ranks must be >= 1, got {n_ranks}")
     children = np.random.SeedSequence(seed).spawn(n_ranks)
     return [np.random.default_rng(c) for c in children]
-
-
-def rank_rng(seed: int, rank: int, n_ranks: int) -> np.random.Generator:
-    """Return the generator for one specific rank (same stream as ``rank_rngs``)."""
-    if not 0 <= rank < n_ranks:
-        raise ValueError(f"rank {rank} out of range for {n_ranks} ranks")
-    return rank_rngs(seed, n_ranks)[rank]
 
 
 def derive_seed(seed: int, *labels: Sequence) -> int:

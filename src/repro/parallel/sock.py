@@ -51,7 +51,7 @@ import struct
 import threading
 import time
 import traceback
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from ..faults import current_plan, fault_point
 from .comm import CommStats, _Message, _MessagingComm, watchdog_poll
@@ -66,14 +66,6 @@ __all__ = [
 
 #: Frame header: 8-byte big-endian payload length.
 _LEN = struct.Struct(">Q")
-
-#: Drain grace after a worker death is noticed mid-round or mid-map: results
-#: already in flight are still collected before the loss is declared.  There
-#: is deliberately *no* cap on healthy compute time — a live worker may run
-#: as long as it needs, and protocol deadlocks surface as errors from the
-#: communicator's own ``RECV_TIMEOUT`` inside the rank.
-SOCK_DRAIN_TIMEOUT = 10.0
-
 
 #: How long a newly spawned worker has to send its hello before bring-up
 #: fails with ``OSError``.
@@ -325,15 +317,33 @@ def _worker_entry(sock_obj: socket.socket) -> None:  # pragma: no cover - child 
 class _WorkerConn:
     """Hub-side state of one connected worker."""
 
-    __slots__ = ("sock", "lock", "pid", "alive", "proc", "name")
+    __slots__ = ("sock", "lock", "pid", "alive", "drained", "proc", "name")
 
     def __init__(self, sock_obj: socket.socket, name: str) -> None:
         self.sock = sock_obj
         self.lock = threading.Lock()
         self.pid: Optional[int] = None  # set by the worker's hello
         self.alive = True
+        #: Set when the reader thread has exited: every frame the worker sent
+        #: before its EOF has been dispatched, and no further one will come.
+        self.drained = False
         self.proc: Optional[Any] = None  # the spawned worker Process
         self.name = name
+
+
+def _lost(owners: Sequence[_WorkerConn], missing: Iterable[int]) -> list[int]:
+    """The missing results (positions into ``owners``) that can never arrive.
+
+    A result is lost once the reader of the conn that owes it has exited.
+    Nothing else is: a conn marked dead by a failed send still has its
+    reader running, which either dispatches the result or ends at the EOF
+    of the broken socket pair.  So a round or map that loses a worker fails
+    at that worker's EOF, and the healthy path waits on no timer.  There is
+    deliberately *no* cap on healthy compute time either — a live worker may
+    run as long as it needs, and protocol deadlocks surface as errors from
+    the communicator's own ``RECV_TIMEOUT`` inside the rank.
+    """
+    return [i for i in missing if owners[i].drained]
 
 
 class SockWorkerPool:
@@ -389,7 +399,11 @@ class SockWorkerPool:
                 frame, raw = _recv_frame(conn.sock)
                 self._dispatch(conn, frame, raw)
         except Exception:
-            self._mark_conn_dead(conn)
+            pass
+        with self._cv:
+            conn.alive = False
+            conn.drained = True
+            self._cv.notify_all()
 
     def _mark_conn_dead(self, conn: _WorkerConn) -> None:
         with self._cv:
@@ -434,10 +448,6 @@ class SockWorkerPool:
 
     def _alive_workers(self) -> list[_WorkerConn]:
         return [w for w in self._workers if w.alive and w.pid is not None]
-
-    def n_workers(self) -> int:
-        with self._mu:
-            return len(self._alive_workers())
 
     def ensure_workers(self, n: int) -> list[_WorkerConn]:
         """Bring the pool up to ``n`` live workers, spawning the missing ones.
@@ -540,19 +550,14 @@ class SockWorkerPool:
                         )
                 if len(results) == len(conns):
                     return
-                dead = [r for r, c in enumerate(conns) if not c.alive and r not in results]
-                if dead:
-                    # Drain grace: results already in flight may still land.
-                    self._cv.wait(timeout=SOCK_DRAIN_TIMEOUT)
-                    still = [r for r, c in enumerate(conns) if not c.alive and r not in results]
-                    if still:
-                        lost = self._detach([w for w in self._workers if not w.alive])
-                        break
-                    continue
+                ranks = _lost(conns, (r for r in range(len(conns)) if r not in results))
+                if ranks:
+                    lost = self._detach([w for w in self._workers if not w.alive])
+                    break
                 self._cv.wait(timeout=watchdog_poll())
         _close_workers(lost)
         raise dead_rank_error(
-            f"SPMD socket backend: rank(s) {still} died without reporting a result"
+            f"SPMD socket backend: rank(s) {ranks} died without reporting a result"
         )
 
     def _detach(self, conns: list[_WorkerConn]) -> list[_WorkerConn]:
@@ -588,9 +593,9 @@ class SockWorkerPool:
             error: Optional[tuple[str, str]] = None
             dead: Optional[list[str]] = None
             out: Optional[list[Any]] = None
+            owners = [conns[i % len(conns)] for i in range(len(payloads))]
             try:
-                for i, ((fn, item_args), tid) in enumerate(zip(payloads, task_ids)):
-                    conn = conns[i % len(conns)]
+                for (fn, item_args), tid, conn in zip(payloads, task_ids, owners):
                     _send_frame(conn.sock, ("task", tid, fn, item_args), conn.lock)
                 with self._cv:
                     while True:
@@ -605,15 +610,12 @@ class SockWorkerPool:
                         if len(done) == len(task_ids):
                             out = [self._task_results.pop(tid)[1] for tid in task_ids]
                             break
-                        if any(not c.alive for c in conns):
-                            # Drain grace: results already in flight may still land.
-                            self._cv.wait(timeout=SOCK_DRAIN_TIMEOUT)
-                            if any(tid not in self._task_results for tid in task_ids) and any(
-                                not c.alive for c in conns
-                            ):
-                                dead = [c.name for c in conns if not c.alive]
-                                break
-                            continue
+                        missing = (
+                            i for i, tid in enumerate(task_ids) if tid not in self._task_results
+                        )
+                        if _lost(owners, missing):
+                            dead = [c.name for c in conns if not c.alive]
+                            break
                         self._cv.wait(timeout=watchdog_poll())
             finally:
                 # Retire this map's task ids no matter how it exits: late
@@ -698,7 +700,10 @@ def shutdown_sock_pool() -> None:
 def sock_pool_size() -> int:
     """Live workers connected to the current pool (0 when none exists)."""
     with _pool_lock:
-        return _pool.n_workers() if _pool is not None else 0
+        if _pool is None:
+            return 0
+        with _pool._mu:
+            return len(_pool._alive_workers())
 
 
 atexit.register(shutdown_sock_pool)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Any, Optional, Sequence
 
-from ..clustering.mcode import MCODEParams, mcode_clusters
+from ..clustering.mcode import mcode_clusters
 from ..core.quasi import quasi_chordal_report
 from ..core.results import FilterResult
 from ..core.sampling import apply_filter
@@ -56,9 +56,8 @@ def mcode_threshold_sweep(
     filtered_csr = filtered.filtered_csr()
     rows: list[dict[str, Any]] = []
     for threshold in thresholds:
-        params = MCODEParams(min_score=threshold)
-        original_clusters = mcode_clusters(bundle.network_csr, params)
-        filtered_clusters = mcode_clusters(filtered_csr, params)
+        original_clusters = mcode_clusters(bundle.network_csr, threshold)
+        filtered_clusters = mcode_clusters(filtered_csr, threshold)
         rows.append(
             {
                 "min_score": threshold,
@@ -115,7 +114,7 @@ def partitioner_ablation(
 
 
 def _relevant_cluster_count(bundle: DatasetBundle, result: FilterResult) -> int:
-    clusters = mcode_clusters(result.filtered_csr(), bundle.mcode_params)
+    clusters = mcode_clusters(result.filtered_csr())
     scores = bundle.scorer.cluster_aees(clusters)
     return sum(1 for aees in scores if aees >= bundle.thresholds.aees_threshold)
 

@@ -24,7 +24,6 @@ The CLI front-end is ``repro batch`` (see :mod:`repro.cli`).
 
 from __future__ import annotations
 
-import hashlib
 import inspect
 import json
 import math
@@ -34,6 +33,7 @@ import time
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Optional, Sequence
 
+from ..canonical import canonical_hash
 from ..faults import fault_point
 from ..parallel.rng import derive_seed
 from ..parallel.runner import shutdown_worker_pool
@@ -44,7 +44,6 @@ __all__ = [
     "SCALE_ALIASES",
     "RunSpec",
     "BatchRunResult",
-    "canonical_hash",
     "driver_names",
     "get_driver",
     "driver_accepts",
@@ -52,17 +51,6 @@ __all__ = [
     "run_batch",
 ]
 
-
-def canonical_hash(data: Any) -> str:
-    """Stable 16-hex-digit content hash of a JSON-canonicalisable structure.
-
-    The single hashing convention of the repo's request/run caches: the batch
-    engine keys its disk cache with it (via :meth:`RunSpec.spec_hash`) and the
-    resident service (:mod:`repro.serve`) keys its in-memory LRU result cache
-    with it, so one spec hashed on either side names the same work.
-    """
-    blob = json.dumps(data, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 #: Registry of batchable experiment drivers: every figure plus the two
 #: in-text claims.  ``repro figure`` and ``repro batch`` share this table.
@@ -168,23 +156,6 @@ class RunSpec:
     def spec_hash(self) -> str:
         """Stable 16-hex-digit content hash of the spec."""
         return canonical_hash(self.canonical())
-
-    @classmethod
-    def from_canonical(cls, data: dict[str, Any]) -> "RunSpec":
-        """Rebuild a spec from its :meth:`canonical` form (cache inspection).
-
-        The round trip is lossy for non-JSON ``params`` values (tuples become
-        lists, arbitrary objects their ``repr``) — do NOT route specs that
-        will actually execute through it; :func:`run_batch` hands the
-        caller's :class:`RunSpec` objects to the drivers directly.
-        """
-        return cls(
-            figure=data["figure"],
-            scale=data["scale"],
-            ordering=data.get("ordering"),
-            seed=data.get("seed"),
-            params=tuple((k, v) for k, v in data.get("params", [])),
-        )
 
 
 @dataclass

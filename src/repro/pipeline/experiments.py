@@ -26,7 +26,6 @@ from .workflow import DatasetBundle, FilterAnalysis, analyze_filter, prepare_dat
 __all__ = [
     "default_scale",
     "get_bundle",
-    "clear_bundle_cache",
     "ORDERING_LABELS",
     "fig04_aees_by_ordering",
     "fig05_overlap_scatter",
@@ -56,12 +55,6 @@ def get_bundle(name: str, scale: Optional[float] = None, seed: Optional[int] = N
         bundle = prepare_dataset(name, scale=scale, seed=seed)
         _BUNDLE_CACHE[key] = bundle
     return bundle
-
-
-def clear_bundle_cache() -> None:
-    """Drop all memoised bundles and analyses (used by tests)."""
-    _BUNDLE_CACHE.clear()
-    _ANALYSIS_CACHE.clear()
 
 
 def _get_analysis(

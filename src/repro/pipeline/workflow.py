@@ -34,7 +34,7 @@ from ..clustering.evaluation import (
     classify_matches,
     quadrant_counts,
 )
-from ..clustering.mcode import MCODEParams, mcode_clusters
+from ..clustering.mcode import mcode_clusters
 from ..clustering.overlap import ClusterMatch, found_clusters, match_and_lost_clusters
 from ..core.results import FilterResult
 from ..core.sampling import apply_filter
@@ -53,7 +53,6 @@ __all__ = [
     "prepare_primary",
     "derive_dataset",
     "analyze_filter",
-    "cluster_network",
     "payload_digest",
     "filter_payload",
     "analysis_payload",
@@ -76,7 +75,6 @@ class DatasetBundle:
     network_csr: CSRGraph
     scorer: EnrichmentScorer
     original_clusters: list[Cluster]
-    mcode_params: MCODEParams
     thresholds: EvaluationThresholds = field(default_factory=EvaluationThresholds)
     scale: float = 1.0
     #: Number of incremental updates absorbed since the cold build (see
@@ -100,17 +98,6 @@ class DatasetBundle:
     @property
     def n_edges(self) -> int:
         return self.network_csr.n_edges
-
-    def summary(self) -> dict[str, Any]:
-        return {
-            "dataset": self.name,
-            "scale": self.scale,
-            "n_vertices": self.n_vertices,
-            "n_edges": self.n_edges,
-            "original_clusters": len(self.original_clusters),
-            "generation": self.generation,
-        }
-
 
 @dataclass
 class FilterAnalysis:
@@ -167,16 +154,6 @@ class FilterAnalysis:
         return rows
 
 
-def cluster_network(
-    graph: "Graph | CSRGraph",
-    params: Optional[MCODEParams] = None,
-    source: str = "",
-) -> list[Cluster]:
-    """Cluster a network (a label graph or its CSR view) with MCODE under
-    the paper's default parameters."""
-    return mcode_clusters(graph, params=params or MCODEParams(), source=source)
-
-
 def prepare_primary(
     name: str,
     scale: float = 1.0,
@@ -198,27 +175,23 @@ def derive_dataset(
     dag: GODag,
     annotations: AnnotationTable,
     scale: float = 1.0,
-    mcode_params: Optional[MCODEParams] = None,
 ) -> DatasetBundle:
     """Build the derived layers of a bundle from its primary state.
 
     One correlation pass, the CSR network view, the enrichment scorer and
-    the clusters of the original network.  The label network is left to the
-    first read of :attr:`DatasetBundle.network`.
+    the clusters of the original network (MCODE at the paper's defaults).
+    The label network is left to the first read of
+    :attr:`DatasetBundle.network`.
     """
-    params = mcode_params or MCODEParams()
     network_csr = study.network_csr()
     scorer = EnrichmentScorer(dag, annotations)
-    original_clusters = cluster_network(
-        network_csr, params, source=f"{study.name}/original"
-    )
+    original_clusters = mcode_clusters(network_csr, source=f"{study.name}/original")
     return DatasetBundle(
         name=study.name,
         study=study,
         network_csr=network_csr,
         scorer=scorer,
         original_clusters=original_clusters,
-        mcode_params=params,
         scale=scale,
     )
 
@@ -227,18 +200,17 @@ def prepare_dataset(
     name: str,
     scale: float = 1.0,
     seed: Optional[int] = None,
-    mcode_params: Optional[MCODEParams] = None,
 ) -> DatasetBundle:
     """Generate a dataset and everything needed to evaluate filters on it.
 
     Parameters mirror the experimental design: the dataset name selects one of
     the four canned studies (``YNG``, ``MID``, ``UNT``, ``CRE``); ``scale``
-    shrinks the study for fast runs; ``mcode_params`` overrides MCODE's.
-    The correlation cut-off, ontology shape and evaluation thresholds are
-    the paper's defaults.
+    shrinks the study for fast runs.  The correlation cut-off, ontology
+    shape, MCODE parameters and evaluation thresholds are the paper's
+    defaults.
     """
     study, dag, annotations = prepare_primary(name, scale, seed)
-    return derive_dataset(study, dag, annotations, scale, mcode_params)
+    return derive_dataset(study, dag, annotations, scale)
 
 
 def analyze_filter(
@@ -268,7 +240,7 @@ def analyze_filter(
         **filter_kwargs,
     )
     label = f"{bundle.name}/{method}/{ordering or '-'}/{n_partitions}P"
-    clusters = cluster_network(result.filtered_csr(), bundle.mcode_params, source=label)
+    clusters = mcode_clusters(result.filtered_csr(), source=label)
     matches, lost = match_and_lost_clusters(bundle.original_clusters, clusters)
     scored_node = classify_matches(matches, bundle.scorer, bundle.thresholds, "node_overlap")
     # The edge-overlap pass classifies the same filtered clusters, so it

@@ -45,7 +45,7 @@ __all__ = [
     "ServerState",
 ]
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__ = lazy_exports(
     __name__,
     {
         ".admission": ("AdmissionQueue", "BusyError", "ShuttingDownError", "Ticket"),

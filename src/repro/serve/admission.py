@@ -56,10 +56,6 @@ class Ticket:
         """Block until the request completed; ``False`` on timeout."""
         return self._done.wait(timeout)
 
-    @property
-    def done(self) -> bool:
-        return self._done.is_set()
-
 
 class AdmissionQueue:
     """Bounded work queue executed by a fixed set of worker threads."""
@@ -138,17 +134,6 @@ class AdmissionQueue:
                 ) from None
             self.admitted += 1
             return ticket
-
-    @property
-    def in_flight(self) -> int:
-        """Requests currently executing (not counting the queued ones)."""
-        with self._lock:
-            return self._in_flight
-
-    @property
-    def pending(self) -> int:
-        """Admitted requests not yet picked up by a worker."""
-        return self._queue.qsize()
 
     def respawn_dead(self) -> int:
         """Replace dead worker threads with fresh ones; returns how many.

@@ -99,17 +99,9 @@ class ResultCache:
             self._stats.invalidated += len(stale)
             return len(stale)
 
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
-
-    def __contains__(self, key: str) -> bool:
-        with self._lock:
-            return key in self._entries
 
     def stats(self) -> CacheStats:
         """A copy of the current counters (plus ``size`` via :meth:`__len__`)."""

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, Optional
 
+from ..clustering.mcode import mcode_clusters
 from ..core.sampling import apply_filter, filter_names
 from ..expression.datasets import dataset_names
 from ..graph.ordering import get_ordering
@@ -33,7 +34,6 @@ from ..parallel.runner import available_backends
 from ..pipeline.workflow import (
     analysis_payload,
     analyze_filter,
-    cluster_network,
     enrichment_payload,
     filter_payload,
 )
@@ -246,7 +246,7 @@ def handle_enrich(state: DatasetState, params: dict[str, Any]) -> dict[str, Any]
             f"{bundle.name}/{params['method']}/"
             f"{params['ordering'] or '-'}/{params['partitions']}P"
         )
-        clusters = cluster_network(result.filtered_csr(), bundle.mcode_params, source=source)
+        clusters = mcode_clusters(result.filtered_csr(), source=source)
     aees = bundle.scorer.cluster_aees(clusters)
     state.count_enrichment(len(clusters))
     return enrichment_payload(clusters, aees, source)

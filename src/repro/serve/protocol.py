@@ -8,10 +8,9 @@ doubles as the result-cache key:
 
 * :func:`request_spec` reduces ``(op, params)`` to a canonical JSON
   structure (normalised parameters, sorted keys);
-* :func:`spec_hash` hashes it with the batch engine's
-  :func:`~repro.pipeline.batch.canonical_hash`, so one request names the same
-  work whether it arrives over the socket, through ``repro batch`` or from a
-  test.
+* :func:`spec_hash` hashes it with :func:`~repro.canonical.canonical_hash`,
+  the batch engine's hash too, so one request names the same work whether
+  it arrives over the socket, through ``repro batch`` or from a test.
 
 Requests::
 
@@ -29,7 +28,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, BinaryIO, Optional
 
-from ..pipeline.batch import canonical_hash
+from ..canonical import canonical_hash
 
 __all__ = [
     "PROTOCOL_VERSION",

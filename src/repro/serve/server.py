@@ -248,10 +248,6 @@ class ReproServer:
     def __exit__(self, *exc: Any) -> None:
         self.stop()
 
-    @property
-    def running(self) -> bool:
-        return self._started and not self._stopped.is_set()
-
     # ------------------------------------------------------------------
     # supervision
     # ------------------------------------------------------------------

@@ -56,14 +56,16 @@ def small_random_graph() -> Graph:
 def house_graph() -> Graph:
     """A 5-vertex 'house': a square with a triangular roof (not chordal)."""
     g = Graph()
-    g.add_edges([("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("a", "e"), ("b", "e")])
+    for u, v in [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("a", "e"), ("b", "e")]:
+        g.add_edge(u, v)
     return g
 
 
 def _disconnected_graph() -> Graph:
     """Two cycles, a pendant edge and an isolated vertex (four components)."""
     g = Graph(edges=[("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("b", "d")])
-    g.add_edges([("p", "q"), ("q", "r"), ("r", "s"), ("s", "t"), ("t", "p"), ("x", "y")])
+    for u, v in [("p", "q"), ("q", "r"), ("r", "s"), ("s", "t"), ("t", "p"), ("x", "y")]:
+        g.add_edge(u, v)
     g.add_vertex("iso")
     return g
 
@@ -188,7 +190,8 @@ def _graph_clusters(*graphs: Graph) -> list[Cluster]:
     for g in graphs:
         for v in g.vertices():
             union.add_vertex(v)
-        union.add_edges(g.iter_edges())
+        for u, v in g.iter_edges():
+            union.add_edge(u, v)
     csr = CSRGraph.from_graph(union)
     return [
         _index_cluster(
@@ -223,3 +226,23 @@ def counter_delta():
     yield lambda: {key: value - start[key] for key, value in supervision_counters().items()}
     clear_plan()
     pop_supervision_events()
+
+
+@pytest.fixture(scope="module")
+def fresh_bundle_cache():
+    """Empty bundle and analysis caches of :mod:`repro.pipeline.experiments`
+    for one test module, the process-wide ones restored afterwards.
+
+    Yields ``cold()``, which swaps in empty caches again, so the next
+    ``get_bundle`` in the test builds its bundle cold.
+    """
+    from repro.pipeline import experiments
+
+    with pytest.MonkeyPatch.context() as mp:
+
+        def cold() -> None:
+            mp.setattr(experiments, "_BUNDLE_CACHE", {})
+            mp.setattr(experiments, "_ANALYSIS_CACHE", {})
+
+        cold()
+        yield cold

@@ -36,8 +36,6 @@ class TestAnnotationTable:
     def test_annotate_and_query(self, annotations):
         assert annotations.terms_of("geneA") == {"L3a"}
         assert annotations.terms_of("unknown") == set()
-        assert annotations.is_annotated("geneA")
-        assert not annotations.is_annotated("unknown")
 
     def test_unknown_term_rejected(self, dag):
         table = AnnotationTable(dag)
@@ -50,41 +48,13 @@ class TestAnnotationTable:
         table.annotate("h", ["L2a"])
         index = table.indexed()
         table.annotate("x", [])
-        assert "x" not in table
-        assert len(table) == 2
         assert table.indexed() is index
+        assert index.genes == ("g", "h")
         assert table.indexed().rows_for(["g", "h", "x"]).tolist() == [0, 1, -1]
 
-    def test_genes_of_follows_later_annotations(self, dag, annotations):
-        assert annotations.genes_of("L1a") == set()
-        annotations.annotate("geneE", ["L1a", "L3a"])
-        assert annotations.genes_of("L1a") == {"geneE"}
-        assert annotations.genes_of("L3a") == {"geneA", "geneE"}
-
-    def test_genes_of_term_and_subtree(self, dag, annotations):
-        assert annotations.genes_of("L3a") == {"geneA"}
-        assert annotations.genes_of_subtree("L2a") == {"geneA", "geneB", "geneC", "geneMulti"}
-
-    def test_coverage(self, annotations):
-        assert annotations.coverage(["geneA", "nobody"]) == pytest.approx(0.5)
-        assert annotations.coverage([]) == 0.0
-
-    def test_len_contains_and_counts(self, annotations):
-        assert len(annotations) == 5
-        assert "geneA" in annotations
+    def test_counts(self, annotations):
+        assert len(annotations.indexed().genes) == 5
         assert annotations.n_annotations() == 6
-
-    def test_merged_with(self, dag, annotations):
-        other = AnnotationTable(dag)
-        other.annotate("geneZ", ["L1a"])
-        merged = annotations.merged_with(other)
-        assert merged.is_annotated("geneZ")
-        assert merged.is_annotated("geneA")
-
-    def test_merged_with_different_dag_rejected(self, annotations):
-        other = AnnotationTable(GODag())
-        with pytest.raises(ValueError):
-            annotations.merged_with(other)
 
 
 def score_edge(score_edges, dag, annotations, u, v):

@@ -5,16 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import build_parser, main
-from repro.pipeline import experiments as exp
 
 SCALE = "0.02"
 
 
-@pytest.fixture(scope="module", autouse=True)
-def _fresh_cache():
-    exp.clear_bundle_cache()
-    yield
-    exp.clear_bundle_cache()
+pytestmark = pytest.mark.usefixtures("fresh_bundle_cache")
 
 
 class TestParser:
@@ -72,11 +67,11 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "edges_kept" in out
 
-    def test_filter_json_is_byte_identical_across_runs(self, capsys):
+    def test_filter_json_is_byte_identical_across_runs(self, capsys, fresh_bundle_cache):
         argv = ["filter", "--dataset", "CRE", "--scale", SCALE, "--json"]
         assert main(argv) == 0
         baseline = capsys.readouterr().out
-        exp.clear_bundle_cache()  # the second run rebuilds the bundle cold
+        fresh_bundle_cache()  # the second run rebuilds the bundle cold
         assert main(argv) == 0
         assert capsys.readouterr().out == baseline
 

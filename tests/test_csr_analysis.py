@@ -14,6 +14,8 @@ sampler pipeline.
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,6 @@ from hypothesis import strategies as st
 
 from repro.clustering import (
     Cluster,
-    MCODEParams,
     match_and_lost_clusters,
     mcode_clusters,
     reference_k_core,
@@ -50,6 +51,7 @@ from repro.graph import (
 )
 from repro.clustering.mcode import _peel_subset, mcode_vertex_weights_indices
 from repro.ontology.generator import make_study_ontology
+from repro.pipeline.ablation import mcode_threshold_sweep
 
 
 @st.composite
@@ -74,15 +76,10 @@ def random_graphs(draw, max_vertices: int = 16, max_extra_edges: int = 36, mixed
     return g
 
 
-MCODE_PARAM_GRID = [
-    MCODEParams(),
-    MCODEParams(min_score=0.5, min_size=2),
-    MCODEParams(fluff=True, fluff_density_threshold=0.1, min_score=1.0),
-    MCODEParams(haircut=False, require_two_core=False, min_score=1.0, min_size=2),
-    MCODEParams(haircut=False, require_two_core=True, min_score=0.0, min_size=1),
-    MCODEParams(vertex_weight_percentage=0.0, min_score=1.0),
-    MCODEParams(fluff=True, haircut=False, require_two_core=False, min_score=0.0, min_size=1),
-]
+#: The score cut is MCODE's one setting: every cut the threshold ablation
+#: sweeps, the paper's 3.0 among them.  A complex that survives the 2-core
+#: step scores above 2.0, so lower cuts keep the same clusters as 2.0.
+MIN_SCORES = inspect.signature(mcode_threshold_sweep).parameters["thresholds"].default
 
 GENERATOR_GRAPHS = [
     erdos_renyi_graph(60, 0.12, seed=1),
@@ -138,10 +135,10 @@ class TestCSRMCODE:
         assert reference_mcode_vertex_weights(g) == vertex_weights(g)
 
     @settings(max_examples=25, deadline=None)
-    @given(random_graphs(), st.sampled_from(MCODE_PARAM_GRID))
-    def test_clusters_match_reference(self, g: Graph, params: MCODEParams):
+    @given(random_graphs(), st.sampled_from(MIN_SCORES))
+    def test_clusters_match_reference(self, g: Graph, min_score: float):
         assert_clusters_identical(
-            reference_mcode_clusters(g, params), mcode_clusters(g, params)
+            reference_mcode_clusters(g, min_score), mcode_clusters(g, min_score)
         )
 
     @settings(max_examples=15, deadline=None)
@@ -153,9 +150,9 @@ class TestCSRMCODE:
     def test_clusters_match_reference_generators(self, gi: int):
         g = GENERATOR_GRAPHS[gi]
         assert reference_mcode_vertex_weights(g) == vertex_weights(g)
-        for params in MCODE_PARAM_GRID[:4]:
+        for min_score in MIN_SCORES:
             assert_clusters_identical(
-                reference_mcode_clusters(g, params), mcode_clusters(g, params)
+                reference_mcode_clusters(g, min_score), mcode_clusters(g, min_score)
             )
 
     def test_prebuilt_csr_shortcut(self):

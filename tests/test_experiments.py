@@ -9,11 +9,7 @@ from repro.pipeline import experiments as exp
 SCALE = 0.02  # tiny but large enough for every driver to produce data
 
 
-@pytest.fixture(scope="module", autouse=True)
-def _fresh_cache():
-    exp.clear_bundle_cache()
-    yield
-    exp.clear_bundle_cache()
+pytestmark = pytest.mark.usefixtures("fresh_bundle_cache")
 
 
 class TestInfrastructure:

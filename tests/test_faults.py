@@ -65,11 +65,8 @@ pytestmark = pytest.mark.usefixtures("counter_delta")
 
 @pytest.fixture(autouse=True)
 def _fast_failure_detection(monkeypatch):
-    """Shrink drain grace + backoff so injected failures resolve quickly;
-    restore the supervision policy a test configured."""
-    from repro.parallel import sock
-
-    monkeypatch.setattr(sock, "SOCK_DRAIN_TIMEOUT", 0.5)
+    """Shrink the backoff so injected failures resolve quickly; restore the
+    supervision policy a test configured."""
     monkeypatch.setattr(runner, "BACKOFF_BASE", 0.01)
     monkeypatch.setattr(runner, "BACKOFF_MAX", 0.05)
     old = supervision_policy()

@@ -65,12 +65,12 @@ class TestEdgeKeyMixedTypes:
         assert g.has_edge("1", 1)
         assert g.edge_attr(1, "1", "weight") == 0.5
         assert g.edge_attr("1", 1, "weight") == 0.5
-        g.set_edge_attr("a", 2, "sign", -1)
-        assert g.edge_attrs(2, "a") == {"sign": -1}
+        g.add_edge(2, "a", sign=-1)
+        assert g.edge_attr("a", 2, "sign") == -1
         assert set(g.edges()) == {edge_key(1, "1"), edge_key("a", 2), edge_key(1, 2)}
         g.remove_edge("1", 1)
         assert not g.has_edge(1, "1")
-        assert g.edge_attrs(1, "1") == {}
+        assert g.edge_attr(1, "1", "weight") is None
 
 
 class TestConstruction:
@@ -128,11 +128,6 @@ class TestRemoval:
         with pytest.raises(KeyError):
             g.remove_edge("a", "c")
 
-    def test_discard_edge(self):
-        g = Graph(edges=[("a", "b")])
-        assert g.discard_edge("a", "b") is True
-        assert g.discard_edge("a", "b") is False
-
     def test_remove_vertex_removes_incident_edges(self):
         g = Graph(edges=[("a", "b"), ("a", "c"), ("b", "c")])
         g.remove_vertex("a")
@@ -153,27 +148,15 @@ class TestQueries:
         assert set(g.neighbors("a")) == {"b", "c"}
         assert g.neighbor_set("a") == {"b", "c"}
 
-    def test_degrees_and_max_degree(self):
-        g = Graph(edges=[("a", "b"), ("a", "c"), ("a", "d")])
-        assert g.degrees() == {"a": 3, "b": 1, "c": 1, "d": 1}
-        assert g.max_degree() == 3
-        assert Graph().max_degree() == 0
-
     def test_edges_listed_once(self):
         g = Graph(edges=[("a", "b"), ("b", "c"), ("c", "a")])
         assert len(g.edges()) == 3
         assert len(set(g.edges())) == 3
 
-    def test_density(self):
-        g = Graph(edges=[("a", "b"), ("b", "c"), ("c", "a")])
-        assert g.density() == pytest.approx(1.0)
-        assert Graph().density() == 0.0
-
-    def test_contains_len_iter(self):
+    def test_contains(self):
         g = Graph(edges=[("a", "b")])
         assert "a" in g
-        assert len(g) == 2
-        assert list(iter(g)) == ["a", "b"]
+        assert "z" not in g
 
     def test_equality_ignores_order(self):
         g1 = Graph(edges=[("a", "b"), ("b", "c")])
@@ -192,13 +175,6 @@ class TestEdgeAttributes:
         assert g.edge_attr("a", "b", "rho") == pytest.approx(0.97)
         assert g.edge_attr("b", "a", "rho") == pytest.approx(0.97)
         assert g.edge_attr("a", "b", "missing", default=-1) == -1
-
-    def test_set_edge_attr_requires_edge(self):
-        g = Graph(edges=[("a", "b")])
-        g.set_edge_attr("a", "b", "w", 2)
-        assert g.edge_attrs("a", "b") == {"w": 2}
-        with pytest.raises(KeyError):
-            g.set_edge_attr("a", "c", "w", 2)
 
     def test_attrs_survive_subgraph(self):
         g = Graph()
@@ -241,17 +217,6 @@ class TestDerivedGraphs:
         assert sub.n_edges == 1
         assert sub.degree("c") == 0
 
-    def test_relabeled(self):
-        g = Graph(edges=[("a", "b")])
-        r = g.relabeled({"a": "x"})
-        assert r.has_edge("x", "b")
-        assert not r.has_vertex("a")
-
-    def test_relabeled_requires_injective_mapping(self):
-        g = Graph(edges=[("a", "b")])
-        with pytest.raises(ValueError):
-            g.relabeled({"a": "b"})
-
 
 class TestInterop:
     def test_networkx_roundtrip(self):
@@ -259,16 +224,6 @@ class TestInterop:
         g.add_edge("a", "b", rho=0.99)
         g.add_vertex("isolated")
         nxg = g.to_networkx()
-        back = Graph.from_networkx(nxg)
-        assert back == g
-        assert back.edge_attr("a", "b", "rho") == pytest.approx(0.99)
-
-    def test_from_edge_list(self):
-        g = Graph.from_edge_list([("a", "b"), ("b", "c")])
-        assert g.n_edges == 2
-
-    def test_adjacency_lists(self):
-        g = Graph(edges=[("a", "b"), ("a", "c")])
-        adj = g.adjacency_lists()
-        assert adj["a"] == ["b", "c"]
-        assert adj["b"] == ["a"]
+        assert list(nxg.nodes) == g.vertices()
+        assert {tuple(sorted(e)) for e in nxg.edges} == set(g.edges())
+        assert nxg.edges["a", "b"]["rho"] == pytest.approx(0.99)

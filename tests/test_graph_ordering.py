@@ -123,8 +123,10 @@ class TestRCM:
         # level of its deepest component.
         g = Graph()
         for t in range(2000):
-            g.add_edges([(f"t{t}a", f"t{t}b"), (f"t{t}b", f"t{t}c"), (f"t{t}c", f"t{t}a")])
-        g.add_edges((f"p{i}", f"p{i + 1}") for i in range(199))
+            for u, v in [(f"t{t}a", f"t{t}b"), (f"t{t}b", f"t{t}c"), (f"t{t}c", f"t{t}a")]:
+                g.add_edge(u, v)
+        for i in range(199):
+            g.add_edge(f"p{i}", f"p{i + 1}")
         calls = 0
         gather = ordering_module.gather_csr_rows
 

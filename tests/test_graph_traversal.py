@@ -107,7 +107,7 @@ class TestPeripheral:
             source = _pseudo_peripheral_sources(
                 csr.indptr, csr.indices, root, deg, str_ranks, np.array([i])
             )
-            assert csr.label_of(source[root[i]]) == pseudo_peripheral_vertex(corpus_graph, v)
+            assert csr.labels[source[root[i]]] == pseudo_peripheral_vertex(corpus_graph, v)
 
     def test_pseudo_peripheral_never_lowers_eccentricity(self, corpus_graph):
         for v in corpus_graph.vertices():

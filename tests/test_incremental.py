@@ -95,7 +95,7 @@ def _state(bundle) -> tuple:
         csr.indices.tobytes(),
         csr.labels,
         [(c.members, c.score.hex(), c.seed) for c in bundle.original_clusters],
-        [(t, tuple(dag.parents(t))) for t in dag.terms()],
+        [(t, tuple(dag.term(t).parents)) for t in dag.terms()],
         index.genes,
         index.indptr.tobytes(),
         index.term_ids.tobytes(),
@@ -235,6 +235,7 @@ class TestReplayUpdates:
     def test_one_derivation_whatever_the_log_length(self, monkeypatch):
         """One correlation pass and one original MCODE run for 8 specs."""
         import repro.expression.datasets as datasets
+        import repro.incremental as incremental
         import repro.pipeline.workflow as workflow
 
         calls = {"correlation": 0, "mcode": 0}
@@ -251,9 +252,10 @@ class TestReplayUpdates:
             "correlated_pair_arrays",
             counted("correlation", datasets.correlated_pair_arrays),
         )
-        monkeypatch.setattr(
-            workflow, "mcode_clusters", counted("mcode", workflow.mcode_clusters)
-        )
+        for module in (workflow, incremental):
+            monkeypatch.setattr(
+                module, "mcode_clusters", counted("mcode", module.mcode_clusters)
+            )
         log = _mixed_log(0)
         assert any(s.add_samples for s in log) and any(s.add_genes for s in log)
         replay_updates("YNG", SCALE, None, log)

@@ -69,12 +69,12 @@ def bundles():
 # ----------------------------------------------------------------------
 # the label chain, recomposed from the retained bodies
 # ----------------------------------------------------------------------
-def label_clusters(graph: Graph, params, source: str) -> list[Cluster]:
+def label_clusters(graph: Graph, source: str) -> list[Cluster]:
     """MCODE's clusters of ``graph`` in the hand-built label form."""
     csr = CSRGraph.from_graph(graph)
     labels = csr.labels
     clusters = []
-    for i, complex_ in enumerate(mcode_clusters_indices(csr, params)):
+    for i, complex_ in enumerate(mcode_clusters_indices(csr)):
         members = [labels[u] for u in complex_.members]
         clusters.append(
             Cluster(
@@ -117,8 +117,8 @@ def label_chain_payload(bundle, method: str, ordering, n_partitions: int) -> dic
     network = bundle.network
     result = apply_filter(network, method=method, ordering=ordering, n_partitions=n_partitions)
     label = f"{bundle.name}/{method}/{ordering or '-'}/{n_partitions}P"
-    originals = label_clusters(network, bundle.mcode_params, f"{bundle.name}/original")
-    clusters = label_clusters(result.graph, bundle.mcode_params, label)
+    originals = label_clusters(network, f"{bundle.name}/original")
+    clusters = label_clusters(result.graph, label)
     assert all(c.csr is None for c in originals + clusters)  # label overlap sets
     matches = reference_match_clusters(originals, clusters)
     lost = reference_lost_clusters(originals, clusters)
@@ -174,7 +174,7 @@ def test_enrich_payload_equals_the_label_chain(served, params):
     bundle = state.bundle
     if request["source"] == "original":
         source = "CRE/original"
-        clusters = label_clusters(bundle.network, bundle.mcode_params, source)
+        clusters = label_clusters(bundle.network, source)
     else:
         result = apply_filter(
             bundle.network,
@@ -184,7 +184,7 @@ def test_enrich_payload_equals_the_label_chain(served, params):
             seed=request["seed"],
         )
         source = f"CRE/{request['method']}/{request['ordering'] or '-'}/{request['partitions']}P"
-        clusters = label_clusters(result.graph, bundle.mcode_params, source)
+        clusters = label_clusters(result.graph, source)
     expected = enrichment_payload(clusters, graph_walk_aees(bundle, clusters), source)
     assert canonical(handle_enrich(state, request)) == canonical(expected)
 
@@ -215,7 +215,6 @@ def test_analyze_chain_builds_no_label_graph(label_builds):
     for method, n_partitions in (("chordal", 1), ("chordal_comm", 2), ("random_walk", 4)):
         analysis = analyze_filter(bundle, method=method, ordering="rcm", n_partitions=n_partitions)
         analysis_payload(analysis)
-        bundle.summary()
     assert label_builds == {"add_edge": 0, "subgraph": 0}
 
 
@@ -268,20 +267,17 @@ def analyze_all_methods(bundle) -> None:
         analysis_payload(analysis)
 
 
-def test_product_paths_take_no_slow_path(slow_paths):
+def test_product_paths_take_no_slow_path(slow_paths, fresh_bundle_cache):
     bundle = prepare_dataset("CRE", scale=SCALE)
     analyze_all_methods(bundle)
     for spec in UPDATE_KINDS:
         bundle, report = apply_update(bundle, spec)
         assert report.mode == "delta"
         analyze_all_methods(bundle)
-    try:
-        experiments.fig04_aees_by_ordering(SCALE, datasets=("YNG",))
-        experiments.fig05_overlap_scatter(SCALE, datasets=("CRE",))
-        experiments.fig09_cluster_refinement(SCALE, dataset="CRE")
-        experiments.fig11_parallel_consistency(SCALE, dataset="CRE", processor_counts=(1, 4))
-    finally:
-        experiments.clear_bundle_cache()
+    experiments.fig04_aees_by_ordering(SCALE, datasets=("YNG",))
+    experiments.fig05_overlap_scatter(SCALE, datasets=("CRE",))
+    experiments.fig09_cluster_refinement(SCALE, dataset="CRE")
+    experiments.fig11_parallel_consistency(SCALE, dataset="CRE", processor_counts=(1, 4))
     served = ServerState(SCALE)
     state = served.get("CRE")
     for spec in (None, UpdateSpec(add_samples=1, seed=5)):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.clustering import MCODEParams, mcode_clusters
+from repro.clustering import mcode_clusters
 from repro.clustering.mcode import (
     _peel_subset,
     mcode_score,
@@ -113,8 +113,8 @@ class TestClusters:
         g = two_cliques_with_bridge()
         clusters = mcode_clusters(g)
         for c in clusters:
-            assert "bridge1" not in c
-            assert "bridge2" not in c
+            assert "bridge1" not in c.members
+            assert "bridge2" not in c.members
 
     def test_scores_and_ids_ordered(self):
         g = two_cliques_with_bridge()
@@ -133,45 +133,26 @@ class TestClusters:
         # only if the threshold allows them.
         g = complete_graph(3)
         default = mcode_clusters(g)
-        lenient = mcode_clusters(g, MCODEParams(min_score=2.0))
+        lenient = mcode_clusters(g, 2.0)
         assert len(lenient) >= len(default)
-
-    def test_min_size_respected(self):
-        g = complete_graph(4)
-        clusters = mcode_clusters(g, MCODEParams(min_size=5, min_score=1.0))
-        assert clusters == []
 
     def test_haircut_removes_stragglers(self):
         g = complete_graph(5)
         g.add_edge("v0", "straggler")
-        clusters = mcode_clusters(g, MCODEParams(min_score=2.0))
+        clusters = mcode_clusters(g, 2.0)
         assert clusters
-        assert all("straggler" not in c for c in clusters)
-
-    def test_fluff_can_only_grow_members(self):
-        g = two_cliques_with_bridge()
-        plain = mcode_clusters(g)
-        fluffed = mcode_clusters(g, MCODEParams(fluff=True, fluff_density_threshold=0.1))
-        assert sum(c.n_vertices for c in fluffed) >= sum(c.n_vertices for c in plain)
+        assert all("straggler" not in c.members for c in clusters)
 
     def test_source_label_propagates(self):
         clusters = mcode_clusters(complete_graph(5), source="unit-test")
         assert clusters[0].source == "unit-test"
-
-    def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            MCODEParams(vertex_weight_percentage=2.0)
-        with pytest.raises(ValueError):
-            MCODEParams(min_size=0)
 
     def test_cluster_helpers(self):
         clusters = mcode_clusters(complete_graph(5))
         c = clusters[0]
         assert c.n_vertices == 5
         assert c.n_edges == 10
-        assert c.density == pytest.approx(1.0)
         assert len(c.edge_set()) == 10
-        assert len(c) == 5
 
 
 class TestReferenceEquivalence:
@@ -181,9 +162,9 @@ class TestReferenceEquivalence:
     def test_kernels_match_reference(self, seed):
         g = erdos_renyi_graph(60, 0.12, seed=seed)
         assert vertex_weights(g) == reference_mcode_vertex_weights(g)
-        for params in (MCODEParams(), MCODEParams(fluff=True, min_score=1.0, min_size=2)):
-            got = mcode_clusters(g, params)
-            expected = reference_mcode_clusters(g, params)
+        for min_score in (3.0, 2.0):
+            got = mcode_clusters(g, min_score)
+            expected = reference_mcode_clusters(g, min_score)
             assert [c.members for c in got] == [c.members for c in expected]
             assert [c.score for c in got] == [c.score for c in expected]
         for k in (2, 3):

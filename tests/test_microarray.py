@@ -54,15 +54,6 @@ class TestAccess:
         assert m.n_genes == 3
         assert m.n_samples == 4
 
-    def test_gene_index_and_expression(self):
-        m = make_matrix()
-        assert m.gene_index("g2") == 1
-        assert np.allclose(m.expression_of("g2"), [2, 4, 6, 8])
-
-    def test_unknown_gene_raises(self):
-        with pytest.raises(KeyError):
-            make_matrix().gene_index("nope")
-
 
 class TestSubsetting:
     def test_subset_genes(self):
@@ -79,16 +70,6 @@ class TestSubsetting:
         assert m.samples == ["s3", "s4"]
         assert m.conditions == ["B", "B"]
 
-    def test_split_by_condition(self):
-        parts = make_matrix().split_by_condition()
-        assert set(parts) == {"A", "B"}
-        assert parts["A"].n_samples == 2
-
-    def test_split_requires_conditions(self):
-        m = ExpressionMatrix(np.zeros((1, 2)), genes=["a"], samples=["s1", "s2"])
-        with pytest.raises(ValueError):
-            m.split_by_condition()
-
 
 class TestTransforms:
     def test_standardized_zero_mean_unit_variance(self):
@@ -99,18 +80,6 @@ class TestTransforms:
     def test_standardized_flat_gene_is_zero(self):
         std = make_matrix().standardized()
         assert np.allclose(std.values[2], 0.0)
-
-    def test_gene_variances(self):
-        variances = make_matrix().gene_variances()
-        assert variances[2] == pytest.approx(0.0)
-        assert variances[1] > variances[0]
-
-    def test_top_variance_genes(self):
-        m = make_matrix()
-        top = m.top_variance_genes(0.34)
-        assert top == ["g2"]
-        with pytest.raises(ValueError):
-            m.top_variance_genes(0.0)
 
 
 class TestStandardizedMemo:

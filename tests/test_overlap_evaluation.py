@@ -143,7 +143,7 @@ class TestQuadrants:
         assert counts.tp == 1 and counts.fn == 1
         assert counts.sensitivity == pytest.approx(0.5)
         assert counts.specificity == 0.0
-        assert counts.total == 2
+        assert counts.tp + counts.fp + counts.fn + counts.tn == 2
         d = counts.as_dict()
         assert d["TP"] == 1
 

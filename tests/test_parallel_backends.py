@@ -60,7 +60,7 @@ def _signature(result):
     """Everything the backends must agree on, order included."""
     return (
         sorted(map(repr, result.graph.iter_edges())),
-        result.accepted_border_edges,
+        result.accepted_border_pairs.tolist(),
         result.duplicate_border_edges,
         [w.border_edges for w in result.rank_work],
     )

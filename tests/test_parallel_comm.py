@@ -66,8 +66,8 @@ class TestParallelCommFilter:
 
     def test_accepted_border_edges_subset_of_border(self, network):
         result = parallel_chordal_comm_filter(network, 4, partition_method="hash")
-        border = set(result.border_edges)
-        assert all(e in border for e in result.accepted_border_edges)
+        border = set(map(tuple, result.border_pairs.tolist()))
+        assert all(tuple(e) in border for e in result.accepted_border_pairs.tolist())
 
     def test_receiver_side_has_no_duplicates(self, network):
         # unlike the no-communication variant, each border edge is judged by a

@@ -81,9 +81,9 @@ class TestParallelFilter:
 
     def test_accepted_border_edges_are_border_edges(self, network):
         result = parallel_chordal_nocomm_filter(network, 4, partition_method="hash")
-        border = set(result.border_edges)
-        for e in result.accepted_border_edges:
-            assert e in border
+        border = set(map(tuple, result.border_pairs.tolist()))
+        for e in result.accepted_border_pairs.tolist():
+            assert tuple(e) in border
 
     def test_more_partitions_keep_fewer_or_equal_edges(self, network):
         few = parallel_chordal_nocomm_filter(network, 2)

@@ -6,12 +6,11 @@ import inspect
 
 import pytest
 
-from repro.clustering import MCODEParams
 from repro.clustering.evaluation import EvaluationThresholds
 from repro.core import is_chordal
 from repro.incremental import replay_reference
 from repro.ontology.generator import make_study_ontology
-from repro.pipeline import analyze_filter, cluster_network, format_table, prepare_dataset
+from repro.pipeline import analyze_filter, format_table, prepare_dataset
 from repro.pipeline.report import format_kv, format_series
 from repro.pipeline.workflow import derive_dataset, prepare_primary
 
@@ -22,18 +21,12 @@ class TestPrepareDataset:
         assert cre_bundle.n_vertices > 0
         assert cre_bundle.n_edges > 0
         assert cre_bundle.original_clusters, "the original network should contain MCODE clusters"
-        summary = cre_bundle.summary()
-        assert summary["dataset"] == "CRE"
-        assert summary["original_clusters"] == len(cre_bundle.original_clusters)
 
     def test_scorer_separates_modules_from_noise(self, cre_bundle):
         aees = cre_bundle.scorer.cluster_aees(cre_bundle.original_clusters)
         assert max(aees) >= 3.0
         assert min(aees) < 3.0
 
-    def test_custom_mcode_params(self):
-        bundle = prepare_dataset("YNG", scale=0.02, seed=5, mcode_params=MCODEParams(min_score=2.0))
-        assert bundle.mcode_params.min_score == 2.0
 
 
 @pytest.fixture(scope="module", params=["YNG", "MID", "UNT", "CRE"])
@@ -67,9 +60,9 @@ class TestPaperDefaults:
     @pytest.mark.parametrize(
         "call, parameters",
         [
-            ("prepare_dataset", ["name", "scale", "seed", "mcode_params"]),
+            ("prepare_dataset", ["name", "scale", "seed"]),
             ("prepare_primary", ["name", "scale", "seed"]),
-            ("derive_dataset", ["study", "dag", "annotations", "scale", "mcode_params"]),
+            ("derive_dataset", ["study", "dag", "annotations", "scale"]),
             ("replay_reference", ["name", "scale", "seed", "specs"]),
         ],
     )
@@ -87,7 +80,8 @@ class TestAnalyzeFilter:
         assert analysis.label.endswith("/natural/1P")
         assert len(analysis.matches) == len(analysis.clusters)
         assert len(analysis.scored_by_node) == len(analysis.matches)
-        assert analysis.node_counts.total == len(analysis.matches)
+        counts = analysis.node_counts
+        assert counts.tp + counts.fp + counts.fn + counts.tn == len(analysis.matches)
         summary = analysis.summary()
         assert summary["clusters"] == len(analysis.clusters)
 
@@ -127,13 +121,6 @@ class TestAnalyzeFilter:
         ]
         assert analysis_payload(analysis)["aees_hex"] == expected
         assert [float(s.aees).hex() for s in analysis.scored_by_edge] == expected
-
-
-class TestClusterNetwork:
-    def test_cluster_network_uses_default_params(self, cre_bundle):
-        clusters = cluster_network(cre_bundle.network, source="test")
-        assert all(c.score >= 3.0 for c in clusters)
-        assert all(c.source == "test" for c in clusters)
 
 
 class TestReportFormatting:

@@ -49,7 +49,7 @@ class TestQuasiChordalReport:
         # only border edges can break chordality, so every partition-induced
         # subgraph of the filtered network must itself be chordal
         assert report.partitions_chordal == 8
-        assert report.n_border_edges == len(result.border_edges)
+        assert report.n_border_edges == result.border_pairs.shape[0]
         d = report.as_dict()
         assert d["n_partitions"] == 8
 
@@ -62,11 +62,7 @@ class TestQuasiChordalReport:
             assert report.chordality_deficit > 0
 
 
-@pytest.fixture(scope="module", autouse=True)
-def _fresh_cache():
-    exp.clear_bundle_cache()
-    yield
-    exp.clear_bundle_cache()
+pytestmark = pytest.mark.usefixtures("fresh_bundle_cache")
 
 
 class TestAblationDrivers:

@@ -97,7 +97,7 @@ class TestCommBorderOrder:
         csr = CSRGraph.from_graph(g)
         natural = natural_label_ranks(csr)
         labels = csr.labels
-        for u, v in csr.edge_indices():
+        for u, v in zip(*(a.tolist() for a in csr.edge_array())):
             expected = edge_key(labels[u], labels[v])
             got = (labels[u], labels[v]) if natural[u] < natural[v] else (labels[v], labels[u])
             assert got == expected

@@ -33,7 +33,7 @@ class TestSequentialChordal:
         assert result.method == "chordal_sequential"
         assert result.ordering == "natural"
         assert result.n_partitions == 1
-        assert result.border_edges == []
+        assert result.n_border_edges == 0
         assert result.simulated_time is not None and result.simulated_time > 0
         assert result.wall_time is not None
 

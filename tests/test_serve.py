@@ -126,7 +126,7 @@ class TestResultCache:
         cache = ResultCache(capacity=4)
         cache.put("k", "CRE@0.02", 0, {"gen": 0})
         assert cache.get("k", 1) is None  # generation moved on → stale
-        assert "k" not in cache
+        assert len(cache) == 0
         stats = cache.stats()
         assert stats.invalidated == 1
         assert stats.misses == 1

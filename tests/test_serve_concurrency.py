@@ -15,7 +15,8 @@ import threading
 
 import pytest
 
-from repro.pipeline.workflow import cluster_network, enrichment_payload
+from repro.clustering.mcode import mcode_clusters
+from repro.pipeline.workflow import enrichment_payload
 from repro.serve import (
     AdmissionQueue,
     BusyError,
@@ -25,6 +26,7 @@ from repro.serve import (
     ShuttingDownError,
 )
 from repro.serve.handlers import _run_filter, normalize_params
+from repro.serve.state import dataset_key
 
 SCALE = 0.02
 
@@ -223,7 +225,8 @@ class TestGracefulShutdown:
         srv.start()
         srv.stop()
         srv.stop()
-        assert not srv.running
+        with pytest.raises(OSError):
+            socket.create_connection(("127.0.0.1", srv.port), timeout=5)
 
     def test_second_stop_returns_only_after_the_first(self):
         # `repro serve` ends the process when serve_forever's own stop()
@@ -271,7 +274,7 @@ def expected_enrich(state, params: dict) -> dict:
     else:
         source = f"CRE/{request['method']}/{request['ordering'] or '-'}/{request['partitions']}P"
         result = _run_filter(state, request)
-        clusters = cluster_network(result.filtered_csr(), bundle.mcode_params, source=source)
+        clusters = mcode_clusters(result.filtered_csr(), source=source)
     return enrichment_payload(clusters, bundle.scorer.cluster_aees(clusters), source)
 
 
@@ -311,7 +314,8 @@ class TestConcurrentEnrich:
             assert set(concurrent) == set(sources)
 
             concurrent_round.clear()
-            srv.cache.clear()  # the sequential requests must score again
+            # The sequential requests must score again.
+            srv.cache.invalidate_dataset(dataset_key("CRE", SCALE))
             with ServeClient(port=srv.port, timeout=600.0) as client:
                 sequential = {}
                 for source in sources:

@@ -175,14 +175,12 @@ class TestServeCycleLeaks:
                     pass
             leaked = [t.name for t in set(threading.enumerate()) - before if t.is_alive()]
             assert leaked == []
-            assert not srv.running
         finally:
             holder.close()
         # The failed start left nothing behind that would make a second
         # start return early without listening.
         srv.start()
         try:
-            assert srv.running
             with ServeClient(port=port, timeout=60.0) as client:
                 assert client.ping()["status"] == "ok"
         finally:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
+import signal
 import socket
 import sys
 import threading
@@ -34,6 +35,8 @@ from repro.core.parallel_nocomm import parallel_chordal_nocomm_filter
 from repro.faults import FaultPlan, active_plan
 from repro.graph.generators import correlation_like_graph
 from repro.parallel.runner import (
+    DeadRankError,
+    WorkerPoolError,
     available_backends,
     configure_supervision,
     parallel_map,
@@ -78,7 +81,7 @@ def _signature(result):
     """Everything the backends must agree on, order included."""
     return (
         sorted(map(repr, result.graph.iter_edges())),
-        result.accepted_border_edges,
+        result.accepted_border_pairs.tolist(),
         result.duplicate_border_edges,
         [w.border_edges for w in result.rank_work],
     )
@@ -209,7 +212,7 @@ class TestSocketPairBringUp:
             with pytest.raises(OSError, match="bring-up failed"):
                 pool.ensure_workers(1)
             assert time.monotonic() - start < sock.HELLO_TIMEOUT / 3
-            assert pool.n_workers() == 0
+            assert pool._alive_workers() == []
             assert pool._workers == []  # the failed worker was dropped and reaped
         finally:
             pool.shutdown()
@@ -236,9 +239,6 @@ class TestSocketPairBringUp:
         # Joining a lost worker can take seconds; the reader threads must not
         # wait that out behind the hub lock.  Covers both paths that drop
         # workers: a failed bring-up and a rank that died mid-round.
-        from repro.parallel.runner import DeadRankError
-
-        monkeypatch.setattr(sock, "SOCK_DRAIN_TIMEOUT", 0.5)
         monkeypatch.setattr(sock, "HELLO_TIMEOUT", 0.5)
         pool = SockWorkerPool()
         locked = []
@@ -268,6 +268,76 @@ class TestSocketPairBringUp:
         assert [p.exitcode for p in procs] == [0, 0]
 
 
+def _answer_once_then_exit(sock_obj):
+    """Worker entry: say hello, answer the first task or rank, close the socket."""
+    worker = sock._Worker(sock_obj)
+    worker.send(("hello", os.getpid()))
+    frame = worker._ctl.get()
+    if frame[0] == "spmd":
+        worker._run_rank(frame)
+    else:
+        worker._run_task(frame)
+    sock._close_quietly(sock_obj)
+
+
+def _kill_self():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _rank_number(comm):
+    return comm.rank
+
+
+#: Repeats of each lost-worker timing check: the loss used to be declared
+#: by a 10 s drain timer that fired in some runs and not in others.
+LOST_WORKER_RUNS = 20
+
+
+class TestLostWorkerFoundAtEOF:
+    """A worker's loss is declared at its EOF, not by a timer."""
+
+    def test_result_sent_before_exit_still_counts_in_a_map(self, monkeypatch):
+        monkeypatch.setattr(sock, "_worker_entry", _answer_once_then_exit)
+        pool = SockWorkerPool()
+        try:
+            assert pool.run_map([(_square, (3,)), (_square, (4,))], processes=2) == [9, 16]
+        finally:
+            pool.shutdown()
+
+    def test_result_sent_before_exit_still_counts_in_a_round(self, monkeypatch):
+        monkeypatch.setattr(sock, "_worker_entry", _answer_once_then_exit)
+        pool = SockWorkerPool()
+        try:
+            values, _ = pool.run_round(_rank_number, 2, [()] * 2, (), {})
+            assert values == [0, 1]
+        finally:
+            pool.shutdown()
+
+    def test_killed_worker_fails_the_map_within_two_seconds(self):
+        pool = SockWorkerPool()
+        try:
+            for _ in range(LOST_WORKER_RUNS):
+                pool.ensure_workers(1)
+                start = time.monotonic()
+                with pytest.raises(WorkerPoolError, match="died mid-map"):
+                    pool.run_map([(_kill_self, ())], processes=1)
+                assert time.monotonic() - start < 2.0
+        finally:
+            pool.shutdown()
+
+    def test_killed_rank_fails_the_round_within_two_seconds(self):
+        pool = SockWorkerPool()
+        try:
+            for _ in range(LOST_WORKER_RUNS):
+                pool.ensure_workers(1)
+                start = time.monotonic()
+                with pytest.raises(DeadRankError, match="died without reporting"):
+                    pool.run_round(_rank_number, 1, [()], (), {}, kill_ranks={0})
+                assert time.monotonic() - start < 2.0
+        finally:
+            pool.shutdown()
+
+
 class TestShutdownDuringHandshake:
     """A worker whose hello has not reached the hub when it shuts down must exit too."""
 
@@ -283,7 +353,7 @@ class TestShutdownDuringHandshake:
         thread.join(timeout=10)
         try:
             assert not thread.is_alive(), "a worker that missed shutdown must still exit"
-            assert pool.n_workers() == 0
+            assert pool._alive_workers() == []
         finally:
             worker_end.close()
 

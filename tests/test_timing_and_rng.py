@@ -15,7 +15,6 @@ from repro.parallel import (
     RankWork,
     derive_seed,
     efficiency,
-    rank_rng,
     rank_rngs,
     speedup,
 )
@@ -82,16 +81,9 @@ class TestRankRng:
         assert draws[0] != draws[1]
         assert draws[1] != draws[2]
 
-    def test_rank_rng_matches_rank_rngs(self):
-        direct = rank_rng(9, 2, 4).random(4)
-        from_list = rank_rngs(9, 4)[2].random(4)
-        assert np.allclose(direct, from_list)
-
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             rank_rngs(0, 0)
-        with pytest.raises(ValueError):
-            rank_rng(0, 5, 2)
 
     def test_derive_seed_deterministic_and_label_sensitive(self):
         assert derive_seed(1, "CRE", "natural") == derive_seed(1, "CRE", "natural")
@@ -126,10 +118,10 @@ class TestPinnedStreams:
         draws = [r.integers(0, 1 << 32, size=3).tolist() for r in rank_rngs(42, 4)]
         assert draws == expected
 
-    def test_rank_rng_pinned_uniforms(self):
+    def test_rank_rngs_pinned_uniforms(self):
         # The exact doubles rank 1 of 2 draws for seed 0 (the random-walk
         # sampler's border stream shape).
-        values = rank_rng(0, 1, 2).random(3)
+        values = rank_rngs(0, 2)[1].random(3)
         expected = [0.677196856975102, 0.242986748542821, 0.611763796321812]
         assert np.allclose(values, expected, rtol=0, atol=1e-15)
 
