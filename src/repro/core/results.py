@@ -10,7 +10,6 @@ duplicated and the simulated execution time.
 
 from __future__ import annotations
 
-from collections.abc import Hashable
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Optional
@@ -22,9 +21,6 @@ from ..graph.graph import Graph
 from ..parallel.timing import CostModel, RankWork
 
 __all__ = ["FilterResult"]
-
-Vertex = Hashable
-Edge = tuple[Vertex, Vertex]
 
 
 def no_pairs() -> np.ndarray:

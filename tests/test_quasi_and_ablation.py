@@ -6,7 +6,6 @@ import pytest
 
 from repro.core import apply_filter, chordality_deficit, long_cycle_census, quasi_chordal_report
 from repro.graph import complete_graph, cycle_graph, partition_graph, path_graph
-from repro.pipeline import experiments as exp
 from repro.pipeline.ablation import (
     hub_retention_study,
     mcode_threshold_sweep,
