@@ -1,9 +1,10 @@
 """PEP 562 lazy exports for the package ``__init__`` modules.
 
 A package ``__init__`` lists which submodule provides each of its public
-names and installs the ``__getattr__`` returned by :func:`lazy_exports`.  A submodule is imported the first time one of its
-names is looked up, so importing a package (or any single submodule of it)
-costs only the ``__init__`` itself: a spawned worker that imports
+names and installs the ``__getattr__`` returned by :func:`lazy_exports`.
+A submodule is imported the first time one of its names is looked up, so
+importing a package (or any single submodule of it) costs only the
+``__init__`` itself: a spawned worker that imports
 ``repro.parallel.runner`` never loads the analysis stack.
 """
 

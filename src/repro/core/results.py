@@ -40,9 +40,9 @@ class FilterResult:
     The result is *index-native*: the kept edges and the border edges are
     ``(k, 2)`` ``int64`` arrays of vertex indices into :attr:`csr`, and the
     label views (:attr:`original`, :attr:`graph`) are built from them the
-    first time they are read, then cached.  Counts, summaries, the canonical payload and
-    :meth:`filtered_csr` read the arrays, so a caller that never asks for
-    labels never pays for them.
+    first time they are read, then cached.  Counts, summaries, the canonical
+    payload and :meth:`filtered_csr` read the arrays, so a caller that never
+    asks for labels never pays for them.
 
     Attributes
     ----------

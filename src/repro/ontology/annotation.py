@@ -218,6 +218,10 @@ class AnnotationTable:
         """Return the terms annotated to ``gene`` (empty set when unannotated)."""
         return set(self._gene_terms.get(gene, set()))
 
+    def genes(self) -> list[str]:
+        """Return every annotated gene (insertion order)."""
+        return list(self._gene_terms)
+
     def n_annotations(self) -> int:
         """Return the total number of (gene, term) pairs."""
         return sum(len(v) for v in self._gene_terms.values())

@@ -26,7 +26,7 @@ from repro.ontology.generator import reference_annotate_study
 def annotation_digest(table) -> str:
     """sha256 over the genes in insertion order with their sorted terms, and the index CSR."""
     h = hashlib.sha256()
-    h.update(json.dumps([[g, sorted(table.terms_of(g))] for g in table.indexed().genes]).encode())
+    h.update(json.dumps([[g, sorted(table.terms_of(g))] for g in table.genes()]).encode())
     index = table.indexed()
     h.update(index.indptr.tobytes())
     h.update(index.term_ids.tobytes())
@@ -52,8 +52,8 @@ ANNOTATION_DIGESTS = {
 
 def assert_same_annotations(got, expect) -> None:
     """Equal tables (gene order, term sets) and byte-equal index arrays."""
-    assert got.indexed().genes == expect.indexed().genes
-    assert all(got.terms_of(g) == expect.terms_of(g) for g in expect.indexed().genes)
+    assert got.genes() == expect.genes()
+    assert all(got.terms_of(g) == expect.terms_of(g) for g in expect.genes())
     a, b = got.indexed(), expect.indexed()
     assert a.genes == b.genes
     assert np.array_equal(a.indptr, b.indptr)
@@ -85,7 +85,7 @@ class TestMakeGoDag:
 class TestAnnotateStudy:
     def test_all_genes_annotated(self, tiny_study, small_go_dag):
         table = annotate_study(tiny_study, small_go_dag)
-        assert set(table.indexed().genes) == set(tiny_study.matrix.genes)
+        assert set(table.genes()) == set(tiny_study.matrix.genes)
 
     def test_module_edges_score_higher_than_background_edges(
         self, tiny_study, small_go_dag, graph_clusters
@@ -114,7 +114,7 @@ class TestAnnotateStudy:
     def test_make_study_ontology_bundles_dag_and_annotations(self, tiny_study):
         dag, table = make_study_ontology(tiny_study, depth=5, branching=2)
         assert table.dag is dag
-        assert set(table.indexed().genes) == set(tiny_study.matrix.genes)
+        assert set(table.genes()) == set(tiny_study.matrix.genes)
 
     def test_requires_deep_enough_dag(self, tiny_study):
         shallow = make_go_dag(depth=2, branching=2, seed=0)
@@ -160,7 +160,7 @@ class TestBulkAnnotationEqualsReference:
     ):
         table = annotate_study(tiny_study, small_go_dag, background_terms_per_gene=0)
         members = {g for genes in tiny_study.modules.values() for g in genes}
-        assert set(table.indexed().genes) == members
+        assert set(table.genes()) == members
         assert len(table.indexed().genes) == len(members)
         assert_same_annotations(
             table, reference_annotate_study(tiny_study, small_go_dag, background_terms_per_gene=0)

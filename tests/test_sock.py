@@ -288,8 +288,8 @@ def _rank_number(comm):
     return comm.rank
 
 
-#: Repeats of each lost-worker timing check: the loss used to be declared
-#: by a 10 s drain timer that fired in some runs and not in others.
+#: Repeats of each lost-worker timing check: a race between the worker's
+#: EOF and the hub's wait shows in some runs only.
 LOST_WORKER_RUNS = 20
 
 
