@@ -146,6 +146,13 @@ class TestCSRMCODE:
     def test_clusters_match_reference_mixed_labels(self, g: Graph):
         assert_clusters_identical(reference_mcode_clusters(g), mcode_clusters(g))
 
+    def test_clusters_match_reference_on_the_corpus(self, corpus_graph: Graph):
+        for min_score in MIN_SCORES:
+            assert_clusters_identical(
+                reference_mcode_clusters(corpus_graph, min_score),
+                mcode_clusters(corpus_graph, min_score),
+            )
+
     @pytest.mark.parametrize("gi", range(len(GENERATOR_GRAPHS)))
     def test_clusters_match_reference_generators(self, gi: int):
         g = GENERATOR_GRAPHS[gi]

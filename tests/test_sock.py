@@ -280,10 +280,6 @@ def _answer_once_then_exit(sock_obj):
     sock._close_quietly(sock_obj)
 
 
-def _kill_self():
-    os.kill(os.getpid(), signal.SIGKILL)
-
-
 def _rank_number(comm):
     return comm.rank
 
@@ -313,14 +309,16 @@ class TestLostWorkerFoundAtEOF:
         finally:
             pool.shutdown()
 
+    # The payloads are builtins, so a worker never imports this module and
+    # each of the 20 respawns stays cheap.
     def test_killed_worker_fails_the_map_within_two_seconds(self):
         pool = SockWorkerPool()
         try:
             for _ in range(LOST_WORKER_RUNS):
-                pool.ensure_workers(1)
+                (worker,) = pool.ensure_workers(1)
                 start = time.monotonic()
                 with pytest.raises(WorkerPoolError, match="died mid-map"):
-                    pool.run_map([(_kill_self, ())], processes=1)
+                    pool.run_map([(os.kill, (worker.pid, signal.SIGKILL))], processes=1)
                 assert time.monotonic() - start < 2.0
         finally:
             pool.shutdown()
@@ -332,7 +330,7 @@ class TestLostWorkerFoundAtEOF:
                 pool.ensure_workers(1)
                 start = time.monotonic()
                 with pytest.raises(DeadRankError, match="died without reporting"):
-                    pool.run_round(_rank_number, 1, [()], (), {}, kill_ranks={0})
+                    pool.run_round(print, 1, [()], (), {}, kill_ranks={0})
                 assert time.monotonic() - start < 2.0
         finally:
             pool.shutdown()
