@@ -55,17 +55,17 @@ def small_random_graph() -> Graph:
 @pytest.fixture
 def house_graph() -> Graph:
     """A 5-vertex 'house': a square with a triangular roof (not chordal)."""
-    g = Graph()
-    for u, v in [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("a", "e"), ("b", "e")]:
-        g.add_edge(u, v)
-    return g
+    return Graph(edges=[("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("a", "e"), ("b", "e")])
 
 
 def _disconnected_graph() -> Graph:
     """Two cycles, a pendant edge and an isolated vertex (four components)."""
-    g = Graph(edges=[("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("b", "d")])
-    for u, v in [("p", "q"), ("q", "r"), ("r", "s"), ("s", "t"), ("t", "p"), ("x", "y")]:
-        g.add_edge(u, v)
+    g = Graph(
+        edges=[
+            ("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("b", "d"),
+            ("p", "q"), ("q", "r"), ("r", "s"), ("s", "t"), ("t", "p"), ("x", "y"),
+        ]
+    )
     g.add_vertex("iso")
     return g
 
