@@ -31,6 +31,16 @@ def make_dag() -> GODag:
     return dag
 
 
+def assert_links_mirrored(dag: GODag) -> None:
+    """Every parent link has its child link and back; every term reaches the root."""
+    for t in dag.terms():
+        term = dag.term(t)
+        assert all(t in dag.children(p) for p in term.parents)
+        assert all(t in dag.term(c).parents for c in dag.children(t))
+        assert bool(term.parents) == (t != dag.root_id)
+        assert dag.path_to_root(t)[-1] == dag.root_id
+
+
 class TestConstruction:
     def test_root_exists(self):
         dag = GODag()
@@ -62,6 +72,19 @@ class TestConstruction:
         dag = make_dag()
         dag.add_parent("T", "S")
         assert dag.term("T").parents.count("S") == 1
+
+    def test_links_are_mirrored(self):
+        assert_links_mirrored(make_dag())
+
+    def test_links_stay_mirrored_after_a_leaf_append(self):
+        dag = make_dag()
+        dag.append_leaf_terms([("L1", ["G", "T"]), ("L2", ["L1"])])
+        assert_links_mirrored(dag)
+        assert set(dag.children("G")) == {"L1"}
+
+    @pytest.mark.parametrize("seed", [1, 9])
+    def test_generated_dag_links_are_mirrored(self, seed):
+        assert_links_mirrored(make_go_dag(depth=4, branching=3, extra_parent_fraction=0.2, seed=seed))
 
 
 class TestDepthAndAncestry:

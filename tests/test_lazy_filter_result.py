@@ -399,13 +399,25 @@ def test_structural_mutation_drops_the_cached_view(mutation):
     assert CSRGraph.of(g) is after
 
 
+def _refused(mutate):
+    """A change that ``mutate`` attempts and the graph refuses with ``KeyError``."""
+
+    def change(g: Graph) -> None:
+        with pytest.raises(KeyError):
+            mutate(g)
+
+    return change
+
+
 @pytest.mark.parametrize(
     "change",
     [
         lambda g: g.add_edge("a", "b", rho=0.9),  # existing edge, attributes only
         lambda g: g.add_vertex("a"),  # existing vertex
+        _refused(lambda g: g.remove_edge("a", "c")),  # absent edge
+        _refused(lambda g: g.remove_vertex("z")),  # absent vertex
     ],
-    ids=["re_add_edge_with_attrs", "re_add_vertex"],
+    ids=["re_add_edge_with_attrs", "re_add_vertex", "remove_absent_edge", "remove_absent_vertex"],
 )
 def test_non_structural_change_keeps_the_cached_view(change):
     from repro.graph import CSRGraph

@@ -7,6 +7,7 @@ import inspect
 import pytest
 
 from repro.clustering.evaluation import EvaluationThresholds
+from repro.clustering.mcode import MIN_SIZE, mcode_clusters
 from repro.core import is_chordal
 from repro.incremental import replay_reference
 from repro.ontology.generator import make_study_ontology
@@ -70,6 +71,15 @@ class TestPaperDefaults:
         # A threshold the incremental paths could not carry is refused up
         # front instead of being dropped after the first update.
         assert list(inspect.signature(globals()[call]).parameters) == parameters
+
+    def test_original_clusters_use_the_paper_cut(self, tiny_bundle):
+        # MCODE runs at the paper's score cut of 3.0 and drops complexes
+        # under MIN_SIZE vertices; no bundle path can pass another value.
+        clusters = tiny_bundle.original_clusters
+        assert all(c.score >= 3.0 and c.n_vertices >= MIN_SIZE for c in clusters)
+        assert all(c.source == f"{tiny_bundle.name}/original" for c in clusters)
+        expected = mcode_clusters(tiny_bundle.network_csr, 3.0)
+        assert [(c.members, c.score) for c in clusters] == [(c.members, c.score) for c in expected]
 
 
 class TestAnalyzeFilter:

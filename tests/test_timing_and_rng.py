@@ -85,6 +85,10 @@ class TestRankRng:
         with pytest.raises(ValueError):
             rank_rngs(0, 0)
 
+    def test_rank_stream_does_not_depend_on_the_rank_count(self):
+        # A (seed, rank) pair names one stream, whatever the number of ranks.
+        assert np.array_equal(rank_rngs(9, 4)[2].random(4), rank_rngs(9, 3)[2].random(4))
+
     def test_derive_seed_deterministic_and_label_sensitive(self):
         assert derive_seed(1, "CRE", "natural") == derive_seed(1, "CRE", "natural")
         assert derive_seed(1, "CRE", "natural") != derive_seed(1, "CRE", "rcm")
