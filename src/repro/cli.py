@@ -39,7 +39,8 @@ from .core.sampling import apply_filter, filter_names
 from .parallel.runner import BACKOFF_SEED, available_backends, backoff, configure_supervision
 from .expression.datasets import DATASET_CONFIGS, dataset_names, default_scale, make_study
 from .graph.io import write_edge_list
-from .graph.ordering import get_ordering, ordering_names
+from .graph.ordering import canonical_ordering_name, ordering_names
+from .graph.partition import INDEX_PARTITIONERS
 from .pipeline.report import format_kv, format_table
 
 __all__ = ["build_parser", "main"]
@@ -81,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     filt.add_argument("--method", choices=filter_names(), default="chordal")
     filt.add_argument("--ordering", choices=ordering_names(), default="natural")
     filt.add_argument("--partitions", type=int, default=1, help="number of simulated processors")
-    filt.add_argument("--partition-method", default="block", help="block / bfs / hash / greedy")
+    filt.add_argument("--partition-method", choices=list(INDEX_PARTITIONERS), default="block")
     filt.add_argument(
         "--backend",
         choices=available_backends(),
@@ -107,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--method", choices=filter_names(), default="chordal")
     analyze.add_argument("--ordering", choices=ordering_names(), default="natural")
     analyze.add_argument("--partitions", type=int, default=1)
-    analyze.add_argument("--partition-method", default="block", help="block / bfs / hash / greedy")
+    analyze.add_argument("--partition-method", choices=list(INDEX_PARTITIONERS), default="block")
     analyze.add_argument("--seed", type=int, default=0, help="seed for the random-walk filter")
     analyze.add_argument("--top", type=int, default=10, help="number of clusters to list")
     analyze.add_argument(
@@ -463,10 +464,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     try:
         scales = [parse_scale(s) for s in _split(args.scales)] or [default_scale()]
         seeds = [int(s) for s in _split(args.seeds)] or [None]
-        orderings = _split(args.orderings) or [None]
-        for name in orderings:
-            if name is not None:
-                get_ordering(name)  # raises early, naming the valid orderings
+        # Raises early, naming the valid orderings; an abbreviation runs
+        # (and is cached) under its canonical name.
+        orderings = [canonical_ordering_name(name) for name in _split(args.orderings)] or [None]
         for figure in figures:
             get_driver(figure)  # raises early, naming the valid drivers
     except (KeyError, ValueError) as err:

@@ -287,8 +287,9 @@ def _complex_pairs(csr: CSRGraph, complexes: Sequence[IndexComplex]) -> list[np.
     One row gather over all members at once: a neighbour ``w`` of member
     ``v`` is kept when it belongs to the same complex and comes later in
     its member order, so each complex lists its edges in the order
-    ``Graph.subgraph(members)`` adds them.  Membership is a binary search
-    over ``complex × n + vertex`` keys.
+    ``Graph.subgraph(members)`` adds them.  The complexes are disjoint (a
+    grown vertex is never grown again), so membership is one lookup in a
+    per-vertex owner array and member order one in a position array.
     """
     n = csr.n_vertices
     sizes = np.array([len(c.members) for c in complexes], dtype=np.int64)
@@ -296,14 +297,13 @@ def _complex_pairs(csr: CSRGraph, complexes: Sequence[IndexComplex]) -> list[np.
         (u for c in complexes for u in c.members), dtype=np.int64, count=int(sizes.sum())
     )
     owner = np.repeat(np.arange(sizes.size, dtype=np.int64), sizes)
-    keys = owner * n + flat
-    order = np.argsort(keys)
-    sorted_keys = keys[order]
+    vertex_owner = np.full(n, -1, dtype=np.int64)
+    vertex_owner[flat] = owner
+    position = np.zeros(n, dtype=np.int64)
+    position[flat] = np.arange(flat.size, dtype=np.int64)
     values, counts = gather_csr_rows(csr.indptr, csr.indices, flat)
     slot = np.repeat(np.arange(flat.size, dtype=np.int64), counts)
-    wanted = owner[slot] * n + values
-    at = np.minimum(np.searchsorted(sorted_keys, wanted), max(sorted_keys.size - 1, 0))
-    keep = (sorted_keys[at] == wanted) & (order[at] > slot)
+    keep = (vertex_owner[values] == owner[slot]) & (position[values] > slot)
     pairs = np.column_stack((flat[slot[keep]], values[keep]))
     bounds = np.cumsum(np.bincount(owner[slot[keep]], minlength=sizes.size))[:-1]
     return np.split(pairs, bounds)

@@ -14,9 +14,9 @@ This module provides
 * :func:`is_chordal` — the classic Tarjan–Yannakakis recognition test
   (:func:`is_peo_indices` on the reverse MCS order),
 * :func:`chordal_subgraph_edge_indices` — the Dearing–Shier–Warner
-  construction on the CSR kernel, with the vertex-ordering hooks the
-  paper's sensitivity study requires; :func:`maximal_chordal_subgraph` is
-  its label-level entry point,
+  construction on the CSR kernel, with the vertex-priority hook the
+  paper's ordering sensitivity study requires;
+  :func:`maximal_chordal_subgraph` is its label-level entry point,
 * :func:`edge_insertion_preserves_chordality` — the label two-pair test, the
   reference of the with-communication sampler's receiver,
 * :func:`is_maximal_chordal_subgraph` — a brute-force maximality check the
@@ -218,7 +218,6 @@ def fill_in_edges(graph: Graph, order: Optional[Sequence[Vertex]] = None) -> lis
 def chordal_subgraph_edge_indices(
     csr: CSRGraph,
     priority: Optional[Sequence[int]] = None,
-    strict_order: bool = False,
     start: Optional[int] = None,
 ) -> list[tuple[int, int]]:
     """Dearing–Shier–Warner extraction on the CSR kernel.
@@ -263,7 +262,6 @@ def chordal_subgraph_edge_indices(
     accepted: list[tuple[int, int]] = []
     heap: list[int] = []
     push = heapq.heappush
-    greedy = not strict_order  # strict mode never pops the heap, so skip pushes
 
     def process(u: int) -> None:
         processed[u] = 1
@@ -276,33 +274,23 @@ def chordal_subgraph_edge_indices(
             sv = s[v]
             if sv <= su:
                 sv.add(u)
-                if greedy:
-                    push(heap, (n - len(sv)) * n + rank[v])
+                push(heap, (n - len(sv)) * n + rank[v])
 
-    if strict_order:
-        sequence = list(sequence)
-        if sequence[0] != start:
-            sequence.remove(start)
-            sequence.insert(0, start)
-        for u in sequence:
-            process(u)
-    else:
-        # Greedy maximum-|S| selection with a lazy min-heap of int keys:
-        # every S-growth pushes a fresh key (inside process), stale keys are
-        # skipped on pop.  Total pushes are O(E), keeping selection
-        # O(E log V).
-        process(start)
-        heap.extend([(n - len(s[v])) * n + rank[v] for v in range(n) if not processed[v]])
-        heapq.heapify(heap)
-        pop = heapq.heappop
-        n_processed = 1
-        while n_processed < n:
-            slot, r = divmod(pop(heap), n)
-            u = sequence[r]
-            if processed[u] or n - slot != len(s[u]):
-                continue
-            process(u)
-            n_processed += 1
+    # Greedy maximum-|S| selection with a lazy min-heap of int keys: every
+    # S-growth pushes a fresh key (inside process), stale keys are skipped
+    # on pop.  Total pushes are O(E), keeping selection O(E log V).
+    process(start)
+    heap.extend([(n - len(s[v])) * n + rank[v] for v in range(n) if not processed[v]])
+    heapq.heapify(heap)
+    pop = heapq.heappop
+    n_processed = 1
+    while n_processed < n:
+        slot, r = divmod(pop(heap), n)
+        u = sequence[r]
+        if processed[u] or n - slot != len(s[u]):
+            continue
+        process(u)
+        n_processed += 1
     return accepted
 
 
@@ -402,9 +390,7 @@ def reference_chordal_subgraph_edges(
 def maximal_chordal_subgraph(
     graph: Graph,
     order: Optional[Sequence[Vertex]] = None,
-    strict_order: bool = False,
     start: Optional[Vertex] = None,
-    keep_all_vertices: bool = True,
 ) -> Graph:
     """Return a maximal chordal subgraph of ``graph`` as a new :class:`Graph`.
 
@@ -420,25 +406,17 @@ def maximal_chordal_subgraph(
 
     The computation runs on the int-indexed CSR kernel
     (:func:`chordal_subgraph_edge_indices`); labels only appear at this
-    boundary.
+    boundary.  The result keeps every vertex of ``graph`` (filters drop
+    edges, never genes).
 
     Parameters
     ----------
     order:
         A vertex permutation expressing the *preference* order studied in the
-        paper (natural / high-degree / low-degree / RCM).  In the default
-        greedy mode it breaks ties between vertices with equal ``|S|`` and
-        chooses the starting vertex; in ``strict_order`` mode vertices are
-        processed exactly in this sequence.
-    strict_order:
-        Process vertices exactly in ``order`` (still chordal, possibly not
-        maximal).  Mirrors the "graph traversal variation" wording of the
-        paper when the permutation is imposed directly.
+        paper (natural / high-degree / low-degree / RCM): it breaks ties
+        between vertices with equal ``|S|`` and chooses the starting vertex.
     start:
         Optional starting vertex (defaults to the first vertex of ``order``).
-    keep_all_vertices:
-        Keep isolated vertices in the result (the sampling convention:
-        filters drop edges, never genes).
     """
     csr = CSRGraph.from_graph(graph)
     priority: Optional[list[int]] = None
@@ -453,14 +431,9 @@ def maximal_chordal_subgraph(
         if start not in graph:
             raise KeyError(f"start vertex {start!r} not in graph")
         start_idx = csr.index_of(start)
-    pairs = chordal_subgraph_edge_indices(
-        csr, priority=priority, strict_order=strict_order, start=start_idx
-    )
+    pairs = chordal_subgraph_edge_indices(csr, priority=priority, start=start_idx)
     labels = csr.labels
-    edges = [edge_key(labels[i], labels[j]) for i, j in pairs]
-    if keep_all_vertices:
-        return graph.spanning_subgraph(edges)
-    return graph.edge_subgraph(edges)
+    return graph.spanning_subgraph([edge_key(labels[i], labels[j]) for i, j in pairs])
 
 
 def edge_insertion_preserves_chordality(chordal_graph: Graph, u: Vertex, v: Vertex) -> bool:

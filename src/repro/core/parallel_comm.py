@@ -156,7 +156,6 @@ def _rank_function(
     part_idx: np.ndarray,
     border_by_peer: dict[int, np.ndarray],
     local_priority: Optional[list[int]],
-    strict_order: bool,
 ) -> tuple[np.ndarray, np.ndarray, RankWork]:
     """SPMD body executed by every rank of the with-communication sampler.
 
@@ -169,7 +168,7 @@ def _rank_function(
     """
     k = int(part_idx.shape[0])
     sub = CSRGraph(sub_indptr, sub_indices, labels=range(k))
-    pairs = chordal_subgraph_edge_indices(sub, priority=local_priority, strict_order=strict_order)
+    pairs = chordal_subgraph_edge_indices(sub, priority=local_priority)
     part_list = part_idx.tolist()
     local_edges: list[IndexEdge] = []
     # Mutable view of this rank's accepted subgraph for admission tests.
@@ -252,10 +251,8 @@ def _comm_border_lists(csr: CSRGraph, ipart: IndexPartition) -> list[dict[int, n
 def parallel_chordal_comm_filter(
     graph: "Graph | CSRGraph",
     n_partitions: int,
-    ordering: Optional[str] = "natural",
-    explicit_order: Optional[Sequence[Vertex]] = None,
+    ordering: str = "natural",
     partition_method: str = "block",
-    strict_order: bool = False,
     backend: Optional[str] = None,
 ) -> FilterResult:
     """Run the with-communication parallel chordal filter (the older baseline).
@@ -279,14 +276,12 @@ def parallel_chordal_comm_filter(
         )
     start = time.perf_counter()
     csr = CSRGraph.of(graph)
-    perm, ordering_name = resolve_order_indices(csr, ordering, explicit_order)
-    # A memo key cannot name an explicit order, so its partition is not kept.
-    memo_name = None if explicit_order is not None else ordering_name
-    ipart = resolve_index_partition(csr, n_partitions, partition_method, perm, memo_name)
+    perm, ordering_name = resolve_order_indices(csr, ordering)
+    ipart = resolve_index_partition(csr, n_partitions, partition_method, perm, ordering_name)
     # The lists are a function of the partition, so they share its key.
-    key = partition_memo_key(n_partitions, partition_method, perm, memo_name)
+    key = partition_memo_key(n_partitions, partition_method, ordering_name)
     by_peer_per_rank = csr.memo(
-        key and ("comm_border", *key[1:]), lambda: _comm_border_lists(csr, ipart)
+        ("comm_border", *key[1:]), lambda: _comm_border_lists(csr, ipart)
     )
     position = priority_from_permutation(perm, csr.n_vertices)
 
@@ -299,8 +294,7 @@ def parallel_chordal_comm_filter(
                 sub_indices,
                 part_idx,
                 by_peer_per_rank[rank],
-                None if position is None else kernel_priority(position[part_idx]),
-                strict_order,
+                kernel_priority(position[part_idx]),
             )
         )
     resolved_backend = backend or ("thread" if ipart.n_parts > 1 else "serial")
@@ -323,7 +317,6 @@ def parallel_chordal_comm_filter(
         rank_work=works,
         wall_time=wall,
         extra={
-            "strict_order": strict_order,
             "comm_stats": report.total_stats(),
             "comm_stats_per_rank": [r.stats.as_dict() for r in report.results],
             "backend": resolved_backend,

@@ -198,13 +198,12 @@ def _rank_task_indices(
     u_internal: np.ndarray,
     v_internal: np.ndarray,
     local_priority: Optional[list[int]],
-    strict_order: bool,
 ) -> tuple[np.ndarray, np.ndarray, RankWork]:
     """The full per-rank computation on CSR arrays (local phase + admission).
 
-    The arguments are numpy arrays, the kernel's priority list (or
-    ``None``) and one bool, so the ``process`` backend pickles compact
-    buffers instead of ``Graph`` objects.  Returns the kept local
+    The arguments are numpy arrays and the kernel's priority list (or
+    ``None``), so the ``process`` backend pickles compact buffers instead
+    of ``Graph`` objects.  Returns the kept local
     chordal edges (kernel acceptance order) and the admitted border edges
     (sorted) as ``(k, 2)`` arrays of canonical global-index pairs, plus the
     work counters — the exact sequences :func:`merge_rank_outputs` depends
@@ -212,7 +211,7 @@ def _rank_task_indices(
     """
     k = int(part_idx.shape[0])
     sub = CSRGraph(sub_indptr, sub_indices, labels=range(k))
-    pairs = chordal_subgraph_edge_indices(sub, priority=local_priority, strict_order=strict_order)
+    pairs = chordal_subgraph_edge_indices(sub, priority=local_priority)
     m = len(pairs)
     if m:
         flat = np.fromiter(chain.from_iterable(pairs), dtype=np.int64, count=2 * m)
@@ -272,58 +271,52 @@ def merge_rank_outputs(
 
 
 def partition_memo_key(
-    n_partitions: int,
-    partition_method: str,
-    perm: Optional[np.ndarray],
-    ordering: Optional[str],
-) -> Optional[tuple]:
+    n_partitions: int, partition_method: str, ordering: Optional[str]
+) -> tuple:
     """The view-memo key of the partition :func:`resolve_index_partition`
-    picks, or ``None`` when no key can name it: a block layout of a
-    permutation without an ordering name (an explicit order)."""
-    if partition_method == "block" and perm is not None:
-        if ordering is None:
-            return None
-        return ("partition", partition_method, n_partitions, ordering)
-    return ("partition", partition_method, n_partitions, None)
+    picks: only a block layout depends on the ordering."""
+    return (
+        "partition",
+        partition_method,
+        n_partitions,
+        ordering if partition_method == "block" else None,
+    )
 
 
 def resolve_index_partition(
     csr: CSRGraph,
     n_partitions: int,
     partition_method: str,
-    perm: Optional[np.ndarray],
+    perm: Optional[np.ndarray] = None,
     ordering: Optional[str] = None,
 ) -> IndexPartition:
     """Choose the index partition for a parallel filter run.
 
-    A block partition follows the ordering permutation when one was
-    requested; any other method runs index-native directly.  ``ordering``
-    names the ordering ``perm`` was computed from (``None`` for an explicit
-    order); a partition that :func:`partition_memo_key` names is built once
-    per view and kept, settled and read-only, in its memo.
+    A block partition lays out the ordering permutation ``perm`` (the
+    natural order when ``None``); any other method ignores the ordering.
+    ``ordering`` is the canonical name ``perm`` was computed from.  The
+    partition is built once per view and kept, settled and read-only, in
+    its memo under :func:`partition_memo_key`.
     """
 
     def build() -> tuple:
-        if partition_method == "block" and perm is not None:
+        if partition_method == "block":
             ipart = block_partition_indices(csr, n_partitions, order=perm)
         else:
             ipart = index_partition_graph(csr, n_partitions, method=partition_method)
         return ipart.settled_state()
 
-    key = partition_memo_key(n_partitions, partition_method, perm, ordering)
+    key = partition_memo_key(n_partitions, partition_method, ordering)
     return IndexPartition.from_settled_state(csr, csr.memo(key, build))
 
 
 def parallel_chordal_nocomm_filter(
     graph: "Graph | CSRGraph",
     n_partitions: int,
-    ordering: Optional[str] = "natural",
-    explicit_order: Optional[Sequence[Vertex]] = None,
+    ordering: str = "natural",
     partition_method: str = "block",
-    strict_order: bool = False,
     repair_cycles: bool = False,
     backend: Optional[str] = None,
-    processes: Optional[int] = None,
 ) -> FilterResult:
     """Run the communication-free parallel chordal filter.
 
@@ -333,9 +326,9 @@ def parallel_chordal_nocomm_filter(
         The network to sample (a label graph or its CSR view).
     n_partitions:
         Number of simulated processors ``P``.
-    ordering / explicit_order:
-        Vertex ordering used both to lay out the block partition and to drive
-        every rank's local Dearing–Shier–Warner traversal.
+    ordering:
+        Vertex ordering name used both to lay out the block partition and to
+        drive every rank's local Dearing–Shier–Warner traversal.
     partition_method:
         Partitioner name (``block``, ``hash``, ``bfs``, ``greedy``).
     repair_cycles:
@@ -360,10 +353,8 @@ def parallel_chordal_nocomm_filter(
         )
     start = time.perf_counter()
     csr = CSRGraph.of(graph)
-    perm, ordering_name = resolve_order_indices(csr, ordering, explicit_order)
-    # A memo key cannot name an explicit order, so its partition is not kept.
-    memo_name = None if explicit_order is not None else ordering_name
-    ipart = resolve_index_partition(csr, n_partitions, partition_method, perm, memo_name)
+    perm, ordering_name = resolve_order_indices(csr, ordering)
+    ipart = resolve_index_partition(csr, n_partitions, partition_method, perm, ordering_name)
     position = priority_from_permutation(perm, csr.n_vertices)
 
     assignment = ipart.assignment
@@ -380,11 +371,10 @@ def parallel_chordal_nocomm_filter(
                 bv,
                 assignment[bu] == rank,
                 assignment[bv] == rank,
-                None if position is None else kernel_priority(position[part_idx]),
-                strict_order,
+                kernel_priority(position[part_idx]),
             )
         )
-    rank_outputs = parallel_map(_rank_task_indices, items, backend=backend, processes=processes)
+    rank_outputs = parallel_map(_rank_task_indices, items, backend=backend)
     local, accepted, border, duplicates, works = merge_rank_outputs(rank_outputs, ipart)
 
     removed_for_cycles: list[Edge] = []
@@ -410,7 +400,6 @@ def parallel_chordal_nocomm_filter(
         rank_work=works,
         wall_time=wall,
         extra={
-            "strict_order": strict_order,
             "repair_cycles": repair_cycles,
             "cycles_removed_edges": removed_for_cycles,
             "border_cycle_sizes": _border_cycle_sizes(csr, accepted),

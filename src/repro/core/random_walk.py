@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import time
 from collections.abc import Hashable, Sequence
-from typing import Optional
 
 import numpy as np
 
@@ -34,32 +33,33 @@ from ..parallel.rng import rank_rngs
 from ..parallel.timing import RankWork
 from .parallel_nocomm import resolve_index_partition
 from .results import FilterResult, as_pairs
-from .sequential import resolve_order_indices
+from .sequential import SELECTION_FRACTION
 
 __all__ = ["parallel_random_walk_filter"]
 
 Vertex = Hashable
-Edge = tuple[Vertex, Vertex]
 IndexEdge = tuple[int, int]
+
+#: Probability that a border edge survives: its "binary random value" is a
+#: fair coin, as in the paper.
+BORDER_KEEP_PROBABILITY = 0.5
 
 
 def _walk(
     rows: Sequence[Sequence[int]],
     n_edges: int,
     rng: np.random.Generator,
-    selection_fraction: float,
 ) -> tuple[set[IndexEdge], int]:
     """One random walk over adjacency ``rows``: (selected ``(min, max)`` pairs, n selections).
 
-    The walk restarts at a uniformly random vertex whenever it reaches an
+    The walk stops after :data:`SELECTION_FRACTION` × ``n_edges`` selections
+    and restarts at a uniformly random vertex whenever it reaches an
     isolated vertex.  Selection counting includes repeats, per the paper.
     """
-    if not 0.0 < selection_fraction <= 1.0:
-        raise ValueError("selection_fraction must lie in (0, 1]")
     n = len(rows)
     kept: set[IndexEdge] = set()
     selections = 0
-    target = int(selection_fraction * n_edges)
+    target = int(SELECTION_FRACTION * n_edges)
     if not n or n_edges == 0 or target == 0:
         return kept, 0
     current = int(rng.integers(0, n))
@@ -103,23 +103,16 @@ def parallel_random_walk_filter(
     graph: "Graph | CSRGraph",
     n_partitions: int,
     seed: int = 0,
-    selection_fraction: float = 0.5,
-    border_keep_probability: float = 0.5,
     partition_method: str = "block",
-    explicit_order: Optional[Sequence[Vertex]] = None,
 ) -> FilterResult:
     """Run the parallel random-walk control filter.
 
-    Parameters
-    ----------
-    seed:
-        Root seed; each rank receives an independent derived stream, so the
-        per-rank walks are uncorrelated and reproducible.
-    selection_fraction:
-        Stop each local walk after this fraction of the partition's edges have
-        been selected (with repetition).  The paper uses one half.
-    border_keep_probability:
-        Probability that a border edge survives (its "binary random value").
+    ``seed`` is the root seed; each rank receives an independent derived
+    stream, so the per-rank walks are uncorrelated and reproducible.  Each
+    local walk stops after :data:`SELECTION_FRACTION` of its partition's
+    edges have been selected (with repetition), and each border edge
+    survives with probability :data:`BORDER_KEEP_PROBABILITY`.  A block
+    partition lays out the natural order.
 
     Like the chordal samplers it runs on the graph's cached CSR view and an
     index partition; each rank's walked edges are admitted in the ``repr``
@@ -128,14 +121,9 @@ def parallel_random_walk_filter(
     """
     if n_partitions < 1:
         raise ValueError(f"n_partitions must be >= 1, got {n_partitions}")
-    if not 0.0 <= border_keep_probability <= 1.0:
-        raise ValueError("border_keep_probability must lie in [0, 1]")
     start = time.perf_counter()
     csr = CSRGraph.of(graph)
-    perm = None
-    if partition_method == "block" and explicit_order is not None:
-        perm, _ = resolve_order_indices(csr, None, explicit_order)
-    ipart = resolve_index_partition(csr, n_partitions, partition_method, perm)
+    ipart = resolve_index_partition(csr, n_partitions, partition_method)
 
     rngs = rank_rngs(seed, ipart.n_parts + 1)
     border_rng = rngs[-1]
@@ -146,7 +134,7 @@ def parallel_random_walk_filter(
     for rank, (sub_indptr, sub_indices) in enumerate(ipart.part_arrays()):
         rows = _subgraph_rows(sub_indptr, sub_indices)
         n_edges = int(sub_indices.shape[0]) // 2
-        pairs, selections = _walk(rows, n_edges, rngs[rank], selection_fraction)
+        pairs, selections = _walk(rows, n_edges, rngs[rank])
         to_global = ipart.part_indices(rank).tolist()
         global_pairs = [
             (a, b) if a < b else (b, a) for a, b in ((to_global[i], to_global[j]) for i, j in pairs)
@@ -164,7 +152,7 @@ def parallel_random_walk_filter(
         )
 
     border = np.column_stack(ipart.border_edges())
-    accepted = border[border_rng.random(border.shape[0]) < border_keep_probability]
+    accepted = border[border_rng.random(border.shape[0]) < BORDER_KEEP_PROBABILITY]
     wall = time.perf_counter() - start
 
     result = FilterResult(
@@ -180,11 +168,7 @@ def parallel_random_walk_filter(
         duplicate_border_edges=0,
         rank_work=works,
         wall_time=wall,
-        extra={
-            "seed": seed,
-            "selection_fraction": selection_fraction,
-            "border_keep_probability": border_keep_probability,
-        },
+        extra={"seed": seed},
     )
     result.compute_simulated_time(with_communication=False)
     return result

@@ -10,7 +10,6 @@ filter in FILTERS …").
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Sequence
 from typing import Any, Callable, Optional
 
 from ..graph.csr import CSRGraph
@@ -23,40 +22,27 @@ from .sequential import sequential_chordal_filter, sequential_random_walk_filter
 
 __all__ = ["FILTERS", "filter_names", "apply_filter"]
 
-Vertex = Hashable
-
 
 def _dispatch_chordal(
     graph: "Graph | CSRGraph",
     n_partitions: int,
     ordering: Optional[str],
-    explicit_order: Optional[Sequence[Vertex]],
     **kwargs: Any,
 ) -> FilterResult:
     """Chordal filter: sequential when ``n_partitions == 1``, no-comm otherwise."""
+    kwargs.pop("seed", None)
     if n_partitions <= 1:
         kwargs.pop("partition_method", None)
         kwargs.pop("repair_cycles", None)
         kwargs.pop("backend", None)
-        kwargs.pop("seed", None)
-        return sequential_chordal_filter(
-            graph, ordering=ordering, explicit_order=explicit_order, **kwargs
-        )
-    kwargs.pop("seed", None)
-    return parallel_chordal_nocomm_filter(
-        graph,
-        n_partitions,
-        ordering=ordering,
-        explicit_order=explicit_order,
-        **kwargs,
-    )
+        return sequential_chordal_filter(graph, ordering=ordering, **kwargs)
+    return parallel_chordal_nocomm_filter(graph, n_partitions, ordering=ordering, **kwargs)
 
 
 def _dispatch_chordal_comm(
     graph: "Graph | CSRGraph",
     n_partitions: int,
     ordering: Optional[str],
-    explicit_order: Optional[Sequence[Vertex]],
     **kwargs: Any,
 ) -> FilterResult:
     kwargs.pop("seed", None)
@@ -64,39 +50,23 @@ def _dispatch_chordal_comm(
     if n_partitions <= 1:
         kwargs.pop("partition_method", None)
         kwargs.pop("backend", None)
-        return sequential_chordal_filter(
-            graph, ordering=ordering, explicit_order=explicit_order, **kwargs
-        )
-    return parallel_chordal_comm_filter(
-        graph,
-        n_partitions,
-        ordering=ordering,
-        explicit_order=explicit_order,
-        **kwargs,
-    )
+        return sequential_chordal_filter(graph, ordering=ordering, **kwargs)
+    return parallel_chordal_comm_filter(graph, n_partitions, ordering=ordering, **kwargs)
 
 
 def _dispatch_random_walk(
     graph: "Graph | CSRGraph",
     n_partitions: int,
     ordering: Optional[str],
-    explicit_order: Optional[Sequence[Vertex]],
     **kwargs: Any,
 ) -> FilterResult:
-    kwargs.pop("strict_order", None)
     kwargs.pop("repair_cycles", None)
     kwargs.pop("backend", None)
     seed = kwargs.pop("seed", 0)
     if n_partitions <= 1:
         kwargs.pop("partition_method", None)
         return sequential_random_walk_filter(graph, seed=seed, **kwargs)
-    return parallel_random_walk_filter(
-        graph,
-        n_partitions,
-        seed=seed,
-        explicit_order=explicit_order,
-        **kwargs,
-    )
+    return parallel_random_walk_filter(graph, n_partitions, seed=seed, **kwargs)
 
 
 FilterFn = Callable[..., FilterResult]
@@ -107,14 +77,6 @@ FILTERS: dict[str, FilterFn] = {
     "chordal_nocomm": _dispatch_chordal,
     "chordal_comm": _dispatch_chordal_comm,
     "random_walk": _dispatch_random_walk,
-}
-
-_ALIASES = {
-    "qcs": "chordal_nocomm",
-    "chordal-nocomm": "chordal_nocomm",
-    "chordal-comm": "chordal_comm",
-    "rw": "random_walk",
-    "randomwalk": "random_walk",
 }
 
 
@@ -128,7 +90,6 @@ def apply_filter(
     method: str = "chordal",
     ordering: Optional[str] = "natural",
     n_partitions: int = 1,
-    explicit_order: Optional[Sequence[Vertex]] = None,
     **kwargs: Any,
 ) -> FilterResult:
     """Apply a sampling filter to ``graph`` and return its :class:`FilterResult`.
@@ -144,15 +105,15 @@ def apply_filter(
         ``"chordal"`` (communication-free parallel / sequential), ``"chordal_comm"``
         (the older with-communication baseline) or ``"random_walk"`` (control).
     ordering:
-        Vertex ordering name; ignored by the random walk.
+        Vertex ordering name or paper abbreviation (the result records the
+        canonical name); ignored by the random walk.
     n_partitions:
         Number of simulated processors; 1 selects the sequential variants.
     kwargs:
-        Forwarded to the underlying sampler (``seed``, ``partition_method``,
-        ``strict_order``, ``repair_cycles``, ``selection_fraction``, …).
+        Forwarded to the underlying sampler: ``seed`` (random walk),
+        ``partition_method``, ``backend`` (parallel runs) and
+        ``repair_cycles`` (the communication-free filter).
     """
-    key = method.strip().lower()
-    key = _ALIASES.get(key, key)
-    if key not in FILTERS:
-        raise KeyError(f"unknown filter {method!r}; valid: {sorted(set(FILTERS) | set(_ALIASES))}")
-    return FILTERS[key](graph, n_partitions, ordering, explicit_order, **kwargs)
+    if method not in FILTERS:
+        raise KeyError(f"unknown filter {method!r}; valid: {sorted(FILTERS)}")
+    return FILTERS[method](graph, n_partitions, ordering, **kwargs)

@@ -28,7 +28,6 @@ __all__ = [
     "find_chordless_cycle",
     # orderings
     "ORDERING_INDEX_FNS",
-    "get_ordering",
     "ordering_names",
     "ordering_indices",
     "natural_order_indices",
@@ -103,7 +102,6 @@ __getattr__ = lazy_exports(
         ),
         ".ordering": (
             "ORDERING_INDEX_FNS",
-            "get_ordering",
             "high_degree_order_indices",
             "label_sort_ranks",
             "low_degree_order_indices",

@@ -558,7 +558,7 @@ class CSRGraph:
     # ------------------------------------------------------------------
     # memo of derived values
     # ------------------------------------------------------------------
-    def memo(self, key: Optional[tuple], build: Callable[[], T]) -> T:
+    def memo(self, key: tuple, build: Callable[[], T]) -> T:
         """``build()``, computed once per view and ``key``.
 
         For values derived from this view alone, named by ``key`` (label
@@ -567,12 +567,8 @@ class CSRGraph:
         is published, and the first value published for a key wins, so
         concurrent callers on one view all get the same complete value.
         At most :data:`MEMO_ENTRIES` entries are kept (the oldest goes
-        first).  ``key=None`` — a value no key can name, such as the
-        partition of an explicit vertex order — builds without reading or
-        filling the memo.
+        first).
         """
-        if key is None:
-            return build()
         memo = self._memo
         value = memo.get(key, _MISSING)
         if value is _MISSING:

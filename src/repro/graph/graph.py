@@ -263,22 +263,11 @@ class Graph:
                     g.add_edge(v, nbr, **self._edge_attrs.get(edge_key(v, nbr), {}))
         return g
 
-    def edge_subgraph(self, edges: Iterable[Edge]) -> "Graph":
-        """Return the subgraph containing exactly ``edges`` (and their endpoints).
-
-        Edges absent from the graph are ignored so that callers can pass a
-        candidate set without filtering first.
-        """
-        g = Graph()
-        for u, v in edges:
-            if self.has_edge(u, v):
-                g.add_edge(u, v, **self._edge_attrs.get(edge_key(u, v), {}))
-        return g
-
     def spanning_subgraph(self, edges: Iterable[Edge]) -> "Graph":
-        """Like :meth:`edge_subgraph` but keeps *all* vertices of the original graph.
+        """The subgraph of ``edges`` that keeps *all* vertices of the graph.
 
-        Sampling filters remove edges, never vertices: an isolated gene is still
+        Edges absent from the graph are ignored, so callers can pass a
+        candidate set without filtering first.  Sampling filters remove edges, never vertices: an isolated gene is still
         part of the network even if every incident correlation was filtered
         out.  This constructor captures that convention.
         """

@@ -2,8 +2,9 @@
 
 Correlation networks are conventionally exchanged as whitespace- or
 tab-separated edge lists (optionally with a weight column holding the Pearson
-correlation).  ``repro filter --output`` writes the filtered network in that
-format; :func:`read_edge_list` reads it back.
+correlation).  ``repro filter --output`` writes the filtered network as two
+columns; :func:`read_edge_list` reads it back, and reads a weight column
+when one is there.
 """
 
 from __future__ import annotations
@@ -36,11 +37,10 @@ def _open_for_read(source: Union[PathLike, TextIO]):
 def write_edge_list(
     graph: Graph,
     target: Union[PathLike, TextIO],
-    weight_attr: str | None = None,
     delimiter: str = "\t",
     include_isolated: bool = True,
 ) -> None:
-    """Write the graph as an edge list, one ``u<delim>v[<delim>weight]`` line per edge.
+    """Write the graph as an edge list, one ``u<delim>v`` line per edge.
 
     Isolated vertices are emitted as single-column lines when
     ``include_isolated`` is true so that the vertex set round-trips.
@@ -49,11 +49,7 @@ def write_edge_list(
     try:
         written: set[Vertex] = set()
         for u, v in graph.iter_edges():
-            if weight_attr is not None:
-                w = graph.edge_attr(u, v, weight_attr, "")
-                handle.write(f"{u}{delimiter}{v}{delimiter}{w}\n")
-            else:
-                handle.write(f"{u}{delimiter}{v}\n")
+            handle.write(f"{u}{delimiter}{v}\n")
             written.add(u)
             written.add(v)
         if include_isolated:
@@ -67,17 +63,16 @@ def write_edge_list(
 
 def read_edge_list(
     source: Union[PathLike, TextIO],
-    weight_attr: str | None = None,
     delimiter: str | None = None,
     comment: str = "#",
 ) -> Graph:
     """Read an edge list written by :func:`write_edge_list`.
 
     ``delimiter=None`` splits on arbitrary whitespace.  Lines with a single
-    token declare isolated vertices; a third column is parsed as a float and
-    attached as ``weight_attr`` (default attribute name ``"weight"``).
+    token declare isolated vertices; a third column (such as a Pearson
+    correlation from another tool) is parsed as a float, kept as a string
+    when it is not numeric, and attached as the ``"weight"`` edge attribute.
     """
-    attr = weight_attr or "weight"
     handle, should_close = _open_for_read(source)
     g = Graph()
     try:
@@ -95,7 +90,7 @@ def read_edge_list(
                     w = float(parts[2])
                 except ValueError:
                     w = parts[2]
-                g.add_edge(parts[0], parts[1], **{attr: w})
+                g.add_edge(parts[0], parts[1], weight=w)
     finally:
         if should_close:
             handle.close()

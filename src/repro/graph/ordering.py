@@ -47,7 +47,7 @@ from .graph import Graph
 from .traversal import pseudo_peripheral_vertex
 
 __all__ = [
-    "get_ordering",
+    "canonical_ordering_name",
     "ordering_names",
     "natural_order_indices",
     "high_degree_order_indices",
@@ -278,7 +278,10 @@ _ALIASES = {
 }
 
 
-def _canonical_name(name: str) -> str:
+def canonical_ordering_name(name: str) -> str:
+    """The registry name of an ordering name or paper abbreviation
+    (case-insensitive): ``"HD"`` and ``"high_degree"`` both give
+    ``"high_degree"``.  Raises ``KeyError`` naming the valid names."""
     key = name.strip().lower()
     key = _ALIASES.get(key, key)
     if key not in ORDERING_INDEX_FNS:
@@ -294,11 +297,6 @@ def ordering_names() -> list[str]:
     return list(ORDERING_INDEX_FNS)
 
 
-def get_ordering(name: str) -> OrderingFn:
-    """Look up an ordering kernel by name or paper abbreviation (case-insensitive)."""
-    return ORDERING_INDEX_FNS[_canonical_name(name)]
-
-
 def ordering_indices(name: str, csr: CSRGraph) -> np.ndarray:
     """Compute the named ordering directly on a CSR view (no label round-trip).
 
@@ -306,7 +304,7 @@ def ordering_indices(name: str, csr: CSRGraph) -> np.ndarray:
     read-only.  The natural order is the identity, cheaper to rebuild than
     to keep alive, so it is built afresh.
     """
-    key = _canonical_name(name)
+    key = canonical_ordering_name(name)
     if key == "natural":
         return ORDERING_INDEX_FNS[key](csr)
     return csr.memo(("ordering", key), lambda: ORDERING_INDEX_FNS[key](csr))

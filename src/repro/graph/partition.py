@@ -476,23 +476,26 @@ class IndexPartition:
         if n_internal + self.n_border_edges != self.csr.n_edges:
             raise ValueError("internal + border edge counts do not add up to |E|")
 
-def _index_order(order: Optional[np.ndarray], n: int) -> np.ndarray:
-    """``order`` as an ``int64`` permutation of ``0 .. n-1`` (identity if ``None``)."""
-    if order is None:
-        return np.arange(n, dtype=np.int64)
-    order = np.ascontiguousarray(order, dtype=np.int64)
-    if order.shape != (n,) or not np.array_equal(np.sort(order), np.arange(n)):
-        raise ValueError("order must be a permutation of the CSR vertex indices")
-    return order
+
+#: The greedy index partitioner caps every part at this multiple of the
+#: ideal size ``ceil(n / n_parts)``.
+GREEDY_IMBALANCE = 1.1
 
 
 def block_partition_indices(
     csr: CSRGraph, n_parts: int, order: Optional[np.ndarray] = None
 ) -> IndexPartition:
-    """Index-native :func:`block_partition`: contiguous balanced blocks of ``order``."""
+    """Index-native :func:`block_partition`: contiguous balanced blocks of
+    ``order``, an ``int64`` permutation of the vertex indices (identity if
+    ``None``)."""
     _check_n_parts(csr, n_parts)
     n = csr.n_vertices
-    order = _index_order(order, n)
+    if order is None:
+        order = np.arange(n, dtype=np.int64)
+    else:
+        order = np.ascontiguousarray(order, dtype=np.int64)
+        if order.shape != (n,) or not np.array_equal(np.sort(order), np.arange(n)):
+            raise ValueError("order must be a permutation of the CSR vertex indices")
     base, extra = divmod(n, n_parts)
     sizes = np.full(n_parts, base, dtype=np.int64)
     sizes[:extra] += 1
@@ -501,24 +504,22 @@ def block_partition_indices(
     return IndexPartition(csr, assignment, n_parts, order=order)
 
 
-def hash_partition_indices(csr: CSRGraph, n_parts: int, salt: int = 0) -> IndexPartition:
+def hash_partition_indices(csr: CSRGraph, n_parts: int) -> IndexPartition:
     """Index-native :func:`hash_partition` (same FNV-1a over label ``repr``)."""
     _check_n_parts(csr, n_parts)
     assignment = np.fromiter(
-        (_fnv1a(repr(v), salt) % n_parts for v in csr.labels),
+        (_fnv1a(repr(v)) % n_parts for v in csr.labels),
         dtype=np.int64,
         count=csr.n_vertices,
     )
     return IndexPartition(csr, assignment, n_parts)
 
 
-def bfs_partition_indices(
-    csr: CSRGraph, n_parts: int, source: Optional[int] = None
-) -> IndexPartition:
+def bfs_partition_indices(csr: CSRGraph, n_parts: int) -> IndexPartition:
     """Index-native :func:`bfs_partition`: BFS layers accumulated to target size.
 
-    ``source`` is a vertex *index*.  The traversal, restart-at-next-natural
-    vertex rule and part-advance rule replicate the label implementation
+    The traversal starts at vertex 0; it, the restart-at-next-natural vertex
+    rule and the part-advance rule replicate the label implementation
     exactly, so both produce the identical assignment.
     """
     _check_n_parts(csr, n_parts)
@@ -532,8 +533,7 @@ def bfs_partition_indices(
     current_part = 0
     count_in_part = 0
     n_visited = 0
-    start = source if source is not None and 0 <= source < n else 0
-    pending: deque[int] = deque([start])
+    pending: deque[int] = deque([0])
     scan = 0  # persistent natural-order restart pointer
     while n_visited < n:
         if not pending:
@@ -557,24 +557,20 @@ def bfs_partition_indices(
     return IndexPartition(csr, assignment, n_parts)
 
 
-def greedy_partition_indices(
-    csr: CSRGraph,
-    n_parts: int,
-    order: Optional[np.ndarray] = None,
-    imbalance: float = 1.1,
-) -> IndexPartition:
-    """Index-native :func:`greedy_edge_cut_partition` (LDG-style streaming)."""
+def greedy_partition_indices(csr: CSRGraph, n_parts: int) -> IndexPartition:
+    """Index-native :func:`greedy_edge_cut_partition` (LDG-style streaming).
+
+    Streams the vertices in natural order under a part-size cap of
+    :data:`GREEDY_IMBALANCE` times the ideal size.
+    """
     _check_n_parts(csr, n_parts)
-    if imbalance < 1.0:
-        raise ValueError("imbalance factor must be >= 1.0")
     n = csr.n_vertices
-    order = _index_order(order, n)
     indptr, indices = csr.indptr, csr.indices
-    cap = max(1, int(imbalance * -(-n // n_parts))) if n else 1
+    cap = max(1, int(GREEDY_IMBALANCE * -(-n // n_parts))) if n else 1
     sizes = np.zeros(n_parts, dtype=np.int64)
     assignment = np.full(n, -1, dtype=np.int64)
     all_parts = np.arange(n_parts, dtype=np.int64)
-    for v in order:
+    for v in range(n):
         row = indices[indptr[v] : indptr[v + 1]]
         placed = assignment[row]
         votes = np.bincount(placed[placed >= 0], minlength=n_parts)
@@ -584,8 +580,6 @@ def greedy_partition_indices(
         best = int(cand[np.lexsort((cand, sizes[cand], -votes[cand]))[0]])
         assignment[v] = best
         sizes[best] += 1
-    # No order= here: the label reference builds its parts in natural order
-    # even when streaming in a custom order, and the index view must mirror it.
     return IndexPartition(csr, assignment, n_parts)
 
 
@@ -600,15 +594,12 @@ INDEX_PARTITIONERS: dict[str, IndexPartitionerFn] = {
 }
 
 
-def index_partition_graph(
-    csr: CSRGraph, n_parts: int, method: str = "block", **kwargs
-) -> IndexPartition:
+def index_partition_graph(csr: CSRGraph, n_parts: int, method: str = "block") -> IndexPartition:
     """Partition a CSR view into ``n_parts`` parts using the named method."""
-    key = method.strip().lower()
     try:
-        fn = INDEX_PARTITIONERS[key]
+        fn = INDEX_PARTITIONERS[method]
     except KeyError:
         raise KeyError(
             f"unknown partitioner {method!r}; valid names: {sorted(INDEX_PARTITIONERS)}"
         ) from None
-    return fn(csr, n_parts, **kwargs)
+    return fn(csr, n_parts)

@@ -29,7 +29,8 @@ from typing import Any, Callable, Optional
 from ..clustering.mcode import mcode_clusters
 from ..core.sampling import apply_filter, filter_names
 from ..expression.datasets import dataset_names
-from ..graph.ordering import get_ordering
+from ..graph.ordering import canonical_ordering_name
+from ..graph.partition import INDEX_PARTITIONERS
 from ..parallel.runner import available_backends
 from ..pipeline.workflow import (
     analysis_payload,
@@ -82,22 +83,22 @@ def _norm_filter_spec(params: dict[str, Any]) -> dict[str, Any]:
     if method not in filter_names():
         raise _bad(f"unknown method {method!r}; valid: {filter_names()}")
     # The CLI forces ordering to None for the random walk; mirror it so both
-    # spellings of a random-walk request hash identically.
-    ordering: Optional[str]
-    if method == "random_walk":
-        ordering = None
-    else:
-        ordering = params.get("ordering", "natural")
-        if ordering is not None:
-            ordering = str(ordering)
-            try:
-                get_ordering(ordering)
-            except KeyError as err:
-                raise _bad(err.args[0] if err.args else str(err)) from None
+    # spellings of a random-walk request hash identically.  Other methods
+    # store the canonical name, so "hd" and "high_degree" are one spec.
+    ordering: Optional[str] = None
+    if method != "random_walk":
+        try:
+            ordering = canonical_ordering_name(str(params.get("ordering", "natural")))
+        except KeyError as err:
+            raise _bad(err.args[0]) from None
     partitions = params.get("partitions", 1)
     if not isinstance(partitions, int) or isinstance(partitions, bool) or partitions < 1:
         raise _bad(f"partitions must be an integer >= 1, got {partitions!r}")
     partition_method = str(params.get("partition_method", "block"))
+    if partition_method not in INDEX_PARTITIONERS:
+        raise _bad(
+            f"unknown partition_method {partition_method!r}; valid: {list(INDEX_PARTITIONERS)}"
+        )
     seed = params.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise _bad(f"seed must be an integer, got {seed!r}")

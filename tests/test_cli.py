@@ -41,6 +41,13 @@ class TestParser:
         assert exc.value.code == 2
         assert "invalid choice: 'kernels'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["filter", "analyze"])
+    def test_unknown_partition_method_rejected(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "--partition-method", "bogus"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
     def test_filter_defaults(self):
         args = build_parser().parse_args(["filter"])
         assert args.dataset == "CRE"

@@ -6,8 +6,8 @@ label-level implementations are retained in :mod:`repro.core.chordal` as
 
 * the CSR view is a faithful, order-preserving image of the ``Graph``;
 * the CSR kernels produce the identical results (same MCS ordering, same
-  accepted edge set under every ordering in ``graph/ordering.py``, greedy and
-  strict) as the seed implementation, on randomized and on mixed-label graphs.
+  accepted edge set under every ordering in ``graph/ordering.py``) as the
+  seed implementation, on randomized and on mixed-label graphs.
 """
 
 from __future__ import annotations
@@ -212,7 +212,7 @@ class TestBuffers:
         assert chordal_subgraph_edge_indices(back) == chordal_subgraph_edge_indices(sub)
 
 
-def kernel_edges(g: Graph, order=None, strict_order: bool = False, start=None) -> list:
+def kernel_edges(g: Graph, order=None, start=None) -> list:
     """The DSW kernel's accepted edges on ``g``'s CSR view, as label pairs."""
     csr = CSRGraph.from_graph(g)
     priority = None
@@ -221,9 +221,7 @@ def kernel_edges(g: Graph, order=None, strict_order: bool = False, start=None) -
         for rank, i in enumerate(csr.to_indices(order)):
             priority[i] = rank
     start_idx = None if start is None else csr.index_of(start)
-    pairs = chordal_subgraph_edge_indices(
-        csr, priority=priority, strict_order=strict_order, start=start_idx
-    )
+    pairs = chordal_subgraph_edge_indices(csr, priority=priority, start=start_idx)
     return [edge_key(csr.labels[i], csr.labels[j]) for i, j in pairs]
 
 
@@ -244,11 +242,10 @@ class TestSeedEquivalence:
     @given(random_graphs())
     def test_kernel_matches_reference_chordal_subgraph_edges_all_orderings(self, g: Graph):
         for order in _all_orders(g):
-            for strict in (False, True):
-                new = kernel_edges(g, order=order, strict_order=strict)
-                ref = reference_chordal_subgraph_edges(g, order=order, strict_order=strict)
-                assert set(new) == set(ref)
-                assert len(new) == len(set(new))  # no duplicate edges
+            new = kernel_edges(g, order=order)
+            ref = reference_chordal_subgraph_edges(g, order=order)
+            assert set(new) == set(ref)
+            assert len(new) == len(set(new))  # no duplicate edges
 
     @settings(max_examples=25, deadline=None)
     @given(random_graphs(mixed_labels=True))

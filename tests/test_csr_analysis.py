@@ -49,7 +49,12 @@ from repro.graph import (
     planted_partition_graph,
     star_graph,
 )
-from repro.clustering.mcode import _peel_subset, mcode_vertex_weights_indices
+from repro.clustering.mcode import (
+    _complex_pairs,
+    _peel_subset,
+    mcode_clusters_indices,
+    mcode_vertex_weights_indices,
+)
 from repro.ontology.generator import make_study_ontology
 from repro.pipeline.ablation import mcode_threshold_sweep
 
@@ -103,6 +108,10 @@ def assert_clusters_identical(ref: list[Cluster], new: list[Cluster]) -> None:
         assert r.cluster_id == c.cluster_id
         assert r.subgraph == c.subgraph
         assert r.subgraph.vertices() == c.subgraph.vertices()
+        # An index-native cluster cuts its subgraph from its members, and
+        # counts and lists edges from its pairs: compare those too.
+        assert r.n_edges == c.n_edges
+        assert r.edge_set() == c.edge_set()
 
 
 
@@ -152,6 +161,21 @@ class TestCSRMCODE:
                 reference_mcode_clusters(corpus_graph, min_score),
                 mcode_clusters(corpus_graph, min_score),
             )
+
+    def test_complex_pairs_are_each_complex_induced_edges(self, corpus_graph: Graph):
+        # Complexes are disjoint, and each lists the edges from a member to
+        # a later member, member by member in CSR row order.
+        csr = CSRGraph.from_graph(corpus_graph)
+        rows = csr.neighbor_lists()
+        for min_score in (0.0, *MIN_SCORES):
+            complexes = mcode_clusters_indices(csr, min_score)
+            members = [u for c in complexes for u in c.members]
+            assert len(members) == len(set(members))
+            got = _complex_pairs(csr, complexes)
+            for complex_, pairs in zip(complexes, got):
+                later = {u: set(complex_.members[i + 1 :]) for i, u in enumerate(complex_.members)}
+                expected = [(u, w) for u in complex_.members for w in rows[u] if w in later[u]]
+                assert pairs.tolist() == [list(p) for p in expected]
 
     @pytest.mark.parametrize("gi", range(len(GENERATOR_GRAPHS)))
     def test_clusters_match_reference_generators(self, gi: int):

@@ -23,12 +23,16 @@ class TestEdgeList:
         back = read_edge_list(path)
         assert back == g
 
-    def test_roundtrip_with_weights(self, tmp_path):
-        g = make_graph()
-        path = tmp_path / "net.tsv"
-        write_edge_list(g, path, weight_attr="rho")
-        back = read_edge_list(path, weight_attr="rho")
-        assert back.edge_attr("geneA", "geneB", "rho") == 0.97
+    def test_writer_emits_two_columns(self):
+        # Edge attributes are not written: a line is ``u<TAB>v``.
+        buf = io.StringIO()
+        write_edge_list(make_graph(), buf)
+        lines = buf.getvalue().splitlines()
+        assert sorted(lines) == ["geneA\tgeneB", "geneB\tgeneC", "lonely"]
+
+    def test_third_column_parsed_as_weight(self):
+        g = read_edge_list(io.StringIO("geneA\tgeneB\t0.97\n"))
+        assert g.edge_attr("geneA", "geneB", "weight") == 0.97
 
     def test_isolated_vertices_roundtrip(self, tmp_path):
         g = make_graph()

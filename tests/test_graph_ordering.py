@@ -11,12 +11,9 @@ import pytest
 import repro.graph.ordering as ordering_module
 from repro.expression import make_study
 from repro.graph import (
+    ORDERING_INDEX_FNS,
     CSRGraph,
     Graph,
-    get_ordering,
-    high_degree_order_indices,
-    low_degree_order_indices,
-    natural_order_indices,
     ordering_indices,
     ordering_names,
     path_graph,
@@ -24,6 +21,7 @@ from repro.graph import (
     star_graph,
 )
 from repro.graph.ordering import (
+    canonical_ordering_name,
     reference_high_degree_order,
     reference_low_degree_order,
     reference_rcm_order,
@@ -49,7 +47,7 @@ RCM_DIGESTS = {
 def order(name: str, g: Graph) -> list:
     """The named ordering kernel run on ``g``'s CSR view, mapped to labels."""
     csr = CSRGraph.from_graph(g)
-    return csr.to_labels(get_ordering(name)(csr))
+    return csr.to_labels(ORDERING_INDEX_FNS[name](csr))
 
 
 @pytest.fixture
@@ -170,14 +168,17 @@ class TestCorpus:
 
 
 class TestRegistry:
-    def test_get_ordering_accepts_aliases(self):
-        assert get_ordering("HD") is high_degree_order_indices
-        assert get_ordering("no") is natural_order_indices
-        assert get_ordering("LD") is low_degree_order_indices
+    def test_canonical_name_accepts_aliases(self):
+        assert canonical_ordering_name("HD") == "high_degree"
+        assert canonical_ordering_name("no") == "natural"
+        assert canonical_ordering_name(" LD ") == "low_degree"
+        assert canonical_ordering_name("rcm") == "rcm"
 
-    def test_get_ordering_unknown_raises(self):
-        with pytest.raises(KeyError):
-            get_ordering("bogus")
+    def test_canonical_name_unknown_raises(self):
+        with pytest.raises(KeyError) as err:
+            canonical_ordering_name("bogus")
+        for name in ORDERING_INDEX_FNS:
+            assert name in str(err.value)
 
     def test_ordering_names(self):
         assert ordering_names() == ["natural", "high_degree", "low_degree", "rcm"]

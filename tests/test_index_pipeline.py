@@ -207,28 +207,17 @@ class TestIndexPartitioners:
         with pytest.raises(ValueError):
             csr.induced_subgraph([0, 99])
 
-    @pytest.mark.parametrize("method", ["block", "greedy"])
-    def test_explicit_order_parts_match_label_partitioners(self, method):
-        # The label block partitioner lists parts in the given order, the
-        # label greedy partitioner in *natural* order even when streaming in
-        # a custom order — the index views must mirror both conventions.
-        from repro.graph.partition import (
-            block_partition,
-            block_partition_indices,
-            greedy_edge_cut_partition,
-            greedy_partition_indices,
-        )
+    def test_ordered_block_parts_match_label_partitioner(self):
+        # The label block partitioner lists parts in the given order, and
+        # so must the index view (the ordered filters lay out their ranks so).
+        from repro.graph.partition import block_partition
 
         g = erdos_renyi_graph(25, 0.15, seed=4)
         csr = CSRGraph.from_graph(g)
         perm = np.arange(25, dtype=np.int64)[::-1].copy()
         label_order = [csr.labels[int(i)] for i in perm]
-        if method == "block":
-            lp = block_partition(g, 3, order=label_order)
-            ip = block_partition_indices(csr, 3, order=perm)
-        else:
-            lp = greedy_edge_cut_partition(g, 3, order=label_order)
-            ip = greedy_partition_indices(csr, 3, order=perm)
+        lp = block_partition(g, 3, order=label_order)
+        ip = block_partition_indices(csr, 3, order=perm)
         assert {csr.labels[i]: int(p) for i, p in enumerate(ip.assignment)} == lp.assignment
         for p in range(3):
             assert [csr.labels[int(i)] for i in ip.part_indices(p)] == lp.parts[p]

@@ -56,7 +56,7 @@ def test_random_walk_selects_only_graph_edges(g: Graph, seed: int):
     """The random walk never invents edges and respects its selection budget."""
     rng = rank_rngs(seed, 1)[0]
     csr = CSRGraph.from_graph(g)
-    edges, selections = _walk(csr.neighbor_lists(), csr.n_edges, rng, 0.5)
+    edges, selections = _walk(csr.neighbor_lists(), csr.n_edges, rng)
     assert selections == int(0.5 * g.n_edges)
     assert len(edges) <= max(selections, 0) or selections == 0
     rows = csr.neighbor_sets()

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.random_walk import _walk, parallel_random_walk_filter
 from repro.graph import CSRGraph, Graph, complete_graph, correlation_like_graph, path_graph
+from repro.parallel.rng import rank_rngs
 
 
 @pytest.fixture(scope="module")
@@ -14,10 +15,10 @@ def network():
     return correlation_like_graph(n_modules=3, module_size=8, n_background=60, seed=29)
 
 
-def walk_graph(g: Graph, rng: np.random.Generator, selection_fraction: float = 0.5):
+def walk_graph(g: Graph, rng: np.random.Generator):
     """One walk of the rank kernel over ``g``'s CSR rows: (label edges, selections)."""
     csr = CSRGraph.from_graph(g)
-    kept, selections = _walk(csr.neighbor_lists(), csr.n_edges, rng, selection_fraction)
+    kept, selections = _walk(csr.neighbor_lists(), csr.n_edges, rng)
     return [(csr.labels[i], csr.labels[j]) for i, j in kept], selections
 
 
@@ -45,10 +46,6 @@ class TestWalkKernel:
         for u, v in edges:
             assert "island" not in (u, v)
 
-    def test_invalid_fraction(self):
-        with pytest.raises(ValueError):
-            walk_graph(complete_graph(4), np.random.default_rng(0), selection_fraction=1.5)
-
 
 class TestParallelRandomWalk:
     def test_result_structure(self, network):
@@ -74,18 +71,19 @@ class TestParallelRandomWalk:
         b = parallel_random_walk_filter(network, 4, seed=2)
         assert a.graph != b.graph
 
-    def test_border_keep_probability_extremes(self, network):
-        none_kept = parallel_random_walk_filter(network, 4, seed=0, border_keep_probability=0.0)
-        all_kept = parallel_random_walk_filter(network, 4, seed=0, border_keep_probability=1.0)
-        assert none_kept.n_accepted_border_edges == 0
-        accepted = set(map(tuple, all_kept.accepted_border_pairs.tolist()))
-        assert accepted == set(map(tuple, all_kept.border_pairs.tolist()))
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_border_edges_kept_by_a_fair_coin(self, network, seed):
+        # Each border edge survives when the last of the P + 1 rank streams
+        # draws below one half, in partition order.
+        result = parallel_random_walk_filter(network, 4, seed=seed)
+        border = result.border_pairs
+        coin = rank_rngs(seed, 5)[-1].random(border.shape[0]) < 0.5
+        assert 0 < coin.sum() < border.shape[0]
+        assert result.accepted_border_pairs.tolist() == border[coin].tolist()
 
     def test_invalid_parameters(self, network):
         with pytest.raises(ValueError):
             parallel_random_walk_filter(network, 0)
-        with pytest.raises(ValueError):
-            parallel_random_walk_filter(network, 2, border_keep_probability=1.5)
 
     def test_removes_more_edges_than_chordal(self, network):
         from repro.core.parallel_nocomm import parallel_chordal_nocomm_filter

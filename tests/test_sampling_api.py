@@ -38,10 +38,6 @@ class TestDispatch:
         assert seq.method == "random_walk_sequential"
         assert par.method == "random_walk"
 
-    def test_aliases(self, network):
-        assert apply_filter(network, method="rw", n_partitions=2, seed=0).method == "random_walk"
-        assert apply_filter(network, method="qcs", n_partitions=2).method == "chordal_nocomm"
-
     def test_unknown_method_raises(self, network):
         with pytest.raises(KeyError):
             apply_filter(network, method="forest_fire")
@@ -55,6 +51,14 @@ class TestParameterForwarding:
     def test_ordering_forwarded(self, network):
         result = apply_filter(network, method="chordal", ordering="high_degree", n_partitions=2)
         assert result.ordering == "high_degree"
+
+    @pytest.mark.parametrize("method", ["chordal", "chordal_comm"])
+    @pytest.mark.parametrize("n_partitions", [1, 2])
+    def test_ordering_abbreviation_recorded_by_canonical_name(self, network, method, n_partitions):
+        short = apply_filter(network, method=method, ordering="LD", n_partitions=n_partitions)
+        full = apply_filter(network, method=method, ordering="low_degree", n_partitions=n_partitions)
+        assert short.ordering == full.ordering == "low_degree"
+        assert short.kept.tolist() == full.kept.tolist()
 
     def test_partition_method_forwarded(self, network):
         result = apply_filter(network, method="chordal", n_partitions=4, partition_method="hash")
@@ -70,7 +74,13 @@ class TestParameterForwarding:
         result = apply_filter(network, method="chordal", n_partitions=2, seed=5)
         assert result.method == "chordal_nocomm"
 
-    def test_explicit_order_forwarded(self, network):
+    def test_explicit_order_and_strict_order_refused(self, network):
+        # Every run is named by an ordering and takes the greedy DSW rule:
+        # a caller-given vertex order or strict processing is refused.
         order = list(reversed(network.vertices()))
-        result = apply_filter(network, method="chordal", n_partitions=1, ordering=None, explicit_order=order)
-        assert result.ordering == "explicit"
+        for method in filter_names():
+            for n_partitions in (1, 2):
+                with pytest.raises(TypeError):
+                    apply_filter(network, method=method, n_partitions=n_partitions, explicit_order=order)
+                with pytest.raises(TypeError):
+                    apply_filter(network, method=method, n_partitions=n_partitions, strict_order=True)

@@ -184,6 +184,37 @@ class TestServedRoundTrips:
         assert response["error"]["code"] == "bad-request"
         assert "bogus_key" in response["error"]["message"]
 
+    @pytest.mark.parametrize("partitions", [1, 2])
+    def test_unknown_partition_method_is_bad_request(self, client, partitions):
+        # Refused before admission at every P: no worker runs, nothing is cached.
+        admitted = client.result("stats")["admission"]["admitted"]
+        response = client.request(
+            "filter", dataset="CRE", partitions=partitions, partition_method="bogus"
+        )
+        assert response["ok"] is False
+        assert response["error"]["code"] == "bad-request"
+        assert "bogus" in response["error"]["message"]
+        assert client.result("stats")["admission"]["admitted"] == admitted
+        assert client.ping()["status"] == "ok"
+
+    def test_null_ordering_of_a_chordal_run_is_bad_request(self, client):
+        # Every chordal run is named by an ordering; the random walk ignores it.
+        response = client.request("filter", dataset="CRE", ordering=None)
+        assert response["error"]["code"] == "bad-request"
+        walk = client.request("filter", dataset="CRE", method="random_walk", ordering=None)
+        assert walk["ok"] and walk["result"]["ordering"] is None
+
+    def test_ordering_abbreviation_is_the_canonical_spec(self, client):
+        short = client.request("filter", dataset="CRE", ordering="hd", partitions=2, seed=45)
+        full = client.request(
+            "filter", dataset="CRE", ordering="high_degree", partitions=2, seed=45
+        )
+        assert short["ok"] and full["ok"]
+        assert short["spec_hash"] == full["spec_hash"]
+        assert full["cached"] is True
+        assert canonical(short["result"]) == canonical(full["result"])
+        assert full["result"]["ordering"] == "high_degree"
+
     @pytest.mark.parametrize(
         "scale", [float("nan"), float("inf"), "nan", "Infinity", True, False]
     )

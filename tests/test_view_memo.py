@@ -5,8 +5,7 @@
 border lists by partitioner, ``P`` and ordering name, the payload's label
 names).  These tests pin that each is built once per view, that a new view
 starts empty, that entries are read-only and safe under concurrent specs,
-and that runs with an explicit order or partition keep no entry under the
-names they were given.
+and that two spellings of one ordering share one entry.
 """
 
 from __future__ import annotations
@@ -38,10 +37,6 @@ def network_arrays():
 
 def fresh_csr(network_arrays) -> CSRGraph:
     return CSRGraph(*network_arrays)
-
-
-def network_view(csr):
-    return csr.indptr, csr.indices, csr.labels
 
 
 def payload_bytes(result) -> bytes:
@@ -165,59 +160,18 @@ class TestEntries:
             assert got == expected
 
 
-#: Entries that depend on the labels alone: valid for any run on the view.
-LABEL_ENTRIES = {"label_ranks", "str_labels", "canonical_names"}
-
-
-class TestExplicitRuns:
-    """An explicit order has no name a memo key could hold, so such a run
-    neither reads nor fills an ordering, partition or border-list entry
-    under the name it was given."""
-
-    @staticmethod
-    def explicit_runs(csr):
-        # Orders computed on a twin view, so this one's memo stays untouched.
-        twin = CSRGraph(*network_view(csr))
-        order = csr.to_labels(ordering_module.high_degree_order_indices(twin))
-        return [run(csr, "high_degree", method, explicit_order=order) for method in METHODS]
-
-    def test_explicit_runs_keep_no_partition_or_named_order(self, network_arrays):
+class TestOrderingNames:
+    def test_abbreviation_shares_the_canonical_entries_and_payload(self, network_arrays):
+        # "hd" and "high_degree" are one run: one ordering, partition and
+        # border-list entry, and byte-identical payloads.
         csr = fresh_csr(network_arrays)
-        csr.label_graph()
-        self.explicit_runs(csr)
-        kinds = Counter(key[0] for key in csr._memo)
-        # The explicit order given as "high_degree" is kept under no name.
-        assert set(kinds) - LABEL_ENTRIES == set()
-
-    def test_explicit_runs_never_read_spec_entries(self, network_arrays):
-        clean = fresh_csr(network_arrays)
-        clean.label_graph()
-        expected = [r.kept.tolist() for r in self.explicit_runs(clean)]
-
-        csr = fresh_csr(network_arrays)
-        csr.label_graph()
-        for ordering, method in SPECS:
-            run(csr, ordering, method)
-        # Poison every entry a run given these names could wrongly read: a
-        # run that read one would change its output.
-        n = csr.n_vertices
-        poisoned = dict(csr._memo)
-        poisoned[("ordering", "high_degree")] = np.arange(n, dtype=np.int64)[::-1].copy()
-        for key, value in csr._memo.items():
-            if key[0] == "comm_border":
-                poisoned[key] = [{} for _ in value]
-            elif key[0] == "partition":
-                assignment, n_parts, order, parts, mask = value
-                poisoned[key] = (n_parts - 1 - assignment, n_parts, order, parts[::-1], mask)
-        csr._memo.clear()
-        csr._memo.update(poisoned)
-        snapshot = dict(csr._memo)
-        got = [r.kept.tolist() for r in self.explicit_runs(csr)]
-        assert got == expected
-        assert csr._memo.keys() == snapshot.keys()
-        assert all(csr._memo[k] is v for k, v in snapshot.items())
-
-    def test_no_key_builds_without_the_memo(self):
-        csr = CSRGraph.from_buffers(np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64))
-        assert csr.memo(None, lambda: 1) == 1
-        assert csr._memo == {}
+        for method in METHODS:
+            payloads = {payload_bytes(run(csr, name, method)) for name in ("hd", "high_degree")}
+            assert len(payloads) == 1
+            assert json.loads(payloads.pop())["ordering"] == "high_degree"
+        spec_keys = [key for key in csr._memo if key[0] in ("ordering", "partition", "comm_border")]
+        assert sorted(spec_keys) == [
+            ("comm_border", "block", 2, "high_degree"),
+            ("ordering", "high_degree"),
+            ("partition", "block", 2, "high_degree"),
+        ]
