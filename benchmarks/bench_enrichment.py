@@ -93,8 +93,8 @@ def build_workload(scale_factor: float) -> dict[str, Any]:
     """
     study = make_study(DATASET, scale=scale_factor)
     ii, jj, rho = correlated_pair_arrays(study.matrix)
-    network = network_from_pair_arrays(study.matrix, ii, jj, rho, include_all_genes=False)
-    csr = csr_from_pair_arrays(study.matrix, ii, jj, include_all_genes=False)
+    network = network_from_pair_arrays(study.matrix, ii, jj, rho)
+    csr = csr_from_pair_arrays(study.matrix, ii, jj)
     csr.attach_label_graph(network)
     original = mcode_clusters(csr, source=f"{study.name}/original")
     result = apply_filter(network, **FILTER)

@@ -225,8 +225,8 @@ def run_csr_workflow(study: Any, dag: Any, annotations: Any) -> dict[str, Any]:
         t = now
 
     ii, jj, rho = correlated_pair_arrays(study.matrix)
-    network = network_from_pair_arrays(study.matrix, ii, jj, rho, include_all_genes=False)
-    csr = csr_from_pair_arrays(study.matrix, ii, jj, include_all_genes=False)
+    network = network_from_pair_arrays(study.matrix, ii, jj, rho)
+    csr = csr_from_pair_arrays(study.matrix, ii, jj)
     csr.attach_label_graph(network)
     lap("network")
     original = mcode_clusters(csr, source=f"{study.name}/original")

@@ -47,7 +47,7 @@ def main() -> None:
         cond_b = study.matrix.subset_samples(list(reversed(study.matrix.samples)))
         _, _, kept = apply_differential_filter(cond_a, cond_b, fraction=shared_fraction)
         screened_matrix = study.matrix.subset_genes(kept)
-        screened_network = build_correlation_network(screened_matrix, include_all_genes=False)
+        screened_network = build_correlation_network(screened_matrix)
         rows.append(
             {
                 "dataset": study.name,

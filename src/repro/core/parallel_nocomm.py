@@ -483,7 +483,7 @@ def _find_long_cycle_border_edge(graph: Graph, border_set: set[Edge]) -> Optiona
     """Return a border edge participating in some cycle longer than a triangle."""
     from ..graph.cycles import find_chordless_cycle
 
-    cycle = find_chordless_cycle(graph, min_length=4)
+    cycle = find_chordless_cycle(graph)
     if cycle is None:
         return None
     n = len(cycle)

@@ -164,16 +164,9 @@ class FilterResult:
     def n_accepted_border_edges(self) -> int:
         return int(self.accepted_border_pairs.shape[0])
 
-    def compute_simulated_time(self, model: Optional[CostModel] = None, with_communication: Optional[bool] = None) -> float:
-        """Fill in and return :attr:`simulated_time` using the cost model.
-
-        ``with_communication`` defaults to whether the method name indicates
-        the communicating variant.
-        """
-        if with_communication is None:
-            with_communication = "comm" in self.method and "nocomm" not in self.method
-        model = model or CostModel()
-        self.simulated_time = model.execution_time(
+    def compute_simulated_time(self, with_communication: bool) -> float:
+        """Fill in and return :attr:`simulated_time` using the default cost model."""
+        self.simulated_time = CostModel().execution_time(
             self.rank_work,
             with_communication=with_communication,
             duplicate_border_edges=self.duplicate_border_edges,

@@ -305,25 +305,20 @@ def _first_appearance_order(ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
 
 
 def csr_from_pair_arrays(
-    matrix: ExpressionMatrix,
-    ii: np.ndarray,
-    jj: np.ndarray,
-    include_all_genes: bool = True,
+    matrix: ExpressionMatrix, ii: np.ndarray, jj: np.ndarray
 ) -> CSRGraph:
     """Build the :class:`CSRGraph` of a thresholded pair list — no ``Graph``.
 
     The result is bit-identical to ``CSRGraph.from_graph`` applied to the
-    corresponding :func:`build_correlation_network` output: all genes in
-    matrix order (or, with ``include_all_genes=False``, the connected genes
-    in first-appearance order) and per-vertex neighbour rows in ascending
-    gene order — ``from_edge_arrays`` sorts rows ascending regardless of
-    input order, which is exactly the neighbour order tile-ordered
-    ``add_edge`` calls produce, because within the upper triangle tile order
-    visits each vertex's incident pairs by ascending partner index.
+    corresponding :func:`network_from_pair_arrays` output: the connected
+    genes in first-appearance order and per-vertex neighbour rows in
+    ascending gene order — ``from_edge_arrays`` sorts rows ascending
+    regardless of input order, which is exactly the neighbour order
+    tile-ordered ``add_edge`` calls produce, because within the upper
+    triangle tile order visits each vertex's incident pairs by ascending
+    partner index.
     """
     csr = CSRGraph.from_edge_arrays(matrix.genes, ii, jj)
-    if include_all_genes:
-        return csr
     return csr.induced_subgraph(_first_appearance_order(ii, jj))
 
 
@@ -332,22 +327,18 @@ def network_from_pair_arrays(
     ii: np.ndarray,
     jj: np.ndarray,
     rho: np.ndarray,
-    include_all_genes: bool = True,
 ) -> Graph:
     """Materialise the label :class:`Graph` of a thresholded pair list.
 
-    Vertex and neighbour iteration order match the historical per-pair
-    construction (see :func:`csr_from_pair_arrays`); each edge carries its
-    correlation as the ``rho`` attribute.
+    The connected genes only, in first-appearance order; neighbour
+    iteration order matches the historical per-pair construction (see
+    :func:`csr_from_pair_arrays`).  Each edge carries its correlation as the
+    ``rho`` attribute.
     """
     genes = matrix.genes
     graph = Graph()
-    if include_all_genes:
-        for g in genes:
-            graph.add_vertex(g)
-    else:
-        for i in _first_appearance_order(ii, jj).tolist():
-            graph.add_vertex(genes[i])
+    for i in _first_appearance_order(ii, jj).tolist():
+        graph.add_vertex(genes[i])
     order = np.lexsort((jj, ii))
     for i, j, r in zip(
         ii[order].tolist(), jj[order].tolist(), rho[order].tolist()
@@ -356,23 +347,17 @@ def network_from_pair_arrays(
     return graph
 
 
-def build_correlation_network(
-    matrix: ExpressionMatrix,
-    threshold: Optional[CorrelationThreshold] = None,
-    block_size: int = 2048,
-    include_all_genes: bool = True,
-) -> Graph:
-    """Build the thresholded gene correlation network.
+def build_correlation_network(matrix: ExpressionMatrix) -> Graph:
+    """Build the paper's thresholded gene correlation network.
 
-    Every gene becomes a vertex (in matrix order — this *is* the "natural
-    order" of the paper) when ``include_all_genes`` is true; otherwise only
-    genes with at least one admitted correlation appear.  Each edge stores the
-    correlation coefficient under the ``rho`` attribute.
+    Only genes with at least one admitted correlation appear, in order of
+    first appearance in the pair list; each edge stores the correlation
+    coefficient under the ``rho`` attribute.
 
     Thin label wrapper over the vectorised extraction: the pair arrays come
     from :func:`correlated_pair_arrays` and only the ``Graph`` materialisation
     itself is per-edge.  :func:`csr_from_pair_arrays` builds the same network
     as a :class:`CSRGraph` without that materialisation.
     """
-    ii, jj, rho = correlated_pair_arrays(matrix, threshold=threshold, block_size=block_size)
-    return network_from_pair_arrays(matrix, ii, jj, rho, include_all_genes=include_all_genes)
+    ii, jj, rho = correlated_pair_arrays(matrix)
+    return network_from_pair_arrays(matrix, ii, jj, rho)

@@ -52,7 +52,6 @@ import numpy as np
 from ..graph.csr import CSRGraph
 from ..graph.graph import Graph, edge_key
 from .correlation import (
-    CorrelationThreshold,
     correlated_pair_arrays,
     csr_from_pair_arrays,
     network_from_pair_arrays,
@@ -255,78 +254,50 @@ class SyntheticStudy:
     noise_edges_hint: list[tuple[str, str]] = field(default_factory=list)
     seed: int = 0
     _network_csr: Optional[CSRGraph] = field(default=None, repr=False)
-    _pairs: dict[CorrelationThreshold, tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
-        default_factory=dict, repr=False
+    _pairs: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
+        default=None, repr=False
     )
 
     @property
     def name(self) -> str:
         return self.config.name
 
-    def _pair_arrays(
-        self, threshold: Optional[CorrelationThreshold]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The thresholded pair arrays, cached per threshold.
+    def _pair_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The thresholded pair arrays, computed once.
 
         One correlation-tile pass serves both :meth:`network` and
         :meth:`network_csr`, so a label view and a CSR view of the same study
-        never recompute the genes × genes correlations — for the default
-        threshold or any explicit one (the frozen dataclass is the cache
-        key).
+        never recompute the genes × genes correlations.
         """
-        key = threshold or CorrelationThreshold()
-        cached = self._pairs.get(key)
-        if cached is not None:
-            return cached
-        pairs = correlated_pair_arrays(self.matrix, threshold=key)
-        self._pairs[key] = pairs
-        return pairs
+        if self._pairs is None:
+            self._pairs = correlated_pair_arrays(self.matrix)
+        return self._pairs
 
-    def network(
-        self,
-        threshold: Optional[CorrelationThreshold] = None,
-        include_all_genes: bool = False,
-    ) -> Graph:
+    def network(self) -> Graph:
         """Return the thresholded correlation network of this study.
 
-        The default network is the label graph of :meth:`network_csr`,
-        built on first read and cached there; other arguments build a new
-        graph.  Each edge carries its correlation as ``rho``.
+        The label graph of :meth:`network_csr`, built on first read and
+        cached there.  Each edge carries its correlation as ``rho``.
         """
-        if threshold is None and not include_all_genes:
-            return self.network_csr().label_graph()
-        ii, jj, rho = self._pair_arrays(threshold)
-        return network_from_pair_arrays(
-            self.matrix, ii, jj, rho, include_all_genes=include_all_genes
-        )
+        return self.network_csr().label_graph()
 
-    def network_csr(
-        self,
-        threshold: Optional[CorrelationThreshold] = None,
-        include_all_genes: bool = False,
-    ) -> CSRGraph:
+    def network_csr(self) -> CSRGraph:
         """Return (and cache) the CSR view of the thresholded correlation network.
 
         Built directly from the cached pair arrays — no ``Graph``
         materialisation, no ``from_graph`` conversion.  Equal to
-        ``CSRGraph.from_graph(self.network(...))`` for the same arguments;
-        that label graph, with its ``rho`` attributes, is the CSR's
+        ``CSRGraph.from_graph(self.network())``; that label graph, with its
+        ``rho`` attributes, is the CSR's
         :meth:`~repro.graph.csr.CSRGraph.label_graph`, built only when read.
         """
-        use_cache = threshold is None and not include_all_genes
-        if use_cache and self._network_csr is not None:
-            return self._network_csr
-        matrix = self.matrix
-        ii, jj, rho = self._pair_arrays(threshold)
-        csr = csr_from_pair_arrays(matrix, ii, jj, include_all_genes=include_all_genes)
-        csr.attach_label_graph(
-            lambda: network_from_pair_arrays(
-                matrix, ii, jj, rho, include_all_genes=include_all_genes
-            )
-        )
-        if use_cache:
+        if self._network_csr is None:
+            matrix = self.matrix
+            ii, jj, rho = self._pair_arrays()
+            csr = csr_from_pair_arrays(matrix, ii, jj)
+            csr.attach_label_graph(lambda: network_from_pair_arrays(matrix, ii, jj, rho))
             self._network_csr = csr
-        return csr
+        return self._network_csr
+
 
 def _module_gene_name(study: str, module: int, index: int) -> str:
     return f"{study}_M{module:02d}_{index:02d}"

@@ -103,8 +103,8 @@ def cycle_basis_sizes_csr(csr: CSRGraph) -> list[int]:
     return sorted(sizes)
 
 
-def find_chordless_cycle(graph: Graph, min_length: int = 4) -> Optional[list[Vertex]]:
-    """Return one chordless (induced) cycle of length ``>= min_length`` or ``None``.
+def find_chordless_cycle(graph: Graph) -> Optional[list[Vertex]]:
+    """Return one chordless (induced) cycle (length ``>= 4``) or ``None``.
 
     The search examines, for every edge ``(u, v)``, the shortest alternative
     path from ``u`` to ``v`` in the graph with the edge removed and all common
@@ -115,8 +115,6 @@ def find_chordless_cycle(graph: Graph, min_length: int = 4) -> Optional[list[Ver
     verification helper for tests (exponential worst cases are avoided because
     it is only used on small graphs / counterexample hunting).
     """
-    if min_length < 4:
-        raise ValueError("chordless cycles of interest have length >= 4")
     for u, v in graph.edges():
         banned = (graph.neighbor_set(u) & graph.neighbor_set(v)) | {u, v}
         # BFS from u to v avoiding the edge and common neighbours
@@ -144,7 +142,7 @@ def find_chordless_cycle(graph: Graph, min_length: int = 4) -> Optional[list[Ver
             path.append(parent[path[-1]])
         cycle = [v] + path  # v, ..., u
         induced = _shrink_to_induced_cycle(graph, cycle)
-        if induced is not None and len(induced) >= min_length:
+        if induced is not None:
             return induced
     return None
 

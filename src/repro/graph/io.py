@@ -10,7 +10,6 @@ when one is there.
 from __future__ import annotations
 
 import os
-from collections.abc import Hashable
 from pathlib import Path
 from typing import TextIO, Union
 
@@ -19,7 +18,6 @@ from .graph import Graph
 __all__ = ["write_edge_list", "read_edge_list"]
 
 PathLike = Union[str, os.PathLike]
-Vertex = Hashable
 
 
 def _open_for_write(target: Union[PathLike, TextIO]):
@@ -34,53 +32,41 @@ def _open_for_read(source: Union[PathLike, TextIO]):
     return open(Path(source), "r", encoding="utf-8"), True
 
 
-def write_edge_list(
-    graph: Graph,
-    target: Union[PathLike, TextIO],
-    delimiter: str = "\t",
-    include_isolated: bool = True,
-) -> None:
-    """Write the graph as an edge list, one ``u<delim>v`` line per edge.
+def write_edge_list(graph: Graph, target: Union[PathLike, TextIO]) -> None:
+    """Write the graph as an edge list, one tab-separated ``u v`` line per edge.
 
-    Isolated vertices are emitted as single-column lines when
-    ``include_isolated`` is true so that the vertex set round-trips.
+    Isolated vertices are emitted as single-column lines so that the vertex
+    set round-trips.
     """
     handle, should_close = _open_for_write(target)
     try:
-        written: set[Vertex] = set()
         for u, v in graph.iter_edges():
-            handle.write(f"{u}{delimiter}{v}\n")
-            written.add(u)
-            written.add(v)
-        if include_isolated:
-            for v in graph.vertices():
-                if v not in written and graph.degree(v) == 0:
-                    handle.write(f"{v}\n")
+            handle.write(f"{u}\t{v}\n")
+        for v in graph.vertices():
+            if graph.degree(v) == 0:
+                handle.write(f"{v}\n")
     finally:
         if should_close:
             handle.close()
 
 
-def read_edge_list(
-    source: Union[PathLike, TextIO],
-    delimiter: str | None = None,
-    comment: str = "#",
-) -> Graph:
+def read_edge_list(source: Union[PathLike, TextIO]) -> Graph:
     """Read an edge list written by :func:`write_edge_list`.
 
-    ``delimiter=None`` splits on arbitrary whitespace.  Lines with a single
-    token declare isolated vertices; a third column (such as a Pearson
-    correlation from another tool) is parsed as a float, kept as a string
-    when it is not numeric, and attached as the ``"weight"`` edge attribute.
+    Columns split on arbitrary whitespace and ``#`` starts a comment line.
+    Lines with a single token declare isolated vertices; a third column
+    (such as a Pearson correlation from another tool) is parsed as a float,
+    kept as a string when it is not numeric, and attached as the
+    ``"weight"`` edge attribute.
     """
     handle, should_close = _open_for_read(source)
     g = Graph()
     try:
         for raw in handle:
             line = raw.strip()
-            if not line or line.startswith(comment):
+            if not line or line.startswith("#"):
                 continue
-            parts = line.split(delimiter) if delimiter else line.split()
+            parts = line.split()
             if len(parts) == 1:
                 g.add_vertex(parts[0])
             elif len(parts) == 2:

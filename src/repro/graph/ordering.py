@@ -116,18 +116,14 @@ def natural_order_indices(csr: CSRGraph) -> np.ndarray:
     return np.arange(csr.n_vertices, dtype=np.int64)
 
 
-def high_degree_order_indices(csr: CSRGraph, tie: Optional[np.ndarray] = None) -> np.ndarray:
+def high_degree_order_indices(csr: CSRGraph) -> np.ndarray:
     """Indices sorted by descending degree (ties broken by label ``repr``)."""
-    if tie is None:
-        tie = label_sort_ranks(csr)
-    return np.lexsort((tie, -csr.degrees())).astype(np.int64)
+    return np.lexsort((label_sort_ranks(csr), -csr.degrees())).astype(np.int64)
 
 
-def low_degree_order_indices(csr: CSRGraph, tie: Optional[np.ndarray] = None) -> np.ndarray:
+def low_degree_order_indices(csr: CSRGraph) -> np.ndarray:
     """Indices sorted by ascending degree (ties broken by label ``repr``)."""
-    if tie is None:
-        tie = label_sort_ranks(csr)
-    return np.lexsort((tie, csr.degrees())).astype(np.int64)
+    return np.lexsort((label_sort_ranks(csr), csr.degrees())).astype(np.int64)
 
 
 def _component_roots(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:

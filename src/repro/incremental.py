@@ -65,11 +65,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .clustering.mcode import mcode_clusters
-from .expression.correlation import (
-    CorrelationThreshold,
-    correlated_pair_arrays,
-    correlated_pair_arrays_delta,
-)
+from .expression.correlation import correlated_pair_arrays, correlated_pair_arrays_delta
 from .expression.datasets import SyntheticStudy
 from .expression.microarray import ExpressionMatrix
 from .faults import fault_point
@@ -304,11 +300,10 @@ def _delta_apply(bundle: DatasetBundle, data: UpdateData) -> tuple[DatasetBundle
     dag, table = scorer.dag, scorer.annotations
     dirty: set[str] = set()
     reused: list[str] = []
-    threshold_key = CorrelationThreshold()
 
     # --- expression ----------------------------------------------------------
     matrix = study.matrix
-    old_ii, old_jj, old_rho = study._pair_arrays(None)
+    old_ii, old_jj, old_rho = study._pair_arrays()
     pairs = (old_ii, old_jj, old_rho)
     if spec.add_samples or spec.add_genes:
         dirty.add("expression")
@@ -345,7 +340,7 @@ def _delta_apply(bundle: DatasetBundle, data: UpdateData) -> tuple[DatasetBundle
             study,
             matrix=matrix,
             _network_csr=network_csr if values_same else None,
-            _pairs={threshold_key: pairs},
+            _pairs=pairs,
         )
     if "expression" not in dirty or values_same:
         reused += ["network", "clusters"]
@@ -470,7 +465,7 @@ def _apply_primary(
         dag.add_term(term_id, list(parents))
     for gene, terms in data.annotation_specs:
         table.annotate(gene, list(terms))
-    return dataclasses.replace(study, matrix=matrix, _network_csr=None, _pairs={})
+    return dataclasses.replace(study, matrix=matrix, _network_csr=None, _pairs=None)
 
 
 def replay_reference(

@@ -37,7 +37,6 @@ def make_go_dag(
     branching: int = 3,
     extra_parent_fraction: float = 0.08,
     seed: int = 0,
-    root_name: str = "biological_process",
 ) -> GODag:
     """Generate a GO-like rooted DAG.
 
@@ -51,7 +50,7 @@ def make_go_dag(
     if branching < 2:
         raise ValueError("branching must be at least 2")
     rng = np.random.default_rng(seed)
-    dag = GODag(root_name=root_name)
+    dag = GODag()
     levels: list[list[str]] = [[dag.root_id]]
     counter = 0
     for level in range(1, depth + 1):

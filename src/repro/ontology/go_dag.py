@@ -483,12 +483,10 @@ class GODag:
     topological order and can never contain a cycle).
     """
 
-    def __init__(self, root_id: str = "GO:ROOT", root_name: str = "biological_process") -> None:
-        self.root_id = root_id
-        self._terms: dict[str, GOTerm] = {}
-        root = GOTerm(root_id, root_name)
-        self._terms[root_id] = root
-        self._depth_cache: dict[str, int] = {root_id: 0}
+    def __init__(self) -> None:
+        self.root_id = "GO:ROOT"
+        self._terms: dict[str, GOTerm] = {self.root_id: GOTerm(self.root_id, "biological_process")}
+        self._depth_cache: dict[str, int] = {self.root_id: 0}
         self._ancestor_cache: dict[str, frozenset[str]] = {}
         # Interned int64 snapshot: the batched enrichment engine computes on
         # it, and its per-source BFS rows are the DAG's one distance cache
@@ -712,8 +710,8 @@ class GODag:
     # ------------------------------------------------------------------
     # ancestry
     # ------------------------------------------------------------------
-    def ancestors(self, term_id: str, include_self: bool = True) -> frozenset[str]:
-        """Return every ancestor of ``term_id`` (cached), optionally including itself."""
+    def ancestors(self, term_id: str) -> frozenset[str]:
+        """Return every ancestor of ``term_id``, itself included (cached)."""
         if term_id not in self._terms:
             raise KeyError(f"unknown GO term {term_id!r}")
         cached = self._ancestor_cache.get(term_id)
@@ -727,7 +725,7 @@ class GODag:
                     stack.extend(self.term(p).parents)
             cached = frozenset(out)
             self._ancestor_cache[term_id] = cached
-        return cached if include_self else frozenset(cached - {term_id})
+        return cached
 
     def common_ancestors(self, term_a: str, term_b: str) -> frozenset[str]:
         """Return the common ancestors of two terms (including the terms themselves

@@ -128,9 +128,9 @@ class FilterAnalysis:
         """
         return [s.aees for s in self.scored_by_node]
 
-    def high_scoring_clusters(self, threshold: Optional[float] = None) -> list[Cluster]:
-        """Clusters whose AEES clears the (default 3.0) relevance threshold."""
-        bar = self.bundle.thresholds.aees_threshold if threshold is None else threshold
+    def high_scoring_clusters(self) -> list[Cluster]:
+        """Clusters whose AEES clears the bundle's (3.0) relevance threshold."""
+        bar = self.bundle.thresholds.aees_threshold
         return [
             c
             for c, aees in zip(self.clusters, self.cluster_aees())

@@ -102,6 +102,13 @@ def _norm_filter_spec(params: dict[str, Any]) -> dict[str, Any]:
     seed = params.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise _bad(f"seed must be an integer, got {seed!r}")
+    # Only the random walk draws from the seed, and only a parallel run
+    # partitions: a value the filter ignores takes its default, so requests
+    # whose payloads are identical share one spec hash and one cache entry.
+    if method != "random_walk":
+        seed = 0
+    if partitions == 1:
+        partition_method = "block"
     backend = params.get("backend")
     if backend is not None:
         backend = str(backend)

@@ -91,7 +91,6 @@ class ReproServer:
         *,
         preload: tuple = (),
         default_scale: Optional[float] = None,
-        seed: Optional[int] = None,
         workers: int = 4,
         max_pending: int = 64,
         cache_size: int = 256,
@@ -104,7 +103,6 @@ class ReproServer:
         self.default_scale = (
             _default_scale() if default_scale is None else round(float(default_scale), 6)
         )
-        self.seed = seed
         self.workers = workers
         self.max_pending = max_pending
         self.cache_size = cache_size
@@ -156,7 +154,7 @@ class ReproServer:
     def _bring_up(self) -> None:
         from .state import ServerState  # deferred: keeps module import light
 
-        self.state = ServerState(self.default_scale, seed=self.seed)
+        self.state = ServerState(self.default_scale)
         self.cache = ResultCache(self.cache_size)
         self.admission = AdmissionQueue(max_pending=self.max_pending, workers=self.workers)
         self.admission.start()

@@ -202,9 +202,8 @@ class DatasetState:
 class ServerState:
     """All warm dataset states of one server, built lazily and reloadable."""
 
-    def __init__(self, default_scale: float, seed: Optional[int] = None) -> None:
+    def __init__(self, default_scale: float) -> None:
         self.default_scale = round(float(default_scale), 6)
-        self.seed = seed
         self._states: dict[str, DatasetState] = {}
         self._lock = threading.Lock()
         self._build_lock = threading.Lock()
@@ -222,7 +221,7 @@ class ServerState:
         An empty log is exactly ``prepare_dataset``.
         """
         fault_point("serve.rebuild", dataset=name, scale=scale)
-        bundle = replay_updates(name, scale, self.seed, update_log)
+        bundle = replay_updates(name, scale, None, update_log)
         # Requests execute on concurrent worker threads; the scorer's memo
         # tables must not race (see _LockedScorer).
         bundle.scorer = _LockedScorer(bundle.scorer)

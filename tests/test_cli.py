@@ -48,6 +48,24 @@ class TestParser:
         assert exc.value.code == 2
         assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["filter", "analyze"])
+    @pytest.mark.parametrize(
+        "spelling, name",
+        [("hd", "high_degree"), ("LD", "low_degree"), ("no", "natural"), ("rcm", "rcm"),
+         ("high_degree", "high_degree")],
+    )
+    def test_ordering_abbreviation_resolves_to_the_canonical_name(self, command, spelling, name):
+        assert build_parser().parse_args([command, "--ordering", spelling]).ordering == name
+
+    @pytest.mark.parametrize("command", ["filter", "analyze"])
+    def test_unknown_ordering_rejected(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "--ordering", "bogus"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unknown ordering 'bogus'" in err
+        assert all(name in err for name in ("natural", "high_degree", "low_degree", "rcm"))
+
     def test_filter_defaults(self):
         args = build_parser().parse_args(["filter"])
         assert args.dataset == "CRE"

@@ -16,6 +16,7 @@ from repro.expression import (
     correlation_p_value,
     critical_correlation,
     csr_from_pair_arrays,
+    network_from_pair_arrays,
 )
 from repro.expression.correlation import _t_tail, correlated_pair_arrays_delta
 from repro.graph import CSRGraph
@@ -46,9 +47,9 @@ def named_pairs(m: ExpressionMatrix, **kwargs) -> list[tuple[str, str, float]]:
     return [(m.genes[i], m.genes[j], r) for i, j, r in zip(ii.tolist(), jj.tolist(), rho.tolist())]
 
 
-def pair_csr(m: ExpressionMatrix, include_all_genes: bool = True, block_size: int = 2048):
+def pair_csr(m: ExpressionMatrix, block_size: int = 2048):
     ii, jj, _ = correlated_pair_arrays(m, block_size=block_size)
-    return csr_from_pair_arrays(m, ii, jj, include_all_genes=include_all_genes)
+    return csr_from_pair_arrays(m, ii, jj)
 
 
 class TestPValues:
@@ -273,14 +274,28 @@ class TestNetworkConstruction:
         assert sorted(small_blocks) == sorted(one_block)
 
     def test_build_network_vertices_and_attributes(self):
+        # Connected genes only: "flat", "noise" and "anti" have no edge.
         net = build_correlation_network(toy_matrix())
-        assert net.n_vertices == 5  # include_all_genes default
+        assert net.vertices() == ["a", "a_twin"]
         assert net.has_edge("a", "a_twin")
         assert net.edge_attr("a", "a_twin", "rho") >= 0.95
 
-    def test_build_network_without_isolated_genes(self):
-        net = build_correlation_network(toy_matrix(), include_all_genes=False)
-        assert not net.has_vertex("flat")
+    def test_network_options_refused(self):
+        # The paper builds one network: its criterion, its tiles, connected
+        # genes only.
+        m = toy_matrix()
+        for kwargs in (
+            {"threshold": CorrelationThreshold(min_abs_rho=0.5)},
+            {"block_size": 2},
+            {"include_all_genes": True},
+        ):
+            with pytest.raises(TypeError):
+                build_correlation_network(m, **kwargs)
+        ii, jj, rho = correlated_pair_arrays(m)
+        with pytest.raises(TypeError):
+            csr_from_pair_arrays(m, ii, jj, include_all_genes=True)
+        with pytest.raises(TypeError):
+            network_from_pair_arrays(m, ii, jj, rho, include_all_genes=True)
 
     def test_single_sample_matrix_yields_empty_network(self):
         m = ExpressionMatrix(np.zeros((3, 1)), genes=["a", "b", "c"], samples=["s"])
@@ -293,17 +308,17 @@ class TestNetworkConstruction:
 
     def test_csr_matches_graph_conversion(self):
         m = toy_matrix()
-        for include_all, block_size in [(True, 2048), (False, 2048), (True, 2), (False, 2)]:
-            net = build_correlation_network(
-                m, include_all_genes=include_all, block_size=block_size
-            )
-            csr = pair_csr(m, include_all_genes=include_all, block_size=block_size)
-            assert csr == CSRGraph.from_graph(net), (include_all, block_size)
+        for block_size in (2048, 2):
+            ii, jj, rho = correlated_pair_arrays(m, block_size=block_size)
+            net = network_from_pair_arrays(m, ii, jj, rho)
+            csr = pair_csr(m, block_size=block_size)
+            assert csr == CSRGraph.from_graph(net), block_size
+        assert CSRGraph.from_graph(build_correlation_network(m)) == pair_csr(m)
 
     def test_empty_matrix_yields_empty_csr(self):
         m = ExpressionMatrix(np.zeros((3, 1)), genes=["a", "b", "c"], samples=["s"])
         assert pair_csr(m).n_edges == 0
-        assert pair_csr(m, include_all_genes=False).n_vertices == 0
+        assert pair_csr(m).n_vertices == 0
 
 
 def _stats_p_value(rho: float, n_samples: int) -> float:

@@ -32,10 +32,10 @@ from repro.clustering import (
     reference_mcode_vertex_weights,
 )
 from repro.expression import (
-    build_correlation_network,
     correlated_pair_arrays,
     csr_from_pair_arrays,
     make_study,
+    network_from_pair_arrays,
 )
 from repro.graph import (
     CSRGraph,
@@ -260,10 +260,7 @@ class TestCSRMatching:
 class TestCorrelationCSRNetwork:
     def test_study_network_csr_equals_graph_view(self):
         study = make_study("YNG", scale=0.03)
-        for include_all in (False, True):
-            net = study.network(include_all_genes=include_all)
-            csr = study.network_csr(include_all_genes=include_all)
-            assert csr == CSRGraph.from_graph(net)
+        assert study.network_csr() == CSRGraph.from_graph(study.network())
 
     def test_study_csr_cached(self):
         study = make_study("MID", scale=0.03)
@@ -271,11 +268,9 @@ class TestCorrelationCSRNetwork:
 
     def test_multi_tile_csr_equals_graph_view(self):
         study = make_study("YNG", scale=0.03)
-        net = build_correlation_network(
-            study.matrix, block_size=61, include_all_genes=False
-        )
-        ii, jj, _ = correlated_pair_arrays(study.matrix, block_size=61)
-        csr = csr_from_pair_arrays(study.matrix, ii, jj, include_all_genes=False)
+        ii, jj, rho = correlated_pair_arrays(study.matrix, block_size=61)
+        net = network_from_pair_arrays(study.matrix, ii, jj, rho)
+        csr = csr_from_pair_arrays(study.matrix, ii, jj)
         assert csr == CSRGraph.from_graph(net)
 
 

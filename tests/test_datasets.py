@@ -116,29 +116,32 @@ class TestGeneration:
     def test_network_cached(self, tiny_study):
         assert tiny_study.network() is tiny_study.network()
 
-    def test_network_rebuild_not_cached_for_custom_threshold(self, tiny_study):
+    def test_network_options_refused(self, tiny_study):
+        # One network per study: the paper's criterion, connected genes only.
         from repro.expression import CorrelationThreshold
 
-        custom = tiny_study.network(threshold=CorrelationThreshold(min_abs_rho=0.99))
-        assert custom.n_edges <= tiny_study.network().n_edges
+        for view in (tiny_study.network, tiny_study.network_csr):
+            with pytest.raises(TypeError):
+                view(threshold=CorrelationThreshold(min_abs_rho=0.99))
+            with pytest.raises(TypeError):
+                view(include_all_genes=True)
 
-    @pytest.mark.parametrize("min_abs_rho", [None, 0.9, 0.99])
-    def test_one_correlation_pass_per_threshold(self, tiny_study_config, monkeypatch, min_abs_rho):
-        from repro.expression import CorrelationThreshold, datasets
+    def test_one_correlation_pass(self, tiny_study_config, monkeypatch):
+        from repro.expression import datasets
 
         calls = []
         real = datasets.correlated_pair_arrays
         monkeypatch.setattr(
             datasets,
             "correlated_pair_arrays",
-            lambda *a, **k: calls.append(k["threshold"]) or real(*a, **k),
+            lambda *a, **k: calls.append((a, k)) or real(*a, **k),
         )
         study = generate_study(tiny_study_config, seed=11)
-        threshold = None if min_abs_rho is None else CorrelationThreshold(min_abs_rho=min_abs_rho)
-        net = study.network(threshold=threshold)
-        csr = study.network_csr(threshold=threshold)
-        assert study.network(threshold=threshold).n_edges == net.n_edges == csr.n_edges
-        assert calls == [threshold or CorrelationThreshold()]
+        net = study.network()
+        csr = study.network_csr()
+        assert study.network_csr() is csr and study.network() is net
+        assert net.n_edges == csr.n_edges > 0
+        assert calls == [((study.matrix,), {})]
 
 
 def study_digest(study) -> str:

@@ -103,7 +103,23 @@ class TestDepthAndAncestry:
     def test_ancestors(self):
         dag = make_dag()
         assert dag.ancestors("G") == frozenset({"G", "M", "B", dag.root_id})
-        assert dag.ancestors("G", include_self=False) == frozenset({"M", "B", dag.root_id})
+
+    def test_ancestors_always_include_the_term(self):
+        # The DCP and breadth queries read ancestor sets that contain the term
+        # itself; there is no switch to leave it out.
+        with pytest.raises(TypeError):
+            make_dag().ancestors("G", include_self=False)
+
+    def test_root_is_fixed(self):
+        for dag in (GODag(), make_go_dag(depth=2, branching=2)):
+            assert dag.root_id == "GO:ROOT"
+            assert dag.term(dag.root_id).name == "biological_process"
+        with pytest.raises(TypeError):
+            GODag(root_id="GO:0008150")
+        with pytest.raises(TypeError):
+            GODag(root_name="molecular_function")
+        with pytest.raises(TypeError):
+            make_go_dag(depth=2, branching=2, root_name="molecular_function")
 
     def test_ancestors_multi_parent(self):
         dag = make_dag()

@@ -86,6 +86,7 @@ class TestChordlessCycles:
                     consecutive = j == i + 1 or (i == 0 and j == n - 1)
                     assert corpus_graph.has_edge(cycle[i], cycle[j]) == consecutive
 
-    def test_min_length_validation(self):
-        with pytest.raises(ValueError):
-            find_chordless_cycle(cycle_graph(5), min_length=3)
+    def test_min_length_refused(self):
+        # Every cycle it returns is chordless, so of length >= 4 already.
+        with pytest.raises(TypeError):
+            find_chordless_cycle(cycle_graph(5), min_length=4)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import io
 
+import pytest
+
 from repro.graph import Graph, read_edge_list, write_edge_list
 
 
@@ -56,3 +58,14 @@ class TestEdgeList:
         buf = io.StringIO()
         write_edge_list(g, buf)
         assert "geneA\tgeneB" in buf.getvalue()
+
+    def test_format_options_refused(self):
+        # One format: tab-separated, isolated vertices listed, "#" comments,
+        # columns split on whitespace.
+        g = make_graph()
+        for kwargs in ({"delimiter": ","}, {"include_isolated": False}):
+            with pytest.raises(TypeError):
+                write_edge_list(g, io.StringIO(), **kwargs)
+        for kwargs in ({"delimiter": ","}, {"comment": "%"}):
+            with pytest.raises(TypeError):
+                read_edge_list(io.StringIO("a b\n"), **kwargs)

@@ -79,6 +79,14 @@ class TestBasicOrderings:
         assert deg_high == sorted(deg_high, reverse=True)
         assert deg_low == sorted(deg_low)
 
+    def test_degree_tie_break_refused(self, sample_graph):
+        # Ties always break by label repr; no caller-given tie ranks.
+        csr = CSRGraph.from_graph(sample_graph)
+        tie = list(range(csr.n_vertices))
+        for name in ("high_degree", "low_degree"):
+            with pytest.raises(TypeError):
+                ORDERING_INDEX_FNS[name](csr, tie=tie)
+
 
 class TestRCM:
     def test_rcm_is_permutation(self, sample_graph):

@@ -488,8 +488,8 @@ def test_edge_sequence_csr_matches_incremental_graph():
 def _eager_network(study) -> Graph:
     from repro.expression.correlation import network_from_pair_arrays
 
-    ii, jj, rho = study._pair_arrays(None)
-    return network_from_pair_arrays(study.matrix, ii, jj, rho, include_all_genes=False)
+    ii, jj, rho = study._pair_arrays()
+    return network_from_pair_arrays(study.matrix, ii, jj, rho)
 
 
 def _rho_bits(g: Graph) -> list:

@@ -102,6 +102,14 @@ class TestAnalyzeFilter:
         filtered_relevant = analysis.high_scoring_clusters()
         assert len(filtered_relevant) >= max(1, len(original_relevant) // 2)
 
+    def test_high_scoring_bar_is_the_bundle_threshold(self, cre_bundle):
+        analysis = analyze_filter(cre_bundle, method="chordal", ordering="natural", n_partitions=1)
+        bar = cre_bundle.thresholds.aees_threshold
+        expected = [c for c, a in zip(analysis.clusters, analysis.cluster_aees()) if a >= bar]
+        assert analysis.high_scoring_clusters() == expected
+        with pytest.raises(TypeError):
+            analysis.high_scoring_clusters(threshold=0.0)
+
     def test_random_walk_finds_far_fewer_clusters(self, cre_bundle):
         chordal = analyze_filter(cre_bundle, method="chordal", ordering="natural", n_partitions=4)
         walk = analyze_filter(cre_bundle, method="random_walk", ordering=None, n_partitions=4, seed=0)

@@ -12,6 +12,7 @@ from repro.core import (
     sequential_random_walk_filter,
 )
 from repro.core.sequential import resolve_order_indices
+from repro.parallel.timing import CostModel
 from repro.graph import (
     CSRGraph,
     complete_graph,
@@ -60,6 +61,17 @@ class TestSequentialChordal:
         result = sequential_chordal_filter(network, ordering=ordering)
         assert result.ordering == ordering
         assert is_chordal(result.graph)
+
+    def test_simulated_time_takes_only_the_communication_flag(self, network):
+        # The default cost model prices every run; each sampler says whether
+        # its run communicated.
+        result = sequential_chordal_filter(network)
+        priced = result.simulated_time
+        assert result.compute_simulated_time(with_communication=False) == priced
+        with pytest.raises(TypeError):
+            result.compute_simulated_time()
+        with pytest.raises(TypeError):
+            result.compute_simulated_time(model=CostModel(), with_communication=False)
 
     def test_summary_keys(self, network):
         summary = sequential_chordal_filter(network).summary()

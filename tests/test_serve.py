@@ -21,6 +21,7 @@ from repro.serve import (
     ReproServer,
     ResultCache,
     ServeClient,
+    ServerState,
     error_response,
     ok_response,
     parse_request,
@@ -146,6 +147,16 @@ class TestResultCache:
             ResultCache(capacity=0)
 
 
+class TestConstruction:
+    def test_study_seed_refused(self):
+        # A daemon builds every dataset at its per-dataset study seed, as the
+        # cold CLI does, so served and cold bytes can be compared.
+        with pytest.raises(TypeError):
+            ReproServer(default_scale=SCALE, seed=1)
+        with pytest.raises(TypeError):
+            ServerState(SCALE, seed=1)
+
+
 # ----------------------------------------------------------------------
 # served round-trips against a live daemon
 # ----------------------------------------------------------------------
@@ -205,10 +216,8 @@ class TestServedRoundTrips:
         assert walk["ok"] and walk["result"]["ordering"] is None
 
     def test_ordering_abbreviation_is_the_canonical_spec(self, client):
-        short = client.request("filter", dataset="CRE", ordering="hd", partitions=2, seed=45)
-        full = client.request(
-            "filter", dataset="CRE", ordering="high_degree", partitions=2, seed=45
-        )
+        short = client.request("filter", dataset="CRE", ordering="hd", partitions=2)
+        full = client.request("filter", dataset="CRE", ordering="high_degree", partitions=2)
         assert short["ok"] and full["ok"]
         assert short["spec_hash"] == full["spec_hash"]
         assert full["cached"] is True
@@ -226,8 +235,9 @@ class TestServedRoundTrips:
         assert "scale" in response["error"]["message"]
 
     def test_filter_caches_by_spec_hash(self, client):
-        first = client.request("filter", dataset="CRE", seed=41)
-        second = client.request("filter", dataset="CRE", seed=41)
+        # The random walk keeps its seed, so seed 41 is this test's own entry.
+        first = client.request("filter", dataset="CRE", method="random_walk", seed=41)
+        second = client.request("filter", dataset="CRE", method="random_walk", seed=41)
         assert first["ok"] and second["ok"]
         assert first["cached"] is False
         assert second["cached"] is True
@@ -236,7 +246,7 @@ class TestServedRoundTrips:
 
     def test_equivalent_spellings_share_one_cache_entry(self, client):
         # Lower-case dataset + explicit defaults vs bare: one normalised spec.
-        a = client.request("filter", dataset="cre", seed=42)
+        a = client.request("filter", dataset="cre")
         b = client.request(
             "filter",
             dataset="CRE",
@@ -244,17 +254,56 @@ class TestServedRoundTrips:
             ordering="natural",
             partitions=1,
             partition_method="block",
-            seed=42,
+            seed=0,
         )
         assert a["spec_hash"] == b["spec_hash"]
         assert b["cached"] is True
 
+    def test_chordal_seed_is_not_part_of_the_spec(self, client):
+        # The chordal filters never draw from the seed: seeds 1 and 2 are one
+        # spec, one cache entry and the same bytes.
+        for partitions in (1, 2):
+            spec = {"dataset": "CRE", "ordering": "rcm", "partitions": partitions}
+            one = client.request("filter", seed=1, **spec)
+            two = client.request("filter", seed=2, **spec)
+            assert one["ok"] and two["ok"]
+            assert one["spec_hash"] == two["spec_hash"]
+            assert two["cached"] is True
+            assert canonical(one["result"]) == canonical(two["result"])
+
+    def test_partition_method_of_a_single_partition_is_not_part_of_the_spec(self, client):
+        # P=1 runs the sequential filter, which partitions nothing.
+        for method in ("chordal", "random_walk"):
+            spec = {"dataset": "CRE", "method": method, "ordering": "low_degree", "seed": 46}
+            block = client.request("filter", partition_method="block", **spec)
+            greedy = client.request("filter", partition_method="greedy", **spec)
+            assert block["spec_hash"] == greedy["spec_hash"]
+            assert greedy["cached"] is True
+            assert canonical(block["result"]) == canonical(greedy["result"])
+
+    def test_random_walk_seed_and_parallel_partition_method_stay_in_the_spec(self, client):
+        walk = [
+            client.request("filter", dataset="CRE", method="random_walk", seed=seed)
+            for seed in (47, 48)
+        ]
+        assert walk[0]["spec_hash"] != walk[1]["spec_hash"]
+        assert walk[1]["cached"] is False
+        parts = [
+            client.request(
+                "filter", dataset="CRE", ordering="low_degree", partitions=2, partition_method=pm
+            )
+            for pm in ("block", "hash")
+        ]
+        assert parts[0]["spec_hash"] != parts[1]["spec_hash"]
+        assert parts[1]["cached"] is False
+
     def test_reload_invalidates_cached_entries(self, client):
-        before = client.request("filter", dataset="CRE", seed=43)
-        assert client.request("filter", dataset="CRE", seed=43)["cached"] is True
+        before = client.request("filter", dataset="CRE", method="random_walk", seed=43)
+        again = client.request("filter", dataset="CRE", method="random_walk", seed=43)
+        assert again["cached"] is True
         reload_result = client.result("reload", dataset="CRE")
         assert reload_result["invalidated"] >= 1
-        after = client.request("filter", dataset="CRE", seed=43)
+        after = client.request("filter", dataset="CRE", method="random_walk", seed=43)
         assert after["cached"] is False  # stale spec-hash entry was dropped
         # The rebuilt bundle is deterministic, so the payload is unchanged.
         assert canonical(after["result"]) == canonical(before["result"])
@@ -262,7 +311,7 @@ class TestServedRoundTrips:
         assert generation and generation[0]["generation"] >= 1
 
     def test_stats_expose_every_layer(self, client):
-        client.request("filter", dataset="CRE", seed=44)
+        client.request("filter", dataset="CRE")
         stats = client.result("stats")
         assert stats["protocol"] == 1
         assert stats["cache"]["capacity"] == 256
@@ -329,6 +378,16 @@ class TestColdCliEquivalence:
             partition_method=partition_method,
         )
         assert canonical(warm) == cold
+
+    @pytest.mark.parametrize("command, op", [("filter", "filter"), ("analyze", "classify")])
+    def test_ordering_abbreviation_byte_identical(self, client, capsys, command, op):
+        # The CLI resolves a paper abbreviation as serve does.
+        cold = cold_cli_json(
+            capsys,
+            [command, "--dataset", "CRE", "--scale", str(SCALE), "--ordering", "hd", "--json"],
+        )
+        assert canonical(client.result(op, dataset="CRE", ordering="hd")) == cold
+        assert canonical(client.result(op, dataset="CRE", ordering="high_degree")) == cold
 
     def test_classify_byte_identical(self, client, capsys):
         cold = cold_cli_json(

@@ -56,12 +56,12 @@ class TestWorkerSupervisor:
     def test_dead_worker_is_respawned_and_results_stay_identical(self, counter_delta):
         with ReproServer(default_scale=SCALE, workers=2, supervisor_interval=0.05) as srv:
             with ServeClient(port=srv.port, timeout=600.0) as client:
-                baseline = client.result("filter", dataset="CRE", seed=1)
+                baseline = client.result("filter", dataset="CRE")
                 plan = FaultPlan(CHAOS_SEED).fail("serve.worker", at=1)
                 with active_plan(plan):
                     # The worker that picks this ticket up crashes: the
                     # request errors (no hang), the thread dies.
-                    response = client.request("filter", dataset="CRE", seed=2)
+                    response = client.request("filter", dataset="CRE", ordering="rcm")
                     assert response["ok"] is False
                     assert response["error"]["code"] == "internal"
                 assert _wait_for(
@@ -73,8 +73,8 @@ class TestWorkerSupervisor:
                 assert stats["admission"]["worker_respawns"] >= 1
                 # The failed request succeeds on retry, and the warm result
                 # from before the crash is byte-identical after it.
-                assert client.result("filter", dataset="CRE", seed=2)["edges_kept"] > 0
-                assert client.result("filter", dataset="CRE", seed=1) == baseline
+                assert client.result("filter", dataset="CRE", ordering="rcm")["edges_kept"] > 0
+                assert client.result("filter", dataset="CRE") == baseline
         # An admission-thread crash is the serve supervisor's business: the
         # runtime's retry counters do not move.
         assert counter_delta() == {"retries": 0, "degrades": 0}
