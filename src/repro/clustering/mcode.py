@@ -43,6 +43,7 @@ import numpy as np
 
 from ..graph.csr import CSRGraph, gather_csr_rows
 from ..graph.graph import Graph
+from ..graph.ordering import label_sort_ranks
 from .cluster import Cluster
 
 __all__ = [
@@ -81,25 +82,25 @@ class IndexComplex:
 # ----------------------------------------------------------------------
 # CSR-native kernels
 # ----------------------------------------------------------------------
-def _peel_subset(
-    row_sets: list[set[int]], members: Sequence[int], k: int
-) -> set[int]:
+def _peel_subset(rows: list[list[int]], members: Sequence[int], k: int) -> set[int]:
     """Survivors of ``k``-core peeling restricted to ``members``.
 
     Iteratively removes members whose degree *within the member set* is below
     ``k``; the fixpoint is the (unique) k-core of the induced subgraph, so
     removal order cannot matter.  ``k = 2`` doubles as MCODE's haircut
-    (degree ≤ 1 stripping reaches the same fixpoint).
+    (degree ≤ 1 stripping reaches the same fixpoint).  ``rows`` are the
+    CSR's adjacency lists (:meth:`CSRGraph.neighbor_lists`), read against
+    the member set.
     """
     alive = set(members)
-    deg = {u: len(row_sets[u] & alive) for u in alive}
+    deg = {u: len(alive.intersection(rows[u])) for u in alive}
     stack = [u for u, d in deg.items() if d < k]
     while stack:
         u = stack.pop()
         if u not in alive:
             continue
         alive.discard(u)
-        for w in row_sets[u]:
+        for w in rows[u]:
             if w in alive:
                 deg[w] -= 1
                 if deg[w] == k - 1:  # just crossed below k; queue exactly once
@@ -107,9 +108,9 @@ def _peel_subset(
     return alive
 
 
-def _subset_edge_count(row_sets: list[set[int]], members: set[int]) -> int:
+def _subset_edge_count(rows: list[list[int]], members: set[int]) -> int:
     """Number of edges of the subgraph induced by ``members``."""
-    return sum(len(row_sets[u] & members) for u in members) // 2
+    return sum(len(members.intersection(rows[u])) for u in members) // 2
 
 
 def _neighbourhood_edges(csr: CSRGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -233,16 +234,15 @@ def mcode_clusters_indices(csr: CSRGraph, min_score: float = MIN_SCORE) -> list[
     labels, as in the seed); only the label materialisation is left to the
     caller.
     """
-    n = csr.n_vertices
     rows = csr.neighbor_lists()
-    row_sets = csr.neighbor_sets()
-    weights = mcode_vertex_weights_indices(csr).tolist()
-    reprs = [repr(v) for v in csr.labels]
-    order = sorted(range(n), key=lambda i: (-weights[i], reprs[i]))
+    weight_array = mcode_vertex_weights_indices(csr)
+    weights = weight_array.tolist()
+    rank = label_sort_ranks(csr, repr)
+    order = np.lexsort((rank, -weight_array))
     seen: set[int] = set()
     raw: list[tuple[int, list[int]]] = []
-    for seed in order:
-        if seed in seen or weights[seed] <= 0.0:
+    for seed in order[: np.count_nonzero(weight_array > 0.0)].tolist():
+        if seed in seen:
             continue
         members = _grow_complex_indices(rows, weights, seed, seen, VERTEX_WEIGHT_PERCENTAGE)
         seen.update(members)
@@ -251,17 +251,17 @@ def mcode_clusters_indices(csr: CSRGraph, min_score: float = MIN_SCORE) -> list[
 
     complexes: list[IndexComplex] = []
     for seed, members in raw:
-        survivors = _peel_subset(row_sets, members, 2)
+        survivors = _peel_subset(rows, members, 2)
         n_sub = len(survivors)
         if n_sub < MIN_SIZE:
             continue
-        density = 2.0 * _subset_edge_count(row_sets, survivors) / (n_sub * (n_sub - 1))
+        density = 2.0 * _subset_edge_count(rows, survivors) / (n_sub * (n_sub - 1))
         score = density * n_sub
         if score < min_score:
             continue
         kept = tuple(u for u in members if u in survivors)
         complexes.append(IndexComplex(seed=seed, members=kept, score=score))
-    complexes.sort(key=lambda c: (-c.score, -len(c.members), reprs[c.seed]))
+    complexes.sort(key=lambda c: (-c.score, -len(c.members), rank[c.seed]))
     return complexes
 
 

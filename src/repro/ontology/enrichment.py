@@ -185,6 +185,13 @@ def reference_score_cluster(
     return enrichment
 
 
+#: Candidate term pairs (edge × annotation pairs) per edge range of
+#: :meth:`EnrichmentScorer._edge_score_arrays`.  A range holds about ten
+#: int64 arrays of its candidate count, so this bounds the per-edge scratch
+#: however many edges a batch scores.
+_EDGE_CANDIDATE_BLOCK = 1 << 14
+
+
 class _PairTable:
     """Packed-key → ``(dcp, breadth)`` memo over interned term pairs.
 
@@ -392,52 +399,76 @@ class EnrichmentScorer:
         annotation rows are pre-sorted), and the winner is the *first*
         candidate attaining the maximal score — selected per edge with one
         ``maximum.reduceat`` over a packed ``(score, −candidate)`` key.
+
+        The edges are walked in ranges of at most
+        :data:`_EDGE_CANDIDATE_BLOCK` candidates (an edge with more is a
+        range of its own), twice: a keys pass collects the distinct term
+        pairs of every range, one :meth:`_PairTable.ensure` scores those
+        not yet known, and a winners pass rebuilds each range's candidates
+        and picks its edges' winners from the table.  No range is split
+        inside an edge, so every winner is the one a single pass picks.
         """
         n_edges = ru.shape[0]
         dcp = np.full(n_edges, -1, dtype=np.int64)
         depth = np.zeros(n_edges, dtype=np.int64)
         breadth = np.zeros(n_edges, dtype=np.int64)
         out_score = np.zeros(n_edges, dtype=float)
-        if n_edges == 0:
-            return dcp, depth, breadth, out_score
         indptr = ann_index.indptr
         ru_safe = np.maximum(ru, 0)
         rv_safe = np.maximum(rv, 0)
         cu = (indptr[ru_safe + 1] - indptr[ru_safe]) * (ru >= 0)
         cv = (indptr[rv_safe + 1] - indptr[rv_safe]) * (rv >= 0)
-        n_cands = cu * cv
-        vi = np.nonzero(n_cands > 0)[0]
+        vi = np.nonzero(cu * cv > 0)[0]
         if vi.size == 0:
             return dcp, depth, breadth, out_score
-        seg = np.zeros(vi.size + 1, dtype=np.int64)
-        np.cumsum(n_cands[vi], out=seg[1:])
-        total = int(seg[-1])
-        edge_of = np.repeat(np.arange(vi.size, dtype=np.int64), n_cands[vi])
-        local = np.arange(total, dtype=np.int64) - seg[:-1][edge_of]
-        inner = cv[vi][edge_of]
-        ta = ann_index.term_ids[indptr[ru_safe[vi]][edge_of] + local // inner]
-        tb = ann_index.term_ids[indptr[rv_safe[vi]][edge_of] + local % inner]
+        u_start, v_start, cu, cv = indptr[ru_safe[vi]], indptr[rv_safe[vi]], cu[vi], cv[vi]
+        cum = np.zeros(vi.size + 1, dtype=np.int64)
+        np.cumsum(cu * cv, out=cum[1:])
+        bounds = [0]
+        while bounds[-1] < vi.size:
+            lo = bounds[-1]
+            hi = int(np.searchsorted(cum, cum[lo] + _EDGE_CANDIDATE_BLOCK, side="right")) - 1
+            bounds.append(max(hi, lo + 1))
         k = np.int64(term_index.n_terms)
-        keys = np.minimum(ta, tb) * k + np.maximum(ta, tb)
+        term_ids = ann_index.term_ids
+
+        def candidate_keys(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+            """Packed pair keys of edges ``vi[lo:hi]`` and their segment starts."""
+            seg = cum[lo : hi + 1] - cum[lo]
+            edge_of = np.repeat(np.arange(hi - lo, dtype=np.int64), seg[1:] - seg[:-1])
+            local = np.arange(seg[-1], dtype=np.int64) - seg[edge_of]
+            inner = cv[lo:hi][edge_of]
+            ta = term_ids[u_start[lo:hi][edge_of] + local // inner]
+            tb = term_ids[v_start[lo:hi][edge_of] + local % inner]
+            return np.minimum(ta, tb) * k + np.maximum(ta, tb), seg[:-1]
+
+        uniq = np.empty(0, dtype=np.int64)
+        for lo, hi in zip(bounds, bounds[1:]):
+            uniq = sorted_unique(np.concatenate([uniq, candidate_keys(lo, hi)[0]]))
         self._pairs.ensure(
-            sorted_unique(keys),
+            uniq,
             int(k),
             lambda a, b: (term_index.dcp_batch(a, b), term_index.distance_batch(a, b)),
         )
-        p_dcp, p_breadth = self._pairs.gather(keys)
-        p_depth = term_index.depths[p_dcp]
-        p_score = p_depth - p_breadth
-        # First-max-wins per edge: pack (score, −candidate index) into one
-        # int64 key; the global candidate index is strictly increasing inside
-        # a segment, so the packed max is the earliest maximal candidate.
-        m = np.int64(total + 1)
-        best = np.maximum.reduceat(p_score * m - np.arange(total, dtype=np.int64), seg[:-1])
-        best_score = -((-best) // m)  # ceil-div recovers the score half
-        win = best_score * m - best
-        dcp[vi] = p_dcp[win]
-        depth[vi] = p_depth[win]
-        breadth[vi] = p_breadth[win]
-        out_score[vi] = best_score.astype(float)
+        del uniq
+        for lo, hi in zip(bounds, bounds[1:]):
+            keys, starts = candidate_keys(lo, hi)
+            p_dcp, p_breadth = self._pairs.gather(keys)
+            p_depth = term_index.depths[p_dcp]
+            # First-max-wins per edge: pack (score, −candidate index) into one
+            # int64 key; the candidate index is strictly increasing inside a
+            # segment, so the packed max is the earliest maximal candidate.
+            m = np.int64(keys.size + 1)
+            best = np.maximum.reduceat(
+                (p_depth - p_breadth) * m - np.arange(keys.size, dtype=np.int64), starts
+            )
+            best_score = -((-best) // m)  # ceil-div recovers the score half
+            win = best_score * m - best
+            edges = vi[lo:hi]
+            dcp[edges] = p_dcp[win]
+            depth[edges] = p_depth[win]
+            breadth[edges] = p_breadth[win]
+            out_score[edges] = best_score.astype(float)
         return dcp, depth, breadth, out_score
 
     # ------------------------------------------------------------------

@@ -263,6 +263,12 @@ def extended_term_index(
     return index, old_to_new
 
 
+#: Pairs per block of :func:`dcp_batch_arrays`.  One block gathers both
+#: sides' ancestor rows (a few dozen int64 per pair on a GO-shaped DAG), so
+#: this bounds the scratch of a DCP batch however many pairs it is given.
+_DCP_PAIR_BLOCK = 4096
+
+
 def dcp_batch_arrays(
     a_ids: np.ndarray,
     b_ids: np.ndarray,
@@ -279,6 +285,8 @@ def dcp_batch_arrays(
     Among the surviving common ancestors the per-pair maximum of the packed
     ``(depth, id)`` key reproduces the scalar rule exactly — ties fall to the
     larger interned id, which is the lexically larger term by construction.
+    Pairs are answered in blocks of :data:`_DCP_PAIR_BLOCK`; each pair's
+    answer depends on that pair alone, so the blocks change no bit.
 
     A free function over raw arrays, not a :class:`TermIndex` method, so
     the tests can pin it on hand-built ancestor structures.
@@ -286,28 +294,29 @@ def dcp_batch_arrays(
     a_ids = np.ascontiguousarray(a_ids, dtype=np.int64)
     b_ids = np.ascontiguousarray(b_ids, dtype=np.int64)
     n_pairs = a_ids.shape[0]
-    if n_pairs == 0:
-        return np.empty(0, dtype=np.int64)
+    out = np.empty(n_pairs, dtype=np.int64)
     k = np.int64(depths.shape[0])
-    pair_ids = np.arange(n_pairs, dtype=np.int64)
-    a_vals, a_counts = gather_csr_rows(anc_indptr, anc_indices, a_ids)
-    b_vals, b_counts = gather_csr_rows(anc_indptr, anc_indices, b_ids)
-    a_pair = np.repeat(pair_ids, a_counts)
-    b_pair = np.repeat(pair_ids, b_counts)
-    packed_b = b_pair * k + b_vals
-    queries = a_pair * k + a_vals
-    pos = np.searchsorted(packed_b, queries)
-    pos[pos >= packed_b.shape[0]] = packed_b.shape[0] - 1
-    common = packed_b[pos] == queries
-    cand_vals = a_vals[common]
-    cand_pair = a_pair[common]
-    # Per-pair max of (depth, id), packed into one int64 key.  Every pair has
-    # at least one common ancestor (the root), so no segment is empty.
-    key = depths[cand_vals] * k + cand_vals
-    seg = np.zeros(n_pairs + 1, dtype=np.int64)
-    np.cumsum(np.bincount(cand_pair, minlength=n_pairs), out=seg[1:])
-    best = np.maximum.reduceat(key, seg[:-1])
-    return best % k
+    for lo in range(0, n_pairs, _DCP_PAIR_BLOCK):
+        a = a_ids[lo : lo + _DCP_PAIR_BLOCK]
+        pair_ids = np.arange(a.shape[0], dtype=np.int64)
+        a_vals, a_counts = gather_csr_rows(anc_indptr, anc_indices, a)
+        b_vals, b_counts = gather_csr_rows(
+            anc_indptr, anc_indices, b_ids[lo : lo + _DCP_PAIR_BLOCK]
+        )
+        a_pair = np.repeat(pair_ids, a_counts)
+        packed_b = np.repeat(pair_ids, b_counts) * k + b_vals
+        queries = a_pair * k + a_vals
+        pos = np.searchsorted(packed_b, queries)
+        pos[pos >= packed_b.shape[0]] = packed_b.shape[0] - 1
+        common = packed_b[pos] == queries
+        cand_vals = a_vals[common]
+        # Per-pair max of (depth, id), packed into one int64 key.  Every pair
+        # has at least one common ancestor (the root), so no segment is empty.
+        key = depths[cand_vals] * k + cand_vals
+        seg = np.zeros(a.shape[0] + 1, dtype=np.int64)
+        np.cumsum(np.bincount(a_pair[common], minlength=a.shape[0]), out=seg[1:])
+        out[lo : lo + a.shape[0]] = np.maximum.reduceat(key, seg[:-1]) % k
+    return out
 
 
 #: Cold-source count above which :func:`distance_batch_arrays` switches from
@@ -316,6 +325,11 @@ def dcp_batch_arrays(
 #: handful of array ops); the bitset sweep wins as soon as the per-BFS numpy
 #: call overhead would be paid more than a few dozen times.
 _BITSET_SOURCE_THRESHOLD = 16
+#: uint64 words per lane block of :func:`_bitset_distance_queries` (64
+#: sources a word).  A sweep holds a few ``n_terms × words`` masks plus one
+#: ``n_term_edges × words`` gather, so this bounds the BFS scratch however
+#: many cold sources a batch has.
+_BITSET_LANE_WORDS = 8
 
 
 def distance_batch_arrays(
@@ -333,10 +347,11 @@ def distance_batch_arrays(
     answered by a gather; a few cold sources run one frontier BFS each (the
     rows feed the cache, bounded by ``row_limit``); a *large* cold batch —
     the enrichment engine's first pass sees thousands of distinct sources —
-    runs **one multi-source bitset BFS** instead: every source becomes a bit
-    plane, one ``bitwise_or.reduceat`` over the CSR expands all frontiers a
-    level at a time in C, and queries are answered the level their source's
-    bit first reaches their destination (see :func:`_bitset_distance_queries`).
+    runs **multi-source bitset BFS** sweeps instead: every source becomes a
+    bit plane, one ``bitwise_or.reduceat`` over the CSR expands a lane block
+    of frontiers a level at a time in C, and queries are answered the level
+    their source's bit first reaches their destination (see
+    :func:`_bitset_distance_queries`).
 
     A free function over raw arrays, not a :class:`TermIndex` method, so
     the tests can pin its bitset and per-source paths on arbitrary CSRs.
@@ -376,52 +391,66 @@ def distance_batch_arrays(
 def _bitset_distance_queries(
     indptr: np.ndarray, indices: np.ndarray, src: np.ndarray, dst: np.ndarray
 ) -> np.ndarray:
-    """Answer ``(src, dst)`` distance queries with one multi-source bitset BFS.
+    """Answer ``(src, dst)`` distance queries with multi-source bitset BFS sweeps.
 
-    Each distinct source owns one bit across ``W = ceil(S / 64)`` uint64
-    words per vertex; ``reached[v]`` is the set of sources whose BFS has
-    touched ``v``.  A level expands **all** frontiers at once:
+    The distinct sources are swept in lane blocks of :data:`_BITSET_LANE_WORDS`
+    uint64 words (64 sources a word).  Within a block each source owns one
+    bit, and ``reached[v]`` is the set of the block's sources whose BFS has
+    touched ``v``.  A level expands **all** the block's frontiers at once:
     ``bitwise_or.reduceat(frontier[indices], indptr[:-1])`` ORs every
     vertex's neighbour masks in one C pass, newly-set bits advance the
     frontier, and every still-pending query whose source bit just reached
-    its destination is answered with the current level.  Unreachable pairs
-    (impossible in a rooted DAG) come back ``-1``, matching the scalar BFS.
+    its destination is answered with the current level.  A block stops as
+    soon as its queries are answered, so its scratch is a few words per
+    vertex however many sources there are.  Unreachable pairs (impossible
+    in a rooted DAG) come back ``-1``, matching the scalar BFS.
     """
     n = indptr.shape[0] - 1
     out = np.full(src.shape[0], -1, dtype=np.int64)
     same = src == dst
     out[same] = 0
-    pending = np.nonzero(~same)[0]
-    if pending.size == 0 or indices.shape[0] == 0:
+    todo = np.nonzero(~same)[0]
+    if todo.size == 0 or indices.shape[0] == 0:
         return out
-    sources, s_idx = np.unique(src, return_inverse=True)
-    s_count = sources.shape[0]
-    word = (s_idx // 64).astype(np.int64)
-    bit = (s_idx % 64).astype(np.uint64)
-    n_words = (s_count + 63) // 64
-    reached = np.zeros((n, n_words), dtype=np.uint64)
-    lane = np.arange(s_count, dtype=np.int64)
-    np.bitwise_or.at(
-        reached, (sources, lane // 64), np.uint64(1) << (lane % 64).astype(np.uint64)
-    )
+    sources, s_idx = np.unique(src[todo], return_inverse=True)
+    # Queries grouped by lane block, one stable sort: block j owns sources
+    # [j * lanes, (j + 1) * lanes) of the sorted distinct sources.
+    lanes = _BITSET_LANE_WORDS * 64
+    by_source = np.argsort(s_idx, kind="stable")
+    todo, s_idx = todo[by_source], s_idx[by_source]
+    block_bounds = np.searchsorted(s_idx, np.arange(0, sources.shape[0] + lanes, lanes))
     # Reduce only over non-empty rows: consecutive non-empty rows tile
     # ``indices`` exactly, so their ``indptr`` starts are valid reduceat
     # segment bounds (zero-degree rows would otherwise repeat a start and
     # corrupt the preceding row's segment).
     nonempty = np.nonzero(np.diff(indptr) > 0)[0]
     row_starts = indptr[nonempty]
-    frontier = reached.copy()
-    d = 0
-    while pending.size and frontier.any():
-        d += 1
-        new = np.zeros_like(reached)
-        new[nonempty] = np.bitwise_or.reduceat(frontier[indices], row_starts, axis=0)
-        new &= ~reached
-        reached |= new
-        hit = (new[dst[pending], word[pending]] >> bit[pending]) & np.uint64(1) != 0
-        out[pending[hit]] = d
-        pending = pending[~hit]
-        frontier = new
+    for j in range(block_bounds.shape[0] - 1):
+        q_lo, q_hi = block_bounds[j], block_bounds[j + 1]
+        pending = todo[q_lo:q_hi]
+        lane_q = s_idx[q_lo:q_hi] - j * lanes
+        word = lane_q // 64
+        bit = (lane_q % 64).astype(np.uint64)
+        lane = np.arange(min(lanes, sources.shape[0] - j * lanes), dtype=np.int64)
+        reached = np.zeros((n, (lane.shape[0] + 63) // 64), dtype=np.uint64)
+        np.bitwise_or.at(
+            reached,
+            (sources[j * lanes + lane], lane // 64),
+            np.uint64(1) << (lane % 64).astype(np.uint64),
+        )
+        frontier = reached.copy()
+        d = 0
+        while pending.size and frontier.any():
+            d += 1
+            new = np.zeros_like(reached)
+            new[nonempty] = np.bitwise_or.reduceat(frontier[indices], row_starts, axis=0)
+            new &= ~reached
+            reached |= new
+            hit = (new[dst[pending], word] >> bit) & np.uint64(1) != 0
+            out[pending[hit]] = d
+            keep = ~hit
+            pending, word, bit = pending[keep], word[keep], bit[keep]
+            frontier = new
     return out
 
 

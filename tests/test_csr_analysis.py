@@ -126,7 +126,7 @@ class TestCSRKCore:
     def test_peel_subset_matches_reference_k_core(self, g: Graph, k: int):
         ref = reference_k_core(g, k)
         csr = CSRGraph.from_graph(g)
-        alive = _peel_subset(csr.neighbor_sets(), range(csr.n_vertices), k)
+        alive = _peel_subset(csr.neighbor_lists(), range(csr.n_vertices), k)
         new = g.subgraph([v for i, v in enumerate(csr.labels) if i in alive])
         assert ref == new
         assert ref.vertices() == new.vertices()

@@ -36,7 +36,7 @@ def vertex_weights(g: Graph) -> dict:
 def peeled_core(g: Graph, k: int) -> Graph:
     """The ``k``-core the peeling kernel leaves, as a label subgraph of ``g``."""
     csr = CSRGraph.from_graph(g)
-    alive = _peel_subset(csr.neighbor_sets(), range(csr.n_vertices), k)
+    alive = _peel_subset(csr.neighbor_lists(), range(csr.n_vertices), k)
     return g.subgraph([v for i, v in enumerate(csr.labels) if i in alive])
 
 
@@ -142,6 +142,13 @@ class TestClusters:
         clusters = mcode_clusters(g, 2.0)
         assert clusters
         assert all("straggler" not in c.members for c in clusters)
+
+    def test_builds_no_neighbour_sets(self):
+        """Peeling and edge counts read the CSR's adjacency lists against the
+        member set; no per-vertex set outlives the run on the view."""
+        csr = CSRGraph.from_graph(two_cliques_with_bridge())
+        assert len(mcode_clusters(csr)) == 2
+        assert csr._row_sets is None
 
     def test_source_label_propagates(self):
         clusters = mcode_clusters(complete_graph(5), source="unit-test")

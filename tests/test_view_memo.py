@@ -108,7 +108,14 @@ class TestBuildOnce:
         assert bundle.network_csr._memo
         updated, _ = apply_update(bundle, UpdateSpec(add_samples=1, seed=9))
         assert updated.network_csr is not bundle.network_csr
-        assert updated.network_csr._memo == {}
+        # Nothing is carried over: the new view holds only the repr ranks
+        # its own MCODE run ranked seeds by, built from its own labels.
+        memo = updated.network_csr._memo
+        assert set(memo) == {("label_ranks", "repr")}
+        ranks = memo[("label_ranks", "repr")]
+        assert ranks is not bundle.network_csr._memo[("label_ranks", "repr")]
+        labels = updated.network_csr.labels
+        assert [labels[i] for i in np.argsort(ranks)] == sorted(labels, key=repr)
 
     def test_memo_is_bounded_oldest_first(self):
         csr = CSRGraph.from_buffers(np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64))
