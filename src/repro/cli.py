@@ -525,9 +525,7 @@ def _print_figure(name: str, out: dict) -> None:
     if "rows" in out:
         print(format_table(out["rows"], title=name))
         return
-    if name == "fig04":
-        print(format_table(out["rows"], title=name))
-    elif name == "fig05":
+    if name == "fig05":
         for dataset, data in out["datasets"].items():
             print(format_table(data["overlap_points"][:30], title=f"{name} {dataset} (overlap, excerpt)"))
             print(f"{dataset}: new clusters = {len(data['new_cluster_points'])}")
@@ -544,8 +542,13 @@ def _print_figure(name: str, out: dict) -> None:
         for label in ("small", "large"):
             print(format_series(out["series"][label], x_label="processors", title=f"{name} {label}"))
     elif name == "fig11":
+        from .clustering.evaluation import EvaluationThresholds
+
+        # fig11 keeps the clusters at or above its bundle's cut-off, which is
+        # always the paper's.
+        cut = EvaluationThresholds().aees_threshold
         for network, rows in out["top_clusters"].items():
-            print(format_table(rows, title=f"{name}: {network} clusters with AEES > 3"))
+            print(format_table(rows, title=f"{name}: {network} clusters with AEES >= {cut:g}"))
     else:  # pragma: no cover - defensive
         print(out)
 

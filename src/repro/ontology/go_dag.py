@@ -383,17 +383,28 @@ def distance_batch_arrays(
             q = order[bounds[si] : bounds[si + 1]]
             out[q] = row[dst[q]]
         return out
+    # Hand the sweep this grouping: the cold sources, ascending, and their
+    # query slices laid end to end.
+    cold_ids = np.asarray(cold, dtype=np.int64)
     pending = np.concatenate([order[bounds[si] : bounds[si + 1]] for si in cold])
-    out[pending] = _bitset_distance_queries(indptr, indices, src[pending], dst[pending])
+    cold_bounds = np.concatenate(([0], np.cumsum(bounds[cold_ids + 1] - bounds[cold_ids])))
+    out[pending] = _bitset_distance_queries(indptr, indices, sources[cold_ids], cold_bounds, dst[pending])
     return out
 
 
 def _bitset_distance_queries(
-    indptr: np.ndarray, indices: np.ndarray, src: np.ndarray, dst: np.ndarray
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    sources: np.ndarray,
+    bounds: np.ndarray,
+    dst: np.ndarray,
 ) -> np.ndarray:
-    """Answer ``(src, dst)`` distance queries with multi-source bitset BFS sweeps.
+    """Answer distance queries grouped by source with multi-source bitset BFS sweeps.
 
-    The distinct sources are swept in lane blocks of :data:`_BITSET_LANE_WORDS`
+    ``sources`` are distinct and ascending; the queries of ``sources[i]`` are
+    ``dst[bounds[i] : bounds[i + 1]]``, the grouping
+    :func:`distance_batch_arrays` has already built, so nothing here sorts.
+    The sources are swept in lane blocks of :data:`_BITSET_LANE_WORDS`
     uint64 words (64 sources a word).  Within a block each source owns one
     bit, and ``reached[v]`` is the set of the block's sources whose BFS has
     touched ``v``.  A level expands **all** the block's frontiers at once:
@@ -406,38 +417,28 @@ def _bitset_distance_queries(
     in a rooted DAG) come back ``-1``, matching the scalar BFS.
     """
     n = indptr.shape[0] - 1
-    out = np.full(src.shape[0], -1, dtype=np.int64)
-    same = src == dst
-    out[same] = 0
-    todo = np.nonzero(~same)[0]
-    if todo.size == 0 or indices.shape[0] == 0:
-        return out
-    sources, s_idx = np.unique(src[todo], return_inverse=True)
-    # Queries grouped by lane block, one stable sort: block j owns sources
-    # [j * lanes, (j + 1) * lanes) of the sorted distinct sources.
+    out = np.full(dst.shape[0], -1, dtype=np.int64)
     lanes = _BITSET_LANE_WORDS * 64
-    by_source = np.argsort(s_idx, kind="stable")
-    todo, s_idx = todo[by_source], s_idx[by_source]
-    block_bounds = np.searchsorted(s_idx, np.arange(0, sources.shape[0] + lanes, lanes))
     # Reduce only over non-empty rows: consecutive non-empty rows tile
     # ``indices`` exactly, so their ``indptr`` starts are valid reduceat
     # segment bounds (zero-degree rows would otherwise repeat a start and
     # corrupt the preceding row's segment).
     nonempty = np.nonzero(np.diff(indptr) > 0)[0]
     row_starts = indptr[nonempty]
-    for j in range(block_bounds.shape[0] - 1):
-        q_lo, q_hi = block_bounds[j], block_bounds[j + 1]
-        pending = todo[q_lo:q_hi]
-        lane_q = s_idx[q_lo:q_hi] - j * lanes
+    for lo in range(0, sources.shape[0], lanes):
+        block = sources[lo : lo + lanes]
+        lane = np.arange(block.shape[0], dtype=np.int64)
+        lane_q = np.repeat(lane, np.diff(bounds[lo : lo + block.shape[0] + 1]))
+        pending = np.arange(bounds[lo], bounds[lo + block.shape[0]], dtype=np.int64)
+        same = dst[pending] == block[lane_q]
+        out[pending[same]] = 0
+        pending, lane_q = pending[~same], lane_q[~same]
+        if pending.size == 0 or indices.shape[0] == 0:
+            continue
         word = lane_q // 64
         bit = (lane_q % 64).astype(np.uint64)
-        lane = np.arange(min(lanes, sources.shape[0] - j * lanes), dtype=np.int64)
-        reached = np.zeros((n, (lane.shape[0] + 63) // 64), dtype=np.uint64)
-        np.bitwise_or.at(
-            reached,
-            (sources[j * lanes + lane], lane // 64),
-            np.uint64(1) << (lane % 64).astype(np.uint64),
-        )
+        reached = np.zeros((n, (block.shape[0] + 63) // 64), dtype=np.uint64)
+        np.bitwise_or.at(reached, (block, lane // 64), np.uint64(1) << (lane % 64).astype(np.uint64))
         frontier = reached.copy()
         d = 0
         while pending.size and frontier.any():

@@ -30,9 +30,8 @@ source of truth shared with :func:`parallel_map`):
 work items (no communicator); its process backends scatter the items over
 the same resident workers.  The hub is brought up at the first caller's
 actual need and grown when a larger request arrives — warm interpreters are
-never discarded — torn down by :func:`shutdown_worker_pool` (the batch
-engine calls it at the end of every batch) and cleaned up at
-interpreter exit.
+never discarded — torn down by :func:`shutdown_worker_pool` (the serve
+daemon calls it when it stops) and cleaned up at interpreter exit.
 
 Failure supervision
 -------------------
@@ -518,9 +517,8 @@ def worker_pool_size() -> int:
 def shutdown_worker_pool() -> None:
     """Tear down the resident worker hub (no-op when none is up).
 
-    Callers that fan out many ``parallel_map`` runs (the batch engine) invoke
-    this once at the end of the batch; the hub also tears itself down at
-    interpreter exit, so an interactive interpreter never leaks worker
+    Long-lived callers (the serve daemon) invoke this when they stop; the
+    hub also tears itself down at interpreter exit, so an interactive interpreter never leaks worker
     processes.  Idempotent: repeated calls (and calls racing the exit hook)
     are safe, and the next process-backend call brings up a fresh hub.
     """

@@ -38,24 +38,29 @@ __all__ = [
     "quasi_chordality_study",
 ]
 
+#: Every study runs on the paper's largest network.
+DATASET = "CRE"
+#: MCODE score cut-offs swept around the paper's 3.0.
+MCODE_THRESHOLDS = (2.0, 2.5, 3.0, 3.5, 4.0, 5.0)
+#: Data distributions compared by :func:`partitioner_ablation`.
+PARTITIONERS = ("block", "bfs", "hash", "greedy")
+#: Size of the hub set and the centralities that rank it.
+HUB_COUNT = 20
+HUB_MEASURES = ("degree", "closeness", "betweenness")
 
-def mcode_threshold_sweep(
-    scale: Optional[float] = None,
-    dataset: str = "CRE",
-    thresholds: Sequence[float] = (2.0, 2.5, 3.0, 3.5, 4.0, 5.0),
-    ordering: str = "natural",
-) -> dict[str, Any]:
+
+def mcode_threshold_sweep(scale: Optional[float] = None) -> dict[str, Any]:
     """Sweep the MCODE score threshold on the original and chordal-filtered network.
 
     The paper keeps clusters scoring ≥ 3.0 ("scores of 2.9 or lower tend to
     indicate small cliques"); the sweep shows how the cluster population and
     the number of biologically relevant clusters respond to that choice.
     """
-    bundle = get_bundle(dataset, scale)
-    filtered = apply_filter(bundle.network_csr, method="chordal", ordering=ordering, n_partitions=1)
+    bundle = get_bundle(DATASET, scale)
+    filtered = apply_filter(bundle.network_csr, method="chordal", ordering="natural", n_partitions=1)
     filtered_csr = filtered.filtered_csr()
     rows: list[dict[str, Any]] = []
-    for threshold in thresholds:
+    for threshold in MCODE_THRESHOLDS:
         original_clusters = mcode_clusters(bundle.network_csr, threshold)
         filtered_clusters = mcode_clusters(filtered_csr, threshold)
         rows.append(
@@ -71,31 +76,25 @@ def mcode_threshold_sweep(
                 ),
             }
         )
-    return {"dataset": dataset, "rows": rows}
+    return {"dataset": DATASET, "rows": rows}
 
 
-def partitioner_ablation(
-    scale: Optional[float] = None,
-    dataset: str = "CRE",
-    n_partitions: int = 16,
-    methods: Sequence[str] = ("block", "bfs", "hash", "greedy"),
-    ordering: str = "natural",
-) -> dict[str, Any]:
+def partitioner_ablation(scale: Optional[float] = None, n_partitions: int = 16) -> dict[str, Any]:
     """Compare partitioners for the communication-free chordal sampler.
 
     Reports border edges, duplicates, edges kept, and how many of the
     biologically relevant clusters of the sequential run survive under each
     data distribution (the paper only uses the block distribution).
     """
-    bundle = get_bundle(dataset, scale)
-    sequential = apply_filter(bundle.network_csr, method="chordal", ordering=ordering, n_partitions=1)
+    bundle = get_bundle(DATASET, scale)
+    sequential = apply_filter(bundle.network_csr, method="chordal", ordering="natural", n_partitions=1)
     sequential_relevant = _relevant_cluster_count(bundle, sequential)
     rows: list[dict[str, Any]] = []
-    for method in methods:
+    for method in PARTITIONERS:
         result = apply_filter(
             bundle.network_csr,
             method="chordal",
-            ordering=ordering,
+            ordering="natural",
             n_partitions=n_partitions,
             partition_method=method,
         )
@@ -110,7 +109,7 @@ def partitioner_ablation(
                 "simulated_time": result.simulated_time,
             }
         )
-    return {"dataset": dataset, "n_partitions": n_partitions, "rows": rows}
+    return {"dataset": DATASET, "n_partitions": n_partitions, "rows": rows}
 
 
 def _relevant_cluster_count(bundle: DatasetBundle, result: FilterResult) -> int:
@@ -119,14 +118,7 @@ def _relevant_cluster_count(bundle: DatasetBundle, result: FilterResult) -> int:
     return sum(1 for aees in scores if aees >= bundle.thresholds.aees_threshold)
 
 
-def hub_retention_study(
-    scale: Optional[float] = None,
-    dataset: str = "CRE",
-    k: int = 20,
-    n_partitions: int = 8,
-    measures: Sequence[str] = ("degree", "closeness", "betweenness"),
-    seed: int = 0,
-) -> dict[str, Any]:
+def hub_retention_study(scale: Optional[float] = None, n_partitions: int = 8) -> dict[str, Any]:
     """How well do the filters preserve the identity and ranking of hub genes?
 
     The chordal filter optimises for dense clusters, not for structural-hub
@@ -134,26 +126,27 @@ def hub_retention_study(
     genes; this study reports top-k hub retention and the Spearman correlation
     of the centrality rankings for both filters.
     """
-    bundle = get_bundle(dataset, scale)
+    bundle = get_bundle(DATASET, scale)
     chordal = apply_filter(bundle.network, method="chordal", ordering="natural", n_partitions=n_partitions)
-    walk = apply_filter(bundle.network, method="random_walk", n_partitions=n_partitions, seed=seed)
+    walk = apply_filter(bundle.network, method="random_walk", n_partitions=n_partitions)
     rows: list[dict[str, Any]] = []
-    for measure in measures:
+    for measure in HUB_MEASURES:
         for label, result in (("chordal", chordal), ("random_walk", walk)):
             rows.append(
                 {
                     "measure": measure,
                     "filter": label,
-                    "hub_retention": hub_retention(bundle.network, result.graph, k=k, measure=measure),
+                    "hub_retention": hub_retention(
+                        bundle.network, result.graph, k=HUB_COUNT, measure=measure
+                    ),
                     "rank_correlation": centrality_spearman(bundle.network, result.graph, measure=measure),
                 }
             )
-    return {"dataset": dataset, "k": k, "rows": rows}
+    return {"dataset": DATASET, "k": HUB_COUNT, "rows": rows}
 
 
 def quasi_chordality_study(
     scale: Optional[float] = None,
-    dataset: str = "CRE",
     processor_counts: Sequence[int] = (2, 8, 32),
 ) -> dict[str, Any]:
     """Measure how far the parallel outputs are from true chordal subgraphs.
@@ -167,7 +160,7 @@ def quasi_chordality_study(
     permutation, so only then is the natural-order block partition scored
     here the one each filter actually cut.
     """
-    bundle = get_bundle(dataset, scale)
+    bundle = get_bundle(DATASET, scale)
     rows: list[dict[str, Any]] = []
 
     sequential = apply_filter(bundle.network, method="chordal", ordering="natural", n_partitions=1)
@@ -187,4 +180,4 @@ def quasi_chordality_study(
             {"variant": "nocomm+repair", "processors": p, **quasi_chordal_report(repaired, partition).as_dict()}
         )
         rows.append({"variant": "comm", "processors": p, **quasi_chordal_report(comm, partition).as_dict()})
-    return {"dataset": dataset, "rows": rows}
+    return {"dataset": DATASET, "rows": rows}

@@ -6,12 +6,13 @@ and two orderings") therefore used to be shell loops that re-derived shared
 dataset bundles and re-ran anything that crashed halfway.  This module turns
 such a sweep into a single batched run:
 
-* a :class:`RunSpec` names one run — ``(figure, scale, ordering, seed)`` plus
-  optional extra driver parameters — and has a stable content hash;
+* a :class:`RunSpec` names one run — ``(figure, scale, ordering, seed)``,
+  every driver otherwise running its paper configuration — and has a stable
+  content hash;
 * duplicate specs are collapsed, and runs execute in-process grouped by
   scale, so the memoised dataset bundles
   (:func:`repro.pipeline.experiments.get_bundle`) are shared by every run
-  of a scale;
+  of a scale and released before the next scale's;
 * every run draws its randomness from a per-run stream derived with
   :func:`repro.parallel.rng.derive_seed`, so adding or reordering specs never
   changes another run's result;
@@ -36,7 +37,6 @@ from typing import Any, Callable, Optional, Sequence
 from ..canonical import canonical_hash
 from ..faults import fault_point
 from ..parallel.rng import derive_seed
-from ..parallel.runner import shutdown_worker_pool
 from . import experiments as exp
 
 __all__ = [
@@ -108,19 +108,15 @@ def parse_scale(text: str) -> float:
 
 @dataclass(frozen=True)
 class RunSpec:
-    """One experiment run: a driver plus the swept parameters.
+    """One experiment run: a driver plus the swept ordering and seed.
 
-    ``params`` holds extra driver keyword arguments as a sorted tuple of
-    ``(name, value)`` pairs so that specs stay hashable and the content hash
-    is insensitive to keyword order; build specs with :meth:`create` to get
-    that normalisation for free.
+    Build specs with :meth:`create`, which validates and normalises them.
     """
 
     figure: str
     scale: float
     ordering: Optional[str] = None
     seed: Optional[int] = None
-    params: tuple[tuple[str, Any], ...] = ()
 
     @classmethod
     def create(
@@ -129,7 +125,6 @@ class RunSpec:
         scale: float | str,
         ordering: Optional[str] = None,
         seed: Optional[int] = None,
-        **params: Any,
     ) -> "RunSpec":
         """Build a normalised spec (validates the driver name and the scale)."""
         get_driver(figure)  # raises on unknown names
@@ -140,7 +135,6 @@ class RunSpec:
             scale=round(float(scale), 6),
             ordering=ordering,
             seed=seed,
-            params=tuple(sorted(params.items())),
         )
 
     def canonical(self) -> dict[str, Any]:
@@ -150,7 +144,6 @@ class RunSpec:
             "scale": self.scale,
             "ordering": self.ordering,
             "seed": self.seed,
-            "params": [[k, _jsonify(v)] for k, v in self.params],
         }
 
     def spec_hash(self) -> str:
@@ -241,10 +234,6 @@ def _driver_kwargs(spec: RunSpec) -> dict[str, Any]:
             raise ValueError(f"driver {spec.figure!r} does not take an ordering")
     if spec.seed is not None:
         kwargs["seed"] = spec.seed
-    for name, value in spec.params:
-        if name not in parameters:
-            raise ValueError(f"driver {spec.figure!r} has no parameter {name!r}")
-        kwargs[name] = value
     return kwargs
 
 
@@ -257,14 +246,13 @@ def run_spec(spec: RunSpec) -> tuple[Any, float]:
     return _jsonify(output), time.perf_counter() - t0
 
 
-def _run_group_keep_pool(specs: list["RunSpec"]) -> list[dict[str, Any]]:
-    """Run one scale-group of specs, leaving the shared filter worker pool alive.
+def _run_group(specs: list["RunSpec"]) -> list[dict[str, Any]]:
+    """Run one scale-group of specs.
 
     Grouping by scale is the bundle dedup: the figure drivers share
     :func:`repro.pipeline.experiments.get_bundle`'s memoised bundles, so a
     (dataset, scale) pair is generated once per group instead of once per
-    run.  Drivers receive ``params`` values exactly as the caller supplied
-    them — the JSON coercion applies only to results and to the content hash.
+    run.
     """
     out: list[dict[str, Any]] = []
     for spec in specs:
@@ -428,13 +416,13 @@ def run_batch(
                 cache_path=path,
             )
 
-    # Drivers that run filters with backend="process" share one worker pool
-    # across the whole batch; release it once at the end so a batch never
-    # leaks worker processes.
-    try:
-        for group in groups.values():
-            _absorb(group, _run_group_keep_pool([spec for _, spec in group]))
-    finally:
-        shutdown_worker_pool()
+    for group in groups.values():
+        try:
+            _absorb(group, _run_group([spec for _, spec in group]))
+        finally:
+            # No later group shares this scale's bundles or analyses, so a
+            # multi-scale batch holds one scale's at a time.
+            exp._BUNDLE_CACHE.clear()
+            exp._ANALYSIS_CACHE.clear()
 
     return [results[h] for h in hashes]

@@ -5,21 +5,25 @@ a driver here that regenerates the corresponding rows / series; the benchmark
 files under ``benchmarks/`` are thin wrappers around these functions (README's
 figure table maps each figure to its benchmark).
 
-All drivers take a ``scale`` parameter (see
+Each driver runs its figure's paper configuration: the datasets, processor
+counts and cut-offs are fixed here, and only what a caller varies is a
+parameter.  All drivers take a ``scale`` (see
 :meth:`repro.expression.StudyConfig.scaled`); the default is read from the
 ``REPRO_SCALE`` environment variable and falls back to a size that runs the
 full pipeline in seconds on a laptop while preserving the qualitative shape of
-the published results.  Dataset bundles are memoised per (name, scale) because
-several figures share them.
+the published results.  The drivers that ``repro batch`` sweeps also take an
+``ordering`` (or ``orderings``) and, for the random-walk control, a ``seed``.
+Dataset bundles are memoised per (name, scale) because several figures share
+them.
 """
 
 from __future__ import annotations
 
 from typing import Any, Optional, Sequence
 
-from ..clustering.evaluation import EvaluationThresholds, quadrant_counts
+from ..clustering.evaluation import quadrant_counts
 from ..core.sampling import apply_filter
-from ..expression.datasets import default_scale
+from ..expression.datasets import dataset_names, default_scale
 from ..graph.ordering import ordering_names
 from .workflow import DatasetBundle, FilterAnalysis, analyze_filter, prepare_dataset
 
@@ -42,17 +46,25 @@ __all__ = [
 #: Paper figure labels for the four orderings.
 ORDERING_LABELS = {"natural": "NO", "high_degree": "HD", "low_degree": "LD", "rcm": "RCM"}
 
-_BUNDLE_CACHE: dict[tuple[str, float, int], DatasetBundle] = {}
+#: Processor counts of Figure 11's two panels (1P against 64P).
+FIG11_PROCESSORS = (1, 64)
+#: Ranks of the random-walk control's two filters.
+CONTROL_PARTITIONS = 4
+#: The border-edge study's sweep: processor counts and partitioners.
+BORDER_PROCESSORS = (2, 4, 8, 16, 32, 64)
+BORDER_PARTITIONERS = ("block", "bfs", "hash")
+
+_BUNDLE_CACHE: dict[tuple[str, float], DatasetBundle] = {}
 _ANALYSIS_CACHE: dict[tuple, FilterAnalysis] = {}
 
 
-def get_bundle(name: str, scale: Optional[float] = None, seed: Optional[int] = None) -> DatasetBundle:
+def get_bundle(name: str, scale: Optional[float] = None) -> DatasetBundle:
     """Return (and memoise) the prepared dataset bundle for ``name`` at ``scale``."""
     scale = default_scale() if scale is None else scale
-    key = (name.upper(), round(scale, 6), -1 if seed is None else seed)
+    key = (name.upper(), round(scale, 6))
     bundle = _BUNDLE_CACHE.get(key)
     if bundle is None:
-        bundle = prepare_dataset(name, scale=scale, seed=seed)
+        bundle = prepare_dataset(name, scale=scale)
         _BUNDLE_CACHE[key] = bundle
     return bundle
 
@@ -85,7 +97,6 @@ def _get_analysis(
 # ----------------------------------------------------------------------
 def fig04_aees_by_ordering(
     scale: Optional[float] = None,
-    datasets: Sequence[str] = ("YNG", "MID"),
     orderings: Optional[Sequence[str]] = None,
 ) -> dict[str, Any]:
     """Reproduce Figure 4: per-cluster AEES in the original network and the four
@@ -98,7 +109,7 @@ def fig04_aees_by_ordering(
     orderings = list(orderings) if orderings else ordering_names()
     rows: list[dict[str, Any]] = []
     means: dict[str, float] = {}
-    for name in datasets:
+    for name in ("YNG", "MID"):
         bundle = get_bundle(name, scale)
         orig_scores = bundle.scorer.cluster_aees(bundle.original_clusters)
         for cid, aees in enumerate(orig_scores):
@@ -121,7 +132,6 @@ def fig04_aees_by_ordering(
 # ----------------------------------------------------------------------
 def fig05_overlap_scatter(
     scale: Optional[float] = None,
-    datasets: Sequence[str] = ("UNT", "CRE"),
     orderings: Optional[Sequence[str]] = None,
 ) -> dict[str, Any]:
     """Reproduce Figure 5: overlap of filtered clusters with original clusters.
@@ -134,7 +144,7 @@ def fig05_overlap_scatter(
     """
     orderings = list(orderings) if orderings else ordering_names()
     out: dict[str, Any] = {"datasets": {}}
-    for name in datasets:
+    for name in ("UNT", "CRE"):
         bundle = get_bundle(name, scale)
         overlap_points: list[dict[str, Any]] = []
         new_points: list[dict[str, Any]] = []
@@ -169,12 +179,11 @@ def fig05_overlap_scatter(
 def _overlap_vs_aees(
     overlap_attr: str,
     scale: Optional[float],
-    datasets: Sequence[str],
     orderings: Optional[Sequence[str]],
 ) -> dict[str, Any]:
     orderings = list(orderings) if orderings else ordering_names()
     points: list[dict[str, Any]] = []
-    for name in datasets:
+    for name in dataset_names():
         bundle = get_bundle(name, scale)
         for ordering in orderings:
             analysis = _get_analysis(bundle, "chordal", ordering, 1)
@@ -196,20 +205,18 @@ def _overlap_vs_aees(
 
 def fig06_node_overlap_vs_aees(
     scale: Optional[float] = None,
-    datasets: Sequence[str] = ("YNG", "MID", "UNT", "CRE"),
     orderings: Optional[Sequence[str]] = None,
 ) -> dict[str, Any]:
     """Reproduce Figure 6: node overlap (y) vs filtered-cluster AEES (x), all networks."""
-    return _overlap_vs_aees("node_overlap", scale, datasets, orderings)
+    return _overlap_vs_aees("node_overlap", scale, orderings)
 
 
 def fig07_edge_overlap_vs_aees(
     scale: Optional[float] = None,
-    datasets: Sequence[str] = ("YNG", "MID", "UNT", "CRE"),
     orderings: Optional[Sequence[str]] = None,
 ) -> dict[str, Any]:
     """Reproduce Figure 7: edge overlap (y) vs filtered-cluster AEES (x), all networks."""
-    return _overlap_vs_aees("edge_overlap", scale, datasets, orderings)
+    return _overlap_vs_aees("edge_overlap", scale, orderings)
 
 
 # ----------------------------------------------------------------------
@@ -217,18 +224,17 @@ def fig07_edge_overlap_vs_aees(
 # ----------------------------------------------------------------------
 def fig08_sensitivity_specificity(
     scale: Optional[float] = None,
-    datasets: Sequence[str] = ("YNG", "MID", "UNT", "CRE"),
     orderings: Optional[Sequence[str]] = None,
-    thresholds: EvaluationThresholds = EvaluationThresholds(),
 ) -> dict[str, Any]:
     """Reproduce Figure 8: TP/FP/FN/TN-derived sensitivity and specificity of the
     node-overlap and edge-overlap matching criteria, aggregated over all
-    networks and orderings.
+    networks and orderings.  The reported cut-offs are the bundles' own, the
+    ones their quadrants were classified with.
     """
     orderings = list(orderings) if orderings else ordering_names()
     node_scored = []
     edge_scored = []
-    for name in datasets:
+    for name in dataset_names():
         bundle = get_bundle(name, scale)
         for ordering in orderings:
             analysis = _get_analysis(bundle, "chordal", ordering, 1)
@@ -236,6 +242,9 @@ def fig08_sensitivity_specificity(
             edge_scored.extend(s for s in analysis.scored_by_edge if not s.match.is_found)
     node_counts = quadrant_counts(node_scored)
     edge_counts = quadrant_counts(edge_scored)
+    # A bundle's cut-offs are always the paper's, so the last bundle's are the
+    # ones every quadrant above was classified with.
+    thresholds = bundle.thresholds
     return {
         "node_overlap": node_counts.as_dict(),
         "edge_overlap": edge_counts.as_dict(),
@@ -251,7 +260,6 @@ def fig08_sensitivity_specificity(
 # ----------------------------------------------------------------------
 def fig09_cluster_refinement(
     scale: Optional[float] = None,
-    dataset: str = "UNT",
     ordering: str = "high_degree",
 ) -> dict[str, Any]:
     """Reproduce Figure 9's case study: find the filtered cluster whose AEES
@@ -262,7 +270,7 @@ def fig09_cluster_refinement(
     regulation; here the analogue is the matched pair with the largest AEES
     gain, reported with both scores, the overlaps and the dominant DCP term.
     """
-    bundle = get_bundle(dataset, scale)
+    bundle = get_bundle("UNT", scale)
     analysis = _get_analysis(bundle, "chordal", ordering, 1)
     best: Optional[dict[str, Any]] = None
     for match in analysis.matches:
@@ -272,7 +280,7 @@ def fig09_cluster_refinement(
         filtered_aees, original_aees = scores.aees.tolist()
         gain = filtered_aees - original_aees
         row = {
-            "dataset": dataset,
+            "dataset": bundle.name,
             "ordering": ORDERING_LABELS.get(ordering, ordering),
             "original_cluster": match.original.cluster_id,
             "filtered_cluster": match.filtered.cluster_id,
@@ -295,8 +303,6 @@ def fig09_cluster_refinement(
 # ----------------------------------------------------------------------
 def fig10_scalability(
     scale: Optional[float] = None,
-    small_dataset: str = "YNG",
-    large_dataset: str = "CRE",
     processor_counts: Sequence[int] = (1, 2, 4, 8, 16, 32, 64),
     ordering: str = "natural",
 ) -> dict[str, Any]:
@@ -310,7 +316,7 @@ def fig10_scalability(
     """
     series: dict[str, dict[str, dict[int, float]]] = {}
     meta: dict[str, Any] = {}
-    for label, name in (("small", small_dataset), ("large", large_dataset)):
+    for label, name in (("small", "YNG"), ("large", "CRE")):
         bundle = get_bundle(name, scale)
         meta[label] = {"dataset": name, "n_vertices": bundle.n_vertices, "n_edges": bundle.n_edges}
         series[label] = {"chordal_comm": {}, "chordal_nocomm": {}, "random_walk": {}}
@@ -329,16 +335,15 @@ def fig10_scalability(
 # ----------------------------------------------------------------------
 def fig11_parallel_consistency(
     scale: Optional[float] = None,
-    dataset: str = "CRE",
     ordering: str = "natural",
-    processor_counts: Sequence[int] = (1, 64),
-    aees_threshold: float = 3.0,
 ) -> dict[str, Any]:
     """Reproduce Figure 11: cluster overlap against the original network at 1P and
-    64P (left panel) and the table of high-AEES clusters (right panel).
+    64P (left panel) and the table of the clusters at or above the bundle's
+    AEES cut-off (right panel).
     """
-    bundle = get_bundle(dataset, scale)
-    out: dict[str, Any] = {"dataset": dataset, "ordering": ORDERING_LABELS.get(ordering, ordering)}
+    bundle = get_bundle("CRE", scale)
+    aees_threshold = bundle.thresholds.aees_threshold
+    out: dict[str, Any] = {"dataset": bundle.name, "ordering": ORDERING_LABELS.get(ordering, ordering)}
     overlap_points: dict[int, list[dict[str, Any]]] = {}
     top_clusters: dict[str, list[dict[str, Any]]] = {}
 
@@ -359,7 +364,7 @@ def fig11_parallel_consistency(
             )
     top_clusters["ORIG"] = orig_rows
 
-    for p in processor_counts:
+    for p in FIG11_PROCESSORS:
         analysis = _get_analysis(bundle, "chordal", ordering, p)
         points = [
             {
@@ -394,20 +399,15 @@ def fig11_parallel_consistency(
 # ----------------------------------------------------------------------
 # Text claims — random-walk control and border-edge behaviour
 # ----------------------------------------------------------------------
-def random_walk_control(
-    scale: Optional[float] = None,
-    datasets: Sequence[str] = ("YNG", "MID", "UNT", "CRE"),
-    n_partitions: int = 4,
-    seed: int = 0,
-) -> dict[str, Any]:
+def random_walk_control(scale: Optional[float] = None, seed: int = 0) -> dict[str, Any]:
     """Reproduce the H0a claim: the random-walk filter retains too few edges for
     MCODE to find any cluster, while the chordal filter keeps finding them.
     """
     rows = []
-    for name in datasets:
+    for name in dataset_names():
         bundle = get_bundle(name, scale)
-        walk = _get_analysis(bundle, "random_walk", None, n_partitions, seed=seed)
-        chordal = _get_analysis(bundle, "chordal", "natural", n_partitions)
+        walk = _get_analysis(bundle, "random_walk", None, CONTROL_PARTITIONS, seed=seed)
+        chordal = _get_analysis(bundle, "chordal", "natural", CONTROL_PARTITIONS)
         rows.append(
             {
                 "dataset": name,
@@ -422,21 +422,15 @@ def random_walk_control(
     return {"rows": rows}
 
 
-def border_edge_study(
-    scale: Optional[float] = None,
-    dataset: str = "CRE",
-    processor_counts: Sequence[int] = (2, 4, 8, 16, 32, 64),
-    ordering: str = "natural",
-    partition_methods: Sequence[str] = ("block", "bfs", "hash"),
-) -> dict[str, Any]:
+def border_edge_study(scale: Optional[float] = None, ordering: str = "natural") -> dict[str, Any]:
     """Ablation of the border-edge machinery: border edge counts, duplicates
     (no-comm) and communication volume (with-comm) as the processor count and
     the partitioner vary.
     """
-    bundle = get_bundle(dataset, scale)
+    bundle = get_bundle("CRE", scale)
     rows = []
-    for method in partition_methods:
-        for p in processor_counts:
+    for method in BORDER_PARTITIONERS:
+        for p in BORDER_PROCESSORS:
             nocomm = apply_filter(
                 bundle.network_csr, method="chordal", ordering=ordering, n_partitions=p, partition_method=method
             )
@@ -456,4 +450,4 @@ def border_edge_study(
                     "comm_items": getattr(comm_stats, "items_sent", 0),
                 }
             )
-    return {"dataset": dataset, "rows": rows}
+    return {"dataset": bundle.name, "rows": rows}

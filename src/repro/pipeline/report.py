@@ -12,12 +12,15 @@ from typing import Any, Optional
 
 __all__ = ["format_table", "format_series", "format_kv"]
 
+#: Decimal places of every rendered float.
+FLOAT_DIGITS = 3
 
-def _fmt(value: Any, float_digits: int = 3) -> str:
+
+def _fmt(value: Any) -> str:
     if isinstance(value, bool):
         return "yes" if value else "no"
     if isinstance(value, float):
-        return f"{value:.{float_digits}f}"
+        return f"{value:.{FLOAT_DIGITS}f}"
     if value is None:
         return "-"
     return str(value)
@@ -27,7 +30,6 @@ def format_table(
     rows: Sequence[Mapping[str, Any]],
     columns: Optional[Sequence[str]] = None,
     title: Optional[str] = None,
-    float_digits: int = 3,
 ) -> str:
     """Render a list of dict rows as an aligned text table.
 
@@ -37,7 +39,7 @@ def format_table(
     if not rows:
         return f"{title}\n(no rows)" if title else "(no rows)"
     cols = list(columns) if columns else list(rows[0].keys())
-    rendered = [[_fmt(row.get(c), float_digits) for c in cols] for row in rows]
+    rendered = [[_fmt(row.get(c)) for c in cols] for row in rows]
     widths = [max(len(c), *(len(r[i]) for r in rendered)) for i, c in enumerate(cols)]
     lines = []
     if title:
@@ -54,7 +56,6 @@ def format_series(
     series: Mapping[str, Mapping[Any, Any]],
     x_label: str = "x",
     title: Optional[str] = None,
-    float_digits: int = 4,
 ) -> str:
     """Render named series ``{name: {x: y}}`` as a table with one column per series."""
     xs: list[Any] = []
@@ -72,13 +73,13 @@ def format_series(
         for name, values in series.items():
             row[name] = values.get(x)
         rows.append(row)
-    return format_table(rows, columns=[x_label, *series.keys()], title=title, float_digits=float_digits)
+    return format_table(rows, columns=[x_label, *series.keys()], title=title)
 
 
-def format_kv(mapping: Mapping[str, Any], title: Optional[str] = None, float_digits: int = 3) -> str:
+def format_kv(mapping: Mapping[str, Any], title: Optional[str] = None) -> str:
     """Render a flat mapping as ``key: value`` lines."""
     lines = [title] if title else []
     width = max((len(k) for k in mapping), default=0)
     for k, v in mapping.items():
-        lines.append(f"{k.ljust(width)} : {_fmt(v, float_digits)}")
+        lines.append(f"{k.ljust(width)} : {_fmt(v)}")
     return "\n".join(lines)

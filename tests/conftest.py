@@ -246,3 +246,30 @@ def fresh_bundle_cache():
 
         cold()
         yield cold
+
+
+#: Scale of the paper-configuration driver outputs (``paper_output``).
+PAPER_OUTPUT_SCALE = 0.02
+
+
+@pytest.fixture(scope="session")
+def paper_output():
+    """``run(name)``: the output of a figure driver (a ``DRIVERS`` name) or an
+    ablation (a function name of :mod:`repro.pipeline.ablation`) in its paper
+    configuration at :data:`PAPER_OUTPUT_SCALE`, computed once per session.
+
+    The digest pin and the behaviour tests read the same outputs, so each
+    configuration runs once.  Outputs are shared: tests must not mutate them.
+    """
+    from repro.pipeline import ablation
+    from repro.pipeline.batch import DRIVERS
+
+    runners = {**DRIVERS, **{name: getattr(ablation, name) for name in ablation.__all__}}
+    outputs: dict[str, dict] = {}
+
+    def run(name: str) -> dict:
+        if name not in outputs:
+            outputs[name] = runners[name](scale=PAPER_OUTPUT_SCALE)
+        return outputs[name]
+
+    return run

@@ -6,7 +6,9 @@ import json
 
 import pytest
 
+from repro.parallel.runner import worker_pool_size
 from repro.pipeline import batch as b
+from repro.pipeline import experiments as exp
 from repro.pipeline.batch import BatchRunResult, RunSpec, run_batch
 
 
@@ -28,15 +30,23 @@ class TestRunSpec:
         spec = RunSpec.create("FIG04", "tiny", ordering="natural")
         assert spec.figure == "fig04"
         assert spec.scale == 0.02
-        assert spec.params == ()
+        assert spec.canonical() == {"figure": "fig04", "scale": 0.02, "ordering": "natural", "seed": None}
 
     def test_unknown_figure_rejected(self):
         with pytest.raises(KeyError):
             RunSpec.create("fig99", 0.1)
 
-    def test_hash_stable_and_param_order_insensitive(self):
-        a = RunSpec.create("fig04", 0.1, datasets=["YNG"], orderings=["rcm"])
-        c = RunSpec.create("fig04", 0.1, orderings=["rcm"], datasets=["YNG"])
+    def test_extra_driver_parameters_refused(self):
+        """A spec is its figure, scale, ordering and seed; every driver runs
+        its paper configuration otherwise."""
+        with pytest.raises(TypeError, match="datasets"):
+            RunSpec.create("fig04", 0.1, datasets=["YNG"])
+        with pytest.raises(TypeError, match="params"):
+            RunSpec("fig04", 0.1, params=())
+
+    def test_hash_stable_and_normalised(self):
+        a = RunSpec.create("fig04", 0.02, ordering="rcm")
+        c = RunSpec.create(" FIG04", "tiny", ordering="rcm")
         assert a.spec_hash() == c.spec_hash()
         assert len(a.spec_hash()) == 16
 
@@ -152,3 +162,28 @@ class TestEngine:
         )
         assert cached.status == "cached"
         assert cached.output == result.output
+
+    def test_memo_is_scoped_to_its_scale_group(self, monkeypatch, fresh_bundle_cache):
+        """Each scale group releases its bundles and analyses before the next
+        group runs, so a multi-scale batch holds one scale's at a time."""
+        seen: list[set[float]] = []
+
+        def probe(scale=None):
+            seen.append({key[1] for key in exp._BUNDLE_CACHE})
+            return {"analyses": len(exp._ANALYSIS_CACHE)}
+
+        monkeypatch.setitem(b.DRIVERS, "probe", probe)
+        results = run_batch(
+            [
+                RunSpec.create("fig09", 0.02),
+                RunSpec.create("probe", 0.02),
+                RunSpec.create("fig09", 0.03),
+                RunSpec.create("probe", 0.03),
+            ],
+            cache_dir=None,
+        )
+        assert [r.status for r in results] == ["ran"] * 4
+        assert seen == [{0.02}, {0.03}]
+        assert results[3].output == {"analyses": 1}
+        assert exp._BUNDLE_CACHE == {} and exp._ANALYSIS_CACHE == {}
+        assert worker_pool_size() == 0

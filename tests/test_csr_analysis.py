@@ -14,7 +14,6 @@ sampler pipeline.
 
 from __future__ import annotations
 
-import inspect
 
 import numpy as np
 import pytest
@@ -56,7 +55,7 @@ from repro.clustering.mcode import (
     mcode_vertex_weights_indices,
 )
 from repro.ontology.generator import make_study_ontology
-from repro.pipeline.ablation import mcode_threshold_sweep
+from repro.pipeline.ablation import MCODE_THRESHOLDS
 
 
 @st.composite
@@ -84,7 +83,7 @@ def random_graphs(draw, max_vertices: int = 16, max_extra_edges: int = 36, mixed
 #: The score cut is MCODE's one setting: every cut the threshold ablation
 #: sweeps, the paper's 3.0 among them.  A complex that survives the 2-core
 #: step scores above 2.0, so lower cuts keep the same clusters as 2.0.
-MIN_SCORES = inspect.signature(mcode_threshold_sweep).parameters["thresholds"].default
+MIN_SCORES = MCODE_THRESHOLDS
 
 GENERATOR_GRAPHS = [
     erdos_renyi_graph(60, 0.12, seed=1),

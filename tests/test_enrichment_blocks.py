@@ -19,7 +19,7 @@ import pytest
 from repro.graph import Graph
 from repro.ontology import AnnotationTable, EnrichmentScorer, make_go_dag, reference_score_edge
 from repro.ontology import enrichment, go_dag
-from repro.ontology.go_dag import _bfs_distances, _bitset_distance_queries, dcp_batch_arrays
+from repro.ontology.go_dag import _bfs_distances, dcp_batch_arrays, distance_batch_arrays
 
 
 def tree_with_chords(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -57,9 +57,27 @@ class TestBitsetLaneBlocks:
         dst = src + 1 + rng.integers(n - 1 - src)
         dst[::3] = src[::3]
         assert np.unique(src[src != dst]).size == n_sources and n_sources % lanes
-        got = _bitset_distance_queries(indptr, indices, src, dst)
+        assert n_sources > go_dag._BITSET_SOURCE_THRESHOLD  # the bitset path
+        got = distance_batch_arrays(src, dst, indptr, indices)
         rows = {s: _bfs_distances(indptr, indices, s) for s in np.unique(src).tolist()}
         assert got.tolist() == [int(rows[s][d]) for s, d in zip(src.tolist(), dst.tolist())]
+
+    def test_cold_sources_among_cached_rows(self, monkeypatch):
+        """Every third source is answered from a cached row; the cold rest,
+        with uneven query counts over several lane blocks, are swept."""
+        monkeypatch.setattr(go_dag, "_BITSET_LANE_WORDS", 1)
+        n = 400
+        indptr, indices = tree_with_chords(n, seed=11)
+        rng = np.random.default_rng(11)
+        a, b = rng.integers(n, size=(2, 3000)).astype(np.int64)
+        src, dst = np.minimum(a, b), np.maximum(a, b)
+        rows = {s: _bfs_distances(indptr, indices, s) for s in np.unique(src).tolist()}
+        warm = {s: rows[s] for s in list(rows)[::3]}
+        cold = set(rows) - set(warm)
+        assert len(cold) > 2 * 64 and len(cold) > go_dag._BITSET_SOURCE_THRESHOLD
+        got = distance_batch_arrays(a, b, indptr, indices, row_cache=warm)
+        assert got.tolist() == [int(rows[s][d]) for s, d in zip(src.tolist(), dst.tolist())]
+        assert set(warm) == set(rows) - cold  # the bitset path caches no rows
 
 
 class TestDcpPairBlocks:

@@ -353,8 +353,9 @@ class TestBitsetBfsEdgeCases:
         of the last non-empty row (regression: the old start-clipping dropped
         that row's final neighbour)."""
         from repro.ontology.go_dag import (
+            _BITSET_SOURCE_THRESHOLD,
             _bfs_distances,
-            _bitset_distance_queries,
+            distance_batch_arrays,
         )
 
         # path 0-1-...-29 plus chord (0, 29), then an isolated vertex 30
@@ -375,13 +376,13 @@ class TestBitsetBfsEdgeCases:
         src = rng.integers(0, n - 1, 80).astype(np.int64)
         dst = rng.integers(0, n, 80).astype(np.int64)
         src, dst = np.minimum(src, dst), np.maximum(src, dst)
-        assert np.unique(src).size > 16
-        got = _bitset_distance_queries(indptr, indices, src, dst)
+        assert np.unique(src).size > _BITSET_SOURCE_THRESHOLD  # the bitset path
+        got = distance_batch_arrays(src, dst, indptr, indices)
         for i in range(src.shape[0]):
             assert got[i] == _bfs_distances(indptr, indices, int(src[i]))[int(dst[i])]
         # the isolated vertex is unreachable: -1, like the scalar BFS
-        iso = _bitset_distance_queries(
-            indptr, indices, np.arange(17, dtype=np.int64), np.full(17, 30, dtype=np.int64)
+        iso = distance_batch_arrays(
+            np.arange(17, dtype=np.int64), np.full(17, 30, dtype=np.int64), indptr, indices
         )
         assert (iso == -1).all()
 

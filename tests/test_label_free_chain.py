@@ -274,10 +274,10 @@ def test_product_paths_take_no_slow_path(slow_paths, fresh_bundle_cache):
         bundle, report = apply_update(bundle, spec)
         assert report.mode == "delta"
         analyze_all_methods(bundle)
-    experiments.fig04_aees_by_ordering(SCALE, datasets=("YNG",))
-    experiments.fig05_overlap_scatter(SCALE, datasets=("CRE",))
-    experiments.fig09_cluster_refinement(SCALE, dataset="CRE")
-    experiments.fig11_parallel_consistency(SCALE, dataset="CRE", processor_counts=(1, 4))
+    experiments.fig04_aees_by_ordering(SCALE)
+    experiments.fig05_overlap_scatter(SCALE)
+    experiments.fig09_cluster_refinement(SCALE)
+    experiments.fig11_parallel_consistency(SCALE)
     served = ServerState(SCALE)
     state = served.get("CRE")
     for spec in (None, UpdateSpec(add_samples=1, seed=5)):

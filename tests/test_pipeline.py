@@ -12,6 +12,7 @@ from repro.core import is_chordal
 from repro.incremental import replay_reference
 from repro.ontology.generator import make_study_ontology
 from repro.pipeline import analyze_filter, format_table, prepare_dataset
+from repro.pipeline import report
 from repro.pipeline.report import format_kv, format_series
 from repro.pipeline.workflow import derive_dataset, prepare_primary
 
@@ -159,3 +160,19 @@ class TestReportFormatting:
     def test_format_kv(self):
         text = format_kv({"vertices": 10, "density": 0.12345})
         assert "vertices" in text and "0.123" in text
+
+    @pytest.mark.parametrize(
+        "render, data",
+        [
+            (report._fmt, 0.5),
+            (format_table, [{"a": 0.5}]),
+            (format_series, {"s": {1: 0.5}}),
+            (format_kv, {"a": 0.5}),
+        ],
+        ids=["_fmt", "format_table", "format_series", "format_kv"],
+    )
+    def test_float_digits_not_settable(self, render, data):
+        """Every float renders with ``FLOAT_DIGITS`` places, series included."""
+        with pytest.raises(TypeError, match="float_digits"):
+            render(data, float_digits=4)
+        assert f"{0.5:.{report.FLOAT_DIGITS}f}" in render(data)

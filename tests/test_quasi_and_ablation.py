@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import apply_filter, chordality_deficit, long_cycle_census, quasi_chordal_report
 from repro.graph import complete_graph, cycle_graph, partition_graph, path_graph
+from repro.pipeline import ablation
 from repro.pipeline.ablation import (
     hub_retention_study,
     mcode_threshold_sweep,
@@ -64,17 +65,43 @@ class TestQuasiChordalReport:
 pytestmark = pytest.mark.usefixtures("fresh_bundle_cache")
 
 
+#: Settings the ablations fix, each with a value a caller might try.
+FIXED_SETTINGS = [
+    (mcode_threshold_sweep, "dataset", "UNT"),
+    (mcode_threshold_sweep, "thresholds", (3.0,)),
+    (mcode_threshold_sweep, "ordering", "rcm"),
+    (partitioner_ablation, "dataset", "UNT"),
+    (partitioner_ablation, "methods", ("block",)),
+    (partitioner_ablation, "ordering", "rcm"),
+    (hub_retention_study, "dataset", "UNT"),
+    (hub_retention_study, "k", 5),
+    (hub_retention_study, "measures", ("degree",)),
+    (hub_retention_study, "seed", 3),
+    (quasi_chordality_study, "dataset", "UNT"),
+]
+
+
+@pytest.mark.parametrize(
+    "study, keyword, value",
+    FIXED_SETTINGS,
+    ids=[f"{study.__name__}-{keyword}" for study, keyword, _ in FIXED_SETTINGS],
+)
+def test_ablation_setting_is_not_settable(study, keyword, value):
+    with pytest.raises(TypeError, match=keyword):
+        study(SCALE, **{keyword: value})
+
+
 class TestAblationDrivers:
-    def test_mcode_threshold_sweep_monotone(self):
-        out = mcode_threshold_sweep(scale=SCALE, dataset="CRE", thresholds=(2.0, 3.0, 4.0))
+    def test_mcode_threshold_sweep_monotone(self, paper_output):
+        out = paper_output("mcode_threshold_sweep")
         rows = out["rows"]
-        assert len(rows) == 3
+        assert [r["min_score"] for r in rows] == list(ablation.MCODE_THRESHOLDS)
         counts = [r["filtered_clusters"] for r in rows]
         assert counts == sorted(counts, reverse=True)  # stricter threshold, fewer clusters
 
-    def test_partitioner_ablation_rows(self):
-        out = partitioner_ablation(scale=SCALE, dataset="CRE", n_partitions=4, methods=("block", "bfs"))
-        assert len(out["rows"]) == 2
+    def test_partitioner_ablation_rows(self, paper_output):
+        out = paper_output("partitioner_ablation")
+        assert [r["partitioner"] for r in out["rows"]] == list(ablation.PARTITIONERS)
         for row in out["rows"]:
             assert row["duplicates"] <= row["border_edges"]
             assert row["edges_kept"] > 0
@@ -82,18 +109,18 @@ class TestAblationDrivers:
         block_row = next(r for r in out["rows"] if r["partitioner"] == "block")
         assert bfs_row["border_edges"] <= block_row["border_edges"]
 
-    def test_hub_retention_study(self):
-        out = hub_retention_study(scale=SCALE, dataset="CRE", k=10, n_partitions=4, measures=("degree",))
-        assert len(out["rows"]) == 2
+    def test_hub_retention_study(self, paper_output):
+        out = paper_output("hub_retention_study")
+        assert len(out["rows"]) == 2 * len(ablation.HUB_MEASURES)
         for row in out["rows"]:
             assert 0.0 <= row["hub_retention"] <= 1.0
             assert -1.0 <= row["rank_correlation"] <= 1.0
-        chordal = next(r for r in out["rows"] if r["filter"] == "chordal")
-        walk = next(r for r in out["rows"] if r["filter"] == "random_walk")
-        assert chordal["hub_retention"] >= walk["hub_retention"] - 0.3
+        for measure in ablation.HUB_MEASURES:
+            rows = {r["filter"]: r for r in out["rows"] if r["measure"] == measure}
+            assert rows["chordal"]["hub_retention"] >= rows["random_walk"]["hub_retention"] - 0.3
 
-    def test_quasi_chordality_study(self):
-        out = quasi_chordality_study(scale=SCALE, dataset="CRE", processor_counts=(2, 4))
+    def test_quasi_chordality_study(self, paper_output):
+        out = paper_output("quasi_chordality_study")
         rows = out["rows"]
         sequential = rows[0]
         assert sequential["variant"] == "sequential"
@@ -106,7 +133,7 @@ class TestAblationDrivers:
         # same number of accepted border edges.  (The paper notes that deleting
         # edges can expose *new* cycles, so the long-cycle count itself is not
         # monotone — we only check the edge-set containment here.)
-        for p in (2, 4):
+        for p in (2, 8, 32):
             raw = next(r for r in rows if r["variant"] == "nocomm" and r["processors"] == p)
             rep = next(r for r in rows if r["variant"] == "nocomm+repair" and r["processors"] == p)
             assert rep["accepted_border_edges"] <= raw["accepted_border_edges"]
